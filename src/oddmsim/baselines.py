@@ -5,10 +5,10 @@ M*N symbols per frame, bandwidth M*delta_f, frame duration N*T (cyclic-prefix
 overhead reported separately).
 
 OTFS here is the reduced-cyclic-prefix variant with rectangular transmit
-pulses: the delay-Doppler grid maps to time samples by an inverse DFT across
-the Doppler axis (so sample n_hat*M + m carries delay bin m in block n_hat),
-each sample is held for `oversampling` ticks, and one frame-level cyclic
-prefix covers the channel's delay spread.  On the integer grid its
+pulses: the delay-Doppler grid maps to time chips by an inverse DFT across
+the Doppler axis (:func:`core.dd_to_chips`), each chip is held for
+`oversampling` samples, and one frame-level cyclic prefix covers the
+channel's delay spread.  On the integer grid its
 delay-Doppler input-output matrix coincides with the pulse-train scheme's
 effective matrix, so detection reuses the same machinery; the waveforms (and
 hence their model mismatch under a physical channel) differ.
@@ -24,8 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelRealization
-from .core import DDFrame, FrameConfig, _as_grid, qam_demap
-from .effchan import EffectiveChannel, assemble_H
+from .core import DDFrame, FrameConfig, _as_grid, chips_to_dd, dd_to_chips, qam_demap
 from .waveform import SampleStream
 
 
@@ -37,10 +36,7 @@ def otfs_modulate(frame, config: FrameConfig, cyclic_prefix_chips: int = 0) -> S
         raise ValueError(f"frame shape {grid.shape} != ({M}, {N})")
     if cyclic_prefix_chips < 0 or cyclic_prefix_chips > M * N:
         raise ValueError("cyclic_prefix_chips out of range")
-    # chips[n_hat*M + m] = (1/sqrt(N)) sum_n S(m, n) e^{j2pi n n_hat / N}
-    blocks = np.fft.ifft(grid, axis=1) * np.sqrt(N)   # (M, N), columns are blocks
-    chips = blocks.T.reshape(-1)
-    samples = np.repeat(chips, osf) / np.sqrt(osf)
+    samples = np.repeat(dd_to_chips(grid), osf) / np.sqrt(osf)
     if cyclic_prefix_chips:
         cp = cyclic_prefix_chips * osf
         samples = np.concatenate([samples[-cp:], samples])
@@ -58,18 +54,7 @@ def otfs_demodulate(stream: SampleStream, config: FrameConfig) -> DDFrame:
         raise ValueError("stream does not cover one frame")
     y = stream.samples[-i0:-i0 + M * N * osf]
     chips = y.reshape(M * N, osf).sum(axis=1) / np.sqrt(osf)
-    blocks = chips.reshape(N, M).T                    # (M, N)
-    grid = np.fft.fft(blocks, axis=1) / np.sqrt(N)
-    return DDFrame(grid)
-
-
-def otfs_effective_channel(chan: ChannelRealization, config: FrameConfig) -> EffectiveChannel:
-    """Integer-grid DD input-output matrix of the reduced-CP rectangular-pulse chain.
-
-    Identical to the pulse-train scheme's effective matrix: the same circular
-    delay shifts, Doppler shifts, and wrap phases appear in both models.
-    """
-    return assemble_H(chan, config)
+    return DDFrame(chips_to_dd(chips, M, N))
 
 
 def ofdm_modulate(symbols, config: FrameConfig, cp_chips: int) -> SampleStream:

@@ -164,7 +164,7 @@ def apply_physical_channel(stream: SampleStream, chan: ChannelRealization,
     return SampleStream(samples=out, rate=rate, t0=stream.t0)
 
 
-def snr_to_noise_var(snr_db: float, config: FrameConfig | None = None) -> float:
+def snr_to_noise_var(snr_db: float) -> float:
     """Noise variance for unit average symbol energy: 10^(-snr_db/10).
 
     With the unit-energy pulse train and matched-filter receiver the

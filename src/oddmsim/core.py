@@ -188,6 +188,20 @@ def devectorize(vec: np.ndarray, config: FrameConfig) -> DDFrame:
     return DDFrame(vec.reshape(config.M, config.N).copy())
 
 
+def dd_to_chips(grid: np.ndarray) -> np.ndarray:
+    """Unitary map of an M x N delay-Doppler grid to MN time chips.
+
+    An inverse DFT across Doppler; chip ``n_hat*M + m`` carries delay bin
+    ``m`` of block ``n_hat``.
+    """
+    return (np.fft.ifft(grid, axis=1) * np.sqrt(grid.shape[1])).T.reshape(-1)
+
+
+def chips_to_dd(chips: np.ndarray, M: int, N: int) -> np.ndarray:
+    """Inverse of :func:`dd_to_chips`: MN time chips back to the M x N grid."""
+    return np.fft.fft(chips.reshape(N, M).T, axis=1) / np.sqrt(N)
+
+
 def qam_map(bits, constellation="4qam") -> np.ndarray:
     """Map a bit sequence onto unit-energy constellation symbols."""
     const = constellation if isinstance(constellation, Constellation) else get_constellation(constellation)

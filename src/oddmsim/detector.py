@@ -12,24 +12,31 @@ removes the correlation between the denoiser's output error and its input
 error.  Variances propagate deterministically:
 v_le^2 = v_nle^2 (1/eps - 1) and 1/v_nle'^2 = 1/v_post - 1/v_le^2.
 
-For small grids the regularized inverse is computed once per channel via an
-eigendecomposition of H H^H; for large grids a matrix-free conjugate-gradient
-solver exploits the O(P*MN) sparsity of H, with the trace factor estimated by
-seeded random probing.
+The linear estimator needs the regularized solve (H H^H + xi I)^{-1} r and
+the trace factor eps at every iteration.  Both are exact.  On the integer
+grid H = A^H H_t A, where A (:func:`core.dd_to_chips`) is the unitary map of
+the delay-Doppler vector to time chips q and
+
+    H_t = sum_p h_p diag(e^{j2pi k_p (q - l_p) / MN}) Pi^{l_p}
+
+with Pi the cyclic chip shift.  So H H^H = A^H T A with T = H_t H_t^H, which
+is cyclically banded with half-width max_p l_p - min_p l_p.  Taking the chips
+in the interleaved order (0, MN-1, 1, MN-2, ...) turns that cyclic band into
+an ordinary band of half-width at most twice that plus one.  Once per channel
+the band is stored and its eigenvalues lam are computed, which gives
+eps = mean(lam / (lam + xi)) for every xi; each solve is one banded Cholesky
+solve of T + xi I between the chip maps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvals_banded, solveh_banded
 
-from .core import FrameConfig, get_constellation, qam_demap
-from .effchan import DENSE_LIMIT, EffectiveChannel
-
-
-class SolverError(RuntimeError):
-    pass
+from .core import chips_to_dd, dd_to_chips, get_constellation, qam_demap
+from .effchan import EffectiveChannel
 
 
 @dataclass(frozen=True)
@@ -37,21 +44,15 @@ class OampConfig:
     max_iters: int = 20
     var_floor: float = 1e-10
     damping: float = 1.0          # 1 = no damping
-    le_mode: str = "auto"         # auto | exact | matrix_free
-    solve_tol: float = 1e-6       # relative residual of the inner solve
-    cg_max_iters: int = 2000
-    n_probes: int = 32            # trace probes in matrix-free mode
-    probe_seed: int = 12345
     stop_tol: float = 1e-6        # |delta v_nle^2| stopping rule
-    literal_denoiser: bool = False  # A/B switch: unsquared distance in the exponent
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must be in (0, 1]")
-        if self.var_floor <= 0 or self.solve_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.var_floor <= 0:
+            raise ValueError("var_floor must be positive")
 
 
 @dataclass
@@ -65,133 +66,102 @@ class DetectionResult:
     non_contracting: bool = False
 
 
-class LinearStage:
-    """Regularized-inverse machinery shared by the LE iterations and LMMSE.
+def _interleave(n: int) -> np.ndarray:
+    """Chip order (0, n-1, 1, n-2, ...): cyclic neighbours become near neighbours."""
+    perm = np.empty(n, dtype=np.int64)
+    perm[0::2] = np.arange((n + 1) // 2)
+    perm[1::2] = n - 1 - np.arange(n // 2)
+    return perm
 
-    mode 'exact' eigendecomposes the dense H H^H once and serves every
-    regularization level from the spectrum; 'matrix_free' answers each level
-    with a block conjugate-gradient solve and estimates the trace factor with
-    a fixed set of random probes.
+
+class LinearStage:
+    """Exact (H H^H + xi I)^{-1} and trace factor of one channel, for any xi.
+
+    ``ab`` holds the interleaved chip-domain Gram T in lower band storage and
+    ``lam`` its eigenvalues.  ``max_residual`` is the worst relative residual
+    ||(H H^H + xi I) z - r|| / ||r|| measured over every solve so far.
     """
 
-    def __init__(self, H: EffectiveChannel, config: OampConfig):
+    def __init__(self, H: EffectiveChannel):
         self.H = H
-        self.cfg = config
-        self.n = H.config.mn
-        mode = config.le_mode
-        if mode == "auto":
-            mode = "exact" if self.n <= DENSE_LIMIT else "matrix_free"
-        self.mode = mode
+        n = H.config.mn
+        self.perm = _interleave(n)
+        pos = np.empty(n, dtype=np.int64)
+        pos[self.perm] = np.arange(n)
+        q = np.arange(n)
+        # a zero diagonal keeps the band nonempty for a channel without paths
+        bands, cols, vals = [np.zeros(n, np.int64)], [q], [np.zeros(n, complex)]
+        for hp, pp in zip(H.gains, H.per_path):
+            for hr, pr in zip(H.gains, H.per_path):
+                # h_p conj(h_r) D_p Pi^{l_p - l_r} D_r^H: entry (q, q - l_p + l_r)
+                j = pos[(q - pp.l + pr.l) % n]
+                keep = pos >= j
+                bands.append(pos[keep] - j[keep])
+                cols.append(j[keep])
+                vals.append(hp * np.conj(hr)
+                            * np.exp(2j * np.pi * (pp.k - pr.k) * (q[keep] - pp.l) / n))
+        bands = np.concatenate(bands)
+        self.ab = np.zeros((bands.max() + 1, n), dtype=complex)
+        np.add.at(self.ab, (bands, np.concatenate(cols)), np.concatenate(vals))
+        self.lam = np.maximum(eigvals_banded(self.ab, lower=True), 0.0)
         self.max_residual = 0.0
-        if mode == "exact":
-            lam, U = np.linalg.eigh(H.gram_dense())
-            self.lam = np.maximum(lam, 0.0)
-            self.U = U
-        elif mode == "matrix_free":
-            if config.n_probes >= self.n:
-                # complete basis: the trace estimate becomes exact
-                self.probes = np.eye(self.n, dtype=complex) * np.sqrt(self.n)
-            else:
-                rng = np.random.default_rng(config.probe_seed)
-                z = (rng.integers(0, 2, (self.n, config.n_probes)) * 2 - 1) + \
-                    1j * (rng.integers(0, 2, (self.n, config.n_probes)) * 2 - 1)
-                self.probes = z.astype(complex) / np.sqrt(2.0)
-        else:
-            raise ValueError(f"unknown le_mode {mode!r}")
 
-    def solve(self, rhs: np.ndarray, xi: float, x0: np.ndarray | None = None) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, xi: float) -> np.ndarray:
         """(H H^H + xi I)^{-1} rhs."""
-        if self.mode == "exact":
-            w = self.U.conj().T @ rhs
-            return self.U @ (w / (self.lam + xi))
-        X, _ = self._cg(rhs[:, None], xi, x0[:, None] if x0 is not None else None)
-        return X[:, 0]
+        cfg = self.H.config
+        ab = self.ab.copy()
+        ab[0] += xi
+        x = np.empty(cfg.mn, dtype=complex)
+        x[self.perm] = solveh_banded(ab, dd_to_chips(rhs.reshape(cfg.M, cfg.N))[self.perm],
+                                     overwrite_ab=True, lower=True)
+        z = chips_to_dd(x, cfg.M, cfg.N).reshape(-1)
+        rnorm = np.linalg.norm(rhs)
+        if rnorm > 0:
+            resid = self.H.apply(self.H.apply_adjoint(z)) + xi * z - rhs
+            self.max_residual = max(self.max_residual, float(np.linalg.norm(resid) / rnorm))
+        return z
 
     def eps_phi(self, xi: float) -> float:
         """Tr(H^H (H H^H + xi I)^{-1} H) / MN."""
-        if self.mode == "exact":
-            return float(np.mean(self.lam / (self.lam + xi)))
-        W = self.H.apply(self.probes)
-        Q, _ = self._cg(W, xi)
-        vals = np.einsum("ij,ij->j", W.conj(), Q).real
-        return float(np.mean(vals)) / self.n
-
-    def solve_with_eps(self, rhs: np.ndarray, xi: float, x0=None):
-        """One fused call: solve the main system and the probe systems together."""
-        if self.mode == "exact":
-            return self.solve(rhs, xi), self.eps_phi(xi), None
-        W = self.H.apply(self.probes)
-        B = np.concatenate([rhs[:, None], W], axis=1)
-        X0 = None
-        if x0 is not None:
-            X0 = np.zeros_like(B)
-            X0[:, 0] = x0
-        X, _ = self._cg(B, xi, X0)
-        vals = np.einsum("ij,ij->j", W.conj(), X[:, 1:]).real
-        eps = float(np.mean(vals)) / self.n
-        return X[:, 0], eps, X[:, 0]
-
-    def _cg(self, B: np.ndarray, xi: float, X0: np.ndarray | None = None):
-        """Block CG on (H H^H + xi I) X = B, per-column stopping."""
-        A = lambda X: self.H.apply_gram(X) + xi * X
-        X = np.zeros_like(B) if X0 is None else X0.copy()
-        R = B - A(X) if X0 is not None else B.copy()
-        P = R.copy()
-        bnorm = np.sqrt(np.einsum("ij,ij->j", B.conj(), B).real)
-        bnorm = np.where(bnorm == 0.0, 1.0, bnorm)
-        rsq = np.einsum("ij,ij->j", R.conj(), R).real
-        tol = self.cfg.solve_tol
-        for it in range(self.cfg.cg_max_iters):
-            rel = np.sqrt(rsq) / bnorm
-            if np.all(rel <= tol):
-                self.max_residual = max(self.max_residual, float(rel.max()))
-                return X, it
-            Q = A(P)
-            den = np.einsum("ij,ij->j", P.conj(), Q).real
-            den = np.where(den == 0.0, 1.0, den)
-            alpha = rsq / den
-            X = X + alpha[None, :] * P
-            R = R - alpha[None, :] * Q
-            rsq_new = np.einsum("ij,ij->j", R.conj(), R).real
-            beta = rsq_new / np.where(rsq == 0.0, 1.0, rsq)
-            P = R + beta[None, :] * P
-            rsq = rsq_new
-        rel = np.sqrt(rsq) / bnorm
-        raise SolverError(
-            f"inner solve did not reach tol {tol:g} in {self.cfg.cg_max_iters} iterations; "
-            f"worst relative residual {float(rel.max()):.3e}")
+        return float(np.mean(self.lam / (self.lam + xi)))
 
 
-def _stage_for(H: EffectiveChannel, config: OampConfig) -> LinearStage:
-    key = (config.le_mode, config.solve_tol, config.n_probes, config.probe_seed)
-    stage = H._stage_cache.get(key)
-    if stage is None or stage.cfg.cg_max_iters != config.cg_max_iters:
-        stage = LinearStage(H, config)
-        H._stage_cache[key] = stage
-    return stage
+def _stage_for(H: EffectiveChannel) -> LinearStage:
+    if H._stage is None:
+        H._stage = LinearStage(H)
+    return H._stage
 
 
-def _le_step(s_t, y, H, v_nle_sq, sigma_sq, config, stage, x0=None):
+def _le_step(s_t, y, H, v_nle_sq, sigma_sq, config, stage):
     v_nle_sq = max(v_nle_sq, config.var_floor)
     xi = sigma_sq / v_nle_sq
-    rhs = y - H.apply(s_t)
-    z, eps, warm = stage.solve_with_eps(rhs, xi, x0)
+    z = stage.solve(y - H.apply(s_t), xi)
+    eps = stage.eps_phi(xi)
     r = s_t + H.apply_adjoint(z) / eps
     v_le_sq = max(v_nle_sq * (1.0 / eps - 1.0), config.var_floor)
-    return r, v_le_sq, warm
+    return r, v_le_sq
+
+
+def _check_observation(y, H: EffectiveChannel, sigma_sq: float) -> np.ndarray:
+    y = np.asarray(y)
+    if y.shape != (H.config.mn,):
+        raise ValueError(f"observation shape {y.shape} != (MN,) = ({H.config.mn},)")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observation contains non-finite values")
+    if not (np.isfinite(sigma_sq) and sigma_sq > 0):
+        raise ValueError(f"sigma_sq must be positive and finite, got {sigma_sq}")
+    return y
 
 
 def oamp_le(s_t: np.ndarray, y: np.ndarray, H: EffectiveChannel, v_nle_sq: float,
             sigma_sq: float, config: OampConfig | None = None):
     """De-correlated linear estimate; returns (r_t, v_le_sq)."""
     config = config or OampConfig()
-    stage = _stage_for(H, config)
-    r, v_le_sq, _ = _le_step(s_t, y, H, v_nle_sq, sigma_sq, config, stage)
-    return r, v_le_sq
+    return _le_step(s_t, y, H, v_nle_sq, sigma_sq, config, _stage_for(H))
 
 
 def oamp_nle(r_t: np.ndarray, v_le_sq: float, constellation,
-             var_floor: float = 1e-10, literal_denoiser: bool = False):
+             var_floor: float = 1e-10):
     """Posterior-mean denoiser plus divergence-free recentring.
 
     Returns (s_next, v_nle_sq_next, posterior_means, posterior_var,
@@ -201,7 +171,7 @@ def oamp_nle(r_t: np.ndarray, v_le_sq: float, constellation,
     const = constellation if not isinstance(constellation, str) else get_constellation(constellation)
     v = max(v_le_sq, var_floor)
     d2 = np.abs(r_t[:, None] - const.points[None, :]) ** 2
-    expo = -(np.sqrt(d2) if literal_denoiser else d2) / v
+    expo = -d2 / v
     expo -= expo.max(axis=1, keepdims=True)
     w = np.exp(expo)
     w /= w.sum(axis=1, keepdims=True)
@@ -222,25 +192,19 @@ def oamp_detect(y: np.ndarray, H: EffectiveChannel, sigma_sq: float,
                 config: OampConfig | None = None) -> DetectionResult:
     """Iterate LE/NLE from a zero prior until the variance estimate settles."""
     config = config or OampConfig()
-    if sigma_sq <= 0:
-        raise ValueError("sigma_sq must be positive")
+    y = _check_observation(y, H, sigma_sq)
     const = H.config.constellation_obj
-    stage = _stage_for(H, config)
-    n = H.config.mn
-    if y.shape[0] != n:
-        raise ValueError(f"observation length {y.shape[0]} != MN = {n}")
-    s_t = np.zeros(n, dtype=complex)
+    stage = _stage_for(H)
+    s_t = np.zeros(H.config.mn, dtype=complex)
     v_nle_sq = 1.0  # unit-energy constellation prior
     trace = []
     post_mean = s_t
-    warm = None
     non_contracting = False
     iterations = 0
     for t in range(config.max_iters):
         iterations = t + 1
-        r, v_le_sq, warm = _le_step(s_t, y, H, v_nle_sq, sigma_sq, config, stage, warm)
-        s_next, v_next, post_mean, _, flag = oamp_nle(
-            r, v_le_sq, const, config.var_floor, config.literal_denoiser)
+        r, v_le_sq = _le_step(s_t, y, H, v_nle_sq, sigma_sq, config, stage)
+        s_next, v_next, post_mean, _, flag = oamp_nle(r, v_le_sq, const, config.var_floor)
         non_contracting = non_contracting or flag
         if config.damping < 1.0:
             s_next = config.damping * s_next + (1.0 - config.damping) * s_t
@@ -257,12 +221,11 @@ def oamp_detect(y: np.ndarray, H: EffectiveChannel, sigma_sq: float,
                            non_contracting=non_contracting)
 
 
-def lmmse_detect(y: np.ndarray, H: EffectiveChannel, sigma_sq: float,
-                 config: OampConfig | None = None) -> DetectionResult:
+def lmmse_detect(y: np.ndarray, H: EffectiveChannel, sigma_sq: float) -> DetectionResult:
     """One-shot s_hat = H^H (H H^H + sigma^2 I)^{-1} y with hard decisions."""
-    config = config or OampConfig()
+    y = _check_observation(y, H, sigma_sq)
     const = H.config.constellation_obj
-    stage = _stage_for(H, config)
+    stage = _stage_for(H)
     z = stage.solve(y, sigma_sq)
     soft = H.apply_adjoint(z)
     hard = const.points[np.abs(soft[:, None] - const.points[None, :]).argmin(axis=1)]

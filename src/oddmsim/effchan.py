@@ -89,14 +89,6 @@ class PathCoeff:
         out[self.cols] = np.conj(self.vals) * y
         return out
 
-    def apply_block(self, X: np.ndarray) -> np.ndarray:
-        return self.vals[:, None] * X[self.cols, :]
-
-    def apply_adjoint_block(self, Y: np.ndarray) -> np.ndarray:
-        out = np.empty_like(Y)
-        out[self.cols, :] = np.conj(self.vals)[:, None] * Y
-        return out
-
     def to_dense(self) -> np.ndarray:
         n = self.size
         if n > DENSE_LIMIT:
@@ -133,8 +125,7 @@ class EffectiveChannel:
     config: FrameConfig
     gains: np.ndarray
     per_path: tuple
-    _csr: tuple = field(default=None, repr=False)
-    _stage_cache: dict = field(default_factory=dict, repr=False)
+    _stage: object = field(default=None, repr=False)  # detector.LinearStage, built on first use
 
     @property
     def shape(self):
@@ -151,25 +142,15 @@ class EffectiveChannel:
             raise ValueError(f"vector length {x.shape[0]} != MN = {self.config.mn}")
         out = np.zeros_like(x, dtype=complex)
         for h, pc in zip(self.gains, self.per_path):
-            if x.ndim == 1:
-                out += h * pc.apply(x)
-            else:
-                out += h * pc.apply_block(x)
+            out += h * pc.apply(x)
         return out
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y)
         out = np.zeros_like(y, dtype=complex)
         for h, pc in zip(self.gains, self.per_path):
-            if y.ndim == 1:
-                out += np.conj(h) * pc.apply_adjoint(y)
-            else:
-                out += np.conj(h) * pc.apply_adjoint_block(y)
+            out += np.conj(h) * pc.apply_adjoint(y)
         return out
-
-    def apply_gram(self, x: np.ndarray) -> np.ndarray:
-        """(H H^H) x."""
-        return self.apply(self.apply_adjoint(x))
 
     def coo(self):
         """Merged sparse entries as (rows, cols, vals), duplicates summed."""
@@ -184,16 +165,6 @@ class EffectiveChannel:
         np.add.at(merged, inv, vals)
         return uniq // n, uniq % n, merged
 
-    def csr(self):
-        """Compressed-row layout (indptr, indices, data) of the merged matrix."""
-        if self._csr is None:
-            rows, cols, vals = self.coo()
-            n = self.config.mn
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.add.at(indptr, rows + 1, 1)
-            self._csr = (np.cumsum(indptr), cols, vals)
-        return self._csr
-
     def to_dense(self) -> np.ndarray:
         n = self.config.mn
         if n > DENSE_LIMIT:
@@ -202,23 +173,6 @@ class EffectiveChannel:
         for h, pc in zip(self.gains, self.per_path):
             H[np.arange(n), pc.cols] += h * pc.vals
         return H
-
-    def gram_dense(self) -> np.ndarray:
-        """Dense H H^H assembled from path-pair permutations, O(P^2 * MN)."""
-        n = self.config.mn
-        if n > DENSE_LIMIT:
-            raise ValueError(f"dense gram refused for MN={n} > {DENSE_LIMIT}")
-        G = np.zeros((n, n), dtype=complex)
-        rows = np.arange(n)
-        inv_cols = [np.empty(n, dtype=np.int64) for _ in self.per_path]
-        for pc, inv in zip(self.per_path, inv_cols):
-            inv[pc.cols] = rows
-        for hp, pcp in zip(self.gains, self.per_path):
-            for hq, pcq, inv_q in zip(self.gains, self.per_path, inv_cols):
-                # (H_p H_q^H)[i, j] != 0 where cols_p[i] == cols_q[j]
-                j = inv_q[pcp.cols]
-                np.add.at(G, (rows, j), hp * np.conj(hq) * pcp.vals * np.conj(pcq.vals[j]))
-        return G
 
     def frobenius_norm_sq(self) -> float:
         _, _, vals = self.coo()
@@ -246,11 +200,6 @@ def effective_channel_from_cells(cells, gains, config: FrameConfig) -> Effective
                             per_path=per_path)
 
 
-def apply_effective_channel(eff: EffectiveChannel, s: np.ndarray) -> np.ndarray:
-    """Noiseless product y = H s."""
-    return eff.apply(np.asarray(s))
-
-
 def frobenius_distance_sq(a: EffectiveChannel, b: EffectiveChannel) -> float:
     """||A - B||_F^2 via the merged sparse entries."""
     ka, va = a.entry_map()
@@ -262,12 +211,3 @@ def frobenius_distance_sq(a: EffectiveChannel, b: EffectiveChannel) -> float:
     np.add.at(merged, inv, vals)
     return float(np.sum(np.abs(merged) ** 2))
 
-
-def dump_matrix(eff: EffectiveChannel, path) -> None:
-    """Write merged entries as 'row col Re Im' lines (small instances only)."""
-    rows, cols, vals = eff.coo()
-    if rows.size > 200_000:
-        raise ValueError("matrix dump refused for very large instances")
-    with open(path, "w") as fh:
-        for r, c, v in zip(rows, cols, vals):
-            fh.write(f"{r} {c} {v.real!r} {v.imag!r}\n")

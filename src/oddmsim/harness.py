@@ -71,13 +71,10 @@ class EstSpec:
 @dataclass(frozen=True)
 class DetSpec:
     max_iters: int = 20
-    le_mode: str = "auto"
-    solve_tol: float = 1e-6
     damping: float = 1.0
 
     def to_oamp_config(self) -> OampConfig:
-        return OampConfig(max_iters=self.max_iters, le_mode=self.le_mode,
-                          solve_tol=self.solve_tol, damping=self.damping)
+        return OampConfig(max_iters=self.max_iters, damping=self.damping)
 
 
 @dataclass(frozen=True)
@@ -247,13 +244,16 @@ class _TrialRunner:
 
     # -- frame transport ---------------------------------------------------
 
-    def _through_channel(self, frame, chan, noise_var, noise_rng):
-        """Transmit one DD frame; returns the DD-domain observation vector."""
+    def _through_channel(self, frame, chan, H_true, noise_var, noise_rng):
+        """Transmit one DD frame; returns the DD-domain observation vector.
+
+        Matrix fidelity applies H_true, the assembled true channel; waveform
+        fidelity sends samples through ``chan`` and ignores it.
+        """
         spec, cfg = self.spec, self.cfg
         s = vectorize(frame)
         if spec.fidelity == "matrix":
-            H = self._true_H(chan)
-            y = H.apply(s)
+            y = H_true.apply(s)
             if noise_var > 0:
                 y = y + np.sqrt(noise_var / 2) * (
                     noise_rng.standard_normal(cfg.mn) + 1j * noise_rng.standard_normal(cfg.mn))
@@ -268,11 +268,6 @@ class _TrialRunner:
             return vectorize(baselines.otfs_demodulate(rx, cfg))
         raise AssertionError(spec.scheme)
 
-    def _true_H(self, chan):
-        if getattr(chan, "_eff_cache", None) is None:
-            chan._eff_cache = assemble_H(chan, self.cfg)
-        return chan._eff_cache
-
     # -- one trial ----------------------------------------------------------
 
     def run_trial(self, snr_idx: int, snr_db: float, trial: int) -> dict:
@@ -283,6 +278,8 @@ class _TrialRunner:
 
         if spec.scheme == "ofdm":
             return self._run_ofdm_trial(snr_idx, snr_db, trial, chan, noise_var, out)
+        H_true = assemble_H(chan, cfg) \
+            if spec.fidelity == "matrix" or spec.csi == "perfect" else None
 
         # sensing stage
         if spec.csi == "estimated":
@@ -292,12 +289,12 @@ class _TrialRunner:
             sense_nv = snr_to_noise_var(spec.sensing_snr_db) \
                 if spec.sensing_snr_db is not None else noise_var
             noise_rng = derive_rng(spec.seed, _STAGE_SENSE_NOISE, trial, snr_idx)
-            y_sense = self._through_channel(sense_frame, chan, sense_nv, noise_rng)
+            y_sense = self._through_channel(sense_frame, chan, H_true, sense_nv, noise_rng)
             est = estimate_channel(y_sense, s_known, self.est_cfg)
             H_det = est.to_effective_channel(cfg)
             out["nmse_db"] = nmse(est, chan, cfg)
         else:
-            H_det = self._true_H(chan)
+            H_det = H_true
 
         # communication stage over the same channel realization
         sigma = max(noise_var, 1e-12)
@@ -305,11 +302,11 @@ class _TrialRunner:
             bits_rng = derive_rng(spec.seed, _STAGE_COMM_BITS, trial, f)
             bits, frame = random_frame(cfg, bits_rng)
             noise_rng = derive_rng(spec.seed, _STAGE_COMM_NOISE, trial, f, snr_idx)
-            y = self._through_channel(frame, chan, noise_var, noise_rng)
+            y = self._through_channel(frame, chan, H_true, noise_var, noise_rng)
             if spec.detector == "oamp":
                 det = oamp_detect(y, H_det, sigma, self.oamp_cfg)
             else:
-                det = lmmse_detect(y, H_det, sigma, self.oamp_cfg)
+                det = lmmse_detect(y, H_det, sigma)
             out["bits"] += bits.size
             out["bit_errors"] += int(np.sum(det.hard_bits != bits))
         return out
@@ -375,11 +372,6 @@ def _parallel_trials(spec, snr_idx, snr_db, threads):
     return sorted(results.items())
 
 
-def run_ber_sweep(spec: ExperimentSpec, threads: int = 1) -> SweepResult:
-    """BER sweep; identical to the sensing-then-communication pipeline."""
-    return run_sensing_then_comm(spec, threads=threads)
-
-
 def run_nmse_sweep(spec: ExperimentSpec, threads: int = 1) -> SweepResult:
     """Channel estimation error sweep: fast algorithm plus (when feasible)
     the exhaustive search, one row per estimator per SNR point."""
@@ -419,50 +411,11 @@ def run_nmse_sweep(spec: ExperimentSpec, threads: int = 1) -> SweepResult:
     return SweepResult(rows=rows)
 
 
-# -- configuration files ----------------------------------------------------
-
-_CONFIG_KEYS = {
-    "frame.M": int, "frame.N": int, "frame.delta_f": float, "frame.f_c": float,
-    "frame.Q": int, "frame.rolloff": float, "frame.oversampling": int,
-    "frame.constellation": str,
-    "channel.model": str, "channel.v_kmh": float, "channel.paths": int,
-    "channel.l_max": int, "channel.k_max": int,
-    "run.scheme": str, "run.detector": str, "run.csi": str, "run.fidelity": str,
-    "run.trials": int, "run.frames_per_trial": int, "run.min_bit_errors": int,
-    "run.seed": int, "run.snr_db": "floatlist", "run.sensing_snr_db": float,
-    "est.p_assumed": int, "est.max_iters": int, "est.epsilon": float,
-    "det.max_iters": int, "det.le_mode": str, "det.solve_tol": float,
-    "det.damping": float,
-}
-
-
-def parse_config_file(path) -> dict:
-    """Parse 'dotted.key = value' lines; unknown keys are errors."""
-    out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
-            conv = _CONFIG_KEYS[key]
-            if conv == "floatlist":
-                out[key] = tuple(float(v) for v in val.split(","))
-            else:
-                out[key] = conv(val)
-    return out
-
-
 DEFAULT_FRAME = dict(M=64, N=16, delta_f=15e3, f_c=5e9, Q=8)
 
 
 def build_spec(options: dict) -> ExperimentSpec:
-    """Assemble an ExperimentSpec from dotted-key options (file and/or CLI)."""
+    """Assemble an ExperimentSpec from dotted-key options."""
     frame_args = dict(DEFAULT_FRAME)
     for key in list(options):
         if key.startswith("frame."):
@@ -478,8 +431,6 @@ def build_spec(options: dict) -> ExperimentSpec:
                   max_iters=options.get("est.max_iters", 20),
                   epsilon=options.get("est.epsilon", 1e-4))
     det = DetSpec(max_iters=options.get("det.max_iters", 20),
-                  le_mode=options.get("det.le_mode", "auto"),
-                  solve_tol=options.get("det.solve_tol", 1e-6),
                   damping=options.get("det.damping", 1.0))
     return ExperimentSpec(
         frame=frame,

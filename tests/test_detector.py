@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from oddmsim.channel import (channel_from_cells, gen_synthetic_channel,
+from oddmsim.channel import (channel_from_cells, gen_eva_channel, gen_synthetic_channel,
                              snr_to_noise_var)
 from oddmsim.core import get_constellation, make_frame_config, qam_map, random_frame, vectorize
-from oddmsim.detector import (OampConfig, SolverError, lmmse_detect, oamp_detect,
-                              oamp_le, oamp_nle)
+from oddmsim.detector import LinearStage, lmmse_detect, oamp_detect, oamp_le, oamp_nle
 from oddmsim.effchan import assemble_H
+from oddmsim.estimator import EstimationConfig, estimate_channel
 
-from oracles import count_bit_errors, qpsk_awgn_ber
+from oracles import count_bit_errors, dense_le, qpsk_awgn_ber
 
 
 def cfg_small():
@@ -52,27 +52,73 @@ class TestOampLE:
         assert np.allclose(r, H.apply_adjoint(y), atol=1e-10)
         assert v_le == pytest.approx(nv, rel=1e-9)
 
-    def test_matrix_free_matches_exact(self):
-        cfg = make_frame_config(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3)
-        rng = np.random.default_rng(4)
-        chan = gen_synthetic_channel(cfg, 4, rng, l_max=6, k_max=3)
-        _, frame = random_frame(cfg, rng)
-        s = vectorize(frame)
-        H = assemble_H(chan, cfg)
-        y, nv = noisy_observation(H, s, 12.0, 5)
-        exact = oamp_detect(y, H, nv, OampConfig(le_mode="exact"))
-        free = oamp_detect(y, assemble_H(chan, cfg), nv,
-                           OampConfig(le_mode="matrix_free", solve_tol=1e-12,
-                                      n_probes=cfg.mn))
-        assert np.max(np.abs(exact.soft_symbols - free.soft_symbols)) <= 1e-8
 
-    def test_solver_failure_reports_residual(self):
-        cfg = cfg_small()
-        H = identity_channel(cfg)
-        bad = OampConfig(le_mode="matrix_free", solve_tol=1e-14, cg_max_iters=1)
-        y = np.ones(cfg.mn, dtype=complex)
-        with pytest.raises(SolverError, match="residual"):
-            oamp_detect(y, H, 0.1, bad)
+def cfg16():
+    return make_frame_config(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3)
+
+
+def estimated_eva_channel():
+    """Estimated EVA channel (350 km/h, 64 x 16), as the estimated-CSI link detects with."""
+    cfg = make_frame_config(M=64, N=16, delta_f=15e3, f_c=5e9, Q=8)
+    rng = np.random.default_rng(5)
+    chan = gen_eva_channel(cfg, 350.0, rng)
+    _, frame = random_frame(cfg, rng)
+    s = vectorize(frame)
+    y, _ = noisy_observation(assemble_H(chan, cfg), s, 20.0, 6)
+    est = estimate_channel(y, s, EstimationConfig(frame=cfg, p_assumed=9, l_range=(0, 4),
+                                                  k_range=(-3, 4)))
+    return est.to_effective_channel(cfg)
+
+
+STAGE_CHANNELS = {
+    "identity": lambda: identity_channel(cfg16()),
+    "wrap-path": lambda: assemble_H(channel_from_cells(cfg16(), [(15, 1)], [0.8 - 0.3j]),
+                                    cfg16()),
+    "equal-delays": lambda: assemble_H(channel_from_cells(
+        cfg16(), [(3, -2), (3, 0), (3, 1)], [0.6, -0.5j, 0.3 + 0.2j]), cfg16()),
+    "eva-estimated": estimated_eva_channel,
+}
+
+
+class TestLinearStage:
+    @pytest.mark.parametrize("name", list(STAGE_CHANNELS))
+    def test_matches_dense_oracle(self, name):
+        H = STAGE_CHANNELS[name]()
+        Hd = H.to_dense()
+        stage = LinearStage(H)
+        rng = np.random.default_rng(30)
+        r = rng.standard_normal(H.config.mn) + 1j * rng.standard_normal(H.config.mn)
+        for xi in (1e-6, 1e-2, 1.0, 10.0):
+            z_ref, eps_ref = dense_le(Hd, r, xi)
+            z = stage.solve(r, xi)
+            assert np.linalg.norm(z - z_ref) <= 1e-10 * np.linalg.norm(z_ref)
+            assert stage.eps_phi(xi) == pytest.approx(eps_ref, rel=1e-10)
+
+    def test_spectrum_matches_dense_gram(self):
+        cfg = cfg16()
+        chan = gen_synthetic_channel(cfg, 3, np.random.default_rng(29), l_max=6, k_max=1)
+        H = assemble_H(chan, cfg)
+        Hd = H.to_dense()
+        lam = np.sort(LinearStage(H).lam)
+        assert np.allclose(lam, np.linalg.eigvalsh(Hd @ Hd.conj().T), atol=1e-12)
+
+    def test_residual_is_measured(self):
+        cfg = cfg16()
+        rng = np.random.default_rng(31)
+        H = assemble_H(gen_synthetic_channel(cfg, 4, rng, l_max=6, k_max=3), cfg)
+        Hd = H.to_dense()
+        A = Hd @ Hd.conj().T + 0.1 * np.eye(cfg.mn)
+        r = rng.standard_normal(cfg.mn) + 1j * rng.standard_normal(cfg.mn)
+        stage = LinearStage(H)
+        stage.solve(r, 0.1)
+        assert 0.0 < stage.max_residual <= 1e-12
+        # a corrupted band solves the wrong system; the recorded residual is
+        # the one the dense matrix gives for the returned vector
+        stage.ab[0] += 1.0
+        z = stage.solve(r, 0.1)
+        dense_residual = np.linalg.norm(A @ z - r) / np.linalg.norm(r)
+        assert dense_residual > 0.1
+        assert stage.max_residual == pytest.approx(dense_residual, rel=1e-9)
 
 
 class TestOampNLE:
@@ -221,6 +267,25 @@ class TestOampDetect:
         with pytest.raises(ValueError):
             oamp_detect(np.zeros(cfg.mn, dtype=complex), H, 0.0)
 
+    @pytest.mark.parametrize("detect", [oamp_detect, lmmse_detect])
+    @pytest.mark.parametrize("y_fault, sigma_sq", [
+        ("nan", 0.1), ("inf", 0.1), ("short", 0.1), ("long", 0.1),
+        (None, 0.0), (None, -0.1), (None, np.nan), (None, np.inf)])
+    def test_rejects_bad_input(self, detect, y_fault, sigma_sq):
+        cfg = cfg_small()
+        H = identity_channel(cfg)
+        y = np.ones(cfg.mn, dtype=complex)
+        if y_fault == "nan":
+            y[3] = np.nan
+        elif y_fault == "inf":
+            y[3] = np.inf
+        elif y_fault == "short":
+            y = y[:-1]
+        elif y_fault == "long":
+            y = np.ones(cfg.mn + 1, dtype=complex)
+        with pytest.raises(ValueError):
+            detect(y, H, sigma_sq)
+
 
 class TestLmmse:
     def test_identity_channel_matched_filter(self):
@@ -243,8 +308,7 @@ class TestLmmse:
         # t=0 LE from a zero prior with unit prior variance
         r, _ = oamp_le(np.zeros_like(s), y, H, 1.0, nv)
         lmmse = lmmse_detect(y, H, nv).soft_symbols
-        lam = H._stage_cache[list(H._stage_cache)[0]].lam
-        eps = float(np.mean(lam / (lam + nv)))
+        _, eps = dense_le(H.to_dense(), y, nv)
         assert np.allclose(r * eps, lmmse, atol=1e-10)
 
     def test_oamp_not_worse_than_lmmse_small_mc(self):

@@ -1,0 +1,85 @@
+import itertools
+
+import pytest
+
+from oddmsim.harness import (CSI_MODES, DETECTORS, FIDELITIES, SCHEMES, build_spec,
+                             emit_csv, parse_csv, run_nmse_sweep, run_sensing_then_comm)
+
+
+def tiny_spec(**options):
+    base = {"frame.M": 32, "frame.N": 8, "run.snr_db": (10.0,), "run.trials": 1,
+            "run.frames_per_trial": 1}
+    return build_spec(dict(base, **options))
+
+
+def accepted_combinations():
+    out = []
+    for scheme, detector, csi, fidelity in itertools.product(SCHEMES, DETECTORS,
+                                                             CSI_MODES, FIDELITIES):
+        options = {"run.scheme": scheme, "run.detector": detector, "run.csi": csi,
+                   "run.fidelity": fidelity}
+        try:
+            tiny_spec(**options)
+        except ValueError:
+            continue
+        out.append(options)
+    return out
+
+
+COMBINATIONS = accepted_combinations()
+
+
+def test_accepted_combinations():
+    # ofdm is waveform-level with perfect CSI only; the other schemes take all
+    assert len(COMBINATIONS) == 2 * 2 * 2 * 2 + 2
+
+
+@pytest.mark.parametrize("options", COMBINATIONS,
+                         ids=["-".join(o.values()) for o in COMBINATIONS])
+def test_every_accepted_combination_runs(options):
+    spec = tiny_spec(**options)
+    result = run_sensing_then_comm(spec)
+    (row,) = result.rows
+    bits_per_symbol = spec.frame.constellation_obj.bits_per_symbol
+    assert row.bits == row.trials_run * spec.frames_per_trial * spec.frame.mn * bits_per_symbol
+    assert 0.0 <= row.ber <= 0.5
+    assert (row.nmse_db is not None) == (options["run.csi"] == "estimated")
+
+
+def link_spec(**options):
+    return tiny_spec(**{"run.csi": "estimated", "run.fidelity": "matrix",
+                        "run.snr_db": (0.0, 10.0), "run.trials": 3, **options})
+
+
+def test_csv_round_trip(tmp_path):
+    result = run_sensing_then_comm(link_spec())
+    nmse = run_nmse_sweep(link_spec())
+    for res in (result, nmse):
+        path = tmp_path / "sweep.csv"
+        emit_csv(res, path)
+        assert parse_csv(path).rows == res.rows
+
+
+def _csv_lines_without_wall_time(path):
+    with open(path) as fh:
+        lines = [line.rstrip("\n").split(",") for line in fh]
+    col = lines[0].index("wall_time_s")
+    return [fields[:col] + fields[col + 1:] for fields in lines]
+
+
+def test_serial_and_parallel_csvs_identical(tmp_path):
+    spec = link_spec()
+    emit_csv(run_sensing_then_comm(spec), tmp_path / "serial.csv")
+    emit_csv(run_sensing_then_comm(spec, threads=2), tmp_path / "parallel.csv")
+    assert _csv_lines_without_wall_time(tmp_path / "serial.csv") == \
+        _csv_lines_without_wall_time(tmp_path / "parallel.csv")
+
+
+def test_min_bit_errors_stops_early():
+    stopped = run_sensing_then_comm(link_spec(**{"run.snr_db": (0.0,),
+                                                 "run.min_bit_errors": 1}))
+    full = run_sensing_then_comm(link_spec(**{"run.snr_db": (0.0,),
+                                              "run.min_bit_errors": 10**9}))
+    assert stopped.rows[0].bit_errors >= 1
+    assert stopped.rows[0].trials_run == 1
+    assert full.rows[0].trials_run == 3
