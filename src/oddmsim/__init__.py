@@ -16,11 +16,9 @@ from .waveform import (PulseBank, SampleStream, build_srrc, oddm_demodulate,
 from .channel import (ChannelRealization, PathParams, apply_physical_channel,
                       gen_eva_channel, gen_synthetic_channel, paths_from_text,
                       paths_to_text, snr_to_noise_var)
-from .effchan import (EffectiveChannel, assemble_H, build_block, cyclic_permutation,
-                      path_coefficient_matrix, phase_rotation)
+from .effchan import EffectiveChannel, assemble_H
 from .estimator import (EstimationConfig, EstimationResult, estimate_channel,
-                        mle_exhaustive, nmse, path_objective, refresh_gains,
-                        solve_gains)
+                        mle_exhaustive, nmse, refresh_gains, solve_gains)
 from .detector import (DetectionResult, OampConfig, lmmse_detect, oamp_detect,
                        oamp_le, oamp_nle)
 from .baselines import (ofdm_detect, ofdm_freq_response, ofdm_modulate,

@@ -33,7 +33,7 @@ class PathParams:
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """A set of paths with pairwise-distinct integer (l, k) coordinates."""
+    """A set of paths on pairwise-distinct integer (l, k) cells."""
 
     paths: tuple
 

@@ -15,7 +15,7 @@ Conventions shared by every other module:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,9 +139,6 @@ class FrameConfig:
     def constellation_obj(self) -> Constellation:
         return get_constellation(self.constellation)
 
-    def with_(self, **kwargs) -> "FrameConfig":
-        return replace(self, **kwargs)
-
 
 def make_frame_config(M, N, delta_f, f_c, Q, rolloff=0.25, oversampling=8,
                       constellation="4qam") -> FrameConfig:
@@ -226,14 +223,6 @@ def qam_demap(symbols, constellation="4qam") -> np.ndarray:
     d2 = np.abs(symbols[:, None] - const.points[None, :]) ** 2
     idx = d2.argmin(axis=1)
     return const.bit_labels[idx].reshape(-1)
-
-
-def hard_decision(symbols, constellation="4qam") -> np.ndarray:
-    """Snap each value to the nearest constellation point."""
-    const = constellation if isinstance(constellation, Constellation) else get_constellation(constellation)
-    symbols = np.asarray(symbols, dtype=complex).reshape(-1)
-    d2 = np.abs(symbols[:, None] - const.points[None, :]) ** 2
-    return const.points[d2.argmin(axis=1)]
 
 
 def delay_index(tau: float, config: FrameConfig) -> int:

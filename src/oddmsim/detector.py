@@ -13,19 +13,14 @@ error.  Variances propagate deterministically:
 v_le^2 = v_nle^2 (1/eps - 1) and 1/v_nle'^2 = 1/v_post - 1/v_le^2.
 
 The linear estimator needs the regularized solve (H H^H + xi I)^{-1} r and
-the trace factor eps at every iteration.  Both are exact.  On the integer
-grid H = A^H H_t A, where A (:func:`core.dd_to_chips`) is the unitary map of
-the delay-Doppler vector to time chips q and
-
-    H_t = sum_p h_p diag(e^{j2pi k_p (q - l_p) / MN}) Pi^{l_p}
-
-with Pi the cyclic chip shift.  So H H^H = A^H T A with T = H_t H_t^H, which
-is cyclically banded with half-width max_p l_p - min_p l_p.  Taking the chips
+the trace factor eps at every iteration.  Both are exact and run on chips
+(see :mod:`effchan`): H H^H = A^H T A with T = H_t H_t^H, which is
+cyclically banded with half-width max_p l_p - min_p l_p.  Taking the chips
 in the interleaved order (0, MN-1, 1, MN-2, ...) turns that cyclic band into
 an ordinary band of half-width at most twice that plus one.  Once per channel
 the band is stored and its eigenvalues lam are computed, which gives
 eps = mean(lam / (lam + xi)) for every xi; each solve is one banded Cholesky
-solve of T + xi I between the chip maps.
+solve of T + xi I.
 """
 
 from __future__ import annotations
@@ -35,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvals_banded, solveh_banded
 
-from .core import chips_to_dd, dd_to_chips, get_constellation, qam_demap
-from .effchan import EffectiveChannel
+from .core import get_constellation, qam_demap
+from .effchan import EffectiveChannel, checked_chips, from_chips, to_chips
 
 
 @dataclass(frozen=True)
@@ -75,11 +70,12 @@ def _interleave(n: int) -> np.ndarray:
 
 
 class LinearStage:
-    """Exact (H H^H + xi I)^{-1} and trace factor of one channel, for any xi.
+    """Exact (T + xi I)^{-1}, T = H_t H_t^H, and trace factor of one channel, for any xi.
 
     ``ab`` holds the interleaved chip-domain Gram T in lower band storage and
     ``lam`` its eigenvalues.  ``max_residual`` is the worst relative residual
-    ||(H H^H + xi I) z - r|| / ||r|| measured over every solve so far.
+    ||(T + xi I) z - r|| / ||r|| measured over every solve so far; A is
+    unitary, so it equals the delay-Doppler residual of (H H^H + xi I).
     """
 
     def __init__(self, H: EffectiveChannel):
@@ -91,15 +87,16 @@ class LinearStage:
         q = np.arange(n)
         # a zero diagonal keeps the band nonempty for a channel without paths
         bands, cols, vals = [np.zeros(n, np.int64)], [q], [np.zeros(n, complex)]
-        for hp, pp in zip(H.gains, H.per_path):
-            for hr, pr in zip(H.gains, H.per_path):
-                # h_p conj(h_r) D_p Pi^{l_p - l_r} D_r^H: entry (q, q - l_p + l_r)
-                j = pos[(q - pp.l + pr.l) % n]
+        w = H.weights
+        for p in range(H.P):
+            for r in range(H.P):
+                # h_p D_p Pi^{l_p - l_r} (h_r D_r)^H: entry (q, c) with c = q - l_p + l_r
+                c = (q - H.l[p] + H.l[r]) % n
+                j = pos[c]
                 keep = pos >= j
                 bands.append(pos[keep] - j[keep])
                 cols.append(j[keep])
-                vals.append(hp * np.conj(hr)
-                            * np.exp(2j * np.pi * (pp.k - pr.k) * (q[keep] - pp.l) / n))
+                vals.append(w[p, keep] * np.conj(w[r, c[keep]]))
         bands = np.concatenate(bands)
         self.ab = np.zeros((bands.max() + 1, n), dtype=complex)
         np.add.at(self.ab, (bands, np.concatenate(cols)), np.concatenate(vals))
@@ -107,17 +104,14 @@ class LinearStage:
         self.max_residual = 0.0
 
     def solve(self, rhs: np.ndarray, xi: float) -> np.ndarray:
-        """(H H^H + xi I)^{-1} rhs."""
-        cfg = self.H.config
+        """(T + xi I)^{-1} rhs on chips."""
         ab = self.ab.copy()
         ab[0] += xi
-        x = np.empty(cfg.mn, dtype=complex)
-        x[self.perm] = solveh_banded(ab, dd_to_chips(rhs.reshape(cfg.M, cfg.N))[self.perm],
-                                     overwrite_ab=True, lower=True)
-        z = chips_to_dd(x, cfg.M, cfg.N).reshape(-1)
+        z = np.empty(self.H.config.mn, dtype=complex)
+        z[self.perm] = solveh_banded(ab, rhs[self.perm], overwrite_ab=True, lower=True)
         rnorm = np.linalg.norm(rhs)
         if rnorm > 0:
-            resid = self.H.apply(self.H.apply_adjoint(z)) + xi * z - rhs
+            resid = self.H.apply_chips(self.H.apply_adjoint_chips(z)) + xi * z - rhs
             self.max_residual = max(self.max_residual, float(np.linalg.norm(resid) / rnorm))
         return z
 
@@ -132,32 +126,28 @@ def _stage_for(H: EffectiveChannel) -> LinearStage:
     return H._stage
 
 
-def _le_step(s_t, y, H, v_nle_sq, sigma_sq, config, stage):
+def _le_step(s_t, y_c, H, v_nle_sq, sigma_sq, config, stage):
+    """One linear estimate from the chips y_c of the observation."""
     v_nle_sq = max(v_nle_sq, config.var_floor)
     xi = sigma_sq / v_nle_sq
-    z = stage.solve(y - H.apply(s_t), xi)
+    z = stage.solve(y_c - H.apply_chips(to_chips(s_t, H.config)), xi)
     eps = stage.eps_phi(xi)
-    r = s_t + H.apply_adjoint(z) / eps
+    r = s_t + from_chips(H.apply_adjoint_chips(z), H.config) / eps
     v_le_sq = max(v_nle_sq * (1.0 / eps - 1.0), config.var_floor)
     return r, v_le_sq
 
 
-def _check_observation(y, H: EffectiveChannel, sigma_sq: float) -> np.ndarray:
-    y = np.asarray(y)
-    if y.shape != (H.config.mn,):
-        raise ValueError(f"observation shape {y.shape} != (MN,) = ({H.config.mn},)")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observation contains non-finite values")
+def _observed_chips(y, H: EffectiveChannel, sigma_sq: float) -> np.ndarray:
     if not (np.isfinite(sigma_sq) and sigma_sq > 0):
         raise ValueError(f"sigma_sq must be positive and finite, got {sigma_sq}")
-    return y
+    return checked_chips("observation", y, H.config)
 
 
 def oamp_le(s_t: np.ndarray, y: np.ndarray, H: EffectiveChannel, v_nle_sq: float,
             sigma_sq: float, config: OampConfig | None = None):
     """De-correlated linear estimate; returns (r_t, v_le_sq)."""
     config = config or OampConfig()
-    return _le_step(s_t, y, H, v_nle_sq, sigma_sq, config, _stage_for(H))
+    return _le_step(s_t, to_chips(y, H.config), H, v_nle_sq, sigma_sq, config, _stage_for(H))
 
 
 def oamp_nle(r_t: np.ndarray, v_le_sq: float, constellation,
@@ -192,7 +182,7 @@ def oamp_detect(y: np.ndarray, H: EffectiveChannel, sigma_sq: float,
                 config: OampConfig | None = None) -> DetectionResult:
     """Iterate LE/NLE from a zero prior until the variance estimate settles."""
     config = config or OampConfig()
-    y = _check_observation(y, H, sigma_sq)
+    y_c = _observed_chips(y, H, sigma_sq)
     const = H.config.constellation_obj
     stage = _stage_for(H)
     s_t = np.zeros(H.config.mn, dtype=complex)
@@ -203,7 +193,7 @@ def oamp_detect(y: np.ndarray, H: EffectiveChannel, sigma_sq: float,
     iterations = 0
     for t in range(config.max_iters):
         iterations = t + 1
-        r, v_le_sq = _le_step(s_t, y, H, v_nle_sq, sigma_sq, config, stage)
+        r, v_le_sq = _le_step(s_t, y_c, H, v_nle_sq, sigma_sq, config, stage)
         s_next, v_next, post_mean, _, flag = oamp_nle(r, v_le_sq, const, config.var_floor)
         non_contracting = non_contracting or flag
         if config.damping < 1.0:
@@ -223,11 +213,10 @@ def oamp_detect(y: np.ndarray, H: EffectiveChannel, sigma_sq: float,
 
 def lmmse_detect(y: np.ndarray, H: EffectiveChannel, sigma_sq: float) -> DetectionResult:
     """One-shot s_hat = H^H (H H^H + sigma^2 I)^{-1} y with hard decisions."""
-    y = _check_observation(y, H, sigma_sq)
+    y_c = _observed_chips(y, H, sigma_sq)
     const = H.config.constellation_obj
     stage = _stage_for(H)
-    z = stage.solve(y, sigma_sq)
-    soft = H.apply_adjoint(z)
+    soft = from_chips(H.apply_adjoint_chips(stage.solve(y_c, sigma_sq)), H.config)
     hard = const.points[np.abs(soft[:, None] - const.points[None, :]).argmin(axis=1)]
     bits = qam_demap(soft, const)
     return DetectionResult(soft_symbols=soft, hard_symbols=hard, hard_bits=bits,

@@ -1,213 +1,146 @@
-"""Delay-Doppler effective channel matrix: assembly, decomposition, fast apply.
+"""Effective channel of an integer-grid channel: how each (l, k) path acts.
 
-For an integer-grid channel the MN x MN input-output matrix H is block
-lower-banded in delay, with phase-rotated wrap blocks in the upper-right
-corner, and decomposes as H = sum_p h_p * H_p where each per-path coefficient
-matrix H_p is a phase-decorated permutation (exactly one unit-modulus entry
-per row and per column).  That structure is stored explicitly, so applying H
-or its adjoint costs O(P*M*N).
+On the integer grid the MN x MN delay-Doppler input-output matrix is
+H = A^H H_t A, where A (:func:`core.dd_to_chips`) is the unitary map of the
+delay-major delay-Doppler vector to time chips q and
+
+    H_t = sum_p h_p diag(e^{j2pi k_p (q - l_p) / MN}) Pi^{l_p}
+
+with Pi the cyclic chip shift, (Pi^l x)[q] = x[(q - l) mod MN].  A path is
+therefore a cyclic shift by l_p followed by a phase ramp, and H_t x is P
+gathers from the source chips (q - l_p) mod MN; its adjoint gathers from
+(q + l_p) mod MN.  Distinct integer cells are Frobenius-orthogonal and every
+unit-gain path has ||H_p||_F^2 = MN.  This module is the only place that
+defines a path's shift and ramp; the estimator and the detector work on
+chips through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .core import FrameConfig
-
-DENSE_LIMIT = 4096  # largest MN for which dense fallbacks are allowed
+from .core import FrameConfig, chips_to_dd, dd_to_chips
 
 
-def cyclic_permutation(N: int) -> np.ndarray:
-    """Forward cyclic shift: (C x)[n] = x[(n-1) mod N]; C^N = I."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    C = np.zeros((N, N))
-    idx = np.arange(N)
-    C[idx, (idx - 1) % N] = 1.0
-    return C
+def to_chips(x: np.ndarray, config: FrameConfig) -> np.ndarray:
+    """A x: delay-major delay-Doppler vector to MN time chips."""
+    return dd_to_chips(np.asarray(x).reshape(config.M, config.N))
 
 
-def phase_rotation(N: int) -> np.ndarray:
-    """Unitary diagonal diag(1, e^{-j2pi/N}, ..., e^{-j2pi(N-1)/N})."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return np.diag(np.exp(-2j * np.pi * np.arange(N) / N))
+def from_chips(x_c: np.ndarray, config: FrameConfig) -> np.ndarray:
+    """A^H x_c: MN time chips back to the delay-major delay-Doppler vector."""
+    return chips_to_dd(x_c, config.M, config.N).reshape(-1)
 
 
-def build_block(G: np.ndarray, l: int, m: int, config: FrameConfig) -> np.ndarray:
-    """N x N Doppler-coupling block for delay offset l at block row m.
+def checked_chips(name: str, x, config: FrameConfig) -> np.ndarray:
+    """Chips of an input vector, which must be finite with shape (MN,)."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (config.mn,):
+        raise ValueError(f"{name} shape {x.shape} != (MN,) = ({config.mn},)")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} contains non-finite values")
+    return to_chips(x, config)
 
-    Sums the Doppler rows of the gain matrix G, each contributing its cyclic
-    Doppler shift weighted by the accumulated phase exp(j*2*pi*k*(m-l)/(MN)).
-    Negative Doppler uses the transposed (inverse) cyclic shift.
+
+def _sources(l, mn: int) -> np.ndarray:
+    """(P, MN) source chips (q - l_p) mod MN of the cyclic shifts Pi^{l_p}."""
+    return (np.arange(mn) - np.asarray(l)[:, None]) % mn
+
+
+def _ramps(l, k, mn: int) -> np.ndarray:
+    """(P, MN) phase ramps e^{j2pi k_p (q - l_p) / MN}."""
+    q = np.arange(mn)
+    return np.exp(2j * np.pi * np.asarray(k)[:, None] * (q - np.asarray(l)[:, None]) / mn)
+
+
+def path_responses(l, k, x_c: np.ndarray) -> np.ndarray:
+    """Chip responses diag(ramp_p) Pi^{l_p} x_c of unit-gain paths (l_p, k_p), shape (P, MN)."""
+    return _ramps(l, k, x_c.size) * x_c[_sources(l, x_c.size)]
+
+
+def path_correlations(x_c: np.ndarray, t_c: np.ndarray, ls, ks) -> np.ndarray:
+    """(H_{l,k} x)^H t on chips for every l in ls and k in ks; shape (len(ls), len(ks)).
+
+    (H_{l,k} x)^H t = e^{j2pi k l / MN} sum_q conj(x_c[q - l]) t_c[q] e^{-j2pi k q / MN}:
+    one length-MN FFT per delay, read at the bins k mod MN.
     """
-    G = np.asarray(G)
-    rows, L = G.shape
-    if rows % 2 != 1:
-        raise ValueError("G must have an odd number of Doppler rows (2*L1+1)")
-    L1 = (rows - 1) // 2
-    if not 0 <= l < L:
-        raise ValueError(f"delay offset l={l} outside [0, {L})")
-    if not 0 <= m < config.M:
-        raise ValueError(f"block row m={m} outside [0, {config.M})")
-    N = config.N
-    C = cyclic_permutation(N)
-    A = np.zeros((N, N), dtype=complex)
-    for k in range(-L1, L1 + 1):
-        g = G[k + L1, l]
-        if g == 0:
-            continue
-        Ck = np.linalg.matrix_power(C if k >= 0 else C.T, abs(k))
-        A += g * np.exp(2j * np.pi * k * (m - l) / (config.M * config.N)) * Ck
-    return A
-
-
-@dataclass(frozen=True, eq=False)
-class PathCoeff:
-    """Unit-gain per-path matrix H_p as a row-indexed permutation with phases.
-
-    Row i = m*N + n has its single nonzero at column cols[i] with value
-    vals[i]; |vals[i]| = 1 everywhere.
-    """
-
-    l: int
-    k: int
-    cols: np.ndarray
-    vals: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.cols.size
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.vals * x[self.cols]
-
-    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        out = np.empty_like(y)
-        out[self.cols] = np.conj(self.vals) * y
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        n = self.size
-        if n > DENSE_LIMIT:
-            raise ValueError(f"dense fallback refused for MN={n} > {DENSE_LIMIT}")
-        H = np.zeros((n, n), dtype=complex)
-        H[np.arange(n), self.cols] = self.vals
-        return H
-
-
-def path_coefficient_matrix(l: int, k: int, config: FrameConfig) -> PathCoeff:
-    """Coefficient matrix of a unit-gain path at integer grid cell (l, k)."""
-    M, N = config.M, config.N
-    if not 0 <= l < M:
-        raise ValueError(f"delay bin l={l} outside [0, {M})")
-    if not -(N // 2) <= k <= (N + 1) // 2 - 1:
-        raise ValueError(f"Doppler bin k={k} outside the signed grid range")
-    m = np.arange(M)[:, None]
-    n = np.arange(N)[None, :]
-    src_m = m - l
-    wrap = src_m < 0
-    src_m = np.where(wrap, src_m + M, src_m)
-    src_n = (n - k) % N
-    vals = np.exp(2j * np.pi * k * (m - l) / (M * N)) * np.ones((M, N))
-    vals = np.where(wrap, vals * np.exp(-2j * np.pi * src_n / N), vals)
-    cols = src_m * N + src_n
-    return PathCoeff(l=l, k=k, cols=cols.reshape(-1).astype(np.int64),
-                     vals=vals.reshape(-1).astype(complex))
+    mn = x_c.size
+    ls, ks = np.asarray(ls), np.asarray(ks)
+    spectra = np.fft.fft(np.conj(x_c)[_sources(ls, mn)] * t_c, axis=1)
+    return spectra[:, ks % mn] * np.exp(2j * np.pi * np.outer(ls, ks) / mn)
 
 
 @dataclass(eq=False)
 class EffectiveChannel:
-    """H = sum_p gains[p] * per_path[p], stored path-wise for O(P*MN) products."""
+    """H = sum_p gains[p] * H_{l[p], k[p]}, applied on chips in O(P*MN)."""
 
     config: FrameConfig
     gains: np.ndarray
-    per_path: tuple
+    l: np.ndarray
+    k: np.ndarray
     _stage: object = field(default=None, repr=False)  # detector.LinearStage, built on first use
 
-    @property
-    def shape(self):
-        n = self.config.mn
-        return (n, n)
+    def __post_init__(self):
+        self.gains = np.asarray(self.gains, dtype=complex).reshape(-1)
+        self.l = np.asarray(self.l, dtype=np.int64).reshape(-1)
+        self.k = np.asarray(self.k, dtype=np.int64).reshape(-1)
+        if not self.gains.size == self.l.size == self.k.size:
+            raise ValueError("gains, l and k must have one entry per path")
+        M, N = self.config.M, self.config.N
+        if np.any((self.l < 0) | (self.l >= M)):
+            raise ValueError(f"delay bins {self.l.tolist()} outside [0, {M})")
+        if np.any((self.k < -(N // 2)) | (self.k > (N + 1) // 2 - 1)):
+            raise ValueError(f"Doppler bins {self.k.tolist()} outside the signed grid range")
 
     @property
     def P(self) -> int:
-        return len(self.per_path)
+        return self.gains.size
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """(P, MN) gain-weighted chip ramps h_p e^{j2pi k_p (q - l_p) / MN}."""
+        return self.gains[:, None] * _ramps(self.l, self.k, self.config.mn)
+
+    @cached_property
+    def _forward(self):
+        return _sources(self.l, self.config.mn), self.weights
+
+    @cached_property
+    def _adjoint(self):
+        # row q of H_t^H gathers chip (q + l_p) with the conjugated weight found there
+        src = _sources(-self.l, self.config.mn)
+        return src, np.conj(np.take_along_axis(self.weights, src, axis=1))
+
+    def apply_chips(self, x_c: np.ndarray) -> np.ndarray:
+        """H_t x_c."""
+        src, w = self._forward
+        return (w * x_c[src]).sum(axis=0)
+
+    def apply_adjoint_chips(self, y_c: np.ndarray) -> np.ndarray:
+        """H_t^H y_c."""
+        src, w = self._adjoint
+        return (w * y_c[src]).sum(axis=0)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.shape[0] != self.config.mn:
-            raise ValueError(f"vector length {x.shape[0]} != MN = {self.config.mn}")
-        out = np.zeros_like(x, dtype=complex)
-        for h, pc in zip(self.gains, self.per_path):
-            out += h * pc.apply(x)
-        return out
+        """H x = A^H H_t A x."""
+        return self._between_maps(self.apply_chips, x)
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y)
-        out = np.zeros_like(y, dtype=complex)
-        for h, pc in zip(self.gains, self.per_path):
-            out += np.conj(h) * pc.apply_adjoint(y)
-        return out
+        """H^H y = A^H H_t^H A y."""
+        return self._between_maps(self.apply_adjoint_chips, y)
 
-    def coo(self):
-        """Merged sparse entries as (rows, cols, vals), duplicates summed."""
-        n = self.config.mn
-        rows = np.tile(np.arange(n, dtype=np.int64), self.P)
-        cols = np.concatenate([pc.cols for pc in self.per_path]) if self.P else np.zeros(0, np.int64)
-        vals = np.concatenate([h * pc.vals for h, pc in zip(self.gains, self.per_path)]) \
-            if self.P else np.zeros(0, complex)
-        keys = rows * n + cols
-        uniq, inv = np.unique(keys, return_inverse=True)
-        merged = np.zeros(uniq.size, dtype=complex)
-        np.add.at(merged, inv, vals)
-        return uniq // n, uniq % n, merged
-
-    def to_dense(self) -> np.ndarray:
-        n = self.config.mn
-        if n > DENSE_LIMIT:
-            raise ValueError(f"dense fallback refused for MN={n} > {DENSE_LIMIT}")
-        H = np.zeros((n, n), dtype=complex)
-        for h, pc in zip(self.gains, self.per_path):
-            H[np.arange(n), pc.cols] += h * pc.vals
-        return H
-
-    def frobenius_norm_sq(self) -> float:
-        _, _, vals = self.coo()
-        return float(np.sum(np.abs(vals) ** 2))
-
-    def entry_map(self):
-        """Sorted (flat_key, value) arrays of the merged nonzeros."""
-        rows, cols, vals = self.coo()
-        return rows * self.config.mn + cols, vals
+    def _between_maps(self, chip_op, x):
+        x = np.asarray(x)
+        if x.shape != (self.config.mn,):
+            raise ValueError(f"vector shape {x.shape} != (MN,) = ({self.config.mn},)")
+        return from_chips(chip_op(to_chips(x, self.config)), self.config)
 
 
 def assemble_H(chan, config: FrameConfig) -> EffectiveChannel:
-    """Assemble the effective matrix of a channel realization path by path."""
-    if chan.P and chan.L > config.M:
-        raise ValueError("channel delay spread exceeds the frame grid")
-    per_path = tuple(path_coefficient_matrix(p.l, p.k, config) for p in chan.paths)
-    gains = np.array([p.h for p in chan.paths], dtype=complex)
-    return EffectiveChannel(config=config, gains=gains, per_path=per_path)
-
-
-def effective_channel_from_cells(cells, gains, config: FrameConfig) -> EffectiveChannel:
-    """Effective matrix directly from (l, k) hypotheses and gains."""
-    per_path = tuple(path_coefficient_matrix(l, k, config) for l, k in cells)
-    return EffectiveChannel(config=config, gains=np.asarray(gains, dtype=complex),
-                            per_path=per_path)
-
-
-def frobenius_distance_sq(a: EffectiveChannel, b: EffectiveChannel) -> float:
-    """||A - B||_F^2 via the merged sparse entries."""
-    ka, va = a.entry_map()
-    kb, vb = b.entry_map()
-    keys = np.concatenate([ka, kb])
-    vals = np.concatenate([va, -vb])
-    uniq, inv = np.unique(keys, return_inverse=True)
-    merged = np.zeros(uniq.size, dtype=complex)
-    np.add.at(merged, inv, vals)
-    return float(np.sum(np.abs(merged) ** 2))
-
+    """Effective channel of a realization's (or an estimate's) paths."""
+    paths = chan.paths
+    return EffectiveChannel(config=config, gains=[p.h for p in paths],
+                            l=[p.l for p in paths], k=[p.k for p in paths])

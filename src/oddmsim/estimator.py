@@ -1,33 +1,42 @@
 """Sensing-stage channel parameter estimation.
 
-Three entry points:
+Every entry point maps the observation y and the known sensing frame s to
+time chips once (:func:`effchan.to_chips`, unitary, so inner products and
+residuals are unchanged) and works there with the unit-gain path responses
+u_{l,k} = H_{l,k} s of :func:`effchan.path_responses`.
 
 * :func:`estimate_channel` -- low-complexity alternating search.  Paths are
   seeded by successive extraction of matched-filter peaks, then each outer
   iteration revisits every path: scan the integer (l, k) window maximizing
   the interference-cancelled matched-filter statistic
-  ``|(H_cand s)^H (y - sum_{q != p} h_q H_q s)|^2 / ||s||^2`` (the useful
-  signal with the other paths' current contributions removed), then re-solve
-  all gains exactly from the P x P normal equations.  A candidate move is
-  kept only if the joint least-squares residual does not increase, so the
-  residual is non-increasing by construction.
+  ``|u_{l,k}^H (y - sum_{q != p} h_q u_q)|^2`` (the useful signal with the
+  other paths' current contributions removed; one FFT per window delay, see
+  :func:`effchan.path_correlations`), then re-solve all gains exactly from
+  the P x P normal equations.  A candidate move is kept only if the joint
+  least-squares residual does not increase, so the residual is
+  non-increasing by construction.
 * :func:`mle_exhaustive` -- brute-force joint search over all cell tuples,
   gains solved per tuple; the reference the fast algorithm is compared to.
 * :func:`refresh_gains` -- gain-only re-estimation with (l, k) frozen, for
   tracking a channel whose geometry holds still between frames.
+
+:func:`nmse` compares channels cell by cell: distinct integer cells are
+Frobenius-orthogonal with ||H_{l,k}||_F^2 = MN, so the matrix error ratio is
+the ratio of summed squared gain errors over the merged cells.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelRealization, PathParams
 from .core import FrameConfig
-from .effchan import (EffectiveChannel, assemble_H, effective_channel_from_cells,
-                      frobenius_distance_sq, path_coefficient_matrix)
+from .effchan import (EffectiveChannel, assemble_H, checked_chips, path_correlations,
+                      path_responses)
 
 COND_LIMIT = 1e12
 NMSE_FLOOR_DB = -100.0
@@ -43,7 +52,6 @@ class EstimationConfig:
     k_range: tuple = None       # (lo, hi) half-open signed Doppler window
     max_iters: int = 20
     epsilon: float = 1e-4       # summed |change| over all 3P parameters
-    gain_solver: str = "exact"  # exact linear solve of the normal equations
     low_conf_factor: float = 5.0
     mle_max_hypotheses: int = 200_000
 
@@ -83,7 +91,6 @@ class EstimationResult:
     converged: bool = True
     low_confidence: bool = False
     ill_conditioned: bool = False
-    nmse_vs_truth: float | None = None
 
     @property
     def cells(self):
@@ -93,11 +100,8 @@ class EstimationResult:
         return np.array([p.h for p in self.paths], dtype=complex)
 
     def to_effective_channel(self, config: FrameConfig) -> EffectiveChannel:
-        return effective_channel_from_cells(self.cells, self.gains(), config)
-
-    def to_text(self) -> str:
-        lines = [f"{p.l} {p.k} {p.h.real!r} {p.h.imag!r}" for p in self.paths]
-        return "\n".join(lines) + "\n"
+        return EffectiveChannel(config=config, gains=self.gains(),
+                                l=[p.l for p in self.paths], k=[p.k for p in self.paths])
 
 
 def _path_params(l: int, k: int, h: complex, frame: FrameConfig) -> PathParams:
@@ -105,14 +109,13 @@ def _path_params(l: int, k: int, h: complex, frame: FrameConfig) -> PathParams:
                       nu=k / (frame.N * frame.T), l=l, k=k)
 
 
-def solve_gains(y: np.ndarray, s_known: np.ndarray, Hp_list):
-    """Exact least-squares gains for fixed per-path matrices.
+def solve_gains(y: np.ndarray, u: np.ndarray):
+    """Exact least-squares gains of y ~ gains @ u for fixed path responses u (P, MN).
 
-    Solves the P x P normal equations with Gram entries (H_p s)^H (H_q s).
-    Returns (gains, ill_conditioned); an ill-conditioned system (cond > 1e12,
-    e.g. duplicated hypotheses) falls back to the smallest-norm solution.
+    Solves the P x P normal equations with Gram entries u_p^H u_q.  Returns
+    (gains, ill_conditioned); an ill-conditioned system (cond > 1e12, e.g.
+    duplicated hypotheses) falls back to the smallest-norm solution.
     """
-    u = np.stack([pc.apply(s_known) for pc in Hp_list])  # (P, MN)
     G = u.conj() @ u.T
     b = u.conj() @ y
     cond = np.linalg.cond(G)
@@ -122,121 +125,60 @@ def solve_gains(y: np.ndarray, s_known: np.ndarray, Hp_list):
     return np.linalg.solve(G, b), False
 
 
-def path_objective(p: int, y: np.ndarray, s_known: np.ndarray, hypotheses,
-                   gains, config: FrameConfig) -> float:
-    """Useful-signal-minus-interference statistic for path p's current cell.
+class _Window:
+    """The search window as flat cells in tie-break order: l ascending, then |k|, negative first."""
 
-    Q_p = |s^H H_p^H y| / (s^H H_p^H H_p s) is the matched-filter term; the
-    interference term collects the other paths' correlations weighted by
-    their current gains (its real part, so the statistic is real).
-    """
-    pcs = [path_coefficient_matrix(l, k, config) for l, k in hypotheses]
-    u = [pc.apply(s_known) for pc in pcs]
-    denom = float(np.vdot(u[p], u[p]).real)
-    b_p = np.vdot(u[p], y)
-    q_term = abs(b_p) / denom
-    i_term = 0.0
-    for q, (uq, h) in enumerate(zip(u, gains)):
-        if q == p:
-            continue
-        i_term += (h * np.vdot(u[p], uq) * np.conj(b_p)).real
-    return q_term - i_term / denom
-
-
-class _Workspace:
-    """Per-call scratch: grids, shifted source tables, occupied-cell masks."""
-
-    def __init__(self, y, s_known, est: EstimationConfig):
-        self.frame = est.frame
-        self.M, self.N = est.frame.M, est.frame.N
-        self.y = np.asarray(y, dtype=complex)
-        self.s = np.asarray(s_known, dtype=complex)
-        if self.y.size != self.M * self.N or self.s.size != self.M * self.N:
-            raise ValueError("y and s_known must have length M*N")
-        self.ss = float(np.vdot(self.s, self.s).real)
-        self.est = est
+    def __init__(self, est: EstimationConfig):
+        self.cells = est.cells()
+        self.index = {c: i for i, c in enumerate(self.cells)}
         self.ls = np.arange(est.l_range[0], est.l_range[1])
-        self.ks = np.arange(est.k_range[0], est.k_range[1])
-        S = self.s.reshape(self.M, self.N)
-        # conj of the delay-shifted source grid (wrap rows carry the extra
-        # Doppler-dependent phase), one (M, N) table per candidate delay
-        self.src = {}
-        m = np.arange(self.M)[:, None]
-        n_hat = np.arange(self.N)[None, :]
-        for l in self.ls:
-            src_m = m - l
-            wrap = src_m < 0
-            shifted = S[(src_m % self.M).reshape(-1), :].reshape(self.M, self.N)
-            phase = np.where(wrap, np.exp(-2j * np.pi * n_hat / self.N), 1.0)
-            self.src[int(l)] = np.conj(shifted * phase)
+        self.ks = np.array([k for l, k in self.cells if l == self.ls[0]])
 
-    def ambiguity(self, target_vec: np.ndarray) -> np.ndarray:
-        """(H_{l,k} s)^H target for every window cell; shape (len(ls), len(ks))."""
-        T = target_vec.reshape(self.M, self.N)
-        m = np.arange(self.M)
-        out = np.empty((self.ls.size, self.ks.size), dtype=complex)
-        n = np.arange(self.N)
-        for i, l in enumerate(self.ls):
-            src = self.src[int(l)]
-            for j, k in enumerate(self.ks):
-                inner = (src[:, (n - k) % self.N] * T).sum(axis=1)
-                phase = np.exp(-2j * np.pi * k * (m - l) / (self.M * self.N))
-                out[i, j] = phase @ inner
-        return out
+    def scan(self, s_c: np.ndarray, t_c: np.ndarray) -> np.ndarray:
+        """u_{l,k}^H t for every window cell, flat in cell order."""
+        return path_correlations(s_c, t_c, self.ls, self.ks).reshape(-1)
 
-    def pick_peak(self, metric: np.ndarray, occupied: set):
-        """Argmax with deterministic tie-breaks: smallest l, then |k|, negative first."""
-        best = None
-        best_key = None
-        for i, l in enumerate(self.ls):
-            for j, k in enumerate(self.ks):
-                if (int(l), int(k)) in occupied:
-                    continue
-                key = (-metric[i, j], int(l), abs(int(k)), 0 if k < 0 else 1)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (int(l), int(k))
-        return best
+    def pick_peak(self, metric: np.ndarray, occupied) -> tuple:
+        """First maximum of the flat metric outside the occupied cells."""
+        metric = metric.copy()
+        metric[[self.index[c] for c in occupied]] = -np.inf
+        return self.cells[int(np.argmax(metric))]
 
 
-def _residual_sq(y, u_stack, gains):
-    r = y - gains @ u_stack
+def _residual_sq(y, u, gains):
+    r = y - gains @ u
     return float(np.vdot(r, r).real)
 
 
 def estimate_channel(y: np.ndarray, s_known: np.ndarray,
                      est: EstimationConfig) -> EstimationResult:
     """Alternating integer-grid search for P paths from a known sensing frame."""
-    ws = _Workspace(y, s_known, est)
+    y, s = checked_chips("y", y, est.frame), checked_chips("s_known", s_known, est.frame)
+    win = _Window(est)
     P = est.p_assumed
     frame = est.frame
-    y = ws.y
     yy = float(np.vdot(y, y).real)
+    ss = float(np.vdot(s, s).real)
 
     cells: list = []
-    pcs: list = []
-    u_list: list = []
+    u = np.zeros((0, frame.mn), dtype=complex)
     gains = np.zeros(0, dtype=complex)
     ill = False
-
-    def resolve_gains():
-        nonlocal gains, ill
-        gains, flag = solve_gains(y, ws.s, pcs)
-        ill = ill or flag
 
     # successive extraction: place each path at the peak of the matched filter
     # applied to the residual of the paths placed so far
     for p in range(P):
-        resid = y - (gains @ np.stack(u_list) if u_list else 0.0)
-        amb = ws.ambiguity(resid)
-        cell = ws.pick_peak(np.abs(amb) ** 2, set(cells))
+        amb = win.scan(s, y - gains @ u)
+        cell = win.pick_peak(np.abs(amb) ** 2, cells)
         cells.append(cell)
-        pc = path_coefficient_matrix(cell[0], cell[1], frame)
-        pcs.append(pc)
-        u_list.append(pc.apply(ws.s))
-        resolve_gains()
+        u = np.vstack([u, path_responses([cell[0]], [cell[1]], s)])
+        gains, flag = solve_gains(y, u)
+        ill = ill or flag
 
-    residual = _residual_sq(y, np.stack(u_list), gains)
+    def others_removed(p):
+        return y - np.delete(gains, p) @ np.delete(u, p, axis=0)
+
+    residual = _residual_sq(y, u, gains)
     trace = [yy - residual]
     iterations = 0
     converged = False
@@ -247,22 +189,21 @@ def estimate_channel(y: np.ndarray, s_known: np.ndarray,
         prev_cells = list(cells)
         prev_gains = gains.copy()
         for p in range(P):
-            resid_p = y - sum(gains[q] * u_list[q] for q in range(P) if q != p)
-            amb = ws.ambiguity(resid_p)
-            last_maps[p] = np.abs(amb) / ws.ss
-            cand = ws.pick_peak(np.abs(amb) ** 2, set(cells[:p] + cells[p + 1:]))
+            amb = win.scan(s, others_removed(p))
+            last_maps[p] = np.abs(amb) / ss
+            cand = win.pick_peak(np.abs(amb) ** 2, cells[:p] + cells[p + 1:])
             if cand == cells[p]:
                 continue
-            saved = (cells[p], pcs[p], u_list[p], gains.copy(), ill)
+            saved = (cells[p], u[p].copy(), gains, ill)
             cells[p] = cand
-            pcs[p] = path_coefficient_matrix(cand[0], cand[1], frame)
-            u_list[p] = pcs[p].apply(ws.s)
-            resolve_gains()
-            new_residual = _residual_sq(y, np.stack(u_list), gains)
+            u[p] = path_responses([cand[0]], [cand[1]], s)[0]
+            gains, flag = solve_gains(y, u)
+            ill = ill or flag
+            new_residual = _residual_sq(y, u, gains)
             if new_residual <= residual + 1e-12 * max(1.0, residual):
                 residual = new_residual
             else:  # safeguard: reject moves that worsen the joint residual
-                cells[p], pcs[p], u_list[p], gains, ill = saved
+                cells[p], u[p], gains, ill = saved
         trace.append(yy - residual)
         change = sum(abs(gains[p] - prev_gains[p])
                      + abs(cells[p][0] - prev_cells[p][0])
@@ -276,11 +217,8 @@ def estimate_channel(y: np.ndarray, s_known: np.ndarray,
     for p in range(P):
         amb_map = last_maps[p]
         if amb_map is None:  # converged during init; rebuild the final map
-            resid_p = y - sum(gains[q] * u_list[q] for q in range(P) if q != p)
-            amb_map = np.abs(ws.ambiguity(resid_p)) / ws.ss
-        i = int(np.where(ws.ls == cells[p][0])[0][0])
-        j = int(np.where(ws.ks == cells[p][1])[0][0])
-        if amb_map[i, j] < est.low_conf_factor * np.median(amb_map):
+            amb_map = np.abs(win.scan(s, others_removed(p))) / ss
+        if amb_map[win.index[cells[p]]] < est.low_conf_factor * np.median(amb_map):
             low_conf = True
 
     paths = tuple(_path_params(l, k, h, frame) for (l, k), h in zip(cells, gains))
@@ -292,20 +230,18 @@ def estimate_channel(y: np.ndarray, s_known: np.ndarray,
 def mle_exhaustive(y: np.ndarray, s_known: np.ndarray,
                    est: EstimationConfig) -> EstimationResult:
     """Global integer-grid minimizer of the residual over all cell tuples."""
-    ws = _Workspace(y, s_known, est)
+    y, s = checked_chips("y", y, est.frame), checked_chips("s_known", s_known, est.frame)
     P = est.p_assumed
     cell_list = est.cells()
     n_cells = len(cell_list)
-    import math
     n_combos = math.comb(n_cells, P)
     if n_combos > est.mle_max_hypotheses:
         raise ValueError(
             f"exhaustive search refused: C({n_cells}, {P}) = {n_combos} tuples "
             f"exceeds the cap of {est.mle_max_hypotheses}")
-    y = ws.y
     yy = float(np.vdot(y, y).real)
-    u = np.stack([path_coefficient_matrix(l, k, est.frame).apply(ws.s)
-                  for l, k in cell_list])
+    ls, ks = zip(*cell_list)
+    u = path_responses(ls, ks, s)
     gram = u.conj() @ u.T
     bvec = u.conj() @ y
     best = None
@@ -329,13 +265,13 @@ def mle_exhaustive(y: np.ndarray, s_known: np.ndarray,
 def refresh_gains(y: np.ndarray, s_known: np.ndarray, prior: EstimationResult,
                   frame: FrameConfig) -> EstimationResult:
     """Re-solve only the gains, keeping the prior delay-Doppler cells fixed."""
-    pcs = [path_coefficient_matrix(p.l, p.k, frame) for p in prior.paths]
-    gains, ill = solve_gains(np.asarray(y, dtype=complex), np.asarray(s_known, dtype=complex), pcs)
+    y, s = checked_chips("y", y, frame), checked_chips("s_known", s_known, frame)
+    u = path_responses([p.l for p in prior.paths], [p.k for p in prior.paths], s)
+    gains, ill = solve_gains(y, u)
     paths = tuple(_path_params(p.l, p.k, h, frame) for p, h in zip(prior.paths, gains))
-    u = np.stack([pc.apply(np.asarray(s_known, dtype=complex)) for pc in pcs])
     yy = float(np.vdot(y, y).real)
-    resid = _residual_sq(np.asarray(y, dtype=complex), u, gains)
-    return EstimationResult(paths=paths, iterations=1, objective_trace=[yy - resid],
+    return EstimationResult(paths=paths, iterations=1,
+                            objective_trace=[yy - _residual_sq(y, u, gains)],
                             ill_conditioned=ill)
 
 
@@ -349,18 +285,26 @@ def _as_effective(obj, config: FrameConfig) -> EffectiveChannel:
     raise TypeError(f"cannot interpret {type(obj).__name__} as an effective channel")
 
 
+def _cell_gains(eff: EffectiveChannel) -> dict:
+    """Summed gain per distinct (l, k) cell."""
+    merged = {}
+    for cell, h in zip(zip(eff.l.tolist(), eff.k.tolist()), eff.gains):
+        merged[cell] = merged.get(cell, 0j) + h
+    return merged
+
+
 def nmse(estimate, truth, config: FrameConfig) -> float:
     """Channel reconstruction error in dB: 10*log10(||H_hat - H||_F^2 / ||H||_F^2).
 
-    Perfect reconstruction is floored at -100 dB.  For disjoint integer-grid
-    cells this coincides with the per-cell gain error ratio.
+    Both norms are taken over merged integer cells (the common factor MN
+    cancels).  Perfect reconstruction is floored at -100 dB.
     """
-    eff_est = _as_effective(estimate, config)
-    eff_true = _as_effective(truth, config)
-    denom = eff_true.frobenius_norm_sq()
+    est = _cell_gains(_as_effective(estimate, config))
+    true = _cell_gains(_as_effective(truth, config))
+    denom = sum(abs(h) ** 2 for h in true.values())
     if denom == 0.0:
         raise ValueError("true channel has zero norm")
-    num = frobenius_distance_sq(eff_est, eff_true)
+    num = sum(abs(est.get(c, 0j) - true.get(c, 0j)) ** 2 for c in sorted(est.keys() | true.keys()))
     ratio = num / denom
     if ratio <= 10.0 ** (NMSE_FLOOR_DB / 10.0):
         return NMSE_FLOOR_DB

@@ -20,7 +20,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -142,13 +142,6 @@ class SweepRow:
 @dataclass
 class SweepResult:
     rows: list
-
-    def by_snr(self, **match):
-        out = {}
-        for r in self.rows:
-            if all(getattr(r, k) == v for k, v in match.items()):
-                out[r.snr_db] = r
-        return out
 
 
 CSV_COLUMNS = ("scheme", "detector", "csi", "snr_db", "trials_run", "bits",
@@ -412,36 +405,30 @@ def run_nmse_sweep(spec: ExperimentSpec, threads: int = 1) -> SweepResult:
 
 
 DEFAULT_FRAME = dict(M=64, N=16, delta_f=15e3, f_c=5e9, Q=8)
+DEFAULT_SNR_DB = (0.0, 5.0, 10.0, 15.0)
+_SECTIONS = {"frame": FrameConfig, "channel": ChannelSpec, "est": EstSpec, "det": DetSpec}
+
+
+def option_keys() -> list:
+    """Every dotted key :func:`build_spec` accepts."""
+    keys = [f"{section}.{f.name}" for section, cls in _SECTIONS.items() for f in fields(cls)]
+    keys += ["run.snr_db"] + [f"run.{f.name}" for f in fields(ExperimentSpec)
+                              if f.name not in _SECTIONS and f.name != "snr_grid_db"]
+    return sorted(keys)
 
 
 def build_spec(options: dict) -> ExperimentSpec:
-    """Assemble an ExperimentSpec from dotted-key options."""
-    frame_args = dict(DEFAULT_FRAME)
-    for key in list(options):
-        if key.startswith("frame."):
-            frame_args[key.split(".", 1)[1]] = options[key]
-    frame = make_frame_config(**frame_args)
-    chan = ChannelSpec(
-        model=options.get("channel.model", "eva"),
-        v_kmh=options.get("channel.v_kmh", 350.0),
-        paths=options.get("channel.paths", 3),
-        l_max=options.get("channel.l_max"),
-        k_max=options.get("channel.k_max"))
-    est = EstSpec(p_assumed=options.get("est.p_assumed"),
-                  max_iters=options.get("est.max_iters", 20),
-                  epsilon=options.get("est.epsilon", 1e-4))
-    det = DetSpec(max_iters=options.get("det.max_iters", 20),
-                  damping=options.get("det.damping", 1.0))
+    """Assemble an ExperimentSpec from dotted-key options; unknown keys raise ValueError."""
+    unknown = sorted(set(options) - set(option_keys()))
+    if unknown:
+        raise ValueError(f"unknown option keys {unknown}; known keys: {option_keys()}")
+    parts = {section: {} for section in (*_SECTIONS, "run")}
+    for key, value in options.items():
+        section, name = key.split(".", 1)
+        parts[section][name] = value
+    run = parts.pop("run")
     return ExperimentSpec(
-        frame=frame,
-        snr_grid_db=tuple(options.get("run.snr_db", (0.0, 5.0, 10.0, 15.0))),
-        scheme=options.get("run.scheme", "oddm"),
-        detector=options.get("run.detector", "oamp"),
-        csi=options.get("run.csi", "perfect"),
-        fidelity=options.get("run.fidelity", "matrix"),
-        trials=options.get("run.trials", 10),
-        frames_per_trial=options.get("run.frames_per_trial", 4),
-        min_bit_errors=options.get("run.min_bit_errors", 100),
-        seed=options.get("run.seed", 0),
-        sensing_snr_db=options.get("run.sensing_snr_db"),
-        channel=chan, est=est, det=det)
+        frame=make_frame_config(**dict(DEFAULT_FRAME, **parts["frame"])),
+        snr_grid_db=tuple(run.pop("snr_db", DEFAULT_SNR_DB)),
+        channel=ChannelSpec(**parts["channel"]), est=EstSpec(**parts["est"]),
+        det=DetSpec(**parts["det"]), **run)

@@ -2,16 +2,30 @@ import numpy as np
 import pytest
 
 from oddmsim.channel import channel_from_cells, gen_synthetic_channel
-from oddmsim.core import make_frame_config
-from oddmsim.effchan import (assemble_H, build_block, cyclic_permutation,
-                             frobenius_distance_sq, path_coefficient_matrix,
-                             phase_rotation)
+from oddmsim.core import make_frame_config, random_frame, vectorize
+from oddmsim.effchan import (EffectiveChannel, assemble_H, from_chips, path_correlations,
+                             path_responses, to_chips)
 
-from oracles import brute_force_effective_matrix
+from oracles import (brute_force_effective_matrix, build_block, cyclic_permutation,
+                     dense_channel, phase_rotation)
 
 
 def small_config(M=8, N=4):
     return make_frame_config(M=M, N=N, delta_f=15e3, f_c=5e9, Q=1)
+
+
+def single_path(cfg, l, k, h=1.0):
+    return EffectiveChannel(cfg, [h], [l], [k])
+
+
+def materialize(eff, adjoint=False):
+    """Dense matrix of eff.apply (or eff.apply_adjoint), column by column."""
+    op = eff.apply_adjoint if adjoint else eff.apply
+    return np.stack([op(e) for e in np.eye(eff.config.mn, dtype=complex)], axis=1)
+
+
+def random_vector(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 class TestBuildingBlocks:
@@ -74,17 +88,16 @@ class TestAssembly:
     def test_identity_channel(self):
         cfg = small_config()
         chan = channel_from_cells(cfg, [(0, 0)], [1.0])
-        H = assemble_H(chan, cfg).to_dense()
-        assert np.allclose(H, np.eye(cfg.mn))
+        H = materialize(assemble_H(chan, cfg))
+        assert np.allclose(H, np.eye(cfg.mn), atol=1e-14)
 
     def test_pure_delay_wrap_blocks(self):
         # one-bin delay on a 2x2 grid: lower block diagonal is I, wrap is D.
         # The full config cannot express M=2 (pulse length bound), but the
-        # matrix construction only needs the grid shape.
+        # channel only needs the grid shape.
         from types import SimpleNamespace
         grid = SimpleNamespace(M=2, N=2, mn=4)
-        pc = path_coefficient_matrix(1, 0, grid)
-        H = pc.to_dense()
+        H = materialize(single_path(grid, 1, 0))
         D = phase_rotation(2)
         expected = np.zeros((4, 4), dtype=complex)
         expected[2:, :2] = np.eye(2)   # block row m=1, column m'=0
@@ -94,7 +107,10 @@ class TestAssembly:
         assert np.allclose(H, oracle, atol=1e-14)
 
     def test_matches_bruteforce_random_sweep(self):
+        # apply and apply_adjoint against the literal per-cell oracle; the
+        # sweep must include paths that wrap in delay and negative Doppler
         rng = np.random.default_rng(7)
+        wrapped = negative = 0
         for trial in range(25):
             M = int(rng.integers(3, 9))
             N = int(rng.integers(2, 5))
@@ -102,25 +118,30 @@ class TestAssembly:
                                     Q=max(1, (M - 1) // 2))
             P = int(rng.integers(1, 4))
             chan = gen_synthetic_channel(cfg, P, rng, l_max=M - 1, k_max=(N - 1) // 2)
-            dense = assemble_H(chan, cfg).to_dense()
+            eff = assemble_H(chan, cfg)
             oracle = brute_force_effective_matrix(
                 [(p.h, p.l, p.k) for p in chan.paths], M, N)
-            assert np.max(np.abs(dense - oracle)) <= 1e-12 * max(1.0, np.abs(oracle).max())
+            tol = 1e-12 * max(1.0, np.abs(oracle).max())
+            assert np.max(np.abs(materialize(eff) - oracle)) <= tol
+            assert np.max(np.abs(materialize(eff, adjoint=True) - oracle.conj().T)) <= tol
+            wrapped += sum(p.l > 0 for p in chan.paths)
+            negative += sum(p.k < 0 for p in chan.paths)
+        assert wrapped > 0 and negative > 0
 
     def test_decomposition_identity(self):
         cfg = small_config()
         rng = np.random.default_rng(3)
         chan = gen_synthetic_channel(cfg, 3, rng, l_max=5, k_max=1)
         eff = assemble_H(chan, cfg)
-        total = sum(h * pc.to_dense() for h, pc in zip(eff.gains, eff.per_path))
-        assert np.max(np.abs(eff.to_dense() - total)) <= 1e-12
+        total = sum(h * materialize(single_path(cfg, l, k))
+                    for h, l, k in zip(eff.gains, eff.l, eff.k))
+        assert np.max(np.abs(materialize(eff) - total)) <= 1e-12
 
     def test_nonzeros_per_row_at_most_P(self):
         cfg = small_config()
         chan = gen_synthetic_channel(cfg, 3, np.random.default_rng(11), l_max=5, k_max=1)
-        eff = assemble_H(chan, cfg)
-        rows, _, _ = eff.coo()
-        assert np.bincount(rows).max() <= chan.P
+        H = materialize(assemble_H(chan, cfg))
+        assert np.count_nonzero(np.abs(H) > 1e-12, axis=1).max() <= chan.P
 
     def test_g_matrix_nonzeros_equal_paths(self):
         cfg = small_config()
@@ -132,17 +153,17 @@ class TestAssembly:
 class TestPathCoefficients:
     def test_origin_is_identity(self):
         cfg = small_config()
-        pc = path_coefficient_matrix(0, 0, cfg)
-        assert np.allclose(pc.to_dense(), np.eye(cfg.mn))
+        assert np.allclose(materialize(single_path(cfg, 0, 0)), np.eye(cfg.mn), atol=1e-14)
 
     def test_delay_only_structure(self):
         cfg = small_config()
-        pc = path_coefficient_matrix(3, 0, cfg)
-        dense = pc.to_dense()
+        dense = materialize(single_path(cfg, 3, 0))
         oracle = brute_force_effective_matrix([(1.0, 3, 0)], cfg.M, cfg.N)
-        assert np.allclose(dense, oracle)
-        # no intra-block rotation: all non-wrap entries are exactly 1
-        assert np.allclose(np.abs(dense[dense != 0]), 1.0)
+        assert np.allclose(dense, oracle, atol=1e-14)
+        # a phase permutation: one unit-modulus entry per row, the rest vanish
+        big = np.abs(dense) > 1e-12
+        assert np.allclose(np.abs(dense[big]), 1.0)
+        assert np.count_nonzero(big) == cfg.mn
 
     def test_sum_matches_assemble(self):
         cfg = small_config()
@@ -150,25 +171,26 @@ class TestPathCoefficients:
         for _ in range(5):
             chan = gen_synthetic_channel(cfg, 3, rng, l_max=7, k_max=1)
             eff = assemble_H(chan, cfg)
-            total = sum(p.h * path_coefficient_matrix(p.l, p.k, cfg).to_dense()
+            total = sum(p.h * brute_force_effective_matrix([(1.0, p.l, p.k)], cfg.M, cfg.N)
                         for p in chan.paths)
-            assert np.max(np.abs(eff.to_dense() - total)) < 1e-12
+            assert np.max(np.abs(materialize(eff) - total)) < 1e-12
 
     def test_phase_permutation_unitarity(self):
         cfg = small_config()
         for (l, k) in [(0, 0), (3, 1), (7, -2), (5, 1)]:
-            pc = path_coefficient_matrix(l, k, cfg)
-            Hd = pc.to_dense()
+            Hd = materialize(single_path(cfg, l, k))
             assert np.allclose(Hd.conj().T @ Hd, np.eye(cfg.mn), atol=1e-12)
-            assert np.count_nonzero(Hd) == cfg.mn
-            assert np.allclose(np.abs(Hd[Hd != 0]), 1.0)
+            big = np.abs(Hd) > 1e-12
+            assert np.count_nonzero(big) == cfg.mn
+            assert np.allclose(np.abs(Hd[big]), 1.0)
 
     def test_off_grid_rejected(self):
         cfg = small_config()
+        for l, k in [(cfg.M, 0), (-1, 0), (0, cfg.N), (0, -(cfg.N // 2) - 1)]:
+            with pytest.raises(ValueError):
+                single_path(cfg, l, k)
         with pytest.raises(ValueError):
-            path_coefficient_matrix(cfg.M, 0, cfg)
-        with pytest.raises(ValueError):
-            path_coefficient_matrix(0, cfg.N, cfg)
+            EffectiveChannel(cfg, [1.0, 0.5], [0], [0])
 
 
 class TestApply:
@@ -183,19 +205,46 @@ class TestApply:
         rng = np.random.default_rng(23)
         chan = gen_synthetic_channel(cfg, 3, rng, l_max=6, k_max=1)
         eff = assemble_H(chan, cfg)
-        x = rng.standard_normal(cfg.mn) + 1j * rng.standard_normal(cfg.mn)
-        assert np.allclose(eff.apply(x), eff.to_dense() @ x, atol=1e-12)
-        assert np.allclose(eff.apply_adjoint(x), eff.to_dense().conj().T @ x, atol=1e-12)
+        Hd = dense_channel(eff)
+        x = random_vector(rng, cfg.mn)
+        assert np.allclose(eff.apply(x), Hd @ x, atol=1e-12)
+        assert np.allclose(eff.apply_adjoint(x), Hd.conj().T @ x, atol=1e-12)
+        # the delay-Doppler products are the chip products between the maps
+        assert np.allclose(to_chips(Hd @ x, cfg), eff.apply_chips(to_chips(x, cfg)), atol=1e-12)
+        assert np.allclose(from_chips(to_chips(x, cfg), cfg), x, atol=1e-14)
 
     def test_dimension_mismatch(self):
         cfg = small_config()
         eff = assemble_H(channel_from_cells(cfg, [(0, 0)], [1.0]), cfg)
         with pytest.raises(ValueError):
             eff.apply(np.zeros(5))
+        with pytest.raises(ValueError):
+            eff.apply_adjoint(np.zeros(cfg.mn + 1))
 
-    def test_frobenius_distance(self):
-        cfg = small_config()
-        a = assemble_H(channel_from_cells(cfg, [(0, 0), (2, 1)], [1.0, 0.5]), cfg)
-        b = assemble_H(channel_from_cells(cfg, [(0, 0)], [1.0]), cfg)
-        # difference is the (2, 1) path alone: MN entries of squared modulus 0.25
-        assert frobenius_distance_sq(a, b) == pytest.approx(0.25 * cfg.mn)
+
+class TestChipResponses:
+    def test_path_responses_match_oracle(self):
+        cfg = small_config(M=8, N=4)
+        rng = np.random.default_rng(41)
+        x = random_vector(rng, cfg.mn)
+        cells = [(0, 0), (3, 1), (7, -2), (5, 1), (1, -1)]
+        u = path_responses(*zip(*cells), to_chips(x, cfg))
+        for (l, k), u_c in zip(cells, u):
+            ref = brute_force_effective_matrix([(1.0, l, k)], cfg.M, cfg.N) @ x
+            assert np.allclose(from_chips(u_c, cfg), ref, atol=1e-12)
+
+    @pytest.mark.parametrize("M, N", [(8, 4), (16, 8), (12, 5)])
+    def test_window_scan_matches_per_cell_oracle(self, M, N):
+        # (H_{l,k} s)^H t for every cell of a window that reaches the far
+        # delay edge (wrap) and both Doppler signs, against the literal
+        # per-cell product with the oracle matrix
+        cfg = make_frame_config(M=M, N=N, delta_f=15e3, f_c=5e9, Q=1)
+        rng = np.random.default_rng(M * N)
+        s = vectorize(random_frame(cfg, rng)[1])
+        t = random_vector(rng, cfg.mn)
+        ls = np.arange(M)
+        ks = np.array(sorted(range(-(N // 2), (N + 1) // 2), key=lambda k: (abs(k), k >= 0)))
+        got = path_correlations(to_chips(s, cfg), to_chips(t, cfg), ls, ks)
+        ref = np.array([[np.vdot(brute_force_effective_matrix([(1.0, l, k)], M, N) @ s, t)
+                         for k in ks] for l in ls])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

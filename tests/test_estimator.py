@@ -3,9 +3,11 @@ import pytest
 
 from oddmsim.channel import channel_from_cells, gen_synthetic_channel, snr_to_noise_var
 from oddmsim.core import make_frame_config, random_frame, vectorize
-from oddmsim.effchan import assemble_H, path_coefficient_matrix
-from oddmsim.estimator import (EstimationConfig, estimate_channel, mle_exhaustive,
-                               nmse, path_objective, refresh_gains, solve_gains)
+from oddmsim.effchan import EffectiveChannel, assemble_H, to_chips
+from oddmsim.estimator import (EstimationConfig, EstimationResult, _Window, estimate_channel,
+                               mle_exhaustive, nmse, refresh_gains, solve_gains)
+
+from oracles import brute_force_effective_matrix, dense_channel, path_objective
 
 
 def cfg16():
@@ -16,6 +18,12 @@ def est_cfg(cfg, P, **kw):
     args = dict(frame=cfg, p_assumed=P, l_range=(0, 8), k_range=(-4, 4))
     args.update(kw)
     return EstimationConfig(**args)
+
+
+def responses(cfg, cells, s):
+    """Oracle delay-Doppler responses H_{l,k} s of unit-gain paths, shape (P, MN)."""
+    return np.stack([brute_force_effective_matrix([(1.0, l, k)], cfg.M, cfg.N) @ s
+                     for l, k in cells])
 
 
 def observe(cfg, chan, snr_db, seed=0, s_seed=1):
@@ -35,9 +43,9 @@ class TestSolveGains:
         cfg = cfg16()
         chan = channel_from_cells(cfg, [(4, 2)], [0.7 - 0.4j])
         s, y = observe(cfg, chan, None)
-        pc = path_coefficient_matrix(4, 2, cfg)
-        gains, flag = solve_gains(y, s, [pc])
-        expected = np.vdot(pc.apply(s), y) / np.vdot(s, s)
+        u = responses(cfg, [(4, 2)], s)
+        gains, flag = solve_gains(y, u)
+        expected = np.vdot(u[0], y) / np.vdot(s, s)
         assert not flag
         assert gains[0] == pytest.approx(expected)
         assert gains[0] == pytest.approx(0.7 - 0.4j, abs=1e-12)
@@ -46,8 +54,7 @@ class TestSolveGains:
         cfg = cfg16()
         chan = channel_from_cells(cfg, [(1, -2), (5, 3)], [0.8j, 0.5])
         s, y = observe(cfg, chan, None)
-        pcs = [path_coefficient_matrix(p.l, p.k, cfg) for p in chan.paths]
-        gains, flag = solve_gains(y, s, pcs)
+        gains, flag = solve_gains(y, responses(cfg, [(p.l, p.k) for p in chan.paths], s))
         assert not flag
         assert np.allclose(gains, [p.h for p in chan.paths], atol=1e-10)
 
@@ -55,8 +62,7 @@ class TestSolveGains:
         cfg = cfg16()
         chan = channel_from_cells(cfg, [(2, 0)], [1.0])
         s, y = observe(cfg, chan, None)
-        pcs = [path_coefficient_matrix(2, 0, cfg)] * 2
-        _, flag = solve_gains(y, s, pcs)
+        _, flag = solve_gains(y, responses(cfg, [(2, 0)] * 2, s))
         assert flag
 
 
@@ -89,6 +95,72 @@ class TestPathObjective:
         full = path_objective(0, y, s, hyp, gains, cfg)
         q_only = path_objective(0, y, s, [(0, 0)], np.array([0j]), cfg)
         assert full == pytest.approx(q_only, abs=1e-12)
+
+
+class TestWindow:
+    def test_pick_peak_matches_literal_loop(self):
+        # literal reference: the smallest key (-metric, l, |k|, negative
+        # first) over the unoccupied cells
+        ec = est_cfg(cfg16(), 2, l_range=(2, 7), k_range=(-3, 4))
+        win = _Window(ec)
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            metric = rng.integers(0, 3, len(win.cells)).astype(float)  # many ties
+            occupied = [win.cells[i] for i in rng.choice(len(win.cells), 3, replace=False)]
+            best_key = best = None
+            for (l, k), m in zip(ec.cells(), metric):
+                if (l, k) in occupied:
+                    continue
+                key = (-m, l, abs(k), 0 if k < 0 else 1)
+                if best_key is None or key < best_key:
+                    best_key, best = key, (l, k)
+            assert win.pick_peak(metric, occupied) == best
+
+    def test_scan_in_cell_order(self):
+        cfg = cfg16()
+        ec = est_cfg(cfg, 1)
+        chan = channel_from_cells(cfg, [(5, -1)], [1.0])
+        s, y = observe(cfg, chan, None)
+        win = _Window(ec)
+        amb = win.scan(to_chips(s, cfg), to_chips(y, cfg))
+        ref = np.array([np.vdot(u, y) for u in responses(cfg, ec.cells(), s)])
+        assert np.max(np.abs(amb - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_zero_observation_picks_cells_in_tie_order(self):
+        cfg = cfg16()
+        s = vectorize(random_frame(cfg, np.random.default_rng(0))[1])
+        res = estimate_channel(np.zeros(cfg.mn), s, est_cfg(cfg, 3, l_range=(2, 5)))
+        assert res.cells == [(2, 0), (2, -1), (2, 1)]
+
+
+@pytest.mark.parametrize("entry", ["estimate_channel", "mle_exhaustive", "refresh_gains"])
+@pytest.mark.parametrize("name", ["y", "s_known"])
+@pytest.mark.parametrize("fault", ["nan", "inf", "short", "long", "grid"])
+def test_rejects_bad_input(entry, name, fault):
+    # one shared check: non-finite or wrongly shaped y or s_known raises, naming it
+    cfg = make_frame_config(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
+    chan = channel_from_cells(cfg, [(3, 1)], [0.9])
+    s, y = observe(cfg, chan, None)
+    v = {"y": y, "s_known": s}[name].copy()
+    if fault == "nan":
+        v[2] = np.nan
+    elif fault == "inf":
+        v[2] = -np.inf
+    elif fault == "short":
+        v = v[:-1]
+    elif fault == "long":
+        v = np.concatenate([v, v[:1]])
+    else:
+        v = v.reshape(cfg.M, cfg.N)
+    args = {"y": y, "s_known": s, name: v}
+    ec = EstimationConfig(frame=cfg, p_assumed=1, l_range=(0, 8), k_range=(-2, 2))
+    prior = EstimationResult(paths=chan.paths, iterations=1, objective_trace=[0.0])
+    with pytest.raises(ValueError, match=f"^{name} "):
+        if entry == "refresh_gains":
+            refresh_gains(args["y"], args["s_known"], prior, cfg)
+        else:
+            {"estimate_channel": estimate_channel,
+             "mle_exhaustive": mle_exhaustive}[entry](args["y"], args["s_known"], ec)
 
 
 class TestEstimateChannel:
@@ -216,7 +288,25 @@ class TestRefreshGains:
         assert res.paths[0].h == pytest.approx(0.5 - 0.5j, abs=1e-12)
 
 
+NMSE_CASES = {
+    # (estimate cells, gains), (truth cells, gains)
+    "disjoint": (([(1, 0), (2, 1)], [0.3, 0.2j]), ([(0, 0), (3, -1)], [1.0, 0.5 - 0.5j])),
+    "shared": (([(0, 0), (2, 1)], [0.9, 0.1]), ([(0, 0), (2, 1), (5, -2)], [1.0, 0.3j, 0.2])),
+    "duplicated": (([(2, 1), (2, 1), (4, 0)], [0.4, 0.5, -0.3j]),
+                   ([(2, 1), (4, 0), (4, 0)], [1.0, -0.2j, -0.1j])),
+}
+
+
 class TestNmse:
+    @pytest.mark.parametrize("case", list(NMSE_CASES))
+    def test_matches_dense_frobenius_ratio(self, case):
+        cfg = make_frame_config(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
+        est, truth = (EffectiveChannel(cfg, gains, *zip(*cells))
+                      for cells, gains in NMSE_CASES[case])
+        He, Ht = dense_channel(est), dense_channel(truth)
+        ref = 10 * np.log10(np.linalg.norm(He - Ht) ** 2 / np.linalg.norm(Ht) ** 2)
+        assert nmse(est, truth, cfg) == pytest.approx(ref, abs=1e-10)
+
     def test_perfect_estimate_floored(self):
         cfg = cfg16()
         chan = channel_from_cells(cfg, [(2, 1)], [1.0])

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from oddmsim.harness import (CSI_MODES, DETECTORS, FIDELITIES, SCHEMES, build_spec,
-                             emit_csv, parse_csv, run_nmse_sweep, run_sensing_then_comm)
+                             emit_csv, option_keys, parse_csv, run_nmse_sweep,
+                             run_sensing_then_comm)
 
 
 def tiny_spec(**options):
@@ -83,3 +84,27 @@ def test_min_bit_errors_stops_early():
     assert stopped.rows[0].bit_errors >= 1
     assert stopped.rows[0].trials_run == 1
     assert full.rows[0].trials_run == 3
+
+
+def test_unknown_option_keys_rejected():
+    # a misspelt key and a removed key must not silently run the default spec
+    with pytest.raises(ValueError, match="run.detecter") as info:
+        build_spec({"run.detecter": "lmmse", "det.le_mode": "exact"})
+    assert "det.le_mode" in str(info.value)
+    assert all(key in str(info.value) for key in option_keys())
+
+
+def test_every_known_option_key_accepted():
+    spec = build_spec({"frame.M": 32, "frame.N": 8, "frame.Q": 4, "frame.rolloff": 0.3,
+                       "frame.oversampling": 4, "frame.constellation": "qpsk",
+                       "frame.delta_f": 30e3, "frame.f_c": 4e9, "channel.model": "synthetic",
+                       "channel.v_kmh": 120.0, "channel.paths": 2, "channel.l_max": 5,
+                       "channel.k_max": 2, "est.p_assumed": 2, "est.max_iters": 5,
+                       "est.epsilon": 1e-3, "det.max_iters": 7, "det.damping": 0.8,
+                       "run.snr_db": [3.0], "run.scheme": "otfs", "run.detector": "lmmse",
+                       "run.csi": "estimated", "run.fidelity": "waveform", "run.trials": 2,
+                       "run.frames_per_trial": 1, "run.min_bit_errors": 5, "run.seed": 9,
+                       "run.sensing_snr_db": 20.0})
+    assert (spec.frame.M, spec.frame.constellation, spec.channel.k_max) == (32, "qpsk", 2)
+    assert (spec.est.epsilon, spec.det.damping, spec.snr_grid_db) == (1e-3, 0.8, (3.0,))
+    assert (spec.scheme, spec.detector, spec.sensing_snr_db, spec.seed) == ("otfs", "lmmse", 20.0, 9)
