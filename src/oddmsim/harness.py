@@ -15,9 +15,12 @@ any other draw.  Channel and payload draws are shared across SNR points
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import hashlib
 import json
 import math
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -321,8 +324,7 @@ class _TrialRunner:
         return out
 
 
-def _point_worker(args):
-    spec, snr_idx, snr_db, trial = args
+def _point_worker(spec, snr_idx, snr_db, trial):
     return trial, _TrialRunner(spec).run_trial(snr_idx, snr_db, trial)
 
 
@@ -332,37 +334,53 @@ def run_sensing_then_comm(spec: ExperimentSpec, threads: int = 1) -> SweepResult
     chash = config_hash(spec)
     runner = _TrialRunner(spec)
     rows = []
-    for snr_idx, snr_db in enumerate(spec.snr_grid_db):
-        t0 = time.perf_counter()
-        bits = errors = trials_run = 0
-        nmse_lin = []
-        if threads > 1:
-            results = _parallel_trials(spec, snr_idx, snr_db, threads)
-        else:
-            results = ((t, runner.run_trial(snr_idx, snr_db, t)) for t in range(spec.trials))
-        for trial, res in results:
-            bits += res["bits"]
-            errors += res["bit_errors"]
-            if res["nmse_db"] is not None:
-                nmse_lin.append(10.0 ** (res["nmse_db"] / 10.0))
-            trials_run += 1
-            if errors >= spec.min_bit_errors:
-                break
-        nmse_db = float(10.0 * np.log10(np.mean(nmse_lin))) if nmse_lin else None
-        rows.append(SweepRow(
-            scheme=spec.scheme, detector=spec.detector, csi=spec.csi,
-            snr_db=float(snr_db), trials_run=trials_run, bits=bits, bit_errors=errors,
-            ber=(errors / bits) if bits else None, nmse_db=nmse_db,
-            wall_time_s=time.perf_counter() - t0, seed=spec.seed, config_hash=chash))
+    spawn = multiprocessing.get_context("spawn")
+    with (ProcessPoolExecutor(max_workers=threads, mp_context=spawn) if threads > 1
+          else contextlib.nullcontext()) as pool:
+        for snr_idx, snr_db in enumerate(spec.snr_grid_db):
+            t0 = time.perf_counter()
+            bits = errors = trials_run = 0
+            nmse_lin = []
+            if pool is not None:
+                results = _parallel_trials(pool, spec, snr_idx, snr_db, threads)
+            else:
+                results = ((t, runner.run_trial(snr_idx, snr_db, t)) for t in range(spec.trials))
+            with contextlib.closing(results):
+                for trial, res in results:
+                    bits += res["bits"]
+                    errors += res["bit_errors"]
+                    if res["nmse_db"] is not None:
+                        nmse_lin.append(10.0 ** (res["nmse_db"] / 10.0))
+                    trials_run += 1
+                    if errors >= spec.min_bit_errors:
+                        break
+            nmse_db = float(10.0 * np.log10(np.mean(nmse_lin))) if nmse_lin else None
+            rows.append(SweepRow(
+                scheme=spec.scheme, detector=spec.detector, csi=spec.csi,
+                snr_db=float(snr_db), trials_run=trials_run, bits=bits, bit_errors=errors,
+                ber=(errors / bits) if bits else None, nmse_db=nmse_db,
+                wall_time_s=time.perf_counter() - t0, seed=spec.seed, config_hash=chash))
     return SweepResult(rows=rows)
 
 
-def _parallel_trials(spec, snr_idx, snr_db, threads):
-    """Ordered trial results from a process pool (deterministic aggregation)."""
-    args = [(spec, snr_idx, snr_db, t) for t in range(spec.trials)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        results = dict(pool.map(_point_worker, args, chunksize=1))
-    return sorted(results.items())
+def _parallel_trials(pool, spec, snr_idx, snr_db, in_flight):
+    """Trial results in trial order from `pool`, at most `in_flight` handed out ahead.
+
+    Trials are handed out in order as earlier ones are consumed, so once the
+    caller stops (early stop) and closes the generator, no further trial is
+    started and the queued ones are cancelled.
+    """
+    pending = collections.deque()
+    next_trial = 0
+    try:
+        while pending or next_trial < spec.trials:
+            while next_trial < spec.trials and len(pending) < in_flight:
+                pending.append(pool.submit(_point_worker, spec, snr_idx, snr_db, next_trial))
+                next_trial += 1
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def run_nmse_sweep(spec: ExperimentSpec, threads: int = 1) -> SweepResult:

@@ -10,6 +10,27 @@ time, so a pulse spans ``2*Q*oversampling + 1`` samples and the frame spans
 discrete energy, a matched filter then preserves per-sample noise variance,
 which keeps the SNR bookkeeping identical between the sample-level chain and
 the grid-level matrix model.
+
+Chip-grid (polyphase) form.  Symbol S(m, n) rides
+
+    u_{m,n}(t) = sum_{n_hat} a(t - m*osf - n_hat*M*osf) * e^{j2pi n (t - m*osf)/(MN*osf)},
+
+so its pulse copy n_hat sits on chip q = n_hat*M + m, at sample osf*q.  Near
+that chip t = osf*q + tau with |tau| <= Q*osf, so t - m*osf =
+n_hat*M*osf + tau and the carrier is e^{j2pi n n_hat/N} * e^{j2pi n tau/(MN*osf)}.
+The delay slot m cancels out of the phase: the carrier is referenced to the
+symbol's own delay, and what remains is a per-chip Doppler weight times one
+Doppler-modulated tap bank b_n[tau] = a[tau] * e^{j2pi n tau/(MN*osf)} shared
+by all chips.  The modulator puts X[q, n] = S(m, n) * e^{j2pi n n_hat/N} on the
+chips and filters them with the bank; the matched filter is its transpose,
+chip correlations with the conjugate bank followed by the length-N sum over
+n_hat against e^{-j2pi n n_hat/N}.  Both touch only the (2Q + 1)*osf-tap window
+around each of the MN chips.  Splitting each tap offset as
+tau + Q*osf = osf*j + r (0 <= j <= 2Q, 0 <= r < osf) lines chip q's window up
+with rows q .. q + 2Q of the sample stream viewed as (MN + 2Q, osf) blocks, so
+the matched filter is 2Q + 1 shifted (MN x osf) @ (osf x N) products of those
+blocks with the bank (the modulator their transposes), carried out as one
+product over the concatenated windows.
 """
 
 from __future__ import annotations
@@ -17,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .core import DDFrame, FrameConfig, _as_grid
 
@@ -95,40 +115,68 @@ def build_srrc(config: FrameConfig) -> PulseBank:
                      slot=osf, block=config.M * osf)
 
 
+def _check_pulses(pulses: PulseBank, config: FrameConfig) -> None:
+    """Reject a pulse bank built for another grid or oversampling factor."""
+    osf = config.oversampling
+    for name, have, want in (("oversampling", pulses.oversampling, osf),
+                             ("copies", pulses.copies, config.N),
+                             ("block", pulses.block, config.M * osf)):
+        if have != want:
+            raise ValueError(f"pulses.{name} = {have} but the frame config needs {want}; "
+                             "build the pulse bank with build_srrc(config)")
+
+
+def _tap_bank(pulses: PulseBank, config: FrameConfig) -> np.ndarray:
+    """(N, (2Q+1)*osf) Doppler-modulated taps a[tau] * e^{j2pi n tau/(MN*osf)}.
+
+    Column c holds tap offset tau = c - Q*osf; the osf - 1 columns past the
+    last tap are zero so the bank splits into 2Q + 1 blocks of osf taps.
+    """
+    osf = pulses.oversampling
+    taps = np.zeros((2 * pulses.Q + 1) * osf)
+    taps[:pulses.a.size] = pulses.a
+    tau = np.arange(taps.size) - pulses.half_len
+    n = np.arange(config.N)
+    return taps * np.exp(2j * np.pi * np.outer(n, tau) / (config.mn * osf))
+
+
+def _hop_phases(N: int, sign: int) -> np.ndarray:
+    """(N, N) array e^{sign*j2pi n n_hat/N} indexed [n_hat, n]."""
+    return np.exp(sign * 2j * np.pi * np.outer(np.arange(N), np.arange(N)) / N)
+
+
 def oddm_modulate(frame, pulses: PulseBank, config: FrameConfig,
                   cyclic_prefix_chips: int = 0) -> SampleStream:
     """Synthesize the staggered multicarrier waveform for one frame.
 
     Each symbol S(m, n) rides the pulse train delayed by m slots and
-    modulated by the n-th Doppler subcarrier.  With
-    ``cyclic_prefix_chips > 0`` the tail of the frame is folded in front of
-    t = 0 so that a multipath channel with delay spread up to that many
-    delay bins acts circularly on the frame, matching the wrap blocks of the
-    grid-level channel matrix.
+    modulated by the n-th Doppler subcarrier.  In the chip-grid form of the
+    module docstring, the chip weights X[q, n] = S(m, n) * e^{j2pi n n_hat/N}
+    times the tap bank give each chip's (2Q + 1)*osf samples, which are
+    overlap-added into the stream's (MN + 2Q, osf) blocks: window block j of
+    chip q lands on stream block q + j.  The stream covers
+    t in [-Q*osf, MN*osf + Q*osf).  With ``cyclic_prefix_chips > 0`` the tail
+    of the frame is folded in front of t = 0 so that a multipath channel with
+    delay spread up to that many delay bins acts circularly on the frame,
+    matching the wrap blocks of the grid-level channel matrix.
     """
     grid = _as_grid(frame)
     M, N, osf = config.M, config.N, config.oversampling
     if grid.shape != (M, N):
         raise ValueError(f"frame shape {grid.shape} != ({M}, {N})")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("frame has non-finite symbols")
     if cyclic_prefix_chips < 0 or cyclic_prefix_chips > M:
         raise ValueError("cyclic_prefix_chips must be in [0, M]")
-    qos = pulses.half_len
+    _check_pulses(pulses, config)
+    Q, qos = pulses.Q, pulses.half_len
     L = M * N * osf
-    body = np.zeros(L + 2 * qos, dtype=complex)  # covers t in [-qos, L+qos)
-    m_idx = np.arange(M)
-    t_axis = np.arange(-qos, L + qos)
-    a = pulses.a.astype(complex)
-    for n in range(N):
-        # pull the Doppler carrier's slot-offset phase into the symbol weights
-        coeff = grid[:, n] * np.exp(-2j * np.pi * n * m_idx / (M * N))
-        up = np.zeros(M * osf, dtype=complex)
-        up[::osf] = coeff
-        conv = fftconvolve(up, a)  # spans t in [-qos, M*osf + qos)
-        spread = np.zeros_like(body)
-        for n_hat in range(N):
-            start = n_hat * M * osf
-            spread[start:start + conv.size] += conv
-        body += spread * np.exp(2j * np.pi * n * t_axis / (N * M * osf))
+    chips = (_hop_phases(N, +1)[:, None, :] * grid[None, :, :]).reshape(M * N, N)
+    windows = (chips @ _tap_bank(pulses, config)).reshape(M * N, 2 * Q + 1, osf)
+    blocks = np.zeros((M * N + 2 * Q, osf), dtype=complex)
+    for j in range(2 * Q + 1):
+        blocks[j:j + M * N] += windows[:, j]
+    body = blocks.reshape(-1)  # t in [-qos, L + qos)
     if cyclic_prefix_chips == 0:
         return SampleStream(samples=body, rate=config.sample_rate,
                             t0=-qos / config.sample_rate)
@@ -142,29 +190,34 @@ def oddm_modulate(frame, pulses: PulseBank, config: FrameConfig,
 
 def oddm_demodulate(stream: SampleStream, pulses: PulseBank,
                     config: FrameConfig) -> DDFrame:
-    """Project a received stream back onto the M x N grid via the matched filter."""
+    """Project a received stream back onto the M x N grid via the matched filter.
+
+    The transpose of :func:`oddm_modulate`: the stream from t = -Q*osf on is
+    viewed as (MN + 2Q, osf) blocks, chip q correlates its window (blocks
+    q .. q + 2Q) with the conjugate tap bank, and the chip correlations
+    Z[q, n] of the N pulse copies n_hat of each delay slot m are combined
+    with e^{-j2pi n n_hat/N}.  Samples past the stream's end count as zero.
+    """
     M, N, osf = config.M, config.N, config.oversampling
+    _check_pulses(pulses, config)
+    if not np.isclose(stream.rate, config.sample_rate, rtol=1e-9, atol=0.0):
+        raise ValueError(f"stream rate {stream.rate} Hz != frame config sample rate "
+                         f"{config.sample_rate} Hz")
     y = stream.samples
+    if not np.all(np.isfinite(y)):
+        raise ValueError("stream has non-finite samples")
     i0 = stream.start_index
-    qos = pulses.half_len
+    Q, qos = pulses.Q, pulses.half_len
     # matched-filter positions m*osf + n_hat*M*osf must all be covered
     last_needed = (M - 1) * osf + (N - 1) * M * osf + qos
     if i0 > -qos or i0 + y.size <= last_needed:
         raise ValueError("stream too short to cover one frame plus pulse tails")
-    t_abs = i0 + np.arange(y.size)
-    m_idx = np.arange(M)
-    # correlation index for delay slot m, pulse copy n_hat
-    pos = m_idx[:, None] * osf + np.arange(N)[None, :] * (M * osf)
-    gather = pos - i0  # index into the correlation array defined below
-    out = np.empty((M, N), dtype=complex)
-    a = pulses.a.astype(complex)
-    for n in range(N):
-        w = y * np.exp(-2j * np.pi * n * t_abs / (N * M * osf))
-        corr = fftconvolve(w, a)  # a is even, so convolution == correlation
-        # corr[j] is the correlation at shift (j - qos) + i0 in absolute time
-        vals = corr[gather + qos].sum(axis=1)
-        out[:, n] = vals * np.exp(2j * np.pi * n * m_idx / (M * N))
-    return DDFrame(out)
+    segment = np.zeros((M * N + 2 * Q) * osf, dtype=complex)  # t in [-qos, L + qos)
+    part = y[-qos - i0:][:segment.size]
+    segment[:part.size] = part
+    windows = np.lib.stride_tricks.sliding_window_view(segment, (2 * Q + 1) * osf)[::osf]
+    Z = (windows @ _tap_bank(pulses, config).conj().T).reshape(N, M, N)
+    return DDFrame(np.einsum("kmn,kn->mn", Z, _hop_phases(N, -1)))
 
 
 def pulse_orthogonality_matrix(pulses: PulseBank, config: FrameConfig,

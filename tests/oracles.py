@@ -6,8 +6,9 @@ input-output relation (with the wrap phase the library's chip-domain form
 never writes out), the block and permutation helpers spell out the paper's
 block structure of that matrix, the path statistic is a dense direct
 computation, the linear-estimator oracle works from the SVD of the dense
-matrix, and the AWGN reference is the closed-form Q-function bit error rate
-for Gray 4-QAM.
+matrix, the ODDM modulator and matched filter build every symbol's pulse
+train sample by sample from its defining formula, and the AWGN reference is
+the closed-form Q-function bit error rate for Gray 4-QAM.
 """
 
 import numpy as np
@@ -122,6 +123,57 @@ def dense_le(H, r, xi):
     lam = sv ** 2
     z = U @ ((U.conj().T @ r) / (lam + xi))
     return z, float(np.mean(lam / (lam + xi)))
+
+
+def _oddm_symbol_trains(pulses, config, t):
+    """Per delay slot m, the (N, t.size) rows u_{m,n}(t), n = 0..N-1.
+
+    u_{m,n}(t) = sum_{n_hat} a(t - m*osf - n_hat*M*osf) * e^{j2pi n (t - m*osf)/(MN*osf)}
+    with a(tau) the prototype sample at offset tau (zero outside |tau| <= Q*osf).
+    The carrier is read from a table of the MN*osf roots of unity at the exact
+    integer exponent n*(t - m*osf) mod MN*osf.
+    """
+    M, N, osf = config.M, config.N, config.oversampling
+    qos = (pulses.a.size - 1) // 2
+    n = np.arange(N)[:, None]
+    roots = np.exp(2j * np.pi * np.arange(M * N * osf) / (M * N * osf))
+    for m in range(M):
+        train = np.zeros(t.size)
+        for n_hat in range(N):
+            tau = t - m * osf - n_hat * M * osf
+            inside = np.abs(tau) <= qos
+            train[inside] += pulses.a[tau[inside] + qos]
+        yield m, train * roots[(n * (t - m * osf)) % (M * N * osf)]
+
+
+def oddm_modulate_literal(S, pulses, config, cyclic_prefix_chips=0):
+    """(samples, first sample index) of sum_{m,n} S(m, n) u_{m,n}(t), sample by sample.
+
+    The stream covers t in [-cp*osf - Q*osf, MN*osf + Q*osf); a cyclic prefix
+    of cp chips adds the frame's copy delayed by -MN*osf on t < Q*osf, so the
+    prefix carries the frame tail.
+    """
+    osf, qos = config.oversampling, (pulses.a.size - 1) // 2
+    L = config.M * config.N * osf
+    start = -cyclic_prefix_chips * osf - qos
+    t = np.arange(start, L + qos)
+    x = np.zeros(t.size, dtype=complex)
+    for m, u in _oddm_symbol_trains(pulses, config, t):
+        x += S[m] @ u
+    if cyclic_prefix_chips:
+        head = t[t < qos]
+        for m, u in _oddm_symbol_trains(pulses, config, head + L):
+            x[:head.size] += S[m] @ u
+    return x, start
+
+
+def oddm_demodulate_literal(samples, start, pulses, config):
+    """Y(m, n) = sum_t x(t) * conj(u_{m,n}(t)) over the stream's samples from index `start`."""
+    t = start + np.arange(samples.size)
+    Y = np.empty((config.M, config.N), dtype=complex)
+    for m, u in _oddm_symbol_trains(pulses, config, t):
+        Y[m] = u.conj() @ samples
+    return Y
 
 
 def qpsk_awgn_ber(snr_db):

@@ -69,11 +69,16 @@ def _csv_lines_without_wall_time(path):
 
 
 def test_serial_and_parallel_csvs_identical(tmp_path):
-    spec = link_spec()
-    emit_csv(run_sensing_then_comm(spec), tmp_path / "serial.csv")
-    emit_csv(run_sensing_then_comm(spec, threads=2), tmp_path / "parallel.csv")
-    assert _csv_lines_without_wall_time(tmp_path / "serial.csv") == \
-        _csv_lines_without_wall_time(tmp_path / "parallel.csv")
+    full = link_spec()
+    # early stop at 0 dB after the first trial; trials handed out ahead are dropped
+    stopped = link_spec(**{"run.min_bit_errors": 1})
+    for name, spec in (("full", full), ("stopped", stopped)):
+        emit_csv(run_sensing_then_comm(spec), tmp_path / f"{name}-serial.csv")
+        parallel = run_sensing_then_comm(spec, threads=2)
+        emit_csv(parallel, tmp_path / f"{name}-parallel.csv")
+        assert _csv_lines_without_wall_time(tmp_path / f"{name}-serial.csv") == \
+            _csv_lines_without_wall_time(tmp_path / f"{name}-parallel.csv")
+    assert parallel.rows[0].trials_run == 1
 
 
 def test_min_bit_errors_stops_early():

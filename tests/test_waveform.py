@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import oddmsim
 from oddmsim.channel import apply_physical_channel, channel_from_cells
 from oddmsim.core import make_frame_config, random_frame, vectorize
 from oddmsim.effchan import assemble_H
-from oddmsim.waveform import (build_srrc, oddm_demodulate, oddm_modulate,
+from oddmsim.waveform import (SampleStream, build_srrc, oddm_demodulate, oddm_modulate,
                               pulse_orthogonality_matrix)
+
+from oracles import oddm_demodulate_literal, oddm_modulate_literal
 
 
 def cfg32(**kw):
@@ -135,6 +143,129 @@ class TestModDemod:
         Y = oddm_demodulate(rx, p, cfg).symbols
         ref = assemble_H(chan, cfg).apply(vectorize(frame)).reshape(cfg.M, cfg.N)
         assert np.linalg.norm(Y - ref) / np.linalg.norm(ref) <= 2e-2
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+LITERAL_GRIDS = [(32, 8, 4), (64, 16, 8), (24, 6, 4)]
+LITERAL_CASES = [(M, N, Q, osf, beta, cp) for (M, N, Q) in LITERAL_GRIDS
+                 for osf in (1, 3, 8) for beta in (0.0, 0.25) for cp in (0, 5, M)]
+
+
+def literal_case(M, N, Q, osf, beta):
+    cfg = make_frame_config(M=M, N=N, delta_f=15e3, f_c=5e9, Q=Q, rolloff=beta,
+                            oversampling=osf)
+    rng = np.random.default_rng(M * 100 + osf * 10 + int(beta * 4))
+    S = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
+    return cfg, build_srrc(cfg), S, rng
+
+
+def case_id(case):
+    return "{}x{}-Q{}-osf{}-beta{}-cp{}".format(*case)
+
+
+class TestLiteralOracle:
+    """The chip-grid transceiver against per-symbol pulse trains built sample by sample."""
+
+    @pytest.mark.parametrize("M,N,Q,osf,beta,cp", LITERAL_CASES,
+                             ids=[case_id(c) for c in LITERAL_CASES])
+    def test_modulate_matches_literal(self, M, N, Q, osf, beta, cp):
+        cfg, p, S, _ = literal_case(M, N, Q, osf, beta)
+        st = oddm_modulate(S, p, cfg, cyclic_prefix_chips=cp)
+        ref, start = oddm_modulate_literal(S, p, cfg, cyclic_prefix_chips=cp)
+        assert st.start_index == start and st.samples.size == ref.size
+        assert rel_err(st.samples, ref) <= 1e-12
+
+    @pytest.mark.parametrize("M,N,Q,osf,beta,cp", LITERAL_CASES,
+                             ids=[case_id(c) for c in LITERAL_CASES])
+    def test_demodulate_matches_literal(self, M, N, Q, osf, beta, cp):
+        cfg, p, S, rng = literal_case(M, N, Q, osf, beta)
+        st = oddm_modulate(S, p, cfg, cyclic_prefix_chips=cp)
+        # the transmitted frame plus noise, with a few extra samples on both sides
+        x = np.concatenate([rng.standard_normal(3), st.samples, rng.standard_normal(2)])
+        x = x + 0.1 * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
+        start = st.start_index - 3
+        rx = SampleStream(samples=x, rate=cfg.sample_rate, t0=start / cfg.sample_rate)
+        ref = oddm_demodulate_literal(x, start, p, cfg)
+        assert rel_err(oddm_demodulate(rx, p, cfg).symbols, ref) <= 1e-12
+
+    @pytest.mark.parametrize("M,N,Q", LITERAL_GRIDS)
+    def test_demodulate_shortest_stream_matches_literal(self, M, N, Q):
+        # the stream ends at the last sample the matched filter needs
+        cfg, p, _, rng = literal_case(M, N, Q, 3, 0.25)
+        qos = Q * 3
+        last_needed = (M * N - 1) * 3 + qos
+        size = last_needed + qos + 1
+        x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        rx = SampleStream(samples=x, rate=cfg.sample_rate, t0=-qos / cfg.sample_rate)
+        ref = oddm_demodulate_literal(x, -qos, p, cfg)
+        assert rel_err(oddm_demodulate(rx, p, cfg).symbols, ref) <= 1e-12
+
+    @pytest.mark.parametrize("M,N,Q,osf,beta", [c[:5] for c in LITERAL_CASES if c[5] == 0],
+                             ids=[case_id(c)[:-4] for c in LITERAL_CASES if c[5] == 0])
+    def test_adjoint_identity(self, M, N, Q, osf, beta):
+        # <mod(S), x> = <S, demod(x)> on the stream span of a frame without cyclic prefix
+        cfg, p, S, rng = literal_case(M, N, Q, osf, beta)
+        st = oddm_modulate(S, p, cfg)
+        x = rng.standard_normal(st.samples.size) + 1j * rng.standard_normal(st.samples.size)
+        Y = oddm_demodulate(SampleStream(samples=x, rate=st.rate, t0=st.t0), p, cfg).symbols
+        lhs, rhs = np.vdot(st.samples, x), np.vdot(S, Y)
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(st.samples) * np.linalg.norm(x)
+
+
+OTHER_CONFIG = {"oversampling": dict(oversampling=4), "copies": dict(N=4),
+                "block": dict(M=16, Q=4)}
+
+
+@pytest.mark.parametrize("field", sorted(OTHER_CONFIG))
+@pytest.mark.parametrize("direction", ["modulate", "demodulate"])
+def test_rejects_pulses_built_for_another_config(direction, field):
+    cfg = cfg32()
+    wrong = build_srrc(cfg32(**OTHER_CONFIG[field]))
+    S = np.ones((cfg.M, cfg.N), dtype=complex)
+    with pytest.raises(ValueError, match=f"pulses.{field}"):
+        if direction == "modulate":
+            oddm_modulate(S, wrong, cfg)
+        else:
+            oddm_demodulate(oddm_modulate(S, build_srrc(cfg), cfg), wrong, cfg)
+
+
+def test_rejects_stream_at_another_rate():
+    cfg = cfg32()
+    p = build_srrc(cfg)
+    st = oddm_modulate(np.ones((cfg.M, cfg.N)), p, cfg)
+    doubled = SampleStream(samples=st.samples, rate=2 * st.rate, t0=st.t0 / 2)
+    with pytest.raises(ValueError, match="stream rate"):
+        oddm_demodulate(doubled, p, cfg)
+
+
+def test_rejects_non_finite_frame():
+    cfg = cfg32()
+    S = np.ones((cfg.M, cfg.N))
+    S[3, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite symbols"):
+        oddm_modulate(S, build_srrc(cfg), cfg)
+
+
+def test_rejects_non_finite_stream():
+    cfg = cfg32()
+    p = build_srrc(cfg)
+    st = oddm_modulate(np.ones((cfg.M, cfg.N)), p, cfg)
+    x = st.samples.copy()
+    x[100] = np.inf
+    with pytest.raises(ValueError, match="non-finite samples"):
+        oddm_demodulate(SampleStream(samples=x, rate=st.rate, t0=st.t0), p, cfg)
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # importing the package must stay light: scipy.signal alone costs most of a second
+    src = str(Path(oddmsim.__file__).resolve().parents[1])
+    code = "import sys, oddmsim; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
 
 
 class TestOrthogonality:
