@@ -1,8 +1,8 @@
 """Textbook OTFS and CP-OFDM transceivers for directional BER comparisons.
 
 Both baselines consume exactly the same resources as the pulse-train scheme:
-M*N symbols per frame, bandwidth M*delta_f, frame duration N*T (cyclic-prefix
-overhead reported separately).
+M*N symbols per frame, bandwidth M*delta_f, frame duration N*T, plus a
+cyclic prefix (one per frame for OTFS, one per symbol for OFDM).
 
 OTFS here is the reduced-cyclic-prefix variant with rectangular transmit
 pulses: the delay-Doppler grid maps to time chips by an inverse DFT across
@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelRealization
 from .core import DDFrame, FrameConfig, _as_grid, chips_to_dd, dd_to_chips, qam_demap
-from .waveform import SampleStream
+from .effchan import EffectiveChannel
+from .waveform import SampleStream, checked_samples
 
 
 def otfs_modulate(frame, config: FrameConfig, cyclic_prefix_chips: int = 0) -> SampleStream:
@@ -49,10 +49,11 @@ def otfs_modulate(frame, config: FrameConfig, cyclic_prefix_chips: int = 0) -> S
 def otfs_demodulate(stream: SampleStream, config: FrameConfig) -> DDFrame:
     """Adjoint chain: integrate chips, DFT across blocks back to the DD grid."""
     M, N, osf = config.M, config.N, config.oversampling
+    y = checked_samples(stream, config)
     i0 = stream.start_index
-    if i0 > 0 or i0 + stream.samples.size < M * N * osf:
+    if i0 > 0 or i0 + y.size < M * N * osf:
         raise ValueError("stream does not cover one frame")
-    y = stream.samples[-i0:-i0 + M * N * osf]
+    y = y[-i0:-i0 + M * N * osf]
     chips = y.reshape(M * N, osf).sum(axis=1) / np.sqrt(osf)
     return DDFrame(chips_to_dd(chips, M, N))
 
@@ -95,7 +96,7 @@ def ofdm_symbol_centers(config: FrameConfig, cp_chips: int) -> np.ndarray:
     return (starts + L / 2.0) / config.sample_rate
 
 
-def ofdm_freq_response(chan: ChannelRealization, config: FrameConfig,
+def ofdm_freq_response(chan: EffectiveChannel, config: FrameConfig,
                        cp_chips: int) -> np.ndarray:
     """(N, M) per-symbol one-tap response from the path parameters.
 
@@ -106,10 +107,10 @@ def ofdm_freq_response(chan: ChannelRealization, config: FrameConfig,
     freqs = _ofdm_bin_freqs(config)
     t_c = ofdm_symbol_centers(config, cp_chips)
     resp = np.zeros((config.N, config.M), dtype=complex)
-    for p in chan.paths:
-        time_phase = np.exp(2j * np.pi * p.nu * t_c)
-        freq_phase = np.exp(-2j * np.pi * (freqs + p.nu) * p.tau)
-        resp += p.h * np.outer(time_phase, freq_phase)
+    for h, tau, nu in zip(chan.gains, chan.tau, chan.nu):
+        time_phase = np.exp(2j * np.pi * nu * t_c)
+        freq_phase = np.exp(-2j * np.pi * (freqs + nu) * tau)
+        resp += h * np.outer(time_phase, freq_phase)
     return resp
 
 
@@ -119,11 +120,12 @@ def ofdm_detect(stream: SampleStream, chan_freq_response: np.ndarray, sigma_sq: 
     M, N, osf = config.M, config.N, config.oversampling
     L = M * osf
     cp = cp_chips * osf
+    y = checked_samples(stream, config)
     i0 = stream.start_index
     need = N * (L + cp)
-    if i0 > 0 or i0 + stream.samples.size < need:
+    if i0 > 0 or i0 + y.size < need:
         raise ValueError("stream does not cover the OFDM frame")
-    y = stream.samples[-i0:-i0 + need].reshape(N, L + cp)[:, cp:]
+    y = y[-i0:-i0 + need].reshape(N, L + cp)[:, cp:]
     spec = np.fft.fft(y, axis=1) / np.sqrt(L)
     half = M // 2
     Y = np.concatenate([spec[:, :half], spec[:, L - (M - half):]], axis=1)
@@ -133,30 +135,3 @@ def ofdm_detect(stream: SampleStream, chan_freq_response: np.ndarray, sigma_sq: 
     X = np.conj(Hr) * Y / (np.abs(Hr) ** 2 + sigma_sq)
     return qam_demap(X.reshape(-1), config.constellation_obj)
 
-
-def max_channel_delay_chips(chan: ChannelRealization) -> int:
-    return max(p.l for p in chan.paths)
-
-
-def resource_accounting(config: FrameConfig, cp_chips: int) -> dict:
-    """Per-scheme symbol/bandwidth/duration budget; asserted equal before comparisons."""
-    base = {
-        "symbols": config.mn,
-        "bandwidth_hz": config.M * config.delta_f,
-        "frame_s": config.frame_duration,
-    }
-    return {
-        "oddm": dict(base, cp_overhead=cp_chips / (config.M * config.N)),
-        "otfs": dict(base, cp_overhead=cp_chips / (config.M * config.N)),
-        "ofdm": dict(base, cp_overhead=cp_chips / config.M),
-    }
-
-
-def assert_resource_parity(config: FrameConfig, cp_chips: int) -> dict:
-    acct = resource_accounting(config, cp_chips)
-    ref = acct["oddm"]
-    for scheme, entry in acct.items():
-        for key in ("symbols", "bandwidth_hz", "frame_s"):
-            if entry[key] != ref[key]:
-                raise AssertionError(f"resource mismatch for {scheme}: {key}")
-    return acct

@@ -1,73 +1,26 @@
 """Time-varying multipath channel generation and sample-level application.
 
-Channels are lists of paths (complex gain, delay, Doppler shift) with delays
-and Dopplers snapped onto the integer delay-Doppler grid at generation time.
-The EVA tap profile is hard-coded from 3GPP TS 36.101 Annex B.2 (Extended
-Vehicular A); it is an input to the simulator, not a derived quantity.
+A channel is one :class:`effchan.EffectiveChannel`: P paths, each a complex
+gain h_p on an integer delay-Doppler cell (l_p, k_p), with delay
+tau_p = l_p / (M delta_f) and Doppler nu_p = k_p / (N T).  The generators
+snap each tap's delay and Doppler onto the grid and sum the gains of taps
+that land on one cell, so their cells are distinct; the sample-level channel
+below and the grid-level matrix model act on the same paths.  The EVA tap
+profile is hard-coded from 3GPP TS 36.101 Annex B.2 (Extended Vehicular A);
+it is an input to the simulator, not a derived quantity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import C_LIGHT, FrameConfig, delay_index, doppler_index
+from .effchan import EffectiveChannel
 from .waveform import SampleStream
 
 # 3GPP TS 36.101, Table B.2.1-2 (Extended Vehicular A model)
 EVA_DELAYS_NS = np.array([0.0, 30.0, 150.0, 310.0, 370.0, 710.0, 1090.0, 1730.0, 2510.0])
 EVA_POWERS_DB = np.array([0.0, -1.5, -1.4, -3.6, -0.6, -9.1, -7.0, -12.0, -16.9])
-
-
-@dataclass(frozen=True)
-class PathParams:
-    """One propagation path: gain h, delay tau (s), Doppler nu (Hz), grid bins (l, k)."""
-
-    h: complex
-    tau: float
-    nu: float
-    l: int
-    k: int
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """A set of paths on pairwise-distinct integer (l, k) cells."""
-
-    paths: tuple
-
-    def __post_init__(self):
-        cells = [(p.l, p.k) for p in self.paths]
-        if len(set(cells)) != len(cells):
-            raise ValueError("paths must occupy distinct (l, k) cells")
-
-    @property
-    def P(self) -> int:
-        return len(self.paths)
-
-    @property
-    def L(self) -> int:
-        """Maximum delay index + 1."""
-        return max(p.l for p in self.paths) + 1
-
-    @property
-    def L1(self) -> int:
-        """Maximum absolute Doppler index."""
-        return max(abs(p.k) for p in self.paths)
-
-    def g_matrix(self) -> np.ndarray:
-        """(2*L1+1) x L gain matrix; row r holds Doppler bin k = r - L1.
-
-        The number of non-zero entries equals the number of paths.
-        """
-        G = np.zeros((2 * self.L1 + 1, self.L), dtype=complex)
-        for p in self.paths:
-            G[p.k + self.L1, p.l] += p.h
-        return G
-
-    def total_power(self) -> float:
-        return float(sum(abs(p.h) ** 2 for p in self.paths))
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -76,28 +29,17 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _snap_paths(config: FrameConfig, gains, taus, nus) -> ChannelRealization:
-    """Quantize (tau, nu) onto the grid and merge paths landing on one cell."""
+def channel_from_cells(config: FrameConfig, cells, gains) -> EffectiveChannel:
+    """Paths on integer (l, k) cells; gains landing on one cell are summed."""
     merged: dict = {}
-    for h, tau, nu in zip(gains, taus, nus):
-        l = delay_index(tau, config)
-        k = doppler_index(nu, config)
+    for (l, k), h in zip(cells, gains):
         merged[(l, k)] = merged.get((l, k), 0.0) + complex(h)
-    paths = tuple(
-        PathParams(h=h, tau=l / (config.M * config.delta_f), nu=k / (config.N * config.T), l=l, k=k)
-        for (l, k), h in sorted(merged.items())
-    )
-    return ChannelRealization(paths=paths)
+    cells = sorted(merged)
+    return EffectiveChannel(config, [merged[c] for c in cells],
+                            [l for l, _ in cells], [k for _, k in cells])
 
 
-def channel_from_cells(config: FrameConfig, cells, gains) -> ChannelRealization:
-    """Build a realization directly from integer (l, k) cells and gains."""
-    taus = [l / (config.M * config.delta_f) for l, _ in cells]
-    nus = [k / (config.N * config.T) for _, k in cells]
-    return _snap_paths(config, gains, taus, nus)
-
-
-def gen_eva_channel(config: FrameConfig, v_kmh: float, rng_seed) -> ChannelRealization:
+def gen_eva_channel(config: FrameConfig, v_kmh: float, rng_seed) -> EffectiveChannel:
     """Draw one EVA realization at user speed v_kmh.
 
     Tap gains are complex Gaussian with the profile's mean powers, normalized
@@ -115,12 +57,13 @@ def gen_eva_channel(config: FrameConfig, v_kmh: float, rng_seed) -> ChannelReali
     nu_max = (v_kmh / 3.6) * config.f_c / C_LIGHT
     nus = nu_max * np.cos(theta)
     gains = np.sqrt(powers / 2.0) * (rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps))
-    taus = EVA_DELAYS_NS * 1e-9
-    return _snap_paths(config, gains, taus, nus)
+    cells = [(delay_index(tau, config), doppler_index(nu, config))
+             for tau, nu in zip(EVA_DELAYS_NS * 1e-9, nus)]
+    return channel_from_cells(config, cells, gains)
 
 
 def gen_synthetic_channel(config: FrameConfig, P: int, rng_seed,
-                          l_max: int | None = None, k_max: int | None = None) -> ChannelRealization:
+                          l_max: int | None = None, k_max: int | None = None) -> EffectiveChannel:
     """P paths on distinct random grid cells with normalized Gaussian gains."""
     rng = _as_rng(rng_seed)
     l_max = min(config.M - 1, config.M // 4) if l_max is None else l_max
@@ -134,7 +77,7 @@ def gen_synthetic_channel(config: FrameConfig, P: int, rng_seed,
     return channel_from_cells(config, cells, gains)
 
 
-def apply_physical_channel(stream: SampleStream, chan: ChannelRealization,
+def apply_physical_channel(stream: SampleStream, chan: EffectiveChannel,
                            noise_var: float, rng_seed=None) -> SampleStream:
     """Superpose delayed, Doppler-rotated copies of the stream plus AWGN.
 
@@ -144,19 +87,17 @@ def apply_physical_channel(stream: SampleStream, chan: ChannelRealization,
     """
     x = stream.samples
     rate = stream.rate
-    shifts = []
-    for p in chan.paths:
-        d = p.tau * rate
-        d_int = int(round(d))
-        if abs(d - d_int) > 1e-6:
-            raise ValueError(f"path delay {p.tau} s is not on the sample grid (rate {rate})")
-        shifts.append(d_int)
-    max_shift = max(shifts) if shifts else 0
-    out = np.zeros(x.size + max_shift, dtype=complex)
+    d = chan.tau * rate
+    shifts = np.round(d).astype(np.int64)
+    off_grid = np.abs(d - shifts) > 1e-6
+    if np.any(off_grid):
+        raise ValueError(f"path delay {chan.tau[off_grid][0]} s is not on the sample grid "
+                         f"(rate {rate})")
+    out = np.zeros(x.size + shifts.max(initial=0), dtype=complex)
     # phase referenced to t - tau, i.e. to the input's own time axis
     t_in = stream.start_index + np.arange(x.size)
-    for p, d in zip(chan.paths, shifts):
-        out[d:d + x.size] += p.h * x * np.exp(2j * np.pi * (p.nu / rate) * t_in)
+    for h, nu, shift in zip(chan.gains, chan.nu, shifts):
+        out[shift:shift + x.size] += h * x * np.exp(2j * np.pi * (nu / rate) * t_in)
     if noise_var > 0.0:
         rng = _as_rng(rng_seed)
         scale = np.sqrt(noise_var / 2.0)
@@ -173,13 +114,14 @@ def snr_to_noise_var(snr_db: float) -> float:
     return float(10.0 ** (-snr_db / 10.0))
 
 
-def paths_to_text(chan: ChannelRealization) -> str:
+def paths_to_text(chan: EffectiveChannel) -> str:
     """Plain-text record, one path per line: l k Re(h) Im(h)."""
-    lines = [f"{p.l} {p.k} {p.h.real!r} {p.h.imag!r}" for p in chan.paths]
+    lines = [f"{l} {k} {h.real!r} {h.imag!r}"
+             for h, l, k in zip(chan.gains.tolist(), chan.l.tolist(), chan.k.tolist())]
     return "\n".join(lines) + "\n"
 
 
-def paths_from_text(text: str, config: FrameConfig) -> ChannelRealization:
+def paths_from_text(text: str, config: FrameConfig) -> EffectiveChannel:
     cells, gains = [], []
     for line in text.strip().splitlines():
         if not line.strip() or line.lstrip().startswith("#"):

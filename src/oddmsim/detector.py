@@ -33,27 +33,25 @@ from scipy.linalg import eigvals_banded, solveh_banded
 from .core import get_constellation, qam_demap
 from .effchan import EffectiveChannel, checked_chips, from_chips, to_chips
 
+VAR_FLOOR = 1e-10   # lower bound on every propagated variance
+STOP_TOL = 1e-6     # |delta v_nle^2| stopping rule
+
 
 @dataclass(frozen=True)
 class OampConfig:
     max_iters: int = 20
-    var_floor: float = 1e-10
     damping: float = 1.0          # 1 = no damping
-    stop_tol: float = 1e-6        # |delta v_nle^2| stopping rule
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must be in (0, 1]")
-        if self.var_floor <= 0:
-            raise ValueError("var_floor must be positive")
 
 
 @dataclass
 class DetectionResult:
     soft_symbols: np.ndarray
-    hard_symbols: np.ndarray
     hard_bits: np.ndarray
     variance_trace: list          # (v_le_sq, v_nle_sq) per iteration
     iterations_used: int
@@ -126,14 +124,14 @@ def _stage_for(H: EffectiveChannel) -> LinearStage:
     return H._stage
 
 
-def _le_step(s_t, y_c, H, v_nle_sq, sigma_sq, config, stage):
+def _le_step(s_t, y_c, H, v_nle_sq, sigma_sq, stage):
     """One linear estimate from the chips y_c of the observation."""
-    v_nle_sq = max(v_nle_sq, config.var_floor)
+    v_nle_sq = max(v_nle_sq, VAR_FLOOR)
     xi = sigma_sq / v_nle_sq
     z = stage.solve(y_c - H.apply_chips(to_chips(s_t, H.config)), xi)
     eps = stage.eps_phi(xi)
     r = s_t + from_chips(H.apply_adjoint_chips(z), H.config) / eps
-    v_le_sq = max(v_nle_sq * (1.0 / eps - 1.0), config.var_floor)
+    v_le_sq = max(v_nle_sq * (1.0 / eps - 1.0), VAR_FLOOR)
     return r, v_le_sq
 
 
@@ -144,14 +142,12 @@ def _observed_chips(y, H: EffectiveChannel, sigma_sq: float) -> np.ndarray:
 
 
 def oamp_le(s_t: np.ndarray, y: np.ndarray, H: EffectiveChannel, v_nle_sq: float,
-            sigma_sq: float, config: OampConfig | None = None):
+            sigma_sq: float):
     """De-correlated linear estimate; returns (r_t, v_le_sq)."""
-    config = config or OampConfig()
-    return _le_step(s_t, to_chips(y, H.config), H, v_nle_sq, sigma_sq, config, _stage_for(H))
+    return _le_step(s_t, to_chips(y, H.config), H, v_nle_sq, sigma_sq, _stage_for(H))
 
 
-def oamp_nle(r_t: np.ndarray, v_le_sq: float, constellation,
-             var_floor: float = 1e-10):
+def oamp_nle(r_t: np.ndarray, v_le_sq: float, constellation):
     """Posterior-mean denoiser plus divergence-free recentring.
 
     Returns (s_next, v_nle_sq_next, posterior_means, posterior_var,
@@ -159,7 +155,7 @@ def oamp_nle(r_t: np.ndarray, v_le_sq: float, constellation,
     v_post >= v_le_sq, where the orthogonalization step is skipped.
     """
     const = constellation if not isinstance(constellation, str) else get_constellation(constellation)
-    v = max(v_le_sq, var_floor)
+    v = max(v_le_sq, VAR_FLOOR)
     d2 = np.abs(r_t[:, None] - const.points[None, :]) ** 2
     expo = -d2 / v
     expo -= expo.max(axis=1, keepdims=True)
@@ -168,13 +164,13 @@ def oamp_nle(r_t: np.ndarray, v_le_sq: float, constellation,
     post_mean = w @ const.points
     e2 = w @ (np.abs(const.points) ** 2)
     post_var = np.maximum(e2 - np.abs(post_mean) ** 2, 0.0)
-    v_post = max(float(post_var.mean()), var_floor)
+    v_post = max(float(post_var.mean()), VAR_FLOOR)
     if v_post >= v * (1.0 - 1e-12):
         # denoiser did not contract; skip the orthogonalization step
-        return post_mean, max(v_post, var_floor), post_mean, post_var, True
+        return post_mean, v_post, post_mean, post_var, True
     c = v / (v - v_post)
     s_next = c * (post_mean - (v_post / v) * r_t)
-    v_next = max(1.0 / (1.0 / v_post - 1.0 / v), var_floor)
+    v_next = max(1.0 / (1.0 / v_post - 1.0 / v), VAR_FLOOR)
     return s_next, v_next, post_mean, post_var, False
 
 
@@ -193,19 +189,17 @@ def oamp_detect(y: np.ndarray, H: EffectiveChannel, sigma_sq: float,
     iterations = 0
     for t in range(config.max_iters):
         iterations = t + 1
-        r, v_le_sq = _le_step(s_t, y_c, H, v_nle_sq, sigma_sq, config, stage)
-        s_next, v_next, post_mean, _, flag = oamp_nle(r, v_le_sq, const, config.var_floor)
+        r, v_le_sq = _le_step(s_t, y_c, H, v_nle_sq, sigma_sq, stage)
+        s_next, v_next, post_mean, _, flag = oamp_nle(r, v_le_sq, const)
         non_contracting = non_contracting or flag
         if config.damping < 1.0:
             s_next = config.damping * s_next + (1.0 - config.damping) * s_t
         trace.append((v_le_sq, v_next))
         delta = abs(v_next - v_nle_sq)
         s_t, v_nle_sq = s_next, v_next
-        if delta < config.stop_tol:
+        if delta < STOP_TOL:
             break
-    hard = const.points[np.abs(post_mean[:, None] - const.points[None, :]).argmin(axis=1)]
-    bits = qam_demap(post_mean, const)
-    return DetectionResult(soft_symbols=post_mean, hard_symbols=hard, hard_bits=bits,
+    return DetectionResult(soft_symbols=post_mean, hard_bits=qam_demap(post_mean, const),
                            variance_trace=trace, iterations_used=iterations,
                            max_solve_residual=stage.max_residual,
                            non_contracting=non_contracting)
@@ -217,8 +211,6 @@ def lmmse_detect(y: np.ndarray, H: EffectiveChannel, sigma_sq: float) -> Detecti
     const = H.config.constellation_obj
     stage = _stage_for(H)
     soft = from_chips(H.apply_adjoint_chips(stage.solve(y_c, sigma_sq)), H.config)
-    hard = const.points[np.abs(soft[:, None] - const.points[None, :]).argmin(axis=1)]
-    bits = qam_demap(soft, const)
-    return DetectionResult(soft_symbols=soft, hard_symbols=hard, hard_bits=bits,
+    return DetectionResult(soft_symbols=soft, hard_bits=qam_demap(soft, const),
                            variance_trace=[], iterations_used=1,
                            max_solve_residual=stage.max_residual)

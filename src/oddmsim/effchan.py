@@ -1,4 +1,9 @@
-"""Effective channel of an integer-grid channel: how each (l, k) path acts.
+"""The channel: P paths (h_p, l_p, k_p) on the integer delay-Doppler grid.
+
+:class:`EffectiveChannel` is the one path record.  The channel generators
+return it, the estimator returns one, and the detector, the sample-level
+channel and the OFDM response read it.  A path's physical delay and Doppler
+follow from its cell: tau_p = l_p / (M delta_f) and nu_p = k_p / (N T).
 
 On the integer grid the MN x MN delay-Doppler input-output matrix is
 H = A^H H_t A, where A (:func:`core.dd_to_chips`) is the unitary map of the
@@ -75,7 +80,10 @@ def path_correlations(x_c: np.ndarray, t_c: np.ndarray, ls, ks) -> np.ndarray:
 
 @dataclass(eq=False)
 class EffectiveChannel:
-    """H = sum_p gains[p] * H_{l[p], k[p]}, applied on chips in O(P*MN)."""
+    """Paths (gains[p], l[p], k[p]) and their H = sum_p gains[p] * H_{l[p], k[p]}.
+
+    H is applied on chips in O(P*MN).
+    """
 
     config: FrameConfig
     gains: np.ndarray
@@ -98,6 +106,16 @@ class EffectiveChannel:
     @property
     def P(self) -> int:
         return self.gains.size
+
+    @property
+    def tau(self) -> np.ndarray:
+        """Path delays (s), l / (M delta_f)."""
+        return self.l / (self.config.M * self.config.delta_f)
+
+    @property
+    def nu(self) -> np.ndarray:
+        """Path Doppler shifts (Hz), k / (N T)."""
+        return self.k / (self.config.N * self.config.T)
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -138,9 +156,3 @@ class EffectiveChannel:
             raise ValueError(f"vector shape {x.shape} != (MN,) = ({self.config.mn},)")
         return from_chips(chip_op(to_chips(x, self.config)), self.config)
 
-
-def assemble_H(chan, config: FrameConfig) -> EffectiveChannel:
-    """Effective channel of a realization's (or an estimate's) paths."""
-    paths = chan.paths
-    return EffectiveChannel(config=config, gains=[p.h for p in paths],
-                            l=[p.l for p in paths], k=[p.k for p in paths])

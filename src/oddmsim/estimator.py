@@ -20,7 +20,10 @@ u_{l,k} = H_{l,k} s of :func:`effchan.path_responses`.
 * :func:`refresh_gains` -- gain-only re-estimation with (l, k) frozen, for
   tracking a channel whose geometry holds still between frames.
 
-:func:`nmse` compares channels cell by cell: distinct integer cells are
+Each returns an :class:`EstimationResult` whose ``channel`` is an
+:class:`effchan.EffectiveChannel` on distinct cells, the same path record the
+channel generators return, so the detector takes it as its H.
+:func:`nmse` compares two such channels cell by cell: distinct integer cells are
 Frobenius-orthogonal with ||H_{l,k}||_F^2 = MN, so the matrix error ratio is
 the ratio of summed squared gain errors over the merged cells.
 """
@@ -33,13 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, PathParams
 from .core import FrameConfig
-from .effchan import (EffectiveChannel, assemble_H, checked_chips, path_correlations,
-                      path_responses)
+from .effchan import EffectiveChannel, checked_chips, path_correlations, path_responses
 
 COND_LIMIT = 1e12
 NMSE_FLOOR_DB = -100.0
+LOW_CONF_FACTOR = 5.0   # a selected peak below this times the window median is low-confidence
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,6 @@ class EstimationConfig:
     k_range: tuple = None       # (lo, hi) half-open signed Doppler window
     max_iters: int = 20
     epsilon: float = 1e-4       # summed |change| over all 3P parameters
-    low_conf_factor: float = 5.0
     mle_max_hypotheses: int = 200_000
 
     def __post_init__(self):
@@ -83,30 +84,14 @@ class EstimationConfig:
 
 @dataclass
 class EstimationResult:
-    """Estimated paths plus the optimizer's trace and health flags."""
+    """Estimated channel plus the optimizer's trace and health flags."""
 
-    paths: tuple
+    channel: EffectiveChannel
     iterations: int
     objective_trace: list
     converged: bool = True
     low_confidence: bool = False
     ill_conditioned: bool = False
-
-    @property
-    def cells(self):
-        return [(p.l, p.k) for p in self.paths]
-
-    def gains(self) -> np.ndarray:
-        return np.array([p.h for p in self.paths], dtype=complex)
-
-    def to_effective_channel(self, config: FrameConfig) -> EffectiveChannel:
-        return EffectiveChannel(config=config, gains=self.gains(),
-                                l=[p.l for p in self.paths], k=[p.k for p in self.paths])
-
-
-def _path_params(l: int, k: int, h: complex, frame: FrameConfig) -> PathParams:
-    return PathParams(h=complex(h), tau=l / (frame.M * frame.delta_f),
-                      nu=k / (frame.N * frame.T), l=l, k=k)
 
 
 def solve_gains(y: np.ndarray, u: np.ndarray):
@@ -218,11 +203,11 @@ def estimate_channel(y: np.ndarray, s_known: np.ndarray,
         amb_map = last_maps[p]
         if amb_map is None:  # converged during init; rebuild the final map
             amb_map = np.abs(win.scan(s, others_removed(p))) / ss
-        if amb_map[win.index[cells[p]]] < est.low_conf_factor * np.median(amb_map):
+        if amb_map[win.index[cells[p]]] < LOW_CONF_FACTOR * np.median(amb_map):
             low_conf = True
 
-    paths = tuple(_path_params(l, k, h, frame) for (l, k), h in zip(cells, gains))
-    return EstimationResult(paths=paths, iterations=iterations, objective_trace=trace,
+    return EstimationResult(channel=EffectiveChannel(frame, gains, *zip(*cells)),
+                            iterations=iterations, objective_trace=trace,
                             converged=converged, low_confidence=low_conf,
                             ill_conditioned=ill)
 
@@ -258,31 +243,22 @@ def mle_exhaustive(y: np.ndarray, s_known: np.ndarray,
         if best is None or resid < best[0] - 1e-12:
             best = (resid, idx, h)
     resid, idx, h = best
-    paths = tuple(_path_params(*cell_list[i], hh, est.frame) for i, hh in zip(idx, h))
-    return EstimationResult(paths=paths, iterations=1, objective_trace=[yy - resid])
+    cells = [cell_list[i] for i in idx]
+    return EstimationResult(channel=EffectiveChannel(est.frame, h, *zip(*cells)),
+                            iterations=1, objective_trace=[yy - resid])
 
 
-def refresh_gains(y: np.ndarray, s_known: np.ndarray, prior: EstimationResult,
-                  frame: FrameConfig) -> EstimationResult:
+def refresh_gains(y: np.ndarray, s_known: np.ndarray,
+                  prior: EstimationResult) -> EstimationResult:
     """Re-solve only the gains, keeping the prior delay-Doppler cells fixed."""
-    y, s = checked_chips("y", y, frame), checked_chips("s_known", s_known, frame)
-    u = path_responses([p.l for p in prior.paths], [p.k for p in prior.paths], s)
+    old = prior.channel
+    y, s = checked_chips("y", y, old.config), checked_chips("s_known", s_known, old.config)
+    u = path_responses(old.l, old.k, s)
     gains, ill = solve_gains(y, u)
-    paths = tuple(_path_params(p.l, p.k, h, frame) for p, h in zip(prior.paths, gains))
     yy = float(np.vdot(y, y).real)
-    return EstimationResult(paths=paths, iterations=1,
-                            objective_trace=[yy - _residual_sq(y, u, gains)],
+    return EstimationResult(channel=EffectiveChannel(old.config, gains, old.l, old.k),
+                            iterations=1, objective_trace=[yy - _residual_sq(y, u, gains)],
                             ill_conditioned=ill)
-
-
-def _as_effective(obj, config: FrameConfig) -> EffectiveChannel:
-    if isinstance(obj, EffectiveChannel):
-        return obj
-    if isinstance(obj, EstimationResult):
-        return obj.to_effective_channel(config)
-    if isinstance(obj, ChannelRealization):
-        return assemble_H(obj, config)
-    raise TypeError(f"cannot interpret {type(obj).__name__} as an effective channel")
 
 
 def _cell_gains(eff: EffectiveChannel) -> dict:
@@ -293,14 +269,13 @@ def _cell_gains(eff: EffectiveChannel) -> dict:
     return merged
 
 
-def nmse(estimate, truth, config: FrameConfig) -> float:
+def nmse(estimate: EffectiveChannel, truth: EffectiveChannel) -> float:
     """Channel reconstruction error in dB: 10*log10(||H_hat - H||_F^2 / ||H||_F^2).
 
     Both norms are taken over merged integer cells (the common factor MN
     cancels).  Perfect reconstruction is floored at -100 dB.
     """
-    est = _cell_gains(_as_effective(estimate, config))
-    true = _cell_gains(_as_effective(truth, config))
+    est, true = _cell_gains(estimate), _cell_gains(truth)
     denom = sum(abs(h) ** 2 for h in true.values())
     if denom == 0.0:
         raise ValueError("true channel has zero norm")

@@ -28,12 +28,12 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import baselines
-from .channel import (ChannelRealization, EVA_DELAYS_NS, apply_physical_channel,
-                      gen_eva_channel, gen_synthetic_channel, snr_to_noise_var)
-from .core import (FrameConfig, devectorize, make_frame_config, qam_map,
-                   random_bits, random_frame, vectorize)
+from .channel import (EVA_DELAYS_NS, apply_physical_channel, gen_eva_channel,
+                      gen_synthetic_channel, snr_to_noise_var)
+from .core import (FrameConfig, make_frame_config, qam_map, random_bits, random_frame,
+                   vectorize)
 from .detector import OampConfig, lmmse_detect, oamp_detect
-from .effchan import assemble_H
+from .effchan import EffectiveChannel
 from .estimator import EstimationConfig, estimate_channel, mle_exhaustive, nmse
 from .waveform import build_srrc, oddm_demodulate, oddm_modulate
 
@@ -190,7 +190,7 @@ def parse_csv(path) -> SweepResult:
     return SweepResult(rows=rows)
 
 
-def _draw_channel(spec: ExperimentSpec, trial: int) -> ChannelRealization:
+def _draw_channel(spec: ExperimentSpec, trial: int) -> EffectiveChannel:
     rng = derive_rng(spec.seed, _STAGE_CHANNEL, trial)
     if spec.channel.model == "eva":
         return gen_eva_channel(spec.frame, spec.channel.v_kmh, rng)
@@ -240,16 +240,16 @@ class _TrialRunner:
 
     # -- frame transport ---------------------------------------------------
 
-    def _through_channel(self, frame, chan, H_true, noise_var, noise_rng):
+    def _through_channel(self, frame, chan, noise_var, noise_rng):
         """Transmit one DD frame; returns the DD-domain observation vector.
 
-        Matrix fidelity applies H_true, the assembled true channel; waveform
-        fidelity sends samples through ``chan`` and ignores it.
+        Matrix fidelity applies the grid-level H of ``chan``; waveform
+        fidelity sends samples through its paths.
         """
         spec, cfg = self.spec, self.cfg
         s = vectorize(frame)
         if spec.fidelity == "matrix":
-            y = H_true.apply(s)
+            y = chan.apply(s)
             if noise_var > 0:
                 y = y + np.sqrt(noise_var / 2) * (
                     noise_rng.standard_normal(cfg.mn) + 1j * noise_rng.standard_normal(cfg.mn))
@@ -274,8 +274,6 @@ class _TrialRunner:
 
         if spec.scheme == "ofdm":
             return self._run_ofdm_trial(snr_idx, snr_db, trial, chan, noise_var, out)
-        H_true = assemble_H(chan, cfg) \
-            if spec.fidelity == "matrix" or spec.csi == "perfect" else None
 
         # sensing stage
         if spec.csi == "estimated":
@@ -285,12 +283,11 @@ class _TrialRunner:
             sense_nv = snr_to_noise_var(spec.sensing_snr_db) \
                 if spec.sensing_snr_db is not None else noise_var
             noise_rng = derive_rng(spec.seed, _STAGE_SENSE_NOISE, trial, snr_idx)
-            y_sense = self._through_channel(sense_frame, chan, H_true, sense_nv, noise_rng)
-            est = estimate_channel(y_sense, s_known, self.est_cfg)
-            H_det = est.to_effective_channel(cfg)
-            out["nmse_db"] = nmse(est, chan, cfg)
+            y_sense = self._through_channel(sense_frame, chan, sense_nv, noise_rng)
+            H_det = estimate_channel(y_sense, s_known, self.est_cfg).channel
+            out["nmse_db"] = nmse(H_det, chan)
         else:
-            H_det = H_true
+            H_det = chan
 
         # communication stage over the same channel realization
         sigma = max(noise_var, 1e-12)
@@ -298,7 +295,7 @@ class _TrialRunner:
             bits_rng = derive_rng(spec.seed, _STAGE_COMM_BITS, trial, f)
             bits, frame = random_frame(cfg, bits_rng)
             noise_rng = derive_rng(spec.seed, _STAGE_COMM_NOISE, trial, f, snr_idx)
-            y = self._through_channel(frame, chan, H_true, noise_var, noise_rng)
+            y = self._through_channel(frame, chan, noise_var, noise_rng)
             if spec.detector == "oamp":
                 det = oamp_detect(y, H_det, sigma, self.oamp_cfg)
             else:
@@ -309,7 +306,7 @@ class _TrialRunner:
 
     def _run_ofdm_trial(self, snr_idx, snr_db, trial, chan, noise_var, out):
         spec, cfg = self.spec, self.cfg
-        cp = max(self.cp, baselines.max_channel_delay_chips(chan) + 1)
+        cp = max(self.cp, int(chan.l.max()) + 1)
         resp = baselines.ofdm_freq_response(chan, cfg, cp)
         sigma = max(noise_var, 1e-12)
         for f in range(spec.frames_per_trial):
@@ -330,7 +327,6 @@ def _point_worker(spec, snr_idx, snr_db, trial):
 
 def run_sensing_then_comm(spec: ExperimentSpec, threads: int = 1) -> SweepResult:
     """Full sensing-then-communication sweep over the configured SNR grid."""
-    baselines.assert_resource_parity(spec.frame, _cp_chips(spec))
     chash = config_hash(spec)
     runner = _TrialRunner(spec)
     rows = []
@@ -383,7 +379,7 @@ def _parallel_trials(pool, spec, snr_idx, snr_db, in_flight):
             future.cancel()
 
 
-def run_nmse_sweep(spec: ExperimentSpec, threads: int = 1) -> SweepResult:
+def run_nmse_sweep(spec: ExperimentSpec) -> SweepResult:
     """Channel estimation error sweep: fast algorithm plus (when feasible)
     the exhaustive search, one row per estimator per SNR point."""
     chash = config_hash(spec)
@@ -398,18 +394,17 @@ def run_nmse_sweep(spec: ExperimentSpec, threads: int = 1) -> SweepResult:
         noise_var = snr_to_noise_var(snr_db)
         for trial in range(spec.trials):
             chan = _draw_channel(spec, trial)
-            H = assemble_H(chan, cfg)
             sense_rng = derive_rng(spec.seed, _STAGE_SENSE_BITS, trial)
             _, frame = random_frame(cfg, sense_rng)
             s = vectorize(frame)
             noise_rng = derive_rng(spec.seed, _STAGE_SENSE_NOISE, trial, snr_idx)
-            y = H.apply(s) + np.sqrt(noise_var / 2) * (
+            y = chan.apply(s) + np.sqrt(noise_var / 2) * (
                 noise_rng.standard_normal(cfg.mn) + 1j * noise_rng.standard_normal(cfg.mn))
             est = estimate_channel(y, s, est_cfg)
-            acc["alg1"].append(10.0 ** (nmse(est, chan, cfg) / 10.0))
+            acc["alg1"].append(10.0 ** (nmse(est.channel, chan) / 10.0))
             if mle_ok:
                 full = mle_exhaustive(y, s, est_cfg)
-                acc["mle"].append(10.0 ** (nmse(full, chan, cfg) / 10.0))
+                acc["mle"].append(10.0 ** (nmse(full.channel, chan) / 10.0))
         wall = time.perf_counter() - t0
         for name in ("alg1", "mle"):
             if not acc[name]:

@@ -54,7 +54,6 @@ class PulseBank:
     Q: int
     oversampling: int
     copies: int          # N pulses per train
-    slot: int            # samples per delay bin (= oversampling)
     block: int           # samples per slot period T (= M * oversampling)
 
     @property
@@ -112,7 +111,7 @@ def build_srrc(config: FrameConfig) -> PulseBank:
     a = _srrc_taps(n / osf, config.rolloff)
     a = a / np.sqrt(config.N * np.sum(a * a))
     return PulseBank(a=a, Q=config.Q, oversampling=osf, copies=config.N,
-                     slot=osf, block=config.M * osf)
+                     block=config.M * osf)
 
 
 def _check_pulses(pulses: PulseBank, config: FrameConfig) -> None:
@@ -124,6 +123,16 @@ def _check_pulses(pulses: PulseBank, config: FrameConfig) -> None:
         if have != want:
             raise ValueError(f"pulses.{name} = {have} but the frame config needs {want}; "
                              "build the pulse bank with build_srrc(config)")
+
+
+def checked_samples(stream: SampleStream, config: FrameConfig) -> np.ndarray:
+    """A received stream's samples, which must be finite and at the config's sample rate."""
+    if not np.isclose(stream.rate, config.sample_rate, rtol=1e-9, atol=0.0):
+        raise ValueError(f"stream rate {stream.rate} Hz != frame config sample rate "
+                         f"{config.sample_rate} Hz")
+    if not np.all(np.isfinite(stream.samples)):
+        raise ValueError("stream has non-finite samples")
+    return stream.samples
 
 
 def _tap_bank(pulses: PulseBank, config: FrameConfig) -> np.ndarray:
@@ -200,12 +209,7 @@ def oddm_demodulate(stream: SampleStream, pulses: PulseBank,
     """
     M, N, osf = config.M, config.N, config.oversampling
     _check_pulses(pulses, config)
-    if not np.isclose(stream.rate, config.sample_rate, rtol=1e-9, atol=0.0):
-        raise ValueError(f"stream rate {stream.rate} Hz != frame config sample rate "
-                         f"{config.sample_rate} Hz")
-    y = stream.samples
-    if not np.all(np.isfinite(y)):
-        raise ValueError("stream has non-finite samples")
+    y = checked_samples(stream, config)
     i0 = stream.start_index
     Q, qos = pulses.Q, pulses.half_len
     # matched-filter positions m*osf + n_hat*M*osf must all be covered

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from oddmsim.baselines import (assert_resource_parity, max_channel_delay_chips,
-                               ofdm_detect, ofdm_freq_response, ofdm_modulate,
-                               otfs_demodulate, otfs_modulate, resource_accounting)
+from oddmsim.baselines import (ofdm_detect, ofdm_freq_response, ofdm_modulate,
+                               otfs_demodulate, otfs_modulate)
 from oddmsim.channel import (apply_physical_channel, channel_from_cells,
                              gen_eva_channel, snr_to_noise_var)
 from oddmsim.core import make_frame_config, qam_map, random_frame, vectorize
-from oddmsim.effchan import assemble_H
+from oddmsim.waveform import SampleStream
 
 from oracles import count_bit_errors, qpsk_awgn_ber
 
@@ -43,7 +42,7 @@ class TestOtfs:
         rx = apply_physical_channel(
             otfs_modulate(frame, cfg, cyclic_prefix_chips=8), chan, 0.0)
         Y = otfs_demodulate(rx, cfg).symbols
-        ref = assemble_H(chan, cfg).apply(vectorize(frame))
+        ref = chan.apply(vectorize(frame))
         assert np.max(np.abs(Y.reshape(-1) - ref)) <= 1e-10
 
     def test_doppler_channel_close_to_model(self):
@@ -55,7 +54,7 @@ class TestOtfs:
         rx = apply_physical_channel(
             otfs_modulate(frame, cfg, cyclic_prefix_chips=8), chan, 0.0)
         Y = otfs_demodulate(rx, cfg).symbols.reshape(-1)
-        ref = assemble_H(chan, cfg).apply(vectorize(frame))
+        ref = chan.apply(vectorize(frame))
         assert np.linalg.norm(Y - ref) / np.linalg.norm(ref) <= 3e-2
 
     def test_frame_shape_checked(self):
@@ -104,9 +103,9 @@ class TestOfdm:
             rng = np.random.default_rng(40 + seed)
             bits, _ = random_frame(cfg, rng)
             chan = gen_eva_channel(cfg, 350.0, 400 + seed)
-            st = ofdm_modulate(qam_map(bits), cfg, cp_chips=max_channel_delay_chips(chan) + 1)
+            cp = int(chan.l.max()) + 1
+            st = ofdm_modulate(qam_map(bits), cfg, cp_chips=cp)
             rx = apply_physical_channel(st, chan, 0.0)
-            cp = max_channel_delay_chips(chan) + 1
             out = ofdm_detect(rx, ofdm_freq_response(chan, cfg, cp), 1e-9, cfg, cp)
             errors += count_bit_errors(bits, out)
             total += bits.size
@@ -128,15 +127,27 @@ class TestOfdm:
             ofdm_modulate(np.zeros(7, dtype=complex), cfg, cp_chips=4)
 
 
-class TestResourceParity:
-    def test_budgets_identical(self):
-        cfg = cfg32()
-        acct = assert_resource_parity(cfg, cp_chips=8)
-        assert acct["oddm"]["symbols"] == cfg.mn
-        assert acct["otfs"]["bandwidth_hz"] == cfg.M * cfg.delta_f
+RECEIVERS = {  # (transmit a frame, receive a stream)
+    "otfs": (lambda cfg, frame: otfs_modulate(frame, cfg, cyclic_prefix_chips=8),
+             lambda stream, cfg: otfs_demodulate(stream, cfg)),
+    "ofdm": (lambda cfg, frame: ofdm_modulate(frame.symbols.reshape(-1), cfg, cp_chips=4),
+             lambda stream, cfg: ofdm_detect(stream, np.ones((cfg.N, cfg.M)), 0.1, cfg, 4)),
+}
 
-    def test_overheads_reported(self):
-        cfg = cfg32()
-        acct = resource_accounting(cfg, cp_chips=8)
-        assert acct["ofdm"]["cp_overhead"] == pytest.approx(8 / 32)
-        assert acct["oddm"]["cp_overhead"] == pytest.approx(8 / 256)
+
+@pytest.mark.parametrize("receiver", list(RECEIVERS))
+@pytest.mark.parametrize("fault", ["rate", "nan"])
+def test_receiver_rejects_bad_stream(receiver, fault):
+    # a stream at another sample rate or with a NaN sample raises, naming the mismatch
+    cfg = cfg32()
+    modulate, receive = RECEIVERS[receiver]
+    st = modulate(cfg, random_frame(cfg, np.random.default_rng(7))[1])
+    receive(st, cfg)  # the unmodified stream is accepted
+    if fault == "rate":
+        bad = SampleStream(samples=st.samples, rate=2 * st.rate, t0=st.t0 / 2)
+    else:
+        x = st.samples.copy()
+        x[x.size // 2] = np.nan
+        bad = SampleStream(samples=x, rate=st.rate, t0=st.t0)
+    with pytest.raises(ValueError, match={"rate": "stream rate", "nan": "non-finite"}[fault]):
+        receive(bad, cfg)

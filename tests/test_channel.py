@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from oddmsim.channel import (ChannelRealization, PathParams, apply_physical_channel,
-                             channel_from_cells, gen_eva_channel,
+from oddmsim.channel import (apply_physical_channel, channel_from_cells, gen_eva_channel,
                              gen_synthetic_channel, paths_from_text, paths_to_text,
                              snr_to_noise_var)
 from oddmsim.core import make_frame_config
@@ -17,7 +16,7 @@ class TestEvaGeneration:
     def test_delay_bin_pattern(self):
         cfg = paper_cfg()
         chan = gen_eva_channel(cfg, 350.0, 0)
-        ls = sorted({p.l for p in chan.paths})
+        ls = sorted(set(chan.l.tolist()))
         # 9 taps map to these delay bins (the two 0/30 ns taps share bin 0)
         assert set(ls) <= {0, 1, 2, 3, 5, 8, 13, 19}
         assert max(ls) == 19
@@ -26,12 +25,12 @@ class TestEvaGeneration:
         cfg = paper_cfg()
         for seed in range(20):
             chan = gen_eva_channel(cfg, 350.0, seed)
-            assert all(-3 <= p.k <= 3 for p in chan.paths)
+            assert np.all((-3 <= chan.k) & (chan.k <= 3))
 
     def test_zero_speed_zero_doppler(self):
         cfg = paper_cfg()
         chan = gen_eva_channel(cfg, 0.0, 4)
-        assert all(p.k == 0 for p in chan.paths)
+        assert np.all(chan.k == 0)
         # same-bin taps merged: 8 distinct delay bins remain
         assert chan.P == 8
 
@@ -40,21 +39,28 @@ class TestEvaGeneration:
         a = gen_eva_channel(cfg, 350.0, 123)
         b = gen_eva_channel(cfg, 350.0, 123)
         c = gen_eva_channel(cfg, 350.0, 124)
-        assert all(pa == pb for pa, pb in zip(a.paths, b.paths))
-        assert any(pa != pc for pa, pc in zip(a.paths, c.paths))
+        for field in ("gains", "l", "k"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert not np.array_equal(a.gains, c.gains)
 
     def test_mean_power_normalized(self):
         cfg = paper_cfg()
-        powers = [gen_eva_channel(cfg, 350.0, s).total_power() for s in range(400)]
+        powers = [np.sum(np.abs(gen_eva_channel(cfg, 350.0, s).gains) ** 2) for s in range(400)]
         assert np.mean(powers) == pytest.approx(1.0, rel=0.15)
 
-    def test_distinct_cells_enforced(self):
+    def test_shared_cell_taps_merged(self):
+        # taps landing on one cell become one path with the summed gain, so
+        # the cells of a generated channel are distinct
         cfg = paper_cfg()
-        with pytest.raises(ValueError):
-            ChannelRealization(paths=(
-                PathParams(1.0, 0.0, 0.0, 0, 0),
-                PathParams(0.5, 0.0, 0.0, 0, 0),
-            ))
+        chan = channel_from_cells(cfg, [(2, 1), (0, 0), (2, 1)], [1.0, 0.5j, -0.25])
+        assert (chan.l.tolist(), chan.k.tolist()) == ([0, 2], [0, 1])
+        assert chan.gains.tolist() == [0.5j, 0.75]
+
+    def test_delay_and_doppler_follow_from_cells(self):
+        cfg = paper_cfg()
+        chan = channel_from_cells(cfg, [(3, -2), (19, 1)], [1.0, 0.5])
+        assert chan.tau.tolist() == [3 / (cfg.M * cfg.delta_f), 19 / (cfg.M * cfg.delta_f)]
+        assert chan.nu.tolist() == [-2 / (cfg.N * cfg.T), 1 / (cfg.N * cfg.T)]
 
 
 class TestSyntheticGeneration:
@@ -62,9 +68,8 @@ class TestSyntheticGeneration:
         cfg = make_frame_config(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3)
         chan = gen_synthetic_channel(cfg, 4, 9, l_max=5, k_max=2)
         assert chan.P == 4
-        assert all(0 <= p.l <= 5 and -2 <= p.k <= 2 for p in chan.paths)
-        cells = {(p.l, p.k) for p in chan.paths}
-        assert len(cells) == 4
+        assert np.all((0 <= chan.l) & (chan.l <= 5) & (-2 <= chan.k) & (chan.k <= 2))
+        assert len(set(zip(chan.l.tolist(), chan.k.tolist()))) == 4
 
     def test_too_many_paths_rejected(self):
         cfg = make_frame_config(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3)
@@ -143,5 +148,5 @@ class TestSnrAndSerialization:
         chan = gen_synthetic_channel(cfg, 3, 5)
         text = paths_to_text(chan)
         back = paths_from_text(text, cfg)
-        assert [(p.l, p.k) for p in back.paths] == [(p.l, p.k) for p in chan.paths]
-        assert np.allclose([p.h for p in back.paths], [p.h for p in chan.paths])
+        assert (back.l.tolist(), back.k.tolist()) == (chan.l.tolist(), chan.k.tolist())
+        assert np.array_equal(back.gains, chan.gains)

@@ -5,7 +5,7 @@ from oddmsim.channel import (channel_from_cells, gen_eva_channel, gen_synthetic_
                              snr_to_noise_var)
 from oddmsim.core import get_constellation, make_frame_config, qam_map, random_frame, vectorize
 from oddmsim.detector import LinearStage, lmmse_detect, oamp_detect, oamp_le, oamp_nle
-from oddmsim.effchan import assemble_H, from_chips, to_chips
+from oddmsim.effchan import from_chips, to_chips
 from oddmsim.estimator import EstimationConfig, estimate_channel
 
 from oracles import count_bit_errors, dense_channel, dense_le, qpsk_awgn_ber
@@ -16,7 +16,7 @@ def cfg_small():
 
 
 def identity_channel(cfg):
-    return assemble_H(channel_from_cells(cfg, [(0, 0)], [1.0]), cfg)
+    return channel_from_cells(cfg, [(0, 0)], [1.0])
 
 
 def noisy_observation(H, s, snr_db, seed):
@@ -43,7 +43,7 @@ class TestOampLE:
         # a phase-permutation channel is unitary: LE reduces to the identity
         # case applied to the back-rotated observation
         cfg = cfg_small()
-        H = assemble_H(channel_from_cells(cfg, [(3, 1)], [1.0]), cfg)
+        H = channel_from_cells(cfg, [(3, 1)], [1.0])
         rng = np.random.default_rng(2)
         _, frame = random_frame(cfg, rng)
         s = vectorize(frame)
@@ -64,18 +64,17 @@ def estimated_eva_channel():
     chan = gen_eva_channel(cfg, 350.0, rng)
     _, frame = random_frame(cfg, rng)
     s = vectorize(frame)
-    y, _ = noisy_observation(assemble_H(chan, cfg), s, 20.0, 6)
+    y, _ = noisy_observation(chan, s, 20.0, 6)
     est = estimate_channel(y, s, EstimationConfig(frame=cfg, p_assumed=9, l_range=(0, 4),
                                                   k_range=(-3, 4)))
-    return est.to_effective_channel(cfg)
+    return est.channel
 
 
 STAGE_CHANNELS = {
     "identity": lambda: identity_channel(cfg16()),
-    "wrap-path": lambda: assemble_H(channel_from_cells(cfg16(), [(15, 1)], [0.8 - 0.3j]),
-                                    cfg16()),
-    "equal-delays": lambda: assemble_H(channel_from_cells(
-        cfg16(), [(3, -2), (3, 0), (3, 1)], [0.6, -0.5j, 0.3 + 0.2j]), cfg16()),
+    "wrap-path": lambda: channel_from_cells(cfg16(), [(15, 1)], [0.8 - 0.3j]),
+    "equal-delays": lambda: channel_from_cells(
+        cfg16(), [(3, -2), (3, 0), (3, 1)], [0.6, -0.5j, 0.3 + 0.2j]),
     "eva-estimated": estimated_eva_channel,
 }
 
@@ -96,8 +95,7 @@ class TestLinearStage:
 
     def test_spectrum_matches_dense_gram(self):
         cfg = cfg16()
-        chan = gen_synthetic_channel(cfg, 3, np.random.default_rng(29), l_max=6, k_max=1)
-        H = assemble_H(chan, cfg)
+        H = gen_synthetic_channel(cfg, 3, np.random.default_rng(29), l_max=6, k_max=1)
         Hd = dense_channel(H)
         lam = np.sort(LinearStage(H).lam)
         assert np.allclose(lam, np.linalg.eigvalsh(Hd @ Hd.conj().T), atol=1e-12)
@@ -105,7 +103,7 @@ class TestLinearStage:
     def test_residual_is_measured(self):
         cfg = cfg16()
         rng = np.random.default_rng(31)
-        H = assemble_H(gen_synthetic_channel(cfg, 4, rng, l_max=6, k_max=3), cfg)
+        H = gen_synthetic_channel(cfg, 4, rng, l_max=6, k_max=3)
         Hd = dense_channel(H)
         A = Hd @ Hd.conj().T + 0.1 * np.eye(cfg.mn)
         r = rng.standard_normal(cfg.mn) + 1j * rng.standard_normal(cfg.mn)
@@ -203,7 +201,7 @@ class TestOampDetect:
 
     def test_noiseless_single_path_zero_errors(self):
         cfg = cfg_small()
-        H = assemble_H(channel_from_cells(cfg, [(2, 1)], [0.8 + 0.3j]), cfg)
+        H = channel_from_cells(cfg, [(2, 1)], [0.8 + 0.3j])
         rng = np.random.default_rng(11)
         bits, frame = random_frame(cfg, rng)
         det = oamp_detect(H.apply(vectorize(frame)), H, 1e-12)
@@ -212,8 +210,7 @@ class TestOampDetect:
     def test_fixed_point_at_truth(self):
         cfg = cfg_small()
         rng = np.random.default_rng(12)
-        chan = gen_synthetic_channel(cfg, 3, rng, l_max=4, k_max=1)
-        H = assemble_H(chan, cfg)
+        H = gen_synthetic_channel(cfg, 3, rng, l_max=4, k_max=1)
         _, frame = random_frame(cfg, rng)
         s_true = vectorize(frame)
         y = H.apply(s_true)
@@ -225,8 +222,7 @@ class TestOampDetect:
     def test_variance_trace_tracks_empirical(self):
         cfg = make_frame_config(M=32, N=8, delta_f=15e3, f_c=5e9, Q=4)
         rng = np.random.default_rng(13)
-        chan = gen_synthetic_channel(cfg, 4, rng, l_max=6, k_max=3)
-        H = assemble_H(chan, cfg)
+        H = gen_synthetic_channel(cfg, 4, rng, l_max=6, k_max=3)
         _, frame = random_frame(cfg, rng)
         s_true = vectorize(frame)
         y, nv = noisy_observation(H, s_true, 10.0, 14)
@@ -252,8 +248,7 @@ class TestOampDetect:
     def test_deterministic(self):
         cfg = cfg_small()
         rng = np.random.default_rng(17)
-        chan = gen_synthetic_channel(cfg, 2, rng, l_max=4, k_max=1)
-        H = assemble_H(chan, cfg)
+        H = gen_synthetic_channel(cfg, 2, rng, l_max=4, k_max=1)
         _, frame = random_frame(cfg, rng)
         y, nv = noisy_observation(H, vectorize(frame), 8.0, 18)
         a = oamp_detect(y, H, nv)
@@ -300,8 +295,7 @@ class TestLmmse:
     def test_matches_first_le_iteration_up_to_normalizer(self):
         cfg = make_frame_config(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3)
         rng = np.random.default_rng(21)
-        chan = gen_synthetic_channel(cfg, 3, rng, l_max=5, k_max=2)
-        H = assemble_H(chan, cfg)
+        H = gen_synthetic_channel(cfg, 3, rng, l_max=5, k_max=2)
         _, frame = random_frame(cfg, rng)
         s = vectorize(frame)
         y, nv = noisy_observation(H, s, 9.0, 22)
@@ -317,8 +311,7 @@ class TestLmmse:
             e_oamp = e_lmmse = bits_total = 0
             for seed in range(25):
                 rng = np.random.default_rng(1000 + seed)
-                chan = gen_synthetic_channel(cfg, 5, rng, l_max=6, k_max=3)
-                H = assemble_H(chan, cfg)
+                H = gen_synthetic_channel(cfg, 5, rng, l_max=6, k_max=3)
                 bits, frame = random_frame(cfg, rng)
                 y, nv = noisy_observation(H, vectorize(frame), snr_db, 2000 + seed)
                 e_oamp += count_bit_errors(bits, oamp_detect(y, H, nv).hard_bits)

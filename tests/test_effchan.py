@@ -3,8 +3,8 @@ import pytest
 
 from oddmsim.channel import channel_from_cells, gen_synthetic_channel
 from oddmsim.core import make_frame_config, random_frame, vectorize
-from oddmsim.effchan import (EffectiveChannel, assemble_H, from_chips, path_correlations,
-                             path_responses, to_chips)
+from oddmsim.effchan import (EffectiveChannel, from_chips, path_correlations, path_responses,
+                             to_chips)
 
 from oracles import (brute_force_effective_matrix, build_block, cyclic_permutation,
                      dense_channel, phase_rotation)
@@ -88,7 +88,7 @@ class TestAssembly:
     def test_identity_channel(self):
         cfg = small_config()
         chan = channel_from_cells(cfg, [(0, 0)], [1.0])
-        H = materialize(assemble_H(chan, cfg))
+        H = materialize(chan)
         assert np.allclose(H, np.eye(cfg.mn), atol=1e-14)
 
     def test_pure_delay_wrap_blocks(self):
@@ -118,21 +118,18 @@ class TestAssembly:
                                     Q=max(1, (M - 1) // 2))
             P = int(rng.integers(1, 4))
             chan = gen_synthetic_channel(cfg, P, rng, l_max=M - 1, k_max=(N - 1) // 2)
-            eff = assemble_H(chan, cfg)
-            oracle = brute_force_effective_matrix(
-                [(p.h, p.l, p.k) for p in chan.paths], M, N)
+            oracle = brute_force_effective_matrix(zip(chan.gains, chan.l, chan.k), M, N)
             tol = 1e-12 * max(1.0, np.abs(oracle).max())
-            assert np.max(np.abs(materialize(eff) - oracle)) <= tol
-            assert np.max(np.abs(materialize(eff, adjoint=True) - oracle.conj().T)) <= tol
-            wrapped += sum(p.l > 0 for p in chan.paths)
-            negative += sum(p.k < 0 for p in chan.paths)
+            assert np.max(np.abs(materialize(chan) - oracle)) <= tol
+            assert np.max(np.abs(materialize(chan, adjoint=True) - oracle.conj().T)) <= tol
+            wrapped += np.count_nonzero(chan.l > 0)
+            negative += np.count_nonzero(chan.k < 0)
         assert wrapped > 0 and negative > 0
 
     def test_decomposition_identity(self):
         cfg = small_config()
         rng = np.random.default_rng(3)
-        chan = gen_synthetic_channel(cfg, 3, rng, l_max=5, k_max=1)
-        eff = assemble_H(chan, cfg)
+        eff = gen_synthetic_channel(cfg, 3, rng, l_max=5, k_max=1)
         total = sum(h * materialize(single_path(cfg, l, k))
                     for h, l, k in zip(eff.gains, eff.l, eff.k))
         assert np.max(np.abs(materialize(eff) - total)) <= 1e-12
@@ -140,14 +137,8 @@ class TestAssembly:
     def test_nonzeros_per_row_at_most_P(self):
         cfg = small_config()
         chan = gen_synthetic_channel(cfg, 3, np.random.default_rng(11), l_max=5, k_max=1)
-        H = materialize(assemble_H(chan, cfg))
+        H = materialize(chan)
         assert np.count_nonzero(np.abs(H) > 1e-12, axis=1).max() <= chan.P
-
-    def test_g_matrix_nonzeros_equal_paths(self):
-        cfg = small_config()
-        chan = gen_synthetic_channel(cfg, 3, np.random.default_rng(5), l_max=5, k_max=1)
-        G = chan.g_matrix()
-        assert np.count_nonzero(G) == chan.P
 
 
 class TestPathCoefficients:
@@ -169,10 +160,9 @@ class TestPathCoefficients:
         cfg = small_config()
         rng = np.random.default_rng(17)
         for _ in range(5):
-            chan = gen_synthetic_channel(cfg, 3, rng, l_max=7, k_max=1)
-            eff = assemble_H(chan, cfg)
-            total = sum(p.h * brute_force_effective_matrix([(1.0, p.l, p.k)], cfg.M, cfg.N)
-                        for p in chan.paths)
+            eff = gen_synthetic_channel(cfg, 3, rng, l_max=7, k_max=1)
+            total = sum(h * brute_force_effective_matrix([(1.0, l, k)], cfg.M, cfg.N)
+                        for h, l, k in zip(eff.gains, eff.l, eff.k))
             assert np.max(np.abs(materialize(eff) - total)) < 1e-12
 
     def test_phase_permutation_unitarity(self):
@@ -196,15 +186,14 @@ class TestPathCoefficients:
 class TestApply:
     def test_identity_apply(self):
         cfg = small_config()
-        eff = assemble_H(channel_from_cells(cfg, [(0, 0)], [1.0]), cfg)
+        eff = channel_from_cells(cfg, [(0, 0)], [1.0])
         x = np.arange(cfg.mn, dtype=complex)
         assert np.allclose(eff.apply(x), x)
 
     def test_matches_dense_product(self):
         cfg = small_config()
         rng = np.random.default_rng(23)
-        chan = gen_synthetic_channel(cfg, 3, rng, l_max=6, k_max=1)
-        eff = assemble_H(chan, cfg)
+        eff = gen_synthetic_channel(cfg, 3, rng, l_max=6, k_max=1)
         Hd = dense_channel(eff)
         x = random_vector(rng, cfg.mn)
         assert np.allclose(eff.apply(x), Hd @ x, atol=1e-12)
@@ -215,7 +204,7 @@ class TestApply:
 
     def test_dimension_mismatch(self):
         cfg = small_config()
-        eff = assemble_H(channel_from_cells(cfg, [(0, 0)], [1.0]), cfg)
+        eff = channel_from_cells(cfg, [(0, 0)], [1.0])
         with pytest.raises(ValueError):
             eff.apply(np.zeros(5))
         with pytest.raises(ValueError):

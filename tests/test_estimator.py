@@ -3,7 +3,7 @@ import pytest
 
 from oddmsim.channel import channel_from_cells, gen_synthetic_channel, snr_to_noise_var
 from oddmsim.core import make_frame_config, random_frame, vectorize
-from oddmsim.effchan import EffectiveChannel, assemble_H, to_chips
+from oddmsim.effchan import EffectiveChannel, to_chips
 from oddmsim.estimator import (EstimationConfig, EstimationResult, _Window, estimate_channel,
                                mle_exhaustive, nmse, refresh_gains, solve_gains)
 
@@ -26,11 +26,16 @@ def responses(cfg, cells, s):
                      for l, k in cells])
 
 
+def cells(chan):
+    """The (l, k) cells of a channel's paths, in path order."""
+    return list(zip(chan.l.tolist(), chan.k.tolist()))
+
+
 def observe(cfg, chan, snr_db, seed=0, s_seed=1):
     """Known sensing frame through the grid-level model plus noise."""
     _, frame = random_frame(cfg, np.random.default_rng(s_seed))
     s = vectorize(frame)
-    y = assemble_H(chan, cfg).apply(s)
+    y = chan.apply(s)
     if snr_db is not None:
         nv = snr_to_noise_var(snr_db)
         rng = np.random.default_rng(seed)
@@ -54,9 +59,9 @@ class TestSolveGains:
         cfg = cfg16()
         chan = channel_from_cells(cfg, [(1, -2), (5, 3)], [0.8j, 0.5])
         s, y = observe(cfg, chan, None)
-        gains, flag = solve_gains(y, responses(cfg, [(p.l, p.k) for p in chan.paths], s))
+        gains, flag = solve_gains(y, responses(cfg, cells(chan), s))
         assert not flag
-        assert np.allclose(gains, [p.h for p in chan.paths], atol=1e-10)
+        assert np.allclose(gains, chan.gains, atol=1e-10)
 
     def test_duplicate_hypotheses_flagged(self):
         cfg = cfg16()
@@ -89,7 +94,7 @@ class TestPathObjective:
         S[0, :] = np.exp(2j * np.pi * np.arange(cfg.N) / cfg.N)
         s = vectorize(S)
         chan = channel_from_cells(cfg, [(0, 0), (8, 0)], [1.0, 0.9])
-        y = assemble_H(chan, cfg).apply(s)
+        y = chan.apply(s)
         hyp = [(0, 0), (8, 0)]
         gains = np.array([1.0 + 0j, 0.9 + 0j])
         full = path_objective(0, y, s, hyp, gains, cfg)
@@ -130,7 +135,7 @@ class TestWindow:
         cfg = cfg16()
         s = vectorize(random_frame(cfg, np.random.default_rng(0))[1])
         res = estimate_channel(np.zeros(cfg.mn), s, est_cfg(cfg, 3, l_range=(2, 5)))
-        assert res.cells == [(2, 0), (2, -1), (2, 1)]
+        assert cells(res.channel) == [(2, 0), (2, -1), (2, 1)]
 
 
 @pytest.mark.parametrize("entry", ["estimate_channel", "mle_exhaustive", "refresh_gains"])
@@ -154,10 +159,10 @@ def test_rejects_bad_input(entry, name, fault):
         v = v.reshape(cfg.M, cfg.N)
     args = {"y": y, "s_known": s, name: v}
     ec = EstimationConfig(frame=cfg, p_assumed=1, l_range=(0, 8), k_range=(-2, 2))
-    prior = EstimationResult(paths=chan.paths, iterations=1, objective_trace=[0.0])
+    prior = EstimationResult(channel=chan, iterations=1, objective_trace=[0.0])
     with pytest.raises(ValueError, match=f"^{name} "):
         if entry == "refresh_gains":
-            refresh_gains(args["y"], args["s_known"], prior, cfg)
+            refresh_gains(args["y"], args["s_known"], prior)
         else:
             {"estimate_channel": estimate_channel,
              "mle_exhaustive": mle_exhaustive}[entry](args["y"], args["s_known"], ec)
@@ -169,10 +174,10 @@ class TestEstimateChannel:
         chan = gen_synthetic_channel(cfg, 2, 3, l_max=7, k_max=3)
         s, y = observe(cfg, chan, 30.0, seed=4)
         res = estimate_channel(y, s, est_cfg(cfg, 2))
-        assert sorted(res.cells) == sorted((p.l, p.k) for p in chan.paths)
-        true = {(p.l, p.k): p.h for p in chan.paths}
-        for p in res.paths:
-            assert abs(p.h - true[(p.l, p.k)]) <= 1e-2
+        assert sorted(cells(res.channel)) == cells(chan)
+        true = dict(zip(cells(chan), chan.gains))
+        for cell, h in zip(cells(res.channel), res.channel.gains):
+            assert abs(h - true[cell]) <= 1e-2
 
     def test_single_path_noiseless_fast_convergence(self):
         cfg = cfg16()
@@ -181,8 +186,8 @@ class TestEstimateChannel:
         res = estimate_channel(y, s, est_cfg(cfg, 1))
         assert res.iterations <= 2
         assert res.converged
-        assert res.cells == [(6, 2)]
-        assert abs(res.paths[0].h - (0.4 + 0.6j)) < 1e-10
+        assert cells(res.channel) == [(6, 2)]
+        assert abs(res.channel.gains[0] - (0.4 + 0.6j)) < 1e-10
 
     def test_noise_only_flags_low_confidence(self):
         cfg = cfg16()
@@ -207,7 +212,7 @@ class TestEstimateChannel:
         s, y = observe(cfg, chan, 10.0, seed=12)
         a = estimate_channel(y, s, est_cfg(cfg, 2))
         b = estimate_channel(3.7 * y, s, est_cfg(cfg, 2))
-        assert a.cells == b.cells
+        assert cells(a.channel) == cells(b.channel)
 
     def test_deterministic(self):
         cfg = cfg16()
@@ -215,8 +220,8 @@ class TestEstimateChannel:
         s, y = observe(cfg, chan, 10.0, seed=21)
         a = estimate_channel(y, s, est_cfg(cfg, 2))
         b = estimate_channel(y.copy(), s.copy(), est_cfg(cfg, 2))
-        assert a.cells == b.cells
-        assert np.array_equal(a.gains(), b.gains())
+        assert cells(a.channel) == cells(b.channel)
+        assert np.array_equal(a.channel.gains, b.channel.gains)
         assert a.objective_trace == b.objective_trace
 
 
@@ -229,7 +234,7 @@ class TestMleExhaustive:
         res = mle_exhaustive(y, s, ec)
         vals = {(l, k): path_objective(0, y, s, [(l, k)], np.array([0j]), cfg)
                 for l in range(8) for k in range(-2, 2)}
-        assert res.cells[0] == max(vals, key=vals.get)
+        assert cells(res.channel)[0] == max(vals, key=vals.get)
 
     def test_zero_residual_at_planted_tuple(self):
         cfg = cfg16()
@@ -237,7 +242,7 @@ class TestMleExhaustive:
         s, y = observe(cfg, chan, None)
         ec = est_cfg(cfg, 2)
         res = mle_exhaustive(y, s, ec)
-        assert sorted(res.cells) == [(2, -1), (5, 0)]
+        assert sorted(cells(res.channel)) == [(2, -1), (5, 0)]
         yy = float(np.vdot(y, y).real)
         assert res.objective_trace[0] == pytest.approx(yy, rel=1e-12)
 
@@ -266,8 +271,8 @@ class TestRefreshGains:
         chan = gen_synthetic_channel(cfg, 2, 31, l_max=7, k_max=3)
         s, y = observe(cfg, chan, None)
         prior = estimate_channel(y, s, est_cfg(cfg, 2))
-        again = refresh_gains(y, s, prior, cfg)
-        assert np.allclose(again.gains(), prior.gains(), atol=1e-10)
+        again = refresh_gains(y, s, prior)
+        assert np.allclose(again.channel.gains, prior.channel.gains, atol=1e-10)
 
     def test_gain_scaling_is_linear(self):
         cfg = cfg16()
@@ -275,17 +280,17 @@ class TestRefreshGains:
         s, y = observe(cfg, chan, None)
         prior = estimate_channel(y, s, est_cfg(cfg, 2))
         alpha = 1.7 - 0.3j
-        scaled = refresh_gains(alpha * y, s, prior, cfg)
-        assert np.allclose(scaled.gains(), alpha * prior.gains(), atol=1e-10)
-        assert scaled.cells == prior.cells
+        scaled = refresh_gains(alpha * y, s, prior)
+        assert np.allclose(scaled.channel.gains, alpha * prior.channel.gains, atol=1e-10)
+        assert cells(scaled.channel) == cells(prior.channel)
 
     def test_single_path_noiseless(self):
         cfg = cfg16()
         chan = channel_from_cells(cfg, [(3, 2)], [0.5 - 0.5j])
         s, y = observe(cfg, chan, None)
         prior = estimate_channel(y, s, est_cfg(cfg, 1))
-        res = refresh_gains(y, s, prior, cfg)
-        assert res.paths[0].h == pytest.approx(0.5 - 0.5j, abs=1e-12)
+        res = refresh_gains(y, s, prior)
+        assert res.channel.gains[0] == pytest.approx(0.5 - 0.5j, abs=1e-12)
 
 
 NMSE_CASES = {
@@ -305,28 +310,28 @@ class TestNmse:
                       for cells, gains in NMSE_CASES[case])
         He, Ht = dense_channel(est), dense_channel(truth)
         ref = 10 * np.log10(np.linalg.norm(He - Ht) ** 2 / np.linalg.norm(Ht) ** 2)
-        assert nmse(est, truth, cfg) == pytest.approx(ref, abs=1e-10)
+        assert nmse(est, truth) == pytest.approx(ref, abs=1e-10)
 
     def test_perfect_estimate_floored(self):
         cfg = cfg16()
         chan = channel_from_cells(cfg, [(2, 1)], [1.0])
-        assert nmse(chan, chan, cfg) == -100.0
+        assert nmse(chan, chan) == -100.0
 
     def test_zero_estimate_is_zero_db(self):
         cfg = cfg16()
         chan = channel_from_cells(cfg, [(2, 1)], [1.0])
         zero = channel_from_cells(cfg, [(2, 1)], [0.0])
-        assert nmse(zero, chan, cfg) == pytest.approx(0.0, abs=1e-12)
+        assert nmse(zero, chan) == pytest.approx(0.0, abs=1e-12)
 
     def test_ten_percent_gain_error(self):
         cfg = cfg16()
         truth = channel_from_cells(cfg, [(4, -2)], [1.0])
         est = channel_from_cells(cfg, [(4, -2)], [1.1])
-        assert nmse(est, truth, cfg) == pytest.approx(20 * np.log10(0.1), abs=1e-9)
+        assert nmse(est, truth) == pytest.approx(20 * np.log10(0.1), abs=1e-9)
 
     def test_zero_truth_rejected(self):
         cfg = cfg16()
         truth = channel_from_cells(cfg, [(0, 0)], [0.0])
         est = channel_from_cells(cfg, [(0, 0)], [1.0])
         with pytest.raises(ValueError):
-            nmse(est, truth, cfg)
+            nmse(est, truth)

@@ -47,6 +47,56 @@ def test_every_accepted_combination_runs(options):
     assert (row.nmse_db is not None) == (options["run.csi"] == "estimated")
 
 
+# (trials_run, bits, bit_errors, nmse_db) of each combination's single row,
+# recorded before the channel, the estimate and the detector's H became one
+# EffectiveChannel; ODDM waveform rows are also pinned by the benchmark, the
+# OTFS and OFDM rows (through apply_physical_channel and ofdm_freq_response)
+# only here
+GOLDEN_ROWS = {
+    "oddm-oamp-perfect-matrix": (1, 512, 0, None),
+    "oddm-oamp-perfect-waveform": (1, 512, 1, None),
+    "oddm-oamp-estimated-matrix": (1, 512, 0, -25.625323270063603),
+    "oddm-oamp-estimated-waveform": (1, 512, 0, -22.90641548201179),
+    "oddm-lmmse-perfect-matrix": (1, 512, 5, None),
+    "oddm-lmmse-perfect-waveform": (1, 512, 6, None),
+    "oddm-lmmse-estimated-matrix": (1, 512, 7, -25.625323270063603),
+    "oddm-lmmse-estimated-waveform": (1, 512, 7, -22.90641548201179),
+    "otfs-oamp-perfect-matrix": (1, 512, 0, None),
+    "otfs-oamp-perfect-waveform": (1, 512, 0, None),
+    "otfs-oamp-estimated-matrix": (1, 512, 0, -25.625323270063603),
+    "otfs-oamp-estimated-waveform": (1, 512, 0, -24.53912951611635),
+    "otfs-lmmse-perfect-matrix": (1, 512, 5, None),
+    "otfs-lmmse-perfect-waveform": (1, 512, 1, None),
+    "otfs-lmmse-estimated-matrix": (1, 512, 7, -25.625323270063603),
+    "otfs-lmmse-estimated-waveform": (1, 512, 1, -24.53912951611635),
+    "ofdm-oamp-perfect-waveform": (1, 512, 21, None),
+    "ofdm-lmmse-perfect-waveform": (1, 512, 21, None),
+}
+
+# (detector, snr_db, trials_run, bits, bit_errors, nmse_db) of run_nmse_sweep(link_spec())
+GOLDEN_NMSE_ROWS = [
+    ("alg1", 0.0, 3, 0, 0, -12.120099555584245),
+    ("mle", 0.0, 3, 0, 0, -12.120099555584245),
+    ("alg1", 10.0, 3, 0, 0, -21.653833065344227),
+    ("mle", 10.0, 3, 0, 0, -21.653833065344223),
+]
+
+
+def assert_row(row, trials_run, bits, bit_errors, nmse_db):
+    assert (row.trials_run, row.bits, row.bit_errors) == (trials_run, bits, bit_errors)
+    if nmse_db is None:
+        assert row.nmse_db is None
+    else:
+        assert row.nmse_db == pytest.approx(nmse_db, abs=1e-9)
+
+
+@pytest.mark.parametrize("options", COMBINATIONS,
+                         ids=["-".join(o.values()) for o in COMBINATIONS])
+def test_golden_rows(options):
+    (row,) = run_sensing_then_comm(tiny_spec(**options)).rows
+    assert_row(row, *GOLDEN_ROWS["-".join(options.values())])
+
+
 def link_spec(**options):
     return tiny_spec(**{"run.csi": "estimated", "run.fidelity": "matrix",
                         "run.snr_db": (0.0, 10.0), "run.trials": 3, **options})
@@ -59,6 +109,13 @@ def test_csv_round_trip(tmp_path):
         path = tmp_path / "sweep.csv"
         emit_csv(res, path)
         assert parse_csv(path).rows == res.rows
+
+
+def test_nmse_sweep_golden_rows():
+    rows = run_nmse_sweep(link_spec()).rows
+    assert [(r.detector, r.snr_db) for r in rows] == [g[:2] for g in GOLDEN_NMSE_ROWS]
+    for row, golden in zip(rows, GOLDEN_NMSE_ROWS):
+        assert_row(row, *golden[2:])
 
 
 def _csv_lines_without_wall_time(path):
