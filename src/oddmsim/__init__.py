@@ -11,8 +11,7 @@ output.
 from .core import (Constellation, DDFrame, FrameConfig, chips_to_dd, dd_to_chips,
                    delay_index, devectorize, doppler_index, get_constellation,
                    make_frame_config, qam_demap, qam_map, vectorize)
-from .waveform import (PulseBank, SampleStream, build_srrc, oddm_demodulate,
-                       oddm_modulate, pulse_orthogonality_matrix)
+from .waveform import PulseBank, SampleStream, build_srrc, oddm_demodulate, oddm_modulate
 from .effchan import EffectiveChannel
 from .channel import (apply_physical_channel, gen_eva_channel, gen_synthetic_channel,
                       paths_from_text, paths_to_text, snr_to_noise_var)

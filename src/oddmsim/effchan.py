@@ -70,11 +70,16 @@ def path_correlations(x_c: np.ndarray, t_c: np.ndarray, ls, ks) -> np.ndarray:
     """(H_{l,k} x)^H t on chips for every l in ls and k in ks; shape (len(ls), len(ks)).
 
     (H_{l,k} x)^H t = e^{j2pi k l / MN} sum_q conj(x_c[q - l]) t_c[q] e^{-j2pi k q / MN}:
-    one length-MN FFT per delay, read at the bins k mod MN.
+    one length-MN FFT per delay, read at the bins k mod MN.  With t = x it is x's discrete
+    ambiguity function, which holds the scan of every unit path response (see :mod:`estimator`).
+    Row l of the stack is the window of the doubled conj(x_c) that starts at (-l) mod MN; the
+    stack is the one (len(ls), MN) buffer, multiplied and transformed in place.
     """
     mn = x_c.size
     ls, ks = np.asarray(ls), np.asarray(ks)
-    spectra = np.fft.fft(np.conj(x_c)[_sources(ls, mn)] * t_c, axis=1)
+    stack = np.lib.stride_tricks.sliding_window_view(np.conj(np.tile(x_c, 2)), mn)[-ls % mn]
+    stack *= t_c
+    spectra = np.fft.fft(stack, axis=1, out=stack)
     return spectra[:, ks % mn] * np.exp(2j * np.pi * np.outer(ls, ks) / mn)
 
 

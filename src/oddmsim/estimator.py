@@ -2,17 +2,27 @@
 
 Every entry point maps the observation y and the known sensing frame s to
 time chips once (:func:`effchan.to_chips`, unitary, so inner products and
-residuals are unchanged) and works there with the unit-gain path responses
-u_{l,k} = H_{l,k} s of :func:`effchan.path_responses`.
+residuals are unchanged).  A unit-gain path (l, k) responds to s with
+u_{l,k} = H_{l,k} s, and the window scan of a target t is u_{l,k}^H t for
+every window cell (:func:`effchan.path_correlations`, one FFT per delay).
+
+The scan is linear in t, and the scan of a path response is the sensing
+frame's discrete ambiguity function (Woodward 1953) at the cell difference:
+
+    u_{l,k}^H u_{l',k'} = e^{j2pi k' (l - l') / MN} C(l - l', k - k'),
+    C(d, kappa) = u_{d,kappa}^H s.
+
+An estimate therefore runs FFTs twice: once for scan(s, y), once for C over
+the difference window (d >= 0 only; d < 0 is the Hermitian mirror).  Every
+cancelled scan, Gram entry and residual after that is a gather.
 
 * :func:`estimate_channel` -- low-complexity alternating search.  Paths are
   seeded by successive extraction of matched-filter peaks, then each outer
   iteration revisits every path: scan the integer (l, k) window maximizing
   the interference-cancelled matched-filter statistic
-  ``|u_{l,k}^H (y - sum_{q != p} h_q u_q)|^2`` (the useful signal with the
-  other paths' current contributions removed; one FFT per window delay, see
-  :func:`effchan.path_correlations`), then re-solve all gains exactly from
-  the P x P normal equations.  A candidate move is kept only if the joint
+  ``|u_{l,k}^H (y - sum_{q != p} h_q u_q)|^2`` (scan(s, y) minus the other
+  paths' gathered scans), then re-solve all gains exactly from the P x P
+  normal equations.  A candidate move is kept only if the joint
   least-squares residual does not increase, so the residual is
   non-increasing by construction.
 * :func:`mle_exhaustive` -- brute-force joint search over all cell tuples,
@@ -75,6 +85,9 @@ class EstimationConfig:
         klo, khi = self.k_range
         if not (-(N // 2) <= klo < khi <= (N + 1) // 2):
             raise ValueError(f"k_range {self.k_range} outside the signed grid")
+        if self.p_assumed > (hi - lo) * (khi - klo):
+            raise ValueError(f"p_assumed {self.p_assumed} exceeds the "
+                             f"{(hi - lo) * (khi - klo)} cells of the search window")
 
     def cells(self):
         """Deterministically ordered window cells: l ascending, then |k|, negative first."""
@@ -94,15 +107,13 @@ class EstimationResult:
     ill_conditioned: bool = False
 
 
-def solve_gains(y: np.ndarray, u: np.ndarray):
-    """Exact least-squares gains of y ~ gains @ u for fixed path responses u (P, MN).
+def solve_gains(G: np.ndarray, b: np.ndarray):
+    """Exact least-squares gains from the P x P normal equations G gains = b.
 
-    Solves the P x P normal equations with Gram entries u_p^H u_q.  Returns
-    (gains, ill_conditioned); an ill-conditioned system (cond > 1e12, e.g.
-    duplicated hypotheses) falls back to the smallest-norm solution.
+    G[p, q] = u_p^H u_q is the Gram of the path responses and b[p] = u_p^H y.
+    Returns (gains, ill_conditioned); an ill-conditioned system (cond > 1e12,
+    e.g. duplicated hypotheses) falls back to the smallest-norm solution.
     """
-    G = u.conj() @ u.T
-    b = u.conj() @ y
     cond = np.linalg.cond(G)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         gains, *_ = np.linalg.lstsq(G, b, rcond=None)
@@ -111,17 +122,32 @@ def solve_gains(y: np.ndarray, u: np.ndarray):
 
 
 class _Window:
-    """The search window as flat cells in tie-break order: l ascending, then |k|, negative first."""
+    """The search window as flat cells in tie-break order (l ascending, then |k|,
+    negative first), and the sensing frame's ambiguity table over its cell differences."""
 
-    def __init__(self, est: EstimationConfig):
+    def __init__(self, est: EstimationConfig, s_c: np.ndarray):
         self.cells = est.cells()
         self.index = {c: i for i, c in enumerate(self.cells)}
-        self.ls = np.arange(est.l_range[0], est.l_range[1])
-        self.ks = np.array([k for l, k in self.cells if l == self.ls[0]])
+        self.l, self.k = (np.array(v) for v in zip(*self.cells))
+        self.ls, self.ks = np.arange(*est.l_range), self.k[:est.k_range[1] - est.k_range[0]]
+        # C(d, kappa) for |d| < |L|, |kappa| < |K|; FFTs for d >= 0 only, as u_a^H u_b =
+        # conj(u_b^H u_a) gives C(-d, -kappa) = e^{j2pi kappa d / MN} conj(C(d, kappa))
+        self.dl, self.dk, self.mn = self.ls.size - 1, self.ks.size - 1, s_c.size
+        d, kappa = np.arange(self.dl + 1), np.arange(-self.dk, self.dk + 1)
+        half = path_correlations(s_c, s_c, d, kappa)
+        mirror = np.exp(2j * np.pi * np.outer(d, kappa) / self.mn) * np.conj(half)
+        self.table = np.vstack([mirror[:0:-1, ::-1], half])
 
     def scan(self, s_c: np.ndarray, t_c: np.ndarray) -> np.ndarray:
         """u_{l,k}^H t for every window cell, flat in cell order."""
         return path_correlations(s_c, t_c, self.ls, self.ks).reshape(-1)
+
+    def columns(self, cells) -> np.ndarray:
+        """(len(cells), n_cells) scans of the cells' unit path responses u_c, read from the
+        table: u_{l,k}^H u_c = e^{j2pi k_c (l - l_c) / MN} C(l - l_c, k - k_c)."""
+        lc, kc = (np.array(v)[:, None] for v in zip(*cells))
+        return (np.exp(2j * np.pi * kc * (self.l - lc) / self.mn)
+                * self.table[self.l - lc + self.dl, self.k - kc + self.dk])
 
     def pick_peak(self, metric: np.ndarray, occupied) -> tuple:
         """First maximum of the flat metric outside the occupied cells."""
@@ -130,40 +156,45 @@ class _Window:
         return self.cells[int(np.argmax(metric))]
 
 
-def _residual_sq(y, u, gains):
-    r = y - gains @ u
-    return float(np.vdot(r, r).real)
+def _chips(y, s_known, frame: FrameConfig):
+    """Checked chips of y and s_known, and ||y||^2."""
+    y, s = checked_chips("y", y, frame), checked_chips("s_known", s_known, frame)
+    if not np.any(s):
+        raise ValueError("s_known has zero energy, so no path is observable")
+    return y, s, float(np.vdot(y, y).real)
 
 
 def estimate_channel(y: np.ndarray, s_known: np.ndarray,
                      est: EstimationConfig) -> EstimationResult:
     """Alternating integer-grid search for P paths from a known sensing frame."""
-    y, s = checked_chips("y", y, est.frame), checked_chips("s_known", s_known, est.frame)
-    win = _Window(est)
+    y, s, yy = _chips(y, s_known, est.frame)
+    win = _Window(est, s)
+    scan_y = win.scan(s, y)
     P = est.p_assumed
-    frame = est.frame
-    yy = float(np.vdot(y, y).real)
-    ss = float(np.vdot(s, s).real)
+
+    def fit():
+        """Gains of the placed paths, their flag and the joint residual ||y - sum_q g_q u_q||^2
+        = ||y||^2 - 2 Re(g^H b) + g^H G g; G[p, q] = u_p^H u_q is column q at cell p."""
+        idx = [win.index[c] for c in cells]
+        G, b = cols[:, idx].T, scan_y[idx]
+        gains, ill = solve_gains(G, b)
+        return gains, ill, float(yy - 2 * np.vdot(gains, b).real + np.vdot(gains, G @ gains).real)
 
     cells: list = []
-    u = np.zeros((0, frame.mn), dtype=complex)
+    cols = np.zeros((0, scan_y.size), dtype=complex)
     gains = np.zeros(0, dtype=complex)
     ill = False
 
     # successive extraction: place each path at the peak of the matched filter
     # applied to the residual of the paths placed so far
     for p in range(P):
-        amb = win.scan(s, y - gains @ u)
+        amb = scan_y - gains @ cols
         cell = win.pick_peak(np.abs(amb) ** 2, cells)
         cells.append(cell)
-        u = np.vstack([u, path_responses([cell[0]], [cell[1]], s)])
-        gains, flag = solve_gains(y, u)
+        cols = np.vstack([cols, win.columns([cell])])
+        gains, flag, residual = fit()
         ill = ill or flag
 
-    def others_removed(p):
-        return y - np.delete(gains, p) @ np.delete(u, p, axis=0)
-
-    residual = _residual_sq(y, u, gains)
     trace = [yy - residual]
     iterations = 0
     converged = False
@@ -174,21 +205,20 @@ def estimate_channel(y: np.ndarray, s_known: np.ndarray,
         prev_cells = list(cells)
         prev_gains = gains.copy()
         for p in range(P):
-            amb = win.scan(s, others_removed(p))
-            last_maps[p] = np.abs(amb) / ss
+            amb = scan_y - np.delete(gains, p) @ np.delete(cols, p, axis=0)
+            last_maps[p] = np.abs(amb)
             cand = win.pick_peak(np.abs(amb) ** 2, cells[:p] + cells[p + 1:])
             if cand == cells[p]:
                 continue
-            saved = (cells[p], u[p].copy(), gains, ill)
+            saved = (cells[p], cols[p].copy(), gains, ill)
             cells[p] = cand
-            u[p] = path_responses([cand[0]], [cand[1]], s)[0]
-            gains, flag = solve_gains(y, u)
+            cols[p] = win.columns([cand])[0]
+            gains, flag, new_residual = fit()
             ill = ill or flag
-            new_residual = _residual_sq(y, u, gains)
             if new_residual <= residual + 1e-12 * max(1.0, residual):
                 residual = new_residual
             else:  # safeguard: reject moves that worsen the joint residual
-                cells[p], u[p], gains, ill = saved
+                cells[p], cols[p], gains, ill = saved
         trace.append(yy - residual)
         change = sum(abs(gains[p] - prev_gains[p])
                      + abs(cells[p][0] - prev_cells[p][0])
@@ -198,15 +228,10 @@ def estimate_channel(y: np.ndarray, s_known: np.ndarray,
             break
 
     # confidence: selected peaks should clear the window's median statistic
-    low_conf = False
-    for p in range(P):
-        amb_map = last_maps[p]
-        if amb_map is None:  # converged during init; rebuild the final map
-            amb_map = np.abs(win.scan(s, others_removed(p))) / ss
-        if amb_map[win.index[cells[p]]] < LOW_CONF_FACTOR * np.median(amb_map):
-            low_conf = True
+    low_conf = any(m[win.index[c]] < LOW_CONF_FACTOR * np.median(m)
+                   for m, c in zip(last_maps, cells))
 
-    return EstimationResult(channel=EffectiveChannel(frame, gains, *zip(*cells)),
+    return EstimationResult(channel=EffectiveChannel(est.frame, gains, *zip(*cells)),
                             iterations=iterations, objective_trace=trace,
                             converged=converged, low_confidence=low_conf,
                             ill_conditioned=ill)
@@ -215,7 +240,7 @@ def estimate_channel(y: np.ndarray, s_known: np.ndarray,
 def mle_exhaustive(y: np.ndarray, s_known: np.ndarray,
                    est: EstimationConfig) -> EstimationResult:
     """Global integer-grid minimizer of the residual over all cell tuples."""
-    y, s = checked_chips("y", y, est.frame), checked_chips("s_known", s_known, est.frame)
+    y, s, yy = _chips(y, s_known, est.frame)
     P = est.p_assumed
     cell_list = est.cells()
     n_cells = len(cell_list)
@@ -224,11 +249,8 @@ def mle_exhaustive(y: np.ndarray, s_known: np.ndarray,
         raise ValueError(
             f"exhaustive search refused: C({n_cells}, {P}) = {n_combos} tuples "
             f"exceeds the cap of {est.mle_max_hypotheses}")
-    yy = float(np.vdot(y, y).real)
-    ls, ks = zip(*cell_list)
-    u = path_responses(ls, ks, s)
-    gram = u.conj() @ u.T
-    bvec = u.conj() @ y
+    win = _Window(est, s)
+    gram, bvec = win.columns(cell_list).T, win.scan(s, y)
     best = None
     for combo in itertools.combinations(range(n_cells), P):
         idx = list(combo)
@@ -242,6 +264,8 @@ def mle_exhaustive(y: np.ndarray, s_known: np.ndarray,
         resid = yy - fit
         if best is None or resid < best[0] - 1e-12:
             best = (resid, idx, h)
+    if best is None:
+        raise ValueError(f"no tuple of {P} window cells has a solvable gain system")
     resid, idx, h = best
     cells = [cell_list[i] for i in idx]
     return EstimationResult(channel=EffectiveChannel(est.frame, h, *zip(*cells)),
@@ -252,12 +276,12 @@ def refresh_gains(y: np.ndarray, s_known: np.ndarray,
                   prior: EstimationResult) -> EstimationResult:
     """Re-solve only the gains, keeping the prior delay-Doppler cells fixed."""
     old = prior.channel
-    y, s = checked_chips("y", y, old.config), checked_chips("s_known", s_known, old.config)
+    y, s, yy = _chips(y, s_known, old.config)
     u = path_responses(old.l, old.k, s)
-    gains, ill = solve_gains(y, u)
-    yy = float(np.vdot(y, y).real)
+    gains, ill = solve_gains(u.conj() @ u.T, u.conj() @ y)
+    r = y - gains @ u
     return EstimationResult(channel=EffectiveChannel(old.config, gains, old.l, old.k),
-                            iterations=1, objective_trace=[yy - _residual_sq(y, u, gains)],
+                            iterations=1, objective_trace=[yy - float(np.vdot(r, r).real)],
                             ill_conditioned=ill)
 
 

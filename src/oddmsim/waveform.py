@@ -222,36 +222,3 @@ def oddm_demodulate(stream: SampleStream, pulses: PulseBank,
     windows = np.lib.stride_tricks.sliding_window_view(segment, (2 * Q + 1) * osf)[::osf]
     Z = (windows @ _tap_bank(pulses, config).conj().T).reshape(N, M, N)
     return DDFrame(np.einsum("kmn,kn->mn", Z, _hop_phases(N, -1)))
-
-
-def pulse_orthogonality_matrix(pulses: PulseBank, config: FrameConfig,
-                               m_range, n_range) -> np.ndarray:
-    """|<u, u shifted by m bins and n Doppler bins>| for the requested ranges.
-
-    Entry (0, 0) is the train energy (1 for a normalized bank); off-peak
-    entries bound the self-interference left by pulse truncation.
-    """
-    M, N, osf = config.M, config.N, config.oversampling
-    m_range = np.asarray(list(m_range), dtype=int)
-    n_range = np.asarray(list(n_range), dtype=int)
-    if np.any(np.abs(m_range) >= M) or np.any(np.abs(n_range) > N):
-        raise ValueError("shift ranges exceed the grid")
-    qos = pulses.half_len
-    L = M * N * osf
-    u = np.zeros(L + 2 * qos)
-    for n_hat in range(N):
-        start = n_hat * M * osf
-        u[start:start + pulses.a.size] += pulses.a
-    t = np.arange(-qos, L + qos)
-    out = np.empty((m_range.size, n_range.size))
-    for i, m in enumerate(m_range):
-        shift = m * osf
-        u_shift = np.zeros_like(u)
-        if shift >= 0:
-            u_shift[shift:] = u[:u.size - shift]
-        else:
-            u_shift[:shift] = u[-shift:]
-        w = u * u_shift
-        phase = np.exp(-2j * np.pi * np.outer(n_range, t - shift) / (N * M * osf))
-        out[i, :] = np.abs(phase @ w)
-    return out

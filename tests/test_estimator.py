@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import oddmsim.estimator as estimator
 from oddmsim.channel import channel_from_cells, gen_synthetic_channel, snr_to_noise_var
 from oddmsim.core import make_frame_config, random_frame, vectorize
-from oddmsim.effchan import EffectiveChannel, to_chips
+from oddmsim.effchan import EffectiveChannel, from_chips, path_correlations, to_chips
 from oddmsim.estimator import (EstimationConfig, EstimationResult, _Window, estimate_channel,
                                mle_exhaustive, nmse, refresh_gains, solve_gains)
 
@@ -24,6 +25,11 @@ def responses(cfg, cells, s):
     """Oracle delay-Doppler responses H_{l,k} s of unit-gain paths, shape (P, MN)."""
     return np.stack([brute_force_effective_matrix([(1.0, l, k)], cfg.M, cfg.N) @ s
                      for l, k in cells])
+
+
+def normal_equations(u, y):
+    """Gram u_p^H u_q and right-hand side u_p^H y of responses u (P, MN)."""
+    return u.conj() @ u.T, u.conj() @ y
 
 
 def cells(chan):
@@ -49,7 +55,7 @@ class TestSolveGains:
         chan = channel_from_cells(cfg, [(4, 2)], [0.7 - 0.4j])
         s, y = observe(cfg, chan, None)
         u = responses(cfg, [(4, 2)], s)
-        gains, flag = solve_gains(y, u)
+        gains, flag = solve_gains(*normal_equations(u, y))
         expected = np.vdot(u[0], y) / np.vdot(s, s)
         assert not flag
         assert gains[0] == pytest.approx(expected)
@@ -59,7 +65,7 @@ class TestSolveGains:
         cfg = cfg16()
         chan = channel_from_cells(cfg, [(1, -2), (5, 3)], [0.8j, 0.5])
         s, y = observe(cfg, chan, None)
-        gains, flag = solve_gains(y, responses(cfg, cells(chan), s))
+        gains, flag = solve_gains(*normal_equations(responses(cfg, cells(chan), s), y))
         assert not flag
         assert np.allclose(gains, chan.gains, atol=1e-10)
 
@@ -67,7 +73,7 @@ class TestSolveGains:
         cfg = cfg16()
         chan = channel_from_cells(cfg, [(2, 0)], [1.0])
         s, y = observe(cfg, chan, None)
-        _, flag = solve_gains(y, responses(cfg, [(2, 0)] * 2, s))
+        _, flag = solve_gains(*normal_equations(responses(cfg, [(2, 0)] * 2, s), y))
         assert flag
 
 
@@ -106,8 +112,9 @@ class TestWindow:
     def test_pick_peak_matches_literal_loop(self):
         # literal reference: the smallest key (-metric, l, |k|, negative
         # first) over the unoccupied cells
-        ec = est_cfg(cfg16(), 2, l_range=(2, 7), k_range=(-3, 4))
-        win = _Window(ec)
+        cfg = cfg16()
+        ec = est_cfg(cfg, 2, l_range=(2, 7), k_range=(-3, 4))
+        win = _Window(ec, to_chips(vectorize(random_frame(cfg, np.random.default_rng(0))[1]), cfg))
         rng = np.random.default_rng(9)
         for _ in range(200):
             metric = rng.integers(0, 3, len(win.cells)).astype(float)  # many ties
@@ -126,7 +133,7 @@ class TestWindow:
         ec = est_cfg(cfg, 1)
         chan = channel_from_cells(cfg, [(5, -1)], [1.0])
         s, y = observe(cfg, chan, None)
-        win = _Window(ec)
+        win = _Window(ec, to_chips(s, cfg))
         amb = win.scan(to_chips(s, cfg), to_chips(y, cfg))
         ref = np.array([np.vdot(u, y) for u in responses(cfg, ec.cells(), s)])
         assert np.max(np.abs(amb - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -139,10 +146,12 @@ class TestWindow:
 
 
 @pytest.mark.parametrize("entry", ["estimate_channel", "mle_exhaustive", "refresh_gains"])
-@pytest.mark.parametrize("name", ["y", "s_known"])
-@pytest.mark.parametrize("fault", ["nan", "inf", "short", "long", "grid"])
+@pytest.mark.parametrize("fault, name", [(fault, name) for name in ("y", "s_known")
+                                         for fault in ("nan", "inf", "short", "long", "grid")]
+                         + [("zero", "s_known")])
 def test_rejects_bad_input(entry, name, fault):
-    # one shared check: non-finite or wrongly shaped y or s_known raises, naming it
+    # one shared check: non-finite or wrongly shaped y or s_known, or a sensing
+    # frame without energy, raises, naming it
     cfg = make_frame_config(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
     chan = channel_from_cells(cfg, [(3, 1)], [0.9])
     s, y = observe(cfg, chan, None)
@@ -155,6 +164,8 @@ def test_rejects_bad_input(entry, name, fault):
         v = v[:-1]
     elif fault == "long":
         v = np.concatenate([v, v[:1]])
+    elif fault == "zero":
+        v[:] = 0
     else:
         v = v.reshape(cfg.M, cfg.N)
     args = {"y": y, "s_known": s, name: v}
@@ -166,6 +177,82 @@ def test_rejects_bad_input(entry, name, fault):
         else:
             {"estimate_channel": estimate_channel,
              "mle_exhaustive": mle_exhaustive}[entry](args["y"], args["s_known"], ec)
+
+
+def test_more_paths_than_window_cells_rejected():
+    cfg = make_frame_config(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
+    with pytest.raises(ValueError, match="p_assumed 5 exceeds the 4 cells"):
+        EstimationConfig(frame=cfg, p_assumed=5, l_range=(0, 2), k_range=(-1, 1))
+    EstimationConfig(frame=cfg, p_assumed=4, l_range=(0, 2), k_range=(-1, 1))
+
+
+class TestAmbiguityTable:
+    """Scans, Gram entries and residuals gathered from the sensing frame's ambiguity
+    table against the literal FFT scan and the oracle path responses."""
+
+    @staticmethod
+    def draw(M, N):
+        # full window, so cell differences span every delay and Doppler offset; the
+        # far-edge delay wraps the delay axis and two paths have negative Doppler
+        cfg = make_frame_config(M=M, N=N, delta_f=15e3, f_c=5e9, Q=1)
+        ec = EstimationConfig(frame=cfg, p_assumed=3, l_range=(0, M),
+                              k_range=(-(N // 2), (N + 1) // 2))
+        rng = np.random.default_rng(M * N)
+        s = vectorize(random_frame(cfg, rng)[1])
+        hyp = [(M - 1, -(N // 2)), (1, -1), (M // 2, (N - 1) // 2)]
+        gains = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        y = channel_from_cells(cfg, hyp, gains).apply(s)
+        y = y + 0.3 * (rng.standard_normal(cfg.mn) + 1j * rng.standard_normal(cfg.mn))
+        return cfg, ec, s, y, hyp
+
+    @pytest.mark.parametrize("M, N", [(8, 4), (16, 8), (12, 5)])
+    def test_cancelled_scans_match_literal_scans(self, M, N):
+        cfg, ec, s, y, hyp = self.draw(M, N)
+        s_c, y_c = to_chips(s, cfg), to_chips(y, cfg)
+        win = _Window(ec, s_c)
+        u = np.stack([to_chips(r, cfg) for r in responses(cfg, hyp, s)])
+        h = np.array([0.7 - 0.2j, -0.4j, 1.1])
+        cols, scan_y = win.columns(hyp), win.scan(s_c, y_c)
+        ks = [k for l, k in ec.cells() if l == 0]
+        for p in range(len(hyp)):
+            others = [q for q in range(len(hyp)) if q != p]
+            got = scan_y - h[others] @ cols[others]
+            ref = path_correlations(s_c, y_c - h[others] @ u[others], np.arange(M), ks)
+            ref = ref.reshape(-1)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("M, N", [(8, 4), (16, 8), (12, 5)])
+    def test_gram_matches_oracle_responses(self, M, N):
+        cfg, ec, s, _, _ = self.draw(M, N)
+        win = _Window(ec, to_chips(s, cfg))
+        u = responses(cfg, ec.cells(), s)
+        ref = u.conj() @ u.T
+        got = win.columns(ec.cells()).T
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("M, N", [(8, 4), (16, 8), (12, 5)])
+    def test_residual_matches_oracle_fit(self, M, N):
+        # the trace holds ||y||^2 minus the residual gathered from the table
+        cfg, ec, s, y, _ = self.draw(M, N)
+        res = estimate_channel(y, s, ec)
+        r = y - dense_channel(res.channel) @ s
+        yy = float(np.vdot(y, y).real)
+        assert yy - res.objective_trace[-1] == pytest.approx(np.vdot(r, r).real, abs=1e-12 * yy)
+
+    @pytest.mark.parametrize("n_paths, seed, P, iterations",
+                             [(1, 50, 1, 1), (2, 8, 3, 2), (3, 11, 6, 2), (1, 50, 8, 3)])
+    def test_two_fft_scans_per_estimate(self, monkeypatch, n_paths, seed, P, iterations):
+        # draws at 0 dB on which the search moves paths and runs 1 to 3 outer passes
+        calls = []
+        literal = estimator.path_correlations
+        monkeypatch.setattr(estimator, "path_correlations",
+                            lambda *args: calls.append(args) or literal(*args))
+        cfg = cfg16()
+        chan = gen_synthetic_channel(cfg, n_paths, seed, l_max=7, k_max=3)
+        s, y = observe(cfg, chan, 0.0, seed=seed)
+        res = estimate_channel(y, s, est_cfg(cfg, P))
+        assert res.iterations == iterations
+        assert len(calls) <= 2
 
 
 class TestEstimateChannel:
@@ -252,6 +339,17 @@ class TestMleExhaustive:
         s, y = observe(cfg, channel_from_cells(cfg, [(0, 0)], [1.0]), None)
         with pytest.raises(ValueError, match="tuples"):
             mle_exhaustive(y, s, ec)
+
+    def test_no_solvable_tuple_raises(self):
+        # a one-chip sensing frame makes every path of one delay respond on the
+        # same chip, so each tuple of two such cells has a singular Gram
+        cfg = make_frame_config(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
+        chip = np.zeros(cfg.mn, dtype=complex)
+        chip[0] = 1.0
+        s = from_chips(chip, cfg)
+        ec = EstimationConfig(frame=cfg, p_assumed=2, l_range=(0, 1), k_range=(-1, 1))
+        with pytest.raises(ValueError, match="no tuple of 2 window cells"):
+            mle_exhaustive(s, s, ec)
 
     def test_oracle_dominance(self):
         cfg = cfg16()

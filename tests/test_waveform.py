@@ -9,10 +9,9 @@ import pytest
 import oddmsim
 from oddmsim.channel import apply_physical_channel, channel_from_cells
 from oddmsim.core import make_frame_config, random_frame, vectorize
-from oddmsim.waveform import (SampleStream, build_srrc, oddm_demodulate, oddm_modulate,
-                              pulse_orthogonality_matrix)
+from oddmsim.waveform import SampleStream, build_srrc, oddm_demodulate, oddm_modulate
 
-from oracles import oddm_demodulate_literal, oddm_modulate_literal
+from oracles import oddm_demodulate_literal, oddm_modulate_literal, pulse_orthogonality_matrix
 
 
 def cfg32(**kw):
