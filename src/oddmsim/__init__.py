@@ -14,7 +14,7 @@ from .core import (Constellation, DDFrame, FrameConfig, chips_to_dd, dd_to_chips
 from .waveform import PulseBank, SampleStream, build_srrc, oddm_demodulate, oddm_modulate
 from .effchan import EffectiveChannel
 from .channel import (apply_physical_channel, gen_eva_channel, gen_synthetic_channel,
-                      paths_from_text, paths_to_text, snr_to_noise_var)
+                      snr_to_noise_var)
 from .estimator import (EstimationConfig, EstimationResult, estimate_channel,
                         mle_exhaustive, nmse, refresh_gains, solve_gains)
 from .detector import (DetectionResult, OampConfig, lmmse_detect, oamp_detect,

@@ -113,20 +113,3 @@ def snr_to_noise_var(snr_db: float) -> float:
     """
     return float(10.0 ** (-snr_db / 10.0))
 
-
-def paths_to_text(chan: EffectiveChannel) -> str:
-    """Plain-text record, one path per line: l k Re(h) Im(h)."""
-    lines = [f"{l} {k} {h.real!r} {h.imag!r}"
-             for h, l, k in zip(chan.gains.tolist(), chan.l.tolist(), chan.k.tolist())]
-    return "\n".join(lines) + "\n"
-
-
-def paths_from_text(text: str, config: FrameConfig) -> EffectiveChannel:
-    cells, gains = [], []
-    for line in text.strip().splitlines():
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        l_s, k_s, re_s, im_s = line.split()
-        cells.append((int(l_s), int(k_s)))
-        gains.append(float(re_s) + 1j * float(im_s))
-    return channel_from_cells(config, cells, gains)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from oddmsim.channel import (apply_physical_channel, channel_from_cells, gen_eva_channel,
-                             gen_synthetic_channel, paths_from_text, paths_to_text,
-                             snr_to_noise_var)
+                             gen_synthetic_channel, snr_to_noise_var)
 from oddmsim.core import make_frame_config
 from oddmsim.waveform import SampleStream
 
@@ -143,10 +142,3 @@ class TestSnrAndSerialization:
         assert snr_to_noise_var(10.0) == pytest.approx(0.1)
         assert snr_to_noise_var(20.0) == pytest.approx(0.01)
 
-    def test_text_roundtrip(self):
-        cfg = make_frame_config(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3)
-        chan = gen_synthetic_channel(cfg, 3, 5)
-        text = paths_to_text(chan)
-        back = paths_from_text(text, cfg)
-        assert (back.l.tolist(), back.k.tolist()) == (chan.l.tolist(), chan.k.tolist())
-        assert np.array_equal(back.gains, chan.gains)
