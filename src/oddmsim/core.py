@@ -116,18 +116,6 @@ class FrameConfig:
         return 1.0 / self.delta_f
 
     @property
-    def delay_resolution(self) -> float:
-        return self.T / self.M
-
-    @property
-    def doppler_resolution(self) -> float:
-        return 1.0 / (self.N * self.T)
-
-    @property
-    def frame_duration(self) -> float:
-        return self.N * self.T
-
-    @property
     def mn(self) -> int:
         return self.M * self.N
 
