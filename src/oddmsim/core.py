@@ -41,10 +41,6 @@ class Constellation:
     def bits_per_symbol(self) -> int:
         return self.bit_labels.shape[1]
 
-    @property
-    def avg_energy(self) -> float:
-        return float(np.mean(np.abs(self.points) ** 2))
-
     def label_values(self) -> np.ndarray:
         """Integer value of each point's bit label (MSB first)."""
         k = self.bits_per_symbol

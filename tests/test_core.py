@@ -39,7 +39,7 @@ class TestFrameConfig:
 class TestConstellation:
     def test_unit_energy(self):
         const = get_constellation("4qam")
-        assert abs(const.avg_energy - 1.0) < 1e-12
+        assert abs(np.mean(np.abs(const.points) ** 2) - 1.0) < 1e-12
 
     def test_gray_neighbors_differ_in_one_bit(self):
         const = get_constellation("4qam")
