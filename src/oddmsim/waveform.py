@@ -60,10 +60,6 @@ class PulseBank:
     def half_len(self) -> int:
         return self.Q * self.oversampling
 
-    @property
-    def u_energy(self) -> float:
-        return self.copies * float(np.sum(self.a * self.a))
-
 
 @dataclass(frozen=True, eq=False)
 class SampleStream:

@@ -26,7 +26,7 @@ class TestSrrc:
         p = build_srrc(cfg)
         assert p.a.size == 2 * 20 * 8 + 1 == 321
         assert abs(np.sum(p.a ** 2) - 1.0 / cfg.N) < 1e-6 / cfg.N
-        assert abs(p.u_energy - 1.0) < 1e-6
+        assert abs(p.copies * np.sum(p.a ** 2) - 1.0) < 1e-6
 
     def test_time_symmetry(self):
         p = build_srrc(cfg32())
