@@ -81,9 +81,8 @@ def apply_physical_channel(stream: SampleStream, chan: EffectiveChannel,
                            noise_var: float, rng_seed=None) -> SampleStream:
     """Superpose delayed, Doppler-rotated copies of the stream plus AWGN.
 
-    Each path contributes h * x(t - tau) * exp(j*2*pi*nu*(t - tau)); noise is
-    circularly-symmetric complex Gaussian with per-sample variance noise_var.
-    Delays must land on the sample grid.
+    Each path contributes h * x(t - tau) * exp(j*2*pi*nu*(t - tau)); the noise
+    is :func:`add_awgn`'s.  Delays must land on the sample grid.
     """
     x = stream.samples
     rate = stream.rate
@@ -98,11 +97,17 @@ def apply_physical_channel(stream: SampleStream, chan: EffectiveChannel,
     t_in = stream.start_index + np.arange(x.size)
     for h, nu, shift in zip(chan.gains, chan.nu, shifts):
         out[shift:shift + x.size] += h * x * np.exp(2j * np.pi * (nu / rate) * t_in)
-    if noise_var > 0.0:
-        rng = _as_rng(rng_seed)
-        scale = np.sqrt(noise_var / 2.0)
-        out += scale * (rng.standard_normal(out.size) + 1j * rng.standard_normal(out.size))
-    return SampleStream(samples=out, rate=rate, t0=stream.t0)
+    return SampleStream(samples=add_awgn(out, noise_var, rng_seed), rate=rate, t0=stream.t0)
+
+
+def add_awgn(x: np.ndarray, noise_var: float, rng_seed=None) -> np.ndarray:
+    """x plus circularly-symmetric complex Gaussian noise of per-sample variance
+    noise_var (none for noise_var <= 0), always as a new array."""
+    if noise_var <= 0.0:
+        return x.copy()
+    rng = _as_rng(rng_seed)
+    scale = np.sqrt(noise_var / 2.0)
+    return x + scale * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
 
 
 def snr_to_noise_var(snr_db: float) -> float:

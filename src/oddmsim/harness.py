@@ -2,14 +2,17 @@
 
 One trial = one channel draw shared by a sensing frame and a burst of
 communication frames (time-division: the transmitter first sounds the channel
-with a known frame, then sends data over the same realization).  Trials are
-seeded individually from the master seed, so results are reproducible
-bit-for-bit and trials can run on a worker pool in any order.
+with a known frame, then sends data over the same realization).  Sweeps run
+trial-major: one runner call draws a trial's channel and frames and sends
+each frame once without noise, then every SNR point still short of
+``min_bit_errors`` adds its own noise, receives, estimates and detects.
+Trials go out in order, serially or to a process pool, and aggregation keeps
+each point's results in trial order, so both give the same rows.
 
 Seed derivation: every random draw uses
 ``numpy.random.SeedSequence((master_seed, stage_tag, trial, ...))`` with
 documented integer stage tags, so adding SNR points or threads never shifts
-any other draw.  Channel and payload draws are shared across SNR points
+any other draw.  Channel and frame draws are shared across SNR points
 (common random numbers); only the noise depends on the SNR index.
 """
 
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -28,14 +32,13 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import baselines
-from .channel import (EVA_DELAYS_NS, apply_physical_channel, gen_eva_channel,
+from .channel import (EVA_DELAYS_NS, add_awgn, apply_physical_channel, gen_eva_channel,
                       gen_synthetic_channel, snr_to_noise_var)
-from .core import (FrameConfig, make_frame_config, qam_map, random_bits, random_frame,
-                   vectorize)
+from .core import FrameConfig, make_frame_config, random_frame, vectorize
 from .detector import OampConfig, lmmse_detect, oamp_detect
 from .effchan import EffectiveChannel
 from .estimator import EstimationConfig, estimate_channel, mle_exhaustive, nmse
-from .waveform import build_srrc, oddm_demodulate, oddm_modulate
+from .waveform import SampleStream, build_srrc, oddm_demodulate, oddm_modulate
 
 # stage tags for seed derivation
 _STAGE_CHANNEL = 1
@@ -72,15 +75,6 @@ class EstSpec:
 
 
 @dataclass(frozen=True)
-class DetSpec:
-    max_iters: int = 20
-    damping: float = 1.0
-
-    def to_oamp_config(self) -> OampConfig:
-        return OampConfig(max_iters=self.max_iters, damping=self.damping)
-
-
-@dataclass(frozen=True)
 class ExperimentSpec:
     frame: FrameConfig
     snr_grid_db: tuple
@@ -95,19 +89,16 @@ class ExperimentSpec:
     sensing_snr_db: float | None = None
     channel: ChannelSpec = field(default_factory=ChannelSpec)
     est: EstSpec = field(default_factory=EstSpec)
-    det: DetSpec = field(default_factory=DetSpec)
+    det: OampConfig = field(default_factory=OampConfig)
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.detector not in DETECTORS:
-            raise ValueError(f"unknown detector {self.detector!r}")
-        if self.csi not in CSI_MODES:
-            raise ValueError(f"unknown csi mode {self.csi!r}")
-        if self.fidelity not in FIDELITIES:
-            raise ValueError(f"unknown fidelity {self.fidelity!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name, allowed in (("scheme", SCHEMES), ("detector", DETECTORS),
+                              ("csi", CSI_MODES), ("fidelity", FIDELITIES)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
+        for name in ("trials", "frames_per_trial"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not self.snr_grid_db:
             raise ValueError("snr grid must be nonempty")
         if self.scheme == "ofdm":
@@ -128,6 +119,13 @@ def derive_rng(master_seed: int, *key) -> np.random.Generator:
 
 @dataclass
 class SweepRow:
+    """One SNR point of a sweep (one estimator's, in an NMSE sweep).
+
+    ``wall_time_s`` sums, over the trials the point kept, the point's own
+    noise, receive, estimate and detect time plus an equal share of the
+    trial's draw and send time; both are measured where the trial runs.
+    """
+
     scheme: str
     detector: str
     csi: str
@@ -147,8 +145,10 @@ class SweepResult:
     rows: list
 
 
-CSV_COLUMNS = ("scheme", "detector", "csi", "snr_db", "trials_run", "bits",
-               "bit_errors", "ber", "nmse_db", "wall_time_s", "seed", "config_hash")
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
+# field type (an annotation string) -> parser of its CSV text
+_PARSERS = {"str": str, "int": int, "float": float,
+            "float | None": lambda text: float(text) if text else None}
 
 
 def _fmt(value) -> str:
@@ -172,22 +172,12 @@ def emit_csv(result: SweepResult, path) -> None:
 
 def parse_csv(path) -> SweepResult:
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if tuple(header) != CSV_COLUMNS:
+        if tuple(fh.readline().strip().split(",")) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header in {path}")
-        rows = []
-        for line in fh:
-            vals = line.rstrip("\n").split(",")
-            rec = dict(zip(CSV_COLUMNS, vals))
-            rows.append(SweepRow(
-                scheme=rec["scheme"], detector=rec["detector"], csi=rec["csi"],
-                snr_db=float(rec["snr_db"]), trials_run=int(rec["trials_run"]),
-                bits=int(rec["bits"]), bit_errors=int(rec["bit_errors"]),
-                ber=float(rec["ber"]) if rec["ber"] else None,
-                nmse_db=float(rec["nmse_db"]) if rec["nmse_db"] else None,
-                wall_time_s=float(rec["wall_time_s"]), seed=int(rec["seed"]),
-                config_hash=rec["config_hash"]))
-    return SweepResult(rows=rows)
+        return SweepResult(rows=[
+            SweepRow(*(_PARSERS[f.type](text) for f, text in
+                       zip(fields(SweepRow), line.rstrip("\n").split(","))))
+            for line in fh])
 
 
 def _draw_channel(spec: ExperimentSpec, trial: int) -> EffectiveChannel:
@@ -227,7 +217,7 @@ def _estimation_config(spec: ExperimentSpec) -> EstimationConfig:
 
 
 class _TrialRunner:
-    """Builds per-config state once (pulses, estimator config) and runs trials."""
+    """Per-spec state (pulses, estimator config) and the stages of one trial."""
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
@@ -235,191 +225,200 @@ class _TrialRunner:
         self.cp = _cp_chips(spec)
         self.pulses = build_srrc(self.cfg) if (
             spec.fidelity == "waveform" and spec.scheme == "oddm") else None
-        self.est_cfg = _estimation_config(spec) if spec.csi == "estimated" else None
-        self.oamp_cfg = spec.det.to_oamp_config()
 
-    # -- frame transport ---------------------------------------------------
+    @functools.cached_property
+    def est_cfg(self) -> EstimationConfig:
+        return _estimation_config(self.spec)
 
-    def _through_channel(self, frame, chan, noise_var, noise_rng):
-        """Transmit one DD frame; returns the DD-domain observation vector.
+    def _ofdm_cp(self, chan) -> int:
+        return max(self.cp, int(chan.l.max()) + 1)
 
-        Matrix fidelity applies the grid-level H of ``chan``; waveform
-        fidelity sends samples through its paths.
-        """
+    def _send(self, frame, chan):
+        """Noiseless received signal of one frame: ``chan.apply(s)`` (matrix
+        fidelity) or the frame's sample stream through the paths of ``chan``."""
         spec, cfg = self.spec, self.cfg
-        s = vectorize(frame)
         if spec.fidelity == "matrix":
-            y = chan.apply(s)
-            if noise_var > 0:
-                y = y + np.sqrt(noise_var / 2) * (
-                    noise_rng.standard_normal(cfg.mn) + 1j * noise_rng.standard_normal(cfg.mn))
-            return y
+            return chan.apply(vectorize(frame))
         if spec.scheme == "oddm":
             st = oddm_modulate(frame, self.pulses, cfg, cyclic_prefix_chips=self.cp)
-            rx = apply_physical_channel(st, chan, noise_var, noise_rng)
+        elif spec.scheme == "otfs":
+            st = baselines.otfs_modulate(frame, cfg, cyclic_prefix_chips=self.cp)
+        else:
+            st = baselines.ofdm_modulate(vectorize(frame), cfg, self._ofdm_cp(chan))
+        return apply_physical_channel(st, chan, 0.0)
+
+    def _observe(self, rx, noise_var, noise_rng):
+        """What the receiver sees of ``_send``'s output at ``noise_var``: the
+        DD observation vector, or for OFDM the noisy sample stream."""
+        spec, cfg = self.spec, self.cfg
+        if spec.fidelity == "matrix":
+            return add_awgn(rx, noise_var, noise_rng)
+        rx = SampleStream(add_awgn(rx.samples, noise_var, noise_rng), rx.rate, rx.t0)
+        if spec.scheme == "oddm":
             return vectorize(oddm_demodulate(rx, self.pulses, cfg))
         if spec.scheme == "otfs":
-            st = baselines.otfs_modulate(frame, cfg, cyclic_prefix_chips=self.cp)
-            rx = apply_physical_channel(st, chan, noise_var, noise_rng)
             return vectorize(baselines.otfs_demodulate(rx, cfg))
-        raise AssertionError(spec.scheme)
+        return rx
 
-    # -- one trial ----------------------------------------------------------
+    def _sensing(self, trial: int, chan):
+        """The known sensing symbols s and ``observe(snr_idx)``, that point's
+        sensing observation y; the sensing frame is drawn and sent once."""
+        spec = self.spec
+        _, frame = random_frame(self.cfg, derive_rng(spec.seed, _STAGE_SENSE_BITS, trial))
+        rx = self._send(frame, chan)
 
-    def run_trial(self, snr_idx: int, snr_db: float, trial: int) -> dict:
-        spec, cfg = self.spec, self.cfg
-        noise_var = snr_to_noise_var(snr_db)
-        chan = _draw_channel(spec, trial)
-        out = {"bits": 0, "bit_errors": 0, "nmse_db": None}
-
-        if spec.scheme == "ofdm":
-            return self._run_ofdm_trial(snr_idx, snr_db, trial, chan, noise_var, out)
-
-        # sensing stage
-        if spec.csi == "estimated":
-            sense_rng = derive_rng(spec.seed, _STAGE_SENSE_BITS, trial)
-            _, sense_frame = random_frame(cfg, sense_rng)
-            s_known = vectorize(sense_frame)
-            sense_nv = snr_to_noise_var(spec.sensing_snr_db) \
-                if spec.sensing_snr_db is not None else noise_var
+        def observe(snr_idx):
+            snr_db = spec.snr_grid_db[snr_idx] if spec.sensing_snr_db is None \
+                else spec.sensing_snr_db
             noise_rng = derive_rng(spec.seed, _STAGE_SENSE_NOISE, trial, snr_idx)
-            y_sense = self._through_channel(sense_frame, chan, sense_nv, noise_rng)
-            H_det = estimate_channel(y_sense, s_known, self.est_cfg).channel
-            out["nmse_db"] = nmse(H_det, chan)
-        else:
-            H_det = chan
+            return self._observe(rx, snr_to_noise_var(snr_db), noise_rng)
 
-        # communication stage over the same channel realization
-        sigma = max(noise_var, 1e-12)
-        for f in range(spec.frames_per_trial):
-            bits_rng = derive_rng(spec.seed, _STAGE_COMM_BITS, trial, f)
-            bits, frame = random_frame(cfg, bits_rng)
-            noise_rng = derive_rng(spec.seed, _STAGE_COMM_NOISE, trial, f, snr_idx)
-            y = self._through_channel(frame, chan, noise_var, noise_rng)
-            if spec.detector == "oamp":
-                det = oamp_detect(y, H_det, sigma, self.oamp_cfg)
-            else:
-                det = lmmse_detect(y, H_det, sigma)
-            out["bits"] += bits.size
-            out["bit_errors"] += int(np.sum(det.hard_bits != bits))
-        return out
+        return vectorize(frame), observe
 
-    def _run_ofdm_trial(self, snr_idx, snr_db, trial, chan, noise_var, out):
+    def link_trial(self, trial: int):
+        """Draw and send one link trial; returns its per-point work: sense and
+        estimate (estimated CSI), then receive and detect every frame."""
         spec, cfg = self.spec, self.cfg
-        cp = max(self.cp, int(chan.l.max()) + 1)
-        resp = baselines.ofdm_freq_response(chan, cfg, cp)
-        sigma = max(noise_var, 1e-12)
-        for f in range(spec.frames_per_trial):
-            bits_rng = derive_rng(spec.seed, _STAGE_COMM_BITS, trial, f)
-            bits = random_bits(cfg.mn * cfg.constellation_obj.bits_per_symbol, bits_rng)
-            st = baselines.ofdm_modulate(qam_map(bits, cfg.constellation_obj), cfg, cp)
-            noise_rng = derive_rng(spec.seed, _STAGE_COMM_NOISE, trial, f, snr_idx)
-            rx = apply_physical_channel(st, chan, noise_var, noise_rng)
-            rx_bits = baselines.ofdm_detect(rx, resp, sigma, cfg, cp)
-            out["bits"] += bits.size
-            out["bit_errors"] += int(np.sum(rx_bits != bits))
+        chan = _draw_channel(spec, trial)
+        frames = [random_frame(cfg, derive_rng(spec.seed, _STAGE_COMM_BITS, trial, f))
+                  for f in range(spec.frames_per_trial)]
+        sent = [self._send(frame, chan) for _, frame in frames]
+        if spec.scheme == "ofdm":
+            cp = self._ofdm_cp(chan)
+            resp = baselines.ofdm_freq_response(chan, cfg, cp)
+        elif spec.csi == "estimated":
+            s_known, sense = self._sensing(trial, chan)
+
+        def point(snr_idx):
+            noise_var = snr_to_noise_var(spec.snr_grid_db[snr_idx])
+            sigma = max(noise_var, 1e-12)
+            H_det, nmse_db = chan, None  # perfect CSI: one cached linear stage per trial
+            if spec.csi == "estimated":
+                H_det = estimate_channel(sense(snr_idx), s_known, self.est_cfg).channel
+                nmse_db = nmse(H_det, chan)
+            errors = 0
+            for f, ((bits, _), rx) in enumerate(zip(frames, sent)):
+                y = self._observe(rx, noise_var,
+                                  derive_rng(spec.seed, _STAGE_COMM_NOISE, trial, f, snr_idx))
+                if spec.scheme == "ofdm":
+                    hard = baselines.ofdm_detect(y, resp, sigma, cfg, cp)
+                elif spec.detector == "oamp":
+                    hard = oamp_detect(y, H_det, sigma, spec.det).hard_bits
+                else:
+                    hard = lmmse_detect(y, H_det, sigma).hard_bits
+                errors += int(np.sum(hard != bits))
+            return {"bits": sum(b.size for b, _ in frames), "bit_errors": errors,
+                    "nmse_db": nmse_db}
+
+        return point
+
+    def nmse_trial(self, trial: int):
+        """Sense one trial's channel; returns its per-point work: the NMSE (dB)
+        of the fast estimate and, when feasible, of the exhaustive search."""
+        est_cfg = self.est_cfg
+        mle_ok = math.comb(len(est_cfg.cells()), est_cfg.p_assumed) <= est_cfg.mle_max_hypotheses
+        chan = _draw_channel(self.spec, trial)
+        s, observe = self._sensing(trial, chan)
+
+        def point(snr_idx):
+            y = observe(snr_idx)
+            out = {"alg1": nmse(estimate_channel(y, s, est_cfg).channel, chan)}
+            if mle_ok:
+                out["mle"] = nmse(mle_exhaustive(y, s, est_cfg).channel, chan)
+            return out
+
+        return point
+
+    def run_trial(self, stage, trial: int, points) -> dict:
+        """{snr_idx: result} of ``stage`` (``link_trial`` or ``nmse_trial``)
+        at every SNR index in ``points``, timed by :class:`SweepRow`'s rule."""
+        start = time.perf_counter()
+        point = stage(self, trial)
+        share = (time.perf_counter() - start) / len(points)
+        out = {}
+        for i in points:
+            t0 = time.perf_counter()
+            out[i] = dict(point(i), wall_time_s=share + time.perf_counter() - t0)
         return out
 
 
-def _point_worker(spec, snr_idx, snr_db, trial):
-    return trial, _TrialRunner(spec).run_trial(snr_idx, snr_db, trial)
+def _run_trials(spec, stage, threads=1, min_bit_errors=math.inf) -> list:
+    """Each SNR point's trial results, in trial order.
+
+    Trials go out in order with the points active at hand-out time, at most
+    ``threads`` in flight (on a process pool when ``threads > 1``).  A point
+    stops once its bit errors reach ``min_bit_errors``; its results from trials
+    handed out before that are dropped, so serial and parallel runs keep the
+    same trials.  Trials still queued when no point is active are cancelled.
+    """
+    kept = [[] for _ in spec.snr_grid_db]
+    active = list(range(len(spec.snr_grid_db)))
+    runner = _TrialRunner(spec)
+    spawn = multiprocessing.get_context("spawn")
+    with (ProcessPoolExecutor(max_workers=threads, mp_context=spawn) if threads > 1
+          else contextlib.nullcontext()) as pool:
+        pending = collections.deque()  # futures (pool) or results, in trial order
+        next_trial = 0
+        try:
+            while active and (pending or next_trial < spec.trials):
+                while next_trial < spec.trials and len(pending) < max(threads, 1):
+                    args = (stage, next_trial, tuple(active))
+                    pending.append(pool.submit(runner.run_trial, *args) if pool
+                                   else runner.run_trial(*args))
+                    next_trial += 1
+                res = pending.popleft()
+                for i, r in (res.result() if pool else res).items():
+                    if i in active:
+                        kept[i].append(r)
+                        if sum(k.get("bit_errors", 0) for k in kept[i]) >= min_bit_errors:
+                            active.remove(i)
+        finally:
+            for future in pending if pool else ():
+                future.cancel()
+    return kept
+
+
+def _row(spec, snr_db, results, detector, csi, nmse_key) -> SweepRow:
+    """One CSV row from a point's trial results; NMSE is averaged linearly."""
+    bits = sum(r.get("bits", 0) for r in results)
+    errors = sum(r.get("bit_errors", 0) for r in results)
+    nmse_lin = [10.0 ** (r[nmse_key] / 10.0) for r in results if r.get(nmse_key) is not None]
+    return SweepRow(
+        scheme=spec.scheme, detector=detector, csi=csi, snr_db=float(snr_db),
+        trials_run=len(results), bits=bits, bit_errors=errors,
+        ber=(errors / bits) if bits else None,
+        nmse_db=float(10.0 * np.log10(np.mean(nmse_lin))) if nmse_lin else None,
+        wall_time_s=sum(r["wall_time_s"] for r in results), seed=spec.seed,
+        config_hash=config_hash(spec))
 
 
 def run_sensing_then_comm(spec: ExperimentSpec, threads: int = 1) -> SweepResult:
     """Full sensing-then-communication sweep over the configured SNR grid."""
-    chash = config_hash(spec)
-    runner = _TrialRunner(spec)
-    rows = []
-    spawn = multiprocessing.get_context("spawn")
-    with (ProcessPoolExecutor(max_workers=threads, mp_context=spawn) if threads > 1
-          else contextlib.nullcontext()) as pool:
-        for snr_idx, snr_db in enumerate(spec.snr_grid_db):
-            t0 = time.perf_counter()
-            bits = errors = trials_run = 0
-            nmse_lin = []
-            if pool is not None:
-                results = _parallel_trials(pool, spec, snr_idx, snr_db, threads)
-            else:
-                results = ((t, runner.run_trial(snr_idx, snr_db, t)) for t in range(spec.trials))
-            with contextlib.closing(results):
-                for trial, res in results:
-                    bits += res["bits"]
-                    errors += res["bit_errors"]
-                    if res["nmse_db"] is not None:
-                        nmse_lin.append(10.0 ** (res["nmse_db"] / 10.0))
-                    trials_run += 1
-                    if errors >= spec.min_bit_errors:
-                        break
-            nmse_db = float(10.0 * np.log10(np.mean(nmse_lin))) if nmse_lin else None
-            rows.append(SweepRow(
-                scheme=spec.scheme, detector=spec.detector, csi=spec.csi,
-                snr_db=float(snr_db), trials_run=trials_run, bits=bits, bit_errors=errors,
-                ber=(errors / bits) if bits else None, nmse_db=nmse_db,
-                wall_time_s=time.perf_counter() - t0, seed=spec.seed, config_hash=chash))
-    return SweepResult(rows=rows)
-
-
-def _parallel_trials(pool, spec, snr_idx, snr_db, in_flight):
-    """Trial results in trial order from `pool`, at most `in_flight` handed out ahead.
-
-    Trials are handed out in order as earlier ones are consumed, so once the
-    caller stops (early stop) and closes the generator, no further trial is
-    started and the queued ones are cancelled.
-    """
-    pending = collections.deque()
-    next_trial = 0
-    try:
-        while pending or next_trial < spec.trials:
-            while next_trial < spec.trials and len(pending) < in_flight:
-                pending.append(pool.submit(_point_worker, spec, snr_idx, snr_db, next_trial))
-                next_trial += 1
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
+    kept = _run_trials(spec, _TrialRunner.link_trial, threads, spec.min_bit_errors)
+    return SweepResult(rows=[_row(spec, snr_db, rs, spec.detector, spec.csi, "nmse_db")
+                             for snr_db, rs in zip(spec.snr_grid_db, kept)])
 
 
 def run_nmse_sweep(spec: ExperimentSpec) -> SweepResult:
     """Channel estimation error sweep: fast algorithm plus (when feasible)
-    the exhaustive search, one row per estimator per SNR point."""
-    chash = config_hash(spec)
-    est_cfg = _estimation_config(spec)
-    cfg = spec.frame
-    n_cells = len(est_cfg.cells())
-    mle_ok = math.comb(n_cells, est_cfg.p_assumed) <= est_cfg.mle_max_hypotheses
-    rows = []
-    for snr_idx, snr_db in enumerate(spec.snr_grid_db):
-        t0 = time.perf_counter()
-        acc = {"alg1": [], "mle": []}
-        noise_var = snr_to_noise_var(snr_db)
-        for trial in range(spec.trials):
-            chan = _draw_channel(spec, trial)
-            sense_rng = derive_rng(spec.seed, _STAGE_SENSE_BITS, trial)
-            _, frame = random_frame(cfg, sense_rng)
-            s = vectorize(frame)
-            noise_rng = derive_rng(spec.seed, _STAGE_SENSE_NOISE, trial, snr_idx)
-            y = chan.apply(s) + np.sqrt(noise_var / 2) * (
-                noise_rng.standard_normal(cfg.mn) + 1j * noise_rng.standard_normal(cfg.mn))
-            est = estimate_channel(y, s, est_cfg)
-            acc["alg1"].append(10.0 ** (nmse(est.channel, chan) / 10.0))
-            if mle_ok:
-                full = mle_exhaustive(y, s, est_cfg)
-                acc["mle"].append(10.0 ** (nmse(full.channel, chan) / 10.0))
-        wall = time.perf_counter() - t0
-        for name in ("alg1", "mle"):
-            if not acc[name]:
-                continue
-            rows.append(SweepRow(
-                scheme=spec.scheme, detector=name, csi="estimated",
-                snr_db=float(snr_db), trials_run=spec.trials, bits=0, bit_errors=0,
-                ber=None, nmse_db=float(10.0 * np.log10(np.mean(acc[name]))),
-                wall_time_s=wall, seed=spec.seed, config_hash=chash))
-    return SweepResult(rows=rows)
+    the exhaustive search, one row per estimator per SNR point.
+
+    The SNR grid is the sensing SNR.  The observations come from the link's
+    sensing stage, so ``spec.fidelity`` applies.
+    """
+    if spec.scheme == "ofdm":
+        raise ValueError("run_nmse_sweep: scheme 'ofdm' has no channel estimate")
+    if spec.sensing_snr_db is not None:
+        raise ValueError("run_nmse_sweep: sensing_snr_db must be None (the grid is the sensing SNR)")
+    kept = _run_trials(spec, _TrialRunner.nmse_trial)
+    return SweepResult(rows=[_row(spec, snr_db, rs, name, "estimated", name)
+                             for snr_db, rs in zip(spec.snr_grid_db, kept)
+                             for name in ("alg1", "mle") if name in rs[0]])
 
 
 DEFAULT_FRAME = dict(M=64, N=16, delta_f=15e3, f_c=5e9, Q=8)
 DEFAULT_SNR_DB = (0.0, 5.0, 10.0, 15.0)
-_SECTIONS = {"frame": FrameConfig, "channel": ChannelSpec, "est": EstSpec, "det": DetSpec}
+_SECTIONS = {"frame": FrameConfig, "channel": ChannelSpec, "est": EstSpec, "det": OampConfig}
 
 
 def option_keys() -> list:
@@ -444,4 +443,4 @@ def build_spec(options: dict) -> ExperimentSpec:
         frame=make_frame_config(**dict(DEFAULT_FRAME, **parts["frame"])),
         snr_grid_db=tuple(run.pop("snr_db", DEFAULT_SNR_DB)),
         channel=ChannelSpec(**parts["channel"]), est=EstSpec(**parts["est"]),
-        det=DetSpec(**parts["det"]), **run)
+        det=OampConfig(**parts["det"]), **run)

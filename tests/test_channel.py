@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oddmsim.channel import (apply_physical_channel, channel_from_cells, gen_eva_channel,
-                             gen_synthetic_channel, snr_to_noise_var)
+from oddmsim.channel import (add_awgn, apply_physical_channel, channel_from_cells,
+                             gen_eva_channel, gen_synthetic_channel, snr_to_noise_var)
 from oddmsim.core import make_frame_config
 from oddmsim.waveform import SampleStream
 
@@ -134,6 +134,18 @@ class TestApplyChannel:
         a = apply_physical_channel(st, ch, 0.1, rng_seed=7).samples
         b = apply_physical_channel(st, ch, 0.1, rng_seed=7).samples
         assert np.array_equal(a, b)
+
+    def test_noise_is_add_awgn_of_noiseless_output(self):
+        # the harness sends each frame once without noise and adds each SNR
+        # point's noise with add_awgn; both must give the same samples
+        cfg = make_frame_config(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3, oversampling=2)
+        st = self._stream(rate=cfg.sample_rate)
+        ch = self._chan(cfg, [(1, 1), (3, -2)], [0.8, 0.3j])
+        noisy = apply_physical_channel(st, ch, 0.1, rng_seed=7).samples
+        clean = apply_physical_channel(st, ch, 0.0).samples
+        assert np.array_equal(noisy, add_awgn(clean, 0.1, 7))
+        assert np.array_equal(add_awgn(clean, 0.0), clean)
+        assert add_awgn(clean, 0.0) is not clean
 
 
 class TestSnrAndSerialization:

@@ -1,7 +1,9 @@
+import collections
 import itertools
 
 import pytest
 
+from oddmsim import detector, harness
 from oddmsim.harness import (CSI_MODES, DETECTORS, FIDELITIES, SCHEMES, build_spec,
                              emit_csv, option_keys, parse_csv, run_nmse_sweep,
                              run_sensing_then_comm)
@@ -136,6 +138,8 @@ def test_serial_and_parallel_csvs_identical(tmp_path):
         assert _csv_lines_without_wall_time(tmp_path / f"{name}-serial.csv") == \
             _csv_lines_without_wall_time(tmp_path / f"{name}-parallel.csv")
     assert parallel.rows[0].trials_run == 1
+    # the 0 dB point stopping leaves the 10 dB point running every trial
+    assert parallel.rows[1].trials_run == 3
 
 
 def test_min_bit_errors_stops_early():
@@ -146,6 +150,51 @@ def test_min_bit_errors_stops_early():
     assert stopped.rows[0].bit_errors >= 1
     assert stopped.rows[0].trials_run == 1
     assert full.rows[0].trials_run == 3
+
+
+def test_perfect_csi_builds_one_stage_and_draws_one_channel_per_trial(monkeypatch):
+    counts = collections.Counter()
+    build_stage, draw_channel = detector.LinearStage.__init__, harness._draw_channel
+
+    def counting_build(self, H):
+        counts["stages"] += 1
+        build_stage(self, H)
+
+    def counting_draw(spec, trial):
+        counts["draws"] += 1
+        return draw_channel(spec, trial)
+
+    monkeypatch.setattr(detector.LinearStage, "__init__", counting_build)
+    monkeypatch.setattr(harness, "_draw_channel", counting_draw)
+    spec = tiny_spec(**{"run.trials": 3, "run.snr_db": (0.0, 5.0, 10.0, 15.0),
+                        "run.min_bit_errors": 10**9})
+    rows = run_sensing_then_comm(spec).rows
+    assert [row.trials_run for row in rows] == [3, 3, 3, 3]
+    assert counts == {"stages": 3, "draws": 3}
+
+
+@pytest.mark.parametrize("fidelity", FIDELITIES)
+def test_nmse_sweep_is_the_links_sensing_stage(fidelity):
+    spec = link_spec(**{"run.fidelity": fidelity, "run.min_bit_errors": 10**9})
+    link_rows = run_sensing_then_comm(spec).rows
+    alg1_rows = [row for row in run_nmse_sweep(spec).rows if row.detector == "alg1"]
+    assert [row.trials_run for row in link_rows] == [3, 3]
+    assert [row.nmse_db for row in alg1_rows] == [row.nmse_db for row in link_rows]
+
+
+@pytest.mark.parametrize("options, field", [
+    ({"run.scheme": "ofdm", "run.fidelity": "waveform"}, "scheme"),
+    ({"run.sensing_snr_db": 20.0}, "sensing_snr_db"),
+])
+def test_nmse_sweep_rejects_what_it_cannot_honour(options, field):
+    with pytest.raises(ValueError, match=field):
+        run_nmse_sweep(tiny_spec(**options))
+
+
+@pytest.mark.parametrize("frames", [0, -1])
+def test_frames_per_trial_below_one_rejected(frames):
+    with pytest.raises(ValueError, match="frames_per_trial"):
+        tiny_spec(**{"run.frames_per_trial": frames})
 
 
 def test_unknown_option_keys_rejected():
