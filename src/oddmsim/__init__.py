@@ -15,7 +15,7 @@ from .waveform import PulseBank, SampleStream, build_srrc, oddm_demodulate, oddm
 from .effchan import EffectiveChannel
 from .channel import (add_awgn, apply_physical_channel, gen_eva_channel,
                       gen_synthetic_channel, snr_to_noise_var)
-from .estimator import (EstimationConfig, EstimationResult, estimate_channel,
+from .estimator import (EstimationConfig, EstimationResult, Sounding, estimate_channel,
                         mle_exhaustive, nmse, refresh_gains, solve_gains)
 from .detector import (DetectionResult, OampConfig, lmmse_detect, oamp_detect,
                        oamp_le, oamp_nle)

@@ -12,9 +12,12 @@ frame's discrete ambiguity function (Woodward 1953) at the cell difference:
     u_{l,k}^H u_{l',k'} = e^{j2pi k' (l - l') / MN} C(l - l', k - k'),
     C(d, kappa) = u_{d,kappa}^H s.
 
-An estimate therefore runs FFTs twice: once for scan(s, y), once for C over
-the difference window (d >= 0 only; d < 0 is the Hermitian mirror).  Every
-cancelled scan, Gram entry and residual after that is a gather.
+A :class:`Sounding` holds everything that depends only on the search window
+and the sensing frame: the window cells and C over the difference window
+(d >= 0 by FFT; d < 0 is the Hermitian mirror).  It is built once per
+sensing frame and shared by every estimate from that frame, so an estimate
+runs one FFT pass, scan(s, y); every cancelled scan, Gram entry and
+residual after that is a gather.
 
 * :func:`estimate_channel` -- low-complexity alternating search.  Paths are
   seeded by successive extraction of matched-filter peaks, then each outer
@@ -26,7 +29,8 @@ cancelled scan, Gram entry and residual after that is a gather.
   least-squares residual does not increase, so the residual is
   non-increasing by construction.
 * :func:`mle_exhaustive` -- brute-force joint search over all cell tuples,
-  gains solved per tuple; the reference the fast algorithm is compared to.
+  gains solved per tuple from the sounding's window Gram (gathered from C on
+  first use); the reference the fast algorithm is compared to.
 * :func:`refresh_gains` -- gain-only re-estimation with (l, k) frozen, for
   tracking a channel whose geometry holds still between frames.
 
@@ -43,6 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -121,26 +126,42 @@ def solve_gains(G: np.ndarray, b: np.ndarray):
     return np.linalg.solve(G, b), False
 
 
-class _Window:
-    """The search window as flat cells in tie-break order (l ascending, then |k|,
-    negative first), and the sensing frame's ambiguity table over its cell differences."""
+def _known_chips(s_known, frame: FrameConfig):
+    """Checked chips of the sensing frame, which must carry energy."""
+    s = checked_chips("s_known", s_known, frame)
+    if not np.any(s):
+        raise ValueError("s_known has zero energy, so no path is observable")
+    return s
 
-    def __init__(self, est: EstimationConfig, s_c: np.ndarray):
+
+class Sounding:
+    """A search window and a known sensing frame: the work every estimate from that frame
+    shares, done once.
+
+    Holds the checked chips ``s`` of ``s_known``, the window cells in tie-break order
+    (l ascending, then |k|, negative first) with their index and l/k arrays, the
+    frame's ambiguity table over the cells' differences and, on first use, the Gram
+    of every pair of cells.
+    """
+
+    def __init__(self, est: EstimationConfig, s_known: np.ndarray):
+        self.est, self.s = est, _known_chips(s_known, est.frame)
         self.cells = est.cells()
         self.index = {c: i for i, c in enumerate(self.cells)}
         self.l, self.k = (np.array(v) for v in zip(*self.cells))
         self.ls, self.ks = np.arange(*est.l_range), self.k[:est.k_range[1] - est.k_range[0]]
         # C(d, kappa) for |d| < |L|, |kappa| < |K|; FFTs for d >= 0 only, as u_a^H u_b =
         # conj(u_b^H u_a) gives C(-d, -kappa) = e^{j2pi kappa d / MN} conj(C(d, kappa))
-        self.dl, self.dk, self.mn = self.ls.size - 1, self.ks.size - 1, s_c.size
+        self.dl, self.dk, self.mn = self.ls.size - 1, self.ks.size - 1, self.s.size
         d, kappa = np.arange(self.dl + 1), np.arange(-self.dk, self.dk + 1)
-        half = path_correlations(s_c, s_c, d, kappa)
+        half = path_correlations(self.s, self.s, d, kappa)
         mirror = np.exp(2j * np.pi * np.outer(d, kappa) / self.mn) * np.conj(half)
         self.table = np.vstack([mirror[:0:-1, ::-1], half])
+        self.table.flags.writeable = False  # shared by every estimate from this frame
 
-    def scan(self, s_c: np.ndarray, t_c: np.ndarray) -> np.ndarray:
+    def scan(self, t_c: np.ndarray) -> np.ndarray:
         """u_{l,k}^H t for every window cell, flat in cell order."""
-        return path_correlations(s_c, t_c, self.ls, self.ks).reshape(-1)
+        return path_correlations(self.s, t_c, self.ls, self.ks).reshape(-1)
 
     def columns(self, cells) -> np.ndarray:
         """(len(cells), n_cells) scans of the cells' unit path responses u_c, read from the
@@ -149,6 +170,13 @@ class _Window:
         return (np.exp(2j * np.pi * kc * (self.l - lc) / self.mn)
                 * self.table[self.l - lc + self.dl, self.k - kc + self.dk])
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Gram u_p^H u_q of every pair of window cells, for :func:`mle_exhaustive`."""
+        gram = self.columns(self.cells).T
+        gram.flags.writeable = False
+        return gram
+
     def pick_peak(self, metric: np.ndarray, occupied) -> tuple:
         """First maximum of the flat metric outside the occupied cells."""
         metric = metric.copy()
@@ -156,26 +184,23 @@ class _Window:
         return self.cells[int(np.argmax(metric))]
 
 
-def _chips(y, s_known, frame: FrameConfig):
-    """Checked chips of y and s_known, and ||y||^2."""
-    y, s = checked_chips("y", y, frame), checked_chips("s_known", s_known, frame)
-    if not np.any(s):
-        raise ValueError("s_known has zero energy, so no path is observable")
-    return y, s, float(np.vdot(y, y).real)
+def _observed(y, frame: FrameConfig):
+    """Checked chips of y and ||y||^2."""
+    y = checked_chips("y", y, frame)
+    return y, float(np.vdot(y, y).real)
 
 
-def estimate_channel(y: np.ndarray, s_known: np.ndarray,
-                     est: EstimationConfig) -> EstimationResult:
-    """Alternating integer-grid search for P paths from a known sensing frame."""
-    y, s, yy = _chips(y, s_known, est.frame)
-    win = _Window(est, s)
-    scan_y = win.scan(s, y)
+def estimate_channel(y: np.ndarray, sounding: Sounding) -> EstimationResult:
+    """Alternating integer-grid search for P paths from the sounding's sensing frame."""
+    est = sounding.est
+    y, yy = _observed(y, est.frame)
+    scan_y = sounding.scan(y)
     P = est.p_assumed
 
     def fit():
         """Gains of the placed paths, their flag and the joint residual ||y - sum_q g_q u_q||^2
         = ||y||^2 - 2 Re(g^H b) + g^H G g; G[p, q] = u_p^H u_q is column q at cell p."""
-        idx = [win.index[c] for c in cells]
+        idx = [sounding.index[c] for c in cells]
         G, b = cols[:, idx].T, scan_y[idx]
         gains, ill = solve_gains(G, b)
         return gains, ill, float(yy - 2 * np.vdot(gains, b).real + np.vdot(gains, G @ gains).real)
@@ -189,9 +214,9 @@ def estimate_channel(y: np.ndarray, s_known: np.ndarray,
     # applied to the residual of the paths placed so far
     for p in range(P):
         amb = scan_y - gains @ cols
-        cell = win.pick_peak(np.abs(amb) ** 2, cells)
+        cell = sounding.pick_peak(np.abs(amb) ** 2, cells)
         cells.append(cell)
-        cols = np.vstack([cols, win.columns([cell])])
+        cols = np.vstack([cols, sounding.columns([cell])])
         gains, flag, residual = fit()
         ill = ill or flag
 
@@ -207,12 +232,12 @@ def estimate_channel(y: np.ndarray, s_known: np.ndarray,
         for p in range(P):
             amb = scan_y - np.delete(gains, p) @ np.delete(cols, p, axis=0)
             last_maps[p] = np.abs(amb)
-            cand = win.pick_peak(np.abs(amb) ** 2, cells[:p] + cells[p + 1:])
+            cand = sounding.pick_peak(np.abs(amb) ** 2, cells[:p] + cells[p + 1:])
             if cand == cells[p]:
                 continue
             saved = (cells[p], cols[p].copy(), gains, ill)
             cells[p] = cand
-            cols[p] = win.columns([cand])[0]
+            cols[p] = sounding.columns([cand])[0]
             gains, flag, new_residual = fit()
             ill = ill or flag
             if new_residual <= residual + 1e-12 * max(1.0, residual):
@@ -228,7 +253,7 @@ def estimate_channel(y: np.ndarray, s_known: np.ndarray,
             break
 
     # confidence: selected peaks should clear the window's median statistic
-    low_conf = any(m[win.index[c]] < LOW_CONF_FACTOR * np.median(m)
+    low_conf = any(m[sounding.index[c]] < LOW_CONF_FACTOR * np.median(m)
                    for m, c in zip(last_maps, cells))
 
     return EstimationResult(channel=EffectiveChannel(est.frame, gains, *zip(*cells)),
@@ -237,20 +262,19 @@ def estimate_channel(y: np.ndarray, s_known: np.ndarray,
                             ill_conditioned=ill)
 
 
-def mle_exhaustive(y: np.ndarray, s_known: np.ndarray,
-                   est: EstimationConfig) -> EstimationResult:
+def mle_exhaustive(y: np.ndarray, sounding: Sounding) -> EstimationResult:
     """Global integer-grid minimizer of the residual over all cell tuples."""
-    y, s, yy = _chips(y, s_known, est.frame)
+    est = sounding.est
+    y, yy = _observed(y, est.frame)
     P = est.p_assumed
-    cell_list = est.cells()
+    cell_list = sounding.cells
     n_cells = len(cell_list)
     n_combos = math.comb(n_cells, P)
     if n_combos > est.mle_max_hypotheses:
         raise ValueError(
             f"exhaustive search refused: C({n_cells}, {P}) = {n_combos} tuples "
             f"exceeds the cap of {est.mle_max_hypotheses}")
-    win = _Window(est, s)
-    gram, bvec = win.columns(cell_list).T, win.scan(s, y)
+    gram, bvec = sounding.gram, sounding.scan(y)
     best = None
     for combo in itertools.combinations(range(n_cells), P):
         idx = list(combo)
@@ -276,7 +300,8 @@ def refresh_gains(y: np.ndarray, s_known: np.ndarray,
                   prior: EstimationResult) -> EstimationResult:
     """Re-solve only the gains, keeping the prior delay-Doppler cells fixed."""
     old = prior.channel
-    y, s, yy = _chips(y, s_known, old.config)
+    y, yy = _observed(y, old.config)
+    s = _known_chips(s_known, old.config)
     u = path_responses(old.l, old.k, s)
     gains, ill = solve_gains(u.conj() @ u.T, u.conj() @ y)
     r = y - gains @ u

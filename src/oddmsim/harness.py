@@ -6,8 +6,11 @@ with a known frame, then sends data over the same realization).  Sweeps run
 trial-major: one runner call draws a trial's channel and frames and sends
 each frame once without noise, then every SNR point still short of
 ``min_bit_errors`` adds its own noise, receives, estimates and detects.
-Trials go out in order, serially or to a process pool, and aggregation keeps
-each point's results in trial order, so both give the same rows.
+A trial senses its channel with one known frame, so its
+:class:`estimator.Sounding` (the search window and the frame's ambiguity
+table) is built once and every point's estimates share it.  Trials go out in
+order, serially or to a process pool, and aggregation keeps each point's
+results in trial order, so both give the same rows.
 
 Seed derivation: every random draw uses
 ``numpy.random.SeedSequence((master_seed, stage_tag, trial, ...))`` with
@@ -37,7 +40,7 @@ from .channel import (EVA_DELAYS_NS, add_awgn, apply_physical_channel, gen_eva_c
 from .core import FrameConfig, make_frame_config, random_frame, vectorize
 from .detector import OampConfig, lmmse_detect, oamp_detect
 from .effchan import EffectiveChannel
-from .estimator import EstimationConfig, estimate_channel, mle_exhaustive, nmse
+from .estimator import EstimationConfig, Sounding, estimate_channel, mle_exhaustive, nmse
 from .waveform import SampleStream, build_srrc, oddm_demodulate, oddm_modulate
 
 # stage tags for seed derivation
@@ -261,7 +264,7 @@ class _TrialRunner:
         return rx
 
     def _sensing(self, trial: int, chan):
-        """The known sensing symbols s and ``observe(snr_idx)``, that point's
+        """The trial's :class:`Sounding` and ``observe(snr_idx)``, that point's
         sensing observation y; the sensing frame is drawn and sent once."""
         spec = self.spec
         _, frame = random_frame(self.cfg, derive_rng(spec.seed, _STAGE_SENSE_BITS, trial))
@@ -273,7 +276,7 @@ class _TrialRunner:
             noise_rng = derive_rng(spec.seed, _STAGE_SENSE_NOISE, trial, snr_idx)
             return self._observe(rx, snr_to_noise_var(snr_db), noise_rng)
 
-        return vectorize(frame), observe
+        return Sounding(self.est_cfg, vectorize(frame)), observe
 
     def link_trial(self, trial: int):
         """Draw and send one link trial; returns its per-point work: sense and
@@ -287,14 +290,14 @@ class _TrialRunner:
             cp = self._ofdm_cp(chan)
             resp = baselines.ofdm_freq_response(chan, cfg, cp)
         elif spec.csi == "estimated":
-            s_known, sense = self._sensing(trial, chan)
+            sounding, sense = self._sensing(trial, chan)
 
         def point(snr_idx):
             noise_var = snr_to_noise_var(spec.snr_grid_db[snr_idx])
             sigma = max(noise_var, 1e-12)
             H_det, nmse_db = chan, None  # perfect CSI: one cached linear stage per trial
             if spec.csi == "estimated":
-                H_det = estimate_channel(sense(snr_idx), s_known, self.est_cfg).channel
+                H_det = estimate_channel(sense(snr_idx), sounding).channel
                 nmse_db = nmse(H_det, chan)
             errors = 0
             for f, ((bits, _), rx) in enumerate(zip(frames, sent)):
@@ -318,13 +321,13 @@ class _TrialRunner:
         est_cfg = self.est_cfg
         mle_ok = math.comb(len(est_cfg.cells()), est_cfg.p_assumed) <= est_cfg.mle_max_hypotheses
         chan = _draw_channel(self.spec, trial)
-        s, observe = self._sensing(trial, chan)
+        sounding, observe = self._sensing(trial, chan)
 
         def point(snr_idx):
             y = observe(snr_idx)
-            out = {"alg1": nmse(estimate_channel(y, s, est_cfg).channel, chan)}
+            out = {"alg1": nmse(estimate_channel(y, sounding).channel, chan)}
             if mle_ok:
-                out["mle"] = nmse(mle_exhaustive(y, s, est_cfg).channel, chan)
+                out["mle"] = nmse(mle_exhaustive(y, sounding).channel, chan)
             return out
 
         return point

@@ -6,7 +6,7 @@ from oddmsim.channel import (channel_from_cells, gen_eva_channel, gen_synthetic_
 from oddmsim.core import get_constellation, make_frame_config, qam_map, random_frame, vectorize
 from oddmsim.detector import LinearStage, lmmse_detect, oamp_detect, oamp_le, oamp_nle
 from oddmsim.effchan import from_chips, to_chips
-from oddmsim.estimator import EstimationConfig, estimate_channel
+from oddmsim.estimator import EstimationConfig, Sounding, estimate_channel
 
 from oracles import count_bit_errors, dense_channel, dense_le, qpsk_awgn_ber
 
@@ -65,8 +65,8 @@ def estimated_eva_channel():
     _, frame = random_frame(cfg, rng)
     s = vectorize(frame)
     y, _ = noisy_observation(chan, s, 20.0, 6)
-    est = estimate_channel(y, s, EstimationConfig(frame=cfg, p_assumed=9, l_range=(0, 4),
-                                                  k_range=(-3, 4)))
+    est = estimate_channel(y, Sounding(EstimationConfig(frame=cfg, p_assumed=9, l_range=(0, 4),
+                                                        k_range=(-3, 4)), s))
     return est.channel
 
 

@@ -5,7 +5,7 @@ import oddmsim.estimator as estimator
 from oddmsim.channel import channel_from_cells, gen_synthetic_channel, snr_to_noise_var
 from oddmsim.core import make_frame_config, random_frame, vectorize
 from oddmsim.effchan import EffectiveChannel, from_chips, path_correlations, to_chips
-from oddmsim.estimator import (EstimationConfig, EstimationResult, _Window, estimate_channel,
+from oddmsim.estimator import (EstimationConfig, EstimationResult, Sounding, estimate_channel,
                                mle_exhaustive, nmse, refresh_gains, solve_gains)
 
 from oracles import brute_force_effective_matrix, dense_channel, path_objective
@@ -114,7 +114,7 @@ class TestWindow:
         # first) over the unoccupied cells
         cfg = cfg16()
         ec = est_cfg(cfg, 2, l_range=(2, 7), k_range=(-3, 4))
-        win = _Window(ec, to_chips(vectorize(random_frame(cfg, np.random.default_rng(0))[1]), cfg))
+        win = Sounding(ec, vectorize(random_frame(cfg, np.random.default_rng(0))[1]))
         rng = np.random.default_rng(9)
         for _ in range(200):
             metric = rng.integers(0, 3, len(win.cells)).astype(float)  # many ties
@@ -133,15 +133,15 @@ class TestWindow:
         ec = est_cfg(cfg, 1)
         chan = channel_from_cells(cfg, [(5, -1)], [1.0])
         s, y = observe(cfg, chan, None)
-        win = _Window(ec, to_chips(s, cfg))
-        amb = win.scan(to_chips(s, cfg), to_chips(y, cfg))
+        win = Sounding(ec, s)
+        amb = win.scan(to_chips(y, cfg))
         ref = np.array([np.vdot(u, y) for u in responses(cfg, ec.cells(), s)])
         assert np.max(np.abs(amb - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_zero_observation_picks_cells_in_tie_order(self):
         cfg = cfg16()
         s = vectorize(random_frame(cfg, np.random.default_rng(0))[1])
-        res = estimate_channel(np.zeros(cfg.mn), s, est_cfg(cfg, 3, l_range=(2, 5)))
+        res = estimate_channel(np.zeros(cfg.mn), Sounding(est_cfg(cfg, 3, l_range=(2, 5)), s))
         assert cells(res.channel) == [(2, 0), (2, -1), (2, 1)]
 
 
@@ -176,7 +176,7 @@ def test_rejects_bad_input(entry, name, fault):
             refresh_gains(args["y"], args["s_known"], prior)
         else:
             {"estimate_channel": estimate_channel,
-             "mle_exhaustive": mle_exhaustive}[entry](args["y"], args["s_known"], ec)
+             "mle_exhaustive": mle_exhaustive}[entry](args["y"], Sounding(ec, args["s_known"]))
 
 
 def test_more_paths_than_window_cells_rejected():
@@ -184,7 +184,6 @@ def test_more_paths_than_window_cells_rejected():
     with pytest.raises(ValueError, match="p_assumed 5 exceeds the 4 cells"):
         EstimationConfig(frame=cfg, p_assumed=5, l_range=(0, 2), k_range=(-1, 1))
     EstimationConfig(frame=cfg, p_assumed=4, l_range=(0, 2), k_range=(-1, 1))
-
 
 class TestAmbiguityTable:
     """Scans, Gram entries and residuals gathered from the sensing frame's ambiguity
@@ -209,10 +208,10 @@ class TestAmbiguityTable:
     def test_cancelled_scans_match_literal_scans(self, M, N):
         cfg, ec, s, y, hyp = self.draw(M, N)
         s_c, y_c = to_chips(s, cfg), to_chips(y, cfg)
-        win = _Window(ec, s_c)
+        win = Sounding(ec, s)
         u = np.stack([to_chips(r, cfg) for r in responses(cfg, hyp, s)])
         h = np.array([0.7 - 0.2j, -0.4j, 1.1])
-        cols, scan_y = win.columns(hyp), win.scan(s_c, y_c)
+        cols, scan_y = win.columns(hyp), win.scan(y_c)
         ks = [k for l, k in ec.cells() if l == 0]
         for p in range(len(hyp)):
             others = [q for q in range(len(hyp)) if q != p]
@@ -224,7 +223,7 @@ class TestAmbiguityTable:
     @pytest.mark.parametrize("M, N", [(8, 4), (16, 8), (12, 5)])
     def test_gram_matches_oracle_responses(self, M, N):
         cfg, ec, s, _, _ = self.draw(M, N)
-        win = _Window(ec, to_chips(s, cfg))
+        win = Sounding(ec, s)
         u = responses(cfg, ec.cells(), s)
         ref = u.conj() @ u.T
         got = win.columns(ec.cells()).T
@@ -234,7 +233,7 @@ class TestAmbiguityTable:
     def test_residual_matches_oracle_fit(self, M, N):
         # the trace holds ||y||^2 minus the residual gathered from the table
         cfg, ec, s, y, _ = self.draw(M, N)
-        res = estimate_channel(y, s, ec)
+        res = estimate_channel(y, Sounding(ec, s))
         r = y - dense_channel(res.channel) @ s
         yy = float(np.vdot(y, y).real)
         assert yy - res.objective_trace[-1] == pytest.approx(np.vdot(r, r).real, abs=1e-12 * yy)
@@ -242,7 +241,8 @@ class TestAmbiguityTable:
     @pytest.mark.parametrize("n_paths, seed, P, iterations",
                              [(1, 50, 1, 1), (2, 8, 3, 2), (3, 11, 6, 2), (1, 50, 8, 3)])
     def test_two_fft_scans_per_estimate(self, monkeypatch, n_paths, seed, P, iterations):
-        # draws at 0 dB on which the search moves paths and runs 1 to 3 outer passes
+        # draws at 0 dB on which the search moves paths and runs 1 to 3 outer passes: the
+        # sounding's table is one FFT pass, and each estimate from it one more
         calls = []
         literal = estimator.path_correlations
         monkeypatch.setattr(estimator, "path_correlations",
@@ -250,9 +250,44 @@ class TestAmbiguityTable:
         cfg = cfg16()
         chan = gen_synthetic_channel(cfg, n_paths, seed, l_max=7, k_max=3)
         s, y = observe(cfg, chan, 0.0, seed=seed)
-        res = estimate_channel(y, s, est_cfg(cfg, P))
+        sounding = Sounding(est_cfg(cfg, P), s)
+        assert len(calls) == 1
+        res = estimate_channel(y, sounding)
         assert res.iterations == iterations
-        assert len(calls) <= 2
+        assert len(calls) == 2
+        estimate_channel(2 * y, sounding)
+        assert len(calls) == 3
+
+
+class TestSounding:
+    @staticmethod
+    def same(a, b):
+        return (cells(a.channel) == cells(b.channel)
+                and np.array_equal(a.channel.gains, b.channel.gains)
+                and (a.iterations, a.objective_trace) == (b.iterations, b.objective_trace)
+                and (a.converged, a.low_confidence, a.ill_conditioned)
+                == (b.converged, b.low_confidence, b.ill_conditioned))
+
+    @pytest.mark.parametrize("entry", [estimate_channel, mle_exhaustive],
+                             ids=["estimate_channel", "mle_exhaustive"])
+    def test_shared_sounding_equals_fresh_soundings(self, entry):
+        # three observations of one sensing frame, as the points of one trial see it
+        cfg = cfg16()
+        chan = gen_synthetic_channel(cfg, 2, 41, l_max=7, k_max=3)
+        ec = est_cfg(cfg, 2)
+        obs = [observe(cfg, chan, snr, seed=i) for i, snr in enumerate((0.0, 10.0, 20.0))]
+        s = obs[0][0]
+        shared = Sounding(ec, s)
+        for _, y in obs:
+            assert self.same(entry(y, shared), entry(y, Sounding(ec, s)))
+
+    def test_shared_arrays_are_read_only(self):
+        cfg = cfg16()
+        s = vectorize(random_frame(cfg, np.random.default_rng(0))[1])
+        sounding = Sounding(est_cfg(cfg, 2), s)
+        for array in (sounding.table, sounding.gram):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0
 
 
 class TestEstimateChannel:
@@ -260,7 +295,7 @@ class TestEstimateChannel:
         cfg = cfg16()
         chan = gen_synthetic_channel(cfg, 2, 3, l_max=7, k_max=3)
         s, y = observe(cfg, chan, 30.0, seed=4)
-        res = estimate_channel(y, s, est_cfg(cfg, 2))
+        res = estimate_channel(y, Sounding(est_cfg(cfg, 2), s))
         assert sorted(cells(res.channel)) == cells(chan)
         true = dict(zip(cells(chan), chan.gains))
         for cell, h in zip(cells(res.channel), res.channel.gains):
@@ -270,7 +305,7 @@ class TestEstimateChannel:
         cfg = cfg16()
         chan = channel_from_cells(cfg, [(6, 2)], [0.4 + 0.6j])
         s, y = observe(cfg, chan, None)
-        res = estimate_channel(y, s, est_cfg(cfg, 1))
+        res = estimate_channel(y, Sounding(est_cfg(cfg, 1), s))
         assert res.iterations <= 2
         assert res.converged
         assert cells(res.channel) == [(6, 2)]
@@ -281,7 +316,7 @@ class TestEstimateChannel:
         rng = np.random.default_rng(8)
         s = vectorize(random_frame(cfg, rng)[1])
         y = np.sqrt(0.5) * (rng.standard_normal(cfg.mn) + 1j * rng.standard_normal(cfg.mn))
-        res = estimate_channel(y, s, est_cfg(cfg, 1))
+        res = estimate_channel(y, Sounding(est_cfg(cfg, 1), s))
         assert res.low_confidence
 
     def test_objective_trace_nondecreasing(self):
@@ -289,7 +324,7 @@ class TestEstimateChannel:
         for seed in range(8):
             chan = gen_synthetic_channel(cfg, 3, seed, l_max=7, k_max=3)
             s, y = observe(cfg, chan, 5.0, seed=seed)
-            res = estimate_channel(y, s, est_cfg(cfg, 3))
+            res = estimate_channel(y, Sounding(est_cfg(cfg, 3), s))
             tr = res.objective_trace
             assert all(a <= b + 1e-9 * max(1, abs(a)) for a, b in zip(tr, tr[1:]))
 
@@ -297,16 +332,16 @@ class TestEstimateChannel:
         cfg = cfg16()
         chan = gen_synthetic_channel(cfg, 2, 12, l_max=7, k_max=3)
         s, y = observe(cfg, chan, 10.0, seed=12)
-        a = estimate_channel(y, s, est_cfg(cfg, 2))
-        b = estimate_channel(3.7 * y, s, est_cfg(cfg, 2))
+        a = estimate_channel(y, Sounding(est_cfg(cfg, 2), s))
+        b = estimate_channel(3.7 * y, Sounding(est_cfg(cfg, 2), s))
         assert cells(a.channel) == cells(b.channel)
 
     def test_deterministic(self):
         cfg = cfg16()
         chan = gen_synthetic_channel(cfg, 2, 21, l_max=7, k_max=3)
         s, y = observe(cfg, chan, 10.0, seed=21)
-        a = estimate_channel(y, s, est_cfg(cfg, 2))
-        b = estimate_channel(y.copy(), s.copy(), est_cfg(cfg, 2))
+        a = estimate_channel(y, Sounding(est_cfg(cfg, 2), s))
+        b = estimate_channel(y.copy(), Sounding(est_cfg(cfg, 2), s.copy()))
         assert cells(a.channel) == cells(b.channel)
         assert np.array_equal(a.channel.gains, b.channel.gains)
         assert a.objective_trace == b.objective_trace
@@ -318,7 +353,7 @@ class TestMleExhaustive:
         chan = channel_from_cells(cfg, [(3, 1)], [0.9])
         s, y = observe(cfg, chan, 20.0, seed=2)
         ec = EstimationConfig(frame=cfg, p_assumed=1, l_range=(0, 8), k_range=(-2, 2))
-        res = mle_exhaustive(y, s, ec)
+        res = mle_exhaustive(y, Sounding(ec, s))
         vals = {(l, k): path_objective(0, y, s, [(l, k)], np.array([0j]), cfg)
                 for l in range(8) for k in range(-2, 2)}
         assert cells(res.channel)[0] == max(vals, key=vals.get)
@@ -328,7 +363,7 @@ class TestMleExhaustive:
         chan = channel_from_cells(cfg, [(2, -1), (5, 0)], [0.9, 0.3j])
         s, y = observe(cfg, chan, None)
         ec = est_cfg(cfg, 2)
-        res = mle_exhaustive(y, s, ec)
+        res = mle_exhaustive(y, Sounding(ec, s))
         assert sorted(cells(res.channel)) == [(2, -1), (5, 0)]
         yy = float(np.vdot(y, y).real)
         assert res.objective_trace[0] == pytest.approx(yy, rel=1e-12)
@@ -338,7 +373,7 @@ class TestMleExhaustive:
         ec = est_cfg(cfg, 3, mle_max_hypotheses=100)
         s, y = observe(cfg, channel_from_cells(cfg, [(0, 0)], [1.0]), None)
         with pytest.raises(ValueError, match="tuples"):
-            mle_exhaustive(y, s, ec)
+            mle_exhaustive(y, Sounding(ec, s))
 
     def test_no_solvable_tuple_raises(self):
         # a one-chip sensing frame makes every path of one delay respond on the
@@ -349,7 +384,7 @@ class TestMleExhaustive:
         s = from_chips(chip, cfg)
         ec = EstimationConfig(frame=cfg, p_assumed=2, l_range=(0, 1), k_range=(-1, 1))
         with pytest.raises(ValueError, match="no tuple of 2 window cells"):
-            mle_exhaustive(s, s, ec)
+            mle_exhaustive(s, Sounding(ec, s))
 
     def test_oracle_dominance(self):
         cfg = cfg16()
@@ -357,8 +392,8 @@ class TestMleExhaustive:
             chan = gen_synthetic_channel(cfg, 2, 100 + seed, l_max=7, k_max=3)
             s, y = observe(cfg, chan, 0.0, seed=seed)
             ec = est_cfg(cfg, 2)
-            fast = estimate_channel(y, s, ec)
-            full = mle_exhaustive(y, s, ec)
+            fast = estimate_channel(y, Sounding(ec, s))
+            full = mle_exhaustive(y, Sounding(ec, s))
             # trace stores ||y||^2 - residual, so dominance flips the inequality
             assert full.objective_trace[-1] >= fast.objective_trace[-1] - 1e-9
 
@@ -368,7 +403,7 @@ class TestRefreshGains:
         cfg = cfg16()
         chan = gen_synthetic_channel(cfg, 2, 31, l_max=7, k_max=3)
         s, y = observe(cfg, chan, None)
-        prior = estimate_channel(y, s, est_cfg(cfg, 2))
+        prior = estimate_channel(y, Sounding(est_cfg(cfg, 2), s))
         again = refresh_gains(y, s, prior)
         assert np.allclose(again.channel.gains, prior.channel.gains, atol=1e-10)
 
@@ -376,7 +411,7 @@ class TestRefreshGains:
         cfg = cfg16()
         chan = gen_synthetic_channel(cfg, 2, 32, l_max=7, k_max=3)
         s, y = observe(cfg, chan, None)
-        prior = estimate_channel(y, s, est_cfg(cfg, 2))
+        prior = estimate_channel(y, Sounding(est_cfg(cfg, 2), s))
         alpha = 1.7 - 0.3j
         scaled = refresh_gains(alpha * y, s, prior)
         assert np.allclose(scaled.channel.gains, alpha * prior.channel.gains, atol=1e-10)
@@ -386,7 +421,7 @@ class TestRefreshGains:
         cfg = cfg16()
         chan = channel_from_cells(cfg, [(3, 2)], [0.5 - 0.5j])
         s, y = observe(cfg, chan, None)
-        prior = estimate_channel(y, s, est_cfg(cfg, 1))
+        prior = estimate_channel(y, Sounding(est_cfg(cfg, 1), s))
         res = refresh_gains(y, s, prior)
         assert res.channel.gains[0] == pytest.approx(0.5 - 0.5j, abs=1e-12)
 

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from oddmsim import detector, harness
+from oddmsim import detector, estimator, harness
 from oddmsim.harness import (CSI_MODES, DETECTORS, FIDELITIES, SCHEMES, build_spec,
                              emit_csv, option_keys, parse_csv, run_nmse_sweep,
                              run_sensing_then_comm)
@@ -171,6 +171,26 @@ def test_perfect_csi_builds_one_stage_and_draws_one_channel_per_trial(monkeypatc
     rows = run_sensing_then_comm(spec).rows
     assert [row.trials_run for row in rows] == [3, 3, 3, 3]
     assert counts == {"stages": 3, "draws": 3}
+
+
+@pytest.mark.parametrize("sweep, options, n_rows, calls", [
+    # 50 window cells: C(50, 4) exceeds mle_max_hypotheses, so only alg1 runs
+    (run_nmse_sweep, {"channel.model": "synthetic", "channel.paths": 4}, 3, 4),
+    # EVA window of 15 cells: the exhaustive search runs too, from the same sounding
+    (run_nmse_sweep, {}, 6, 7),
+    (run_sensing_then_comm, {}, 3, 4),
+], ids=["nmse-alg1", "nmse-alg1-mle", "link"])
+def test_one_sounding_per_trial(monkeypatch, sweep, options, n_rows, calls):
+    # one ambiguity-table pass per trial, then one scan per estimate
+    counted = []
+    literal = estimator.path_correlations
+    monkeypatch.setattr(estimator, "path_correlations",
+                        lambda *args: counted.append(args) or literal(*args))
+    spec = link_spec(**{"run.snr_db": (0.0, 10.0, 20.0), "run.trials": 1,
+                        "run.min_bit_errors": 10**9, **options})
+    rows = sweep(spec).rows
+    assert [row.trials_run for row in rows] == [1] * n_rows
+    assert len(counted) == calls
 
 
 @pytest.mark.parametrize("fidelity", FIDELITIES)
