@@ -76,7 +76,7 @@ class EstimationConfig:
             raise ValueError("p_assumed must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # also rejects NaN
             raise ValueError("epsilon must be positive")
         M, N = self.frame.M, self.frame.N
         if self.l_range is None:

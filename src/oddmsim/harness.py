@@ -28,6 +28,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -57,6 +58,12 @@ FIDELITIES = ("matrix", "waveform")
 CHANNEL_MODELS = ("eva", "synthetic")
 
 
+def _require_count(name: str, value) -> None:
+    """A count field must be an integer >= 1; 2.5 trials or a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     model: str = "eva"          # eva | synthetic
@@ -68,6 +75,9 @@ class ChannelSpec:
     def __post_init__(self):
         if self.model not in CHANNEL_MODELS:
             raise ValueError(f"unknown channel model {self.model!r}")
+        if not math.isfinite(self.v_kmh):
+            raise ValueError(f"v_kmh must be finite, got {self.v_kmh!r}")
+        _require_count("paths", self.paths)
 
 
 @dataclass(frozen=True)
@@ -75,6 +85,13 @@ class EstSpec:
     p_assumed: int | None = None   # default: channel model's path count
     max_iters: int = 20
     epsilon: float = 1e-4
+
+    def __post_init__(self):
+        if self.p_assumed is not None:
+            _require_count("p_assumed", self.p_assumed)
+        _require_count("max_iters", self.max_iters)
+        if not self.epsilon > 0:  # also rejects NaN, which no change could fall below
+            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -100,10 +117,14 @@ class ExperimentSpec:
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         for name in ("trials", "frames_per_trial"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            _require_count(name, getattr(self, name))
         if not self.snr_grid_db:
             raise ValueError("snr grid must be nonempty")
+        sensing = () if self.sensing_snr_db is None else (self.sensing_snr_db,)
+        for name, values in (("snr_grid_db", self.snr_grid_db), ("sensing_snr_db", sensing)):
+            for v in values:
+                if not v > -math.inf:  # +inf is the noiseless case
+                    raise ValueError(f"{name} entry {v!r} is not an SNR (NaN or -inf)")
         if self.scheme == "ofdm":
             if self.csi != "perfect":
                 raise ValueError("the ofdm baseline supports csi=perfect only")
@@ -213,7 +234,7 @@ def _estimation_config(spec: ExperimentSpec) -> EstimationConfig:
         k_default = min(cfg.N // 2 - 1, max(1, cfg.N // 4))
         k_lim = k_default if spec.channel.k_max is None else min(cfg.N // 2 - 1, spec.channel.k_max + 1)
     k_lim = max(1, k_lim)
-    p = spec.est.p_assumed or p_default
+    p = p_default if spec.est.p_assumed is None else spec.est.p_assumed
     return EstimationConfig(frame=cfg, p_assumed=p, l_range=(0, min(cfg.M, cp + 1)),
                             k_range=(-k_lim, k_lim + 1),
                             max_iters=spec.est.max_iters, epsilon=spec.est.epsilon)

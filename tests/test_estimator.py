@@ -185,6 +185,13 @@ def test_more_paths_than_window_cells_rejected():
         EstimationConfig(frame=cfg, p_assumed=5, l_range=(0, 2), k_range=(-1, 1))
     EstimationConfig(frame=cfg, p_assumed=4, l_range=(0, 2), k_range=(-1, 1))
 
+
+def test_nan_epsilon_rejected():
+    # no parameter change is ever <= NaN, so the search could never converge
+    with pytest.raises(ValueError, match="epsilon"):
+        est_cfg(cfg16(), 1, epsilon=np.nan)
+
+
 class TestAmbiguityTable:
     """Scans, Gram entries and residuals gathered from the sensing frame's ambiguity
     table against the literal FFT scan and the oracle path responses."""

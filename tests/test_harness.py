@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 
 import pytest
 
@@ -215,6 +216,35 @@ def test_nmse_sweep_rejects_what_it_cannot_honour(options, field):
 def test_frames_per_trial_below_one_rejected(frames):
     with pytest.raises(ValueError, match="frames_per_trial"):
         tiny_spec(**{"run.frames_per_trial": frames})
+
+
+IMPOSSIBLE_SPECS = {
+    "snr_grid_db": {"run.snr_db": (10.0, math.nan)},
+    "snr_grid_db-minus-inf": {"run.snr_db": (-math.inf, 10.0)},
+    "sensing_snr_db": {"run.sensing_snr_db": math.nan},
+    "sensing_snr_db-minus-inf": {"run.sensing_snr_db": -math.inf},
+    "paths": {"channel.model": "synthetic", "channel.paths": 0},
+    "v_kmh": {"channel.v_kmh": math.nan},
+    "trials": {"run.trials": 2.5},
+    "frames_per_trial": {"run.frames_per_trial": 1.5},
+    "epsilon": {"est.epsilon": math.nan},
+    "p_assumed": {"est.p_assumed": 0},
+}
+
+
+@pytest.mark.parametrize("case", list(IMPOSSIBLE_SPECS))
+def test_impossible_spec_rejected_at_build(case):
+    # each of these used to fail deep inside a run, or run something else
+    field = case.split("-")[0]
+    with pytest.raises(ValueError, match=f"^{field} "):
+        tiny_spec(**IMPOSSIBLE_SPECS[case])
+
+
+def test_infinite_snr_is_the_noiseless_case():
+    spec = tiny_spec(**{"run.snr_db": (math.inf,), "run.sensing_snr_db": math.inf,
+                        "run.csi": "estimated"})
+    (row,) = run_sensing_then_comm(spec).rows
+    assert row.bit_errors == 0
 
 
 def test_unknown_option_keys_rejected():
