@@ -8,9 +8,9 @@ detector, OTFS/OFDM baselines, and a seeded Monte Carlo harness with CSV
 output.
 """
 
-from .core import (Constellation, DDFrame, FrameConfig, chips_to_dd, dd_to_chips,
-                   delay_index, devectorize, doppler_index, get_constellation,
-                   make_frame_config, qam_demap, qam_map, vectorize)
+from .core import (Constellation, FrameConfig, chips_to_dd, dd_to_chips, delay_index,
+                   doppler_index, get_constellation, make_frame_config, qam_demap,
+                   qam_map, vectorize)
 from .waveform import PulseBank, SampleStream, build_srrc, oddm_demodulate, oddm_modulate
 from .effchan import EffectiveChannel
 from .channel import (add_awgn, apply_physical_channel, gen_eva_channel,

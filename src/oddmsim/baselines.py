@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DDFrame, FrameConfig, _as_grid, chips_to_dd, dd_to_chips, qam_demap
+from .core import FrameConfig, chips_to_dd, dd_to_chips, qam_demap
 from .effchan import EffectiveChannel
 from .waveform import SampleStream, checked_samples
 
 
 def otfs_modulate(frame, config: FrameConfig, cyclic_prefix_chips: int = 0) -> SampleStream:
     """Map the DD grid to a sample stream: IDFT across Doppler, sample-and-hold."""
-    grid = _as_grid(frame)
+    grid = np.asarray(frame)
     M, N, osf = config.M, config.N, config.oversampling
     if grid.shape != (M, N):
         raise ValueError(f"frame shape {grid.shape} != ({M}, {N})")
@@ -46,7 +46,7 @@ def otfs_modulate(frame, config: FrameConfig, cyclic_prefix_chips: int = 0) -> S
     return SampleStream(samples=samples, rate=config.sample_rate, t0=t0)
 
 
-def otfs_demodulate(stream: SampleStream, config: FrameConfig) -> DDFrame:
+def otfs_demodulate(stream: SampleStream, config: FrameConfig) -> np.ndarray:
     """Adjoint chain: integrate chips, DFT across blocks back to the DD grid."""
     M, N, osf = config.M, config.N, config.oversampling
     y = checked_samples(stream, config)
@@ -55,7 +55,7 @@ def otfs_demodulate(stream: SampleStream, config: FrameConfig) -> DDFrame:
         raise ValueError("stream does not cover one frame")
     y = y[-i0:-i0 + M * N * osf]
     chips = y.reshape(M * N, osf).sum(axis=1) / np.sqrt(osf)
-    return DDFrame(chips_to_dd(chips, M, N))
+    return chips_to_dd(chips, M, N)
 
 
 def ofdm_modulate(symbols, config: FrameConfig, cp_chips: int) -> SampleStream:

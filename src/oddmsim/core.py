@@ -132,41 +132,9 @@ def make_frame_config(M, N, delta_f, f_c, Q, rolloff=0.25, oversampling=8,
                        constellation=constellation)
 
 
-@dataclass(frozen=True, eq=False)
-class DDFrame:
-    """An M x N delay-Doppler symbol grid; entry (m, n) = S(m, n)."""
-
-    symbols: np.ndarray
-
-    def __post_init__(self):
-        if self.symbols.ndim != 2:
-            raise ValueError(f"frame must be 2-D, got shape {self.symbols.shape}")
-
-    @property
-    def M(self) -> int:
-        return self.symbols.shape[0]
-
-    @property
-    def N(self) -> int:
-        return self.symbols.shape[1]
-
-
-def _as_grid(frame) -> np.ndarray:
-    return frame.symbols if isinstance(frame, DDFrame) else np.asarray(frame)
-
-
-def vectorize(frame) -> np.ndarray:
+def vectorize(grid) -> np.ndarray:
     """Flatten a delay-Doppler grid delay-major: s[m*N + n] = S(m, n)."""
-    grid = _as_grid(frame)
     return np.ascontiguousarray(grid).reshape(-1)
-
-
-def devectorize(vec: np.ndarray, config: FrameConfig) -> DDFrame:
-    """Inverse of :func:`vectorize` for a given grid shape."""
-    vec = np.asarray(vec)
-    if vec.size != config.mn:
-        raise ValueError(f"vector length {vec.size} != M*N = {config.mn}")
-    return DDFrame(vec.reshape(config.M, config.N).copy())
 
 
 def dd_to_chips(grid: np.ndarray) -> np.ndarray:
@@ -233,8 +201,7 @@ def random_bits(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_frame(config: FrameConfig, rng: np.random.Generator):
-    """Draw one frame of random constellation symbols; returns (bits, DDFrame)."""
+    """Draw one frame of random constellation symbols; returns (bits, the M x N grid)."""
     const = config.constellation_obj
     bits = random_bits(config.mn * const.bits_per_symbol, rng)
-    symbols = qam_map(bits, const)
-    return bits, devectorize(symbols, config)
+    return bits, qam_map(bits, const).reshape(config.M, config.N)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DDFrame, FrameConfig, _as_grid
+from .core import FrameConfig
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +165,7 @@ def oddm_modulate(frame, pulses: PulseBank, config: FrameConfig,
     delay spread up to that many delay bins acts circularly on the frame,
     matching the wrap blocks of the grid-level channel matrix.
     """
-    grid = _as_grid(frame)
+    grid = np.asarray(frame)
     M, N, osf = config.M, config.N, config.oversampling
     if grid.shape != (M, N):
         raise ValueError(f"frame shape {grid.shape} != ({M}, {N})")
@@ -194,7 +194,7 @@ def oddm_modulate(frame, pulses: PulseBank, config: FrameConfig,
 
 
 def oddm_demodulate(stream: SampleStream, pulses: PulseBank,
-                    config: FrameConfig) -> DDFrame:
+                    config: FrameConfig) -> np.ndarray:
     """Project a received stream back onto the M x N grid via the matched filter.
 
     The transpose of :func:`oddm_modulate`: the stream from t = -Q*osf on is
@@ -217,4 +217,4 @@ def oddm_demodulate(stream: SampleStream, pulses: PulseBank,
     segment[:part.size] = part
     windows = np.lib.stride_tricks.sliding_window_view(segment, (2 * Q + 1) * osf)[::osf]
     Z = (windows @ _tap_bank(pulses, config).conj().T).reshape(N, M, N)
-    return DDFrame(np.einsum("kmn,kn->mn", Z, _hop_phases(N, -1)))
+    return np.einsum("kmn,kn->mn", Z, _hop_phases(N, -1))

@@ -20,20 +20,20 @@ class TestOtfs:
         cfg = cfg32()
         _, frame = random_frame(cfg, np.random.default_rng(0))
         back = otfs_demodulate(otfs_modulate(frame, cfg), cfg)
-        assert np.max(np.abs(back.symbols - frame.symbols)) <= 1e-10
+        assert np.max(np.abs(back - frame)) <= 1e-10
 
     def test_roundtrip_with_prefix(self):
         cfg = cfg32()
         _, frame = random_frame(cfg, np.random.default_rng(1))
         back = otfs_demodulate(otfs_modulate(frame, cfg, cyclic_prefix_chips=8), cfg)
-        assert np.max(np.abs(back.symbols - frame.symbols)) <= 1e-10
+        assert np.max(np.abs(back - frame)) <= 1e-10
 
     def test_parseval(self):
         cfg = cfg32()
         _, frame = random_frame(cfg, np.random.default_rng(2))
         st = otfs_modulate(frame, cfg)
         assert np.sum(np.abs(st.samples) ** 2) == pytest.approx(
-            np.sum(np.abs(frame.symbols) ** 2), rel=1e-10)
+            np.sum(np.abs(frame) ** 2), rel=1e-10)
 
     def test_delay_only_channel_matches_model(self):
         cfg = cfg32()
@@ -41,7 +41,7 @@ class TestOtfs:
         chan = channel_from_cells(cfg, [(3, 0)], [0.9 - 0.2j])
         rx = apply_physical_channel(
             otfs_modulate(frame, cfg, cyclic_prefix_chips=8), chan, 0.0)
-        Y = otfs_demodulate(rx, cfg).symbols
+        Y = otfs_demodulate(rx, cfg)
         ref = chan.apply(vectorize(frame))
         assert np.max(np.abs(Y.reshape(-1) - ref)) <= 1e-10
 
@@ -53,7 +53,7 @@ class TestOtfs:
         chan = channel_from_cells(cfg, [(2, 1), (5, -1)], [0.8, 0.4j])
         rx = apply_physical_channel(
             otfs_modulate(frame, cfg, cyclic_prefix_chips=8), chan, 0.0)
-        Y = otfs_demodulate(rx, cfg).symbols.reshape(-1)
+        Y = otfs_demodulate(rx, cfg).reshape(-1)
         ref = chan.apply(vectorize(frame))
         assert np.linalg.norm(Y - ref) / np.linalg.norm(ref) <= 3e-2
 
@@ -130,7 +130,7 @@ class TestOfdm:
 RECEIVERS = {  # (transmit a frame, receive a stream)
     "otfs": (lambda cfg, frame: otfs_modulate(frame, cfg, cyclic_prefix_chips=8),
              lambda stream, cfg: otfs_demodulate(stream, cfg)),
-    "ofdm": (lambda cfg, frame: ofdm_modulate(frame.symbols.reshape(-1), cfg, cp_chips=4),
+    "ofdm": (lambda cfg, frame: ofdm_modulate(frame.reshape(-1), cfg, cp_chips=4),
              lambda stream, cfg: ofdm_detect(stream, np.ones((cfg.N, cfg.M)), 0.1, cfg, 4)),
 }
 
