@@ -42,7 +42,7 @@ from .core import FrameConfig, make_frame_config, random_frame, vectorize
 from .detector import OampConfig, lmmse_detect, oamp_detect
 from .effchan import EffectiveChannel
 from .estimator import EstimationConfig, Sounding, estimate_channel, mle_exhaustive, nmse
-from .waveform import SampleStream, build_srrc, oddm_demodulate, oddm_modulate
+from .waveform import SampleStream, oddm_demodulate, oddm_modulate
 
 # stage tags for seed derivation
 _STAGE_CHANNEL = 1
@@ -241,14 +241,12 @@ def _estimation_config(spec: ExperimentSpec) -> EstimationConfig:
 
 
 class _TrialRunner:
-    """Per-spec state (pulses, estimator config) and the stages of one trial."""
+    """Per-spec state (cyclic prefix, estimator config) and the stages of one trial."""
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
         self.cfg = spec.frame
         self.cp = _cp_chips(spec)
-        self.pulses = build_srrc(self.cfg) if (
-            spec.fidelity == "waveform" and spec.scheme == "oddm") else None
 
     @functools.cached_property
     def est_cfg(self) -> EstimationConfig:
@@ -264,7 +262,7 @@ class _TrialRunner:
         if spec.fidelity == "matrix":
             return chan.apply(vectorize(frame))
         if spec.scheme == "oddm":
-            st = oddm_modulate(frame, self.pulses, cfg, cyclic_prefix_chips=self.cp)
+            st = oddm_modulate(frame, cfg, cyclic_prefix_chips=self.cp)
         elif spec.scheme == "otfs":
             st = baselines.otfs_modulate(frame, cfg, cyclic_prefix_chips=self.cp)
         else:
@@ -279,7 +277,7 @@ class _TrialRunner:
             return add_awgn(rx, noise_var, noise_rng)
         rx = SampleStream(add_awgn(rx.samples, noise_var, noise_rng), rx.rate, rx.t0)
         if spec.scheme == "oddm":
-            return vectorize(oddm_demodulate(rx, self.pulses, cfg))
+            return vectorize(oddm_demodulate(rx, cfg))
         if spec.scheme == "otfs":
             return vectorize(baselines.otfs_demodulate(rx, cfg))
         return rx

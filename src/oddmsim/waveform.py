@@ -2,7 +2,9 @@
 
 The transmit pulse is a train of N copies of a truncated square-root raised
 cosine, one per slot period, which keeps the waveform orthogonal with respect
-to the delay and Doppler resolutions of the grid.
+to the delay and Doppler resolutions of the grid.  The grid fixes the pulse
+(Q, roll-off, oversampling, N), so both ends derive it from the frame config
+(:func:`build_srrc`).
 
 All waveform processing runs in *sample units*: one sample step is the unit of
 time, so a pulse spans ``2*Q*oversampling + 1`` samples and the frame spans
@@ -43,25 +45,6 @@ from .core import FrameConfig
 
 
 @dataclass(frozen=True, eq=False)
-class PulseBank:
-    """Prototype pulse samples plus the implicit pulse-train layout.
-
-    The train u(t) = sum over n_hat of a(t - n_hat*T) is never materialized;
-    it is described by `copies` offsets of `block` samples.
-    """
-
-    a: np.ndarray        # real prototype pulse, 2*Q*oversampling + 1 taps
-    Q: int
-    oversampling: int
-    copies: int          # N pulses per train
-    block: int           # samples per slot period T (= M * oversampling)
-
-    @property
-    def half_len(self) -> int:
-        return self.Q * self.oversampling
-
-
-@dataclass(frozen=True, eq=False)
 class SampleStream:
     """Complex baseband samples at `rate` Hz, first sample at time `t0` s."""
 
@@ -96,29 +79,18 @@ def _srrc_taps(t: np.ndarray, beta: float) -> np.ndarray:
     return out
 
 
-def build_srrc(config: FrameConfig) -> PulseBank:
-    """Truncated SRRC prototype, renormalized to discrete energy 1/N.
+def build_srrc(config: FrameConfig) -> np.ndarray:
+    """The config's prototype pulse a: a truncated SRRC of 2*Q*oversampling + 1
+    taps, renormalized to discrete energy 1/N.
 
     Truncation support is [-Q, +Q] delay bins; with unit pulse energy per
-    train (N copies of energy 1/N) the matched filter has unit gain.
+    train (N copies of energy 1/N, one per slot period T) the matched filter
+    has unit gain.
     """
     osf = config.oversampling
     n = np.arange(-config.Q * osf, config.Q * osf + 1)
     a = _srrc_taps(n / osf, config.rolloff)
-    a = a / np.sqrt(config.N * np.sum(a * a))
-    return PulseBank(a=a, Q=config.Q, oversampling=osf, copies=config.N,
-                     block=config.M * osf)
-
-
-def _check_pulses(pulses: PulseBank, config: FrameConfig) -> None:
-    """Reject a pulse bank built for another grid or oversampling factor."""
-    osf = config.oversampling
-    for name, have, want in (("oversampling", pulses.oversampling, osf),
-                             ("copies", pulses.copies, config.N),
-                             ("block", pulses.block, config.M * osf)):
-        if have != want:
-            raise ValueError(f"pulses.{name} = {have} but the frame config needs {want}; "
-                             "build the pulse bank with build_srrc(config)")
+    return a / np.sqrt(config.N * np.sum(a * a))
 
 
 def checked_samples(stream: SampleStream, config: FrameConfig) -> np.ndarray:
@@ -131,16 +103,16 @@ def checked_samples(stream: SampleStream, config: FrameConfig) -> np.ndarray:
     return stream.samples
 
 
-def _tap_bank(pulses: PulseBank, config: FrameConfig) -> np.ndarray:
+def _tap_bank(config: FrameConfig) -> np.ndarray:
     """(N, (2Q+1)*osf) Doppler-modulated taps a[tau] * e^{j2pi n tau/(MN*osf)}.
 
     Column c holds tap offset tau = c - Q*osf; the osf - 1 columns past the
     last tap are zero so the bank splits into 2Q + 1 blocks of osf taps.
     """
-    osf = pulses.oversampling
-    taps = np.zeros((2 * pulses.Q + 1) * osf)
-    taps[:pulses.a.size] = pulses.a
-    tau = np.arange(taps.size) - pulses.half_len
+    osf, a = config.oversampling, build_srrc(config)
+    taps = np.zeros((2 * config.Q + 1) * osf)
+    taps[:a.size] = a
+    tau = np.arange(taps.size) - config.Q * osf
     n = np.arange(config.N)
     return taps * np.exp(2j * np.pi * np.outer(n, tau) / (config.mn * osf))
 
@@ -150,16 +122,16 @@ def _hop_phases(N: int, sign: int) -> np.ndarray:
     return np.exp(sign * 2j * np.pi * np.outer(np.arange(N), np.arange(N)) / N)
 
 
-def oddm_modulate(frame, pulses: PulseBank, config: FrameConfig,
-                  cyclic_prefix_chips: int = 0) -> SampleStream:
+def oddm_modulate(frame, config: FrameConfig, cyclic_prefix_chips: int = 0) -> SampleStream:
     """Synthesize the staggered multicarrier waveform for one frame.
 
-    Each symbol S(m, n) rides the pulse train delayed by m slots and
-    modulated by the n-th Doppler subcarrier.  In the chip-grid form of the
-    module docstring, the chip weights X[q, n] = S(m, n) * e^{j2pi n n_hat/N}
-    times the tap bank give each chip's (2Q + 1)*osf samples, which are
-    overlap-added into the stream's (MN + 2Q, osf) blocks: window block j of
-    chip q lands on stream block q + j.  The stream covers
+    Each symbol S(m, n) rides the config's pulse train (:func:`build_srrc`)
+    delayed by m slots and modulated by the n-th Doppler subcarrier.  In the
+    chip-grid form of the module docstring, the chip weights
+    X[q, n] = S(m, n) * e^{j2pi n n_hat/N} times the tap bank give each chip's
+    (2Q + 1)*osf samples, which are overlap-added into the stream's
+    (MN + 2Q, osf) blocks: window block j of chip q lands on stream block
+    q + j.  The stream covers
     t in [-Q*osf, MN*osf + Q*osf).  With ``cyclic_prefix_chips > 0`` the tail
     of the frame is folded in front of t = 0 so that a multipath channel with
     delay spread up to that many delay bins acts circularly on the frame,
@@ -173,11 +145,10 @@ def oddm_modulate(frame, pulses: PulseBank, config: FrameConfig,
         raise ValueError("frame has non-finite symbols")
     if cyclic_prefix_chips < 0 or cyclic_prefix_chips > M:
         raise ValueError("cyclic_prefix_chips must be in [0, M]")
-    _check_pulses(pulses, config)
-    Q, qos = pulses.Q, pulses.half_len
+    Q, qos = config.Q, config.Q * osf
     L = M * N * osf
     chips = (_hop_phases(N, +1)[:, None, :] * grid[None, :, :]).reshape(M * N, N)
-    windows = (chips @ _tap_bank(pulses, config)).reshape(M * N, 2 * Q + 1, osf)
+    windows = (chips @ _tap_bank(config)).reshape(M * N, 2 * Q + 1, osf)
     blocks = np.zeros((M * N + 2 * Q, osf), dtype=complex)
     for j in range(2 * Q + 1):
         blocks[j:j + M * N] += windows[:, j]
@@ -193,8 +164,7 @@ def oddm_modulate(frame, pulses: PulseBank, config: FrameConfig,
                         t0=-(cp + qos) / config.sample_rate)
 
 
-def oddm_demodulate(stream: SampleStream, pulses: PulseBank,
-                    config: FrameConfig) -> np.ndarray:
+def oddm_demodulate(stream: SampleStream, config: FrameConfig) -> np.ndarray:
     """Project a received stream back onto the M x N grid via the matched filter.
 
     The transpose of :func:`oddm_modulate`: the stream from t = -Q*osf on is
@@ -204,10 +174,9 @@ def oddm_demodulate(stream: SampleStream, pulses: PulseBank,
     with e^{-j2pi n n_hat/N}.  Samples past the stream's end count as zero.
     """
     M, N, osf = config.M, config.N, config.oversampling
-    _check_pulses(pulses, config)
     y = checked_samples(stream, config)
     i0 = stream.start_index
-    Q, qos = pulses.Q, pulses.half_len
+    Q, qos = config.Q, config.Q * osf
     # matched-filter positions m*osf + n_hat*M*osf must all be covered
     last_needed = (M - 1) * osf + (N - 1) * M * osf + qos
     if i0 > -qos or i0 + y.size <= last_needed:
@@ -216,5 +185,5 @@ def oddm_demodulate(stream: SampleStream, pulses: PulseBank,
     part = y[-qos - i0:][:segment.size]
     segment[:part.size] = part
     windows = np.lib.stride_tricks.sliding_window_view(segment, (2 * Q + 1) * osf)[::osf]
-    Z = (windows @ _tap_bank(pulses, config).conj().T).reshape(N, M, N)
+    Z = (windows @ _tap_bank(config).conj().T).reshape(N, M, N)
     return np.einsum("kmn,kn->mn", Z, _hop_phases(N, -1))

@@ -127,7 +127,7 @@ def dense_le(H, r, xi):
     return z, float(np.mean(lam / (lam + xi)))
 
 
-def _oddm_symbol_trains(pulses, config, t):
+def _oddm_symbol_trains(a, config, t):
     """Per delay slot m, the (N, t.size) rows u_{m,n}(t), n = 0..N-1.
 
     u_{m,n}(t) = sum_{n_hat} a(t - m*osf - n_hat*M*osf) * e^{j2pi n (t - m*osf)/(MN*osf)}
@@ -136,7 +136,7 @@ def _oddm_symbol_trains(pulses, config, t):
     integer exponent n*(t - m*osf) mod MN*osf.
     """
     M, N, osf = config.M, config.N, config.oversampling
-    qos = (pulses.a.size - 1) // 2
+    qos = (a.size - 1) // 2
     n = np.arange(N)[:, None]
     roots = np.exp(2j * np.pi * np.arange(M * N * osf) / (M * N * osf))
     for m in range(M):
@@ -144,44 +144,44 @@ def _oddm_symbol_trains(pulses, config, t):
         for n_hat in range(N):
             tau = t - m * osf - n_hat * M * osf
             inside = np.abs(tau) <= qos
-            train[inside] += pulses.a[tau[inside] + qos]
+            train[inside] += a[tau[inside] + qos]
         yield m, train * roots[(n * (t - m * osf)) % (M * N * osf)]
 
 
-def oddm_modulate_literal(S, pulses, config, cyclic_prefix_chips=0):
+def oddm_modulate_literal(S, a, config, cyclic_prefix_chips=0):
     """(samples, first sample index) of sum_{m,n} S(m, n) u_{m,n}(t), sample by sample.
 
     The stream covers t in [-cp*osf - Q*osf, MN*osf + Q*osf); a cyclic prefix
     of cp chips adds the frame's copy delayed by -MN*osf on t < Q*osf, so the
     prefix carries the frame tail.
     """
-    osf, qos = config.oversampling, (pulses.a.size - 1) // 2
+    osf, qos = config.oversampling, (a.size - 1) // 2
     L = config.M * config.N * osf
     start = -cyclic_prefix_chips * osf - qos
     t = np.arange(start, L + qos)
     x = np.zeros(t.size, dtype=complex)
-    for m, u in _oddm_symbol_trains(pulses, config, t):
+    for m, u in _oddm_symbol_trains(a, config, t):
         x += S[m] @ u
     if cyclic_prefix_chips:
         head = t[t < qos]
-        for m, u in _oddm_symbol_trains(pulses, config, head + L):
+        for m, u in _oddm_symbol_trains(a, config, head + L):
             x[:head.size] += S[m] @ u
     return x, start
 
 
-def oddm_demodulate_literal(samples, start, pulses, config):
+def oddm_demodulate_literal(samples, start, a, config):
     """Y(m, n) = sum_t x(t) * conj(u_{m,n}(t)) over the stream's samples from index `start`."""
     t = start + np.arange(samples.size)
     Y = np.empty((config.M, config.N), dtype=complex)
-    for m, u in _oddm_symbol_trains(pulses, config, t):
+    for m, u in _oddm_symbol_trains(a, config, t):
         Y[m] = u.conj() @ samples
     return Y
 
 
-def pulse_orthogonality_matrix(pulses, config, m_range, n_range):
+def pulse_orthogonality_matrix(a, config, m_range, n_range):
     """|<u, u shifted by m bins and n Doppler bins>| for the requested ranges.
 
-    Entry (0, 0) is the train energy (1 for a normalized bank); off-peak
+    Entry (0, 0) is the train energy (1 for a normalized pulse); off-peak
     entries bound the self-interference left by pulse truncation.
     """
     M, N, osf = config.M, config.N, config.oversampling
@@ -189,12 +189,12 @@ def pulse_orthogonality_matrix(pulses, config, m_range, n_range):
     n_range = np.asarray(list(n_range), dtype=int)
     if np.any(np.abs(m_range) >= M) or np.any(np.abs(n_range) > N):
         raise ValueError("shift ranges exceed the grid")
-    qos = pulses.half_len
+    qos = (a.size - 1) // 2
     L = M * N * osf
     u = np.zeros(L + 2 * qos)
     for n_hat in range(N):
         start = n_hat * M * osf
-        u[start:start + pulses.a.size] += pulses.a
+        u[start:start + a.size] += a
     t = np.arange(-qos, L + qos)
     out = np.empty((m_range.size, n_range.size))
     for i, m in enumerate(m_range):
