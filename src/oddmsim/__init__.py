@@ -9,8 +9,7 @@ output.
 """
 
 from .core import (Constellation, FrameConfig, chips_to_dd, dd_to_chips, delay_index,
-                   doppler_index, get_constellation, make_frame_config, qam_demap,
-                   qam_map, vectorize)
+                   doppler_index, get_constellation, qam_demap, qam_map, vectorize)
 from .waveform import SampleStream, build_srrc, oddm_demodulate, oddm_modulate
 from .effchan import EffectiveChannel
 from .channel import (add_awgn, apply_physical_channel, gen_eva_channel,

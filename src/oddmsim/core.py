@@ -15,6 +15,7 @@ Conventions shared by every other module:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,12 @@ def round_half_away(x: float) -> int:
     if x >= 0.0:
         return int(math.floor(x + 0.5))
     return int(math.ceil(x - 0.5))
+
+
+def require_count(name: str, value, least: int = 1) -> None:
+    """A count must be an integer >= least; 2.5 trials or a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,18 +99,20 @@ class FrameConfig:
     constellation: str = "4qam"
 
     def __post_init__(self):
+        # stored as int and float, so that equal configs hash alike however they were given
+        for name in ("M", "N", "Q", "oversampling"):
+            require_count(name, getattr(self, name))
+            object.__setattr__(self, name, int(getattr(self, name)))
+        for name in ("delta_f", "f_c", "rolloff"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.M < 2 or self.N < 2:
             raise ValueError(f"need M >= 2 and N >= 2, got M={self.M}, N={self.N}")
-        if self.Q < 1:
-            raise ValueError(f"need Q >= 1, got Q={self.Q}")
         if 2 * self.Q >= self.M:
             raise ValueError(f"pulse too long for grid: need 2Q < M, got Q={self.Q}, M={self.M}")
-        if self.delta_f <= 0 or self.f_c <= 0:
+        if not (self.delta_f > 0 and self.f_c > 0):  # also rejects NaN
             raise ValueError("delta_f and f_c must be positive")
         if not 0.0 <= self.rolloff <= 1.0:
             raise ValueError(f"rolloff must be in [0, 1], got {self.rolloff}")
-        if self.oversampling < 1:
-            raise ValueError(f"oversampling must be >= 1, got {self.oversampling}")
         get_constellation(self.constellation)  # rejects unknown ids
 
     @property
@@ -122,14 +131,6 @@ class FrameConfig:
     @property
     def constellation_obj(self) -> Constellation:
         return get_constellation(self.constellation)
-
-
-def make_frame_config(M, N, delta_f, f_c, Q, rolloff=0.25, oversampling=8,
-                      constellation="4qam") -> FrameConfig:
-    """Validate raw parameters and build a FrameConfig."""
-    return FrameConfig(M=int(M), N=int(N), delta_f=float(delta_f), f_c=float(f_c),
-                       Q=int(Q), rolloff=float(rolloff), oversampling=int(oversampling),
-                       constellation=constellation)
 
 
 def vectorize(grid) -> np.ndarray:

@@ -28,7 +28,6 @@ import hashlib
 import json
 import math
 import multiprocessing
-import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -38,7 +37,7 @@ import numpy as np
 from . import baselines
 from .channel import (EVA_DELAYS_NS, add_awgn, apply_physical_channel, gen_eva_channel,
                       gen_synthetic_channel, snr_to_noise_var)
-from .core import FrameConfig, make_frame_config, random_frame, vectorize
+from .core import FrameConfig, random_frame, require_count, vectorize
 from .detector import OampConfig, lmmse_detect, oamp_detect
 from .effchan import EffectiveChannel
 from .estimator import EstimationConfig, Sounding, estimate_channel, mle_exhaustive, nmse
@@ -58,12 +57,6 @@ FIDELITIES = ("matrix", "waveform")
 CHANNEL_MODELS = ("eva", "synthetic")
 
 
-def _require_count(name: str, value) -> None:
-    """A count field must be an integer >= 1; 2.5 trials or a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ChannelSpec:
     model: str = "eva"          # eva | synthetic
@@ -77,7 +70,7 @@ class ChannelSpec:
             raise ValueError(f"unknown channel model {self.model!r}")
         if not math.isfinite(self.v_kmh):
             raise ValueError(f"v_kmh must be finite, got {self.v_kmh!r}")
-        _require_count("paths", self.paths)
+        require_count("paths", self.paths)
 
 
 @dataclass(frozen=True)
@@ -88,8 +81,8 @@ class EstSpec:
 
     def __post_init__(self):
         if self.p_assumed is not None:
-            _require_count("p_assumed", self.p_assumed)
-        _require_count("max_iters", self.max_iters)
+            require_count("p_assumed", self.p_assumed)
+        require_count("max_iters", self.max_iters)
         if not self.epsilon > 0:  # also rejects NaN, which no change could fall below
             raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
 
@@ -117,7 +110,7 @@ class ExperimentSpec:
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         for name in ("trials", "frames_per_trial"):
-            _require_count(name, getattr(self, name))
+            require_count(name, getattr(self, name))
         if not self.snr_grid_db:
             raise ValueError("snr grid must be nonempty")
         sensing = () if self.sensing_snr_db is None else (self.sensing_snr_db,)
@@ -462,7 +455,7 @@ def build_spec(options: dict) -> ExperimentSpec:
         parts[section][name] = value
     run = parts.pop("run")
     return ExperimentSpec(
-        frame=make_frame_config(**dict(DEFAULT_FRAME, **parts["frame"])),
+        frame=FrameConfig(**dict(DEFAULT_FRAME, **parts["frame"])),
         snr_grid_db=tuple(run.pop("snr_db", DEFAULT_SNR_DB)),
         channel=ChannelSpec(**parts["channel"]), est=EstSpec(**parts["est"]),
         det=OampConfig(**parts["det"]), **run)

@@ -5,14 +5,14 @@ from oddmsim.baselines import (ofdm_detect, ofdm_freq_response, ofdm_modulate,
                                otfs_demodulate, otfs_modulate)
 from oddmsim.channel import (apply_physical_channel, channel_from_cells,
                              gen_eva_channel, snr_to_noise_var)
-from oddmsim.core import make_frame_config, qam_map, random_frame, vectorize
+from oddmsim.core import FrameConfig, qam_map, random_frame, vectorize
 from oddmsim.waveform import SampleStream
 
 from oracles import count_bit_errors, qpsk_awgn_ber
 
 
 def cfg32():
-    return make_frame_config(M=32, N=8, delta_f=15e3, f_c=5e9, Q=8)
+    return FrameConfig(M=32, N=8, delta_f=15e3, f_c=5e9, Q=8)
 
 
 class TestOtfs:
@@ -75,7 +75,7 @@ class TestOfdm:
         assert count_bit_errors(bits, out) == 0
 
     def test_static_flat_channel_tracks_awgn(self):
-        cfg = make_frame_config(M=64, N=16, delta_f=15e3, f_c=5e9, Q=8)
+        cfg = FrameConfig(M=64, N=16, delta_f=15e3, f_c=5e9, Q=8)
         snr_db = 7.0
         chan = channel_from_cells(cfg, [(0, 0)], [1.0])
         resp = ofdm_freq_response(chan, cfg, 4)
@@ -97,7 +97,7 @@ class TestOfdm:
     def test_high_mobility_error_floor(self):
         # noiseless with one-tap equalization: residual errors are pure
         # inter-carrier interference from the Doppler spread
-        cfg = make_frame_config(M=64, N=16, delta_f=15e3, f_c=5e9, Q=8)
+        cfg = FrameConfig(M=64, N=16, delta_f=15e3, f_c=5e9, Q=8)
         errors = total = 0
         for seed in range(6):
             rng = np.random.default_rng(40 + seed)

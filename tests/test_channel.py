@@ -3,12 +3,12 @@ import pytest
 
 from oddmsim.channel import (add_awgn, apply_physical_channel, channel_from_cells,
                              gen_eva_channel, gen_synthetic_channel, snr_to_noise_var)
-from oddmsim.core import make_frame_config
+from oddmsim.core import FrameConfig
 from oddmsim.waveform import SampleStream
 
 
 def paper_cfg():
-    return make_frame_config(M=512, N=32, delta_f=15e3, f_c=5e9, Q=20)
+    return FrameConfig(M=512, N=32, delta_f=15e3, f_c=5e9, Q=20)
 
 
 class TestEvaGeneration:
@@ -64,14 +64,14 @@ class TestEvaGeneration:
 
 class TestSyntheticGeneration:
     def test_path_count_and_windows(self):
-        cfg = make_frame_config(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3)
+        cfg = FrameConfig(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3)
         chan = gen_synthetic_channel(cfg, 4, 9, l_max=5, k_max=2)
         assert chan.P == 4
         assert np.all((0 <= chan.l) & (chan.l <= 5) & (-2 <= chan.k) & (chan.k <= 2))
         assert len(set(zip(chan.l.tolist(), chan.k.tolist()))) == 4
 
     def test_too_many_paths_rejected(self):
-        cfg = make_frame_config(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3)
+        cfg = FrameConfig(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3)
         with pytest.raises(ValueError):
             gen_synthetic_channel(cfg, 50, 0, l_max=2, k_max=1)
 
@@ -86,13 +86,13 @@ class TestApplyChannel:
         return channel_from_cells(cfg, cells, gains)
 
     def test_identity_path(self):
-        cfg = make_frame_config(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3, oversampling=2)
+        cfg = FrameConfig(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3, oversampling=2)
         st = self._stream(rate=cfg.sample_rate)
         out = apply_physical_channel(st, self._chan(cfg, [(0, 0)], [1.0]), 0.0)
         assert np.allclose(out.samples, st.samples)
 
     def test_pure_delay_scaled(self):
-        cfg = make_frame_config(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3, oversampling=2)
+        cfg = FrameConfig(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3, oversampling=2)
         st = self._stream(rate=cfg.sample_rate)
         out = apply_physical_channel(st, self._chan(cfg, [(2, 0)], [1.0j]), 0.0)
         shift = 2 * cfg.oversampling
@@ -100,7 +100,7 @@ class TestApplyChannel:
         assert np.allclose(out.samples[:shift], 0.0)
 
     def test_superposition(self):
-        cfg = make_frame_config(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3, oversampling=2)
+        cfg = FrameConfig(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3, oversampling=2)
         st = self._stream(rate=cfg.sample_rate)
         two = self._chan(cfg, [(1, 1), (3, -2)], [0.8, 0.3j])
         a = self._chan(cfg, [(1, 1)], [0.8])
@@ -115,20 +115,20 @@ class TestApplyChannel:
         assert np.allclose(out2, pad, atol=1e-12)
 
     def test_off_grid_delay_rejected(self):
-        cfg = make_frame_config(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3, oversampling=2)
+        cfg = FrameConfig(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3, oversampling=2)
         st = self._stream(rate=cfg.sample_rate / 3.1)  # rate mismatch -> fractional shift
         with pytest.raises(ValueError):
             apply_physical_channel(st, self._chan(cfg, [(1, 0)], [1.0]), 0.0)
 
     def test_noise_statistics(self):
-        cfg = make_frame_config(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3, oversampling=2)
+        cfg = FrameConfig(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3, oversampling=2)
         st = SampleStream(samples=np.zeros(1_200_000, dtype=complex), rate=cfg.sample_rate)
         out = apply_physical_channel(st, self._chan(cfg, [(0, 0)], [0.0]), 0.25, rng_seed=1)
         var = np.mean(np.abs(out.samples) ** 2)
         assert var == pytest.approx(0.25, rel=0.02)
 
     def test_deterministic_given_seed(self):
-        cfg = make_frame_config(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3, oversampling=2)
+        cfg = FrameConfig(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3, oversampling=2)
         st = self._stream(rate=cfg.sample_rate)
         ch = self._chan(cfg, [(1, 1)], [1.0])
         a = apply_physical_channel(st, ch, 0.1, rng_seed=7).samples
@@ -138,7 +138,7 @@ class TestApplyChannel:
     def test_noise_is_add_awgn_of_noiseless_output(self):
         # the harness sends each frame once without noise and adds each SNR
         # point's noise with add_awgn; both must give the same samples
-        cfg = make_frame_config(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3, oversampling=2)
+        cfg = FrameConfig(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3, oversampling=2)
         st = self._stream(rate=cfg.sample_rate)
         ch = self._chan(cfg, [(1, 1), (3, -2)], [0.8, 0.3j])
         noisy = apply_physical_channel(st, ch, 0.1, rng_seed=7).samples

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddmsim.core import (FrameConfig, delay_index, doppler_index, get_constellation,
-                          make_frame_config, qam_demap, qam_map, vectorize)
+                          qam_demap, qam_map, vectorize)
 
 
 def paper_scale_config(**kw):
     args = dict(M=512, N=32, delta_f=15e3, f_c=5e9, Q=20)
     args.update(kw)
-    return make_frame_config(**args)
+    return FrameConfig(**args)
 
 
 class TestFrameConfig:
@@ -20,15 +20,26 @@ class TestFrameConfig:
 
     def test_pulse_too_long_rejected(self):
         with pytest.raises(ValueError):
-            make_frame_config(M=8, N=4, delta_f=15e3, f_c=5e9, Q=4)
+            FrameConfig(M=8, N=4, delta_f=15e3, f_c=5e9, Q=4)
 
     def test_small_valid(self):
-        cfg = make_frame_config(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
+        cfg = FrameConfig(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
         assert cfg.mn == 32
+
+    def test_stores_ints_and_floats(self):
+        # integers given for the float fields hash like the floats
+        cfg = FrameConfig(M=8, N=4, delta_f=15000, f_c=5_000_000_000, Q=2, rolloff=0,
+                          oversampling=np.int64(4))
+        assert cfg == FrameConfig(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2, rolloff=0.0,
+                                  oversampling=4)
+        assert [type(getattr(cfg, f)) for f in ("delta_f", "f_c", "rolloff", "oversampling")] \
+            == [float, float, float, int]
 
     @pytest.mark.parametrize("bad", [
         dict(M=1), dict(N=1), dict(Q=0), dict(delta_f=-1.0), dict(f_c=0.0),
         dict(rolloff=1.5), dict(oversampling=0), dict(constellation="8psk"),
+        dict(M=512.5), dict(N=True), dict(Q=2.5), dict(oversampling=2.5),
+        dict(delta_f=float("nan")),
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):
@@ -112,7 +123,7 @@ class TestGridIndexing:
         assert doppler_index(0.0, cfg) == 0
 
     def test_out_of_range(self):
-        cfg = make_frame_config(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
+        cfg = FrameConfig(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
         with pytest.raises(ValueError):
             delay_index(cfg.T, cfg)  # maps to l = M
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import pytest
 
 from oddmsim.channel import (channel_from_cells, gen_eva_channel, gen_synthetic_channel,
                              snr_to_noise_var)
-from oddmsim.core import get_constellation, make_frame_config, qam_map, random_frame, vectorize
+from oddmsim.core import FrameConfig, get_constellation, qam_map, random_frame, vectorize
 from oddmsim.detector import LinearStage, lmmse_detect, oamp_detect, oamp_le, oamp_nle
 from oddmsim.effchan import from_chips, to_chips
 from oddmsim.estimator import EstimationConfig, Sounding, estimate_channel
@@ -12,7 +12,7 @@ from oracles import count_bit_errors, dense_channel, dense_le, qpsk_awgn_ber
 
 
 def cfg_small():
-    return make_frame_config(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
+    return FrameConfig(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
 
 
 def identity_channel(cfg):
@@ -54,12 +54,12 @@ class TestOampLE:
 
 
 def cfg16():
-    return make_frame_config(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3)
+    return FrameConfig(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3)
 
 
 def estimated_eva_channel():
     """Estimated EVA channel (350 km/h, 64 x 16), as the estimated-CSI link detects with."""
-    cfg = make_frame_config(M=64, N=16, delta_f=15e3, f_c=5e9, Q=8)
+    cfg = FrameConfig(M=64, N=16, delta_f=15e3, f_c=5e9, Q=8)
     rng = np.random.default_rng(5)
     chan = gen_eva_channel(cfg, 350.0, rng)
     _, frame = random_frame(cfg, rng)
@@ -165,7 +165,7 @@ class TestOampNLE:
 
 class TestOampDetect:
     def test_identity_channel_tracks_awgn_reference(self):
-        cfg = make_frame_config(M=64, N=16, delta_f=15e3, f_c=5e9, Q=8)
+        cfg = FrameConfig(M=64, N=16, delta_f=15e3, f_c=5e9, Q=8)
         H = identity_channel(cfg)
         snr_db = 7.0
         total_bits = 0
@@ -185,7 +185,7 @@ class TestOampDetect:
         assert ber >= 0.5 * ref
 
     def test_identity_channel_high_snr_error_free(self):
-        cfg = make_frame_config(M=64, N=16, delta_f=15e3, f_c=5e9, Q=8)
+        cfg = FrameConfig(M=64, N=16, delta_f=15e3, f_c=5e9, Q=8)
         H = identity_channel(cfg)
         errors = 0
         total = 0
@@ -220,7 +220,7 @@ class TestOampDetect:
         assert np.allclose(post_mean, s_true, atol=1e-9)
 
     def test_variance_trace_tracks_empirical(self):
-        cfg = make_frame_config(M=32, N=8, delta_f=15e3, f_c=5e9, Q=4)
+        cfg = FrameConfig(M=32, N=8, delta_f=15e3, f_c=5e9, Q=4)
         rng = np.random.default_rng(13)
         H = gen_synthetic_channel(cfg, 4, rng, l_max=6, k_max=3)
         _, frame = random_frame(cfg, rng)
@@ -293,7 +293,7 @@ class TestLmmse:
         assert np.allclose(det.soft_symbols, y / (1 + nv), atol=1e-12)
 
     def test_matches_first_le_iteration_up_to_normalizer(self):
-        cfg = make_frame_config(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3)
+        cfg = FrameConfig(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3)
         rng = np.random.default_rng(21)
         H = gen_synthetic_channel(cfg, 3, rng, l_max=5, k_max=2)
         _, frame = random_frame(cfg, rng)
@@ -306,7 +306,7 @@ class TestLmmse:
         assert np.allclose(r * eps, lmmse, atol=1e-10)
 
     def test_oamp_not_worse_than_lmmse_small_mc(self):
-        cfg = make_frame_config(M=32, N=8, delta_f=15e3, f_c=5e9, Q=4)
+        cfg = FrameConfig(M=32, N=8, delta_f=15e3, f_c=5e9, Q=4)
         for snr_db in (9.0, 15.0):
             e_oamp = e_lmmse = bits_total = 0
             for seed in range(25):

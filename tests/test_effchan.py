@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oddmsim.channel import channel_from_cells, gen_synthetic_channel
-from oddmsim.core import make_frame_config, random_frame, vectorize
+from oddmsim.core import FrameConfig, random_frame, vectorize
 from oddmsim.effchan import (EffectiveChannel, from_chips, path_correlations, path_responses,
                              to_chips)
 
@@ -11,7 +11,7 @@ from oracles import (brute_force_effective_matrix, build_block, cyclic_permutati
 
 
 def small_config(M=8, N=4):
-    return make_frame_config(M=M, N=N, delta_f=15e3, f_c=5e9, Q=1)
+    return FrameConfig(M=M, N=N, delta_f=15e3, f_c=5e9, Q=1)
 
 
 def single_path(cfg, l, k, h=1.0):
@@ -114,7 +114,7 @@ class TestAssembly:
         for trial in range(25):
             M = int(rng.integers(3, 9))
             N = int(rng.integers(2, 5))
-            cfg = make_frame_config(M=M, N=N, delta_f=15e3, f_c=5e9,
+            cfg = FrameConfig(M=M, N=N, delta_f=15e3, f_c=5e9,
                                     Q=max(1, (M - 1) // 2))
             P = int(rng.integers(1, 4))
             chan = gen_synthetic_channel(cfg, P, rng, l_max=M - 1, k_max=(N - 1) // 2)
@@ -227,7 +227,7 @@ class TestChipResponses:
         # (H_{l,k} s)^H t for every cell of a window that reaches the far
         # delay edge (wrap) and both Doppler signs, against the literal
         # per-cell product with the oracle matrix
-        cfg = make_frame_config(M=M, N=N, delta_f=15e3, f_c=5e9, Q=1)
+        cfg = FrameConfig(M=M, N=N, delta_f=15e3, f_c=5e9, Q=1)
         rng = np.random.default_rng(M * N)
         s = vectorize(random_frame(cfg, rng)[1])
         t = random_vector(rng, cfg.mn)

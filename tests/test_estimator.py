@@ -3,7 +3,7 @@ import pytest
 
 import oddmsim.estimator as estimator
 from oddmsim.channel import channel_from_cells, gen_synthetic_channel, snr_to_noise_var
-from oddmsim.core import make_frame_config, random_frame, vectorize
+from oddmsim.core import FrameConfig, random_frame, vectorize
 from oddmsim.effchan import EffectiveChannel, from_chips, path_correlations, to_chips
 from oddmsim.estimator import (EstimationConfig, EstimationResult, Sounding, estimate_channel,
                                mle_exhaustive, nmse, refresh_gains, solve_gains)
@@ -12,7 +12,7 @@ from oracles import brute_force_effective_matrix, dense_channel, path_objective
 
 
 def cfg16():
-    return make_frame_config(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3)
+    return FrameConfig(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3)
 
 
 def est_cfg(cfg, P, **kw):
@@ -152,7 +152,7 @@ class TestWindow:
 def test_rejects_bad_input(entry, name, fault):
     # one shared check: non-finite or wrongly shaped y or s_known, or a sensing
     # frame without energy, raises, naming it
-    cfg = make_frame_config(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
+    cfg = FrameConfig(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
     chan = channel_from_cells(cfg, [(3, 1)], [0.9])
     s, y = observe(cfg, chan, None)
     v = {"y": y, "s_known": s}[name].copy()
@@ -180,7 +180,7 @@ def test_rejects_bad_input(entry, name, fault):
 
 
 def test_more_paths_than_window_cells_rejected():
-    cfg = make_frame_config(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
+    cfg = FrameConfig(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
     with pytest.raises(ValueError, match="p_assumed 5 exceeds the 4 cells"):
         EstimationConfig(frame=cfg, p_assumed=5, l_range=(0, 2), k_range=(-1, 1))
     EstimationConfig(frame=cfg, p_assumed=4, l_range=(0, 2), k_range=(-1, 1))
@@ -200,7 +200,7 @@ class TestAmbiguityTable:
     def draw(M, N):
         # full window, so cell differences span every delay and Doppler offset; the
         # far-edge delay wraps the delay axis and two paths have negative Doppler
-        cfg = make_frame_config(M=M, N=N, delta_f=15e3, f_c=5e9, Q=1)
+        cfg = FrameConfig(M=M, N=N, delta_f=15e3, f_c=5e9, Q=1)
         ec = EstimationConfig(frame=cfg, p_assumed=3, l_range=(0, M),
                               k_range=(-(N // 2), (N + 1) // 2))
         rng = np.random.default_rng(M * N)
@@ -356,7 +356,7 @@ class TestEstimateChannel:
 
 class TestMleExhaustive:
     def test_p1_equals_objective_scan(self):
-        cfg = make_frame_config(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
+        cfg = FrameConfig(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
         chan = channel_from_cells(cfg, [(3, 1)], [0.9])
         s, y = observe(cfg, chan, 20.0, seed=2)
         ec = EstimationConfig(frame=cfg, p_assumed=1, l_range=(0, 8), k_range=(-2, 2))
@@ -385,7 +385,7 @@ class TestMleExhaustive:
     def test_no_solvable_tuple_raises(self):
         # a one-chip sensing frame makes every path of one delay respond on the
         # same chip, so each tuple of two such cells has a singular Gram
-        cfg = make_frame_config(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
+        cfg = FrameConfig(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
         chip = np.zeros(cfg.mn, dtype=complex)
         chip[0] = 1.0
         s = from_chips(chip, cfg)
@@ -445,7 +445,7 @@ NMSE_CASES = {
 class TestNmse:
     @pytest.mark.parametrize("case", list(NMSE_CASES))
     def test_matches_dense_frobenius_ratio(self, case):
-        cfg = make_frame_config(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
+        cfg = FrameConfig(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
         est, truth = (EffectiveChannel(cfg, gains, *zip(*cells))
                       for cells, gains in NMSE_CASES[case])
         He, Ht = dense_channel(est), dense_channel(truth)

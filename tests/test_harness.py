@@ -6,7 +6,7 @@ import pytest
 
 from oddmsim import detector, estimator, harness
 from oddmsim.harness import (CSI_MODES, DETECTORS, FIDELITIES, SCHEMES, build_spec,
-                             emit_csv, option_keys, parse_csv, run_nmse_sweep,
+                             config_hash, emit_csv, option_keys, parse_csv, run_nmse_sweep,
                              run_sensing_then_comm)
 
 
@@ -229,6 +229,8 @@ IMPOSSIBLE_SPECS = {
     "frames_per_trial": {"run.frames_per_trial": 1.5},
     "epsilon": {"est.epsilon": math.nan},
     "p_assumed": {"est.p_assumed": 0},
+    "M": {"frame.M": 64.7},
+    "oversampling": {"frame.oversampling": 2.5},
 }
 
 
@@ -238,6 +240,12 @@ def test_impossible_spec_rejected_at_build(case):
     field = case.split("-")[0]
     with pytest.raises(ValueError, match=f"^{field} "):
         tiny_spec(**IMPOSSIBLE_SPECS[case])
+
+
+def test_integer_frame_floats_hash_like_floats():
+    as_ints = {"frame.delta_f": 30000, "frame.f_c": 4000000000, "frame.rolloff": 0}
+    as_floats = {key: float(value) for key, value in as_ints.items()}
+    assert config_hash(build_spec(as_ints)) == config_hash(build_spec(as_floats))
 
 
 def test_infinite_snr_is_the_noiseless_case():

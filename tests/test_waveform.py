@@ -8,7 +8,7 @@ import pytest
 
 import oddmsim
 from oddmsim.channel import apply_physical_channel, channel_from_cells
-from oddmsim.core import make_frame_config, random_frame, vectorize
+from oddmsim.core import FrameConfig, random_frame, vectorize
 from oddmsim.waveform import SampleStream, build_srrc, oddm_demodulate, oddm_modulate
 
 from oracles import oddm_demodulate_literal, oddm_modulate_literal, pulse_orthogonality_matrix
@@ -17,12 +17,12 @@ from oracles import oddm_demodulate_literal, oddm_modulate_literal, pulse_orthog
 def cfg32(**kw):
     args = dict(M=32, N=8, delta_f=15e3, f_c=5e9, Q=8, oversampling=8)
     args.update(kw)
-    return make_frame_config(**args)
+    return FrameConfig(**args)
 
 
 class TestSrrc:
     def test_tap_count_and_energy(self):
-        cfg = make_frame_config(M=64, N=8, delta_f=15e3, f_c=5e9, Q=20, oversampling=8)
+        cfg = FrameConfig(M=64, N=8, delta_f=15e3, f_c=5e9, Q=20, oversampling=8)
         a = build_srrc(cfg)
         assert a.size == 2 * 20 * 8 + 1 == 321
         assert abs(np.sum(a ** 2) - 1.0 / cfg.N) < 1e-6 / cfg.N
@@ -95,7 +95,7 @@ class TestModDemod:
     @pytest.mark.parametrize("M,Q", [(64, 8), (128, 16)])
     def test_roundtrip_identity_headroom_configs(self, M, Q):
         # 2Q <= M/4, oversampling >= 8
-        cfg = make_frame_config(M=M, N=8, delta_f=15e3, f_c=5e9, Q=Q, oversampling=8)
+        cfg = FrameConfig(M=M, N=8, delta_f=15e3, f_c=5e9, Q=Q, oversampling=8)
         _, frame = random_frame(cfg, np.random.default_rng(M + Q))
         back = oddm_demodulate(oddm_modulate(frame, cfg), cfg)
         assert np.max(np.abs(back - frame)) <= 1e-2
@@ -145,7 +145,7 @@ LITERAL_CASES = [(M, N, Q, osf, beta, cp) for (M, N, Q) in LITERAL_GRIDS
 
 
 def literal_case(M, N, Q, osf, beta):
-    cfg = make_frame_config(M=M, N=N, delta_f=15e3, f_c=5e9, Q=Q, rolloff=beta,
+    cfg = FrameConfig(M=M, N=N, delta_f=15e3, f_c=5e9, Q=Q, rolloff=beta,
                             oversampling=osf)
     rng = np.random.default_rng(M * 100 + osf * 10 + int(beta * 4))
     S = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
@@ -260,7 +260,7 @@ def test_import_leaves_scipy_signal_unloaded():
 
 class TestOrthogonality:
     def test_peak_and_off_peak(self):
-        cfg = make_frame_config(M=64, N=8, delta_f=15e3, f_c=5e9, Q=12, oversampling=8)
+        cfg = FrameConfig(M=64, N=8, delta_f=15e3, f_c=5e9, Q=12, oversampling=8)
         a = build_srrc(cfg)
         m_range = list(range(-(64 - 24), 64 - 24 + 1))
         orth = pulse_orthogonality_matrix(a, cfg, m_range, range(8))
@@ -279,7 +279,7 @@ class TestOrthogonality:
     def test_tightens_with_Q(self):
         peaks = []
         for Q in (4, 8, 16, 20):
-            cfg = make_frame_config(M=64, N=8, delta_f=15e3, f_c=5e9, Q=Q, oversampling=8)
+            cfg = FrameConfig(M=64, N=8, delta_f=15e3, f_c=5e9, Q=Q, oversampling=8)
             a = build_srrc(cfg)
             m_range = list(range(-(64 - 2 * Q), 64 - 2 * Q + 1))
             orth = pulse_orthogonality_matrix(a, cfg, m_range, range(8))
