@@ -77,12 +77,11 @@ def gen_synthetic_channel(config: FrameConfig, P: int, rng_seed,
     return channel_from_cells(config, cells, gains)
 
 
-def apply_physical_channel(stream: SampleStream, chan: EffectiveChannel,
-                           noise_var: float, rng_seed=None) -> SampleStream:
-    """Superpose delayed, Doppler-rotated copies of the stream plus AWGN.
+def apply_physical_channel(stream: SampleStream, chan: EffectiveChannel) -> SampleStream:
+    """Superpose delayed, Doppler-rotated copies of the stream, without noise.
 
-    Each path contributes h * x(t - tau) * exp(j*2*pi*nu*(t - tau)); the noise
-    is :func:`add_awgn`'s.  Delays must land on the sample grid.
+    Each path contributes h * x(t - tau) * exp(j*2*pi*nu*(t - tau)); noise is
+    added to the output by :func:`add_awgn`.  Delays must land on the sample grid.
     """
     x = stream.samples
     rate = stream.rate
@@ -97,7 +96,7 @@ def apply_physical_channel(stream: SampleStream, chan: EffectiveChannel,
     t_in = stream.start_index + np.arange(x.size)
     for h, nu, shift in zip(chan.gains, chan.nu, shifts):
         out[shift:shift + x.size] += h * x * np.exp(2j * np.pi * (nu / rate) * t_in)
-    return SampleStream(samples=add_awgn(out, noise_var, rng_seed), rate=rate, t0=stream.t0)
+    return SampleStream(samples=out, rate=rate, t0=stream.t0)
 
 
 def add_awgn(x: np.ndarray, noise_var: float, rng_seed=None) -> np.ndarray:

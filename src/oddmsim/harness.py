@@ -260,7 +260,7 @@ class _TrialRunner:
             st = baselines.otfs_modulate(frame, cfg, cyclic_prefix_chips=self.cp)
         else:
             st = baselines.ofdm_modulate(vectorize(frame), cfg, self._ofdm_cp(chan))
-        return apply_physical_channel(st, chan, 0.0)
+        return apply_physical_channel(st, chan)
 
     def _observe(self, rx, noise_var, noise_rng):
         """What the receiver sees of ``_send``'s output at ``noise_var``: the

@@ -3,7 +3,7 @@ import pytest
 
 from oddmsim.baselines import (ofdm_detect, ofdm_freq_response, ofdm_modulate,
                                otfs_demodulate, otfs_modulate)
-from oddmsim.channel import (apply_physical_channel, channel_from_cells,
+from oddmsim.channel import (add_awgn, apply_physical_channel, channel_from_cells,
                              gen_eva_channel, snr_to_noise_var)
 from oddmsim.core import FrameConfig, qam_map, random_frame, vectorize
 from oddmsim.waveform import SampleStream
@@ -40,7 +40,7 @@ class TestOtfs:
         _, frame = random_frame(cfg, np.random.default_rng(3))
         chan = channel_from_cells(cfg, [(3, 0)], [0.9 - 0.2j])
         rx = apply_physical_channel(
-            otfs_modulate(frame, cfg, cyclic_prefix_chips=8), chan, 0.0)
+            otfs_modulate(frame, cfg, cyclic_prefix_chips=8), chan)
         Y = otfs_demodulate(rx, cfg)
         ref = chan.apply(vectorize(frame))
         assert np.max(np.abs(Y.reshape(-1) - ref)) <= 1e-10
@@ -52,7 +52,7 @@ class TestOtfs:
         _, frame = random_frame(cfg, np.random.default_rng(4))
         chan = channel_from_cells(cfg, [(2, 1), (5, -1)], [0.8, 0.4j])
         rx = apply_physical_channel(
-            otfs_modulate(frame, cfg, cyclic_prefix_chips=8), chan, 0.0)
+            otfs_modulate(frame, cfg, cyclic_prefix_chips=8), chan)
         Y = otfs_demodulate(rx, cfg).reshape(-1)
         ref = chan.apply(vectorize(frame))
         assert np.linalg.norm(Y - ref) / np.linalg.norm(ref) <= 3e-2
@@ -70,7 +70,7 @@ class TestOfdm:
         bits, _ = random_frame(cfg, rng)
         chan = channel_from_cells(cfg, [(1, 0)], [0.6 + 0.8j])
         st = ofdm_modulate(qam_map(bits), cfg, cp_chips=4)
-        rx = apply_physical_channel(st, chan, 0.0)
+        rx = apply_physical_channel(st, chan)
         out = ofdm_detect(rx, ofdm_freq_response(chan, cfg, 4), 1e-12, cfg, 4)
         assert count_bit_errors(bits, out) == 0
 
@@ -85,7 +85,8 @@ class TestOfdm:
             rng = np.random.default_rng(seed)
             bits, _ = random_frame(cfg, rng)
             st = ofdm_modulate(qam_map(bits), cfg, cp_chips=4)
-            rx = apply_physical_channel(st, chan, nv, rng_seed=7000 + seed)
+            rx = apply_physical_channel(st, chan)
+            rx = SampleStream(add_awgn(rx.samples, nv, 7000 + seed), rx.rate, rx.t0)
             out = ofdm_detect(rx, resp, nv, cfg, 4)
             errors += count_bit_errors(bits, out)
             total += bits.size
@@ -105,7 +106,7 @@ class TestOfdm:
             chan = gen_eva_channel(cfg, 350.0, 400 + seed)
             cp = int(chan.l.max()) + 1
             st = ofdm_modulate(qam_map(bits), cfg, cp_chips=cp)
-            rx = apply_physical_channel(st, chan, 0.0)
+            rx = apply_physical_channel(st, chan)
             out = ofdm_detect(rx, ofdm_freq_response(chan, cfg, cp), 1e-9, cfg, cp)
             errors += count_bit_errors(bits, out)
             total += bits.size
@@ -117,7 +118,7 @@ class TestOfdm:
         bits, _ = random_frame(cfg, rng)
         chan = channel_from_cells(cfg, [(0, 0), (6, 0)], [0.8, 0.6])
         st = ofdm_modulate(qam_map(bits), cfg, cp_chips=2)  # too short
-        rx = apply_physical_channel(st, chan, 0.0)
+        rx = apply_physical_channel(st, chan)
         out = ofdm_detect(rx, ofdm_freq_response(chan, cfg, 2), 1e-9, cfg, 2)
         assert count_bit_errors(bits, out) > 0
 

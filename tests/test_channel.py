@@ -88,13 +88,13 @@ class TestApplyChannel:
     def test_identity_path(self):
         cfg = FrameConfig(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3, oversampling=2)
         st = self._stream(rate=cfg.sample_rate)
-        out = apply_physical_channel(st, self._chan(cfg, [(0, 0)], [1.0]), 0.0)
+        out = apply_physical_channel(st, self._chan(cfg, [(0, 0)], [1.0]))
         assert np.allclose(out.samples, st.samples)
 
     def test_pure_delay_scaled(self):
         cfg = FrameConfig(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3, oversampling=2)
         st = self._stream(rate=cfg.sample_rate)
-        out = apply_physical_channel(st, self._chan(cfg, [(2, 0)], [1.0j]), 0.0)
+        out = apply_physical_channel(st, self._chan(cfg, [(2, 0)], [1.0j]))
         shift = 2 * cfg.oversampling
         assert np.allclose(out.samples[shift:shift + st.samples.size], 1.0j * st.samples)
         assert np.allclose(out.samples[:shift], 0.0)
@@ -105,9 +105,9 @@ class TestApplyChannel:
         two = self._chan(cfg, [(1, 1), (3, -2)], [0.8, 0.3j])
         a = self._chan(cfg, [(1, 1)], [0.8])
         b = self._chan(cfg, [(3, -2)], [0.3j])
-        out2 = apply_physical_channel(st, two, 0.0).samples
-        outa = apply_physical_channel(st, a, 0.0).samples
-        outb = apply_physical_channel(st, b, 0.0).samples
+        out2 = apply_physical_channel(st, two).samples
+        outa = apply_physical_channel(st, a).samples
+        outb = apply_physical_channel(st, b).samples
         n = min(out2.size, outa.size, outb.size)
         pad = np.zeros(out2.size, dtype=complex)
         pad[:outa.size] += outa
@@ -118,34 +118,20 @@ class TestApplyChannel:
         cfg = FrameConfig(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3, oversampling=2)
         st = self._stream(rate=cfg.sample_rate / 3.1)  # rate mismatch -> fractional shift
         with pytest.raises(ValueError):
-            apply_physical_channel(st, self._chan(cfg, [(1, 0)], [1.0]), 0.0)
+            apply_physical_channel(st, self._chan(cfg, [(1, 0)], [1.0]))
 
+    # the channel adds no noise; the harness adds each SNR point's with add_awgn
     def test_noise_statistics(self):
-        cfg = FrameConfig(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3, oversampling=2)
-        st = SampleStream(samples=np.zeros(1_200_000, dtype=complex), rate=cfg.sample_rate)
-        out = apply_physical_channel(st, self._chan(cfg, [(0, 0)], [0.0]), 0.25, rng_seed=1)
-        var = np.mean(np.abs(out.samples) ** 2)
-        assert var == pytest.approx(0.25, rel=0.02)
-
-    def test_deterministic_given_seed(self):
-        cfg = FrameConfig(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3, oversampling=2)
-        st = self._stream(rate=cfg.sample_rate)
-        ch = self._chan(cfg, [(1, 1)], [1.0])
-        a = apply_physical_channel(st, ch, 0.1, rng_seed=7).samples
-        b = apply_physical_channel(st, ch, 0.1, rng_seed=7).samples
-        assert np.array_equal(a, b)
-
-    def test_noise_is_add_awgn_of_noiseless_output(self):
-        # the harness sends each frame once without noise and adds each SNR
-        # point's noise with add_awgn; both must give the same samples
-        cfg = FrameConfig(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3, oversampling=2)
-        st = self._stream(rate=cfg.sample_rate)
-        ch = self._chan(cfg, [(1, 1), (3, -2)], [0.8, 0.3j])
-        noisy = apply_physical_channel(st, ch, 0.1, rng_seed=7).samples
-        clean = apply_physical_channel(st, ch, 0.0).samples
-        assert np.array_equal(noisy, add_awgn(clean, 0.1, 7))
+        out = add_awgn(np.zeros(1_200_000, dtype=complex), 0.25, 1)
+        assert np.mean(np.abs(out) ** 2) == pytest.approx(0.25, rel=0.02)
+        clean = self._stream().samples
         assert np.array_equal(add_awgn(clean, 0.0), clean)
         assert add_awgn(clean, 0.0) is not clean
+
+    def test_deterministic_given_seed(self):
+        x = self._stream().samples
+        assert np.array_equal(add_awgn(x, 0.1, 7), add_awgn(x, 0.1, 7))
+        assert not np.array_equal(add_awgn(x, 0.1, 7), add_awgn(x, 0.1, 8))
 
 
 class TestSnrAndSerialization:

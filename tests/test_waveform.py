@@ -129,7 +129,7 @@ class TestModDemod:
         _, frame = random_frame(cfg, np.random.default_rng(11))
         chan = channel_from_cells(cfg, [(2, 1)], [1.0])
         st = oddm_modulate(frame, cfg, cyclic_prefix_chips=8)
-        rx = apply_physical_channel(st, chan, 0.0)
+        rx = apply_physical_channel(st, chan)
         Y = oddm_demodulate(rx, cfg)
         ref = chan.apply(vectorize(frame)).reshape(cfg.M, cfg.N)
         assert np.linalg.norm(Y - ref) / np.linalg.norm(ref) <= 2e-2
