@@ -65,7 +65,6 @@ def _make_qam4() -> Constellation:
 
 
 _CONSTELLATIONS = {"4qam": _make_qam4()}
-_CONSTELLATIONS["qpsk"] = _CONSTELLATIONS["4qam"]
 
 
 def get_constellation(name: str) -> Constellation:

@@ -265,7 +265,7 @@ def test_unknown_option_keys_rejected():
 
 def test_every_known_option_key_accepted():
     spec = build_spec({"frame.M": 32, "frame.N": 8, "frame.Q": 4, "frame.rolloff": 0.3,
-                       "frame.oversampling": 4, "frame.constellation": "qpsk",
+                       "frame.oversampling": 4, "frame.constellation": "4qam",
                        "frame.delta_f": 30e3, "frame.f_c": 4e9, "channel.model": "synthetic",
                        "channel.v_kmh": 120.0, "channel.paths": 2, "channel.l_max": 5,
                        "channel.k_max": 2, "est.p_assumed": 2, "est.max_iters": 5,
@@ -274,6 +274,6 @@ def test_every_known_option_key_accepted():
                        "run.csi": "estimated", "run.fidelity": "waveform", "run.trials": 2,
                        "run.frames_per_trial": 1, "run.min_bit_errors": 5, "run.seed": 9,
                        "run.sensing_snr_db": 20.0})
-    assert (spec.frame.M, spec.frame.constellation, spec.channel.k_max) == (32, "qpsk", 2)
+    assert (spec.frame.M, spec.frame.constellation, spec.channel.k_max) == (32, "4qam", 2)
     assert (spec.est.epsilon, spec.det.damping, spec.snr_grid_db) == (1e-3, 0.8, (3.0,))
     assert (spec.scheme, spec.detector, spec.sensing_snr_db, spec.seed) == ("otfs", "lmmse", 20.0, 9)
