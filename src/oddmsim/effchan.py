@@ -61,11 +61,6 @@ def _ramps(l, k, mn: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.asarray(k)[:, None] * (q - np.asarray(l)[:, None]) / mn)
 
 
-def path_responses(l, k, x_c: np.ndarray) -> np.ndarray:
-    """Chip responses diag(ramp_p) Pi^{l_p} x_c of unit-gain paths (l_p, k_p), shape (P, MN)."""
-    return _ramps(l, k, x_c.size) * x_c[_sources(l, x_c.size)]
-
-
 def path_correlations(x_c: np.ndarray, t_c: np.ndarray, ls, ks) -> np.ndarray:
     """(H_{l,k} x)^H t on chips for every l in ls and k in ks; shape (len(ls), len(ks)).
 

@@ -31,8 +31,6 @@ residual after that is a gather.
 * :func:`mle_exhaustive` -- brute-force joint search over all cell tuples,
   gains solved per tuple from the sounding's window Gram (gathered from C on
   first use); the reference the fast algorithm is compared to.
-* :func:`refresh_gains` -- gain-only re-estimation with (l, k) frozen, for
-  tracking a channel whose geometry holds still between frames.
 
 Each returns an :class:`EstimationResult` whose ``channel`` is an
 :class:`effchan.EffectiveChannel` on distinct cells, the same path record the
@@ -52,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import FrameConfig
-from .effchan import EffectiveChannel, checked_chips, path_correlations, path_responses
+from .effchan import EffectiveChannel, checked_chips, path_correlations
 
 COND_LIMIT = 1e12
 NMSE_FLOOR_DB = -100.0
@@ -294,20 +292,6 @@ def mle_exhaustive(y: np.ndarray, sounding: Sounding) -> EstimationResult:
     cells = [cell_list[i] for i in idx]
     return EstimationResult(channel=EffectiveChannel(est.frame, h, *zip(*cells)),
                             iterations=1, objective_trace=[yy - resid])
-
-
-def refresh_gains(y: np.ndarray, s_known: np.ndarray,
-                  prior: EstimationResult) -> EstimationResult:
-    """Re-solve only the gains, keeping the prior delay-Doppler cells fixed."""
-    old = prior.channel
-    y, yy = _observed(y, old.config)
-    s = _known_chips(s_known, old.config)
-    u = path_responses(old.l, old.k, s)
-    gains, ill = solve_gains(u.conj() @ u.T, u.conj() @ y)
-    r = y - gains @ u
-    return EstimationResult(channel=EffectiveChannel(old.config, gains, old.l, old.k),
-                            iterations=1, objective_trace=[yy - float(np.vdot(r, r).real)],
-                            ill_conditioned=ill)
 
 
 def _cell_gains(eff: EffectiveChannel) -> dict:

@@ -3,8 +3,7 @@ import pytest
 
 from oddmsim.channel import channel_from_cells, gen_synthetic_channel
 from oddmsim.core import FrameConfig, random_frame, vectorize
-from oddmsim.effchan import (EffectiveChannel, from_chips, path_correlations, path_responses,
-                             to_chips)
+from oddmsim.effchan import EffectiveChannel, from_chips, path_correlations, to_chips
 
 from oracles import (brute_force_effective_matrix, build_block, cyclic_permutation,
                      dense_channel, phase_rotation)
@@ -212,16 +211,6 @@ class TestApply:
 
 
 class TestChipResponses:
-    def test_path_responses_match_oracle(self):
-        cfg = small_config(M=8, N=4)
-        rng = np.random.default_rng(41)
-        x = random_vector(rng, cfg.mn)
-        cells = [(0, 0), (3, 1), (7, -2), (5, 1), (1, -1)]
-        u = path_responses(*zip(*cells), to_chips(x, cfg))
-        for (l, k), u_c in zip(cells, u):
-            ref = brute_force_effective_matrix([(1.0, l, k)], cfg.M, cfg.N) @ x
-            assert np.allclose(from_chips(u_c, cfg), ref, atol=1e-12)
-
     @pytest.mark.parametrize("M, N", [(8, 4), (16, 8), (12, 5)])
     def test_window_scan_matches_per_cell_oracle(self, M, N):
         # (H_{l,k} s)^H t for every cell of a window that reaches the far

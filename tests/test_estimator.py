@@ -5,8 +5,8 @@ import oddmsim.estimator as estimator
 from oddmsim.channel import channel_from_cells, gen_synthetic_channel, snr_to_noise_var
 from oddmsim.core import FrameConfig, random_frame, vectorize
 from oddmsim.effchan import EffectiveChannel, from_chips, path_correlations, to_chips
-from oddmsim.estimator import (EstimationConfig, EstimationResult, Sounding, estimate_channel,
-                               mle_exhaustive, nmse, refresh_gains, solve_gains)
+from oddmsim.estimator import (EstimationConfig, Sounding, estimate_channel, mle_exhaustive,
+                               nmse, solve_gains)
 
 from oracles import brute_force_effective_matrix, dense_channel, path_objective
 
@@ -145,7 +145,7 @@ class TestWindow:
         assert cells(res.channel) == [(2, 0), (2, -1), (2, 1)]
 
 
-@pytest.mark.parametrize("entry", ["estimate_channel", "mle_exhaustive", "refresh_gains"])
+@pytest.mark.parametrize("entry", ["estimate_channel", "mle_exhaustive"])
 @pytest.mark.parametrize("fault, name", [(fault, name) for name in ("y", "s_known")
                                          for fault in ("nan", "inf", "short", "long", "grid")]
                          + [("zero", "s_known")])
@@ -170,13 +170,9 @@ def test_rejects_bad_input(entry, name, fault):
         v = v.reshape(cfg.M, cfg.N)
     args = {"y": y, "s_known": s, name: v}
     ec = EstimationConfig(frame=cfg, p_assumed=1, l_range=(0, 8), k_range=(-2, 2))
-    prior = EstimationResult(channel=chan, iterations=1, objective_trace=[0.0])
     with pytest.raises(ValueError, match=f"^{name} "):
-        if entry == "refresh_gains":
-            refresh_gains(args["y"], args["s_known"], prior)
-        else:
-            {"estimate_channel": estimate_channel,
-             "mle_exhaustive": mle_exhaustive}[entry](args["y"], Sounding(ec, args["s_known"]))
+        {"estimate_channel": estimate_channel,
+         "mle_exhaustive": mle_exhaustive}[entry](args["y"], Sounding(ec, args["s_known"]))
 
 
 def test_more_paths_than_window_cells_rejected():
@@ -403,34 +399,6 @@ class TestMleExhaustive:
             full = mle_exhaustive(y, Sounding(ec, s))
             # trace stores ||y||^2 - residual, so dominance flips the inequality
             assert full.objective_trace[-1] >= fast.objective_trace[-1] - 1e-9
-
-
-class TestRefreshGains:
-    def test_unchanged_channel_same_gains(self):
-        cfg = cfg16()
-        chan = gen_synthetic_channel(cfg, 2, 31, l_max=7, k_max=3)
-        s, y = observe(cfg, chan, None)
-        prior = estimate_channel(y, Sounding(est_cfg(cfg, 2), s))
-        again = refresh_gains(y, s, prior)
-        assert np.allclose(again.channel.gains, prior.channel.gains, atol=1e-10)
-
-    def test_gain_scaling_is_linear(self):
-        cfg = cfg16()
-        chan = gen_synthetic_channel(cfg, 2, 32, l_max=7, k_max=3)
-        s, y = observe(cfg, chan, None)
-        prior = estimate_channel(y, Sounding(est_cfg(cfg, 2), s))
-        alpha = 1.7 - 0.3j
-        scaled = refresh_gains(alpha * y, s, prior)
-        assert np.allclose(scaled.channel.gains, alpha * prior.channel.gains, atol=1e-10)
-        assert cells(scaled.channel) == cells(prior.channel)
-
-    def test_single_path_noiseless(self):
-        cfg = cfg16()
-        chan = channel_from_cells(cfg, [(3, 2)], [0.5 - 0.5j])
-        s, y = observe(cfg, chan, None)
-        prior = estimate_channel(y, Sounding(est_cfg(cfg, 1), s))
-        res = refresh_gains(y, s, prior)
-        assert res.channel.gains[0] == pytest.approx(0.5 - 0.5j, abs=1e-12)
 
 
 NMSE_CASES = {
