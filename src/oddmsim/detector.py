@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvals_banded, solveh_banded
 
-from .core import get_constellation, qam_demap
+from .core import get_constellation, qam_demap, require_count
 from .effchan import EffectiveChannel, checked_chips, from_chips, to_chips
 
 VAR_FLOOR = 1e-10   # lower bound on every propagated variance
@@ -43,8 +43,7 @@ class OampConfig:
     damping: float = 1.0          # 1 = no damping
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        require_count("max_iters", self.max_iters)
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must be in (0, 1]")
 

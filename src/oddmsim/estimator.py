@@ -49,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import FrameConfig
+from .core import FrameConfig, require_count
 from .effchan import EffectiveChannel, checked_chips, path_correlations
 
 COND_LIMIT = 1e12
@@ -70,10 +70,8 @@ class EstimationConfig:
     mle_max_hypotheses: int = 200_000
 
     def __post_init__(self):
-        if self.p_assumed < 1:
-            raise ValueError("p_assumed must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        require_count("p_assumed", self.p_assumed)
+        require_count("max_iters", self.max_iters)
         if not self.epsilon > 0:  # also rejects NaN
             raise ValueError("epsilon must be positive")
         M, N = self.frame.M, self.frame.N

@@ -111,6 +111,7 @@ class ExperimentSpec:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         for name in ("trials", "frames_per_trial"):
             require_count(name, getattr(self, name))
+        require_count("seed", self.seed, least=0)  # numpy seeds are non-negative integers
         if not self.snr_grid_db:
             raise ValueError("snr grid must be nonempty")
         sensing = () if self.sensing_snr_db is None else (self.sensing_snr_db,)

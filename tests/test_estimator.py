@@ -182,6 +182,15 @@ def test_more_paths_than_window_cells_rejected():
     EstimationConfig(frame=cfg, p_assumed=4, l_range=(0, 2), k_range=(-1, 1))
 
 
+@pytest.mark.parametrize("field, value", [("p_assumed", 2.5), ("p_assumed", True),
+                                          ("p_assumed", 0), ("max_iters", 2.5),
+                                          ("max_iters", 0)])
+def test_rejects_bad_counts(field, value):
+    # 2.5 used to build and then fail with a TypeError inside the search; True ran as 1
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1"):
+        est_cfg(cfg16(), 1, **{field: value})
+
+
 def test_nan_epsilon_rejected():
     # no parameter change is ever <= NaN, so the search could never converge
     with pytest.raises(ValueError, match="epsilon"):

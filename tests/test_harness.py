@@ -231,6 +231,10 @@ IMPOSSIBLE_SPECS = {
     "p_assumed": {"est.p_assumed": 0},
     "M": {"frame.M": 64.7},
     "oversampling": {"frame.oversampling": 2.5},
+    "max_iters-det": {"det.max_iters": 2.5},
+    "max_iters-det-bool": {"det.max_iters": True},
+    "seed": {"run.seed": 2.5},
+    "seed-negative": {"run.seed": -1},
 }
 
 
