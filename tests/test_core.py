@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddmsim.core import (FrameConfig, delay_index, doppler_index, get_constellation,
-                          qam_demap, qam_map, vectorize)
+from oddmsim.core import (FrameConfig, chips_to_dd, dd_to_chips, delay_index, doppler_index,
+                          get_constellation, qam_demap, qam_map, vectorize)
 
 
 def paper_scale_config(**kw):
@@ -103,6 +103,42 @@ class TestVectorization:
         v = vectorize(grid)
         assert np.array_equal(v.reshape(M, N), grid)
         assert np.array_equal(vectorize(np.asfortranarray(grid)), v)
+
+
+CHIP_GRIDS = [(4, 2), (8, 4), (6, 5)]
+
+
+def random_grid(M, N):
+    rng = np.random.default_rng(M * 10 + N)
+    return rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
+
+
+class TestChipMap:
+    """dd_to_chips and chips_to_dd, the unitary map between the grid and time chips."""
+
+    @pytest.mark.parametrize("M, N", CHIP_GRIDS)
+    def test_matches_explicit_idft(self, M, N):
+        # chip n_hat*M + m carries sum_n S(m, n) e^{j2pi n n_hat / N} / sqrt(N)
+        grid = random_grid(M, N)
+        ref = np.array([sum(grid[m, n] * np.exp(2j * np.pi * n * n_hat / N) for n in range(N))
+                        for n_hat in range(N) for m in range(M)]) / np.sqrt(N)
+        assert np.allclose(dd_to_chips(grid), ref, atol=1e-12)
+
+    @pytest.mark.parametrize("M, N", CHIP_GRIDS)
+    def test_roundtrip(self, M, N):
+        grid = random_grid(M, N)
+        chips = dd_to_chips(grid)
+        assert np.allclose(chips_to_dd(chips, M, N), grid, atol=1e-12)
+        assert np.allclose(dd_to_chips(chips_to_dd(chips[::-1], M, N)), chips[::-1], atol=1e-12)
+
+    @pytest.mark.parametrize("M, N", CHIP_GRIDS)
+    def test_unitary(self, M, N):
+        # columns: the images of the delay-major unit grids; chips_to_dd is the adjoint
+        eye = np.eye(M * N)
+        A = np.stack([dd_to_chips(e.reshape(M, N)) for e in eye], axis=1)
+        A_inv = np.stack([vectorize(chips_to_dd(e, M, N)) for e in eye], axis=1)
+        assert np.allclose(A.conj().T @ A, eye, atol=1e-12)
+        assert np.allclose(A_inv, A.conj().T, atol=1e-12)
 
 
 class TestGridIndexing:
