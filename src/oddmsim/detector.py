@@ -17,10 +17,19 @@ the trace factor eps at every iteration.  Both are exact and run on chips
 (see :mod:`effchan`): H H^H = A^H T A with T = H_t H_t^H, which is
 cyclically banded with half-width max_p l_p - min_p l_p.  Taking the chips
 in the interleaved order (0, MN-1, 1, MN-2, ...) turns that cyclic band into
-an ordinary band of half-width at most twice that plus one.  Once per channel
-the band is stored and its eigenvalues lam are computed, which gives
-eps = mean(lam / (lam + xi)) for every xi; each solve is one banded Cholesky
-solve of T + xi I.
+an ordinary band of half-width w, at most twice that plus one.
+
+For each new xi, T + xi I gets two banded Cholesky factors, a twisted pair:
+L L^H in chip order and U U^H, U upper triangular, from the reversed order.
+A solve is two banded triangular solves with L.  Cut into blocks of w chips
+(the last one ragged), T is block tridiagonal, and the k-th diagonal block
+of (T + xi I)^{-1} is (G_k + xi I)^{-1} with the positive semidefinite
+
+    G_k = T_kk - L_{k,k-1} L_{k,k-1}^H - U_{k,k+1} U_{k,k+1}^H,
+
+so eps = sum_k tr(G_k (G_k + xi I)^{-1}) / MN, one batched solve over the
+blocks.  Unlike 1 - xi tr((T + xi I)^{-1}) / MN, no term cancels when xi is
+far above ||T||, which OAMP reaches once v_nle^2 meets the variance floor.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals_banded, solveh_banded
+from scipy.linalg.lapack import zpbtrf, zpbtrs
 
 from .core import get_constellation, qam_demap, require_count
 from .effchan import EffectiveChannel, checked_chips, from_chips, to_chips
@@ -66,11 +75,45 @@ def _interleave(n: int) -> np.ndarray:
     return perm
 
 
+def _corner(starts: np.ndarray, w: int, n: int):
+    """Band-storage index and mask of the w x w corners L[p + i, p - w + j], p in starts.
+
+    For a lower band factor L of half-width w this is the coupling block
+    L_{k,k-1} of the block starting at chip p; it is upper triangular, and
+    its rows past the last chip or columns before the first are zero.
+    """
+    i = np.arange(w)[:, None]
+    j = np.arange(w)
+    row, col = starts[:, None, None] + i, starts[:, None, None] - w + j
+    keep = (j >= i) & (row < n) & (col >= 0)
+    return np.where(keep, row - col, 0), np.where(keep, col, 0), keep
+
+
+def _corner_gram(factor: np.ndarray, corner) -> np.ndarray:
+    """C C^H for each corner C of a band factor."""
+    band, col, keep = corner
+    c = np.where(keep, factor[band, col], 0.0)
+    return c @ np.conj(c.swapaxes(1, 2))
+
+
+def _cholesky(ab: np.ndarray, xi: float) -> np.ndarray:
+    """Lower band Cholesky factor of the band ab plus xi on the diagonal."""
+    shifted = ab.copy(order="F")  # zpbtrf factors a Fortran array in place
+    shifted[0] += xi
+    factor, info = zpbtrf(shifted, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"T + xi I is not positive definite at xi = {xi!r}")
+    return factor
+
+
 class LinearStage:
     """Exact (T + xi I)^{-1}, T = H_t H_t^H, and trace factor of one channel, for any xi.
 
     ``ab`` holds the interleaved chip-domain Gram T in lower band storage and
-    ``lam`` its eigenvalues.  ``max_residual`` is the worst relative residual
+    ``rab`` the same for the reversed chip order.  The two Cholesky factors of
+    the last xi are kept, so the solve and the trace factor of one linear
+    step share them; the reversed one is built only when the trace factor
+    asks for it.  ``max_residual`` is the worst relative residual
     ||(T + xi I) z - r|| / ||r|| measured over every solve so far; A is
     unitary, so it equals the delay-Doppler residual of (H H^H + xi I).
     """
@@ -97,15 +140,38 @@ class LinearStage:
         bands = np.concatenate(bands)
         self.ab = np.zeros((bands.max() + 1, n), dtype=complex)
         np.add.at(self.ab, (bands, np.concatenate(cols)), np.concatenate(vals))
-        self.lam = np.maximum(eigvals_banded(self.ab, lower=True), 0.0)
+        # reversed order: (J T J)[c + d, c] = conj(T[n-1-c, n-1-c-d]); entries
+        # ab[d, c] with c + d >= n are zero, so the wrapped reads are too
+        hw = self.ab.shape[0] - 1
+        d = np.arange(hw + 1)[:, None]
+        self.rab = np.conj(self.ab[d, (n - 1 - d - q) % n])
+        # diagonal blocks T_kk of b = hw chips, the ragged last one zero-padded;
+        # a padded row adds nothing to tr(G (G + xi I)^{-1})
+        b = max(hw, 1)
+        starts = np.arange(0, n, b)
+        row = starts[:, None, None] + np.arange(b)[:, None]
+        col = starts[:, None, None] + np.arange(b)
+        lo, hi = np.maximum(row, col), np.minimum(row, col)
+        keep = (lo - hi <= hw) & (lo < n)
+        t = self.ab[np.where(keep, lo - hi, 0), np.where(keep, hi, 0)]
+        self._blocks = np.where(keep, np.where(row >= col, t, np.conj(t)), 0.0)
+        # coupling corners at each block boundary p: forward at p, reversed at n - p
+        self._fwd_corner = _corner(starts[1:], hw, n)
+        self._rev_corner = _corner(n - starts[1:], hw, n)
+        self._xi = None
+        self._fwd = self._rev = None
         self.max_residual = 0.0
+
+    def _forward(self, xi: float) -> np.ndarray:
+        if xi != self._xi:
+            self._xi, self._fwd, self._rev = xi, _cholesky(self.ab, xi), None
+        return self._fwd
 
     def solve(self, rhs: np.ndarray, xi: float) -> np.ndarray:
         """(T + xi I)^{-1} rhs on chips."""
-        ab = self.ab.copy()
-        ab[0] += xi
+        x, _ = zpbtrs(self._forward(xi), rhs[self.perm, None], lower=1)
         z = np.empty(self.H.config.mn, dtype=complex)
-        z[self.perm] = solveh_banded(ab, rhs[self.perm], overwrite_ab=True, lower=True)
+        z[self.perm] = x[:, 0]
         rnorm = np.linalg.norm(rhs)
         if rnorm > 0:
             resid = self.H.apply_chips(self.H.apply_adjoint_chips(z)) + xi * z - rhs
@@ -114,7 +180,16 @@ class LinearStage:
 
     def eps_phi(self, xi: float) -> float:
         """Tr(H^H (H H^H + xi I)^{-1} H) / MN."""
-        return float(np.mean(self.lam / (self.lam + xi)))
+        fwd = self._forward(xi)
+        if self._rev is None:
+            self._rev = _cholesky(self.rab, xi)
+        hw = self.ab.shape[0] - 1
+        g = self._blocks.copy()
+        b = g.shape[1]
+        g[1:, :hw, :hw] -= _corner_gram(fwd, self._fwd_corner)
+        g[:-1, b - hw:, b - hw:] -= _corner_gram(self._rev, self._rev_corner)[:, ::-1, ::-1]
+        ratio = np.linalg.solve(g + xi * np.eye(b), g)
+        return float(np.trace(ratio, axis1=1, axis2=2).real.sum() / self.H.config.mn)
 
 
 def _stage_for(H: EffectiveChannel) -> LinearStage:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import zpbtrf
 
+from oddmsim import detector
 from oddmsim.channel import (channel_from_cells, gen_eva_channel, gen_synthetic_channel,
                              snr_to_noise_var)
 from oddmsim.core import FrameConfig, get_constellation, qam_map, random_frame, vectorize
-from oddmsim.detector import LinearStage, lmmse_detect, oamp_detect, oamp_le, oamp_nle
+from oddmsim.detector import (VAR_FLOOR, LinearStage, lmmse_detect, oamp_detect, oamp_le,
+                              oamp_nle)
 from oddmsim.effchan import from_chips, to_chips
 from oddmsim.estimator import EstimationConfig, Sounding, estimate_channel
 
@@ -70,12 +73,21 @@ def estimated_eva_channel():
     return est.channel
 
 
+def ragged_channel():
+    """MN = 105 chips in blocks of the half-band 6: the last block holds 3 chips."""
+    cfg = FrameConfig(M=15, N=7, delta_f=15e3, f_c=5e9, Q=2)
+    H = channel_from_cells(cfg, [(1, 0), (4, -1), (2, 1)], [0.7, -0.4j, 0.3 + 0.1j])
+    assert LinearStage(H).ab.shape[0] - 1 == 6
+    return H
+
+
 STAGE_CHANNELS = {
     "identity": lambda: identity_channel(cfg16()),
     "wrap-path": lambda: channel_from_cells(cfg16(), [(15, 1)], [0.8 - 0.3j]),
     "equal-delays": lambda: channel_from_cells(
         cfg16(), [(3, -2), (3, 0), (3, 1)], [0.6, -0.5j, 0.3 + 0.2j]),
     "eva-estimated": estimated_eva_channel,
+    "ragged-blocks": ragged_channel,
 }
 
 
@@ -93,12 +105,20 @@ class TestLinearStage:
             assert np.linalg.norm(z - z_ref) <= 1e-10 * np.linalg.norm(z_ref)
             assert stage.eps_phi(xi) == pytest.approx(eps_ref, rel=1e-10)
 
-    def test_spectrum_matches_dense_gram(self):
-        cfg = cfg16()
-        H = gen_synthetic_channel(cfg, 3, np.random.default_rng(29), l_max=6, k_max=1)
+    @pytest.mark.parametrize("name", list(STAGE_CHANNELS))
+    def test_eps_first_matches_dense_oracle(self, name):
+        # the trace factor builds both factors of a new xi and the solve reuses
+        # the forward one; 1e9 is past sigma^2 / v_nle^2 at the variance floor
+        H = STAGE_CHANNELS[name]()
         Hd = dense_channel(H)
-        lam = np.sort(LinearStage(H).lam)
-        assert np.allclose(lam, np.linalg.eigvalsh(Hd @ Hd.conj().T), atol=1e-12)
+        stage = LinearStage(H)
+        rng = np.random.default_rng(32)
+        r = rng.standard_normal(H.config.mn) + 1j * rng.standard_normal(H.config.mn)
+        for xi in (1e-6, 1e-2, 1.0, 10.0, 1e9):
+            z_ref, eps_ref = dense_le(Hd, r, xi)
+            assert stage.eps_phi(xi) == pytest.approx(eps_ref, rel=1e-10)
+            z = from_chips(stage.solve(to_chips(r, H.config), xi), H.config)
+            assert np.linalg.norm(z - z_ref) <= 1e-10 * np.linalg.norm(z_ref)
 
     def test_residual_is_measured(self):
         cfg = cfg16()
@@ -108,15 +128,64 @@ class TestLinearStage:
         A = Hd @ Hd.conj().T + 0.1 * np.eye(cfg.mn)
         r = rng.standard_normal(cfg.mn) + 1j * rng.standard_normal(cfg.mn)
         stage = LinearStage(H)
-        stage.solve(to_chips(r, cfg), 0.1)
+        stage.solve(to_chips(r, cfg), 0.2)
         assert 0.0 < stage.max_residual <= 1e-12
         # a corrupted band solves the wrong system; the recorded residual is
-        # the one the dense matrix gives for the returned vector
+        # the one the dense matrix gives for the returned vector.  Factors are
+        # kept per xi, so the band is corrupted before xi = 0.1 is factored
         stage.ab[0] += 1.0
         z = from_chips(stage.solve(to_chips(r, cfg), 0.1), cfg)
         dense_residual = np.linalg.norm(A @ z - r) / np.linalg.norm(r)
         assert dense_residual > 0.1
         assert stage.max_residual == pytest.approx(dense_residual, rel=1e-9)
+
+
+class TestFactorCount:
+    """Each band factor is built once per new xi; the solve and eps at one xi share it."""
+
+    @staticmethod
+    def factored_bands(monkeypatch, H):
+        stage = LinearStage(H)
+        kinds = []
+
+        def counting(ab, **kwargs):
+            if np.array_equal(ab[1:], stage.ab[1:]):
+                kinds.append("forward")
+            elif np.array_equal(ab[1:], stage.rab[1:]):
+                kinds.append("reversed")
+            else:
+                kinds.append("other")
+            return zpbtrf(ab, **kwargs)
+
+        monkeypatch.setattr(detector, "zpbtrf", counting)
+        return kinds
+
+    @staticmethod
+    def observed(snr_db):
+        rng = np.random.default_rng(40)
+        H = gen_synthetic_channel(cfg16(), 4, rng, l_max=5, k_max=2)
+        _, frame = random_frame(cfg16(), rng)
+        y, nv = noisy_observation(H, vectorize(frame), snr_db, 41)
+        return H, y, nv
+
+    def test_oamp_factors_twice_per_xi(self, monkeypatch):
+        H, y, nv = self.observed(10.0)
+        kinds = self.factored_bands(monkeypatch, H)
+        det = oamp_detect(y, H, nv)
+        v_nle = [1.0] + [v for _, v in det.variance_trace[:-1]]
+        xis = [nv / max(v, VAR_FLOOR) for v in v_nle]
+        assert len(set(xis)) == len(xis) > 3
+        assert kinds == ["forward", "reversed"] * len(xis)
+
+    def test_lmmse_factors_forward_only(self, monkeypatch):
+        H, y, nv = self.observed(10.0)
+        kinds = self.factored_bands(monkeypatch, H)
+        for sigma_sq in (nv, 2 * nv):
+            lmmse_detect(y, H, sigma_sq)
+        assert kinds == ["forward", "forward"]
+        # the factor of the last xi is kept: the same noise level factors nothing
+        lmmse_detect(y, H, 2 * nv)
+        assert kinds == ["forward", "forward"]
 
 
 class TestOampNLE:
@@ -198,6 +267,17 @@ class TestOampDetect:
             total += bits.size
         assert total >= 1e5
         assert errors / total <= 2.0 * qpsk_awgn_ber(20.0) + 1e-12
+
+    def test_large_grid_eva_error_free(self):
+        # 256 x 64 chips: the linear stage costs about linear time in MN
+        cfg = FrameConfig(M=256, N=64, delta_f=15e3, f_c=5e9, Q=8)
+        rng = np.random.default_rng(0)
+        H = gen_eva_channel(cfg, 350.0, rng)
+        bits, frame = random_frame(cfg, rng)
+        y, nv = noisy_observation(H, vectorize(frame), 20.0, 1)
+        det = oamp_detect(y, H, nv)
+        assert count_bit_errors(bits, det.hard_bits) == 0
+        assert det.max_solve_residual <= 1e-12
 
     def test_noiseless_single_path_zero_errors(self):
         cfg = cfg_small()
