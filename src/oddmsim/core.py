@@ -69,9 +69,9 @@ _CONSTELLATIONS = {"4qam": _make_qam4()}
 
 def get_constellation(name: str) -> Constellation:
     try:
-        return _CONSTELLATIONS[name.lower()]
+        return _CONSTELLATIONS[name]
     except KeyError:
-        raise ValueError(f"unknown constellation {name!r}; known: {sorted(_CONSTELLATIONS)}")
+        raise ValueError(f"constellation {name!r} is unknown; known: {sorted(_CONSTELLATIONS)}")
 
 
 @dataclass(frozen=True)

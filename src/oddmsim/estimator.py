@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -80,6 +81,10 @@ class EstimationConfig:
         if self.k_range is None:
             half = min(N // 2, max(1, N // 4))
             object.__setattr__(self, "k_range", (-half, half + 1))
+        for name in ("l_range", "k_range"):
+            bounds = getattr(self, name)
+            if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in bounds):
+                raise ValueError(f"{name} bounds must be integers, got {bounds!r}")
         lo, hi = self.l_range
         if not (0 <= lo < hi <= M):
             raise ValueError(f"l_range {self.l_range} outside [0, {M}]")

@@ -71,6 +71,9 @@ class ChannelSpec:
         if not math.isfinite(self.v_kmh):
             raise ValueError(f"v_kmh must be finite, got {self.v_kmh!r}")
         require_count("paths", self.paths)
+        for name in ("l_max", "k_max"):
+            if getattr(self, name) is not None:
+                require_count(name, getattr(self, name), least=0)
 
 
 @dataclass(frozen=True)

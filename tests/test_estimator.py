@@ -191,6 +191,14 @@ def test_rejects_bad_counts(field, value):
         est_cfg(cfg16(), 1, **{field: value})
 
 
+@pytest.mark.parametrize("field, value", [("l_range", (0, 8.5)), ("k_range", (-2.0, 2)),
+                                          ("l_range", (False, 4))])
+def test_rejects_non_integer_windows(field, value):
+    # (0, 8.5) used to build and then fail with a TypeError in cells()
+    with pytest.raises(ValueError, match=f"^{field} bounds must be integers"):
+        est_cfg(cfg16(), 1, **{field: value})
+
+
 def test_nan_epsilon_rejected():
     # no parameter change is ever <= NaN, so the search could never converge
     with pytest.raises(ValueError, match="epsilon"):

@@ -235,6 +235,10 @@ IMPOSSIBLE_SPECS = {
     "max_iters-det-bool": {"det.max_iters": True},
     "seed": {"run.seed": 2.5},
     "seed-negative": {"run.seed": -1},
+    "l_max": {"channel.model": "synthetic", "channel.l_max": 2.5},
+    "k_max": {"channel.model": "synthetic", "channel.k_max": -3},
+    # one spelling per experiment: "4QAM" would run 4qam under another config_hash
+    "constellation": {"frame.constellation": "4QAM"},
 }
 
 
