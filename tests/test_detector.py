@@ -161,15 +161,15 @@ class TestFactorCount:
         return kinds
 
     @staticmethod
-    def observed(snr_db):
+    def observed():
         rng = np.random.default_rng(40)
         H = gen_synthetic_channel(cfg16(), 4, rng, l_max=5, k_max=2)
         _, frame = random_frame(cfg16(), rng)
-        y, nv = noisy_observation(H, vectorize(frame), snr_db, 41)
+        y, nv = noisy_observation(H, vectorize(frame), 10.0, 41)
         return H, y, nv
 
     def test_oamp_factors_twice_per_xi(self, monkeypatch):
-        H, y, nv = self.observed(10.0)
+        H, y, nv = self.observed()
         kinds = self.factored_bands(monkeypatch, H)
         det = oamp_detect(y, H, nv)
         v_nle = [1.0] + [v for _, v in det.variance_trace[:-1]]
@@ -178,7 +178,7 @@ class TestFactorCount:
         assert kinds == ["forward", "reversed"] * len(xis)
 
     def test_lmmse_factors_forward_only(self, monkeypatch):
-        H, y, nv = self.observed(10.0)
+        H, y, nv = self.observed()
         kinds = self.factored_bands(monkeypatch, H)
         for sigma_sq in (nv, 2 * nv):
             lmmse_detect(y, H, sigma_sq)
