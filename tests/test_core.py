@@ -94,7 +94,7 @@ class TestVectorization:
         grid = np.array([[1, 2], [3, 4], [5, 6], [7, 8]], dtype=complex)
         assert np.array_equal(vectorize(grid), np.arange(1, 9))
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.integers(3, 10), st.integers(2, 6), st.integers(0, 2 ** 31 - 1))
     def test_roundtrip_random(self, M, N, seed):
         # delay-major whatever the grid's memory order; reshape to (M, N) undoes it
@@ -167,7 +167,7 @@ class TestGridIndexing:
         with pytest.raises(ValueError):
             doppler_index(0.8 / cfg.T, cfg)  # 0.8 N Doppler bins of 1/(N T)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(st.lists(st.floats(0, 2500e-9), min_size=2, max_size=8))
     def test_delay_index_monotone(self, taus):
         cfg = paper_scale_config()
