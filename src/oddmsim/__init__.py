@@ -16,8 +16,8 @@ from .channel import (add_awgn, apply_physical_channel, gen_eva_channel,
                       gen_synthetic_channel, snr_to_noise_var)
 from .estimator import (EstimationConfig, EstimationResult, Sounding, estimate_channel,
                         mle_exhaustive, nmse, solve_gains)
-from .detector import (DetectionResult, OampConfig, lmmse_detect, oamp_detect,
-                       oamp_le, oamp_nle)
+from .detector import (DetectionResult, LinearStage, OampConfig, lmmse_detect, oamp_detect,
+                       oamp_nle)
 from .baselines import (ofdm_detect, ofdm_freq_response, ofdm_modulate,
                         otfs_demodulate, otfs_modulate)
 

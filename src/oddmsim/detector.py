@@ -30,6 +30,11 @@ of (T + xi I)^{-1} is (G_k + xi I)^{-1} with the positive semidefinite
 so eps = sum_k tr(G_k (G_k + xi I)^{-1}) / MN, one batched solve over the
 blocks.  Unlike 1 - xi tr((T + xi I)^{-1}) / MN, no term cancels when xi is
 far above ||T||, which OAMP reaches once v_nle^2 meets the variance floor.
+
+:class:`LinearStage` holds this for one channel.  The caller builds it once
+per channel it detects with and passes it to :func:`oamp_detect` and
+:func:`lmmse_detect`; the harness builds one per trial for perfect CSI and
+one per channel estimate for estimated CSI.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import zpbtrf, zpbtrs
 
-from .core import get_constellation, qam_demap, require_count
+from .core import qam_demap, require_count
 from .effchan import EffectiveChannel, checked_chips, from_chips, to_chips
 
 VAR_FLOOR = 1e-10   # lower bound on every propagated variance
@@ -49,12 +54,9 @@ STOP_TOL = 1e-6     # |delta v_nle^2| stopping rule
 @dataclass(frozen=True)
 class OampConfig:
     max_iters: int = 20
-    damping: float = 1.0          # 1 = no damping
 
     def __post_init__(self):
         require_count("max_iters", self.max_iters)
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must be in (0, 1]")
 
 
 @dataclass
@@ -109,13 +111,11 @@ def _cholesky(ab: np.ndarray, xi: float) -> np.ndarray:
 class LinearStage:
     """Exact (T + xi I)^{-1}, T = H_t H_t^H, and trace factor of one channel, for any xi.
 
-    ``ab`` holds the interleaved chip-domain Gram T in lower band storage and
-    ``rab`` the same for the reversed chip order.  The two Cholesky factors of
-    the last xi are kept, so the solve and the trace factor of one linear
-    step share them; the reversed one is built only when the trace factor
-    asks for it.  ``max_residual`` is the worst relative residual
-    ||(T + xi I) z - r|| / ||r|| measured over every solve so far; A is
-    unitary, so it equals the delay-Doppler residual of (H H^H + xi I).
+    ``H`` is the channel the stage was built for.  ``ab`` holds the
+    interleaved chip-domain Gram T in lower band storage and ``rab`` the same
+    for the reversed chip order.  The two Cholesky factors of the last xi are
+    kept, so the solve and the trace factor of one linear step share them;
+    the reversed one is built only when the trace factor asks for it.
     """
 
     def __init__(self, H: EffectiveChannel):
@@ -160,23 +160,24 @@ class LinearStage:
         self._rev_corner = _corner(n - starts[1:], hw, n)
         self._xi = None
         self._fwd = self._rev = None
-        self.max_residual = 0.0
 
     def _forward(self, xi: float) -> np.ndarray:
         if xi != self._xi:
             self._xi, self._fwd, self._rev = xi, _cholesky(self.ab, xi), None
         return self._fwd
 
-    def solve(self, rhs: np.ndarray, xi: float) -> np.ndarray:
-        """(T + xi I)^{-1} rhs on chips."""
+    def solve(self, rhs: np.ndarray, xi: float):
+        """(z, residual): z = (T + xi I)^{-1} rhs on chips and its measured
+        ||(T + xi I) z - rhs|| / ||rhs||, 0 for rhs = 0.  A is unitary, so that
+        is also the delay-Doppler residual of (H H^H + xi I)."""
         x, _ = zpbtrs(self._forward(xi), rhs[self.perm, None], lower=1)
         z = np.empty(self.H.config.mn, dtype=complex)
         z[self.perm] = x[:, 0]
         rnorm = np.linalg.norm(rhs)
-        if rnorm > 0:
-            resid = self.H.apply_chips(self.H.apply_adjoint_chips(z)) + xi * z - rhs
-            self.max_residual = max(self.max_residual, float(np.linalg.norm(resid) / rnorm))
-        return z
+        if rnorm == 0:
+            return z, 0.0
+        resid = self.H.apply_chips(self.H.apply_adjoint_chips(z)) + xi * z - rhs
+        return z, float(np.linalg.norm(resid) / rnorm)
 
     def eps_phi(self, xi: float) -> float:
         """Tr(H^H (H H^H + xi I)^{-1} H) / MN."""
@@ -191,34 +192,23 @@ class LinearStage:
         ratio = np.linalg.solve(g + xi * np.eye(b), g)
         return float(np.trace(ratio, axis1=1, axis2=2).real.sum() / self.H.config.mn)
 
-
-def _stage_for(H: EffectiveChannel) -> LinearStage:
-    if H._stage is None:
-        H._stage = LinearStage(H)
-    return H._stage
-
-
-def _le_step(s_t, y_c, H, v_nle_sq, sigma_sq, stage):
-    """One linear estimate from the chips y_c of the observation."""
-    v_nle_sq = max(v_nle_sq, VAR_FLOOR)
-    xi = sigma_sq / v_nle_sq
-    z = stage.solve(y_c - H.apply_chips(to_chips(s_t, H.config)), xi)
-    eps = stage.eps_phi(xi)
-    r = s_t + from_chips(H.apply_adjoint_chips(z), H.config) / eps
-    v_le_sq = max(v_nle_sq * (1.0 / eps - 1.0), VAR_FLOOR)
-    return r, v_le_sq
+    def step(self, s_t: np.ndarray, y_c: np.ndarray, v_nle_sq: float, sigma_sq: float):
+        """De-correlated linear estimate from the chips y_c of the observation;
+        returns (r_t, v_le_sq, residual of its solve)."""
+        H = self.H
+        v_nle_sq = max(v_nle_sq, VAR_FLOOR)
+        xi = sigma_sq / v_nle_sq
+        z, residual = self.solve(y_c - H.apply_chips(to_chips(s_t, H.config)), xi)
+        eps = self.eps_phi(xi)
+        r = s_t + from_chips(H.apply_adjoint_chips(z), H.config) / eps
+        v_le_sq = max(v_nle_sq * (1.0 / eps - 1.0), VAR_FLOOR)
+        return r, v_le_sq, residual
 
 
 def _observed_chips(y, H: EffectiveChannel, sigma_sq: float) -> np.ndarray:
     if not (np.isfinite(sigma_sq) and sigma_sq > 0):
         raise ValueError(f"sigma_sq must be positive and finite, got {sigma_sq}")
     return checked_chips("observation", y, H.config)
-
-
-def oamp_le(s_t: np.ndarray, y: np.ndarray, H: EffectiveChannel, v_nle_sq: float,
-            sigma_sq: float):
-    """De-correlated linear estimate; returns (r_t, v_le_sq)."""
-    return _le_step(s_t, to_chips(y, H.config), H, v_nle_sq, sigma_sq, _stage_for(H))
 
 
 def oamp_nle(r_t: np.ndarray, v_le_sq: float, constellation):
@@ -228,15 +218,14 @@ def oamp_nle(r_t: np.ndarray, v_le_sq: float, constellation):
     non_contracting); the last entry flags the degenerate case
     v_post >= v_le_sq, where the orthogonalization step is skipped.
     """
-    const = constellation if not isinstance(constellation, str) else get_constellation(constellation)
     v = max(v_le_sq, VAR_FLOOR)
-    d2 = np.abs(r_t[:, None] - const.points[None, :]) ** 2
+    d2 = np.abs(r_t[:, None] - constellation.points[None, :]) ** 2
     expo = -d2 / v
     expo -= expo.max(axis=1, keepdims=True)
     w = np.exp(expo)
     w /= w.sum(axis=1, keepdims=True)
-    post_mean = w @ const.points
-    e2 = w @ (np.abs(const.points) ** 2)
+    post_mean = w @ constellation.points
+    e2 = w @ (np.abs(constellation.points) ** 2)
     post_var = np.maximum(e2 - np.abs(post_mean) ** 2, 0.0)
     v_post = max(float(post_var.mean()), VAR_FLOOR)
     if v_post >= v * (1.0 - 1e-12):
@@ -248,26 +237,26 @@ def oamp_nle(r_t: np.ndarray, v_le_sq: float, constellation):
     return s_next, v_next, post_mean, post_var, False
 
 
-def oamp_detect(y: np.ndarray, H: EffectiveChannel, sigma_sq: float,
+def oamp_detect(y: np.ndarray, stage: LinearStage, sigma_sq: float,
                 config: OampConfig | None = None) -> DetectionResult:
-    """Iterate LE/NLE from a zero prior until the variance estimate settles."""
+    """Iterate LE/NLE on ``stage.H`` from a zero prior until the variance estimate settles."""
     config = config or OampConfig()
+    H = stage.H
     y_c = _observed_chips(y, H, sigma_sq)
     const = H.config.constellation_obj
-    stage = _stage_for(H)
     s_t = np.zeros(H.config.mn, dtype=complex)
     v_nle_sq = 1.0  # unit-energy constellation prior
     trace = []
     post_mean = s_t
     non_contracting = False
     iterations = 0
+    max_residual = 0.0
     for t in range(config.max_iters):
         iterations = t + 1
-        r, v_le_sq = _le_step(s_t, y_c, H, v_nle_sq, sigma_sq, stage)
+        r, v_le_sq, residual = stage.step(s_t, y_c, v_nle_sq, sigma_sq)
+        max_residual = max(max_residual, residual)
         s_next, v_next, post_mean, _, flag = oamp_nle(r, v_le_sq, const)
         non_contracting = non_contracting or flag
-        if config.damping < 1.0:
-            s_next = config.damping * s_next + (1.0 - config.damping) * s_t
         trace.append((v_le_sq, v_next))
         delta = abs(v_next - v_nle_sq)
         s_t, v_nle_sq = s_next, v_next
@@ -275,16 +264,17 @@ def oamp_detect(y: np.ndarray, H: EffectiveChannel, sigma_sq: float,
             break
     return DetectionResult(soft_symbols=post_mean, hard_bits=qam_demap(post_mean, const),
                            variance_trace=trace, iterations_used=iterations,
-                           max_solve_residual=stage.max_residual,
+                           max_solve_residual=max_residual,
                            non_contracting=non_contracting)
 
 
-def lmmse_detect(y: np.ndarray, H: EffectiveChannel, sigma_sq: float) -> DetectionResult:
-    """One-shot s_hat = H^H (H H^H + sigma^2 I)^{-1} y with hard decisions."""
+def lmmse_detect(y: np.ndarray, stage: LinearStage, sigma_sq: float) -> DetectionResult:
+    """One-shot s_hat = H^H (H H^H + sigma^2 I)^{-1} y on ``stage.H`` with hard decisions."""
+    H = stage.H
     y_c = _observed_chips(y, H, sigma_sq)
     const = H.config.constellation_obj
-    stage = _stage_for(H)
-    soft = from_chips(H.apply_adjoint_chips(stage.solve(y_c, sigma_sq)), H.config)
+    z, residual = stage.solve(y_c, sigma_sq)
+    soft = from_chips(H.apply_adjoint_chips(z), H.config)
     return DetectionResult(soft_symbols=soft, hard_bits=qam_demap(soft, const),
                            variance_trace=[], iterations_used=1,
-                           max_solve_residual=stage.max_residual)
+                           max_solve_residual=residual)

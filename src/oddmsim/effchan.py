@@ -22,7 +22,7 @@ chips through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -89,7 +89,6 @@ class EffectiveChannel:
     gains: np.ndarray
     l: np.ndarray
     k: np.ndarray
-    _stage: object = field(default=None, repr=False)  # detector.LinearStage, built on first use
 
     def __post_init__(self):
         self.gains = np.asarray(self.gains, dtype=complex).reshape(-1)

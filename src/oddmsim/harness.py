@@ -8,7 +8,10 @@ each frame once without noise, then every SNR point still short of
 ``min_bit_errors`` adds its own noise, receives, estimates and detects.
 A trial senses its channel with one known frame, so its
 :class:`estimator.Sounding` (the search window and the frame's ambiguity
-table) is built once and every point's estimates share it.  Trials go out in
+table) is built once and every point's estimates share it.  The detector's
+:class:`detector.LinearStage` is built once per channel it detects with: per
+trial for perfect CSI, per point's estimate for estimated CSI, never for the
+OFDM baseline, which equalizes per subcarrier.  Trials go out in
 order, serially or to a process pool, and aggregation keeps each point's
 results in trial order, so both give the same rows.
 
@@ -38,7 +41,7 @@ from . import baselines
 from .channel import (EVA_DELAYS_NS, add_awgn, apply_physical_channel, gen_eva_channel,
                       gen_synthetic_channel, snr_to_noise_var)
 from .core import FrameConfig, random_frame, require_count, vectorize
-from .detector import OampConfig, lmmse_detect, oamp_detect
+from .detector import LinearStage, OampConfig, lmmse_detect, oamp_detect
 from .effchan import EffectiveChannel
 from .estimator import EstimationConfig, Sounding, estimate_channel, mle_exhaustive, nmse
 from .waveform import SampleStream, oddm_demodulate, oddm_modulate
@@ -295,26 +298,30 @@ class _TrialRunner:
         return Sounding(self.est_cfg, vectorize(frame)), observe
 
     def link_trial(self, trial: int):
-        """Draw and send one link trial; returns its per-point work: sense and
-        estimate (estimated CSI), then receive and detect every frame."""
+        """Draw and send one link trial; returns its per-point work: sense,
+        estimate and build the estimate's linear stage (estimated CSI), then
+        receive and detect every frame."""
         spec, cfg = self.spec, self.cfg
         chan = _draw_channel(spec, trial)
         frames = [random_frame(cfg, derive_rng(spec.seed, _STAGE_COMM_BITS, trial, f))
                   for f in range(spec.frames_per_trial)]
         sent = [self._send(frame, chan) for _, frame in frames]
+        trial_stage = None
         if spec.scheme == "ofdm":
             cp = self._ofdm_cp(chan)
             resp = baselines.ofdm_freq_response(chan, cfg, cp)
         elif spec.csi == "estimated":
             sounding, sense = self._sensing(trial, chan)
+        else:
+            trial_stage = LinearStage(chan)  # perfect CSI: every point detects with it
 
         def point(snr_idx):
             noise_var = snr_to_noise_var(spec.snr_grid_db[snr_idx])
             sigma = max(noise_var, 1e-12)
-            H_det, nmse_db = chan, None  # perfect CSI: one cached linear stage per trial
+            stage, nmse_db = trial_stage, None
             if spec.csi == "estimated":
-                H_det = estimate_channel(sense(snr_idx), sounding).channel
-                nmse_db = nmse(H_det, chan)
+                H_est = estimate_channel(sense(snr_idx), sounding).channel
+                stage, nmse_db = LinearStage(H_est), nmse(H_est, chan)
             errors = 0
             for f, ((bits, _), rx) in enumerate(zip(frames, sent)):
                 y = self._observe(rx, noise_var,
@@ -322,9 +329,9 @@ class _TrialRunner:
                 if spec.scheme == "ofdm":
                     hard = baselines.ofdm_detect(y, resp, sigma, cfg, cp)
                 elif spec.detector == "oamp":
-                    hard = oamp_detect(y, H_det, sigma, spec.det).hard_bits
+                    hard = oamp_detect(y, stage, sigma, spec.det).hard_bits
                 else:
-                    hard = lmmse_detect(y, H_det, sigma).hard_bits
+                    hard = lmmse_detect(y, stage, sigma).hard_bits
                 errors += int(np.sum(hard != bits))
             return {"bits": sum(b.size for b, _ in frames), "bit_errors": errors,
                     "nmse_db": nmse_db}

@@ -6,8 +6,7 @@ from oddmsim import detector
 from oddmsim.channel import (channel_from_cells, gen_eva_channel, gen_synthetic_channel,
                              snr_to_noise_var)
 from oddmsim.core import FrameConfig, get_constellation, qam_map, random_frame, vectorize
-from oddmsim.detector import (VAR_FLOOR, LinearStage, lmmse_detect, oamp_detect, oamp_le,
-                              oamp_nle)
+from oddmsim.detector import VAR_FLOOR, LinearStage, lmmse_detect, oamp_detect, oamp_nle
 from oddmsim.effchan import from_chips, to_chips
 from oddmsim.estimator import EstimationConfig, Sounding, estimate_channel
 
@@ -38,7 +37,7 @@ class TestOampLE:
         _, frame = random_frame(cfg, rng)
         s = vectorize(frame)
         y, nv = noisy_observation(H, s, 13.0, 1)
-        r, v_le = oamp_le(np.zeros_like(s), y, H, 1.0, nv)
+        r, v_le, _ = LinearStage(H).step(np.zeros_like(s), to_chips(y, cfg), 1.0, nv)
         assert np.allclose(r, y, atol=1e-12)
         assert v_le == pytest.approx(nv, rel=1e-9)
 
@@ -51,7 +50,7 @@ class TestOampLE:
         _, frame = random_frame(cfg, rng)
         s = vectorize(frame)
         y, nv = noisy_observation(H, s, 10.0, 3)
-        r, v_le = oamp_le(np.zeros_like(s), y, H, 1.0, nv)
+        r, v_le, _ = LinearStage(H).step(np.zeros_like(s), to_chips(y, cfg), 1.0, nv)
         assert np.allclose(r, H.apply_adjoint(y), atol=1e-10)
         assert v_le == pytest.approx(nv, rel=1e-9)
 
@@ -99,9 +98,9 @@ class TestLinearStage:
         stage = LinearStage(H)
         rng = np.random.default_rng(30)
         r = rng.standard_normal(H.config.mn) + 1j * rng.standard_normal(H.config.mn)
-        for xi in (1e-6, 1e-2, 1.0, 10.0):
-            z_ref, eps_ref = dense_le(Hd, r, xi)
-            z = from_chips(stage.solve(to_chips(r, H.config), xi), H.config)
+        xis = (1e-6, 1e-2, 1.0, 10.0)
+        for xi, (z_ref, eps_ref) in zip(xis, dense_le(Hd, r, xis)):
+            z = from_chips(stage.solve(to_chips(r, H.config), xi)[0], H.config)
             assert np.linalg.norm(z - z_ref) <= 1e-10 * np.linalg.norm(z_ref)
             assert stage.eps_phi(xi) == pytest.approx(eps_ref, rel=1e-10)
 
@@ -114,10 +113,10 @@ class TestLinearStage:
         stage = LinearStage(H)
         rng = np.random.default_rng(32)
         r = rng.standard_normal(H.config.mn) + 1j * rng.standard_normal(H.config.mn)
-        for xi in (1e-6, 1e-2, 1.0, 10.0, 1e9):
-            z_ref, eps_ref = dense_le(Hd, r, xi)
+        xis = (1e-6, 1e-2, 1.0, 10.0, 1e9)
+        for xi, (z_ref, eps_ref) in zip(xis, dense_le(Hd, r, xis)):
             assert stage.eps_phi(xi) == pytest.approx(eps_ref, rel=1e-10)
-            z = from_chips(stage.solve(to_chips(r, H.config), xi), H.config)
+            z = from_chips(stage.solve(to_chips(r, H.config), xi)[0], H.config)
             assert np.linalg.norm(z - z_ref) <= 1e-10 * np.linalg.norm(z_ref)
 
     def test_residual_is_measured(self):
@@ -128,24 +127,39 @@ class TestLinearStage:
         A = Hd @ Hd.conj().T + 0.1 * np.eye(cfg.mn)
         r = rng.standard_normal(cfg.mn) + 1j * rng.standard_normal(cfg.mn)
         stage = LinearStage(H)
-        stage.solve(to_chips(r, cfg), 0.2)
-        assert 0.0 < stage.max_residual <= 1e-12
-        # a corrupted band solves the wrong system; the recorded residual is
+        _, residual = stage.solve(to_chips(r, cfg), 0.2)
+        assert 0.0 < residual <= 1e-12
+        # a corrupted band solves the wrong system; the returned residual is
         # the one the dense matrix gives for the returned vector.  Factors are
         # kept per xi, so the band is corrupted before xi = 0.1 is factored
         stage.ab[0] += 1.0
-        z = from_chips(stage.solve(to_chips(r, cfg), 0.1), cfg)
+        z_c, residual = stage.solve(to_chips(r, cfg), 0.1)
+        z = from_chips(z_c, cfg)
         dense_residual = np.linalg.norm(A @ z - r) / np.linalg.norm(r)
         assert dense_residual > 0.1
-        assert stage.max_residual == pytest.approx(dense_residual, rel=1e-9)
+        assert residual == pytest.approx(dense_residual, rel=1e-9)
+
+    def test_each_detection_reports_only_its_own_residual(self):
+        # (0, 0) and (1, 0) with gains (1, -1) make H singular, so the solve at
+        # sigma^2 = 1e-14 leaves a large residual; a later detection on the
+        # same stage at sigma^2 = 1e-2 reports the residual of its own solve
+        cfg = cfg16()
+        H = channel_from_cells(cfg, [(0, 0), (1, 0)], [1.0, -1.0])
+        rng = np.random.default_rng(33)
+        y = rng.standard_normal(cfg.mn) + 1j * rng.standard_normal(cfg.mn)
+        stage = LinearStage(H)
+        singular = lmmse_detect(y, stage, 1e-14)
+        regular = lmmse_detect(y, stage, 1e-2)
+        _, own = LinearStage(H).solve(to_chips(y, cfg), 1e-2)
+        assert singular.max_solve_residual > 1e-8
+        assert regular.max_solve_residual == own <= 1e-12
 
 
 class TestFactorCount:
     """Each band factor is built once per new xi; the solve and eps at one xi share it."""
 
     @staticmethod
-    def factored_bands(monkeypatch, H):
-        stage = LinearStage(H)
+    def factored_bands(monkeypatch, stage):
         kinds = []
 
         def counting(ab, **kwargs):
@@ -170,8 +184,9 @@ class TestFactorCount:
 
     def test_oamp_factors_twice_per_xi(self, monkeypatch):
         H, y, nv = self.observed()
-        kinds = self.factored_bands(monkeypatch, H)
-        det = oamp_detect(y, H, nv)
+        stage = LinearStage(H)
+        kinds = self.factored_bands(monkeypatch, stage)
+        det = oamp_detect(y, stage, nv)
         v_nle = [1.0] + [v for _, v in det.variance_trace[:-1]]
         xis = [nv / max(v, VAR_FLOOR) for v in v_nle]
         assert len(set(xis)) == len(xis) > 3
@@ -179,12 +194,13 @@ class TestFactorCount:
 
     def test_lmmse_factors_forward_only(self, monkeypatch):
         H, y, nv = self.observed()
-        kinds = self.factored_bands(monkeypatch, H)
+        stage = LinearStage(H)
+        kinds = self.factored_bands(monkeypatch, stage)
         for sigma_sq in (nv, 2 * nv):
-            lmmse_detect(y, H, sigma_sq)
+            lmmse_detect(y, stage, sigma_sq)
         assert kinds == ["forward", "forward"]
         # the factor of the last xi is kept: the same noise level factors nothing
-        lmmse_detect(y, H, 2 * nv)
+        lmmse_detect(y, stage, 2 * nv)
         assert kinds == ["forward", "forward"]
 
 
@@ -236,6 +252,7 @@ class TestOampDetect:
     def test_identity_channel_tracks_awgn_reference(self):
         cfg = FrameConfig(M=64, N=16, delta_f=15e3, f_c=5e9, Q=8)
         H = identity_channel(cfg)
+        stage = LinearStage(H)
         snr_db = 7.0
         total_bits = 0
         errors = 0
@@ -244,7 +261,7 @@ class TestOampDetect:
             bits, frame = random_frame(cfg, rng)
             s = vectorize(frame)
             y, nv = noisy_observation(H, s, snr_db, 10_000 + seed)
-            det = oamp_detect(y, H, nv)
+            det = oamp_detect(y, stage, nv)
             errors += count_bit_errors(bits, det.hard_bits)
             total_bits += bits.size
         assert total_bits >= 1e5
@@ -256,13 +273,14 @@ class TestOampDetect:
     def test_identity_channel_high_snr_error_free(self):
         cfg = FrameConfig(M=64, N=16, delta_f=15e3, f_c=5e9, Q=8)
         H = identity_channel(cfg)
+        stage = LinearStage(H)
         errors = 0
         total = 0
         for seed in range(98):
             rng = np.random.default_rng(seed)
             bits, frame = random_frame(cfg, rng)
             y, nv = noisy_observation(H, vectorize(frame), 20.0, 50_000 + seed)
-            det = oamp_detect(y, H, nv)
+            det = oamp_detect(y, stage, nv)
             errors += count_bit_errors(bits, det.hard_bits)
             total += bits.size
         assert total >= 1e5
@@ -275,7 +293,7 @@ class TestOampDetect:
         H = gen_eva_channel(cfg, 350.0, rng)
         bits, frame = random_frame(cfg, rng)
         y, nv = noisy_observation(H, vectorize(frame), 20.0, 1)
-        det = oamp_detect(y, H, nv)
+        det = oamp_detect(y, LinearStage(H), nv)
         assert count_bit_errors(bits, det.hard_bits) == 0
         assert det.max_solve_residual <= 1e-12
 
@@ -284,7 +302,7 @@ class TestOampDetect:
         H = channel_from_cells(cfg, [(2, 1)], [0.8 + 0.3j])
         rng = np.random.default_rng(11)
         bits, frame = random_frame(cfg, rng)
-        det = oamp_detect(H.apply(vectorize(frame)), H, 1e-12)
+        det = oamp_detect(H.apply(vectorize(frame)), LinearStage(H), 1e-12)
         assert count_bit_errors(bits, det.hard_bits) == 0
 
     def test_fixed_point_at_truth(self):
@@ -294,7 +312,7 @@ class TestOampDetect:
         _, frame = random_frame(cfg, rng)
         s_true = vectorize(frame)
         y = H.apply(s_true)
-        r, v_le = oamp_le(s_true, y, H, 1e-6, 1e-14)
+        r, v_le, _ = LinearStage(H).step(s_true, to_chips(y, cfg), 1e-6, 1e-14)
         assert np.allclose(r, s_true, atol=1e-10)
         _, _, post_mean, _, _ = oamp_nle(r, v_le, cfg.constellation_obj)
         assert np.allclose(post_mean, s_true, atol=1e-9)
@@ -308,8 +326,9 @@ class TestOampDetect:
         y, nv = noisy_observation(H, s_true, 10.0, 14)
         s_t = np.zeros_like(s_true)
         v_nle = 1.0
+        stage = LinearStage(H)
         for _ in range(3):
-            r, v_le = oamp_le(s_t, y, H, v_nle, nv)
+            r, v_le, _ = stage.step(s_t, to_chips(y, cfg), v_nle, nv)
             empirical = float(np.mean(np.abs(r - s_true) ** 2))
             assert 0.5 * empirical <= v_le <= 2.0 * empirical
             s_t, v_nle, _, _, _ = oamp_nle(r, v_le, cfg.constellation_obj)
@@ -320,7 +339,7 @@ class TestOampDetect:
         rng = np.random.default_rng(15)
         _, frame = random_frame(cfg, rng)
         y, nv = noisy_observation(H, vectorize(frame), 10.0, 16)
-        det = oamp_detect(y, H, nv)
+        det = oamp_detect(y, LinearStage(H), nv)
         assert det.iterations_used == len(det.variance_trace)
         for v_le, v_nle in det.variance_trace:
             assert v_le > 0 and v_nle > 0
@@ -331,8 +350,9 @@ class TestOampDetect:
         H = gen_synthetic_channel(cfg, 2, rng, l_max=4, k_max=1)
         _, frame = random_frame(cfg, rng)
         y, nv = noisy_observation(H, vectorize(frame), 8.0, 18)
-        a = oamp_detect(y, H, nv)
-        b = oamp_detect(y.copy(), H, nv)
+        stage = LinearStage(H)
+        a = oamp_detect(y, stage, nv)
+        b = oamp_detect(y.copy(), stage, nv)
         assert np.array_equal(a.soft_symbols, b.soft_symbols)
         assert a.variance_trace == b.variance_trace
 
@@ -340,7 +360,7 @@ class TestOampDetect:
         cfg = cfg_small()
         H = identity_channel(cfg)
         with pytest.raises(ValueError):
-            oamp_detect(np.zeros(cfg.mn, dtype=complex), H, 0.0)
+            oamp_detect(np.zeros(cfg.mn, dtype=complex), LinearStage(H), 0.0)
 
     @pytest.mark.parametrize("detect", [oamp_detect, lmmse_detect])
     @pytest.mark.parametrize("y_fault, sigma_sq", [
@@ -359,7 +379,7 @@ class TestOampDetect:
         elif y_fault == "long":
             y = np.ones(cfg.mn + 1, dtype=complex)
         with pytest.raises(ValueError):
-            detect(y, H, sigma_sq)
+            detect(y, LinearStage(H), sigma_sq)
 
 
 class TestLmmse:
@@ -369,7 +389,7 @@ class TestLmmse:
         rng = np.random.default_rng(19)
         _, frame = random_frame(cfg, rng)
         y, nv = noisy_observation(H, vectorize(frame), 10.0, 20)
-        det = lmmse_detect(y, H, nv)
+        det = lmmse_detect(y, LinearStage(H), nv)
         assert np.allclose(det.soft_symbols, y / (1 + nv), atol=1e-12)
 
     def test_matches_first_le_iteration_up_to_normalizer(self):
@@ -380,9 +400,10 @@ class TestLmmse:
         s = vectorize(frame)
         y, nv = noisy_observation(H, s, 9.0, 22)
         # t=0 LE from a zero prior with unit prior variance
-        r, _ = oamp_le(np.zeros_like(s), y, H, 1.0, nv)
-        lmmse = lmmse_detect(y, H, nv).soft_symbols
-        _, eps = dense_le(dense_channel(H), y, nv)
+        stage = LinearStage(H)
+        r, _, _ = stage.step(np.zeros_like(s), to_chips(y, cfg), 1.0, nv)
+        lmmse = lmmse_detect(y, stage, nv).soft_symbols
+        [(_, eps)] = dense_le(dense_channel(H), y, [nv])
         assert np.allclose(r * eps, lmmse, atol=1e-10)
 
     def test_oamp_not_worse_than_lmmse_small_mc(self):
@@ -394,7 +415,8 @@ class TestLmmse:
                 H = gen_synthetic_channel(cfg, 5, rng, l_max=6, k_max=3)
                 bits, frame = random_frame(cfg, rng)
                 y, nv = noisy_observation(H, vectorize(frame), snr_db, 2000 + seed)
-                e_oamp += count_bit_errors(bits, oamp_detect(y, H, nv).hard_bits)
-                e_lmmse += count_bit_errors(bits, lmmse_detect(y, H, nv).hard_bits)
+                stage = LinearStage(H)
+                e_oamp += count_bit_errors(bits, oamp_detect(y, stage, nv).hard_bits)
+                e_lmmse += count_bit_errors(bits, lmmse_detect(y, stage, nv).hard_bits)
                 bits_total += bits.size
             assert e_oamp <= e_lmmse

@@ -174,6 +174,24 @@ def test_perfect_csi_builds_one_stage_and_draws_one_channel_per_trial(monkeypatc
     assert counts == {"stages": 3, "draws": 3}
 
 
+@pytest.mark.parametrize("options, stages", [
+    # one stage per estimate: every trial at every active point
+    ({"run.csi": "estimated"}, 3 * 2),
+    # the OFDM baseline equalizes per subcarrier
+    ({"run.scheme": "ofdm", "run.fidelity": "waveform"}, 0),
+], ids=["estimated", "ofdm"])
+def test_stages_built_in_the_other_csi_modes(monkeypatch, options, stages):
+    built = []
+    build_stage = detector.LinearStage.__init__
+    monkeypatch.setattr(detector.LinearStage, "__init__",
+                        lambda self, H: built.append(H) or build_stage(self, H))
+    spec = tiny_spec(**{"run.trials": 3, "run.snr_db": (0.0, 10.0),
+                        "run.min_bit_errors": 10**9, **options})
+    rows = run_sensing_then_comm(spec).rows
+    assert [row.trials_run for row in rows] == [3, 3]
+    assert len(built) == stages
+
+
 @pytest.mark.parametrize("sweep, options, n_rows, calls", [
     # 50 window cells: C(50, 4) exceeds mle_max_hypotheses, so only alg1 runs
     (run_nmse_sweep, {"channel.model": "synthetic", "channel.paths": 4}, 3, 4),
@@ -277,11 +295,11 @@ def test_every_known_option_key_accepted():
                        "frame.delta_f": 30e3, "frame.f_c": 4e9, "channel.model": "synthetic",
                        "channel.v_kmh": 120.0, "channel.paths": 2, "channel.l_max": 5,
                        "channel.k_max": 2, "est.p_assumed": 2, "est.max_iters": 5,
-                       "est.epsilon": 1e-3, "det.max_iters": 7, "det.damping": 0.8,
+                       "est.epsilon": 1e-3, "det.max_iters": 7,
                        "run.snr_db": [3.0], "run.scheme": "otfs", "run.detector": "lmmse",
                        "run.csi": "estimated", "run.fidelity": "waveform", "run.trials": 2,
                        "run.frames_per_trial": 1, "run.min_bit_errors": 5, "run.seed": 9,
                        "run.sensing_snr_db": 20.0})
     assert (spec.frame.M, spec.frame.constellation, spec.channel.k_max) == (32, "4qam", 2)
-    assert (spec.est.epsilon, spec.det.damping, spec.snr_grid_db) == (1e-3, 0.8, (3.0,))
+    assert (spec.est.epsilon, spec.det.max_iters, spec.snr_grid_db) == (1e-3, 7, (3.0,))
     assert (spec.scheme, spec.detector, spec.sensing_snr_db, spec.seed) == ("otfs", "lmmse", 20.0, 9)
