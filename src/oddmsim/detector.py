@@ -166,7 +166,7 @@ class LinearStage:
             self._xi, self._fwd, self._rev = xi, _cholesky(self.ab, xi), None
         return self._fwd
 
-    def solve(self, rhs: np.ndarray, xi: float):
+    def solve(self, rhs: np.ndarray, xi: float) -> tuple[np.ndarray, float]:
         """(z, residual): z = (T + xi I)^{-1} rhs on chips and its measured
         ||(T + xi I) z - rhs|| / ||rhs||, 0 for rhs = 0.  A is unitary, so that
         is also the delay-Doppler residual of (H H^H + xi I)."""
@@ -192,7 +192,8 @@ class LinearStage:
         ratio = np.linalg.solve(g + xi * np.eye(b), g)
         return float(np.trace(ratio, axis1=1, axis2=2).real.sum() / self.H.config.mn)
 
-    def step(self, s_t: np.ndarray, y_c: np.ndarray, v_nle_sq: float, sigma_sq: float):
+    def step(self, s_t: np.ndarray, y_c: np.ndarray, v_nle_sq: float,
+             sigma_sq: float) -> tuple[np.ndarray, float, float]:
         """De-correlated linear estimate from the chips y_c of the observation;
         returns (r_t, v_le_sq, residual of its solve)."""
         H = self.H
