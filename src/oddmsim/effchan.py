@@ -23,7 +23,7 @@ chips through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -61,21 +61,44 @@ def _ramps(l, k, mn: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.asarray(k)[:, None] * (q - np.asarray(l)[:, None]) / mn)
 
 
-def path_correlations(x_c: np.ndarray, t_c: np.ndarray, ls, ks) -> np.ndarray:
-    """(H_{l,k} x)^H t on chips for every l in ls and k in ks; shape (len(ls), len(ks)).
+def shifted_conj_rows(x_c: np.ndarray, n: int) -> np.ndarray:
+    """(n, MN) rows conj(x_c[(q - d) mod MN]) of the shifts d < n, for :func:`path_correlations`.
 
-    (H_{l,k} x)^H t = e^{j2pi k l / MN} sum_q conj(x_c[q - l]) t_c[q] e^{-j2pi k q / MN}:
-    one length-MN FFT per delay, read at the bins k mod MN.  With t = x it is x's discrete
-    ambiguity function, which holds the scan of every unit path response (see :mod:`estimator`).
-    Row l of the stack is the window of the doubled conj(x_c) that starts at (-l) mod MN; the
-    stack is the one (len(ls), MN) buffer, multiplied and transformed in place.
+    Row d is the window of the doubled conj(x_c) that starts at (-d) mod MN.
     """
     mn = x_c.size
-    ls, ks = np.asarray(ls), np.asarray(ks)
-    stack = np.lib.stride_tricks.sliding_window_view(np.conj(np.tile(x_c, 2)), mn)[-ls % mn]
-    stack *= t_c
-    spectra = np.fft.fft(stack, axis=1, out=stack)
-    return spectra[:, ks % mn] * np.exp(2j * np.pi * np.outer(ls, ks) / mn)
+    windows = np.lib.stride_tricks.sliding_window_view(np.conj(np.tile(x_c, 2)), mn)
+    return windows[-np.arange(n) % mn]
+
+
+@lru_cache(maxsize=8)
+def doppler_twiddles(M: int, N: int, k_lo: int, k_hi: int) -> np.ndarray:
+    """(k_hi - k_lo, MN) read-only twiddles W[k, q] = e^{-j2pi k q / MN} for k in [k_lo, k_hi).
+
+    Built from the separable factors of chip q = nM + m, W[k, q] = e^{-j2pi k n / N}
+    e^{-j2pi k m / MN}, each exponent reduced to its integer power first, so no exponential
+    runs over all MN chips.  The matrix depends only on the grid and the range, so it is
+    built once and shared by every frame scanned over that range.
+    """
+    k, n, m = np.arange(k_lo, k_hi)[:, None, None], np.arange(N)[:, None], np.arange(M)
+    twiddles = (np.exp(-2j * np.pi * (k * n % N) / N)
+                * np.exp(-2j * np.pi * (k * m % (M * N)) / (M * N))).reshape(len(k), M * N)
+    twiddles.flags.writeable = False
+    return twiddles
+
+
+def path_correlations(rows: np.ndarray, t_c: np.ndarray, blocks) -> np.ndarray:
+    """(H_{d,k} x)^H t on chips for every shift d < len(rows) and every k of the twiddle
+    blocks; shape (len(rows), number of k), the blocks' k side by side.
+
+    rows are :func:`shifted_conj_rows` of x and each block is rows of
+    :func:`doppler_twiddles`.  (H_{d,k} x)^H t = e^{j2pi k d / MN} sum_q conj(x_c[q - d])
+    t_c[q] W[k, q]: per block, one complex matrix product rows @ (W o t_c)^T, then the phase
+    conj(W[k, d]).  The twiddled target W o t_c is formed one block at a time.  With t = x it
+    is x's discrete ambiguity function, which holds the scan of every unit path response
+    (see :mod:`estimator`).
+    """
+    return np.hstack([(rows @ (w * t_c).T) * np.conj(w[:, :len(rows)].T) for w in blocks])
 
 
 @dataclass(eq=False)

@@ -4,7 +4,8 @@ Every entry point maps the observation y and the known sensing frame s to
 time chips once (:func:`effchan.to_chips`, unitary, so inner products and
 residuals are unchanged).  A unit-gain path (l, k) responds to s with
 u_{l,k} = H_{l,k} s, and the window scan of a target t is u_{l,k}^H t for
-every window cell (:func:`effchan.path_correlations`, one FFT per delay).
+every window cell (:func:`effchan.path_correlations`: one complex matrix
+product of the frame's conj-shifted chip rows and the twiddled target).
 
 The scan is linear in t, and the scan of a path response is the sensing
 frame's discrete ambiguity function (Woodward 1953) at the cell difference:
@@ -13,11 +14,11 @@ frame's discrete ambiguity function (Woodward 1953) at the cell difference:
     C(d, kappa) = u_{d,kappa}^H s.
 
 A :class:`Sounding` holds everything that depends only on the search window
-and the sensing frame: the window cells and C over the difference window
-(d >= 0 by FFT; d < 0 is the Hermitian mirror).  It is built once per
-sensing frame and shared by every estimate from that frame, so an estimate
-runs one FFT pass, scan(s, y); every cancelled scan, Gram entry and
-residual after that is a gather.
+and the sensing frame: the window cells, the frame's conj-shifted rows and C
+over the difference window (d >= 0 by the same product as the scans; d < 0
+is the Hermitian mirror).  It is built once per sensing frame and shared by
+every estimate from that frame, so an estimate runs one product, scan(s, y);
+every cancelled scan, Gram entry and residual after that is a gather.
 
 * :func:`estimate_channel` -- low-complexity alternating search.  Paths are
   seeded by successive extraction of matched-filter peaks, then each outer
@@ -51,7 +52,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import FrameConfig, require_count
-from .effchan import EffectiveChannel, checked_chips, path_correlations
+from .effchan import (EffectiveChannel, checked_chips, doppler_twiddles, path_correlations,
+                      shifted_conj_rows)
 
 COND_LIMIT = 1e12
 NMSE_FLOOR_DB = -100.0
@@ -140,9 +142,9 @@ class Sounding:
     shares, done once.
 
     Holds the checked chips ``s`` of ``s_known``, the window cells in tie-break order
-    (l ascending, then |k|, negative first) with their index and l/k arrays, the
-    frame's ambiguity table over the cells' differences and, on first use, the Gram
-    of every pair of cells.
+    (l ascending, then |k|, negative first) with their index and l/k arrays, the rows
+    conj(s[q - d]) for the window's delay spread d, the frame's ambiguity table over the
+    cells' differences and, on first use, the Gram of every pair of cells.
     """
 
     def __init__(self, est: EstimationConfig, s_known: np.ndarray):
@@ -150,24 +152,48 @@ class Sounding:
         self.cells = est.cells()
         self.index = {c: i for i, c in enumerate(self.cells)}
         self.l, self.k = (np.array(v) for v in zip(*self.cells))
-        self.ls, self.ks = np.arange(*est.l_range), self.k[:est.k_range[1] - est.k_range[0]]
-        # C(d, kappa) for |d| < |L|, |kappa| < |K|; FFTs for d >= 0 only, as u_a^H u_b =
-        # conj(u_b^H u_a) gives C(-d, -kappa) = e^{j2pi kappa d / MN} conj(C(d, kappa))
-        self.dl, self.dk, self.mn = self.ls.size - 1, self.ks.size - 1, self.s.size
+        (l_lo, l_hi), (k_lo, k_hi) = est.l_range, est.k_range
+        M, N = est.frame.M, est.frame.N
+        self.dl, self.dk, self.mn = l_hi - l_lo - 1, k_hi - k_lo - 1, self.s.size
+        # one stack of rows conj(s[q - d]), d <= dl, serves the table and the scans: the scan
+        # at l = l_lo + d shifts t by -l_lo instead
+        self.rows = shifted_conj_rows(self.s, self.dl + 1)
+        self.rows.flags.writeable = False
+        # one twiddle matrix, k from min(k_lo, -dk) up, holds the window's k and the table's kappa
+        o = max(-k_lo, self.dk)  # row of k = 0
+        twiddles = doppler_twiddles(M, N, -o, max(k_hi, self.dk + 1))
+        self._scan_twiddles = [twiddles[o + k_lo:o + k_hi]]
+        self._scan_order = self.k[:k_hi - k_lo] - k_lo  # ascending k to cell order
+        # C(d, kappa) for |d| <= dl, |kappa| <= dk; the product for d >= 0 only, as u_a^H u_b =
+        # conj(u_b^H u_a) gives C(-d, -kappa) = e^{j2pi kappa d / MN} conj(C(d, kappa)).  kappa < 0
+        # and kappa >= 0 go in as two blocks, each no wider than the window, so no twiddled
+        # target outgrows a scan's
+        half = path_correlations(self.rows, self.s, [twiddles[o - self.dk:o],
+                                                     twiddles[o:o + self.dk + 1]])
         d, kappa = np.arange(self.dl + 1), np.arange(-self.dk, self.dk + 1)
-        half = path_correlations(self.s, self.s, d, kappa)
         mirror = np.exp(2j * np.pi * np.outer(d, kappa) / self.mn) * np.conj(half)
         self.table = np.vstack([mirror[:0:-1, ::-1], half])
         self.table.flags.writeable = False  # shared by every estimate from this frame
 
     def scan(self, t_c: np.ndarray) -> np.ndarray:
         """u_{l,k}^H t for every window cell, flat in cell order."""
-        return path_correlations(self.s, t_c, self.ls, self.ks).reshape(-1)
+        shifted = np.roll(t_c, -self.est.l_range[0])
+        scans = path_correlations(self.rows, shifted, self._scan_twiddles)
+        return scans[:, self._scan_order].ravel()
+
+    def indices(self, cells) -> list:
+        """Flat indices of window cells; a cell outside the window raises ValueError."""
+        outside = [c for c in cells if c not in self.index]
+        if outside:
+            raise ValueError(f"cells {outside} outside the search window "
+                             f"l_range={self.est.l_range}, k_range={self.est.k_range}")
+        return [self.index[c] for c in cells]
 
     def columns(self, cells) -> np.ndarray:
         """(len(cells), n_cells) scans of the cells' unit path responses u_c, read from the
         table: u_{l,k}^H u_c = e^{j2pi k_c (l - l_c) / MN} C(l - l_c, k - k_c)."""
-        lc, kc = (np.array(v)[:, None] for v in zip(*cells))
+        idx = self.indices(cells)
+        lc, kc = self.l[idx][:, None], self.k[idx][:, None]
         return (np.exp(2j * np.pi * kc * (self.l - lc) / self.mn)
                 * self.table[self.l - lc + self.dl, self.k - kc + self.dk])
 
@@ -181,7 +207,7 @@ class Sounding:
     def pick_peak(self, metric: np.ndarray, occupied) -> tuple:
         """First maximum of the flat metric outside the occupied cells."""
         metric = metric.copy()
-        metric[[self.index[c] for c in occupied]] = -np.inf
+        metric[self.indices(occupied)] = -np.inf
         return self.cells[int(np.argmax(metric))]
 
 

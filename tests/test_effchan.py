@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddmsim.channel import channel_from_cells, gen_synthetic_channel
 from oddmsim.core import FrameConfig, random_frame, vectorize
-from oddmsim.effchan import EffectiveChannel, from_chips, path_correlations, to_chips
+from oddmsim.effchan import (EffectiveChannel, doppler_twiddles, from_chips, path_correlations,
+                             shifted_conj_rows, to_chips)
 
 from oracles import (brute_force_effective_matrix, build_block, cyclic_permutation,
                      dense_channel, phase_rotation)
@@ -210,19 +213,55 @@ class TestApply:
             eff.apply_adjoint(np.zeros(cfg.mn + 1))
 
 
+def per_cell_correlations(cfg, s, t, ds, ks):
+    """Literal (H_{d,k} s)^H t with the oracle matrix, for every d in ds and k in ks."""
+    return np.array([[np.vdot(brute_force_effective_matrix([(1.0, d, k)], cfg.M, cfg.N) @ s, t)
+                      for k in ks] for d in ds])
+
+
+def correlate(cfg, s, t, n, ks):
+    """path_correlations of s against t for the shifts d < n and the consecutive bins ks, in
+    the given twiddle blocks of consecutive bins."""
+    return path_correlations(shifted_conj_rows(to_chips(s, cfg), n), to_chips(t, cfg),
+                             [doppler_twiddles(cfg.M, cfg.N, b[0], b[-1] + 1) for b in ks])
+
+
 class TestChipResponses:
     @pytest.mark.parametrize("M, N", [(8, 4), (16, 8), (12, 5)])
     def test_window_scan_matches_per_cell_oracle(self, M, N):
-        # (H_{l,k} s)^H t for every cell of a window that reaches the far
-        # delay edge (wrap) and both Doppler signs, against the literal
-        # per-cell product with the oracle matrix
+        # (H_{l,k} s)^H t for every delay, up to the far delay edge (wrap), and every signed
+        # Doppler bin, in two twiddle blocks, against the literal per-cell product with the
+        # oracle matrix
         cfg = FrameConfig(M=M, N=N, delta_f=15e3, f_c=5e9, Q=1)
         rng = np.random.default_rng(M * N)
         s = vectorize(random_frame(cfg, rng)[1])
         t = random_vector(rng, cfg.mn)
-        ls = np.arange(M)
-        ks = np.array(sorted(range(-(N // 2), (N + 1) // 2), key=lambda k: (abs(k), k >= 0)))
-        got = path_correlations(to_chips(s, cfg), to_chips(t, cfg), ls, ks)
-        ref = np.array([[np.vdot(brute_force_effective_matrix([(1.0, l, k)], M, N) @ s, t)
-                         for k in ks] for l in ls])
+        ks = np.arange(-(N // 2), (N + 1) // 2)
+        got = correlate(cfg, s, t, M, np.split(ks, [N // 2]))
+        ref = per_cell_correlations(cfg, s, t, range(M), ks)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @settings(max_examples=30)
+    @given(st.integers(3, 9), st.integers(2, 7), st.data())
+    def test_any_shifts_and_blocks_match_per_cell_oracle(self, M, N, data):
+        # random grids (odd MN among them), any number of shifts and any Doppler bins of
+        # the grid, cut into blocks anywhere
+        cfg = FrameConfig(M=M, N=N, delta_f=15e3, f_c=5e9, Q=1)
+        n = data.draw(st.integers(1, M), label="shifts")
+        k_lo = data.draw(st.integers(-(N // 2), (N + 1) // 2 - 1), label="k_lo")
+        k_hi = data.draw(st.integers(k_lo + 1, (N + 1) // 2), label="k_hi")
+        cut = data.draw(st.lists(st.booleans(), min_size=k_hi - k_lo - 1,
+                                 max_size=k_hi - k_lo - 1), label="cut after bin")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1), label="seed"))
+        s, t = random_vector(rng, cfg.mn), random_vector(rng, cfg.mn)
+        ks = np.arange(k_lo, k_hi)
+        got = correlate(cfg, s, t, n, np.split(ks, [i + 1 for i, c in enumerate(cut) if c]))
+        ref = per_cell_correlations(cfg, s, t, range(n), ks)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_twiddles_are_shared_and_read_only(self):
+        w = doppler_twiddles(8, 4, -2, 2)
+        assert doppler_twiddles(8, 4, -2, 2) is w
+        assert not w.flags.writeable
+        k, q = np.arange(-2, 2)[:, None], np.arange(32)
+        assert np.max(np.abs(w - np.exp(-2j * np.pi * k * q / 32))) <= 1e-14

@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oddmsim.estimator as estimator
 from oddmsim.channel import channel_from_cells, gen_synthetic_channel, snr_to_noise_var
 from oddmsim.core import FrameConfig, random_frame, vectorize
-from oddmsim.effchan import EffectiveChannel, from_chips, path_correlations, to_chips
+from oddmsim.effchan import EffectiveChannel, from_chips, to_chips
 from oddmsim.estimator import (EstimationConfig, Sounding, estimate_channel, mle_exhaustive,
                                nmse, solve_gains)
 
@@ -138,6 +142,18 @@ class TestWindow:
         ref = np.array([np.vdot(u, y) for u in responses(cfg, ec.cells(), s)])
         assert np.max(np.abs(amb - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    def test_cells_outside_the_window_rejected(self):
+        # columns used to wrap (7, 0) into the table's negative delays and return a row off by
+        # 1.28 relative; pick_peak raised KeyError
+        cfg = cfg16()
+        win = Sounding(est_cfg(cfg, 1, l_range=(0, 5), k_range=(-2, 3)),
+                       vectorize(random_frame(cfg, np.random.default_rng(0))[1]))
+        for cell in [(7, 0), (2, 5), (-1, 0), (0, -3)]:
+            with pytest.raises(ValueError, match=rf"cells \[{re.escape(str(cell))}\] outside"):
+                win.columns([(0, 0), cell])
+            with pytest.raises(ValueError, match="outside the search window"):
+                win.pick_peak(np.ones(len(win.cells)), [cell])
+
     def test_zero_observation_picks_cells_in_tie_order(self):
         cfg = cfg16()
         s = vectorize(random_frame(cfg, np.random.default_rng(0))[1])
@@ -207,7 +223,7 @@ def test_nan_epsilon_rejected():
 
 class TestAmbiguityTable:
     """Scans, Gram entries and residuals gathered from the sensing frame's ambiguity
-    table against the literal FFT scan and the oracle path responses."""
+    table against the oracle path responses."""
 
     @staticmethod
     def draw(M, N):
@@ -227,17 +243,14 @@ class TestAmbiguityTable:
     @pytest.mark.parametrize("M, N", [(8, 4), (16, 8), (12, 5)])
     def test_cancelled_scans_match_literal_scans(self, M, N):
         cfg, ec, s, y, hyp = self.draw(M, N)
-        s_c, y_c = to_chips(s, cfg), to_chips(y, cfg)
         win = Sounding(ec, s)
-        u = np.stack([to_chips(r, cfg) for r in responses(cfg, hyp, s)])
+        u, window = responses(cfg, hyp, s), responses(cfg, ec.cells(), s)
         h = np.array([0.7 - 0.2j, -0.4j, 1.1])
-        cols, scan_y = win.columns(hyp), win.scan(y_c)
-        ks = [k for l, k in ec.cells() if l == 0]
+        cols, scan_y = win.columns(hyp), win.scan(to_chips(y, cfg))
         for p in range(len(hyp)):
             others = [q for q in range(len(hyp)) if q != p]
             got = scan_y - h[others] @ cols[others]
-            ref = path_correlations(s_c, y_c - h[others] @ u[others], np.arange(M), ks)
-            ref = ref.reshape(-1)
+            ref = window.conj() @ (y - h[others] @ u[others])
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("M, N", [(8, 4), (16, 8), (12, 5)])
@@ -260,9 +273,10 @@ class TestAmbiguityTable:
 
     @pytest.mark.parametrize("n_paths, seed, P, iterations",
                              [(1, 50, 1, 1), (2, 8, 3, 2), (3, 11, 6, 2), (1, 50, 8, 3)])
-    def test_two_fft_scans_per_estimate(self, monkeypatch, n_paths, seed, P, iterations):
+    def test_two_scans_per_estimate(self, monkeypatch, n_paths, seed, P, iterations):
         # draws at 0 dB on which the search moves paths and runs 1 to 3 outer passes: the
-        # sounding's table is one FFT pass, and each estimate from it one more
+        # sounding's table is one path_correlations product, and each estimate from it one
+        # more
         calls = []
         literal = estimator.path_correlations
         monkeypatch.setattr(estimator, "path_correlations",
@@ -277,6 +291,48 @@ class TestAmbiguityTable:
         assert len(calls) == 2
         estimate_channel(2 * y, sounding)
         assert len(calls) == 3
+
+
+@st.composite
+def search_windows(draw):
+    """(M, N, l_range, k_range, seed) of a random small grid and any search window in it."""
+    M, N = draw(st.integers(3, 10), label="M"), draw(st.integers(2, 6), label="N")
+    lo = draw(st.integers(0, M - 1), label="l_lo")
+    hi = draw(st.integers(lo + 1, M), label="l_hi")
+    klo = draw(st.integers(-(N // 2), (N + 1) // 2 - 1), label="k_lo")
+    khi = draw(st.integers(klo + 1, (N + 1) // 2), label="k_hi")
+    return M, N, (lo, hi), (klo, khi), draw(st.integers(0, 2 ** 31 - 1), label="seed")
+
+
+def assert_close(got, ref):
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@settings(max_examples=25)
+@given(search_windows())
+# odd MN with a window that starts above 0, reaches the delay wrap and spans every Doppler bin
+@example((5, 3, (2, 5), (-1, 2), 7))
+@example((7, 5, (0, 7), (-2, 3), 3))
+@example((9, 4, (3, 6), (0, 1), 11))
+def test_sounding_matches_inner_products(window):
+    # the scan, the ambiguity table and the columns of one sounding against explicit inner
+    # products: u_{l,k}^H t with the oracle responses, and C(d, kappa) = u_{d,kappa}^H s with
+    # u_{d,kappa} written out on chips, e^{j2pi kappa (q - d) / MN} s_c[(q - d) mod MN]
+    M, N, l_range, k_range, seed = window
+    cfg = FrameConfig(M=M, N=N, delta_f=15e3, f_c=5e9, Q=1)
+    ec = EstimationConfig(frame=cfg, p_assumed=1, l_range=l_range, k_range=k_range)
+    rng = np.random.default_rng(seed)
+    s = vectorize(random_frame(cfg, rng)[1])
+    t = rng.standard_normal(cfg.mn) + 1j * rng.standard_normal(cfg.mn)
+    win = Sounding(ec, s)
+    u = responses(cfg, ec.cells(), s)
+    assert_close(win.scan(to_chips(t, cfg)), u.conj() @ t)
+    picked = [ec.cells()[i] for i in rng.permutation(len(win.cells))[:3]]
+    assert_close(win.columns(picked), responses(cfg, picked, s) @ u.conj().T)  # u_i^H u_c
+    s_c, q, mn = to_chips(s, cfg), np.arange(cfg.mn), cfg.mn
+    table = [[np.vdot(np.exp(2j * np.pi * kappa * (q - d) / mn) * s_c[(q - d) % mn], s_c)
+              for kappa in range(-win.dk, win.dk + 1)] for d in range(-win.dl, win.dl + 1)]
+    assert_close(win.table, np.array(table))
 
 
 class TestSounding:

@@ -200,7 +200,7 @@ def test_stages_built_in_the_other_csi_modes(monkeypatch, options, stages):
     (run_sensing_then_comm, {}, 3, 4),
 ], ids=["nmse-alg1", "nmse-alg1-mle", "link"])
 def test_one_sounding_per_trial(monkeypatch, sweep, options, n_rows, calls):
-    # one ambiguity-table pass per trial, then one scan per estimate
+    # one path_correlations product per trial for the ambiguity table, then one scan per estimate
     counted = []
     literal = estimator.path_correlations
     monkeypatch.setattr(estimator, "path_correlations",
