@@ -162,7 +162,7 @@ class Sounding:
         # one twiddle matrix, k from min(k_lo, -dk) up, holds the window's k and the table's kappa
         o = max(-k_lo, self.dk)  # row of k = 0
         twiddles = doppler_twiddles(M, N, -o, max(k_hi, self.dk + 1))
-        self._scan_twiddles = [twiddles[o + k_lo:o + k_hi]]
+        self._scan_twiddles = twiddles[o + k_lo:o + k_hi]
         self._scan_order = self.k[:k_hi - k_lo] - k_lo  # ascending k to cell order
         # C(d, kappa) for |d| <= dl, |kappa| <= dk; the product for d >= 0 only, as u_a^H u_b =
         # conj(u_b^H u_a) gives C(-d, -kappa) = e^{j2pi kappa d / MN} conj(C(d, kappa)).  kappa < 0
@@ -178,7 +178,7 @@ class Sounding:
     def scan(self, t_c: np.ndarray) -> np.ndarray:
         """u_{l,k}^H t for every window cell, flat in cell order."""
         shifted = np.roll(t_c, -self.est.l_range[0])
-        scans = path_correlations(self.rows, shifted, self._scan_twiddles)
+        scans = path_correlations(self.rows, shifted, [self._scan_twiddles])
         return scans[:, self._scan_order].ravel()
 
     def indices(self, cells) -> list:
@@ -227,7 +227,7 @@ def estimate_channel(y: np.ndarray, sounding: Sounding) -> EstimationResult:
     def fit():
         """Gains of the placed paths, their flag and the joint residual ||y - sum_q g_q u_q||^2
         = ||y||^2 - 2 Re(g^H b) + g^H G g; G[p, q] = u_p^H u_q is column q at cell p."""
-        idx = [sounding.index[c] for c in cells]
+        idx = sounding.indices(cells)
         G, b = cols[:, idx].T, scan_y[idx]
         gains, ill = solve_gains(G, b)
         return gains, ill, float(yy - 2 * np.vdot(gains, b).real + np.vdot(gains, G @ gains).real)
