@@ -167,7 +167,7 @@ class Sounding:
         # C(d, kappa) for |d| <= dl, |kappa| <= dk; the product for d >= 0 only, as u_a^H u_b =
         # conj(u_b^H u_a) gives C(-d, -kappa) = e^{j2pi kappa d / MN} conj(C(d, kappa)).  kappa < 0
         # and kappa >= 0 go in as two blocks, each no wider than the window, so no twiddled
-        # target outgrows a scan's
+        # target outgrows a scan's (a table-wide one made the heap fault in afresh every frame)
         half = path_correlations(self.rows, self.s, [twiddles[o - self.dk:o],
                                                      twiddles[o:o + self.dk + 1]])
         d, kappa = np.arange(self.dl + 1), np.arange(-self.dk, self.dk + 1)
