@@ -12,9 +12,11 @@ it is an input to the simulator, not a derived quantity.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import C_LIGHT, FrameConfig, delay_index, doppler_index
+from .core import C_LIGHT, FrameConfig, delay_index, doppler_index, require_count
 from .effchan import EffectiveChannel
 from .waveform import SampleStream
 
@@ -27,6 +29,12 @@ def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def require_speed(v_kmh) -> None:
+    """A user speed must be a finite, nonnegative number of km/h."""
+    if not (math.isfinite(v_kmh) and v_kmh >= 0):
+        raise ValueError(f"v_kmh must be finite and nonnegative, got {v_kmh!r}")
 
 
 def channel_from_cells(config: FrameConfig, cells, gains) -> EffectiveChannel:
@@ -47,8 +55,7 @@ def gen_eva_channel(config: FrameConfig, v_kmh: float, rng_seed) -> EffectiveCha
     nu = nu_max * cos(theta) with theta uniform (cosine arrival model), then
     delays and Dopplers are snapped onto the integer grid.
     """
-    if v_kmh < 0:
-        raise ValueError("speed must be nonnegative")
+    require_speed(v_kmh)
     rng = _as_rng(rng_seed)
     powers = 10.0 ** (EVA_POWERS_DB / 10.0)
     powers = powers / powers.sum()
@@ -65,6 +72,10 @@ def gen_eva_channel(config: FrameConfig, v_kmh: float, rng_seed) -> EffectiveCha
 def gen_synthetic_channel(config: FrameConfig, P: int, rng_seed,
                           l_max: int | None = None, k_max: int | None = None) -> EffectiveChannel:
     """P paths on distinct random grid cells with normalized Gaussian gains."""
+    require_count("P", P)
+    for name, value in (("l_max", l_max), ("k_max", k_max)):
+        if value is not None:
+            require_count(name, value, least=0)
     rng = _as_rng(rng_seed)
     l_max = min(config.M - 1, config.M // 4) if l_max is None else l_max
     k_max = min(config.N // 2 - 1, max(1, config.N // 4)) if k_max is None else k_max
@@ -102,6 +113,8 @@ def apply_physical_channel(stream: SampleStream, chan: EffectiveChannel) -> Samp
 def add_awgn(x: np.ndarray, noise_var: float, rng_seed=None) -> np.ndarray:
     """x plus circularly-symmetric complex Gaussian noise of per-sample variance
     noise_var (none for noise_var <= 0), always as a new array."""
+    if math.isnan(noise_var) or noise_var == math.inf:
+        raise ValueError(f"noise_var must not be NaN or +inf, got {noise_var!r}")
     if noise_var <= 0.0:
         return x.copy()
     rng = _as_rng(rng_seed)

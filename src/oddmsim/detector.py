@@ -34,7 +34,10 @@ far above ||T||, which OAMP reaches once v_nle^2 meets the variance floor.
 :class:`LinearStage` holds this for one channel.  The caller builds it once
 per channel it detects with and passes it to :func:`oamp_detect` and
 :func:`lmmse_detect`; the harness builds one per trial for perfect CSI and
-one per channel estimate for estimated CSI.
+one per channel estimate for estimated CSI.  The two band routines come from
+scipy's LAPACK, imported at the first factorization rather than with this
+module: loading ``scipy.linalg`` costs most of the package's start-up time and
+memory, and sweeps that never detect (channel estimation, OFDM) never need it.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zpbtrf, zpbtrs
 
 from .core import qam_demap, require_count
 from .effchan import EffectiveChannel, checked_chips, from_chips, to_chips
@@ -100,6 +102,8 @@ def _corner_gram(factor: np.ndarray, corner) -> np.ndarray:
 
 def _cholesky(ab: np.ndarray, xi: float) -> np.ndarray:
     """Lower band Cholesky factor of the band ab plus xi on the diagonal."""
+    from scipy.linalg.lapack import zpbtrf
+
     shifted = ab.copy(order="F")  # zpbtrf factors a Fortran array in place
     shifted[0] += xi
     factor, info = zpbtrf(shifted, lower=1, overwrite_ab=1)
@@ -170,6 +174,8 @@ class LinearStage:
         """(z, residual): z = (T + xi I)^{-1} rhs on chips and its measured
         ||(T + xi I) z - rhs|| / ||rhs||, 0 for rhs = 0.  A is unitary, so that
         is also the delay-Doppler residual of (H H^H + xi I)."""
+        from scipy.linalg.lapack import zpbtrs
+
         x, _ = zpbtrs(self._forward(xi), rhs[self.perm, None], lower=1)
         z = np.empty(self.H.config.mn, dtype=complex)
         z[self.perm] = x[:, 0]

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import baselines
 from .channel import (EVA_DELAYS_NS, add_awgn, apply_physical_channel, gen_eva_channel,
-                      gen_synthetic_channel, snr_to_noise_var)
+                      gen_synthetic_channel, require_speed, snr_to_noise_var)
 from .core import FrameConfig, random_frame, require_count, vectorize
 from .detector import LinearStage, OampConfig, lmmse_detect, oamp_detect
 from .effchan import EffectiveChannel
@@ -71,8 +71,7 @@ class ChannelSpec:
     def __post_init__(self):
         if self.model not in CHANNEL_MODELS:
             raise ValueError(f"unknown channel model {self.model!r}")
-        if not math.isfinite(self.v_kmh):
-            raise ValueError(f"v_kmh must be finite, got {self.v_kmh!r}")
+        require_speed(self.v_kmh)
         require_count("paths", self.paths)
         for name in ("l_max", "k_max"):
             if getattr(self, name) is not None:

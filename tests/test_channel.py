@@ -61,6 +61,12 @@ class TestEvaGeneration:
         assert chan.tau.tolist() == [3 / (cfg.M * cfg.delta_f), 19 / (cfg.M * cfg.delta_f)]
         assert chan.nu.tolist() == [-2 / (cfg.N * cfg.T), 1 / (cfg.N * cfg.T)]
 
+    @pytest.mark.parametrize("v_kmh", [float("nan"), float("inf"), -1.0])
+    def test_bad_speed_rejected(self, v_kmh):
+        # NaN and inf used to fail converting a Doppler to a cell index
+        with pytest.raises(ValueError, match="^v_kmh "):
+            gen_eva_channel(paper_cfg(), v_kmh, 0)
+
 
 class TestSyntheticGeneration:
     def test_path_count_and_windows(self):
@@ -74,6 +80,18 @@ class TestSyntheticGeneration:
         cfg = FrameConfig(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3)
         with pytest.raises(ValueError):
             gen_synthetic_channel(cfg, 50, 0, l_max=2, k_max=1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("P", 0),        # used to return a channel without paths
+        ("P", 2.5),      # used to raise TypeError
+        ("l_max", -1),
+        ("k_max", -1),   # used to report 2 paths in -5 cells
+        ("k_max", 1.5),
+    ])
+    def test_bad_arguments_rejected(self, name, value):
+        cfg = FrameConfig(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3)
+        with pytest.raises(ValueError, match=f"^{name} "):
+            gen_synthetic_channel(cfg, **{"P": 2, "rng_seed": 0, name: value})
 
 
 class TestApplyChannel:
@@ -125,8 +143,15 @@ class TestApplyChannel:
         out = add_awgn(np.zeros(1_200_000, dtype=complex), 0.25, 1)
         assert np.mean(np.abs(out) ** 2) == pytest.approx(0.25, rel=0.02)
         clean = self._stream().samples
-        assert np.array_equal(add_awgn(clean, 0.0), clean)
+        for noiseless in (0.0, -1.0, -np.inf):
+            assert np.array_equal(add_awgn(clean, noiseless), clean)
         assert add_awgn(clean, 0.0) is not clean
+
+    @pytest.mark.parametrize("noise_var", [float("nan"), float("inf")])
+    def test_non_finite_noise_var_rejected(self, noise_var):
+        # these used to return all-NaN or infinite samples
+        with pytest.raises(ValueError, match="noise_var"):
+            add_awgn(np.ones(4, complex), noise_var, 0)
 
     def test_deterministic_given_seed(self):
         x = self._stream().samples

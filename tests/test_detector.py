@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from scipy.linalg.lapack import zpbtrf
+from scipy.linalg import lapack
 
-from oddmsim import detector
 from oddmsim.channel import (channel_from_cells, gen_eva_channel, gen_synthetic_channel,
                              snr_to_noise_var)
 from oddmsim.core import FrameConfig, get_constellation, qam_map, random_frame, vectorize
@@ -161,6 +160,7 @@ class TestFactorCount:
     @staticmethod
     def factored_bands(monkeypatch, stage):
         kinds = []
+        factor = lapack.zpbtrf
 
         def counting(ab, **kwargs):
             if np.array_equal(ab[1:], stage.ab[1:]):
@@ -169,9 +169,10 @@ class TestFactorCount:
                 kinds.append("reversed")
             else:
                 kinds.append("other")
-            return zpbtrf(ab, **kwargs)
+            return factor(ab, **kwargs)
 
-        monkeypatch.setattr(detector, "zpbtrf", counting)
+        # detector imports zpbtrf from scipy's lapack module at each factorization
+        monkeypatch.setattr(lapack, "zpbtrf", counting)
         return kinds
 
     @staticmethod

@@ -243,6 +243,7 @@ IMPOSSIBLE_SPECS = {
     "sensing_snr_db-minus-inf": {"run.sensing_snr_db": -math.inf},
     "paths": {"channel.model": "synthetic", "channel.paths": 0},
     "v_kmh": {"channel.v_kmh": math.nan},
+    "v_kmh-negative": {"channel.v_kmh": -1.0},
     "trials": {"run.trials": 2.5},
     "frames_per_trial": {"run.frames_per_trial": 1.5},
     "epsilon": {"est.epsilon": math.nan},

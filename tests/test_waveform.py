@@ -249,13 +249,36 @@ def test_rejects_non_finite_stream():
         oddm_demodulate(SampleStream(samples=x, rate=st.rate, t0=st.t0), cfg)
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    # importing the package must stay light: scipy.signal alone costs most of a second
+def sweep_code(run, options):
+    """Source that runs harness.<run> on one tiny trial with these options."""
+    spec = {"frame.M": 16, "frame.N": 8, "frame.Q": 4, "run.snr_db": (10.0,),
+            "run.trials": 1, "run.frames_per_trial": 1, **options}
+    return f"from oddmsim import harness; harness.{run}(harness.build_spec({spec!r}))"
+
+
+# (code run in a fresh interpreter, scipy modules loaded after it)
+SCIPY_CASES = {
+    "import": ("import oddmsim", []),
+    "nmse-sweep": (sweep_code("run_nmse_sweep", {"channel.model": "synthetic"}), []),
+    "ofdm-link": (sweep_code("run_sensing_then_comm",
+                             {"run.scheme": "ofdm", "run.fidelity": "waveform"}), []),
+    # the positive control: detection factors a band, so it loads scipy.linalg
+    "oamp-link": (sweep_code("run_sensing_then_comm", {"run.detector": "oamp"}),
+                  ["scipy.linalg"]),
+}
+
+
+@pytest.mark.parametrize("case", list(SCIPY_CASES))
+def test_scipy_loads_only_to_detect(case):
+    # importing the package and running sweeps that never detect must stay light:
+    # scipy.signal alone costs most of a second, scipy.linalg a few tenths and 28 MB
+    code, expected = SCIPY_CASES[case]
     src = str(Path(oddmsim.__file__).resolve().parents[1])
-    code = "import sys, oddmsim; print('scipy.signal' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "False"
+    probe = ("import sys; print(','.join(m for m in ('scipy.linalg', 'scipy.signal') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", f"{code}\n{probe}"], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == ",".join(expected)
 
 
 class TestOrthogonality:
