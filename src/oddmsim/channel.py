@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import C_LIGHT, FrameConfig, delay_index, doppler_index, require_count
+from .core import C_LIGHT, FrameConfig, delay_index, require_count, round_half_away
 from .effchan import EffectiveChannel
 from .waveform import SampleStream
 
@@ -47,6 +47,37 @@ def channel_from_cells(config: FrameConfig, cells, gains) -> EffectiveChannel:
                             [l for l, _ in cells], [k for _, k in cells])
 
 
+def eva_support(config: FrameConfig, v_kmh: float) -> tuple:
+    """(paths, l_max, k_spread) of EVA at v_kmh: tap count, last tap's delay bin and Doppler
+    spread nu_max N T in bins, of which a tap draws round(k_spread cos theta).  A tap that
+    can land off the grid raises ValueError, naming delta_f or v_kmh."""
+    require_speed(v_kmh)
+    l_max = round_half_away(EVA_DELAYS_NS[-1] * 1e-9 * config.M * config.delta_f)
+    if l_max >= config.M:
+        raise ValueError(f"delta_f {config.delta_f!r} puts EVA's last tap on bin {l_max} >= M")
+    k_spread = (v_kmh / 3.6) * config.f_c / C_LIGHT * config.N * config.T
+    if round_half_away(k_spread) > config.doppler_range[1]:
+        raise ValueError(f"v_kmh {v_kmh!r} spreads EVA's taps off the grid: {k_spread:.3g} bins")
+    return len(EVA_DELAYS_NS), l_max, k_spread
+
+
+def synthetic_support(config: FrameConfig, P: int, l_max: int | None = None,
+                      k_max: int | None = None) -> tuple:
+    """(P, l_max, k_max): P paths on distinct cells l <= l_max, |k| <= k_max, each window a
+    quarter of the grid unless given.  An argument that does not fit raises ValueError naming it."""
+    require_count("P", P)
+    k_top = config.doppler_range[1]
+    l_max = config.M // 4 if l_max is None else l_max
+    k_max = min(k_top, max(1, config.N // 4)) if k_max is None else k_max
+    for name, value, top in (("l_max", l_max, config.M - 1), ("k_max", k_max, k_top)):
+        require_count(name, value, least=0)
+        if value > top:
+            raise ValueError(f"{name} {value} reaches off the grid, whose bins end at {top}")
+    if P > (l_max + 1) * (2 * k_max + 1):
+        raise ValueError(f"P {P} is more paths than the {(l_max + 1) * (2 * k_max + 1)} cells")
+    return P, l_max, k_max
+
+
 def gen_eva_channel(config: FrameConfig, v_kmh: float, rng_seed) -> EffectiveChannel:
     """Draw one EVA realization at user speed v_kmh.
 
@@ -55,34 +86,24 @@ def gen_eva_channel(config: FrameConfig, v_kmh: float, rng_seed) -> EffectiveCha
     nu = nu_max * cos(theta) with theta uniform (cosine arrival model), then
     delays and Dopplers are snapped onto the integer grid.
     """
-    require_speed(v_kmh)
+    _, _, k_spread = eva_support(config, v_kmh)
     rng = _as_rng(rng_seed)
     powers = 10.0 ** (EVA_POWERS_DB / 10.0)
     powers = powers / powers.sum()
     n_taps = len(powers)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n_taps)
-    nu_max = (v_kmh / 3.6) * config.f_c / C_LIGHT
-    nus = nu_max * np.cos(theta)
     gains = np.sqrt(powers / 2.0) * (rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps))
-    cells = [(delay_index(tau, config), doppler_index(nu, config))
-             for tau, nu in zip(EVA_DELAYS_NS * 1e-9, nus)]
+    cells = [(delay_index(tau, config), round_half_away(k))
+             for tau, k in zip(EVA_DELAYS_NS * 1e-9, k_spread * np.cos(theta))]
     return channel_from_cells(config, cells, gains)
 
 
 def gen_synthetic_channel(config: FrameConfig, P: int, rng_seed,
                           l_max: int | None = None, k_max: int | None = None) -> EffectiveChannel:
-    """P paths on distinct random grid cells with normalized Gaussian gains."""
-    require_count("P", P)
-    for name, value in (("l_max", l_max), ("k_max", k_max)):
-        if value is not None:
-            require_count(name, value, least=0)
+    """P paths with normalized Gaussian gains on distinct cells of :func:`synthetic_support`."""
+    P, l_max, k_max = synthetic_support(config, P, l_max, k_max)
     rng = _as_rng(rng_seed)
-    l_max = min(config.M - 1, config.M // 4) if l_max is None else l_max
-    k_max = min(config.N // 2 - 1, max(1, config.N // 4)) if k_max is None else k_max
-    n_cells = (l_max + 1) * (2 * k_max + 1)
-    if P > n_cells:
-        raise ValueError(f"cannot place {P} distinct paths in {n_cells} cells")
-    flat = rng.choice(n_cells, size=P, replace=False)
+    flat = rng.choice((l_max + 1) * (2 * k_max + 1), size=P, replace=False)
     cells = [(int(f) // (2 * k_max + 1), int(f) % (2 * k_max + 1) - k_max) for f in flat]
     gains = (rng.standard_normal(P) + 1j * rng.standard_normal(P)) / np.sqrt(2.0 * P)
     return channel_from_cells(config, cells, gains)

@@ -6,8 +6,8 @@ Conventions shared by every other module:
   (0..M-1) and ``n`` the Doppler index (0..N-1).
 * Vectorization is delay-major: ``s[m*N + n] = S(m, n)``, so the effective
   channel matrix decomposes into an M x M grid of N x N Doppler blocks.
-* Doppler indices are physically signed, in ``[-floor(N/2), ceil(N/2)-1]``,
-  and reduced mod N wherever they index the grid.
+* Doppler indices are physically signed, in ``[-floor(N/2), ceil(N/2)-1]``
+  (:attr:`FrameConfig.doppler_range`), and reduced mod N wherever they index the grid.
 * Rounding onto the integer grid is round-half-away-from-zero, so positive
   and negative Doppler quantize symmetrically.
 """
@@ -124,6 +124,11 @@ class FrameConfig:
         return self.M * self.N
 
     @property
+    def doppler_range(self) -> tuple:
+        """First and last signed Doppler bin, -floor(N/2) and ceil(N/2) - 1 (the largest |k|)."""
+        return -(self.N // 2), (self.N + 1) // 2 - 1
+
+    @property
     def sample_rate(self) -> float:
         return self.oversampling * self.M * self.delta_f
 
@@ -190,7 +195,7 @@ def delay_index(tau: float, config: FrameConfig) -> int:
 def doppler_index(nu: float, config: FrameConfig) -> int:
     """Signed integer Doppler bin k = round(nu * N * T)."""
     k = round_half_away(nu * config.N * config.T)
-    k_lo, k_hi = -(config.N // 2), (config.N + 1) // 2 - 1
+    k_lo, k_hi = config.doppler_range
     if not k_lo <= k <= k_hi:
         raise ValueError(f"Doppler {nu} Hz maps to bin {k} outside [{k_lo}, {k_hi}]")
     return k

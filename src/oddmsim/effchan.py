@@ -119,11 +119,11 @@ class EffectiveChannel:
         self.k = np.asarray(self.k, dtype=np.int64).reshape(-1)
         if not self.gains.size == self.l.size == self.k.size:
             raise ValueError("gains, l and k must have one entry per path")
-        M, N = self.config.M, self.config.N
+        M, (k_lo, k_hi) = self.config.M, self.config.doppler_range
         if np.any((self.l < 0) | (self.l >= M)):
             raise ValueError(f"delay bins {self.l.tolist()} outside [0, {M})")
-        if np.any((self.k < -(N // 2)) | (self.k > (N + 1) // 2 - 1)):
-            raise ValueError(f"Doppler bins {self.k.tolist()} outside the signed grid range")
+        if np.any((self.k < k_lo) | (self.k > k_hi)):
+            raise ValueError(f"Doppler bins {self.k.tolist()} outside [{k_lo}, {k_hi}]")
 
     @property
     def P(self) -> int:
@@ -166,15 +166,4 @@ class EffectiveChannel:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """H x = A^H H_t A x."""
-        return self._between_maps(self.apply_chips, x)
-
-    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """H^H y = A^H H_t^H A y."""
-        return self._between_maps(self.apply_adjoint_chips, y)
-
-    def _between_maps(self, chip_op, x):
-        x = np.asarray(x)
-        if x.shape != (self.config.mn,):
-            raise ValueError(f"vector shape {x.shape} != (MN,) = ({self.config.mn},)")
-        return from_chips(chip_op(to_chips(x, self.config)), self.config)
-
+        return from_chips(self.apply_chips(checked_chips("x", x, self.config)), self.config)

@@ -13,12 +13,12 @@ frame's discrete ambiguity function (Woodward 1953) at the cell difference:
     u_{l,k}^H u_{l',k'} = e^{j2pi k' (l - l') / MN} C(l - l', k - k'),
     C(d, kappa) = u_{d,kappa}^H s.
 
-A :class:`Sounding` holds everything that depends only on the search window
-and the sensing frame: the window cells, the frame's conj-shifted rows and C
-over the difference window (d >= 0 by the same product as the scans; d < 0
-is the Hermitian mirror).  It is built once per sensing frame and shared by
-every estimate from that frame, so an estimate runs one product, scan(s, y);
-every cancelled scan, Gram entry and residual after that is a gather.
+An :class:`EstimationConfig` owns the search window, built once per config.
+A :class:`Sounding` holds what depends on the sensing frame: its conj-shifted
+rows and C over the window's cell differences (d >= 0 by the same product as
+the scans; d < 0 is the Hermitian mirror).  It is built once per sensing frame
+and shared by every estimate from that frame, so an estimate runs one product,
+scan(s, y); every cancelled scan, Gram entry and residual after that is a gather.
 
 * :func:`estimate_channel` -- low-complexity alternating search.  Paths are
   seeded by successive extraction of matched-filter peaks, then each outer
@@ -62,12 +62,12 @@ LOW_CONF_FACTOR = 5.0   # a selected peak below this times the window median is 
 
 @dataclass(frozen=True)
 class EstimationConfig:
-    """Search windows and stopping rules for the alternating estimator."""
+    """Search window and stopping rules for the alternating estimator."""
 
     frame: FrameConfig
     p_assumed: int
-    l_range: tuple = None       # (lo, hi) half-open delay window
-    k_range: tuple = None       # (lo, hi) half-open signed Doppler window
+    l_range: tuple              # (lo, hi) half-open delay window
+    k_range: tuple              # (lo, hi) half-open signed Doppler window
     max_iters: int = 20
     epsilon: float = 1e-4       # summed |change| over all 3P parameters
     mle_max_hypotheses: int = 200_000
@@ -77,30 +77,51 @@ class EstimationConfig:
         require_count("max_iters", self.max_iters)
         if not self.epsilon > 0:  # also rejects NaN
             raise ValueError("epsilon must be positive")
-        M, N = self.frame.M, self.frame.N
-        if self.l_range is None:
-            object.__setattr__(self, "l_range", (0, min(M, max(2, M // 4 + 1))))
-        if self.k_range is None:
-            half = min(N // 2, max(1, N // 4))
-            object.__setattr__(self, "k_range", (-half, half + 1))
-        for name in ("l_range", "k_range"):
-            bounds = getattr(self, name)
+        k_first, k_last = self.frame.doppler_range
+        for name, first, end in ("l_range", 0, self.frame.M), ("k_range", k_first, k_last + 1):
+            lo, hi = bounds = getattr(self, name)
             if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in bounds):
                 raise ValueError(f"{name} bounds must be integers, got {bounds!r}")
-        lo, hi = self.l_range
-        if not (0 <= lo < hi <= M):
-            raise ValueError(f"l_range {self.l_range} outside [0, {M}]")
-        klo, khi = self.k_range
-        if not (-(N // 2) <= klo < khi <= (N + 1) // 2):
-            raise ValueError(f"k_range {self.k_range} outside the signed grid")
-        if self.p_assumed > (hi - lo) * (khi - klo):
+            if not first <= lo < hi <= end:
+                raise ValueError(f"{name} {bounds} outside the grid's [{first}, {end})")
+        if self.p_assumed > len(self.cells):
             raise ValueError(f"p_assumed {self.p_assumed} exceeds the "
-                             f"{(hi - lo) * (khi - klo)} cells of the search window")
+                             f"{len(self.cells)} cells of the search window")
 
-    def cells(self):
-        """Deterministically ordered window cells: l ascending, then |k|, negative first."""
-        ks = sorted(range(self.k_range[0], self.k_range[1]), key=lambda k: (abs(k), -(k < 0)))
-        return [(l, k) for l in range(self.l_range[0], self.l_range[1]) for k in ks]
+    @cached_property
+    def cells(self) -> tuple:
+        """Window cells in tie-break order: l ascending, then |k|, negative first."""
+        ks = sorted(range(*self.k_range), key=lambda k: (abs(k), -(k < 0)))
+        return tuple((l, k) for l in range(*self.l_range) for k in ks)
+
+    @cached_property
+    def index(self) -> dict:
+        """Flat index of each window cell."""
+        return {c: i for i, c in enumerate(self.cells)}
+
+    @cached_property
+    def cell_lk(self) -> tuple:
+        """l and k arrays of the window cells, in cell order."""
+        return tuple(np.array(v) for v in zip(*self.cells))
+
+    @cached_property
+    def hypotheses(self) -> int:
+        """Cell tuples the exhaustive search tries: C(number of cells, p_assumed)."""
+        return math.comb(len(self.cells), self.p_assumed)
+
+    def indices(self, cells) -> list:
+        """Flat indices of window cells; a cell outside the window raises ValueError."""
+        outside = [c for c in cells if c not in self.index]
+        if outside:
+            raise ValueError(f"cells {outside} outside the search window "
+                             f"l_range={self.l_range}, k_range={self.k_range}")
+        return [self.index[c] for c in cells]
+
+    def pick_peak(self, metric: np.ndarray, occupied) -> tuple:
+        """First maximum of the flat metric outside the occupied cells."""
+        metric = metric.copy()
+        metric[self.indices(occupied)] = -np.inf
+        return self.cells[int(np.argmax(metric))]
 
 
 @dataclass
@@ -129,31 +150,20 @@ def solve_gains(G: np.ndarray, b: np.ndarray):
     return np.linalg.solve(G, b), False
 
 
-def _known_chips(s_known, frame: FrameConfig):
-    """Checked chips of the sensing frame, which must carry energy."""
-    s = checked_chips("s_known", s_known, frame)
-    if not np.any(s):
-        raise ValueError("s_known has zero energy, so no path is observable")
-    return s
-
-
 class Sounding:
-    """A search window and a known sensing frame: the work every estimate from that frame
-    shares, done once.
+    """A known sensing frame searched over the window of ``est``: the work every estimate
+    from that frame shares, done once.
 
-    Holds the checked chips ``s`` of ``s_known``, the window cells in tie-break order
-    (l ascending, then |k|, negative first) with their index and l/k arrays, the rows
-    conj(s[q - d]) for the window's delay spread d, the frame's ambiguity table over the
-    cells' differences and, on first use, the Gram of every pair of cells.
+    Holds the checked chips ``s`` of ``s_known``, the rows conj(s[q - d]) for the window's
+    delay spread d, the frame's ambiguity table over the cells' differences and, on first
+    use, the Gram of every pair of cells.
     """
 
     def __init__(self, est: EstimationConfig, s_known: np.ndarray):
-        self.est, self.s = est, _known_chips(s_known, est.frame)
-        self.cells = est.cells()
-        self.index = {c: i for i, c in enumerate(self.cells)}
-        self.l, self.k = (np.array(v) for v in zip(*self.cells))
+        self.est, self.s = est, checked_chips("s_known", s_known, est.frame)
+        if not np.any(self.s):
+            raise ValueError("s_known has zero energy, so no path is observable")
         (l_lo, l_hi), (k_lo, k_hi) = est.l_range, est.k_range
-        M, N = est.frame.M, est.frame.N
         self.dl, self.dk, self.mn = l_hi - l_lo - 1, k_hi - k_lo - 1, self.s.size
         # one stack of rows conj(s[q - d]), d <= dl, serves the table and the scans: the scan
         # at l = l_lo + d shifts t by -l_lo instead
@@ -161,9 +171,9 @@ class Sounding:
         self.rows.flags.writeable = False
         # one twiddle matrix, k from min(k_lo, -dk) up, holds the window's k and the table's kappa
         o = max(-k_lo, self.dk)  # row of k = 0
-        twiddles = doppler_twiddles(M, N, -o, max(k_hi, self.dk + 1))
+        twiddles = doppler_twiddles(est.frame.M, est.frame.N, -o, max(k_hi, self.dk + 1))
         self._scan_twiddles = twiddles[o + k_lo:o + k_hi]
-        self._scan_order = self.k[:k_hi - k_lo] - k_lo  # ascending k to cell order
+        self._scan_order = est.cell_lk[1][:k_hi - k_lo] - k_lo  # ascending k to cell order
         # C(d, kappa) for |d| <= dl, |kappa| <= dk; the product for d >= 0 only, as u_a^H u_b =
         # conj(u_b^H u_a) gives C(-d, -kappa) = e^{j2pi kappa d / MN} conj(C(d, kappa)).  kappa < 0
         # and kappa >= 0 go in as two blocks, each no wider than the window, so no twiddled
@@ -181,34 +191,20 @@ class Sounding:
         scans = path_correlations(self.rows, shifted, [self._scan_twiddles])
         return scans[:, self._scan_order].ravel()
 
-    def indices(self, cells) -> list:
-        """Flat indices of window cells; a cell outside the window raises ValueError."""
-        outside = [c for c in cells if c not in self.index]
-        if outside:
-            raise ValueError(f"cells {outside} outside the search window "
-                             f"l_range={self.est.l_range}, k_range={self.est.k_range}")
-        return [self.index[c] for c in cells]
-
     def columns(self, cells) -> np.ndarray:
         """(len(cells), n_cells) scans of the cells' unit path responses u_c, read from the
         table: u_{l,k}^H u_c = e^{j2pi k_c (l - l_c) / MN} C(l - l_c, k - k_c)."""
-        idx = self.indices(cells)
-        lc, kc = self.l[idx][:, None], self.k[idx][:, None]
-        return (np.exp(2j * np.pi * kc * (self.l - lc) / self.mn)
-                * self.table[self.l - lc + self.dl, self.k - kc + self.dk])
+        (l, k), idx = self.est.cell_lk, self.est.indices(cells)
+        lc, kc = l[idx][:, None], k[idx][:, None]
+        return (np.exp(2j * np.pi * kc * (l - lc) / self.mn)
+                * self.table[l - lc + self.dl, k - kc + self.dk])
 
     @cached_property
     def gram(self) -> np.ndarray:
         """Gram u_p^H u_q of every pair of window cells, for :func:`mle_exhaustive`."""
-        gram = self.columns(self.cells).T
+        gram = self.columns(self.est.cells).T
         gram.flags.writeable = False
         return gram
-
-    def pick_peak(self, metric: np.ndarray, occupied) -> tuple:
-        """First maximum of the flat metric outside the occupied cells."""
-        metric = metric.copy()
-        metric[self.indices(occupied)] = -np.inf
-        return self.cells[int(np.argmax(metric))]
 
 
 def _observed(y, frame: FrameConfig):
@@ -227,7 +223,7 @@ def estimate_channel(y: np.ndarray, sounding: Sounding) -> EstimationResult:
     def fit():
         """Gains of the placed paths, their flag and the joint residual ||y - sum_q g_q u_q||^2
         = ||y||^2 - 2 Re(g^H b) + g^H G g; G[p, q] = u_p^H u_q is column q at cell p."""
-        idx = sounding.indices(cells)
+        idx = est.indices(cells)
         G, b = cols[:, idx].T, scan_y[idx]
         gains, ill = solve_gains(G, b)
         return gains, ill, float(yy - 2 * np.vdot(gains, b).real + np.vdot(gains, G @ gains).real)
@@ -241,7 +237,7 @@ def estimate_channel(y: np.ndarray, sounding: Sounding) -> EstimationResult:
     # applied to the residual of the paths placed so far
     for p in range(P):
         amb = scan_y - gains @ cols
-        cell = sounding.pick_peak(np.abs(amb) ** 2, cells)
+        cell = est.pick_peak(np.abs(amb) ** 2, cells)
         cells.append(cell)
         cols = np.vstack([cols, sounding.columns([cell])])
         gains, flag, residual = fit()
@@ -259,7 +255,7 @@ def estimate_channel(y: np.ndarray, sounding: Sounding) -> EstimationResult:
         for p in range(P):
             amb = scan_y - np.delete(gains, p) @ np.delete(cols, p, axis=0)
             last_maps[p] = np.abs(amb)
-            cand = sounding.pick_peak(np.abs(amb) ** 2, cells[:p] + cells[p + 1:])
+            cand = est.pick_peak(np.abs(amb) ** 2, cells[:p] + cells[p + 1:])
             if cand == cells[p]:
                 continue
             saved = (cells[p], cols[p].copy(), gains, ill)
@@ -280,7 +276,7 @@ def estimate_channel(y: np.ndarray, sounding: Sounding) -> EstimationResult:
             break
 
     # confidence: selected peaks should clear the window's median statistic
-    low_conf = any(m[sounding.index[c]] < LOW_CONF_FACTOR * np.median(m)
+    low_conf = any(m[est.index[c]] < LOW_CONF_FACTOR * np.median(m)
                    for m, c in zip(last_maps, cells))
 
     return EstimationResult(channel=EffectiveChannel(est.frame, gains, *zip(*cells)),
@@ -293,13 +289,10 @@ def mle_exhaustive(y: np.ndarray, sounding: Sounding) -> EstimationResult:
     """Global integer-grid minimizer of the residual over all cell tuples."""
     est = sounding.est
     y, yy = _observed(y, est.frame)
-    P = est.p_assumed
-    cell_list = sounding.cells
-    n_cells = len(cell_list)
-    n_combos = math.comb(n_cells, P)
-    if n_combos > est.mle_max_hypotheses:
+    P, n_cells = est.p_assumed, len(est.cells)
+    if est.hypotheses > est.mle_max_hypotheses:
         raise ValueError(
-            f"exhaustive search refused: C({n_cells}, {P}) = {n_combos} tuples "
+            f"exhaustive search refused: C({n_cells}, {P}) = {est.hypotheses} tuples "
             f"exceeds the cap of {est.mle_max_hypotheses}")
     gram, bvec = sounding.gram, sounding.scan(y)
     best = None
@@ -318,7 +311,7 @@ def mle_exhaustive(y: np.ndarray, sounding: Sounding) -> EstimationResult:
     if best is None:
         raise ValueError(f"no tuple of {P} window cells has a solvable gain system")
     resid, idx, h = best
-    cells = [cell_list[i] for i in idx]
+    cells = [est.cells[i] for i in idx]
     return EstimationResult(channel=EffectiveChannel(est.frame, h, *zip(*cells)),
                             iterations=1, objective_trace=[yy - resid])
 

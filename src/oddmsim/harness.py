@@ -7,8 +7,10 @@ trial-major: one runner call draws a trial's channel and frames and sends
 each frame once without noise, then every SNR point still short of
 ``min_bit_errors`` adds its own noise, receives, estimates and detects.
 A trial senses its channel with one known frame, so its
-:class:`estimator.Sounding` (the search window and the frame's ambiguity
-table) is built once and every point's estimates share it.  The detector's
+:class:`estimator.Sounding` is built once and every point's estimates share
+it; the cyclic prefix and the search window come from the channel model's
+support (:func:`channel.eva_support`, :func:`channel.synthetic_support`),
+which a spec must fit.  The detector's
 :class:`detector.LinearStage` is built once per channel it detects with: per
 trial for perfect CSI, per point's estimate for estimated CSI, never for the
 OFDM baseline, which equalizes per subcarrier.  Trials go out in
@@ -38,8 +40,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import baselines
-from .channel import (EVA_DELAYS_NS, add_awgn, apply_physical_channel, gen_eva_channel,
-                      gen_synthetic_channel, require_speed, snr_to_noise_var)
+from .channel import (add_awgn, apply_physical_channel, eva_support, gen_eva_channel,
+                      gen_synthetic_channel, require_speed, snr_to_noise_var,
+                      synthetic_support)
 from .core import FrameConfig, random_frame, require_count, vectorize
 from .detector import LinearStage, OampConfig, lmmse_detect, oamp_detect
 from .effchan import EffectiveChannel
@@ -129,6 +132,7 @@ class ExperimentSpec:
                 raise ValueError("the ofdm baseline supports csi=perfect only")
             if self.fidelity != "waveform":
                 raise ValueError("the ofdm baseline is waveform-level only")
+        _support(self)  # a channel that can land a path off the grid fails here, not in a trial
 
 
 def config_hash(spec: ExperimentSpec) -> str:
@@ -211,32 +215,12 @@ def _draw_channel(spec: ExperimentSpec, trial: int) -> EffectiveChannel:
                                  l_max=spec.channel.l_max, k_max=spec.channel.k_max)
 
 
-def _cp_chips(spec: ExperimentSpec) -> int:
-    cfg = spec.frame
-    if spec.channel.model == "eva":
-        max_l = int(round(EVA_DELAYS_NS[-1] * 1e-9 * cfg.M * cfg.delta_f))
-    else:
-        l_max = spec.channel.l_max
-        max_l = (cfg.M // 4) if l_max is None else l_max
-    return min(cfg.M - 1, max_l + 1)
-
-
-def _estimation_config(spec: ExperimentSpec) -> EstimationConfig:
-    cfg = spec.frame
-    cp = _cp_chips(spec)
-    if spec.channel.model == "eva":
-        p_default = len(EVA_DELAYS_NS)
-        nu_max = (spec.channel.v_kmh / 3.6) * cfg.f_c / 299_792_458.0
-        k_lim = min(cfg.N // 2 - 1, int(math.ceil(nu_max * cfg.N * cfg.T)) + 1)
-    else:
-        p_default = spec.channel.paths
-        k_default = min(cfg.N // 2 - 1, max(1, cfg.N // 4))
-        k_lim = k_default if spec.channel.k_max is None else min(cfg.N // 2 - 1, spec.channel.k_max + 1)
-    k_lim = max(1, k_lim)
-    p = p_default if spec.est.p_assumed is None else spec.est.p_assumed
-    return EstimationConfig(frame=cfg, p_assumed=p, l_range=(0, min(cfg.M, cp + 1)),
-                            k_range=(-k_lim, k_lim + 1),
-                            max_iters=spec.est.max_iters, epsilon=spec.est.epsilon)
+def _support(spec: ExperimentSpec) -> tuple:
+    """(paths, l_max, k_spread) of the spec's channel model on its grid."""
+    ch = spec.channel
+    if ch.model == "eva":
+        return eva_support(spec.frame, ch.v_kmh)
+    return synthetic_support(spec.frame, ch.paths, ch.l_max, ch.k_max)
 
 
 class _TrialRunner:
@@ -245,14 +229,23 @@ class _TrialRunner:
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
         self.cfg = spec.frame
-        self.cp = _cp_chips(spec)
+        self.paths, l_max, self.k_spread = _support(spec)
+        # one chip more than the largest delay bin; M - 1 still covers every bin on the grid
+        self.cp = min(self.cfg.M - 1, l_max + 1)
 
     @functools.cached_property
     def est_cfg(self) -> EstimationConfig:
-        return _estimation_config(self.spec)
-
-    def _ofdm_cp(self, chan) -> int:
-        return max(self.cp, int(chan.l.max()) + 1)
+        """Search window: delay bins up to the cyclic prefix, the Doppler spread plus a margin."""
+        spec, ch = self.spec, self.spec.channel
+        # EVA's spread and an explicit k_max get a one-bin Doppler margin where no drawn path
+        # lies, the default synthetic window none: kept apart, as changing a window moves the
+        # estimates of every spec it touches (sense-syn-128x32 pins a default one at 34 x 17).
+        margin = 0 if ch.model == "synthetic" and ch.k_max is None else 1
+        k_lim = min(self.cfg.doppler_range[1], math.ceil(self.k_spread) + margin)
+        p = self.paths if spec.est.p_assumed is None else spec.est.p_assumed
+        return EstimationConfig(frame=self.cfg, p_assumed=p, l_range=(0, self.cp + 1),
+                                k_range=(-k_lim, k_lim + 1),
+                                max_iters=spec.est.max_iters, epsilon=spec.est.epsilon)
 
     def _send(self, frame, chan):
         """Noiseless received signal of one frame: ``chan.apply(s)`` (matrix
@@ -265,7 +258,7 @@ class _TrialRunner:
         elif spec.scheme == "otfs":
             st = baselines.otfs_modulate(frame, cfg, cyclic_prefix_chips=self.cp)
         else:
-            st = baselines.ofdm_modulate(vectorize(frame), cfg, self._ofdm_cp(chan))
+            st = baselines.ofdm_modulate(vectorize(frame), cfg, self.cp)
         return apply_physical_channel(st, chan)
 
     def _observe(self, rx, noise_var, noise_rng):
@@ -307,8 +300,7 @@ class _TrialRunner:
         sent = [self._send(frame, chan) for _, frame in frames]
         trial_stage = None
         if spec.scheme == "ofdm":
-            cp = self._ofdm_cp(chan)
-            resp = baselines.ofdm_freq_response(chan, cfg, cp)
+            resp = baselines.ofdm_freq_response(chan, cfg, self.cp)
         elif spec.csi == "estimated":
             sounding, sense = self._sensing(trial, chan)
         else:
@@ -326,7 +318,7 @@ class _TrialRunner:
                 y = self._observe(rx, noise_var,
                                   derive_rng(spec.seed, _STAGE_COMM_NOISE, trial, f, snr_idx))
                 if spec.scheme == "ofdm":
-                    hard = baselines.ofdm_detect(y, resp, sigma, cfg, cp)
+                    hard = baselines.ofdm_detect(y, resp, sigma, cfg, self.cp)
                 elif spec.detector == "oamp":
                     hard = oamp_detect(y, stage, sigma, spec.det).hard_bits
                 else:
@@ -340,8 +332,7 @@ class _TrialRunner:
     def nmse_trial(self, trial: int):
         """Sense one trial's channel; returns its per-point work: the NMSE (dB)
         of the fast estimate and, when feasible, of the exhaustive search."""
-        est_cfg = self.est_cfg
-        mle_ok = math.comb(len(est_cfg.cells()), est_cfg.p_assumed) <= est_cfg.mle_max_hypotheses
+        mle_ok = self.est_cfg.hypotheses <= self.est_cfg.mle_max_hypotheses
         chan = _draw_channel(self.spec, trial)
         sounding, observe = self._sensing(trial, chan)
 

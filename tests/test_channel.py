@@ -61,11 +61,19 @@ class TestEvaGeneration:
         assert chan.tau.tolist() == [3 / (cfg.M * cfg.delta_f), 19 / (cfg.M * cfg.delta_f)]
         assert chan.nu.tolist() == [-2 / (cfg.N * cfg.T), 1 / (cfg.N * cfg.T)]
 
-    @pytest.mark.parametrize("v_kmh", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("v_kmh", [float("nan"), float("inf"), -1.0,
+                                       5000.0])  # Doppler spread 49.4 bins, grid |k| <= 15
     def test_bad_speed_rejected(self, v_kmh):
-        # NaN and inf used to fail converting a Doppler to a cell index
+        # NaN and inf used to fail converting a Doppler to a cell index, and a speed whose
+        # spread leaves the grid failed only on the seeds that drew a tap off it
         with pytest.raises(ValueError, match="^v_kmh "):
             gen_eva_channel(paper_cfg(), v_kmh, 0)
+
+    def test_last_tap_off_the_grid_rejected(self):
+        # 2510 ns at delta_f = 500 kHz is delay bin 643 of M = 512
+        cfg = FrameConfig(M=512, N=32, delta_f=500e3, f_c=5e9, Q=20)
+        with pytest.raises(ValueError, match="^delta_f "):
+            gen_eva_channel(cfg, 350.0, 0)
 
 
 class TestSyntheticGeneration:
@@ -87,6 +95,9 @@ class TestSyntheticGeneration:
         ("l_max", -1),
         ("k_max", -1),   # used to report 2 paths in -5 cells
         ("k_max", 1.5),
+        ("l_max", 16),   # off the grid: used to raise or not depending on the seed
+        ("k_max", 4),    # likewise, on the 8 Doppler bins -4..3
+        ("P", 26),       # more paths than the default window's 5 x 5 cells
     ])
     def test_bad_arguments_rejected(self, name, value):
         cfg = FrameConfig(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3)

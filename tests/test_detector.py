@@ -50,7 +50,7 @@ class TestOampLE:
         s = vectorize(frame)
         y, nv = noisy_observation(H, s, 10.0, 3)
         r, v_le, _ = LinearStage(H).step(np.zeros_like(s), to_chips(y, cfg), 1.0, nv)
-        assert np.allclose(r, H.apply_adjoint(y), atol=1e-10)
+        assert np.allclose(r, from_chips(H.apply_adjoint_chips(to_chips(y, cfg)), cfg), atol=1e-10)
         assert v_le == pytest.approx(nv, rel=1e-9)
 
 

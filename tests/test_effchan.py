@@ -20,9 +20,14 @@ def single_path(cfg, l, k, h=1.0):
     return EffectiveChannel(cfg, [h], [l], [k])
 
 
+def apply_adjoint(eff, y):
+    """H^H y = A^H H_t^H A y, through the chip maps."""
+    return from_chips(eff.apply_adjoint_chips(to_chips(y, eff.config)), eff.config)
+
+
 def materialize(eff, adjoint=False):
-    """Dense matrix of eff.apply (or eff.apply_adjoint), column by column."""
-    op = eff.apply_adjoint if adjoint else eff.apply
+    """Dense matrix of eff.apply (or of H^H), column by column."""
+    op = (lambda y: apply_adjoint(eff, y)) if adjoint else eff.apply
     return np.stack([op(e) for e in np.eye(eff.config.mn, dtype=complex)], axis=1)
 
 
@@ -96,9 +101,9 @@ class TestAssembly:
     def test_pure_delay_wrap_blocks(self):
         # one-bin delay on a 2x2 grid: lower block diagonal is I, wrap is D.
         # The full config cannot express M=2 (pulse length bound), but the
-        # channel only needs the grid shape.
+        # channel only needs the grid shape and its Doppler bins, -1 and 0.
         from types import SimpleNamespace
-        grid = SimpleNamespace(M=2, N=2, mn=4)
+        grid = SimpleNamespace(M=2, N=2, mn=4, doppler_range=(-1, 0))
         H = materialize(single_path(grid, 1, 0))
         D = phase_rotation(2)
         expected = np.zeros((4, 4), dtype=complex)
@@ -199,7 +204,7 @@ class TestApply:
         Hd = dense_channel(eff)
         x = random_vector(rng, cfg.mn)
         assert np.allclose(eff.apply(x), Hd @ x, atol=1e-12)
-        assert np.allclose(eff.apply_adjoint(x), Hd.conj().T @ x, atol=1e-12)
+        assert np.allclose(apply_adjoint(eff, x), Hd.conj().T @ x, atol=1e-12)
         # the delay-Doppler products are the chip products between the maps
         assert np.allclose(to_chips(Hd @ x, cfg), eff.apply_chips(to_chips(x, cfg)), atol=1e-12)
         assert np.allclose(from_chips(to_chips(x, cfg), cfg), x, atol=1e-14)
@@ -210,7 +215,7 @@ class TestApply:
         with pytest.raises(ValueError):
             eff.apply(np.zeros(5))
         with pytest.raises(ValueError):
-            eff.apply_adjoint(np.zeros(cfg.mn + 1))
+            apply_adjoint(eff, np.zeros(cfg.mn + 1))
 
 
 def per_cell_correlations(cfg, s, t, ds, ks):

@@ -118,19 +118,18 @@ class TestWindow:
         # first) over the unoccupied cells
         cfg = cfg16()
         ec = est_cfg(cfg, 2, l_range=(2, 7), k_range=(-3, 4))
-        win = Sounding(ec, vectorize(random_frame(cfg, np.random.default_rng(0))[1]))
         rng = np.random.default_rng(9)
         for _ in range(200):
-            metric = rng.integers(0, 3, len(win.cells)).astype(float)  # many ties
-            occupied = [win.cells[i] for i in rng.choice(len(win.cells), 3, replace=False)]
+            metric = rng.integers(0, 3, len(ec.cells)).astype(float)  # many ties
+            occupied = [ec.cells[i] for i in rng.choice(len(ec.cells), 3, replace=False)]
             best_key = best = None
-            for (l, k), m in zip(ec.cells(), metric):
+            for (l, k), m in zip(ec.cells, metric):
                 if (l, k) in occupied:
                     continue
                 key = (-m, l, abs(k), 0 if k < 0 else 1)
                 if best_key is None or key < best_key:
                     best_key, best = key, (l, k)
-            assert win.pick_peak(metric, occupied) == best
+            assert ec.pick_peak(metric, occupied) == best
 
     def test_scan_in_cell_order(self):
         cfg = cfg16()
@@ -139,7 +138,7 @@ class TestWindow:
         s, y = observe(cfg, chan, None)
         win = Sounding(ec, s)
         amb = win.scan(to_chips(y, cfg))
-        ref = np.array([np.vdot(u, y) for u in responses(cfg, ec.cells(), s)])
+        ref = np.array([np.vdot(u, y) for u in responses(cfg, ec.cells, s)])
         assert np.max(np.abs(amb - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_cells_outside_the_window_rejected(self):
@@ -152,7 +151,7 @@ class TestWindow:
             with pytest.raises(ValueError, match=rf"cells \[{re.escape(str(cell))}\] outside"):
                 win.columns([(0, 0), cell])
             with pytest.raises(ValueError, match="outside the search window"):
-                win.pick_peak(np.ones(len(win.cells)), [cell])
+                win.est.pick_peak(np.ones(len(win.est.cells)), [cell])
 
     def test_zero_observation_picks_cells_in_tie_order(self):
         cfg = cfg16()
@@ -244,7 +243,7 @@ class TestAmbiguityTable:
     def test_cancelled_scans_match_literal_scans(self, M, N):
         cfg, ec, s, y, hyp = self.draw(M, N)
         win = Sounding(ec, s)
-        u, window = responses(cfg, hyp, s), responses(cfg, ec.cells(), s)
+        u, window = responses(cfg, hyp, s), responses(cfg, ec.cells, s)
         h = np.array([0.7 - 0.2j, -0.4j, 1.1])
         cols, scan_y = win.columns(hyp), win.scan(to_chips(y, cfg))
         for p in range(len(hyp)):
@@ -257,9 +256,9 @@ class TestAmbiguityTable:
     def test_gram_matches_oracle_responses(self, M, N):
         cfg, ec, s, _, _ = self.draw(M, N)
         win = Sounding(ec, s)
-        u = responses(cfg, ec.cells(), s)
+        u = responses(cfg, ec.cells, s)
         ref = u.conj() @ u.T
-        got = win.columns(ec.cells()).T
+        got = win.columns(ec.cells).T
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("M, N", [(8, 4), (16, 8), (12, 5)])
@@ -325,9 +324,9 @@ def test_sounding_matches_inner_products(window):
     s = vectorize(random_frame(cfg, rng)[1])
     t = rng.standard_normal(cfg.mn) + 1j * rng.standard_normal(cfg.mn)
     win = Sounding(ec, s)
-    u = responses(cfg, ec.cells(), s)
+    u = responses(cfg, ec.cells, s)
     assert_close(win.scan(to_chips(t, cfg)), u.conj() @ t)
-    picked = [ec.cells()[i] for i in rng.permutation(len(win.cells))[:3]]
+    picked = [ec.cells[i] for i in rng.permutation(len(win.est.cells))[:3]]
     assert_close(win.columns(picked), responses(cfg, picked, s) @ u.conj().T)  # u_i^H u_c
     s_c, q, mn = to_chips(s, cfg), np.arange(cfg.mn), cfg.mn
     table = [[np.vdot(np.exp(2j * np.pi * kappa * (q - d) / mn) * s_c[(q - d) % mn], s_c)

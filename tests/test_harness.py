@@ -3,6 +3,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oddmsim import detector, estimator, harness
 from oddmsim.harness import (CSI_MODES, DETECTORS, FIDELITIES, SCHEMES, build_spec,
@@ -179,7 +181,11 @@ def test_perfect_csi_builds_one_stage_and_draws_one_channel_per_trial(monkeypatc
     ({"run.csi": "estimated"}, 3 * 2),
     # the OFDM baseline equalizes per subcarrier
     ({"run.scheme": "ofdm", "run.fidelity": "waveform"}, 0),
-], ids=["estimated", "ofdm"])
+    # delays up to M - 1: the cyclic prefix is clamped to M - 1, which covers them; the OFDM
+    # baseline used to ask for one chip more and raise "cp_chips must be in [0, M)"
+    ({"run.scheme": "ofdm", "run.fidelity": "waveform", "frame.M": 16, "frame.Q": 2,
+      "channel.model": "synthetic", "channel.l_max": 15, "channel.paths": 40}, 0),
+], ids=["estimated", "ofdm", "ofdm-clamped-cp"])
 def test_stages_built_in_the_other_csi_modes(monkeypatch, options, stages):
     built = []
     build_stage = detector.LinearStage.__init__
@@ -256,6 +262,11 @@ IMPOSSIBLE_SPECS = {
     "seed-negative": {"run.seed": -1},
     "l_max": {"channel.model": "synthetic", "channel.l_max": 2.5},
     "k_max": {"channel.model": "synthetic", "channel.k_max": -3},
+    # windows and speeds whose draws can leave the 32 x 8 grid used to fail only on some seeds
+    "l_max-off-grid": {"channel.model": "synthetic", "channel.l_max": 32},
+    "k_max-off-grid": {"channel.model": "synthetic", "channel.k_max": 4},
+    "v_kmh-off-grid": {"channel.v_kmh": 2000.0},
+    "delta_f-eva-last-tap": {"frame.delta_f": 500e3},
     # one spelling per experiment: "4QAM" would run 4qam under another config_hash
     "constellation": {"frame.constellation": "4QAM"},
 }
@@ -304,3 +315,51 @@ def test_every_known_option_key_accepted():
     assert (spec.frame.M, spec.frame.constellation, spec.channel.k_max) == (32, "4qam", 2)
     assert (spec.est.epsilon, spec.det.max_iters, spec.snr_grid_db) == (1e-3, 7, (3.0,))
     assert (spec.scheme, spec.detector, spec.sensing_snr_db, spec.seed) == ("otfs", "lmmse", 20.0, 9)
+
+
+ARGUMENT_NAMES = ("l_max", "k_max", "v_kmh", "delta_f", "P", "p_assumed")
+
+
+@st.composite
+def channel_options(draw):
+    """build_spec options of a small grid, odd or even each way, with either channel model."""
+    options = {"frame.M": draw(st.integers(3, 24), label="M"),
+               "frame.N": draw(st.integers(2, 9), label="N"), "frame.Q": 1,
+               "frame.delta_f": draw(st.sampled_from([15e3, 120e3, 480e3]), label="delta_f"),
+               "channel.model": draw(st.sampled_from(["eva", "synthetic"]), label="model")}
+    if options["channel.model"] == "eva":
+        options["channel.v_kmh"] = draw(st.floats(0.0, 3000.0), label="v_kmh")
+    else:
+        options["channel.paths"] = draw(st.integers(1, 4), label="paths")
+        for name, top in (("l_max", options["frame.M"] + 2),
+                          ("k_max", options["frame.N"] // 2 + 1)):
+            value = draw(st.none() | st.integers(0, top), label=name)
+            if value is not None:
+                options[f"channel.{name}"] = value
+    return options
+
+
+@settings(max_examples=60)
+@given(channel_options())
+# draws off a 16 x 8 grid; Doppler bins +-2 of a 32 x 5 grid that the window used to miss
+@example({"frame.M": 16, "frame.N": 8, "frame.Q": 1, "channel.model": "synthetic",
+          "channel.l_max": 17})
+@example({"frame.M": 32, "frame.N": 5, "channel.model": "synthetic", "channel.k_max": 2,
+          "channel.paths": 4})
+@example({"frame.M": 32, "frame.N": 5, "channel.v_kmh": 1000.0})
+def test_drawn_cells_lie_on_the_grid_under_the_prefix_and_in_the_window(options):
+    # a spec is refused, naming the argument, or every cell it draws is on the grid, no later
+    # than the cyclic prefix and inside the estimator's search window
+    try:
+        runner = harness._TrialRunner(build_spec(options))
+        window = runner.est_cfg
+    except ValueError as exc:
+        assert str(exc).split()[0] in ARGUMENT_NAMES, exc
+        return
+    M, N = runner.cfg.M, runner.cfg.N
+    for trial in range(3):
+        chan = harness._draw_channel(runner.spec, trial)
+        for l, k in zip(chan.l.tolist(), chan.k.tolist()):
+            assert 0 <= l <= runner.cp < M and -(N // 2) <= k < (N + 1) // 2
+            assert window.l_range[0] <= l < window.l_range[1]
+            assert window.k_range[0] <= k < window.k_range[1]
