@@ -125,10 +125,10 @@ def apply_physical_channel(stream: SampleStream, chan: EffectiveChannel) -> Samp
                          f"(rate {rate})")
     out = np.zeros(x.size + shifts.max(initial=0), dtype=complex)
     # phase referenced to t - tau, i.e. to the input's own time axis
-    t_in = stream.start_index + np.arange(x.size)
+    t_in = stream.start + np.arange(x.size)
     for h, nu, shift in zip(chan.gains, chan.nu, shifts):
         out[shift:shift + x.size] += h * x * np.exp(2j * np.pi * (nu / rate) * t_in)
-    return SampleStream(samples=out, rate=rate, t0=stream.t0)
+    return SampleStream(samples=out, rate=rate, start=stream.start)
 
 
 def add_awgn(x: np.ndarray, noise_var: float, rng_seed=None) -> np.ndarray:

@@ -132,7 +132,9 @@ class ExperimentSpec:
                 raise ValueError("the ofdm baseline supports csi=perfect only")
             if self.fidelity != "waveform":
                 raise ValueError("the ofdm baseline is waveform-level only")
-        _support(self)  # a channel that can land a path off the grid fails here, not in a trial
+        runner = _TrialRunner(self)  # an off-grid channel fails here, not in a trial,
+        if self.csi == "estimated":  # and so does a search window too small for p_assumed
+            runner.est_cfg
 
 
 def config_hash(spec: ExperimentSpec) -> str:
@@ -258,7 +260,7 @@ class _TrialRunner:
         elif spec.scheme == "otfs":
             st = baselines.otfs_modulate(frame, cfg, cyclic_prefix_chips=self.cp)
         else:
-            st = baselines.ofdm_modulate(vectorize(frame), cfg, self.cp)
+            st = baselines.ofdm_modulate(frame, cfg, self.cp)
         return apply_physical_channel(st, chan)
 
     def _observe(self, rx, noise_var, noise_rng):
@@ -267,7 +269,7 @@ class _TrialRunner:
         spec, cfg = self.spec, self.cfg
         if spec.fidelity == "matrix":
             return add_awgn(rx, noise_var, noise_rng)
-        rx = SampleStream(add_awgn(rx.samples, noise_var, noise_rng), rx.rate, rx.t0)
+        rx = SampleStream(add_awgn(rx.samples, noise_var, noise_rng), rx.rate, rx.start)
         if spec.scheme == "oddm":
             return vectorize(oddm_demodulate(rx, cfg))
         if spec.scheme == "otfs":

@@ -8,10 +8,13 @@ to the delay and Doppler resolutions of the grid.  The grid fixes the pulse
 
 All waveform processing runs in *sample units*: one sample step is the unit of
 time, so a pulse spans ``2*Q*oversampling + 1`` samples and the frame spans
-``M*N*oversampling`` samples.  With the pulse train normalized to unit
-discrete energy, a matched filter then preserves per-sample noise variance,
-which keeps the SNR bookkeeping identical between the sample-level chain and
-the grid-level matrix model.
+``M*N*oversampling`` samples.  A :class:`SampleStream` counts time the same
+way: ``start`` is the index of its first sample, 0 being the frame's first.
+Every modulator takes :func:`checked_frame`, and every receiver reads its own
+window of that axis through :func:`checked_samples`.  With the pulse train
+normalized to unit discrete energy, a matched filter then preserves
+per-sample noise variance, which keeps the SNR bookkeeping identical between
+the sample-level chain and the grid-level matrix model.
 
 Chip-grid (polyphase) form.  Symbol S(m, n) rides
 
@@ -37,6 +40,7 @@ product over the concatenated windows.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,15 +50,15 @@ from .core import FrameConfig
 
 @dataclass(frozen=True, eq=False)
 class SampleStream:
-    """Complex baseband samples at `rate` Hz, first sample at time `t0` s."""
+    """Complex baseband samples at `rate` Hz, the first at sample index `start`."""
 
     samples: np.ndarray
     rate: float
-    t0: float = 0.0
+    start: int = 0
 
-    @property
-    def start_index(self) -> int:
-        return int(round(self.t0 * self.rate))
+    def __post_init__(self):
+        if isinstance(self.start, bool) or not isinstance(self.start, numbers.Integral):
+            raise ValueError(f"start must be an integer sample index, got {self.start!r}")
 
 
 def _srrc_taps(t: np.ndarray, beta: float) -> np.ndarray:
@@ -93,14 +97,29 @@ def build_srrc(config: FrameConfig) -> np.ndarray:
     return a / np.sqrt(config.N * np.sum(a * a))
 
 
-def checked_samples(stream: SampleStream, config: FrameConfig) -> np.ndarray:
-    """A received stream's samples, which must be finite and at the config's sample rate."""
+def checked_frame(frame, config: FrameConfig) -> np.ndarray:
+    """A frame to transmit: an (M, N) array of finite symbols."""
+    grid = np.asarray(frame)
+    if grid.shape != (config.M, config.N):
+        raise ValueError(f"frame shape {grid.shape} != ({config.M}, {config.N})")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("frame has non-finite symbols")
+    return grid
+
+
+def checked_samples(stream: SampleStream, config: FrameConfig, first: int, stop: int) -> np.ndarray:
+    """Samples [first, stop) of a received stream, which must be finite, at the config's
+    sample rate and cover them."""
     if not np.isclose(stream.rate, config.sample_rate, rtol=1e-9, atol=0.0):
         raise ValueError(f"stream rate {stream.rate} Hz != frame config sample rate "
                          f"{config.sample_rate} Hz")
     if not np.all(np.isfinite(stream.samples)):
         raise ValueError("stream has non-finite samples")
-    return stream.samples
+    lo, hi = first - stream.start, stop - stream.start
+    if lo < 0 or hi > stream.samples.size:
+        raise ValueError(f"stream of {stream.samples.size} samples from {stream.start} does "
+                         f"not cover the receive window [{first}, {stop})")
+    return stream.samples[lo:hi]
 
 
 def _tap_bank(config: FrameConfig) -> np.ndarray:
@@ -131,18 +150,15 @@ def oddm_modulate(frame, config: FrameConfig, cyclic_prefix_chips: int = 0) -> S
     X[q, n] = S(m, n) * e^{j2pi n n_hat/N} times the tap bank give each chip's
     (2Q + 1)*osf samples, which are overlap-added into the stream's
     (MN + 2Q, osf) blocks: window block j of chip q lands on stream block
-    q + j.  The stream covers
-    t in [-Q*osf, MN*osf + Q*osf).  With ``cyclic_prefix_chips > 0`` the tail
-    of the frame is folded in front of t = 0 so that a multipath channel with
-    delay spread up to that many delay bins acts circularly on the frame,
-    matching the wrap blocks of the grid-level channel matrix.
+    q + j.  The stream covers samples [-Q*osf, MN*osf + Q*osf): ``start`` is
+    -Q*osf.  With ``cyclic_prefix_chips > 0`` the tail of the frame is folded
+    in front of sample 0 (``start`` moves back as many chips) so that a
+    multipath channel with delay spread up to that many delay bins acts
+    circularly on the frame, matching the wrap blocks of the grid-level
+    channel matrix.
     """
-    grid = np.asarray(frame)
+    grid = checked_frame(frame, config)
     M, N, osf = config.M, config.N, config.oversampling
-    if grid.shape != (M, N):
-        raise ValueError(f"frame shape {grid.shape} != ({M}, {N})")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("frame has non-finite symbols")
     if cyclic_prefix_chips < 0 or cyclic_prefix_chips > M:
         raise ValueError("cyclic_prefix_chips must be in [0, M]")
     Q, qos = config.Q, config.Q * osf
@@ -152,38 +168,30 @@ def oddm_modulate(frame, config: FrameConfig, cyclic_prefix_chips: int = 0) -> S
     blocks = np.zeros((M * N + 2 * Q, osf), dtype=complex)
     for j in range(2 * Q + 1):
         blocks[j:j + M * N] += windows[:, j]
-    body = blocks.reshape(-1)  # t in [-qos, L + qos)
+    body = blocks.reshape(-1)  # samples [-qos, L + qos)
     if cyclic_prefix_chips == 0:
-        return SampleStream(samples=body, rate=config.sample_rate,
-                            t0=-qos / config.sample_rate)
+        return SampleStream(samples=body, rate=config.sample_rate, start=-qos)
     cp = cyclic_prefix_chips * osf
     out = np.zeros(cp + L + 2 * qos, dtype=complex)
     out[cp:] = body
-    out[:cp + 2 * qos] += body[L - cp:]  # fold frame tail in front of t = 0
-    return SampleStream(samples=out, rate=config.sample_rate,
-                        t0=-(cp + qos) / config.sample_rate)
+    out[:cp + 2 * qos] += body[L - cp:]  # fold frame tail in front of sample 0
+    return SampleStream(samples=out, rate=config.sample_rate, start=-(cp + qos))
 
 
 def oddm_demodulate(stream: SampleStream, config: FrameConfig) -> np.ndarray:
     """Project a received stream back onto the M x N grid via the matched filter.
 
-    The transpose of :func:`oddm_modulate`: the stream from t = -Q*osf on is
-    viewed as (MN + 2Q, osf) blocks, chip q correlates its window (blocks
+    The transpose of :func:`oddm_modulate`: samples [-Q*osf, MN*osf + Q*osf)
+    are viewed as (MN + 2Q, osf) blocks, chip q correlates its window (blocks
     q .. q + 2Q) with the conjugate tap bank, and the chip correlations
     Z[q, n] of the N pulse copies n_hat of each delay slot m are combined
-    with e^{-j2pi n n_hat/N}.  Samples past the stream's end count as zero.
+    with e^{-j2pi n n_hat/N}.  The stream must cover the samples up to the
+    last chip's last tap; the osf - 1 zero taps past it read zeros.
     """
     M, N, osf = config.M, config.N, config.oversampling
-    y = checked_samples(stream, config)
-    i0 = stream.start_index
     Q, qos = config.Q, config.Q * osf
-    # matched-filter positions m*osf + n_hat*M*osf must all be covered
-    last_needed = (M - 1) * osf + (N - 1) * M * osf + qos
-    if i0 > -qos or i0 + y.size <= last_needed:
-        raise ValueError("stream too short to cover one frame plus pulse tails")
-    segment = np.zeros((M * N + 2 * Q) * osf, dtype=complex)  # t in [-qos, L + qos)
-    part = y[-qos - i0:][:segment.size]
-    segment[:part.size] = part
+    y = checked_samples(stream, config, -qos, (M * N - 1) * osf + qos + 1)
+    segment = np.concatenate([y, np.zeros(osf - 1)])
     windows = np.lib.stride_tricks.sliding_window_view(segment, (2 * Q + 1) * osf)[::osf]
     Z = (windows @ _tap_bank(config).conj().T).reshape(N, M, N)
     return np.einsum("kmn,kn->mn", Z, _hop_phases(N, -1))

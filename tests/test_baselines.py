@@ -5,8 +5,8 @@ from oddmsim.baselines import (ofdm_detect, ofdm_freq_response, ofdm_modulate,
                                otfs_demodulate, otfs_modulate)
 from oddmsim.channel import (add_awgn, apply_physical_channel, channel_from_cells,
                              gen_eva_channel, snr_to_noise_var)
-from oddmsim.core import FrameConfig, qam_map, random_frame, vectorize
-from oddmsim.waveform import SampleStream
+from oddmsim.core import FrameConfig, random_frame, vectorize
+from oddmsim.waveform import SampleStream, oddm_demodulate, oddm_modulate
 
 from oracles import count_bit_errors, qpsk_awgn_ber
 
@@ -67,9 +67,9 @@ class TestOfdm:
     def test_noiseless_static_single_tap(self):
         cfg = cfg32()
         rng = np.random.default_rng(5)
-        bits, _ = random_frame(cfg, rng)
+        bits, frame = random_frame(cfg, rng)
         chan = channel_from_cells(cfg, [(1, 0)], [0.6 + 0.8j])
-        st = ofdm_modulate(qam_map(bits), cfg, cp_chips=4)
+        st = ofdm_modulate(frame, cfg, cp_chips=4)
         rx = apply_physical_channel(st, chan)
         out = ofdm_detect(rx, ofdm_freq_response(chan, cfg, 4), 1e-12, cfg, 4)
         assert count_bit_errors(bits, out) == 0
@@ -83,10 +83,10 @@ class TestOfdm:
         errors = total = 0
         for seed in range(60):
             rng = np.random.default_rng(seed)
-            bits, _ = random_frame(cfg, rng)
-            st = ofdm_modulate(qam_map(bits), cfg, cp_chips=4)
+            bits, frame = random_frame(cfg, rng)
+            st = ofdm_modulate(frame, cfg, cp_chips=4)
             rx = apply_physical_channel(st, chan)
-            rx = SampleStream(add_awgn(rx.samples, nv, 7000 + seed), rx.rate, rx.t0)
+            rx = SampleStream(add_awgn(rx.samples, nv, 7000 + seed), rx.rate, rx.start)
             out = ofdm_detect(rx, resp, nv, cfg, 4)
             errors += count_bit_errors(bits, out)
             total += bits.size
@@ -102,10 +102,10 @@ class TestOfdm:
         errors = total = 0
         for seed in range(6):
             rng = np.random.default_rng(40 + seed)
-            bits, _ = random_frame(cfg, rng)
+            bits, frame = random_frame(cfg, rng)
             chan = gen_eva_channel(cfg, 350.0, 400 + seed)
             cp = int(chan.l.max()) + 1
-            st = ofdm_modulate(qam_map(bits), cfg, cp_chips=cp)
+            st = ofdm_modulate(frame, cfg, cp_chips=cp)
             rx = apply_physical_channel(st, chan)
             out = ofdm_detect(rx, ofdm_freq_response(chan, cfg, cp), 1e-9, cfg, cp)
             errors += count_bit_errors(bits, out)
@@ -115,9 +115,9 @@ class TestOfdm:
     def test_cp_shorter_than_delay_spread_degrades(self):
         cfg = cfg32()
         rng = np.random.default_rng(6)
-        bits, _ = random_frame(cfg, rng)
+        bits, frame = random_frame(cfg, rng)
         chan = channel_from_cells(cfg, [(0, 0), (6, 0)], [0.8, 0.6])
-        st = ofdm_modulate(qam_map(bits), cfg, cp_chips=2)  # too short
+        st = ofdm_modulate(frame, cfg, cp_chips=2)  # too short
         rx = apply_physical_channel(st, chan)
         out = ofdm_detect(rx, ofdm_freq_response(chan, cfg, 2), 1e-9, cfg, 2)
         assert count_bit_errors(bits, out) > 0
@@ -129,9 +129,11 @@ class TestOfdm:
 
 
 RECEIVERS = {  # (transmit a frame, receive a stream)
+    "oddm": (lambda cfg, frame: oddm_modulate(frame, cfg, cyclic_prefix_chips=5),
+             lambda stream, cfg: oddm_demodulate(stream, cfg)),
     "otfs": (lambda cfg, frame: otfs_modulate(frame, cfg, cyclic_prefix_chips=8),
              lambda stream, cfg: otfs_demodulate(stream, cfg)),
-    "ofdm": (lambda cfg, frame: ofdm_modulate(frame.reshape(-1), cfg, cp_chips=4),
+    "ofdm": (lambda cfg, frame: ofdm_modulate(frame, cfg, cp_chips=4),
              lambda stream, cfg: ofdm_detect(stream, np.ones((cfg.N, cfg.M)), 0.1, cfg, 4)),
 }
 
@@ -145,10 +147,31 @@ def test_receiver_rejects_bad_stream(receiver, fault):
     st = modulate(cfg, random_frame(cfg, np.random.default_rng(7))[1])
     receive(st, cfg)  # the unmodified stream is accepted
     if fault == "rate":
-        bad = SampleStream(samples=st.samples, rate=2 * st.rate, t0=st.t0 / 2)
+        bad = SampleStream(samples=st.samples, rate=2 * st.rate, start=st.start)
     else:
         x = st.samples.copy()
         x[x.size // 2] = np.nan
-        bad = SampleStream(samples=x, rate=st.rate, t0=st.t0)
+        bad = SampleStream(samples=x, rate=st.rate, start=st.start)
     with pytest.raises(ValueError, match={"rate": "stream rate", "nan": "non-finite"}[fault]):
         receive(bad, cfg)
+
+
+# each receiver's window [first, stop) of the frame's time axis
+WINDOWS = {"oddm": lambda Q, M, N, osf: (-Q * osf, (M * N - 1) * osf + Q * osf + 1),
+           "otfs": lambda Q, M, N, osf: (0, M * N * osf),
+           "ofdm": lambda Q, M, N, osf: (0, N * (M + 4) * osf)}
+
+
+@pytest.mark.parametrize("receiver", list(RECEIVERS))
+def test_receiver_reads_exactly_its_window(receiver):
+    # a stream cut to the window gives the full stream's output; one sample less at
+    # either end raises
+    cfg = cfg32()
+    modulate, receive = RECEIVERS[receiver]
+    st = modulate(cfg, random_frame(cfg, np.random.default_rng(8))[1])
+    first, stop = WINDOWS[receiver](cfg.Q, cfg.M, cfg.N, cfg.oversampling)
+    exact = st.samples[first - st.start:stop - st.start]
+    assert np.array_equal(receive(SampleStream(exact, st.rate, first), cfg), receive(st, cfg))
+    for cut, start in ((exact[1:], first + 1), (exact[:-1], first)):
+        with pytest.raises(ValueError, match="receive window"):
+            receive(SampleStream(cut, st.rate, start), cfg)

@@ -109,7 +109,7 @@ class TestApplyChannel:
     def _stream(self, n=256, rate=1e6, seed=0):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return SampleStream(samples=x, rate=rate, t0=0.0)
+        return SampleStream(samples=x, rate=rate, start=0)
 
     def _chan(self, cfg, cells, gains):
         return channel_from_cells(cfg, cells, gains)

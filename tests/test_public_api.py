@@ -1,5 +1,7 @@
-"""Every public function the package exports is exercised by name in a test."""
+"""Every public function the package exports is exercised by name in a test, and every
+private module-level name in the package is used."""
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -16,3 +18,26 @@ def test_every_exported_function_is_named_in_a_test():
                  if not name.startswith("_") and inspect.isfunction(obj)]
     assert "estimate_channel" in functions
     assert [name for name in functions if not re.search(rf"\b{name}\b", text)] == []
+
+
+def test_every_private_module_name_is_referenced():
+    # a module-level private function, class or constant that nothing in the package
+    # names outside its own definition is dead code
+    texts = {path: path.read_text() for path in Path(oddmsim.__file__).parent.glob("*.py")}
+    unreferenced = []
+    for path, text in texts.items():
+        lines = text.splitlines(keepends=True)
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            others = ["".join(lines[:node.lineno - 1] + lines[node.end_lineno:])]
+            others += [other for other_path, other in texts.items() if other_path != path]
+            unreferenced += [f"{path.name}: {name}" for name in names
+                             if name.startswith("_") and not name.endswith("__")
+                             and not any(re.search(rf"\b{name}\b", t) for t in others)]
+    assert unreferenced == []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oddmsim
+from oddmsim.baselines import ofdm_modulate, otfs_modulate
 from oddmsim.channel import apply_physical_channel, channel_from_cells
 from oddmsim.core import FrameConfig, random_frame, vectorize
 from oddmsim.waveform import SampleStream, build_srrc, oddm_demodulate, oddm_modulate
@@ -120,7 +121,7 @@ class TestModDemod:
         cfg = cfg32()
         st = oddm_modulate(np.zeros((32, 8), dtype=complex), cfg)
         from oddmsim.waveform import SampleStream
-        clipped = SampleStream(samples=st.samples[:100], rate=st.rate, t0=st.t0)
+        clipped = SampleStream(samples=st.samples[:100], rate=st.rate, start=st.start)
         with pytest.raises(ValueError):
             oddm_demodulate(clipped, cfg)
 
@@ -165,7 +166,7 @@ class TestLiteralOracle:
         cfg, a, S, _ = literal_case(M, N, Q, osf, beta)
         st = oddm_modulate(S, cfg, cyclic_prefix_chips=cp)
         ref, start = oddm_modulate_literal(S, a, cfg, cyclic_prefix_chips=cp)
-        assert st.start_index == start and st.samples.size == ref.size
+        assert st.start == start and st.samples.size == ref.size
         assert rel_err(st.samples, ref) <= 1e-12
 
     @pytest.mark.parametrize("M,N,Q,osf,beta,cp", LITERAL_CASES,
@@ -176,8 +177,8 @@ class TestLiteralOracle:
         # the transmitted frame plus noise, with a few extra samples on both sides
         x = np.concatenate([rng.standard_normal(3), st.samples, rng.standard_normal(2)])
         x = x + 0.1 * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
-        start = st.start_index - 3
-        rx = SampleStream(samples=x, rate=cfg.sample_rate, t0=start / cfg.sample_rate)
+        start = st.start - 3
+        rx = SampleStream(samples=x, rate=cfg.sample_rate, start=start)
         ref = oddm_demodulate_literal(x, start, a, cfg)
         assert rel_err(oddm_demodulate(rx, cfg), ref) <= 1e-12
 
@@ -189,7 +190,7 @@ class TestLiteralOracle:
         last_needed = (M * N - 1) * 3 + qos
         size = last_needed + qos + 1
         x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        rx = SampleStream(samples=x, rate=cfg.sample_rate, t0=-qos / cfg.sample_rate)
+        rx = SampleStream(samples=x, rate=cfg.sample_rate, start=-qos)
         ref = oddm_demodulate_literal(x, -qos, a, cfg)
         assert rel_err(oddm_demodulate(rx, cfg), ref) <= 1e-12
 
@@ -200,7 +201,7 @@ class TestLiteralOracle:
         cfg, a, S, rng = literal_case(M, N, Q, osf, beta)
         st = oddm_modulate(S, cfg)
         x = rng.standard_normal(st.samples.size) + 1j * rng.standard_normal(st.samples.size)
-        Y = oddm_demodulate(SampleStream(samples=x, rate=st.rate, t0=st.t0), cfg)
+        Y = oddm_demodulate(SampleStream(samples=x, rate=st.rate, start=st.start), cfg)
         lhs, rhs = np.vdot(st.samples, x), np.vdot(S, Y)
         assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(st.samples) * np.linalg.norm(x)
 
@@ -217,27 +218,32 @@ def test_pulse_follows_the_config(direction, field):
     if direction == "modulate":
         st = oddm_modulate(S, cfg)
         ref, start = oddm_modulate_literal(S, a, cfg)
-        assert st.start_index == start and rel_err(st.samples, ref) <= 1e-12
+        assert st.start == start and rel_err(st.samples, ref) <= 1e-12
     else:
         st = oddm_modulate(S, cfg32())  # sent with the default pulse
-        ref = oddm_demodulate_literal(st.samples, st.start_index, a, cfg)
+        ref = oddm_demodulate_literal(st.samples, st.start, a, cfg)
         assert rel_err(oddm_demodulate(st, cfg), ref) <= 1e-12
 
 
 def test_rejects_stream_at_another_rate():
     cfg = cfg32()
     st = oddm_modulate(np.ones((cfg.M, cfg.N)), cfg)
-    doubled = SampleStream(samples=st.samples, rate=2 * st.rate, t0=st.t0 / 2)
+    doubled = SampleStream(samples=st.samples, rate=2 * st.rate, start=st.start)
     with pytest.raises(ValueError, match="stream rate"):
         oddm_demodulate(doubled, cfg)
 
 
-def test_rejects_non_finite_frame():
+MODULATORS = {"oddm": oddm_modulate, "otfs": otfs_modulate,
+              "ofdm": lambda frame, cfg: ofdm_modulate(frame, cfg, cp_chips=4)}
+
+
+@pytest.mark.parametrize("scheme", list(MODULATORS))
+def test_rejects_non_finite_frame(scheme):
     cfg = cfg32()
     S = np.ones((cfg.M, cfg.N))
     S[3, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite symbols"):
-        oddm_modulate(S, cfg)
+        MODULATORS[scheme](S, cfg)
 
 
 def test_rejects_non_finite_stream():
@@ -246,7 +252,7 @@ def test_rejects_non_finite_stream():
     x = st.samples.copy()
     x[100] = np.inf
     with pytest.raises(ValueError, match="non-finite samples"):
-        oddm_demodulate(SampleStream(samples=x, rate=st.rate, t0=st.t0), cfg)
+        oddm_demodulate(SampleStream(samples=x, rate=st.rate, start=st.start), cfg)
 
 
 def sweep_code(run, options):
