@@ -156,7 +156,7 @@ def test_receiver_rejects_bad_stream(receiver, fault):
         receive(bad, cfg)
 
 
-# each receiver's window [first, stop) of the frame's time axis
+# each receiver's window [first, stop) of the frame's time axis (OFDM with its 4-chip prefix)
 WINDOWS = {"oddm": lambda Q, M, N, osf: (-Q * osf, (M * N - 1) * osf + Q * osf + 1),
            "otfs": lambda Q, M, N, osf: (0, M * N * osf),
            "ofdm": lambda Q, M, N, osf: (0, N * (M + 4) * osf)}
