@@ -159,7 +159,11 @@ def chips_to_dd(chips: np.ndarray, M: int, N: int) -> np.ndarray:
 def qam_map(bits, constellation="4qam") -> np.ndarray:
     """Map a bit sequence onto unit-energy constellation symbols."""
     const = constellation if isinstance(constellation, Constellation) else get_constellation(constellation)
-    bits = np.asarray(bits, dtype=np.int64).reshape(-1)
+    bits = np.asarray(bits).reshape(-1)
+    bad = (bits != 0) & (bits != 1)
+    if bad.any():
+        raise ValueError(f"bits must be 0 or 1, got {np.unique(bits[bad])[:4].tolist()}")
+    bits = bits.astype(np.int64)
     k = const.bits_per_symbol
     if bits.size % k:
         raise ValueError(f"bit count {bits.size} not divisible by {k}")

@@ -19,11 +19,14 @@ cyclically banded with half-width max_p l_p - min_p l_p.  Taking the chips
 in the interleaved order (0, MN-1, 1, MN-2, ...) turns that cyclic band into
 an ordinary band of half-width w, at most twice that plus one.
 
-For each new xi, T + xi I gets two banded Cholesky factors, a twisted pair:
-L L^H in chip order and U U^H, U upper triangular, from the reversed order.
-A solve is two banded triangular solves with L.  Cut into blocks of w chips
-(the last one ragged), T is block tridiagonal, and the k-th diagonal block
-of (T + xi I)^{-1} is (G_k + xi I)^{-1} with the positive semidefinite
+T is built once per channel, one row per delay difference d = l_p - l_r
+(T[q, q - d] summed over its path pairs), and kept beside J T J, T in the
+reversed chip order, as one band of diag(J T J, T).  For each new xi, that
+band's Cholesky factor is a twisted pair: U U^H = T + xi I, U upper
+triangular, from the reversed half, and L L^H in chip order.  A solve is two
+banded triangular solves with L.  Cut into blocks of w chips (the last one
+ragged), T is block tridiagonal, and the k-th diagonal block of
+(T + xi I)^{-1} is (G_k + xi I)^{-1} with the positive semidefinite
 
     G_k = T_kk - L_{k,k-1} L_{k,k-1}^H - U_{k,k+1} U_{k,k+1}^H,
 
@@ -79,25 +82,21 @@ def _interleave(n: int) -> np.ndarray:
     return perm
 
 
-def _corner(starts: np.ndarray, w: int, n: int):
-    """Band-storage index and mask of the w x w corners L[p + i, p - w + j], p in starts.
+def _corners(starts: np.ndarray, w: int, n: int):
+    """Flat index into a (w + 1, 2n) Fortran band factor, and mask, of its w x w corners.
 
-    For a lower band factor L of half-width w this is the coupling block
-    L_{k,k-1} of the block starting at chip p; it is upper triangular, and
-    its rows past the last chip or columns before the first are zero.
+    For a lower band factor L of half-width w the corner L[p + i, p - w + j]
+    is the coupling block L_{k,k-1} of the block starting at chip p; it is
+    upper triangular, and its rows past the last chip or columns before the
+    first are zero.  These are the corners of the last n columns at each p in
+    starts, then of the first n columns at each n - p.
     """
-    i = np.arange(w)[:, None]
-    j = np.arange(w)
-    row, col = starts[:, None, None] + i, starts[:, None, None] - w + j
+    p = np.concatenate([starts, n - starts])[:, None, None]
+    i, j = np.arange(w)[:, None], np.arange(w)
+    row, col = p + i, p - w + j
     keep = (j >= i) & (row < n) & (col >= 0)
-    return np.where(keep, row - col, 0), np.where(keep, col, 0), keep
-
-
-def _corner_gram(factor: np.ndarray, corner) -> np.ndarray:
-    """C C^H for each corner C of a band factor."""
-    band, col, keep = corner
-    c = np.where(keep, factor[band, col], 0.0)
-    return c @ np.conj(c.swapaxes(1, 2))
+    col = col + n * (np.arange(p.size) < starts.size)[:, None, None]
+    return np.where(keep, w + i - j + (w + 1) * col, 0), keep
 
 
 def _cholesky(ab: np.ndarray, xi: float) -> np.ndarray:
@@ -115,40 +114,41 @@ def _cholesky(ab: np.ndarray, xi: float) -> np.ndarray:
 class LinearStage:
     """Exact (T + xi I)^{-1}, T = H_t H_t^H, and trace factor of one channel, for any xi.
 
-    ``H`` is the channel the stage was built for.  ``ab`` holds the
-    interleaved chip-domain Gram T in lower band storage and ``rab`` the same
-    for the reversed chip order.  The two Cholesky factors of the last xi are
-    kept, so the solve and the trace factor of one linear step share them;
-    the reversed one is built only when the trace factor asks for it.
+    ``H`` is the channel the stage was built for.  ``ab`` is the lower band of
+    diag(J T J, T), the interleaved chip-domain Gram T in its last MN columns.
+    T goes last, so the reversed half adds only exact zeros to T's factor: it
+    is bit for bit T's own unless LAPACK's 32-column blocks (half-width 32 and
+    up) straddle MN.  The factor of the last xi is kept, so the solve and the
+    trace factor of one linear step share it.
     """
 
     def __init__(self, H: EffectiveChannel):
         self.H = H
         n = H.config.mn
         self.perm = _interleave(n)
-        pos = np.empty(n, dtype=np.int64)
-        pos[self.perm] = np.arange(n)
+        pos = np.argsort(self.perm)  # chip q sits at interleaved position pos[q]
         q = np.arange(n)
-        # a zero diagonal keeps the band nonempty for a channel without paths
-        bands, cols, vals = [np.zeros(n, np.int64)], [q], [np.zeros(n, complex)]
+        # one row per delay difference d = l_p - l_r: T[q, q - d] sums
+        # h_p D_p Pi^d (h_r D_r)^H over the pairs with that difference, in (p, r)
+        # order; d = 0 keeps the band nonempty for a channel without paths
+        diffs = np.union1d(H.l[:, None] - H.l, 0)
+        t = np.zeros((diffs.size, n), dtype=complex)
         w = H.weights
         for p in range(H.P):
             for r in range(H.P):
-                # h_p D_p Pi^{l_p - l_r} (h_r D_r)^H: entry (q, c) with c = q - l_p + l_r
-                c = (q - H.l[p] + H.l[r]) % n
-                j = pos[c]
-                keep = pos >= j
-                bands.append(pos[keep] - j[keep])
-                cols.append(j[keep])
-                vals.append(w[p, keep] * np.conj(w[r, c[keep]]))
-        bands = np.concatenate(bands)
-        self.ab = np.zeros((bands.max() + 1, n), dtype=complex)
-        np.add.at(self.ab, (bands, np.concatenate(cols)), np.concatenate(vals))
-        # reversed order: (J T J)[c + d, c] = conj(T[n-1-c, n-1-c-d]); entries
-        # ab[d, c] with c + d >= n are zero, so the wrapped reads are too
-        hw = self.ab.shape[0] - 1
+                d = H.l[p] - H.l[r]
+                t[np.searchsorted(diffs, d)] += w[p] * np.conj(w[r, (q - d) % n])
+        # T[q, c] is band row pos[q] - pos[c] of interleaved column pos[c], kept below the diagonal
+        c = pos[(q - diffs[:, None]) % n]
+        band = pos - c
+        keep = band >= 0
+        hw = int(band[keep].max())
+        self.ab = np.zeros((hw + 1, 2 * n), dtype=complex, order="F")
+        self.ab[band[keep], n + c[keep]] = t[keep]
+        # reversed order: (J T J)[c + d, c] = conj(T[n-1-c, n-1-c-d]); band entries T[c + d, c]
+        # with c + d >= n are zero, so are the wrapped reads, and no entry couples the halves
         d = np.arange(hw + 1)[:, None]
-        self.rab = np.conj(self.ab[d, (n - 1 - d - q) % n])
+        self.ab[:, :n] = np.conj(self.ab[d, n + (n - 1 - d - q) % n])
         # diagonal blocks T_kk of b = hw chips, the ragged last one zero-padded;
         # a padded row adds nothing to tr(G (G + xi I)^{-1})
         b = max(hw, 1)
@@ -157,18 +157,17 @@ class LinearStage:
         col = starts[:, None, None] + np.arange(b)
         lo, hi = np.maximum(row, col), np.minimum(row, col)
         keep = (lo - hi <= hw) & (lo < n)
-        t = self.ab[np.where(keep, lo - hi, 0), np.where(keep, hi, 0)]
+        t = self.ab[np.where(keep, lo - hi, 0), n + np.where(keep, hi, 0)]
         self._blocks = np.where(keep, np.where(row >= col, t, np.conj(t)), 0.0)
         # coupling corners at each block boundary p: forward at p, reversed at n - p
-        self._fwd_corner = _corner(starts[1:], hw, n)
-        self._rev_corner = _corner(n - starts[1:], hw, n)
-        self._xi = None
-        self._fwd = self._rev = None
+        self._corners = _corners(starts[1:], hw, n)
+        self._xi = self._factor = None
 
-    def _forward(self, xi: float) -> np.ndarray:
+    def _pair(self, xi: float) -> np.ndarray:
+        """Band Cholesky factor of diag(J T J, T) + xi I: the twisted pair (U, L) at xi."""
         if xi != self._xi:
-            self._xi, self._fwd, self._rev = xi, _cholesky(self.ab, xi), None
-        return self._fwd
+            self._xi, self._factor = xi, _cholesky(self.ab, xi)
+        return self._factor
 
     def solve(self, rhs: np.ndarray, xi: float) -> tuple[np.ndarray, float]:
         """(z, residual): z = (T + xi I)^{-1} rhs on chips and its measured
@@ -176,8 +175,9 @@ class LinearStage:
         is also the delay-Doppler residual of (H H^H + xi I)."""
         from scipy.linalg.lapack import zpbtrs
 
-        x, _ = zpbtrs(self._forward(xi), rhs[self.perm, None], lower=1)
-        z = np.empty(self.H.config.mn, dtype=complex)
+        n = self.H.config.mn
+        x, _ = zpbtrs(self._pair(xi)[:, n:], rhs[self.perm, None], lower=1)
+        z = np.empty(n, dtype=complex)
         z[self.perm] = x[:, 0]
         rnorm = np.linalg.norm(rhs)
         if rnorm == 0:
@@ -187,14 +187,13 @@ class LinearStage:
 
     def eps_phi(self, xi: float) -> float:
         """Tr(H^H (H H^H + xi I)^{-1} H) / MN."""
-        fwd = self._forward(xi)
-        if self._rev is None:
-            self._rev = _cholesky(self.rab, xi)
-        hw = self.ab.shape[0] - 1
-        g = self._blocks.copy()
+        flat, keep = self._corners
+        c = np.where(keep, self._pair(xi).ravel(order="F")[flat], 0.0)
+        gram = c @ np.conj(c.swapaxes(1, 2))
+        g, hw, k = self._blocks.copy(), c.shape[1], c.shape[0] // 2
         b = g.shape[1]
-        g[1:, :hw, :hw] -= _corner_gram(fwd, self._fwd_corner)
-        g[:-1, b - hw:, b - hw:] -= _corner_gram(self._rev, self._rev_corner)[:, ::-1, ::-1]
+        g[1:, :hw, :hw] -= gram[:k]
+        g[:-1, b - hw:, b - hw:] -= gram[k:, ::-1, ::-1]
         ratio = np.linalg.solve(g + xi * np.eye(b), g)
         return float(np.trace(ratio, axis1=1, axis2=2).real.sum() / self.H.config.mn)
 

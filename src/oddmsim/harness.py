@@ -32,9 +32,7 @@ import functools
 import hashlib
 import json
 import math
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -372,14 +370,20 @@ def _run_trials(spec, stage, threads=1, min_bit_errors=math.inf) -> list:
     kept = [[] for _ in spec.snr_grid_db]
     active = list(range(len(spec.snr_grid_db)))
     runner = _TrialRunner(spec)
-    spawn = multiprocessing.get_context("spawn")
-    with (ProcessPoolExecutor(max_workers=threads, mp_context=spawn) if threads > 1
-          else contextlib.nullcontext()) as pool:
+    context = contextlib.nullcontext()
+    if threads > 1:
+        # only a pool loads the pool modules; serial sweeps never need them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = ProcessPoolExecutor(max_workers=threads,
+                                      mp_context=multiprocessing.get_context("spawn"))
+    with context as pool:
         pending = collections.deque()  # futures (pool) or results, in trial order
         next_trial = 0
         try:
             while active and (pending or next_trial < spec.trials):
-                while next_trial < spec.trials and len(pending) < max(threads, 1):
+                while next_trial < spec.trials and len(pending) < threads:
                     args = (stage, next_trial, tuple(active))
                     pending.append(pool.submit(runner.run_trial, *args) if pool
                                    else runner.run_trial(*args))
@@ -411,7 +415,9 @@ def _row(spec, snr_db, results, detector, csi, nmse_key) -> SweepRow:
 
 
 def run_sensing_then_comm(spec: ExperimentSpec, threads: int = 1) -> SweepResult:
-    """Full sensing-then-communication sweep over the configured SNR grid."""
+    """Full sensing-then-communication sweep over the configured SNR grid, ``threads``
+    trials at a time (on a process pool when more than one)."""
+    require_count("threads", threads)
     kept = _run_trials(spec, _TrialRunner.link_trial, threads, spec.min_bit_errors)
     return SweepResult(rows=[_row(spec, snr_db, rs, spec.detector, spec.csi, "nmse_db")
                              for snr_db, rs in zip(spec.snr_grid_db, kept)])

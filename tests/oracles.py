@@ -5,10 +5,11 @@ matrix oracle is a literal per-cell enumeration of the delay-Doppler
 input-output relation (with the wrap phase the library's chip-domain form
 never writes out), the block and permutation helpers spell out the paper's
 block structure of that matrix, the path statistic is a dense direct
-computation, the linear-estimator oracle works from the SVD of the dense
-matrix, the ODDM modulator and matched filter build every symbol's pulse
-train sample by sample from its defining formula, and the AWGN reference is
-the closed-form Q-function bit error rate for Gray 4-QAM.  The pulse
+computation, the Gram band oracle scatters one path pair at a time, the
+linear-estimator oracle works from the SVD of the dense matrix, the ODDM
+modulator and matched filter build every symbol's pulse train sample by
+sample from its defining formula, and the AWGN reference is the closed-form
+Q-function bit error rate for Gray 4-QAM.  The pulse
 orthogonality matrix checks the paper's near-orthogonality of the pulse
 train by direct shifted inner products.
 """
@@ -109,6 +110,37 @@ def path_objective(p, y, s_known, hypotheses, gains, config):
             continue
         i_term += (h * np.vdot(u[p], uq) * np.conj(b_p)).real
     return q_term - i_term / denom
+
+
+def gram_band(H):
+    """Lower band storage of T = H_t H_t^H in the interleaved chip order (0, MN-1, 1, MN-2, ...).
+
+    The literal pair loop: onto a zero diagonal, every path pair (p, r) in turn
+    scatters its product h_p D_p Pi^{l_p - l_r} (h_r D_r)^H with ``np.add.at``;
+    chip-order entry (q, c) lands on band row pos[q] - pos[c] of column pos[c]
+    when that row is not negative, pos[q] being chip q's interleaved position.
+    """
+    n = H.config.mn
+    perm = np.empty(n, dtype=np.int64)
+    perm[0::2] = np.arange((n + 1) // 2)
+    perm[1::2] = n - 1 - np.arange(n // 2)
+    pos = np.empty(n, dtype=np.int64)
+    pos[perm] = np.arange(n)
+    q = np.arange(n)
+    bands, cols, vals = [np.zeros(n, np.int64)], [q], [np.zeros(n, complex)]
+    w = H.weights
+    for p in range(H.P):
+        for r in range(H.P):
+            c = (q - H.l[p] + H.l[r]) % n
+            j = pos[c]
+            keep = pos >= j
+            bands.append(pos[keep] - j[keep])
+            cols.append(j[keep])
+            vals.append(w[p, keep] * np.conj(w[r, c[keep]]))
+    bands = np.concatenate(bands)
+    ab = np.zeros((bands.max() + 1, n), dtype=complex)
+    np.add.at(ab, (bands, np.concatenate(cols)), np.concatenate(vals))
+    return ab
 
 
 def dense_le(H, r, xis):

@@ -83,6 +83,12 @@ class TestConstellation:
         with pytest.raises(ValueError):
             qam_map([0, 1, 0])
 
+    @pytest.mark.parametrize("bits", [[0, 2], [0, -1], [2, 0], [0.5, 1], [1, np.nan]])
+    def test_rejects_values_that_are_not_bits(self, bits):
+        # [0, 2] used to map to the symbol of "10" and [0, -1] to that of "11"
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            qam_map(bits)
+
     def test_bulk_roundtrip(self):
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, 2048)

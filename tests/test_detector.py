@@ -6,10 +6,10 @@ from oddmsim.channel import (channel_from_cells, gen_eva_channel, gen_synthetic_
                              snr_to_noise_var)
 from oddmsim.core import FrameConfig, get_constellation, qam_map, random_frame, vectorize
 from oddmsim.detector import VAR_FLOOR, LinearStage, lmmse_detect, oamp_detect, oamp_nle
-from oddmsim.effchan import from_chips, to_chips
+from oddmsim.effchan import EffectiveChannel, from_chips, to_chips
 from oddmsim.estimator import EstimationConfig, Sounding, estimate_channel
 
-from oracles import count_bit_errors, dense_channel, dense_le, qpsk_awgn_ber
+from oracles import count_bit_errors, dense_channel, dense_le, gram_band, qpsk_awgn_ber
 
 
 def cfg_small():
@@ -86,10 +86,17 @@ STAGE_CHANNELS = {
         cfg16(), [(3, -2), (3, 0), (3, 1)], [0.6, -0.5j, 0.3 + 0.2j]),
     "eva-estimated": estimated_eva_channel,
     "ragged-blocks": ragged_channel,
+    "no-paths": lambda: EffectiveChannel(cfg16(), [], [], []),
 }
 
 
 class TestLinearStage:
+    @pytest.mark.parametrize("name", list(STAGE_CHANNELS))
+    def test_gram_band_matches_pair_loop(self, name):
+        # T's entries are summed in the pair loop's order, so its band is the same bit for bit
+        H = STAGE_CHANNELS[name]()
+        assert np.array_equal(LinearStage(H).ab[:, H.config.mn:], gram_band(H))
+
     @pytest.mark.parametrize("name", list(STAGE_CHANNELS))
     def test_matches_dense_oracle(self, name):
         H = STAGE_CHANNELS[name]()
@@ -130,8 +137,9 @@ class TestLinearStage:
         assert 0.0 < residual <= 1e-12
         # a corrupted band solves the wrong system; the returned residual is
         # the one the dense matrix gives for the returned vector.  Factors are
-        # kept per xi, so the band is corrupted before xi = 0.1 is factored
-        stage.ab[0] += 1.0
+        # kept per xi, so T's half of the band, the one the solve reads, is
+        # corrupted before xi = 0.1 is factored
+        stage.ab[0, cfg.mn:] += 1.0
         z_c, residual = stage.solve(to_chips(r, cfg), 0.1)
         z = from_chips(z_c, cfg)
         dense_residual = np.linalg.norm(A @ z - r) / np.linalg.norm(r)
@@ -155,7 +163,8 @@ class TestLinearStage:
 
 
 class TestFactorCount:
-    """Each band factor is built once per new xi; the solve and eps at one xi share it."""
+    """One factor of the stage's band per new xi gives both halves of the twisted pair;
+    the solve and eps at one xi share it."""
 
     @staticmethod
     def factored_bands(monkeypatch, stage):
@@ -163,12 +172,8 @@ class TestFactorCount:
         factor = lapack.zpbtrf
 
         def counting(ab, **kwargs):
-            if np.array_equal(ab[1:], stage.ab[1:]):
-                kinds.append("forward")
-            elif np.array_equal(ab[1:], stage.rab[1:]):
-                kinds.append("reversed")
-            else:
-                kinds.append("other")
+            # the off-diagonal rows tell the stage's band from any other
+            kinds.append("band" if np.array_equal(ab[1:], stage.ab[1:]) else "other")
             return factor(ab, **kwargs)
 
         # detector imports zpbtrf from scipy's lapack module at each factorization
@@ -183,7 +188,7 @@ class TestFactorCount:
         y, nv = noisy_observation(H, vectorize(frame), 10.0, 41)
         return H, y, nv
 
-    def test_oamp_factors_twice_per_xi(self, monkeypatch):
+    def test_oamp_factors_once_per_xi(self, monkeypatch):
         H, y, nv = self.observed()
         stage = LinearStage(H)
         kinds = self.factored_bands(monkeypatch, stage)
@@ -191,18 +196,21 @@ class TestFactorCount:
         v_nle = [1.0] + [v for _, v in det.variance_trace[:-1]]
         xis = [nv / max(v, VAR_FLOOR) for v in v_nle]
         assert len(set(xis)) == len(xis) > 3
-        assert kinds == ["forward", "reversed"] * len(xis)
+        assert kinds == ["band"] * len(xis)
+        # the factor of the last xi is kept: its trace factor factors nothing
+        stage.eps_phi(xis[-1])
+        assert len(kinds) == len(xis)
 
-    def test_lmmse_factors_forward_only(self, monkeypatch):
+    def test_lmmse_factors_once_per_xi(self, monkeypatch):
         H, y, nv = self.observed()
         stage = LinearStage(H)
         kinds = self.factored_bands(monkeypatch, stage)
         for sigma_sq in (nv, 2 * nv):
             lmmse_detect(y, stage, sigma_sq)
-        assert kinds == ["forward", "forward"]
+        assert kinds == ["band", "band"]
         # the factor of the last xi is kept: the same noise level factors nothing
         lmmse_detect(y, stage, 2 * nv)
-        assert kinds == ["forward", "forward"]
+        assert kinds == ["band", "band"]
 
 
 class TestOampNLE:

@@ -242,6 +242,13 @@ def test_frames_per_trial_below_one_rejected(frames):
         tiny_spec(**{"run.frames_per_trial": frames})
 
 
+@pytest.mark.parametrize("threads", [0, -3, True, 2.5])
+def test_bad_thread_count_rejected(threads):
+    # 0, -3 and True used to run serially; 2.5 raised TypeError inside the pool
+    with pytest.raises(ValueError, match="^threads "):
+        run_sensing_then_comm(tiny_spec(), threads)
+
+
 IMPOSSIBLE_SPECS = {
     "snr_grid_db": {"run.snr_db": (10.0, math.nan)},
     "snr_grid_db-minus-inf": {"run.snr_db": (-math.inf, 10.0)},

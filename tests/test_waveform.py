@@ -255,33 +255,41 @@ def test_rejects_non_finite_stream():
         oddm_demodulate(SampleStream(samples=x, rate=st.rate, start=st.start), cfg)
 
 
-def sweep_code(run, options):
-    """Source that runs harness.<run> on one tiny trial with these options."""
+def sweep_code(run, options, *args):
+    """Source that runs harness.<run> on one tiny trial with these options and arguments."""
     spec = {"frame.M": 16, "frame.N": 8, "frame.Q": 4, "run.snr_db": (10.0,),
             "run.trials": 1, "run.frames_per_trial": 1, **options}
-    return f"from oddmsim import harness; harness.{run}(harness.build_spec({spec!r}))"
+    call = "".join(f", {arg!r}" for arg in args)
+    return f"from oddmsim import harness; harness.{run}(harness.build_spec({spec!r}){call})"
 
 
-# (code run in a fresh interpreter, scipy modules loaded after it)
+HEAVY_MODULES = ("scipy.linalg", "scipy.signal", "multiprocessing", "concurrent.futures")
+
+# (code run in a fresh interpreter, heavy modules loaded after it)
 SCIPY_CASES = {
     "import": ("import oddmsim", []),
     "nmse-sweep": (sweep_code("run_nmse_sweep", {"channel.model": "synthetic"}), []),
     "ofdm-link": (sweep_code("run_sensing_then_comm",
                              {"run.scheme": "ofdm", "run.fidelity": "waveform"}), []),
     # the positive control: detection factors a band, so it loads scipy.linalg
+    # (scipy.linalg loads concurrent.futures itself; the serial sweep loads no pool)
     "oamp-link": (sweep_code("run_sensing_then_comm", {"run.detector": "oamp"}),
-                  ["scipy.linalg"]),
+                  ["scipy.linalg", "concurrent.futures"]),
+    # the positive control of the pool modules: two threads run the trials on a process
+    # pool, so the parent loads the pool and its workers do the detecting
+    "oamp-pool": (sweep_code("run_sensing_then_comm", {"run.detector": "oamp"}, 2),
+                  ["multiprocessing", "concurrent.futures"]),
 }
 
 
 @pytest.mark.parametrize("case", list(SCIPY_CASES))
 def test_scipy_loads_only_to_detect(case):
     # importing the package and running sweeps that never detect must stay light:
-    # scipy.signal alone costs most of a second, scipy.linalg a few tenths and 28 MB
+    # scipy.signal alone costs most of a second, scipy.linalg a few tenths and 28 MB;
+    # serial sweeps never load the process-pool modules, about 23 ms of imports
     code, expected = SCIPY_CASES[case]
     src = str(Path(oddmsim.__file__).resolve().parents[1])
-    probe = ("import sys; print(','.join(m for m in ('scipy.linalg', 'scipy.signal') "
-             "if m in sys.modules))")
+    probe = f"import sys; print(','.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", f"{code}\n{probe}"], capture_output=True,
                          text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == ",".join(expected)
