@@ -58,6 +58,7 @@ from .effchan import (EffectiveChannel, checked_chips, doppler_twiddles, path_co
 COND_LIMIT = 1e12
 NMSE_FLOOR_DB = -100.0
 LOW_CONF_FACTOR = 5.0   # a selected peak below this times the window median is low-confidence
+MLE_MAX_HYPOTHESES = 200_000  # cell tuples mle_exhaustive will try
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,6 @@ class EstimationConfig:
     k_range: tuple              # (lo, hi) half-open signed Doppler window
     max_iters: int = 20
     epsilon: float = 1e-4       # summed |change| over all 3P parameters
-    mle_max_hypotheses: int = 200_000
 
     def __post_init__(self):
         require_count("p_assumed", self.p_assumed)
@@ -290,10 +290,10 @@ def mle_exhaustive(y: np.ndarray, sounding: Sounding) -> EstimationResult:
     est = sounding.est
     y, yy = _observed(y, est.frame)
     P, n_cells = est.p_assumed, len(est.cells)
-    if est.hypotheses > est.mle_max_hypotheses:
+    if est.hypotheses > MLE_MAX_HYPOTHESES:
         raise ValueError(
             f"exhaustive search refused: C({n_cells}, {P}) = {est.hypotheses} tuples "
-            f"exceeds the cap of {est.mle_max_hypotheses}")
+            f"exceeds the cap of {MLE_MAX_HYPOTHESES}")
     gram, bvec = sounding.gram, sounding.scan(y)
     best = None
     for combo in itertools.combinations(range(n_cells), P):

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import baselines
+from . import baselines, estimator
 from .channel import (add_awgn, apply_physical_channel, eva_support, gen_eva_channel,
                       gen_synthetic_channel, require_speed, snr_to_noise_var,
                       synthetic_support)
@@ -125,11 +125,13 @@ class ExperimentSpec:
             for v in values:
                 if not v > -math.inf:  # +inf is the noiseless case
                     raise ValueError(f"{name} entry {v!r} is not an SNR (NaN or -inf)")
+        if self.scheme != "oddm" and self.fidelity == "matrix":
+            raise ValueError(f"fidelity matrix is the oddm grid model, not {self.scheme}")
         if self.scheme == "ofdm":
             if self.csi != "perfect":
                 raise ValueError("the ofdm baseline supports csi=perfect only")
-            if self.fidelity != "waveform":
-                raise ValueError("the ofdm baseline is waveform-level only")
+            if self.detector != "lmmse":
+                raise ValueError("detector must be lmmse: ofdm equalizes per subcarrier")
         runner = _TrialRunner(self)  # an off-grid channel fails here, not in a trial,
         if self.csi == "estimated":  # and so does a search window too small for p_assumed
             runner.est_cfg
@@ -332,7 +334,7 @@ class _TrialRunner:
     def nmse_trial(self, trial: int):
         """Sense one trial's channel; returns its per-point work: the NMSE (dB)
         of the fast estimate and, when feasible, of the exhaustive search."""
-        mle_ok = self.est_cfg.hypotheses <= self.est_cfg.mle_max_hypotheses
+        mle_ok = self.est_cfg.hypotheses <= estimator.MLE_MAX_HYPOTHESES
         chan = _draw_channel(self.spec, trial)
         sounding, observe = self._sensing(trial, chan)
 

@@ -35,7 +35,8 @@ tau + Q*osf = osf*j + r (0 <= j <= 2Q, 0 <= r < osf) lines chip q's window up
 with rows q .. q + 2Q of the sample stream viewed as (MN + 2Q, osf) blocks, so
 the matched filter is 2Q + 1 shifted (MN x osf) @ (osf x N) products of those
 blocks with the bank (the modulator their transposes), carried out as one
-product over the concatenated windows.
+product per chunk of chips (:func:`_chunks`), the modulator's from the last
+chip to the first so that each stream block still sums its pieces in tap order.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FrameConfig
+
+_CHUNK_BYTES = 256 * 1024  # bytes of chip windows that either direction forms at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +139,13 @@ def _tap_bank(config: FrameConfig) -> np.ndarray:
     return taps * np.exp(2j * np.pi * np.outer(n, tau) / (config.mn * osf))
 
 
+def _chunks(chips: int, taps: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of chip chunks whose windows of `taps` samples take at most _CHUNK_BYTES,
+    give or take a chip: none is one chip, as numpy's one-row product (gemv) rounds unlike gemm."""
+    starts = range(0, chips - 1, max(2, _CHUNK_BYTES // (16 * taps)))
+    return list(zip(starts, [*starts[1:], chips]))
+
+
 def _hop_phases(N: int, sign: int) -> np.ndarray:
     """(N, N) array e^{sign*j2pi n n_hat/N} indexed [n_hat, n]."""
     return np.exp(sign * 2j * np.pi * np.outer(np.arange(N), np.arange(N)) / N)
@@ -164,10 +174,12 @@ def oddm_modulate(frame, config: FrameConfig, cyclic_prefix_chips: int = 0) -> S
     Q, qos = config.Q, config.Q * osf
     L = M * N * osf
     chips = (_hop_phases(N, +1)[:, None, :] * grid[None, :, :]).reshape(M * N, N)
-    windows = (chips @ _tap_bank(config)).reshape(M * N, 2 * Q + 1, osf)
+    bank = _tap_bank(config)
     blocks = np.zeros((M * N + 2 * Q, osf), dtype=complex)
-    for j in range(2 * Q + 1):
-        blocks[j:j + M * N] += windows[:, j]
+    for lo, hi in reversed(_chunks(M * N, bank.shape[1])):
+        windows = (chips[lo:hi] @ bank).reshape(hi - lo, 2 * Q + 1, osf)
+        for j in range(2 * Q + 1):
+            blocks[lo + j:hi + j] += windows[:, j]
     body = blocks.reshape(-1)  # samples [-qos, L + qos)
     if cyclic_prefix_chips == 0:
         return SampleStream(samples=body, rate=config.sample_rate, start=-qos)
@@ -193,5 +205,6 @@ def oddm_demodulate(stream: SampleStream, config: FrameConfig) -> np.ndarray:
     y = checked_samples(stream, config, -qos, (M * N - 1) * osf + qos + 1)
     segment = np.concatenate([y, np.zeros(osf - 1)])
     windows = np.lib.stride_tricks.sliding_window_view(segment, (2 * Q + 1) * osf)[::osf]
-    Z = (windows @ _tap_bank(config).conj().T).reshape(N, M, N)
-    return np.einsum("kmn,kn->mn", Z, _hop_phases(N, -1))
+    bank = _tap_bank(config).conj().T
+    Z = np.vstack([windows[lo:hi] @ bank for lo, hi in _chunks(M * N, bank.shape[0])])
+    return np.einsum("kmn,kn->mn", Z.reshape(N, M, N), _hop_phases(N, -1))

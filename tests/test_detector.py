@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 from oddmsim.channel import (channel_from_cells, gen_eva_channel, gen_synthetic_channel,
@@ -124,6 +126,27 @@ class TestLinearStage:
             assert stage.eps_phi(xi) == pytest.approx(eps_ref, rel=1e-10)
             z = from_chips(stage.solve(to_chips(r, H.config), xi)[0], H.config)
             assert np.linalg.norm(z - z_ref) <= 1e-10 * np.linalg.norm(z_ref)
+
+    @settings(max_examples=40)
+    @given(st.integers(3, 12), st.integers(2, 7), st.data())
+    def test_any_channel_and_xi_match_dense_oracle(self, M, N, data):
+        # random grids (odd MN among them) with 1-4 paths, so the half-band is any delay
+        # spread and the last block of chips is often ragged; xi log-uniform over 15 decades
+        cfg = FrameConfig(M=M, N=N, delta_f=15e3, f_c=5e9, Q=1)
+        k_lo, k_hi = cfg.doppler_range
+        cells = data.draw(st.lists(st.tuples(st.integers(0, M - 1), st.integers(k_lo, k_hi)),
+                                   min_size=1, max_size=4, unique=True), label="cells")
+        xis = data.draw(st.lists(st.floats(-6.0, 9.0).map(lambda e: 10.0 ** e),
+                                 min_size=1, max_size=3), label="xi")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1), label="seed"))
+        gains = rng.standard_normal(len(cells)) + 1j * rng.standard_normal(len(cells))
+        H = channel_from_cells(cfg, cells, gains)
+        r = rng.standard_normal(cfg.mn) + 1j * rng.standard_normal(cfg.mn)
+        stage = LinearStage(H)
+        for xi, (z_ref, eps_ref) in zip(xis, dense_le(dense_channel(H), r, xis)):
+            z = from_chips(stage.solve(to_chips(r, cfg), xi)[0], cfg)
+            assert np.linalg.norm(z - z_ref) <= 1e-10 * np.linalg.norm(z_ref)
+            assert stage.eps_phi(xi) == pytest.approx(eps_ref, rel=1e-10)
 
     def test_residual_is_measured(self):
         cfg = cfg16()

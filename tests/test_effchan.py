@@ -209,6 +209,21 @@ class TestApply:
         assert np.allclose(to_chips(Hd @ x, cfg), eff.apply_chips(to_chips(x, cfg)), atol=1e-12)
         assert np.allclose(from_chips(to_chips(x, cfg), cfg), x, atol=1e-14)
 
+    @settings(max_examples=40)
+    @given(st.integers(3, 9), st.integers(2, 7), st.data())
+    def test_chip_products_are_adjoint(self, M, N, data):
+        # <H_t x, y> = <x, H_t^H y> on random grids (odd MN among them) with 1-4 paths
+        cfg = FrameConfig(M=M, N=N, delta_f=15e3, f_c=5e9, Q=1)
+        k_lo, k_hi = cfg.doppler_range
+        cells = data.draw(st.lists(st.tuples(st.integers(0, M - 1), st.integers(k_lo, k_hi)),
+                                   min_size=1, max_size=4, unique=True), label="cells")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1), label="seed"))
+        eff = channel_from_cells(cfg, cells, random_vector(rng, len(cells)))
+        x, y = random_vector(rng, cfg.mn), random_vector(rng, cfg.mn)
+        forward = eff.apply_chips(x)
+        gap = abs(np.vdot(y, forward) - np.vdot(eff.apply_adjoint_chips(y), x))
+        assert gap <= 1e-12 * np.linalg.norm(forward) * np.linalg.norm(y)
+
     def test_dimension_mismatch(self):
         cfg = small_config()
         eff = channel_from_cells(cfg, [(0, 0)], [1.0])

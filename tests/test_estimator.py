@@ -443,9 +443,10 @@ class TestMleExhaustive:
         yy = float(np.vdot(y, y).real)
         assert res.objective_trace[0] == pytest.approx(yy, rel=1e-12)
 
-    def test_search_cap_enforced(self):
+    def test_search_cap_enforced(self, monkeypatch):
         cfg = cfg16()
-        ec = est_cfg(cfg, 3, mle_max_hypotheses=100)
+        monkeypatch.setattr(estimator, "MLE_MAX_HYPOTHESES", 100)
+        ec = est_cfg(cfg, 3)
         s, y = observe(cfg, channel_from_cells(cfg, [(0, 0)], [1.0]), None)
         with pytest.raises(ValueError, match="tuples"):
             mle_exhaustive(y, Sounding(ec, s))

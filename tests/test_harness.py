@@ -36,8 +36,9 @@ COMBINATIONS = accepted_combinations()
 
 
 def test_accepted_combinations():
-    # ofdm is waveform-level with perfect CSI only; the other schemes take all
-    assert len(COMBINATIONS) == 2 * 2 * 2 * 2 + 2
+    # oddm takes all; otfs is waveform-level only, since at matrix fidelity it would run
+    # oddm; ofdm is waveform-level with perfect CSI and its one-tap LMMSE only
+    assert len(COMBINATIONS) == 2 * 2 * 2 + 2 * 2 + 1 == 13
 
 
 @pytest.mark.parametrize("options", COMBINATIONS,
@@ -66,15 +67,10 @@ GOLDEN_ROWS = {
     "oddm-lmmse-perfect-waveform": (1, 512, 6, None),
     "oddm-lmmse-estimated-matrix": (1, 512, 7, -25.625323270063603),
     "oddm-lmmse-estimated-waveform": (1, 512, 7, -22.90641548201179),
-    "otfs-oamp-perfect-matrix": (1, 512, 0, None),
     "otfs-oamp-perfect-waveform": (1, 512, 0, None),
-    "otfs-oamp-estimated-matrix": (1, 512, 0, -25.625323270063603),
     "otfs-oamp-estimated-waveform": (1, 512, 0, -24.53912951611635),
-    "otfs-lmmse-perfect-matrix": (1, 512, 5, None),
     "otfs-lmmse-perfect-waveform": (1, 512, 1, None),
-    "otfs-lmmse-estimated-matrix": (1, 512, 7, -25.625323270063603),
     "otfs-lmmse-estimated-waveform": (1, 512, 1, -24.53912951611635),
-    "ofdm-oamp-perfect-waveform": (1, 512, 21, None),
     "ofdm-lmmse-perfect-waveform": (1, 512, 21, None),
 }
 
@@ -180,11 +176,12 @@ def test_perfect_csi_builds_one_stage_and_draws_one_channel_per_trial(monkeypatc
     # one stage per estimate: every trial at every active point
     ({"run.csi": "estimated"}, 3 * 2),
     # the OFDM baseline equalizes per subcarrier
-    ({"run.scheme": "ofdm", "run.fidelity": "waveform"}, 0),
+    ({"run.scheme": "ofdm", "run.detector": "lmmse", "run.fidelity": "waveform"}, 0),
     # delays up to M - 1: the cyclic prefix is clamped to M - 1, which covers them; the OFDM
     # baseline used to ask for one chip more and raise "cp_chips must be in [0, M)"
-    ({"run.scheme": "ofdm", "run.fidelity": "waveform", "frame.M": 16, "frame.Q": 2,
-      "channel.model": "synthetic", "channel.l_max": 15, "channel.paths": 40}, 0),
+    ({"run.scheme": "ofdm", "run.detector": "lmmse", "run.fidelity": "waveform",
+      "frame.M": 16, "frame.Q": 2, "channel.model": "synthetic", "channel.l_max": 15,
+      "channel.paths": 40}, 0),
 ], ids=["estimated", "ofdm", "ofdm-clamped-cp"])
 def test_stages_built_in_the_other_csi_modes(monkeypatch, options, stages):
     built = []
@@ -199,7 +196,7 @@ def test_stages_built_in_the_other_csi_modes(monkeypatch, options, stages):
 
 
 @pytest.mark.parametrize("sweep, options, n_rows, calls", [
-    # 50 window cells: C(50, 4) exceeds mle_max_hypotheses, so only alg1 runs
+    # 50 window cells: C(50, 4) exceeds MLE_MAX_HYPOTHESES, so only alg1 runs
     (run_nmse_sweep, {"channel.model": "synthetic", "channel.paths": 4}, 3, 4),
     # EVA window of 15 cells: the exhaustive search runs too, from the same sounding
     (run_nmse_sweep, {}, 6, 7),
@@ -228,7 +225,7 @@ def test_nmse_sweep_is_the_links_sensing_stage(fidelity):
 
 
 @pytest.mark.parametrize("options, field", [
-    ({"run.scheme": "ofdm", "run.fidelity": "waveform"}, "scheme"),
+    ({"run.scheme": "ofdm", "run.detector": "lmmse", "run.fidelity": "waveform"}, "scheme"),
     ({"run.sensing_snr_db": 20.0}, "sensing_snr_db"),
 ])
 def test_nmse_sweep_rejects_what_it_cannot_honour(options, field):
@@ -278,6 +275,14 @@ IMPOSSIBLE_SPECS = {
     "constellation": {"frame.constellation": "4QAM"},
     # 9 EVA paths in a 2 x 3 cell search window used to fail at the first estimate
     "p_assumed-window": {"frame.M": 12, "frame.N": 4, "frame.Q": 1, "run.csi": "estimated"},
+    # at matrix fidelity the scheme is never read: these ran the oddm-*-matrix experiments
+    # bit for bit under another config_hash
+    **{f"fidelity-otfs-{det}-{csi}-matrix": {"run.scheme": "otfs", "run.detector": det,
+                                              "run.csi": csi, "run.fidelity": "matrix"}
+       for det in DETECTORS for csi in CSI_MODES},
+    # ofdm always equalizes with its one-tap LMMSE, so this row said oamp and ran lmmse
+    "detector-ofdm-oamp-perfect-waveform": {"run.scheme": "ofdm", "run.detector": "oamp",
+                                            "run.fidelity": "waveform"},
 }
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oddmsim
+from oddmsim import waveform
 from oddmsim.baselines import ofdm_modulate, otfs_modulate
 from oddmsim.channel import apply_physical_channel, channel_from_cells
 from oddmsim.core import FrameConfig, random_frame, vectorize
@@ -206,6 +207,27 @@ class TestLiteralOracle:
         assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(st.samples) * np.linalg.norm(x)
 
 
+@pytest.mark.parametrize("M,N,Q,osf", [(64, 16, 8, 8), (32, 8, 4, 3), (15, 7, 3, 2)])
+def test_chip_chunks_change_no_bit(monkeypatch, M, N, Q, osf):
+    # chunks of one chip (run as two, since numpy hands a one-row product to gemv), of 4 and
+    # 7 chips (ragged last chunks, a lone last chip at MN = 105) against one chunk of the
+    # whole frame; the modulator keeps each stream block's sum in tap order across chunk
+    # seams only because it walks the chunks from the last chip
+    cfg = FrameConfig(M=M, N=N, delta_f=15e3, f_c=5e9, Q=Q, oversampling=osf)
+    rng = np.random.default_rng(M * N * osf)
+    S = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
+    noise = 0.1 * rng.standard_normal((5 + M * N + 2 * Q) * osf)
+    outputs = []
+    for chips in (M * N, 1, 4, 7):
+        monkeypatch.setattr(waveform, "_CHUNK_BYTES", chips * 16 * (2 * Q + 1) * osf)
+        st = oddm_modulate(S, cfg, cyclic_prefix_chips=5)
+        rx = SampleStream(st.samples + noise, st.rate, st.start)
+        outputs.append((st.samples, oddm_demodulate(rx, cfg)))
+    for samples, Y in outputs[1:]:
+        assert np.array_equal(samples, outputs[0][0])
+        assert np.array_equal(Y, outputs[0][1])
+
+
 @pytest.mark.parametrize("field", ["Q", "rolloff"])
 @pytest.mark.parametrize("direction", ["modulate", "demodulate"])
 def test_pulse_follows_the_config(direction, field):
@@ -270,7 +292,8 @@ SCIPY_CASES = {
     "import": ("import oddmsim", []),
     "nmse-sweep": (sweep_code("run_nmse_sweep", {"channel.model": "synthetic"}), []),
     "ofdm-link": (sweep_code("run_sensing_then_comm",
-                             {"run.scheme": "ofdm", "run.fidelity": "waveform"}), []),
+                             {"run.scheme": "ofdm", "run.detector": "lmmse",
+                              "run.fidelity": "waveform"}), []),
     # the positive control: detection factors a band, so it loads scipy.linalg
     # (scipy.linalg loads concurrent.futures itself; the serial sweep loads no pool)
     "oamp-link": (sweep_code("run_sensing_then_comm", {"run.detector": "oamp"}),
