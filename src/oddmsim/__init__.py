@@ -9,15 +9,14 @@ output.
 """
 
 from .core import (Constellation, FrameConfig, chips_to_dd, dd_to_chips, delay_index,
-                   doppler_index, get_constellation, qam_demap, qam_map, vectorize)
+                   qam_demap, qam_map, vectorize)
 from .waveform import SampleStream, build_srrc, oddm_demodulate, oddm_modulate
 from .effchan import EffectiveChannel
 from .channel import (add_awgn, apply_physical_channel, gen_eva_channel,
                       gen_synthetic_channel, snr_to_noise_var)
 from .estimator import (EstimationConfig, EstimationResult, Sounding, estimate_channel,
                         mle_exhaustive, nmse, solve_gains)
-from .detector import (DetectionResult, LinearStage, OampConfig, lmmse_detect, oamp_detect,
-                       oamp_nle)
+from .detector import DetectionResult, LinearStage, lmmse_detect, oamp_detect, oamp_nle
 from .baselines import (ofdm_detect, ofdm_freq_response, ofdm_modulate,
                         otfs_demodulate, otfs_modulate)
 

@@ -105,4 +105,4 @@ def ofdm_detect(stream: SampleStream, chan_freq_response: np.ndarray, sigma_sq: 
     if Hr.shape != (N, M):
         raise ValueError(f"frequency response shape {Hr.shape} != ({N}, {M})")
     X = np.conj(Hr) * Y / (np.abs(Hr) ** 2 + sigma_sq)
-    return qam_demap(X.reshape(-1), config.constellation_obj)
+    return qam_demap(X.reshape(-1))

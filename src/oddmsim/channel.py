@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import C_LIGHT, FrameConfig, delay_index, require_count, round_half_away
+from .core import C_LIGHT, FrameConfig, delay_index, require_count, require_real, round_half_away
 from .effchan import EffectiveChannel
 from .waveform import SampleStream
 
@@ -33,7 +33,8 @@ def _as_rng(seed) -> np.random.Generator:
 
 def require_speed(v_kmh) -> None:
     """A user speed must be a finite, nonnegative number of km/h."""
-    if not (math.isfinite(v_kmh) and v_kmh >= 0):
+    require_real("v_kmh", v_kmh)
+    if not 0 <= v_kmh < math.inf:
         raise ValueError(f"v_kmh must be finite and nonnegative, got {v_kmh!r}")
 
 
@@ -56,7 +57,8 @@ def eva_support(config: FrameConfig, v_kmh: float) -> tuple:
     if l_max >= config.M:
         raise ValueError(f"delta_f {config.delta_f!r} puts EVA's last tap on bin {l_max} >= M")
     k_spread = (v_kmh / 3.6) * config.f_c / C_LIGHT * config.N * config.T
-    if round_half_away(k_spread) > config.doppler_range[1]:
+    k_top = config.doppler_range[1]
+    if round_half_away(min(k_spread, k_top + 1)) > k_top:  # the spread may overflow to inf
         raise ValueError(f"v_kmh {v_kmh!r} spreads EVA's taps off the grid: {k_spread:.3g} bins")
     return len(EVA_DELAYS_NS), l_max, k_spread
 

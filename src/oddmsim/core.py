@@ -14,6 +14,7 @@ Conventions shared by every other module:
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -36,11 +37,18 @@ def require_count(name: str, value, least: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def require_real(name: str, value) -> float:
+    """A real value as a float: in float range and not NaN; "0.3", None or a bool is not one."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real) and value == value:
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Constellation:
     """Symbol alphabet with unit average energy and Gray bit labels."""
 
-    name: str
     points: np.ndarray      # complex points, mean |point|^2 == 1
     bit_labels: np.ndarray  # (n_points, bits_per_symbol) array of {0, 1}
 
@@ -55,23 +63,11 @@ class Constellation:
         return self.bit_labels @ weights
 
 
-def _make_qam4() -> Constellation:
-    # Gray map pinned for reproducibility:
-    #   00 -> (+1+j)/sqrt(2)   01 -> (-1+j)/sqrt(2)
-    #   11 -> (-1-j)/sqrt(2)   10 -> (+1-j)/sqrt(2)
-    points = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], dtype=complex) / np.sqrt(2.0)
-    labels = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)
-    return Constellation("4qam", points, labels)
-
-
-_CONSTELLATIONS = {"4qam": _make_qam4()}
-
-
-def get_constellation(name: str) -> Constellation:
-    try:
-        return _CONSTELLATIONS[name]
-    except KeyError:
-        raise ValueError(f"constellation {name!r} is unknown; known: {sorted(_CONSTELLATIONS)}")
+# The one alphabet, Gray map pinned for reproducibility:
+#   00 -> (+1+j)/sqrt(2)   01 -> (-1+j)/sqrt(2)
+#   11 -> (-1-j)/sqrt(2)   10 -> (+1-j)/sqrt(2)
+QAM4 = Constellation(np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], dtype=complex) / np.sqrt(2.0),
+                     np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8))
 
 
 @dataclass(frozen=True)
@@ -85,7 +81,8 @@ class FrameConfig:
     Q           prototype-pulse half length in delay-resolution units
     rolloff     SRRC roll-off factor in [0, 1]
     oversampling  samples per delay bin (sample rate = oversampling*M*delta_f)
-    constellation  symbol alphabet identifier
+
+    Every frame carries 4-QAM symbols (:data:`QAM4`).
     """
 
     M: int
@@ -95,24 +92,23 @@ class FrameConfig:
     Q: int
     rolloff: float = 0.25
     oversampling: int = 8
-    constellation: str = "4qam"
 
     def __post_init__(self):
         # stored as int and float, so that equal configs hash alike however they were given
-        for name in ("M", "N", "Q", "oversampling"):
-            require_count(name, getattr(self, name))
+        for name, least in (("M", 2), ("N", 2), ("Q", 1), ("oversampling", 1)):
+            require_count(name, getattr(self, name), least)
             object.__setattr__(self, name, int(getattr(self, name)))
         for name in ("delta_f", "f_c", "rolloff"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if self.M < 2 or self.N < 2:
-            raise ValueError(f"need M >= 2 and N >= 2, got M={self.M}, N={self.N}")
+            object.__setattr__(self, name, require_real(name, getattr(self, name)))
         if 2 * self.Q >= self.M:
-            raise ValueError(f"pulse too long for grid: need 2Q < M, got Q={self.Q}, M={self.M}")
-        if not (self.delta_f > 0 and self.f_c > 0):  # also rejects NaN
-            raise ValueError("delta_f and f_c must be positive")
+            raise ValueError(f"Q {self.Q} is too long for the grid: need 2Q < M = {self.M}")
+        for name in ("delta_f", "f_c"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not (self.T < math.inf and self.sample_rate < math.inf):
+            raise ValueError(f"delta_f {self.delta_f} makes the slot or the sample rate infinite")
         if not 0.0 <= self.rolloff <= 1.0:
             raise ValueError(f"rolloff must be in [0, 1], got {self.rolloff}")
-        get_constellation(self.constellation)  # rejects unknown ids
 
     @property
     def T(self) -> float:
@@ -134,7 +130,7 @@ class FrameConfig:
 
     @property
     def constellation_obj(self) -> Constellation:
-        return get_constellation(self.constellation)
+        return QAM4
 
 
 def vectorize(grid) -> np.ndarray:
@@ -156,34 +152,32 @@ def chips_to_dd(chips: np.ndarray, M: int, N: int) -> np.ndarray:
     return np.fft.fft(chips.reshape(N, M).T, axis=1) / np.sqrt(N)
 
 
-def qam_map(bits, constellation="4qam") -> np.ndarray:
-    """Map a bit sequence onto unit-energy constellation symbols."""
-    const = constellation if isinstance(constellation, Constellation) else get_constellation(constellation)
+def qam_map(bits) -> np.ndarray:
+    """Map a bit sequence onto unit-energy 4-QAM symbols."""
     bits = np.asarray(bits).reshape(-1)
     bad = (bits != 0) & (bits != 1)
     if bad.any():
         raise ValueError(f"bits must be 0 or 1, got {np.unique(bits[bad])[:4].tolist()}")
     bits = bits.astype(np.int64)
-    k = const.bits_per_symbol
+    k = QAM4.bits_per_symbol
     if bits.size % k:
         raise ValueError(f"bit count {bits.size} not divisible by {k}")
     if bits.size == 0:
         return np.zeros(0, dtype=complex)
     vals = bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))
     # point order sorted by label value so lookup is a plain index
-    order = np.argsort(const.label_values())
-    return const.points[order][vals]
+    order = np.argsort(QAM4.label_values())
+    return QAM4.points[order][vals]
 
 
-def qam_demap(symbols, constellation="4qam") -> np.ndarray:
-    """Hard nearest-point decision back to bits."""
-    const = constellation if isinstance(constellation, Constellation) else get_constellation(constellation)
+def qam_demap(symbols) -> np.ndarray:
+    """Hard nearest-point 4-QAM decision back to bits."""
     symbols = np.asarray(symbols, dtype=complex).reshape(-1)
     if symbols.size == 0:
         return np.zeros(0, dtype=np.uint8)
-    d2 = np.abs(symbols[:, None] - const.points[None, :]) ** 2
+    d2 = np.abs(symbols[:, None] - QAM4.points[None, :]) ** 2
     idx = d2.argmin(axis=1)
-    return const.bit_labels[idx].reshape(-1)
+    return QAM4.bit_labels[idx].reshape(-1)
 
 
 def delay_index(tau: float, config: FrameConfig) -> int:
@@ -196,21 +190,11 @@ def delay_index(tau: float, config: FrameConfig) -> int:
     return l
 
 
-def doppler_index(nu: float, config: FrameConfig) -> int:
-    """Signed integer Doppler bin k = round(nu * N * T)."""
-    k = round_half_away(nu * config.N * config.T)
-    k_lo, k_hi = config.doppler_range
-    if not k_lo <= k <= k_hi:
-        raise ValueError(f"Doppler {nu} Hz maps to bin {k} outside [{k_lo}, {k_hi}]")
-    return k
-
-
 def random_bits(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 2, size=n, dtype=np.uint8)
 
 
 def random_frame(config: FrameConfig, rng: np.random.Generator):
     """Draw one frame of random constellation symbols; returns (bits, the M x N grid)."""
-    const = config.constellation_obj
-    bits = random_bits(config.mn * const.bits_per_symbol, rng)
-    return bits, qam_map(bits, const).reshape(config.M, config.N)
+    bits = random_bits(config.mn * QAM4.bits_per_symbol, rng)
+    return bits, qam_map(bits).reshape(config.M, config.N)

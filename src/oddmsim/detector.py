@@ -49,19 +49,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import qam_demap, require_count
+from .core import qam_demap
 from .effchan import EffectiveChannel, checked_chips, from_chips, to_chips
 
 VAR_FLOOR = 1e-10   # lower bound on every propagated variance
 STOP_TOL = 1e-6     # |delta v_nle^2| stopping rule
-
-
-@dataclass(frozen=True)
-class OampConfig:
-    max_iters: int = 20
-
-    def __post_init__(self):
-        require_count("max_iters", self.max_iters)
+MAX_ITERS = 20      # OAMP iterations at most
 
 
 @dataclass
@@ -243,10 +236,9 @@ def oamp_nle(r_t: np.ndarray, v_le_sq: float, constellation):
     return s_next, v_next, post_mean, post_var, False
 
 
-def oamp_detect(y: np.ndarray, stage: LinearStage, sigma_sq: float,
-                config: OampConfig | None = None) -> DetectionResult:
-    """Iterate LE/NLE on ``stage.H`` from a zero prior until the variance estimate settles."""
-    config = config or OampConfig()
+def oamp_detect(y: np.ndarray, stage: LinearStage, sigma_sq: float) -> DetectionResult:
+    """Iterate LE/NLE on ``stage.H`` from a zero prior until the variance estimate moves by
+    less than ``STOP_TOL``, for at most ``MAX_ITERS`` iterations."""
     H = stage.H
     y_c = _observed_chips(y, H, sigma_sq)
     const = H.config.constellation_obj
@@ -257,7 +249,7 @@ def oamp_detect(y: np.ndarray, stage: LinearStage, sigma_sq: float,
     non_contracting = False
     iterations = 0
     max_residual = 0.0
-    for t in range(config.max_iters):
+    for t in range(MAX_ITERS):
         iterations = t + 1
         r, v_le_sq, residual = stage.step(s_t, y_c, v_nle_sq, sigma_sq)
         max_residual = max(max_residual, residual)
@@ -268,7 +260,7 @@ def oamp_detect(y: np.ndarray, stage: LinearStage, sigma_sq: float,
         s_t, v_nle_sq = s_next, v_next
         if delta < STOP_TOL:
             break
-    return DetectionResult(soft_symbols=post_mean, hard_bits=qam_demap(post_mean, const),
+    return DetectionResult(soft_symbols=post_mean, hard_bits=qam_demap(post_mean),
                            variance_trace=trace, iterations_used=iterations,
                            max_solve_residual=max_residual,
                            non_contracting=non_contracting)
@@ -278,9 +270,8 @@ def lmmse_detect(y: np.ndarray, stage: LinearStage, sigma_sq: float) -> Detectio
     """One-shot s_hat = H^H (H H^H + sigma^2 I)^{-1} y on ``stage.H`` with hard decisions."""
     H = stage.H
     y_c = _observed_chips(y, H, sigma_sq)
-    const = H.config.constellation_obj
     z, residual = stage.solve(y_c, sigma_sq)
     soft = from_chips(H.apply_adjoint_chips(z), H.config)
-    return DetectionResult(soft_symbols=soft, hard_bits=qam_demap(soft, const),
+    return DetectionResult(soft_symbols=soft, hard_bits=qam_demap(soft),
                            variance_trace=[], iterations_used=1,
                            max_solve_residual=residual)

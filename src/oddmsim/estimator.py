@@ -59,24 +59,22 @@ COND_LIMIT = 1e12
 NMSE_FLOOR_DB = -100.0
 LOW_CONF_FACTOR = 5.0   # a selected peak below this times the window median is low-confidence
 MLE_MAX_HYPOTHESES = 200_000  # cell tuples mle_exhaustive will try
+MAX_ITERS = 20          # outer iterations of estimate_channel at most
+EPSILON = 1e-4          # converged once a pass changes the 3P parameters by at most this, summed
 
 
 @dataclass(frozen=True)
 class EstimationConfig:
-    """Search window and stopping rules for the alternating estimator."""
+    """Search window and path count of the alternating estimator, which stops after
+    ``MAX_ITERS`` outer passes or once a pass changes the parameters by ``EPSILON`` or less."""
 
     frame: FrameConfig
     p_assumed: int
     l_range: tuple              # (lo, hi) half-open delay window
     k_range: tuple              # (lo, hi) half-open signed Doppler window
-    max_iters: int = 20
-    epsilon: float = 1e-4       # summed |change| over all 3P parameters
 
     def __post_init__(self):
         require_count("p_assumed", self.p_assumed)
-        require_count("max_iters", self.max_iters)
-        if not self.epsilon > 0:  # also rejects NaN
-            raise ValueError("epsilon must be positive")
         k_first, k_last = self.frame.doppler_range
         for name, first, end in ("l_range", 0, self.frame.M), ("k_range", k_first, k_last + 1):
             lo, hi = bounds = getattr(self, name)
@@ -248,7 +246,7 @@ def estimate_channel(y: np.ndarray, sounding: Sounding) -> EstimationResult:
     converged = False
     last_maps = [None] * P
 
-    for outer in range(est.max_iters):
+    for outer in range(MAX_ITERS):
         iterations = outer + 1
         prev_cells = list(cells)
         prev_gains = gains.copy()
@@ -271,7 +269,7 @@ def estimate_channel(y: np.ndarray, sounding: Sounding) -> EstimationResult:
         change = sum(abs(gains[p] - prev_gains[p])
                      + abs(cells[p][0] - prev_cells[p][0])
                      + abs(cells[p][1] - prev_cells[p][1]) for p in range(P))
-        if change <= est.epsilon:
+        if change <= EPSILON:
             converged = True
             break
 

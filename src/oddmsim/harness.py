@@ -10,7 +10,10 @@ A trial senses its channel with one known frame, so its
 :class:`estimator.Sounding` is built once and every point's estimates share
 it; the cyclic prefix and the search window come from the channel model's
 support (:func:`channel.eva_support`, :func:`channel.synthetic_support`),
-which a spec must fit.  The detector's
+which a spec must fit.  The estimator looks for the model's own path count, and
+it and the OAMP detector stop by module constants (:data:`estimator.MAX_ITERS`,
+:data:`estimator.EPSILON`, :data:`detector.MAX_ITERS`, :data:`detector.STOP_TOL`)
+that no spec option changes.  The detector's
 :class:`detector.LinearStage` is built once per channel it detects with: per
 trial for perfect CSI, per point's estimate for estimated CSI, never for the
 OFDM baseline, which equalizes per subcarrier.  Trials go out in
@@ -41,8 +44,8 @@ from . import baselines, estimator
 from .channel import (add_awgn, apply_physical_channel, eva_support, gen_eva_channel,
                       gen_synthetic_channel, require_speed, snr_to_noise_var,
                       synthetic_support)
-from .core import FrameConfig, random_frame, require_count, vectorize
-from .detector import LinearStage, OampConfig, lmmse_detect, oamp_detect
+from .core import FrameConfig, random_frame, require_count, require_real, vectorize
+from .detector import LinearStage, lmmse_detect, oamp_detect
 from .effchan import EffectiveChannel
 from .estimator import EstimationConfig, Sounding, estimate_channel, mle_exhaustive, nmse
 from .waveform import SampleStream, oddm_demodulate, oddm_modulate
@@ -77,20 +80,9 @@ class ChannelSpec:
         for name in ("l_max", "k_max"):
             if getattr(self, name) is not None:
                 require_count(name, getattr(self, name), least=0)
-
-
-@dataclass(frozen=True)
-class EstSpec:
-    p_assumed: int | None = None   # default: channel model's path count
-    max_iters: int = 20
-    epsilon: float = 1e-4
-
-    def __post_init__(self):
-        if self.p_assumed is not None:
-            require_count("p_assumed", self.p_assumed)
-        require_count("max_iters", self.max_iters)
-        if not self.epsilon > 0:  # also rejects NaN, which no change could fall below
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+                if self.model != "synthetic":  # EVA's taps fix its own window
+                    raise ValueError(f"{name} is a synthetic channel window; {self.model} "
+                                     f"ignores it")
 
 
 @dataclass(frozen=True)
@@ -107,8 +99,6 @@ class ExperimentSpec:
     seed: int = 0
     sensing_snr_db: float | None = None
     channel: ChannelSpec = field(default_factory=ChannelSpec)
-    est: EstSpec = field(default_factory=EstSpec)
-    det: OampConfig = field(default_factory=OampConfig)
 
     def __post_init__(self):
         for name, allowed in (("scheme", SCHEMES), ("detector", DETECTORS),
@@ -118,13 +108,17 @@ class ExperimentSpec:
         for name in ("trials", "frames_per_trial"):
             require_count(name, getattr(self, name))
         require_count("seed", self.seed, least=0)  # numpy seeds are non-negative integers
-        if not self.snr_grid_db:
-            raise ValueError("snr grid must be nonempty")
+        require_count("min_bit_errors", self.min_bit_errors, least=0)
+        if not isinstance(self.snr_grid_db, (list, tuple)) or not self.snr_grid_db:
+            raise ValueError(f"snr_grid_db must be a nonempty list or tuple of SNRs in dB, "
+                             f"got {self.snr_grid_db!r}")
         sensing = () if self.sensing_snr_db is None else (self.sensing_snr_db,)
         for name, values in (("snr_grid_db", self.snr_grid_db), ("sensing_snr_db", sensing)):
             for v in values:
-                if not v > -math.inf:  # +inf is the noiseless case
-                    raise ValueError(f"{name} entry {v!r} is not an SNR (NaN or -inf)")
+                if require_real(name, v) == -math.inf:  # +inf is the noiseless case
+                    raise ValueError(f"{name} entry {v!r} is not an SNR")
+        # a tuple of floats, so that equal grids hash alike however they were given
+        object.__setattr__(self, "snr_grid_db", tuple(float(v) for v in self.snr_grid_db))
         if self.scheme != "oddm" and self.fidelity == "matrix":
             raise ValueError(f"fidelity matrix is the oddm grid model, not {self.scheme}")
         if self.scheme == "ofdm":
@@ -133,7 +127,7 @@ class ExperimentSpec:
             if self.detector != "lmmse":
                 raise ValueError("detector must be lmmse: ofdm equalizes per subcarrier")
         runner = _TrialRunner(self)  # an off-grid channel fails here, not in a trial,
-        if self.csi == "estimated":  # and so does a search window too small for p_assumed
+        if self.csi == "estimated":  # and so does a search window too small for its paths
             runner.est_cfg
 
 
@@ -237,17 +231,16 @@ class _TrialRunner:
 
     @functools.cached_property
     def est_cfg(self) -> EstimationConfig:
-        """Search window: delay bins up to the cyclic prefix, the Doppler spread plus a margin."""
-        spec, ch = self.spec, self.spec.channel
+        """The channel model's path count, searched for in a window of delay bins up to the
+        cyclic prefix and of the Doppler spread plus a margin."""
+        ch = self.spec.channel
         # EVA's spread and an explicit k_max get a one-bin Doppler margin where no drawn path
         # lies, the default synthetic window none: kept apart, as changing a window moves the
         # estimates of every spec it touches (sense-syn-128x32 pins a default one at 34 x 17).
         margin = 0 if ch.model == "synthetic" and ch.k_max is None else 1
         k_lim = min(self.cfg.doppler_range[1], math.ceil(self.k_spread) + margin)
-        p = self.paths if spec.est.p_assumed is None else spec.est.p_assumed
-        return EstimationConfig(frame=self.cfg, p_assumed=p, l_range=(0, self.cp + 1),
-                                k_range=(-k_lim, k_lim + 1),
-                                max_iters=spec.est.max_iters, epsilon=spec.est.epsilon)
+        return EstimationConfig(frame=self.cfg, p_assumed=self.paths, l_range=(0, self.cp + 1),
+                                k_range=(-k_lim, k_lim + 1))
 
     def _send(self, frame, chan):
         """Noiseless received signal of one frame: ``chan.apply(s)`` (matrix
@@ -322,7 +315,7 @@ class _TrialRunner:
                 if spec.scheme == "ofdm":
                     hard = baselines.ofdm_detect(y, resp, sigma, cfg, self.cp)
                 elif spec.detector == "oamp":
-                    hard = oamp_detect(y, stage, sigma, spec.det).hard_bits
+                    hard = oamp_detect(y, stage, sigma).hard_bits
                 else:
                     hard = lmmse_detect(y, stage, sigma).hard_bits
                 errors += int(np.sum(hard != bits))
@@ -444,7 +437,7 @@ def run_nmse_sweep(spec: ExperimentSpec) -> SweepResult:
 
 DEFAULT_FRAME = dict(M=64, N=16, delta_f=15e3, f_c=5e9, Q=8)
 DEFAULT_SNR_DB = (0.0, 5.0, 10.0, 15.0)
-_SECTIONS = {"frame": FrameConfig, "channel": ChannelSpec, "est": EstSpec, "det": OampConfig}
+_SECTIONS = {"frame": FrameConfig, "channel": ChannelSpec}
 
 
 def option_keys() -> list:
@@ -467,6 +460,5 @@ def build_spec(options: dict) -> ExperimentSpec:
     run = parts.pop("run")
     return ExperimentSpec(
         frame=FrameConfig(**dict(DEFAULT_FRAME, **parts["frame"])),
-        snr_grid_db=tuple(run.pop("snr_db", DEFAULT_SNR_DB)),
-        channel=ChannelSpec(**parts["channel"]), est=EstSpec(**parts["est"]),
-        det=OampConfig(**parts["det"]), **run)
+        snr_grid_db=run.pop("snr_db", DEFAULT_SNR_DB),
+        channel=ChannelSpec(**parts["channel"]), **run)

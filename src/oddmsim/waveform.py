@@ -206,5 +206,7 @@ def oddm_demodulate(stream: SampleStream, config: FrameConfig) -> np.ndarray:
     segment = np.concatenate([y, np.zeros(osf - 1)])
     windows = np.lib.stride_tricks.sliding_window_view(segment, (2 * Q + 1) * osf)[::osf]
     bank = _tap_bank(config).conj().T
-    Z = np.vstack([windows[lo:hi] @ bank for lo, hi in _chunks(M * N, bank.shape[0])])
+    Z = np.empty((M * N, N), dtype=complex)
+    for lo, hi in _chunks(M * N, bank.shape[0]):
+        np.matmul(windows[lo:hi], bank, out=Z[lo:hi])
     return np.einsum("kmn,kn->mn", Z.reshape(N, M, N), _hop_phases(N, -1))

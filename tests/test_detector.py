@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
+from oddmsim import detector
 from oddmsim.channel import (channel_from_cells, gen_eva_channel, gen_synthetic_channel,
                              snr_to_noise_var)
-from oddmsim.core import FrameConfig, get_constellation, qam_map, random_frame, vectorize
+from oddmsim.core import QAM4, FrameConfig, qam_map, random_frame, vectorize
 from oddmsim.detector import VAR_FLOOR, LinearStage, lmmse_detect, oamp_detect, oamp_nle
 from oddmsim.effchan import EffectiveChannel, from_chips, to_chips
 from oddmsim.estimator import EstimationConfig, Sounding, estimate_channel
@@ -238,32 +239,32 @@ class TestFactorCount:
 
 class TestOampNLE:
     def test_hard_decision_limit(self):
-        const = get_constellation("4qam")
+        const = QAM4
         rng = np.random.default_rng(6)
-        sym = qam_map(rng.integers(0, 2, 400), const)
+        sym = qam_map(rng.integers(0, 2, 400))
         r = sym + 0.05 * (rng.standard_normal(200) + 1j * rng.standard_normal(200))
         _, _, post_mean, _, _ = oamp_nle(r, 1e-9, const)
         assert np.allclose(post_mean, sym, atol=1e-8)
 
     def test_on_point_posterior(self):
-        const = get_constellation("4qam")
+        const = QAM4
         r = const.points.copy()
         _, _, post_mean, post_var, _ = oamp_nle(r, 1e-6, const)
         assert np.allclose(post_mean, const.points, atol=1e-9)
         assert np.all(post_var <= 1e-6)
 
     def test_equidistant_point_symmetric(self):
-        const = get_constellation("4qam")
+        const = QAM4
         _, _, post_mean, _, _ = oamp_nle(np.array([0.0 + 0.0j]), 0.5, const)
         assert abs(post_mean[0]) <= 1e-12
 
     def test_divergence_free_error_correlation(self):
         # genie input: r = s + CN(0, v); output error must decorrelate from
         # the input error
-        const = get_constellation("4qam")
+        const = QAM4
         rng = np.random.default_rng(7)
         n = 20_000
-        s_true = qam_map(rng.integers(0, 2, 2 * n), const)
+        s_true = qam_map(rng.integers(0, 2, 2 * n))
         v = 0.2  # mid-SNR operating point
         e_in = np.sqrt(v / 2) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         r = s_true + e_in
@@ -273,7 +274,7 @@ class TestOampNLE:
         assert corr <= 0.05
 
     def test_variance_updates_positive(self):
-        const = get_constellation("4qam")
+        const = QAM4
         rng = np.random.default_rng(8)
         r = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         _, v_next, _, _, _ = oamp_nle(r, 0.3, const)
@@ -375,6 +376,16 @@ class TestOampDetect:
         assert det.iterations_used == len(det.variance_trace)
         for v_le, v_nle in det.variance_trace:
             assert v_le > 0 and v_nle > 0
+
+    def test_iterations_stop_at_max_iters(self, monkeypatch):
+        cfg = cfg16()
+        H = gen_eva_channel(cfg, 350.0, 1)
+        _, frame = random_frame(cfg, np.random.default_rng(15))
+        y, nv = noisy_observation(H, vectorize(frame), 10.0, 16)
+        assert oamp_detect(y, LinearStage(H), nv).iterations_used > 2
+        monkeypatch.setattr(detector, "MAX_ITERS", 2)
+        det = oamp_detect(y, LinearStage(H), nv)
+        assert det.iterations_used == len(det.variance_trace) == 2
 
     def test_deterministic(self):
         cfg = cfg_small()

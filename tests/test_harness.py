@@ -281,12 +281,8 @@ IMPOSSIBLE_SPECS = {
     "v_kmh-negative": {"channel.v_kmh": -1.0},
     "trials": {"run.trials": 2.5},
     "frames_per_trial": {"run.frames_per_trial": 1.5},
-    "epsilon": {"est.epsilon": math.nan},
-    "p_assumed": {"est.p_assumed": 0},
     "M": {"frame.M": 64.7},
     "oversampling": {"frame.oversampling": 2.5},
-    "max_iters-det": {"det.max_iters": 2.5},
-    "max_iters-det-bool": {"det.max_iters": True},
     "seed": {"run.seed": 2.5},
     "seed-negative": {"run.seed": -1},
     "l_max": {"channel.model": "synthetic", "channel.l_max": 2.5},
@@ -296,8 +292,26 @@ IMPOSSIBLE_SPECS = {
     "k_max-off-grid": {"channel.model": "synthetic", "channel.k_max": 4},
     "v_kmh-off-grid": {"channel.v_kmh": 2000.0},
     "delta_f-eva-last-tap": {"frame.delta_f": 500e3},
-    # one spelling per experiment: "4QAM" would run 4qam under another config_hash
-    "constellation": {"frame.constellation": "4QAM"},
+    # these raised TypeError or OverflowError, or ran: min_bit_errors "x" failed at the first
+    # trial, -3 and 2.5 ran, and a synthetic channel ran at an infinite sample rate
+    "snr_grid_db-scalar": {"run.snr_db": 5.0},
+    "snr_grid_db-none": {"run.snr_db": None},
+    "snr_grid_db-string": {"run.snr_db": ("a",)},
+    "sensing_snr_db-string": {"run.sensing_snr_db": "x"},
+    "delta_f-none": {"frame.delta_f": None},
+    "delta_f-inf": {"frame.delta_f": math.inf},
+    "delta_f-inf-synthetic": {"frame.delta_f": math.inf, "channel.model": "synthetic"},
+    "f_c-inf": {"frame.f_c": math.inf},
+    "rolloff-none": {"frame.rolloff": None},
+    "rolloff-string": {"frame.rolloff": "0.3"},
+    "v_kmh-string": {"channel.v_kmh": "fast"},
+    "v_kmh-beyond-float": {"channel.v_kmh": 10**400},
+    "min_bit_errors-string": {"run.min_bit_errors": "x"},
+    "min_bit_errors-negative": {"run.min_bit_errors": -3},
+    "min_bit_errors-fraction": {"run.min_bit_errors": 2.5},
+    # EVA ignores the synthetic windows: these ran the plain EVA row under another config_hash
+    "l_max-eva": {"run.csi": "estimated", "channel.l_max": 5},
+    "k_max-eva": {"run.csi": "estimated", "channel.k_max": 1},
     # 9 EVA paths in a 2 x 3 cell search window used to fail at the first estimate
     "p_assumed-window": {"frame.M": 12, "frame.N": 4, "frame.Q": 1, "run.csi": "estimated"},
     # at matrix fidelity the scheme is never read: these ran the oddm-*-matrix experiments
@@ -323,6 +337,8 @@ def test_integer_frame_floats_hash_like_floats():
     as_ints = {"frame.delta_f": 30000, "frame.f_c": 4000000000, "frame.rolloff": 0}
     as_floats = {key: float(value) for key, value in as_ints.items()}
     assert config_hash(build_spec(as_ints)) == config_hash(build_spec(as_floats))
+    assert config_hash(build_spec({"run.snr_db": [0, 10]})) == \
+        config_hash(build_spec({"run.snr_db": (0.0, 10.0)}))
 
 
 def test_infinite_snr_is_the_noiseless_case():
@@ -332,28 +348,75 @@ def test_infinite_snr_is_the_noiseless_case():
     assert row.bit_errors == 0
 
 
+REMOVED_KEYS = ("det.le_mode", "det.max_iters", "est.p_assumed", "est.max_iters",
+                "est.epsilon", "frame.constellation")
+
+
 def test_unknown_option_keys_rejected():
-    # a misspelt key and a removed key must not silently run the default spec
+    # a misspelt key and a removed key must not silently run the default spec; the estimator
+    # assumes the channel model's path count, the stopping rules are module constants and
+    # every frame is 4-QAM
     with pytest.raises(ValueError, match="run.detecter") as info:
-        build_spec({"run.detecter": "lmmse", "det.le_mode": "exact"})
-    assert "det.le_mode" in str(info.value)
-    assert all(key in str(info.value) for key in option_keys())
+        build_spec({"run.detecter": "lmmse", **dict.fromkeys(REMOVED_KEYS, 1)})
+    assert all(key in str(info.value) for key in REMOVED_KEYS + tuple(option_keys()))
+    assert not set(REMOVED_KEYS) & set(option_keys())
 
 
 def test_every_known_option_key_accepted():
-    spec = build_spec({"frame.M": 32, "frame.N": 8, "frame.Q": 4, "frame.rolloff": 0.3,
-                       "frame.oversampling": 4, "frame.constellation": "4qam",
-                       "frame.delta_f": 30e3, "frame.f_c": 4e9, "channel.model": "synthetic",
-                       "channel.v_kmh": 120.0, "channel.paths": 2, "channel.l_max": 5,
-                       "channel.k_max": 2, "est.p_assumed": 2, "est.max_iters": 5,
-                       "est.epsilon": 1e-3, "det.max_iters": 7,
-                       "run.snr_db": [3.0], "run.scheme": "otfs", "run.detector": "lmmse",
-                       "run.csi": "estimated", "run.fidelity": "waveform", "run.trials": 2,
-                       "run.frames_per_trial": 1, "run.min_bit_errors": 5, "run.seed": 9,
-                       "run.sensing_snr_db": 20.0})
-    assert (spec.frame.M, spec.frame.constellation, spec.channel.k_max) == (32, "4qam", 2)
-    assert (spec.est.epsilon, spec.det.max_iters, spec.snr_grid_db) == (1e-3, 7, (3.0,))
+    options = {"frame.M": 32, "frame.N": 8, "frame.Q": 4, "frame.rolloff": 0.3,
+               "frame.oversampling": 4, "frame.delta_f": 30e3, "frame.f_c": 4e9,
+               "channel.model": "synthetic", "channel.v_kmh": 120.0, "channel.paths": 2,
+               "channel.l_max": 5, "channel.k_max": 2,
+               "run.snr_db": [3.0], "run.scheme": "otfs", "run.detector": "lmmse",
+               "run.csi": "estimated", "run.fidelity": "waveform", "run.trials": 2,
+               "run.frames_per_trial": 1, "run.min_bit_errors": 5, "run.seed": 9,
+               "run.sensing_snr_db": 20.0}
+    assert sorted(options) == option_keys() and len(options) == 22
+    spec = build_spec(options)
+    assert (spec.frame.M, spec.frame.rolloff, spec.channel.k_max) == (32, 0.3, 2)
+    assert spec.snr_grid_db == (3.0,)
     assert (spec.scheme, spec.detector, spec.sensing_snr_db, spec.seed) == ("otfs", "lmmse", 20.0, 9)
+    assert spec_options(spec) == dict(options, **{"run.snr_db": (3.0,)})
+
+
+def spec_options(spec) -> dict:
+    """The build_spec options that spell out every field of spec."""
+    out = {}
+    for key in option_keys():
+        section, name = key.split(".")
+        owner = spec if section == "run" else getattr(spec, section)
+        out[key] = getattr(owner, "snr_grid_db" if key == "run.snr_db" else name)
+    return out
+
+
+# None, bools, grid-sized integers, any float, short strings, the names a spec takes and short lists
+OPTION_VALUES = (st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
+                 | st.text(max_size=3) | st.sampled_from(SCHEMES + DETECTORS + CSI_MODES
+                                                         + FIDELITIES + harness.CHANNEL_MODELS)
+                 | st.lists(st.integers(-3, 40) | st.floats(), max_size=3))
+
+
+@st.composite
+def any_options(draw):
+    """Up to five option keys, each with a value of OPTION_VALUES or its default."""
+    keys = draw(st.lists(st.sampled_from(option_keys()), max_size=5, unique=True))
+    return {key: draw(st.just(DEFAULT_OPTIONS[key]) | OPTION_VALUES, label=key) for key in keys}
+
+
+DEFAULT_OPTIONS = spec_options(build_spec({}))
+
+
+@settings(max_examples=200)
+@given(any_options())
+@example({"frame.f_c": 1e308})  # the EVA Doppler spread used to overflow at rounding
+@example({"run.snr_db": [0, 10.0], "channel.v_kmh": 0, "run.csi": "estimated"})
+def test_any_options_build_a_spec_or_raise_value_error(options):
+    # an accepted spec spells out to options that rebuild it; anything else is a ValueError
+    try:
+        spec = build_spec(options)
+    except ValueError:
+        return
+    assert config_hash(build_spec(spec_options(spec))) == config_hash(spec)
 
 
 ARGUMENT_NAMES = ("l_max", "k_max", "v_kmh", "delta_f", "P", "p_assumed")
