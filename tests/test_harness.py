@@ -325,12 +325,30 @@ IMPOSSIBLE_SPECS = {
 }
 
 
-@pytest.mark.parametrize("case", list(IMPOSSIBLE_SPECS))
+# values once rejected for the field they set; the field is gone (the estimator assumes the
+# channel model's path count, the stopping rules are module constants and every frame is
+# 4-QAM), so the key itself is now rejected as unknown
+REMOVED_FIELD_SPECS = {
+    "epsilon": {"est.epsilon": math.nan},
+    "p_assumed": {"est.p_assumed": 0},
+    "max_iters-det": {"det.max_iters": 2.5},
+    "max_iters-det-bool": {"det.max_iters": True},
+    # one spelling per experiment: "4QAM" would have run 4qam under another config_hash
+    "constellation": {"frame.constellation": "4QAM"},
+}
+
+
+@pytest.mark.parametrize("case", list(IMPOSSIBLE_SPECS) + list(REMOVED_FIELD_SPECS))
 def test_impossible_spec_rejected_at_build(case):
     # each of these used to fail deep inside a run, or run something else
-    field = case.split("-")[0]
-    with pytest.raises(ValueError, match=f"^{field} "):
-        tiny_spec(**IMPOSSIBLE_SPECS[case])
+    if case in REMOVED_FIELD_SPECS:
+        (key,) = REMOVED_FIELD_SPECS[case]
+        with pytest.raises(ValueError, match=rf"^unknown option keys \['{key}'\]"):
+            tiny_spec(**REMOVED_FIELD_SPECS[case])
+    else:
+        field = case.split("-")[0]
+        with pytest.raises(ValueError, match=f"^{field} "):
+            tiny_spec(**IMPOSSIBLE_SPECS[case])
 
 
 def test_integer_frame_floats_hash_like_floats():
