@@ -31,13 +31,6 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def require_speed(v_kmh) -> None:
-    """A user speed must be a finite, nonnegative number of km/h."""
-    require_real("v_kmh", v_kmh)
-    if not 0 <= v_kmh < math.inf:
-        raise ValueError(f"v_kmh must be finite and nonnegative, got {v_kmh!r}")
-
-
 def channel_from_cells(config: FrameConfig, cells, gains) -> EffectiveChannel:
     """Paths on integer (l, k) cells; gains landing on one cell are summed."""
     merged: dict = {}
@@ -50,15 +43,21 @@ def channel_from_cells(config: FrameConfig, cells, gains) -> EffectiveChannel:
 
 def eva_support(config: FrameConfig, v_kmh: float) -> tuple:
     """(paths, l_max, k_spread) of EVA at v_kmh: tap count, last tap's delay bin and Doppler
-    spread nu_max N T in bins, of which a tap draws round(k_spread cos theta).  A tap that
-    can land off the grid raises ValueError, naming delta_f or v_kmh."""
-    require_speed(v_kmh)
+    spread nu_max N T in bins, of which a tap draws round(k_spread cos theta).  A speed that is
+    not a finite, nonnegative number of km/h, or a tap that can land off the grid, raises
+    ValueError naming v_kmh, delta_f or f_c."""
+    require_real("v_kmh", v_kmh)
+    if not 0 <= v_kmh < math.inf:
+        raise ValueError(f"v_kmh must be finite and nonnegative, got {v_kmh!r}")
     l_max = round_half_away(EVA_DELAYS_NS[-1] * 1e-9 * config.M * config.delta_f)
     if l_max >= config.M:
         raise ValueError(f"delta_f {config.delta_f!r} puts EVA's last tap on bin {l_max} >= M")
     k_spread = (v_kmh / 3.6) * config.f_c / C_LIGHT * config.N * config.T
     k_top = config.doppler_range[1]
-    if round_half_away(min(k_spread, k_top + 1)) > k_top:  # the spread may overflow to inf
+    if k_spread == math.inf:  # overflowed: a carrier or a slot far beyond any grid
+        raise ValueError(f"f_c {config.f_c!r} and delta_f {config.delta_f!r} spread EVA's taps "
+                         f"beyond float range at v_kmh {v_kmh!r}")
+    if round_half_away(k_spread) > k_top:
         raise ValueError(f"v_kmh {v_kmh!r} spreads EVA's taps off the grid: {k_spread:.3g} bins")
     return len(EVA_DELAYS_NS), l_max, k_spread
 

@@ -162,8 +162,6 @@ def qam_map(bits) -> np.ndarray:
     k = QAM4.bits_per_symbol
     if bits.size % k:
         raise ValueError(f"bit count {bits.size} not divisible by {k}")
-    if bits.size == 0:
-        return np.zeros(0, dtype=complex)
     vals = bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))
     # point order sorted by label value so lookup is a plain index
     order = np.argsort(QAM4.label_values())
@@ -173,8 +171,6 @@ def qam_map(bits) -> np.ndarray:
 def qam_demap(symbols) -> np.ndarray:
     """Hard nearest-point 4-QAM decision back to bits."""
     symbols = np.asarray(symbols, dtype=complex).reshape(-1)
-    if symbols.size == 0:
-        return np.zeros(0, dtype=np.uint8)
     d2 = np.abs(symbols[:, None] - QAM4.points[None, :]) ** 2
     idx = d2.argmin(axis=1)
     return QAM4.bit_labels[idx].reshape(-1)

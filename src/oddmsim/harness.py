@@ -10,7 +10,11 @@ A trial senses its channel with one known frame, so its
 :class:`estimator.Sounding` is built once and every point's estimates share
 it; the cyclic prefix and the search window come from the channel model's
 support (:func:`channel.eva_support`, :func:`channel.synthetic_support`),
-which a spec must fit.  The estimator looks for the model's own path count, and
+which a spec must fit.  Each model reads its own parameters, and a spec sets no
+other: EVA reads the speed ``v_kmh``, the synthetic model its path count ``paths``
+and its window ``l_max``, ``k_max`` (:class:`ChannelSpec`).  Likewise a spec sets
+``sensing_snr_db`` only with estimated CSI, the one link that senses.  The
+estimator looks for the model's own path count, and
 it and the OAMP detector stop by module constants (:data:`estimator.MAX_ITERS`,
 :data:`estimator.EPSILON`, :data:`detector.MAX_ITERS`, :data:`detector.STOP_TOL`)
 that no spec option changes.  The detector's
@@ -42,8 +46,7 @@ import numpy as np
 
 from . import baselines, estimator
 from .channel import (add_awgn, apply_physical_channel, eva_support, gen_eva_channel,
-                      gen_synthetic_channel, require_speed, snr_to_noise_var,
-                      synthetic_support)
+                      gen_synthetic_channel, snr_to_noise_var, synthetic_support)
 from .core import FrameConfig, random_frame, require_count, require_real, vectorize
 from .detector import LinearStage, lmmse_detect, oamp_detect
 from .effchan import EffectiveChannel
@@ -61,28 +64,40 @@ SCHEMES = ("oddm", "otfs", "ofdm")
 DETECTORS = ("oamp", "lmmse")
 CSI_MODES = ("perfect", "estimated")
 FIDELITIES = ("matrix", "waveform")
-CHANNEL_MODELS = ("eva", "synthetic")
+# each channel model's parameters and their defaults; a synthetic window left None is a
+# quarter of the grid (channel.synthetic_support)
+_MODEL_PARAMS = {"eva": {"v_kmh": 350.0},
+                 "synthetic": {"paths": 3, "l_max": None, "k_max": None}}
+CHANNEL_MODELS = tuple(_MODEL_PARAMS)
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    model: str = "eva"          # eva | synthetic
-    v_kmh: float = 350.0
-    paths: int = 3              # synthetic model path count
-    l_max: int | None = None    # synthetic delay window
-    k_max: int | None = None    # synthetic Doppler window
+    """A channel model and its own parameters.  A parameter the model does not read must be
+    None; one it reads and is not given gets the model's default, stored, so that an omitted
+    default and a written one hash alike.  The values are checked by the model's support
+    (:func:`channel.eva_support`, :func:`channel.synthetic_support`), which every
+    :class:`ExperimentSpec` runs."""
+
+    model: str = "eva"              # eva | synthetic
+    v_kmh: float | None = None      # eva: user speed
+    paths: int | None = None        # synthetic: path count
+    l_max: int | None = None        # synthetic: last delay bin of the window
+    k_max: int | None = None        # synthetic: largest |Doppler bin| of the window
 
     def __post_init__(self):
         if self.model not in CHANNEL_MODELS:
             raise ValueError(f"unknown channel model {self.model!r}")
-        require_speed(self.v_kmh)
-        require_count("paths", self.paths)
-        for name in ("l_max", "k_max"):
-            if getattr(self, name) is not None:
-                require_count(name, getattr(self, name), least=0)
-                if self.model != "synthetic":  # EVA's taps fix its own window
-                    raise ValueError(f"{name} is a synthetic channel window; {self.model} "
-                                     f"ignores it")
+        own = _MODEL_PARAMS[self.model]
+        for name in (f.name for f in fields(self) if f.name != "model"):
+            value = getattr(self, name)
+            if name in own and value is None:
+                object.__setattr__(self, name, own[name])
+            elif name not in own and value is not None:
+                raise ValueError(f"{name} {value!r} is not a parameter of the {self.model} "
+                                 f"channel, which would ignore it")
+        if self.model == "synthetic":  # synthetic_support names it P
+            require_count("paths", self.paths)
 
 
 @dataclass(frozen=True)
@@ -121,13 +136,18 @@ class ExperimentSpec:
         object.__setattr__(self, "snr_grid_db", tuple(float(v) for v in self.snr_grid_db))
         if self.scheme != "oddm" and self.fidelity == "matrix":
             raise ValueError(f"fidelity matrix is the oddm grid model, not {self.scheme}")
+        if self.sensing_snr_db is not None and self.csi != "estimated":
+            raise ValueError(f"sensing_snr_db {self.sensing_snr_db!r} is read only with csi "
+                             f"estimated: a {self.csi}-CSI link never senses")
         if self.scheme == "ofdm":
             if self.csi != "perfect":
                 raise ValueError("the ofdm baseline supports csi=perfect only")
             if self.detector != "lmmse":
                 raise ValueError("detector must be lmmse: ofdm equalizes per subcarrier")
-        runner = _TrialRunner(self)  # an off-grid channel fails here, not in a trial,
-        if self.csi == "estimated":  # and so does a search window too small for its paths
+        # an off-grid channel fails here, not in a trial, and so does a search window too small
+        # for its paths: the link estimates with csi estimated, run_nmse_sweep whatever csi says
+        runner = _TrialRunner(self)
+        if self.scheme != "ofdm":
             runner.est_cfg
 
 

@@ -82,8 +82,9 @@ class TestConstellation:
                 assert np.array_equal(qam_demap(qam_map(bits)), bits)
 
     def test_empty(self):
-        assert qam_map([]).size == 0
-        assert qam_demap([]).size == 0
+        symbols, bits = qam_map([]), qam_demap([])
+        assert (symbols.shape, symbols.dtype) == ((0,), np.complex128)
+        assert (bits.shape, bits.dtype) == ((0,), np.uint8)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -251,7 +251,7 @@ def test_nmse_sweep_is_the_links_sensing_stage(fidelity):
 
 @pytest.mark.parametrize("options, field", [
     ({"run.scheme": "ofdm", "run.detector": "lmmse", "run.fidelity": "waveform"}, "scheme"),
-    ({"run.sensing_snr_db": 20.0}, "sensing_snr_db"),
+    ({"run.sensing_snr_db": 20.0, "run.csi": "estimated"}, "sensing_snr_db"),
 ])
 def test_nmse_sweep_rejects_what_it_cannot_honour(options, field):
     with pytest.raises(ValueError, match=field):
@@ -302,6 +302,8 @@ IMPOSSIBLE_SPECS = {
     "delta_f-inf": {"frame.delta_f": math.inf},
     "delta_f-inf-synthetic": {"frame.delta_f": math.inf, "channel.model": "synthetic"},
     "f_c-inf": {"frame.f_c": math.inf},
+    # the EVA Doppler spread overflows to inf: the carrier and the slot spread it, not the speed
+    "f_c-spread-overflow": {"frame.f_c": 1e308},
     "rolloff-none": {"frame.rolloff": None},
     "rolloff-string": {"frame.rolloff": "0.3"},
     "v_kmh-string": {"channel.v_kmh": "fast"},
@@ -309,11 +311,17 @@ IMPOSSIBLE_SPECS = {
     "min_bit_errors-string": {"run.min_bit_errors": "x"},
     "min_bit_errors-negative": {"run.min_bit_errors": -3},
     "min_bit_errors-fraction": {"run.min_bit_errors": 2.5},
-    # EVA ignores the synthetic windows: these ran the plain EVA row under another config_hash
+    # each channel model ignores the other's parameters, and a perfect-CSI link never senses:
+    # these ran the plain row under another config_hash
     "l_max-eva": {"run.csi": "estimated", "channel.l_max": 5},
     "k_max-eva": {"run.csi": "estimated", "channel.k_max": 1},
-    # 9 EVA paths in a 2 x 3 cell search window used to fail at the first estimate
+    "paths-eva": {"channel.paths": 3},
+    "v_kmh-synthetic": {"channel.model": "synthetic", "channel.v_kmh": 350.0},
+    "sensing_snr_db-perfect": {"run.sensing_snr_db": 20.0},
+    # 9 EVA paths in a 2 x 3 cell search window used to fail at the first estimate, with
+    # perfect CSI at run_nmse_sweep's first trial, which estimates whatever csi says
     "p_assumed-window": {"frame.M": 12, "frame.N": 4, "frame.Q": 1, "run.csi": "estimated"},
+    "p_assumed-window-perfect": {"frame.M": 12, "frame.N": 4, "frame.Q": 1},
     # at matrix fidelity the scheme is never read: these ran the oddm-*-matrix experiments
     # bit for bit under another config_hash
     **{f"fidelity-otfs-{det}-{csi}-matrix": {"run.scheme": "otfs", "run.detector": det,
@@ -359,6 +367,13 @@ def test_integer_frame_floats_hash_like_floats():
         config_hash(build_spec({"run.snr_db": (0.0, 10.0)}))
 
 
+def test_channel_defaults_hash_like_written_defaults():
+    synthetic = {"channel.model": "synthetic"}
+    assert config_hash(build_spec({})) == config_hash(build_spec({"channel.v_kmh": 350.0}))
+    assert config_hash(build_spec(synthetic)) == \
+        config_hash(build_spec({**synthetic, "channel.paths": 3}))
+
+
 def test_infinite_snr_is_the_noiseless_case():
     spec = tiny_spec(**{"run.snr_db": (math.inf,), "run.sensing_snr_db": math.inf,
                         "run.csi": "estimated"})
@@ -381,20 +396,27 @@ def test_unknown_option_keys_rejected():
 
 
 def test_every_known_option_key_accepted():
-    options = {"frame.M": 32, "frame.N": 8, "frame.Q": 4, "frame.rolloff": 0.3,
-               "frame.oversampling": 4, "frame.delta_f": 30e3, "frame.f_c": 4e9,
-               "channel.model": "synthetic", "channel.v_kmh": 120.0, "channel.paths": 2,
-               "channel.l_max": 5, "channel.k_max": 2,
-               "run.snr_db": [3.0], "run.scheme": "otfs", "run.detector": "lmmse",
-               "run.csi": "estimated", "run.fidelity": "waveform", "run.trials": 2,
-               "run.frames_per_trial": 1, "run.min_bit_errors": 5, "run.seed": 9,
-               "run.sensing_snr_db": 20.0}
-    assert sorted(options) == option_keys() and len(options) == 22
-    spec = build_spec(options)
-    assert (spec.frame.M, spec.frame.rolloff, spec.channel.k_max) == (32, 0.3, 2)
-    assert spec.snr_grid_db == (3.0,)
-    assert (spec.scheme, spec.detector, spec.sensing_snr_db, spec.seed) == ("otfs", "lmmse", 20.0, 9)
-    assert spec_options(spec) == dict(options, **{"run.snr_db": (3.0,)})
+    # each channel model takes its own parameters, so an EVA and a synthetic spec share the
+    # frame and run keys and together pass all 22
+    eva = {"frame.M": 32, "frame.N": 8, "frame.Q": 4, "frame.rolloff": 0.3,
+           "frame.oversampling": 4, "frame.delta_f": 30e3, "frame.f_c": 4e9,
+           "channel.model": "eva", "channel.v_kmh": 120.0,
+           "run.snr_db": [3.0], "run.scheme": "otfs", "run.detector": "lmmse",
+           "run.csi": "estimated", "run.fidelity": "waveform", "run.trials": 2,
+           "run.frames_per_trial": 1, "run.min_bit_errors": 5, "run.seed": 9,
+           "run.sensing_snr_db": 20.0}
+    synthetic = {**{key: value for key, value in eva.items() if key != "channel.v_kmh"},
+                 "channel.model": "synthetic", "channel.paths": 2, "channel.l_max": 5,
+                 "channel.k_max": 2}
+    assert sorted(eva.keys() | synthetic.keys()) == option_keys() and len(option_keys()) == 22
+    for options in (eva, synthetic):
+        spec = build_spec(options)
+        assert (spec.frame.M, spec.frame.rolloff) == (32, 0.3)
+        assert spec.snr_grid_db == (3.0,)
+        assert (spec.scheme, spec.detector, spec.sensing_snr_db, spec.seed) == \
+            ("otfs", "lmmse", 20.0, 9)
+        unset = dict.fromkeys(set(option_keys()) - set(options))
+        assert spec_options(spec) == dict(options, **unset, **{"run.snr_db": (3.0,)})
 
 
 def spec_options(spec) -> dict:
@@ -483,3 +505,43 @@ def test_drawn_cells_lie_on_the_grid_under_the_prefix_and_in_the_window(options)
             assert 0 <= l <= runner.cp < M and -(N // 2) <= k < (N + 1) // 2
             assert window.l_range[0] <= l < window.l_range[1]
             assert window.k_range[0] <= k < window.k_range[1]
+
+
+@st.composite
+def one_trial_options(draw):
+    """build_spec options of a one-trial, one-point sweep of any accepted cell on a small
+    grid, odd or even each way, with either channel model; the grids keep the exhaustive
+    search to some thousand tuples or, past MLE_MAX_HYPOTHESES, off"""
+    cell = draw(st.sampled_from(COMBINATIONS), label="cell")
+    options = {"frame.M": draw(st.integers(3, 12), label="M"),
+               "frame.N": draw(st.integers(2, 7), label="N"), "frame.Q": 1,
+               "frame.delta_f": draw(st.sampled_from([15e3, 30e3]), label="delta_f"),
+               "run.snr_db": (10.0,), "run.trials": 1, "run.frames_per_trial": 1, **cell}
+    if cell["run.csi"] == "estimated":
+        options["run.sensing_snr_db"] = draw(st.none() | st.just(20.0), label="sensing_snr_db")
+    if draw(st.sampled_from(harness.CHANNEL_MODELS), label="model") == "eva":
+        options["channel.v_kmh"] = draw(st.floats(0.0, 1000.0), label="v_kmh")
+        return options
+    options["channel.model"] = "synthetic"
+    options["channel.paths"] = draw(st.integers(1, 3), label="paths")
+    for name, top in (("l_max", options["frame.M"]), ("k_max", options["frame.N"] // 2 + 1)):
+        options[f"channel.{name}"] = draw(st.none() | st.integers(0, top), label=name)
+    return options
+
+
+@settings(max_examples=80)
+@given(one_trial_options())
+# perfect CSI: the spec used to build and run_nmse_sweep then to fail at its first trial
+@example({"frame.M": 12, "frame.N": 4, "frame.Q": 1, "run.snr_db": (10.0,), "run.trials": 1})
+def test_accepted_spec_runs_the_first_trial_of_every_sweep(options):
+    # a spec is refused, or its first trial runs in the link sweep and, for every scheme but
+    # ofdm without a sensing SNR of its own, in the NMSE sweep
+    try:
+        spec = build_spec(options)
+    except ValueError:
+        return
+    (row,) = run_sensing_then_comm(spec).rows
+    assert row.trials_run == 1 and 0.0 <= row.ber <= 0.5
+    if spec.scheme != "ofdm" and spec.sensing_snr_db is None:
+        rows = run_nmse_sweep(spec).rows
+        assert rows[0].detector == "alg1" and all(math.isfinite(r.nmse_db) for r in rows)
