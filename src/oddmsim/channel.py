@@ -41,32 +41,33 @@ def channel_from_cells(config: FrameConfig, cells, gains) -> EffectiveChannel:
                             [l for l, _ in cells], [k for _, k in cells])
 
 
-def eva_support(config: FrameConfig, v_kmh: float) -> tuple:
-    """(paths, l_max, k_spread) of EVA at v_kmh: tap count, last tap's delay bin and Doppler
-    spread nu_max N T in bins, of which a tap draws round(k_spread cos theta).  A speed that is
-    not a finite, nonnegative number of km/h, or a tap that can land off the grid, raises
-    ValueError naming v_kmh, delta_f or f_c."""
-    require_real("v_kmh", v_kmh)
-    if not 0 <= v_kmh < math.inf:
+def eva_support(config: FrameConfig, v_kmh: float, f_c: float) -> tuple:
+    """(paths, l_max, k_spread) of EVA at v_kmh and carrier f_c: tap count, last tap's delay bin
+    and Doppler spread nu_max N T in bins, of which a tap draws round(k_spread cos theta).  A
+    speed that is not a finite, nonnegative number of km/h, a carrier not finite and positive
+    (Hz) or a tap that can land off the grid raises ValueError naming v_kmh, f_c or delta_f."""
+    if not 0 <= require_real("v_kmh", v_kmh) < math.inf:
         raise ValueError(f"v_kmh must be finite and nonnegative, got {v_kmh!r}")
+    if not 0 < require_real("f_c", f_c) < math.inf:
+        raise ValueError(f"f_c must be finite and positive, got {f_c!r}")
     l_max = round_half_away(EVA_DELAYS_NS[-1] * 1e-9 * config.M * config.delta_f)
     if l_max >= config.M:
         raise ValueError(f"delta_f {config.delta_f!r} puts EVA's last tap on bin {l_max} >= M")
-    k_spread = (v_kmh / 3.6) * config.f_c / C_LIGHT * config.N * config.T
+    k_spread = (v_kmh / 3.6) * f_c / C_LIGHT * config.N * config.T
     k_top = config.doppler_range[1]
     if k_spread == math.inf:  # overflowed: a carrier or a slot far beyond any grid
-        raise ValueError(f"f_c {config.f_c!r} and delta_f {config.delta_f!r} spread EVA's taps "
+        raise ValueError(f"f_c {f_c!r} and delta_f {config.delta_f!r} spread EVA's taps "
                          f"beyond float range at v_kmh {v_kmh!r}")
     if round_half_away(k_spread) > k_top:
         raise ValueError(f"v_kmh {v_kmh!r} spreads EVA's taps off the grid: {k_spread:.3g} bins")
     return len(EVA_DELAYS_NS), l_max, k_spread
 
 
-def synthetic_support(config: FrameConfig, P: int, l_max: int | None = None,
+def synthetic_support(config: FrameConfig, paths: int, l_max: int | None = None,
                       k_max: int | None = None) -> tuple:
-    """(P, l_max, k_max): P paths on distinct cells l <= l_max, |k| <= k_max, each window a
+    """(paths, l_max, k_max): paths on distinct cells l <= l_max, |k| <= k_max, each window a
     quarter of the grid unless given.  An argument that does not fit raises ValueError naming it."""
-    require_count("P", P)
+    require_count("paths", paths)
     k_top = config.doppler_range[1]
     l_max = config.M // 4 if l_max is None else l_max
     k_max = min(k_top, max(1, config.N // 4)) if k_max is None else k_max
@@ -74,20 +75,20 @@ def synthetic_support(config: FrameConfig, P: int, l_max: int | None = None,
         require_count(name, value, least=0)
         if value > top:
             raise ValueError(f"{name} {value} reaches off the grid, whose bins end at {top}")
-    if P > (l_max + 1) * (2 * k_max + 1):
-        raise ValueError(f"P {P} is more paths than the {(l_max + 1) * (2 * k_max + 1)} cells")
-    return P, l_max, k_max
+    if paths > (l_max + 1) * (2 * k_max + 1):
+        raise ValueError(f"paths {paths} is more than the {(l_max + 1) * (2 * k_max + 1)} cells")
+    return paths, l_max, k_max
 
 
-def gen_eva_channel(config: FrameConfig, v_kmh: float, rng_seed) -> EffectiveChannel:
-    """Draw one EVA realization at user speed v_kmh.
+def gen_eva_channel(config: FrameConfig, v_kmh: float, f_c: float, rng_seed) -> EffectiveChannel:
+    """Draw one EVA realization at user speed v_kmh and carrier f_c.
 
     Tap gains are complex Gaussian with the profile's mean powers, normalized
     so the total mean path power is 1.  Each tap gets an independent Doppler
     nu = nu_max * cos(theta) with theta uniform (cosine arrival model), then
     delays and Dopplers are snapped onto the integer grid.
     """
-    _, _, k_spread = eva_support(config, v_kmh)
+    _, _, k_spread = eva_support(config, v_kmh, f_c)
     rng = _as_rng(rng_seed)
     powers = 10.0 ** (EVA_POWERS_DB / 10.0)
     powers = powers / powers.sum()
@@ -99,10 +100,10 @@ def gen_eva_channel(config: FrameConfig, v_kmh: float, rng_seed) -> EffectiveCha
     return channel_from_cells(config, cells, gains)
 
 
-def gen_synthetic_channel(config: FrameConfig, P: int, rng_seed,
+def gen_synthetic_channel(config: FrameConfig, paths: int, rng_seed,
                           l_max: int | None = None, k_max: int | None = None) -> EffectiveChannel:
-    """P paths with normalized Gaussian gains on distinct cells of :func:`synthetic_support`."""
-    P, l_max, k_max = synthetic_support(config, P, l_max, k_max)
+    """Paths with normalized Gaussian gains on distinct cells of :func:`synthetic_support`."""
+    P, l_max, k_max = synthetic_support(config, paths, l_max, k_max)
     rng = _as_rng(rng_seed)
     flat = rng.choice((l_max + 1) * (2 * k_max + 1), size=P, replace=False)
     cells = [(int(f) // (2 * k_max + 1), int(f) % (2 * k_max + 1) - k_max) for f in flat]

@@ -72,12 +72,11 @@ QAM4 = Constellation(np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], dtype=complex)
 
 @dataclass(frozen=True)
 class FrameConfig:
-    """All grid and waveform parameters for one delay-Doppler frame.
+    """The grid and pulse parameters of one delay-Doppler frame.
 
     M           delay bins / time slots per frame
     N           Doppler bins / subcarriers
     delta_f     subcarrier spacing in Hz; the slot duration is T = 1/delta_f
-    f_c         carrier frequency in Hz
     Q           prototype-pulse half length in delay-resolution units
     rolloff     SRRC roll-off factor in [0, 1]
     oversampling  samples per delay bin (sample rate = oversampling*M*delta_f)
@@ -88,7 +87,6 @@ class FrameConfig:
     M: int
     N: int
     delta_f: float
-    f_c: float
     Q: int
     rolloff: float = 0.25
     oversampling: int = 8
@@ -98,13 +96,12 @@ class FrameConfig:
         for name, least in (("M", 2), ("N", 2), ("Q", 1), ("oversampling", 1)):
             require_count(name, getattr(self, name), least)
             object.__setattr__(self, name, int(getattr(self, name)))
-        for name in ("delta_f", "f_c", "rolloff"):
+        for name in ("delta_f", "rolloff"):
             object.__setattr__(self, name, require_real(name, getattr(self, name)))
         if 2 * self.Q >= self.M:
             raise ValueError(f"Q {self.Q} is too long for the grid: need 2Q < M = {self.M}")
-        for name in ("delta_f", "f_c"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not 0.0 < self.delta_f < math.inf:
+            raise ValueError(f"delta_f must be finite and positive, got {self.delta_f}")
         if not (self.T < math.inf and self.sample_rate < math.inf):
             raise ValueError(f"delta_f {self.delta_f} makes the slot or the sample rate infinite")
         if not 0.0 <= self.rolloff <= 1.0:
@@ -130,6 +127,7 @@ class FrameConfig:
 
     @property
     def constellation_obj(self) -> Constellation:
+        """:data:`QAM4`; kept only for the benchmark's row checks in perfbench/workloads.py."""
         return QAM4
 
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import qam_demap
+from .core import QAM4, qam_demap
 from .effchan import EffectiveChannel, checked_chips, from_chips, to_chips
 
 VAR_FLOOR = 1e-10   # lower bound on every propagated variance
@@ -210,21 +210,21 @@ def _observed_chips(y, H: EffectiveChannel, sigma_sq: float) -> np.ndarray:
     return checked_chips("observation", y, H.config)
 
 
-def oamp_nle(r_t: np.ndarray, v_le_sq: float, constellation):
-    """Posterior-mean denoiser plus divergence-free recentring.
+def oamp_nle(r_t: np.ndarray, v_le_sq: float):
+    """Posterior-mean denoiser over :data:`QAM4` plus divergence-free recentring.
 
     Returns (s_next, v_nle_sq_next, posterior_means, posterior_var,
     non_contracting); the last entry flags the degenerate case
     v_post >= v_le_sq, where the orthogonalization step is skipped.
     """
     v = max(v_le_sq, VAR_FLOOR)
-    d2 = np.abs(r_t[:, None] - constellation.points[None, :]) ** 2
+    d2 = np.abs(r_t[:, None] - QAM4.points[None, :]) ** 2
     expo = -d2 / v
     expo -= expo.max(axis=1, keepdims=True)
     w = np.exp(expo)
     w /= w.sum(axis=1, keepdims=True)
-    post_mean = w @ constellation.points
-    e2 = w @ (np.abs(constellation.points) ** 2)
+    post_mean = w @ QAM4.points
+    e2 = w @ (np.abs(QAM4.points) ** 2)
     post_var = np.maximum(e2 - np.abs(post_mean) ** 2, 0.0)
     v_post = max(float(post_var.mean()), VAR_FLOOR)
     if v_post >= v * (1.0 - 1e-12):
@@ -241,7 +241,6 @@ def oamp_detect(y: np.ndarray, stage: LinearStage, sigma_sq: float) -> Detection
     less than ``STOP_TOL``, for at most ``MAX_ITERS`` iterations."""
     H = stage.H
     y_c = _observed_chips(y, H, sigma_sq)
-    const = H.config.constellation_obj
     s_t = np.zeros(H.config.mn, dtype=complex)
     v_nle_sq = 1.0  # unit-energy constellation prior
     trace = []
@@ -253,7 +252,7 @@ def oamp_detect(y: np.ndarray, stage: LinearStage, sigma_sq: float) -> Detection
         iterations = t + 1
         r, v_le_sq, residual = stage.step(s_t, y_c, v_nle_sq, sigma_sq)
         max_residual = max(max_residual, residual)
-        s_next, v_next, post_mean, _, flag = oamp_nle(r, v_le_sq, const)
+        s_next, v_next, post_mean, _, flag = oamp_nle(r, v_le_sq)
         non_contracting = non_contracting or flag
         trace.append((v_le_sq, v_next))
         delta = abs(v_next - v_nle_sq)

@@ -10,9 +10,9 @@ A trial senses its channel with one known frame, so its
 :class:`estimator.Sounding` is built once and every point's estimates share
 it; the cyclic prefix and the search window come from the channel model's
 support (:func:`channel.eva_support`, :func:`channel.synthetic_support`),
-which a spec must fit.  Each model reads its own parameters, and a spec sets no
-other: EVA reads the speed ``v_kmh``, the synthetic model its path count ``paths``
-and its window ``l_max``, ``k_max`` (:class:`ChannelSpec`).  Likewise a spec sets
+which a spec must fit.  Each model reads its own parameters, and a spec sets no other:
+EVA reads the speed ``v_kmh`` and the carrier ``f_c``, the synthetic model its path count
+``paths`` and its window ``l_max``, ``k_max`` (:class:`ChannelSpec`).  Likewise a spec sets
 ``sensing_snr_db`` only with estimated CSI, the one link that senses.  The
 estimator looks for the model's own path count, and
 it and the OAMP detector stop by module constants (:data:`estimator.MAX_ITERS`,
@@ -40,13 +40,12 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from . import baselines, estimator
-from .channel import (add_awgn, apply_physical_channel, eva_support, gen_eva_channel,
-                      gen_synthetic_channel, snr_to_noise_var, synthetic_support)
+from . import baselines, channel, estimator
+from .channel import add_awgn, apply_physical_channel, snr_to_noise_var
 from .core import FrameConfig, random_frame, require_count, require_real, vectorize
 from .detector import LinearStage, lmmse_detect, oamp_detect
 from .effchan import EffectiveChannel
@@ -64,23 +63,26 @@ SCHEMES = ("oddm", "otfs", "ofdm")
 DETECTORS = ("oamp", "lmmse")
 CSI_MODES = ("perfect", "estimated")
 FIDELITIES = ("matrix", "waveform")
-# each channel model's parameters and their defaults; a synthetic window left None is a
-# quarter of the grid (channel.synthetic_support)
-_MODEL_PARAMS = {"eva": {"v_kmh": 350.0},
-                 "synthetic": {"paths": 3, "l_max": None, "k_max": None}}
-CHANNEL_MODELS = tuple(_MODEL_PARAMS)
+# one row per channel model: its support and generator in :mod:`channel`, by name so that a
+# wrapper put on the module sees each call, and its own parameters with their defaults
+_Model = collections.namedtuple("_Model", "support draw params")
+_MODELS = {"eva": _Model("eva_support", "gen_eva_channel", {"v_kmh": 350.0, "f_c": 5e9}),
+           "synthetic": _Model("synthetic_support", "gen_synthetic_channel",
+                               {"paths": 3, "l_max": None, "k_max": None})}
+CHANNEL_MODELS = tuple(_MODELS)
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
     """A channel model and its own parameters.  A parameter the model does not read must be
-    None; one it reads and is not given gets the model's default, stored, so that an omitted
-    default and a written one hash alike.  The values are checked by the model's support
-    (:func:`channel.eva_support`, :func:`channel.synthetic_support`), which every
-    :class:`ExperimentSpec` runs."""
+    None; one it reads and is not given gets the model's default, stored (a float default's
+    parameter as a float), so that an omitted default and a written one hash alike.  The
+    values are checked by the model's support (:func:`channel.eva_support`,
+    :func:`channel.synthetic_support`), which every :class:`ExperimentSpec` runs."""
 
     model: str = "eva"              # eva | synthetic
-    v_kmh: float | None = None      # eva: user speed
+    v_kmh: float | None = None      # eva: user speed in km/h
+    f_c: float | None = None        # eva: carrier frequency in Hz
     paths: int | None = None        # synthetic: path count
     l_max: int | None = None        # synthetic: last delay bin of the window
     k_max: int | None = None        # synthetic: largest |Doppler bin| of the window
@@ -88,16 +90,21 @@ class ChannelSpec:
     def __post_init__(self):
         if self.model not in CHANNEL_MODELS:
             raise ValueError(f"unknown channel model {self.model!r}")
-        own = _MODEL_PARAMS[self.model]
+        own = _MODELS[self.model].params
         for name in (f.name for f in fields(self) if f.name != "model"):
-            value = getattr(self, name)
-            if name in own and value is None:
-                object.__setattr__(self, name, own[name])
-            elif name not in own and value is not None:
+            value, default = getattr(self, name), own.get(name)
+            if name not in own and value is not None:
                 raise ValueError(f"{name} {value!r} is not a parameter of the {self.model} "
                                  f"channel, which would ignore it")
-        if self.model == "synthetic":  # synthetic_support names it P
-            require_count("paths", self.paths)
+            value = default if value is None else value
+            object.__setattr__(self, name, require_real(name, value)
+                               if isinstance(default, float) else value)
+
+    def call(self, role: str, config: FrameConfig, **kwargs):
+        """The model's ``support`` or ``draw`` on ``config``, its own parameters as keywords."""
+        row = _MODELS[self.model]
+        own = {name: getattr(self, name) for name in row.params}
+        return getattr(channel, getattr(row, role))(config, **own, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -165,8 +172,9 @@ class SweepRow:
     """One SNR point of a sweep (one estimator's, in an NMSE sweep).
 
     ``wall_time_s`` sums, over the trials the point kept, the point's own
-    noise, receive, estimate and detect time plus an equal share of the
-    trial's draw and send time; both are measured where the trial runs.
+    noise, receive, estimate and detect time (in an NMSE row, of its own
+    estimator only) plus an equal share of the trial's draw and send time;
+    both are measured where the trial runs.
     """
 
     scheme: str
@@ -224,19 +232,8 @@ def parse_csv(path) -> SweepResult:
 
 
 def _draw_channel(spec: ExperimentSpec, trial: int) -> EffectiveChannel:
-    rng = derive_rng(spec.seed, _STAGE_CHANNEL, trial)
-    if spec.channel.model == "eva":
-        return gen_eva_channel(spec.frame, spec.channel.v_kmh, rng)
-    return gen_synthetic_channel(spec.frame, spec.channel.paths, rng,
-                                 l_max=spec.channel.l_max, k_max=spec.channel.k_max)
-
-
-def _support(spec: ExperimentSpec) -> tuple:
-    """(paths, l_max, k_spread) of the spec's channel model on its grid."""
-    ch = spec.channel
-    if ch.model == "eva":
-        return eva_support(spec.frame, ch.v_kmh)
-    return synthetic_support(spec.frame, ch.paths, ch.l_max, ch.k_max)
+    return spec.channel.call("draw", spec.frame,
+                             rng_seed=derive_rng(spec.seed, _STAGE_CHANNEL, trial))
 
 
 class _TrialRunner:
@@ -245,7 +242,7 @@ class _TrialRunner:
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
         self.cfg = spec.frame
-        self.paths, l_max, self.k_spread = _support(spec)
+        self.paths, l_max, self.k_spread = spec.channel.call("support", self.cfg)
         # one chip more than the largest delay bin; M - 1 still covers every bin on the grid
         self.cp = min(self.cfg.M - 1, l_max + 1)
 
@@ -352,10 +349,11 @@ class _TrialRunner:
         sounding, observe = self._sensing(trial, chan)
 
         def point(snr_idx):
-            y = observe(snr_idx)
-            out = {"alg1": nmse(estimate_channel(y, sounding).channel, chan)}
-            if mle_ok:
-                out["mle"] = nmse(mle_exhaustive(y, sounding).channel, chan)
+            y, out = observe(snr_idx), {"own_s": {}}  # own_s: _row counts each in its row only
+            for name, search in (("alg1", estimate_channel), ("mle", mle_exhaustive))[:1 + mle_ok]:
+                t0 = time.perf_counter()
+                out[name] = nmse(search(y, sounding).channel, chan)
+                out["own_s"][name] = time.perf_counter() - t0
             return out
 
         return point
@@ -425,8 +423,9 @@ def _row(spec, snr_db, results, detector, csi, nmse_key) -> SweepRow:
         trials_run=len(results), bits=bits, bit_errors=errors,
         ber=(errors / bits) if bits else None,
         nmse_db=float(10.0 * np.log10(np.mean(nmse_lin))) if nmse_lin else None,
-        wall_time_s=sum(r["wall_time_s"] for r in results), seed=spec.seed,
-        config_hash=config_hash(spec))
+        wall_time_s=sum(r["wall_time_s"] - sum(t for key, t in r.get("own_s", {}).items()
+                                               if key != nmse_key) for r in results),
+        seed=spec.seed, config_hash=config_hash(spec))
 
 
 def run_sensing_then_comm(spec: ExperimentSpec, threads: int = 1) -> SweepResult:
@@ -443,19 +442,22 @@ def run_nmse_sweep(spec: ExperimentSpec) -> SweepResult:
     the exhaustive search, one row per estimator per SNR point.
 
     The SNR grid is the sensing SNR.  The observations come from the link's
-    sensing stage, so ``spec.fidelity`` applies.
+    sensing stage, so ``spec.fidelity`` applies.  It runs and hashes the spec
+    with the fields it never reads at their defaults.
     """
     if spec.scheme == "ofdm":
         raise ValueError("run_nmse_sweep: scheme 'ofdm' has no channel estimate")
     if spec.sensing_snr_db is not None:
         raise ValueError("run_nmse_sweep: sensing_snr_db must be None (the grid is the sensing SNR)")
+    spec = replace(spec, **{f.name: f.default for f in fields(ExperimentSpec)
+                            if f.name in ("detector", "csi", "frames_per_trial", "min_bit_errors")})
     kept = _run_trials(spec, _TrialRunner.nmse_trial)
     return SweepResult(rows=[_row(spec, snr_db, rs, name, "estimated", name)
                              for snr_db, rs in zip(spec.snr_grid_db, kept)
                              for name in ("alg1", "mle") if name in rs[0]])
 
 
-DEFAULT_FRAME = dict(M=64, N=16, delta_f=15e3, f_c=5e9, Q=8)
+DEFAULT_FRAME = dict(M=64, N=16, delta_f=15e3, Q=8)
 DEFAULT_SNR_DB = (0.0, 5.0, 10.0, 15.0)
 _SECTIONS = {"frame": FrameConfig, "channel": ChannelSpec}
 

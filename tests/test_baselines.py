@@ -12,7 +12,7 @@ from oracles import count_bit_errors, qpsk_awgn_ber
 
 
 def cfg32():
-    return FrameConfig(M=32, N=8, delta_f=15e3, f_c=5e9, Q=8)
+    return FrameConfig(M=32, N=8, delta_f=15e3, Q=8)
 
 
 class TestOtfs:
@@ -75,7 +75,7 @@ class TestOfdm:
         assert count_bit_errors(bits, out) == 0
 
     def test_static_flat_channel_tracks_awgn(self):
-        cfg = FrameConfig(M=64, N=16, delta_f=15e3, f_c=5e9, Q=8)
+        cfg = FrameConfig(M=64, N=16, delta_f=15e3, Q=8)
         snr_db = 7.0
         chan = channel_from_cells(cfg, [(0, 0)], [1.0])
         resp = ofdm_freq_response(chan, cfg, 4)
@@ -98,12 +98,12 @@ class TestOfdm:
     def test_high_mobility_error_floor(self):
         # noiseless with one-tap equalization: residual errors are pure
         # inter-carrier interference from the Doppler spread
-        cfg = FrameConfig(M=64, N=16, delta_f=15e3, f_c=5e9, Q=8)
+        cfg = FrameConfig(M=64, N=16, delta_f=15e3, Q=8)
         errors = total = 0
         for seed in range(6):
             rng = np.random.default_rng(40 + seed)
             bits, frame = random_frame(cfg, rng)
-            chan = gen_eva_channel(cfg, 350.0, 400 + seed)
+            chan = gen_eva_channel(cfg, 350.0, 5e9, 400 + seed)
             cp = int(chan.l.max()) + 1
             st = ofdm_modulate(frame, cfg, cp_chips=cp)
             rx = apply_physical_channel(st, chan)

@@ -9,7 +9,7 @@ from oddmsim.core import (QAM4, FrameConfig, chips_to_dd, dd_to_chips, delay_ind
 
 
 def paper_scale_config(**kw):
-    args = dict(M=512, N=32, delta_f=15e3, f_c=5e9, Q=20)
+    args = dict(M=512, N=32, delta_f=15e3, Q=20)
     args.update(kw)
     return FrameConfig(**args)
 
@@ -21,20 +21,19 @@ class TestFrameConfig:
 
     def test_pulse_too_long_rejected(self):
         with pytest.raises(ValueError):
-            FrameConfig(M=8, N=4, delta_f=15e3, f_c=5e9, Q=4)
+            FrameConfig(M=8, N=4, delta_f=15e3, Q=4)
 
     def test_small_valid(self):
-        cfg = FrameConfig(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
+        cfg = FrameConfig(M=8, N=4, delta_f=15e3, Q=2)
         assert cfg.mn == 32
 
     def test_stores_ints_and_floats(self):
         # integers given for the float fields hash like the floats
-        cfg = FrameConfig(M=8, N=4, delta_f=15000, f_c=5_000_000_000, Q=2, rolloff=0,
-                          oversampling=np.int64(4))
-        assert cfg == FrameConfig(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2, rolloff=0.0,
+        cfg = FrameConfig(M=8, N=4, delta_f=15000, Q=2, rolloff=0, oversampling=np.int64(4))
+        assert cfg == FrameConfig(M=8, N=4, delta_f=15e3, Q=2, rolloff=0.0,
                                   oversampling=4)
-        assert [type(getattr(cfg, f)) for f in ("delta_f", "f_c", "rolloff", "oversampling")] \
-            == [float, float, float, int]
+        assert [type(getattr(cfg, f)) for f in ("delta_f", "rolloff", "oversampling")] \
+            == [float, float, int]
 
     @pytest.mark.parametrize("bad", [
         dict(M=1), dict(N=1), dict(Q=0), dict(delta_f=-1.0), dict(f_c=0.0),
@@ -46,10 +45,14 @@ class TestFrameConfig:
     ])
     def test_rejects_bad_values(self, bad):
         # an infinite delta_f or f_c used to pass or raise OverflowError, None TypeError, and
-        # "0.3", True, an infinite slot (1e-320) or sample rate (1e308) passed
-        (field,) = bad
+        # "0.3", True, an infinite slot (1e-320) or sample rate (1e308) passed; the carrier
+        # is EVA's parameter now, so eva_support checks it
+        ((field, value),) = bad.items()
         with pytest.raises(ValueError, match=f"^{field} "):
-            paper_scale_config(**bad)
+            if field == "f_c":
+                eva_support(paper_scale_config(), 350.0, value)
+            else:
+                paper_scale_config(**bad)
 
 
 class TestConstellation:
@@ -165,14 +168,14 @@ class TestGridIndexing:
         nu = (350 / 3.6) * 5e9 / 299_792_458.0
         assert nu == pytest.approx(1621.5, abs=2.0)
         # the EVA generator rounds each tap's Doppler of up to this many bins
-        assert round_half_away(eva_support(cfg, 350)[2]) == 3
+        assert round_half_away(eva_support(cfg, 350, 5e9)[2]) == 3
 
     def test_origin(self):
         cfg = paper_scale_config()
         assert delay_index(0.0, cfg) == 0
 
     def test_out_of_range(self):
-        cfg = FrameConfig(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
+        cfg = FrameConfig(M=8, N=4, delta_f=15e3, Q=2)
         with pytest.raises(ValueError):
             delay_index(cfg.T, cfg)  # maps to l = M
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from oracles import (brute_force_effective_matrix, build_block, cyclic_permutati
 
 
 def small_config(M=8, N=4):
-    return FrameConfig(M=M, N=N, delta_f=15e3, f_c=5e9, Q=1)
+    return FrameConfig(M=M, N=N, delta_f=15e3, Q=1)
 
 
 def single_path(cfg, l, k, h=1.0):
@@ -121,7 +121,7 @@ class TestAssembly:
         for trial in range(25):
             M = int(rng.integers(3, 9))
             N = int(rng.integers(2, 5))
-            cfg = FrameConfig(M=M, N=N, delta_f=15e3, f_c=5e9,
+            cfg = FrameConfig(M=M, N=N, delta_f=15e3,
                                     Q=max(1, (M - 1) // 2))
             P = int(rng.integers(1, 4))
             chan = gen_synthetic_channel(cfg, P, rng, l_max=M - 1, k_max=(N - 1) // 2)
@@ -213,7 +213,7 @@ class TestApply:
     @given(st.integers(3, 9), st.integers(2, 7), st.data())
     def test_chip_products_are_adjoint(self, M, N, data):
         # <H_t x, y> = <x, H_t^H y> on random grids (odd MN among them) with 1-4 paths
-        cfg = FrameConfig(M=M, N=N, delta_f=15e3, f_c=5e9, Q=1)
+        cfg = FrameConfig(M=M, N=N, delta_f=15e3, Q=1)
         k_lo, k_hi = cfg.doppler_range
         cells = data.draw(st.lists(st.tuples(st.integers(0, M - 1), st.integers(k_lo, k_hi)),
                                    min_size=1, max_size=4, unique=True), label="cells")
@@ -252,7 +252,7 @@ class TestChipResponses:
         # (H_{l,k} s)^H t for every delay, up to the far delay edge (wrap), and every signed
         # Doppler bin, in two twiddle blocks, against the literal per-cell product with the
         # oracle matrix
-        cfg = FrameConfig(M=M, N=N, delta_f=15e3, f_c=5e9, Q=1)
+        cfg = FrameConfig(M=M, N=N, delta_f=15e3, Q=1)
         rng = np.random.default_rng(M * N)
         s = vectorize(random_frame(cfg, rng)[1])
         t = random_vector(rng, cfg.mn)
@@ -266,7 +266,7 @@ class TestChipResponses:
     def test_any_shifts_and_blocks_match_per_cell_oracle(self, M, N, data):
         # random grids (odd MN among them), any number of shifts and any Doppler bins of
         # the grid, cut into blocks anywhere
-        cfg = FrameConfig(M=M, N=N, delta_f=15e3, f_c=5e9, Q=1)
+        cfg = FrameConfig(M=M, N=N, delta_f=15e3, Q=1)
         n = data.draw(st.integers(1, M), label="shifts")
         k_lo = data.draw(st.integers(-(N // 2), (N + 1) // 2 - 1), label="k_lo")
         k_hi = data.draw(st.integers(k_lo + 1, (N + 1) // 2), label="k_hi")

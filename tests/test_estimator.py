@@ -16,7 +16,7 @@ from oracles import brute_force_effective_matrix, dense_channel, path_objective
 
 
 def cfg16():
-    return FrameConfig(M=16, N=8, delta_f=15e3, f_c=5e9, Q=3)
+    return FrameConfig(M=16, N=8, delta_f=15e3, Q=3)
 
 
 def est_cfg(cfg, P, **kw):
@@ -167,7 +167,7 @@ class TestWindow:
 def test_rejects_bad_input(entry, name, fault):
     # one shared check: non-finite or wrongly shaped y or s_known, or a sensing
     # frame without energy, raises, naming it
-    cfg = FrameConfig(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
+    cfg = FrameConfig(M=8, N=4, delta_f=15e3, Q=2)
     chan = channel_from_cells(cfg, [(3, 1)], [0.9])
     s, y = observe(cfg, chan, None)
     v = {"y": y, "s_known": s}[name].copy()
@@ -191,7 +191,7 @@ def test_rejects_bad_input(entry, name, fault):
 
 
 def test_more_paths_than_window_cells_rejected():
-    cfg = FrameConfig(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
+    cfg = FrameConfig(M=8, N=4, delta_f=15e3, Q=2)
     with pytest.raises(ValueError, match="p_assumed 5 exceeds the 4 cells"):
         EstimationConfig(frame=cfg, p_assumed=5, l_range=(0, 2), k_range=(-1, 1))
     EstimationConfig(frame=cfg, p_assumed=4, l_range=(0, 2), k_range=(-1, 1))
@@ -221,7 +221,7 @@ class TestAmbiguityTable:
     def draw(M, N):
         # full window, so cell differences span every delay and Doppler offset; the
         # far-edge delay wraps the delay axis and two paths have negative Doppler
-        cfg = FrameConfig(M=M, N=N, delta_f=15e3, f_c=5e9, Q=1)
+        cfg = FrameConfig(M=M, N=N, delta_f=15e3, Q=1)
         ec = EstimationConfig(frame=cfg, p_assumed=3, l_range=(0, M),
                               k_range=(-(N // 2), (N + 1) // 2))
         rng = np.random.default_rng(M * N)
@@ -320,7 +320,7 @@ def test_sounding_matches_inner_products(window):
     # products: u_{l,k}^H t with the oracle responses, and C(d, kappa) = u_{d,kappa}^H s with
     # u_{d,kappa} written out on chips, e^{j2pi kappa (q - d) / MN} s_c[(q - d) mod MN]
     M, N, l_range, k_range, seed = window
-    cfg = FrameConfig(M=M, N=N, delta_f=15e3, f_c=5e9, Q=1)
+    cfg = FrameConfig(M=M, N=N, delta_f=15e3, Q=1)
     ec = EstimationConfig(frame=cfg, p_assumed=1, l_range=l_range, k_range=k_range)
     rng = np.random.default_rng(seed)
     s = vectorize(random_frame(cfg, rng)[1])
@@ -334,6 +334,36 @@ def test_sounding_matches_inner_products(window):
     table = [[np.vdot(np.exp(2j * np.pi * kappa * (q - d) / mn) * s_c[(q - d) % mn], s_c)
               for kappa in range(-win.dk, win.dk + 1)] for d in range(-win.dl, win.dl + 1)]
     assert_close(win.table, np.array(table))
+
+
+@st.composite
+def single_paths(draw):
+    """(M, N, l_range, k_range, cell, gain, seed): a window of :func:`search_windows` and one
+    path on a cell of it."""
+    M, N, l_range, k_range, seed = draw(search_windows())
+    cell = (draw(st.integers(l_range[0], l_range[1] - 1), label="l"),
+            draw(st.integers(k_range[0], k_range[1] - 1), label="k"))
+    gain = draw(st.complex_numbers(min_magnitude=0.01, max_magnitude=100.0), label="gain")
+    return M, N, l_range, k_range, cell, gain, seed
+
+
+@settings(max_examples=60)
+@given(single_paths())
+# odd MN, a window above delay 0 with the path on its last cell, and a one-cell window
+@example((5, 3, (2, 5), (-1, 2), (4, 1), 0.3 - 1.2j, 7))
+@example((7, 5, (0, 7), (-2, 3), (6, -2), 1.0, 3))
+@example((3, 2, (1, 2), (0, 1), (1, 0), -2.0j, 0))
+def test_noiseless_single_path_recovered_exactly(case):
+    # y = H s without noise and one assumed path: the estimate is the path's own cell, and
+    # its gain is the planted one to round-off
+    M, N, l_range, k_range, cell, gain, seed = case
+    cfg = FrameConfig(M=M, N=N, delta_f=15e3, Q=1)
+    ec = EstimationConfig(frame=cfg, p_assumed=1, l_range=l_range, k_range=k_range)
+    s = vectorize(random_frame(cfg, np.random.default_rng(seed))[1])
+    y = channel_from_cells(cfg, [cell], [gain]).apply(s)
+    res = estimate_channel(y, Sounding(ec, s))
+    assert cells(res.channel) == [cell]
+    assert abs(res.channel.gains[0] - gain) <= 1e-9 * abs(gain)
 
 
 class TestSounding:
@@ -426,7 +456,7 @@ class TestEstimateChannel:
 
 class TestMleExhaustive:
     def test_p1_equals_objective_scan(self):
-        cfg = FrameConfig(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
+        cfg = FrameConfig(M=8, N=4, delta_f=15e3, Q=2)
         chan = channel_from_cells(cfg, [(3, 1)], [0.9])
         s, y = observe(cfg, chan, 20.0, seed=2)
         ec = EstimationConfig(frame=cfg, p_assumed=1, l_range=(0, 8), k_range=(-2, 2))
@@ -456,7 +486,7 @@ class TestMleExhaustive:
     def test_no_solvable_tuple_raises(self):
         # a one-chip sensing frame makes every path of one delay respond on the
         # same chip, so each tuple of two such cells has a singular Gram
-        cfg = FrameConfig(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
+        cfg = FrameConfig(M=8, N=4, delta_f=15e3, Q=2)
         chip = np.zeros(cfg.mn, dtype=complex)
         chip[0] = 1.0
         s = from_chips(chip, cfg)
@@ -488,7 +518,7 @@ NMSE_CASES = {
 class TestNmse:
     @pytest.mark.parametrize("case", list(NMSE_CASES))
     def test_matches_dense_frobenius_ratio(self, case):
-        cfg = FrameConfig(M=8, N=4, delta_f=15e3, f_c=5e9, Q=2)
+        cfg = FrameConfig(M=8, N=4, delta_f=15e3, Q=2)
         est, truth = (EffectiveChannel(cfg, gains, *zip(*cells))
                       for cells, gains in NMSE_CASES[case])
         He, Ht = dense_channel(est), dense_channel(truth)

@@ -1,12 +1,14 @@
 import collections
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oddmsim import detector, estimator, harness
+from oddmsim.core import QAM4
 from oddmsim.harness import (CSI_MODES, DETECTORS, FIDELITIES, SCHEMES, build_spec,
                              config_hash, emit_csv, option_keys, parse_csv, run_nmse_sweep,
                              run_sensing_then_comm)
@@ -68,8 +70,7 @@ def test_every_accepted_combination_runs(options):
     spec = experiment(options)
     result = run_sensing_then_comm(spec)
     (row,) = result.rows
-    bits_per_symbol = spec.frame.constellation_obj.bits_per_symbol
-    assert row.bits == row.trials_run * spec.frames_per_trial * spec.frame.mn * bits_per_symbol
+    assert row.bits == row.trials_run * spec.frames_per_trial * spec.frame.mn * QAM4.bits_per_symbol
     assert 0.0 <= row.ber <= 0.5
     assert (row.nmse_db is not None) == (options["run.csi"] == "estimated")
 
@@ -301,9 +302,9 @@ IMPOSSIBLE_SPECS = {
     "delta_f-none": {"frame.delta_f": None},
     "delta_f-inf": {"frame.delta_f": math.inf},
     "delta_f-inf-synthetic": {"frame.delta_f": math.inf, "channel.model": "synthetic"},
-    "f_c-inf": {"frame.f_c": math.inf},
+    "f_c-inf": {"channel.f_c": math.inf},
     # the EVA Doppler spread overflows to inf: the carrier and the slot spread it, not the speed
-    "f_c-spread-overflow": {"frame.f_c": 1e308},
+    "f_c-spread-overflow": {"channel.f_c": 1e308},
     "rolloff-none": {"frame.rolloff": None},
     "rolloff-string": {"frame.rolloff": "0.3"},
     "v_kmh-string": {"channel.v_kmh": "fast"},
@@ -317,6 +318,7 @@ IMPOSSIBLE_SPECS = {
     "k_max-eva": {"run.csi": "estimated", "channel.k_max": 1},
     "paths-eva": {"channel.paths": 3},
     "v_kmh-synthetic": {"channel.model": "synthetic", "channel.v_kmh": 350.0},
+    "f_c-synthetic": {"channel.model": "synthetic", "channel.f_c": 5e9},
     "sensing_snr_db-perfect": {"run.sensing_snr_db": 20.0},
     # 9 EVA paths in a 2 x 3 cell search window used to fail at the first estimate, with
     # perfect CSI at run_nmse_sweep's first trial, which estimates whatever csi says
@@ -360,7 +362,9 @@ def test_impossible_spec_rejected_at_build(case):
 
 
 def test_integer_frame_floats_hash_like_floats():
-    as_ints = {"frame.delta_f": 30000, "frame.f_c": 4000000000, "frame.rolloff": 0}
+    # EVA's speed and carrier are stored as floats like the frame's; 350 and 350.0 hashed apart
+    as_ints = {"frame.delta_f": 30000, "frame.rolloff": 0, "channel.v_kmh": 350,
+               "channel.f_c": 4000000000}
     as_floats = {key: float(value) for key, value in as_ints.items()}
     assert config_hash(build_spec(as_ints)) == config_hash(build_spec(as_floats))
     assert config_hash(build_spec({"run.snr_db": [0, 10]})) == \
@@ -372,6 +376,31 @@ def test_channel_defaults_hash_like_written_defaults():
     assert config_hash(build_spec({})) == config_hash(build_spec({"channel.v_kmh": 350.0}))
     assert config_hash(build_spec(synthetic)) == \
         config_hash(build_spec({**synthetic, "channel.paths": 3}))
+
+
+def test_nmse_rows_hash_what_the_nmse_sweep_reads():
+    # the NMSE sweep reads neither the detector, the CSI mode, the frame count nor the early
+    # stop, so a link spec that sets them gives the same rows under the same hash
+    plain = run_nmse_sweep(link_spec(**{"run.trials": 1})).rows
+    other = run_nmse_sweep(link_spec(**{"run.trials": 1, "run.detector": "lmmse",
+                                        "run.frames_per_trial": 2, "run.min_bit_errors": 5})).rows
+    assert len({row.config_hash for row in plain + other}) == 1
+    without_time = [{**vars(row), "wall_time_s": None} for row in plain]
+    assert without_time == [{**vars(row), "wall_time_s": None} for row in other]
+
+
+def test_nmse_rows_time_their_own_estimator(monkeypatch):
+    # the exhaustive search's time is its own row's: a slow one leaves the alg1 row fast
+    literal = harness.mle_exhaustive
+
+    def slow_search(y, sounding):
+        time.sleep(0.2)
+        return literal(y, sounding)
+
+    monkeypatch.setattr(harness, "mle_exhaustive", slow_search)
+    alg1, mle = run_nmse_sweep(link_spec(**{"run.snr_db": (10.0,), "run.trials": 1})).rows
+    assert (alg1.detector, mle.detector) == ("alg1", "mle")
+    assert alg1.wall_time_s < 0.2 <= mle.wall_time_s
 
 
 def test_infinite_snr_is_the_noiseless_case():
@@ -399,13 +428,14 @@ def test_every_known_option_key_accepted():
     # each channel model takes its own parameters, so an EVA and a synthetic spec share the
     # frame and run keys and together pass all 22
     eva = {"frame.M": 32, "frame.N": 8, "frame.Q": 4, "frame.rolloff": 0.3,
-           "frame.oversampling": 4, "frame.delta_f": 30e3, "frame.f_c": 4e9,
-           "channel.model": "eva", "channel.v_kmh": 120.0,
+           "frame.oversampling": 4, "frame.delta_f": 30e3,
+           "channel.model": "eva", "channel.v_kmh": 120.0, "channel.f_c": 4e9,
            "run.snr_db": [3.0], "run.scheme": "otfs", "run.detector": "lmmse",
            "run.csi": "estimated", "run.fidelity": "waveform", "run.trials": 2,
            "run.frames_per_trial": 1, "run.min_bit_errors": 5, "run.seed": 9,
            "run.sensing_snr_db": 20.0}
-    synthetic = {**{key: value for key, value in eva.items() if key != "channel.v_kmh"},
+    synthetic = {**{key: value for key, value in eva.items()
+                    if key not in ("channel.v_kmh", "channel.f_c")},
                  "channel.model": "synthetic", "channel.paths": 2, "channel.l_max": 5,
                  "channel.k_max": 2}
     assert sorted(eva.keys() | synthetic.keys()) == option_keys() and len(option_keys()) == 22
@@ -459,7 +489,7 @@ def test_any_options_build_a_spec_or_raise_value_error(options):
     assert config_hash(build_spec(spec_options(spec))) == config_hash(spec)
 
 
-ARGUMENT_NAMES = ("l_max", "k_max", "v_kmh", "delta_f", "P", "p_assumed")
+ARGUMENT_NAMES = ("l_max", "k_max", "v_kmh", "delta_f", "paths", "p_assumed")
 
 
 @st.composite

@@ -17,14 +17,14 @@ from oracles import oddm_demodulate_literal, oddm_modulate_literal, pulse_orthog
 
 
 def cfg32(**kw):
-    args = dict(M=32, N=8, delta_f=15e3, f_c=5e9, Q=8, oversampling=8)
+    args = dict(M=32, N=8, delta_f=15e3, Q=8, oversampling=8)
     args.update(kw)
     return FrameConfig(**args)
 
 
 class TestSrrc:
     def test_tap_count_and_energy(self):
-        cfg = FrameConfig(M=64, N=8, delta_f=15e3, f_c=5e9, Q=20, oversampling=8)
+        cfg = FrameConfig(M=64, N=8, delta_f=15e3, Q=20, oversampling=8)
         a = build_srrc(cfg)
         assert a.size == 2 * 20 * 8 + 1 == 321
         assert abs(np.sum(a ** 2) - 1.0 / cfg.N) < 1e-6 / cfg.N
@@ -97,7 +97,7 @@ class TestModDemod:
     @pytest.mark.parametrize("M,Q", [(64, 8), (128, 16)])
     def test_roundtrip_identity_headroom_configs(self, M, Q):
         # 2Q <= M/4, oversampling >= 8
-        cfg = FrameConfig(M=M, N=8, delta_f=15e3, f_c=5e9, Q=Q, oversampling=8)
+        cfg = FrameConfig(M=M, N=8, delta_f=15e3, Q=Q, oversampling=8)
         _, frame = random_frame(cfg, np.random.default_rng(M + Q))
         back = oddm_demodulate(oddm_modulate(frame, cfg), cfg)
         assert np.max(np.abs(back - frame)) <= 1e-2
@@ -147,7 +147,7 @@ LITERAL_CASES = [(M, N, Q, osf, beta, cp) for (M, N, Q) in LITERAL_GRIDS
 
 
 def literal_case(M, N, Q, osf, beta):
-    cfg = FrameConfig(M=M, N=N, delta_f=15e3, f_c=5e9, Q=Q, rolloff=beta,
+    cfg = FrameConfig(M=M, N=N, delta_f=15e3, Q=Q, rolloff=beta,
                             oversampling=osf)
     rng = np.random.default_rng(M * 100 + osf * 10 + int(beta * 4))
     S = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
@@ -213,7 +213,7 @@ def test_chip_chunks_change_no_bit(monkeypatch, M, N, Q, osf):
     # 7 chips (ragged last chunks, a lone last chip at MN = 105) against one chunk of the
     # whole frame; the modulator keeps each stream block's sum in tap order across chunk
     # seams only because it walks the chunks from the last chip
-    cfg = FrameConfig(M=M, N=N, delta_f=15e3, f_c=5e9, Q=Q, oversampling=osf)
+    cfg = FrameConfig(M=M, N=N, delta_f=15e3, Q=Q, oversampling=osf)
     rng = np.random.default_rng(M * N * osf)
     S = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
     noise = 0.1 * rng.standard_normal((5 + M * N + 2 * Q) * osf)
@@ -320,7 +320,7 @@ def test_scipy_loads_only_to_detect(case):
 
 class TestOrthogonality:
     def test_peak_and_off_peak(self):
-        cfg = FrameConfig(M=64, N=8, delta_f=15e3, f_c=5e9, Q=12, oversampling=8)
+        cfg = FrameConfig(M=64, N=8, delta_f=15e3, Q=12, oversampling=8)
         a = build_srrc(cfg)
         m_range = list(range(-(64 - 24), 64 - 24 + 1))
         orth = pulse_orthogonality_matrix(a, cfg, m_range, range(8))
@@ -339,7 +339,7 @@ class TestOrthogonality:
     def test_tightens_with_Q(self):
         peaks = []
         for Q in (4, 8, 16, 20):
-            cfg = FrameConfig(M=64, N=8, delta_f=15e3, f_c=5e9, Q=Q, oversampling=8)
+            cfg = FrameConfig(M=64, N=8, delta_f=15e3, Q=Q, oversampling=8)
             a = build_srrc(cfg)
             m_range = list(range(-(64 - 2 * Q), 64 - 2 * Q + 1))
             orth = pulse_orthogonality_matrix(a, cfg, m_range, range(8))
