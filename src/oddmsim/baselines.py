@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FrameConfig, chips_to_dd, dd_to_chips, qam_demap
+from .core import FrameConfig, chips_to_dd, dd_to_chips, qam_demap, require_count
 from .effchan import EffectiveChannel
 from .waveform import SampleStream, checked_frame, checked_samples
 
@@ -35,8 +35,10 @@ from .waveform import SampleStream, checked_frame, checked_samples
 def otfs_modulate(frame, config: FrameConfig, cyclic_prefix_chips: int = 0) -> SampleStream:
     """Map the DD grid to a sample stream: IDFT across Doppler, sample-and-hold."""
     grid = checked_frame(frame, config)
-    if cyclic_prefix_chips < 0 or cyclic_prefix_chips > config.mn:
-        raise ValueError("cyclic_prefix_chips out of range")
+    require_count("cyclic_prefix_chips", cyclic_prefix_chips, least=0)
+    if cyclic_prefix_chips > config.mn:
+        raise ValueError(f"cyclic_prefix_chips must be in [0, MN = {config.mn}], "
+                         f"got {cyclic_prefix_chips}")
     samples = np.repeat(dd_to_chips(grid), config.oversampling) / np.sqrt(config.oversampling)
     cp = cyclic_prefix_chips * config.oversampling
     if cp:
@@ -59,11 +61,17 @@ def _subcarriers(config: FrameConfig) -> np.ndarray:
     return index
 
 
+def _check_cp(cp_chips, config: FrameConfig) -> None:
+    """An OFDM prefix is a whole number of chips in [0, M)."""
+    require_count("cp_chips", cp_chips, least=0)
+    if cp_chips >= config.M:
+        raise ValueError(f"cp_chips must be in [0, M = {config.M}), got {cp_chips}")
+
+
 def ofdm_modulate(frame, config: FrameConfig, cp_chips: int) -> SampleStream:
     """Cyclic-prefix OFDM: N symbols of M subcarriers at spacing delta_f."""
     grid = checked_frame(frame, config).reshape(config.N, config.M)  # one row per OFDM symbol
-    if cp_chips < 0 or cp_chips >= config.M:
-        raise ValueError("cp_chips must be in [0, M)")
+    _check_cp(cp_chips, config)
     L = config.M * config.oversampling
     spec = np.zeros((config.N, L), dtype=complex)
     spec[:, _subcarriers(config) % L] = grid
@@ -81,6 +89,7 @@ def ofdm_freq_response(chan: EffectiveChannel, config: FrameConfig,
     channel variation inside a symbol (inter-carrier interference) is
     deliberately not modeled, so a fast channel leaves residual error.
     """
+    _check_cp(cp_chips, config)
     freqs = _subcarriers(config) * config.delta_f
     L, cp = config.M * config.oversampling, cp_chips * config.oversampling
     t_c = (np.arange(config.N) * (L + cp) + cp + L / 2.0) / config.sample_rate
@@ -95,6 +104,7 @@ def ofdm_freq_response(chan: EffectiveChannel, config: FrameConfig,
 def ofdm_detect(stream: SampleStream, chan_freq_response: np.ndarray, sigma_sq: float,
                 config: FrameConfig, cp_chips: int) -> np.ndarray:
     """Strip prefixes, FFT, one-tap MMSE equalize, hard-demap to bits."""
+    _check_cp(cp_chips, config)
     M, N, osf = config.M, config.N, config.oversampling
     L = M * osf
     cp = cp_chips * osf

@@ -81,13 +81,17 @@ class FrameConfig:
     rolloff     SRRC roll-off factor in [0, 1]
     oversampling  samples per delay bin (sample rate = oversampling*M*delta_f)
 
+    Only the ODDM waveform reads the pulse (Q, rolloff), only the sample-level waveforms
+    ``oversampling``, and the grid-level matrix model neither; 2Q < M is the pulse's own
+    check (:func:`waveform.build_srrc`), so a grid-only config may leave all three out.
+
     Every frame carries 4-QAM symbols (:data:`QAM4`).
     """
 
     M: int
     N: int
     delta_f: float
-    Q: int
+    Q: int = 8
     rolloff: float = 0.25
     oversampling: int = 8
 
@@ -98,8 +102,6 @@ class FrameConfig:
             object.__setattr__(self, name, int(getattr(self, name)))
         for name in ("delta_f", "rolloff"):
             object.__setattr__(self, name, require_real(name, getattr(self, name)))
-        if 2 * self.Q >= self.M:
-            raise ValueError(f"Q {self.Q} is too long for the grid: need 2Q < M = {self.M}")
         if not 0.0 < self.delta_f < math.inf:
             raise ValueError(f"delta_f must be finite and positive, got {self.delta_f}")
         if not (self.T < math.inf and self.sample_rate < math.inf):

@@ -12,10 +12,13 @@ it; the cyclic prefix and the search window come from the channel model's
 support (:func:`channel.eva_support`, :func:`channel.synthetic_support`),
 which a spec must fit.  Each model reads its own parameters, and a spec sets no other:
 EVA reads the speed ``v_kmh`` and the carrier ``f_c``, the synthetic model its path count
-``paths`` and its window ``l_max``, ``k_max`` (:class:`ChannelSpec`).  Likewise a spec sets
-``sensing_snr_db`` only with estimated CSI, the one link that senses.  The
-estimator looks for the model's own path count, and
-it and the OAMP detector stop by module constants (:data:`estimator.MAX_ITERS`,
+``paths`` and its window ``l_max``, ``k_max`` (:class:`ChannelSpec`).  Likewise each
+scheme's waveform reads its own frame fields, and a spec leaves the others at
+:class:`core.FrameConfig`'s defaults: ODDM the pulse ``Q``, ``rolloff`` and ``oversampling``,
+OTFS and OFDM ``oversampling``, the matrix model none of them; ODDM's pulse must fit the grid
+(:func:`waveform.build_srrc`).  A spec sets ``sensing_snr_db`` only with estimated CSI, the
+one link that senses.  The estimator looks for the model's own path count, and it and the
+OAMP detector stop by module constants (:data:`estimator.MAX_ITERS`,
 :data:`estimator.EPSILON`, :data:`detector.MAX_ITERS`, :data:`detector.STOP_TOL`)
 that no spec option changes.  The detector's
 :class:`detector.LinearStage` is built once per channel it detects with: per
@@ -50,7 +53,7 @@ from .core import FrameConfig, random_frame, require_count, require_real, vector
 from .detector import LinearStage, lmmse_detect, oamp_detect
 from .effchan import EffectiveChannel
 from .estimator import EstimationConfig, Sounding, estimate_channel, mle_exhaustive, nmse
-from .waveform import SampleStream, oddm_demodulate, oddm_modulate
+from .waveform import SampleStream, build_srrc, oddm_demodulate, oddm_modulate
 
 # stage tags for seed derivation
 _STAGE_CHANNEL = 1
@@ -59,7 +62,10 @@ _STAGE_SENSE_NOISE = 3
 _STAGE_COMM_BITS = 4
 _STAGE_COMM_NOISE = 5
 
-SCHEMES = ("oddm", "otfs", "ofdm")
+# one row per scheme: the pulse and sampling fields of FrameConfig its waveform reads
+_FRAME_READS = {"oddm": ("Q", "rolloff", "oversampling"), "otfs": ("oversampling",),
+                "ofdm": ("oversampling",)}
+SCHEMES = tuple(_FRAME_READS)
 DETECTORS = ("oamp", "lmmse")
 CSI_MODES = ("perfect", "estimated")
 FIDELITIES = ("matrix", "waveform")
@@ -143,6 +149,14 @@ class ExperimentSpec:
         object.__setattr__(self, "snr_grid_db", tuple(float(v) for v in self.snr_grid_db))
         if self.scheme != "oddm" and self.fidelity == "matrix":
             raise ValueError(f"fidelity matrix is the oddm grid model, not {self.scheme}")
+        read = _FRAME_READS[self.scheme] if self.fidelity == "waveform" else ()
+        for name in _FRAME_READS["oddm"]:  # every pulse and sampling field
+            value = getattr(self.frame, name)
+            if name not in read and value != getattr(FrameConfig, name):  # not its default
+                raise ValueError(f"{name} {value!r} is not read by {self.scheme} at "
+                                 f"{self.fidelity} fidelity, which would ignore it")
+        if "Q" in read:
+            build_srrc(self.frame)  # the pulse must fit the grid
         if self.sensing_snr_db is not None and self.csi != "estimated":
             raise ValueError(f"sensing_snr_db {self.sensing_snr_db!r} is read only with csi "
                              f"estimated: a {self.csi}-CSI link never senses")
@@ -222,13 +236,18 @@ def emit_csv(result: SweepResult, path) -> None:
 
 
 def parse_csv(path) -> SweepResult:
+    rows = []
     with open(path) as fh:
         if tuple(fh.readline().strip().split(",")) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header in {path}")
-        return SweepResult(rows=[
-            SweepRow(*(_PARSERS[f.type](text) for f, text in
-                       zip(fields(SweepRow), line.rstrip("\n").split(","))))
-            for line in fh])
+        for number, line in enumerate(fh, start=2):
+            texts = line.rstrip("\n").split(",")
+            if len(texts) != len(CSV_COLUMNS):
+                raise ValueError(f"{path} line {number} has {len(texts)} fields, "
+                                 f"not {len(CSV_COLUMNS)}")
+            rows.append(SweepRow(*(_PARSERS[f.type](text)
+                                   for f, text in zip(fields(SweepRow), texts))))
+    return SweepResult(rows=rows)
 
 
 def _draw_channel(spec: ExperimentSpec, trial: int) -> EffectiveChannel:
@@ -457,7 +476,7 @@ def run_nmse_sweep(spec: ExperimentSpec) -> SweepResult:
                              for name in ("alg1", "mle") if name in rs[0]])
 
 
-DEFAULT_FRAME = dict(M=64, N=16, delta_f=15e3, Q=8)
+DEFAULT_FRAME = dict(M=64, N=16, delta_f=15e3)
 DEFAULT_SNR_DB = (0.0, 5.0, 10.0, 15.0)
 _SECTIONS = {"frame": FrameConfig, "channel": ChannelSpec}
 

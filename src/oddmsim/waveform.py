@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameConfig
+from .core import FrameConfig, require_count
 
 _CHUNK_BYTES = 256 * 1024  # bytes of chip windows that either direction forms at once
 
@@ -92,8 +92,10 @@ def build_srrc(config: FrameConfig) -> np.ndarray:
 
     Truncation support is [-Q, +Q] delay bins; with unit pulse energy per
     train (N copies of energy 1/N, one per slot period T) the matched filter
-    has unit gain.
+    has unit gain.  The pulse must fit the grid: 2Q < M.
     """
+    if 2 * config.Q >= config.M:
+        raise ValueError(f"Q {config.Q} is too long for the grid: need 2Q < M = {config.M}")
     osf = config.oversampling
     n = np.arange(-config.Q * osf, config.Q * osf + 1)
     a = _srrc_taps(n / osf, config.rolloff)
@@ -169,8 +171,9 @@ def oddm_modulate(frame, config: FrameConfig, cyclic_prefix_chips: int = 0) -> S
     """
     grid = checked_frame(frame, config)
     M, N, osf = config.M, config.N, config.oversampling
-    if cyclic_prefix_chips < 0 or cyclic_prefix_chips > M:
-        raise ValueError("cyclic_prefix_chips must be in [0, M]")
+    require_count("cyclic_prefix_chips", cyclic_prefix_chips, least=0)
+    if cyclic_prefix_chips > M:
+        raise ValueError(f"cyclic_prefix_chips must be in [0, M = {M}], got {cyclic_prefix_chips}")
     Q, qos = config.Q, config.Q * osf
     L = M * N * osf
     chips = (_hop_phases(N, +1)[:, None, :] * grid[None, :, :]).reshape(M * N, N)
@@ -202,10 +205,10 @@ def oddm_demodulate(stream: SampleStream, config: FrameConfig) -> np.ndarray:
     """
     M, N, osf = config.M, config.N, config.oversampling
     Q, qos = config.Q, config.Q * osf
+    bank = _tap_bank(config).conj().T
     y = checked_samples(stream, config, -qos, (M * N - 1) * osf + qos + 1)
     segment = np.concatenate([y, np.zeros(osf - 1)])
     windows = np.lib.stride_tricks.sliding_window_view(segment, (2 * Q + 1) * osf)[::osf]
-    bank = _tap_bank(config).conj().T
     Z = np.empty((M * N, N), dtype=complex)
     for lo, hi in _chunks(M * N, bank.shape[0]):
         np.matmul(windows[lo:hi], bank, out=Z[lo:hi])

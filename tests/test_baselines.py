@@ -175,3 +175,33 @@ def test_receiver_reads_exactly_its_window(receiver):
     for cut, start in ((exact[1:], first + 1), (exact[:-1], first)):
         with pytest.raises(ValueError, match="receive window"):
             receive(SampleStream(cut, st.rate, start), cfg)
+
+
+def _prefix_users(cfg):
+    """{function: (its prefix argument, the least prefix it refuses, a call with a prefix)} of
+    every function that takes a cyclic prefix in chips."""
+    frame = random_frame(cfg, np.random.default_rng(9))[1]
+    chan = channel_from_cells(cfg, [(0, 0), (2, 1)], [0.8, 0.6])
+    stream = ofdm_modulate(frame, cfg, cp_chips=4)
+    return {
+        "oddm_modulate": ("cyclic_prefix_chips", cfg.M + 1,
+                          lambda cp: oddm_modulate(frame, cfg, cyclic_prefix_chips=cp)),
+        "otfs_modulate": ("cyclic_prefix_chips", cfg.mn + 1,
+                          lambda cp: otfs_modulate(frame, cfg, cyclic_prefix_chips=cp)),
+        "ofdm_modulate": ("cp_chips", cfg.M, lambda cp: ofdm_modulate(frame, cfg, cp)),
+        "ofdm_freq_response": ("cp_chips", cfg.M, lambda cp: ofdm_freq_response(chan, cfg, cp)),
+        "ofdm_detect": ("cp_chips", cfg.M,
+                        lambda cp: ofdm_detect(stream, np.ones((cfg.N, cfg.M)), 0.1, cfg, cp)),
+    }
+
+
+@pytest.mark.parametrize("bad", ["fraction", "bool", "negative", "past-bound"])
+@pytest.mark.parametrize("function", list(_prefix_users(cfg32())))
+def test_bad_cyclic_prefix_rejected(function, bad):
+    # a prefix is a whole number of chips up to the function's bound: the modulators raised
+    # TypeError for 2.5 and took True as one chip, ofdm_freq_response took all four and
+    # ofdm_detect raised IndexError at -1
+    name, past, call = _prefix_users(cfg32())[function]
+    value = {"fraction": 2.5, "bool": True, "negative": -1, "past-bound": past}[bad]
+    with pytest.raises(ValueError, match=f"^{name} "):
+        call(value)

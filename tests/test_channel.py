@@ -8,7 +8,7 @@ from oddmsim.waveform import SampleStream
 
 
 def paper_cfg():
-    return FrameConfig(M=512, N=32, delta_f=15e3, Q=20)
+    return FrameConfig(M=512, N=32, delta_f=15e3)
 
 
 class TestEvaGeneration:
@@ -72,21 +72,21 @@ class TestEvaGeneration:
 
     def test_last_tap_off_the_grid_rejected(self):
         # 2510 ns at delta_f = 500 kHz is delay bin 643 of M = 512
-        cfg = FrameConfig(M=512, N=32, delta_f=500e3, Q=20)
+        cfg = FrameConfig(M=512, N=32, delta_f=500e3)
         with pytest.raises(ValueError, match="^delta_f "):
             gen_eva_channel(cfg, 350.0, 5e9, 0)
 
 
 class TestSyntheticGeneration:
     def test_path_count_and_windows(self):
-        cfg = FrameConfig(M=16, N=8, delta_f=15e3, Q=3)
+        cfg = FrameConfig(M=16, N=8, delta_f=15e3)
         chan = gen_synthetic_channel(cfg, 4, 9, l_max=5, k_max=2)
         assert chan.P == 4
         assert np.all((0 <= chan.l) & (chan.l <= 5) & (-2 <= chan.k) & (chan.k <= 2))
         assert len(set(zip(chan.l.tolist(), chan.k.tolist()))) == 4
 
     def test_too_many_paths_rejected(self):
-        cfg = FrameConfig(M=16, N=8, delta_f=15e3, Q=3)
+        cfg = FrameConfig(M=16, N=8, delta_f=15e3)
         with pytest.raises(ValueError):
             gen_synthetic_channel(cfg, 50, 0, l_max=2, k_max=1)
 
@@ -102,7 +102,7 @@ class TestSyntheticGeneration:
         pytest.param("paths", 26, id="P-26"),    # more than the default window's 5 x 5 cells
     ])
     def test_bad_arguments_rejected(self, name, value):
-        cfg = FrameConfig(M=16, N=8, delta_f=15e3, Q=3)
+        cfg = FrameConfig(M=16, N=8, delta_f=15e3)
         with pytest.raises(ValueError, match=f"^{name} "):
             gen_synthetic_channel(cfg, **{"paths": 2, "rng_seed": 0, name: value})
 
@@ -117,13 +117,13 @@ class TestApplyChannel:
         return channel_from_cells(cfg, cells, gains)
 
     def test_identity_path(self):
-        cfg = FrameConfig(M=16, N=8, delta_f=15e3, Q=3, oversampling=2)
+        cfg = FrameConfig(M=16, N=8, delta_f=15e3, oversampling=2)
         st = self._stream(rate=cfg.sample_rate)
         out = apply_physical_channel(st, self._chan(cfg, [(0, 0)], [1.0]))
         assert np.allclose(out.samples, st.samples)
 
     def test_pure_delay_scaled(self):
-        cfg = FrameConfig(M=16, N=8, delta_f=15e3, Q=3, oversampling=2)
+        cfg = FrameConfig(M=16, N=8, delta_f=15e3, oversampling=2)
         st = self._stream(rate=cfg.sample_rate)
         out = apply_physical_channel(st, self._chan(cfg, [(2, 0)], [1.0j]))
         shift = 2 * cfg.oversampling
@@ -131,7 +131,7 @@ class TestApplyChannel:
         assert np.allclose(out.samples[:shift], 0.0)
 
     def test_superposition(self):
-        cfg = FrameConfig(M=16, N=8, delta_f=15e3, Q=3, oversampling=2)
+        cfg = FrameConfig(M=16, N=8, delta_f=15e3, oversampling=2)
         st = self._stream(rate=cfg.sample_rate)
         two = self._chan(cfg, [(1, 1), (3, -2)], [0.8, 0.3j])
         a = self._chan(cfg, [(1, 1)], [0.8])
@@ -146,7 +146,7 @@ class TestApplyChannel:
         assert np.allclose(out2, pad, atol=1e-12)
 
     def test_off_grid_delay_rejected(self):
-        cfg = FrameConfig(M=16, N=8, delta_f=15e3, Q=3, oversampling=2)
+        cfg = FrameConfig(M=16, N=8, delta_f=15e3, oversampling=2)
         st = self._stream(rate=cfg.sample_rate / 3.1)  # rate mismatch -> fractional shift
         with pytest.raises(ValueError):
             apply_physical_channel(st, self._chan(cfg, [(1, 0)], [1.0]))

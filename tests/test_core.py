@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oddmsim.channel import eva_support
 from oddmsim.core import (QAM4, FrameConfig, chips_to_dd, dd_to_chips, delay_index, qam_demap,
                           qam_map, round_half_away, vectorize)
+from oddmsim.waveform import SampleStream, build_srrc, oddm_demodulate, oddm_modulate
 
 
 def paper_scale_config(**kw):
@@ -20,8 +21,18 @@ class TestFrameConfig:
         assert cfg.T == pytest.approx(1 / 15e3)
 
     def test_pulse_too_long_rejected(self):
-        with pytest.raises(ValueError):
-            FrameConfig(M=8, N=4, delta_f=15e3, Q=4)
+        # the grid takes any pulse length; the pulse, and each end through it, checks 2Q < M
+        cfg = FrameConfig(M=8, N=4, delta_f=15e3, Q=4)
+        stream = SampleStream(np.zeros(1), cfg.sample_rate)  # the pulse is checked first
+        for use in (build_srrc, lambda c: oddm_modulate(np.ones((c.M, c.N)), c),
+                    lambda c: oddm_demodulate(stream, c)):
+            with pytest.raises(ValueError, match=r"^Q 4 is too long for the grid: need 2Q < M = 8"):
+                use(cfg)
+
+    def test_grid_without_pulse(self):
+        # a grid-only caller leaves the pulse and the sampling at their defaults
+        cfg = FrameConfig(M=8, N=4, delta_f=15e3)
+        assert (cfg.mn, cfg.Q, cfg.rolloff, cfg.oversampling) == (32, 8, 0.25, 8)
 
     def test_small_valid(self):
         cfg = FrameConfig(M=8, N=4, delta_f=15e3, Q=2)

@@ -1,10 +1,11 @@
 import collections
 import itertools
 import math
+import re
 import time
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from oddmsim import detector, estimator, harness
@@ -138,6 +139,20 @@ def test_csv_round_trip(tmp_path):
         assert parse_csv(path).rows == res.rows
 
 
+@pytest.mark.parametrize("fault", ["extra-field", "short-row", "blank-line"])
+def test_parse_csv_checks_the_field_count(tmp_path, fault):
+    # a row of another width raises, naming the file and the line: an extra field was dropped,
+    # and a short row or a blank line raised TypeError from SweepRow
+    path = tmp_path / "sweep.csv"
+    emit_csv(run_sensing_then_comm(tiny_spec(**{"run.snr_db": (0.0, 10.0)})), path)
+    header, first, second = path.read_text().splitlines()
+    line = {"extra-field": first + ",1", "short-row": first.rsplit(",", 1)[0],
+            "blank-line": ""}[fault]
+    path.write_text("\n".join([header, second, line, second]) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} line 3 "):
+        parse_csv(path)
+
+
 def test_nmse_sweep_golden_rows():
     rows = run_nmse_sweep(link_spec()).rows
     assert [(r.detector, r.snr_db) for r in rows] == [g[:2] for g in GOLDEN_NMSE_ROWS]
@@ -206,7 +221,7 @@ def test_perfect_csi_builds_one_stage_and_draws_one_channel_per_trial(monkeypatc
     # delays up to M - 1: the cyclic prefix is clamped to M - 1, which covers them; the OFDM
     # baseline used to ask for one chip more and raise "cp_chips must be in [0, M)"
     ({"run.scheme": "ofdm", "run.detector": "lmmse", "run.fidelity": "waveform",
-      "frame.M": 16, "frame.Q": 2, "channel.model": "synthetic", "channel.l_max": 15,
+      "frame.M": 16, "channel.model": "synthetic", "channel.l_max": 15,
       "channel.paths": 40}, 0),
 ], ids=["estimated", "ofdm", "ofdm-clamped-cp"])
 def test_stages_built_in_the_other_csi_modes(monkeypatch, options, stages):
@@ -322,8 +337,17 @@ IMPOSSIBLE_SPECS = {
     "sensing_snr_db-perfect": {"run.sensing_snr_db": 20.0},
     # 9 EVA paths in a 2 x 3 cell search window used to fail at the first estimate, with
     # perfect CSI at run_nmse_sweep's first trial, which estimates whatever csi says
-    "p_assumed-window": {"frame.M": 12, "frame.N": 4, "frame.Q": 1, "run.csi": "estimated"},
-    "p_assumed-window-perfect": {"frame.M": 12, "frame.N": 4, "frame.Q": 1},
+    "p_assumed-window": {"frame.M": 12, "frame.N": 4, "run.csi": "estimated"},
+    "p_assumed-window-perfect": {"frame.M": 12, "frame.N": 4},
+    # a pulse or sampling field that the scheme at that fidelity never reads ran the same
+    # experiment under another config_hash; the pulse still has to fit the grid it is read on
+    "Q-matrix": {"frame.Q": 4},
+    "oversampling-matrix": {"frame.oversampling": 2},
+    "rolloff-otfs-waveform": {"run.scheme": "otfs", "run.fidelity": "waveform",
+                              "frame.rolloff": 0.9},
+    "Q-ofdm-waveform": {"run.scheme": "ofdm", "run.detector": "lmmse", "run.fidelity": "waveform",
+                        "frame.Q": 4},
+    "Q-oddm-waveform-too-long": {"frame.M": 12, "frame.N": 4, "run.fidelity": "waveform"},
     # at matrix fidelity the scheme is never read: these ran the oddm-*-matrix experiments
     # bit for bit under another config_hash
     **{f"fidelity-otfs-{det}-{csi}-matrix": {"run.scheme": "otfs", "run.detector": det,
@@ -362,11 +386,14 @@ def test_impossible_spec_rejected_at_build(case):
 
 
 def test_integer_frame_floats_hash_like_floats():
-    # EVA's speed and carrier are stored as floats like the frame's; 350 and 350.0 hashed apart
+    # EVA's speed and carrier are stored as floats like the frame's; 350 and 350.0 hashed apart;
+    # the ODDM waveform reads the roll-off
     as_ints = {"frame.delta_f": 30000, "frame.rolloff": 0, "channel.v_kmh": 350,
                "channel.f_c": 4000000000}
     as_floats = {key: float(value) for key, value in as_ints.items()}
-    assert config_hash(build_spec(as_ints)) == config_hash(build_spec(as_floats))
+    waveform = {"run.fidelity": "waveform"}
+    assert config_hash(build_spec({**as_ints, **waveform})) == \
+        config_hash(build_spec({**as_floats, **waveform}))
     assert config_hash(build_spec({"run.snr_db": [0, 10]})) == \
         config_hash(build_spec({"run.snr_db": (0.0, 10.0)}))
 
@@ -376,6 +403,10 @@ def test_channel_defaults_hash_like_written_defaults():
     assert config_hash(build_spec({})) == config_hash(build_spec({"channel.v_kmh": 350.0}))
     assert config_hash(build_spec(synthetic)) == \
         config_hash(build_spec({**synthetic, "channel.paths": 3}))
+    # the matrix model reads no pulse or sampling field: written at their defaults they hash
+    # like the omitted ones
+    assert config_hash(build_spec({})) == config_hash(build_spec(
+        {"frame.Q": 8, "frame.rolloff": 0.25, "frame.oversampling": 8}))
 
 
 def test_nmse_rows_hash_what_the_nmse_sweep_reads():
@@ -426,11 +457,11 @@ def test_unknown_option_keys_rejected():
 
 def test_every_known_option_key_accepted():
     # each channel model takes its own parameters, so an EVA and a synthetic spec share the
-    # frame and run keys and together pass all 22
+    # frame and run keys and together pass all 22; the oddm waveform reads every frame field
     eva = {"frame.M": 32, "frame.N": 8, "frame.Q": 4, "frame.rolloff": 0.3,
            "frame.oversampling": 4, "frame.delta_f": 30e3,
            "channel.model": "eva", "channel.v_kmh": 120.0, "channel.f_c": 4e9,
-           "run.snr_db": [3.0], "run.scheme": "otfs", "run.detector": "lmmse",
+           "run.snr_db": [3.0], "run.scheme": "oddm", "run.detector": "lmmse",
            "run.csi": "estimated", "run.fidelity": "waveform", "run.trials": 2,
            "run.frames_per_trial": 1, "run.min_bit_errors": 5, "run.seed": 9,
            "run.sensing_snr_db": 20.0}
@@ -444,7 +475,7 @@ def test_every_known_option_key_accepted():
         assert (spec.frame.M, spec.frame.rolloff) == (32, 0.3)
         assert spec.snr_grid_db == (3.0,)
         assert (spec.scheme, spec.detector, spec.sensing_snr_db, spec.seed) == \
-            ("otfs", "lmmse", 20.0, 9)
+            ("oddm", "lmmse", 20.0, 9)
         unset = dict.fromkeys(set(option_keys()) - set(options))
         assert spec_options(spec) == dict(options, **unset, **{"run.snr_db": (3.0,)})
 
@@ -478,7 +509,7 @@ DEFAULT_OPTIONS = spec_options(build_spec({}))
 
 @settings(max_examples=200)
 @given(any_options())
-@example({"frame.f_c": 1e308})  # the EVA Doppler spread used to overflow at rounding
+@example({"channel.f_c": 1e308})  # the EVA Doppler spread used to overflow at rounding
 @example({"run.snr_db": [0, 10.0], "channel.v_kmh": 0, "run.csi": "estimated"})
 def test_any_options_build_a_spec_or_raise_value_error(options):
     # an accepted spec spells out to options that rebuild it; anything else is a ValueError
@@ -496,7 +527,7 @@ ARGUMENT_NAMES = ("l_max", "k_max", "v_kmh", "delta_f", "paths", "p_assumed")
 def channel_options(draw):
     """build_spec options of a small grid, odd or even each way, with either channel model."""
     options = {"frame.M": draw(st.integers(3, 24), label="M"),
-               "frame.N": draw(st.integers(2, 9), label="N"), "frame.Q": 1,
+               "frame.N": draw(st.integers(2, 9), label="N"),
                "frame.delta_f": draw(st.sampled_from([15e3, 120e3, 480e3]), label="delta_f"),
                "channel.model": draw(st.sampled_from(["eva", "synthetic"]), label="model")}
     if options["channel.model"] == "eva":
@@ -514,8 +545,7 @@ def channel_options(draw):
 @settings(max_examples=60)
 @given(channel_options())
 # draws off a 16 x 8 grid; Doppler bins +-2 of a 32 x 5 grid that the window used to miss
-@example({"frame.M": 16, "frame.N": 8, "frame.Q": 1, "channel.model": "synthetic",
-          "channel.l_max": 17})
+@example({"frame.M": 16, "frame.N": 8, "channel.model": "synthetic", "channel.l_max": 17})
 @example({"frame.M": 32, "frame.N": 5, "channel.model": "synthetic", "channel.k_max": 2,
           "channel.paths": 4})
 @example({"frame.M": 32, "frame.N": 5, "channel.v_kmh": 1000.0})
@@ -544,9 +574,11 @@ def one_trial_options(draw):
     search to some thousand tuples or, past MLE_MAX_HYPOTHESES, off"""
     cell = draw(st.sampled_from(COMBINATIONS), label="cell")
     options = {"frame.M": draw(st.integers(3, 12), label="M"),
-               "frame.N": draw(st.integers(2, 7), label="N"), "frame.Q": 1,
+               "frame.N": draw(st.integers(2, 7), label="N"),
                "frame.delta_f": draw(st.sampled_from([15e3, 30e3]), label="delta_f"),
                "run.snr_db": (10.0,), "run.trials": 1, "run.frames_per_trial": 1, **cell}
+    if (cell["run.scheme"], cell["run.fidelity"]) == ("oddm", "waveform"):
+        options["frame.Q"] = 1  # the one reader of the pulse; the default is too long here
     if cell["run.csi"] == "estimated":
         options["run.sensing_snr_db"] = draw(st.none() | st.just(20.0), label="sensing_snr_db")
     if draw(st.sampled_from(harness.CHANNEL_MODELS), label="model") == "eva":
@@ -562,7 +594,7 @@ def one_trial_options(draw):
 @settings(max_examples=80)
 @given(one_trial_options())
 # perfect CSI: the spec used to build and run_nmse_sweep then to fail at its first trial
-@example({"frame.M": 12, "frame.N": 4, "frame.Q": 1, "run.snr_db": (10.0,), "run.trials": 1})
+@example({"frame.M": 12, "frame.N": 4, "run.snr_db": (10.0,), "run.trials": 1})
 def test_accepted_spec_runs_the_first_trial_of_every_sweep(options):
     # a spec is refused, or its first trial runs in the link sweep and, for every scheme but
     # ofdm without a sensing SNR of its own, in the NMSE sweep
@@ -575,3 +607,23 @@ def test_accepted_spec_runs_the_first_trial_of_every_sweep(options):
     if spec.scheme != "ofdm" and spec.sensing_snr_db is None:
         rows = run_nmse_sweep(spec).rows
         assert rows[0].detector == "alg1" and all(math.isfinite(r.nmse_db) for r in rows)
+
+
+@pytest.mark.parametrize("strategy", [channel_options, one_trial_options])
+def test_option_strategies_mostly_build(strategy):
+    # the properties above test only the specs that build: a strategy whose draws the spec
+    # mostly refuses would leave them passing while they test almost nothing
+    built = []
+
+    @settings(max_examples=200, database=None, phases=[Phase.generate])
+    @given(strategy())
+    def draw(options):
+        try:
+            build_spec(options)
+        except ValueError:
+            built.append(False)
+        else:
+            built.append(True)
+
+    draw()
+    assert len(built) == 200 and sum(built) >= 100, f"{sum(built)} of {len(built)} build"

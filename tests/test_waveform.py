@@ -279,7 +279,7 @@ def test_rejects_non_finite_stream():
 
 def sweep_code(run, options, *args):
     """Source that runs harness.<run> on one tiny trial with these options and arguments."""
-    spec = {"frame.M": 16, "frame.N": 8, "frame.Q": 4, "run.snr_db": (10.0,),
+    spec = {"frame.M": 16, "frame.N": 8, "run.snr_db": (10.0,),
             "run.trials": 1, "run.frames_per_trial": 1, **options}
     call = "".join(f", {arg!r}" for arg in args)
     return f"from oddmsim import harness; harness.{run}(harness.build_spec({spec!r}){call})"
