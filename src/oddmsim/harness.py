@@ -14,8 +14,8 @@ which a spec must fit.  Each model reads its own parameters, and a spec sets no 
 EVA reads the speed ``v_kmh`` and the carrier ``f_c``, the synthetic model its path count
 ``paths`` and its window ``l_max``, ``k_max`` (:class:`ChannelSpec`).  Likewise each
 scheme's waveform reads its own frame fields, and a spec leaves the others at
-:class:`core.FrameConfig`'s defaults: ODDM the pulse ``Q``, ``rolloff`` and ``oversampling``,
-OTFS and OFDM ``oversampling``, the matrix model none of them; ODDM's pulse must fit the grid
+:class:`core.FrameConfig`'s defaults: ODDM its pulse (``Q``, ``rolloff``) and ``oversampling``,
+OTFS and OFDM only ``oversampling``, the matrix model none of them; the pulse must fit the grid
 (:func:`waveform.build_srrc`).  A spec sets ``sensing_snr_db`` only with estimated CSI, the
 one link that senses.  The estimator looks for the model's own path count, and it and the
 OAMP detector stop by module constants (:data:`estimator.MAX_ITERS`,
