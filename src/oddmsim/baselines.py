@@ -1,8 +1,8 @@
 """Textbook OTFS and CP-OFDM transceivers for directional BER comparisons.
 
 Both baselines consume exactly the same resources as the pulse-train scheme:
-M*N symbols per frame, bandwidth M*delta_f, frame duration N*T, plus a
-cyclic prefix (one per frame for OTFS, one per symbol for OFDM).
+M*N symbols per frame in M*N*oversampling samples, plus a cyclic prefix (one
+per frame for OTFS, one per symbol for OFDM).
 
 OTFS here is the reduced-cyclic-prefix variant with rectangular transmit
 pulses: the delay-Doppler grid maps to time chips by an inverse DFT across
@@ -17,8 +17,8 @@ OFDM is cyclic-prefix OFDM with M subcarriers, N symbols per frame, and a
 one-tap frequency-domain MMSE equalizer.  Row n of ``frame.reshape(N, M)``
 (delay-major order) fills OFDM symbol n.  Its M subcarriers share one signed
 index in transmit order, the M // 2 nonnegative ones first: bin index mod
-M*oversampling at both ends, frequency index * delta_f for the equalizer's
-channel response.  No inter-carrier-interference
+M*oversampling at both ends, and the equalizer's channel response at that
+index.  No inter-carrier-interference
 compensation is attempted: its degradation under high Doppler is the point
 of the baseline.
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FrameConfig, chips_to_dd, dd_to_chips, qam_demap, require_count
+from .core import FrameConfig, chips_to_dd, dd_to_chips, qam_demap, require_count, require_sigma_sq
 from .effchan import EffectiveChannel
 from .waveform import SampleStream, checked_frame, checked_samples
 
@@ -43,7 +43,7 @@ def otfs_modulate(frame, config: FrameConfig, cyclic_prefix_chips: int = 0) -> S
     cp = cyclic_prefix_chips * config.oversampling
     if cp:
         samples = np.concatenate([samples[-cp:], samples])
-    return SampleStream(samples=samples, rate=config.sample_rate, start=-cp)
+    return SampleStream(samples=samples, oversampling=config.oversampling, start=-cp)
 
 
 def otfs_demodulate(stream: SampleStream, config: FrameConfig) -> np.ndarray:
@@ -69,7 +69,7 @@ def _check_cp(cp_chips, config: FrameConfig) -> None:
 
 
 def ofdm_modulate(frame, config: FrameConfig, cp_chips: int) -> SampleStream:
-    """Cyclic-prefix OFDM: N symbols of M subcarriers at spacing delta_f."""
+    """Cyclic-prefix OFDM: N symbols of M subcarriers, one Doppler bin of the frame apart."""
     grid = checked_frame(frame, config).reshape(config.N, config.M)  # one row per OFDM symbol
     _check_cp(cp_chips, config)
     L = config.M * config.oversampling
@@ -78,25 +78,24 @@ def ofdm_modulate(frame, config: FrameConfig, cp_chips: int) -> SampleStream:
     time = np.fft.ifft(spec, axis=1) * np.sqrt(L)
     cp = cp_chips * config.oversampling
     with_cp = np.concatenate([time[:, L - cp:], time], axis=1) if cp else time
-    return SampleStream(samples=with_cp.reshape(-1), rate=config.sample_rate)
+    return SampleStream(samples=with_cp.reshape(-1), oversampling=config.oversampling)
 
 
 def ofdm_freq_response(chan: EffectiveChannel, config: FrameConfig,
                        cp_chips: int) -> np.ndarray:
     """(N, M) per-symbol one-tap response from the path parameters.
 
-    Evaluates each path's phasor at the middle of each symbol's useful part;
-    channel variation inside a symbol (inter-carrier interference) is
+    Evaluates each path's phasor at the middle sample t_c of each symbol's useful part, in
+    cycles k t_c / (MN osf) - (subcarrier + k/N) l / M; inter-carrier interference is
     deliberately not modeled, so a fast channel leaves residual error.
     """
     _check_cp(cp_chips, config)
-    freqs = _subcarriers(config) * config.delta_f
     L, cp = config.M * config.oversampling, cp_chips * config.oversampling
-    t_c = (np.arange(config.N) * (L + cp) + cp + L / 2.0) / config.sample_rate
+    t_c = np.arange(config.N) * (L + cp) + cp + L / 2.0
     resp = np.zeros((config.N, config.M), dtype=complex)
-    for h, tau, nu in zip(chan.gains, chan.tau, chan.nu):
-        time_phase = np.exp(2j * np.pi * nu * t_c)
-        freq_phase = np.exp(-2j * np.pi * (freqs + nu) * tau)
+    for h, l, k in zip(chan.gains, chan.l, chan.k):
+        time_phase = np.exp(2j * np.pi * k * t_c / (config.mn * config.oversampling))
+        freq_phase = np.exp(-2j * np.pi * (_subcarriers(config) + k / config.N) * l / config.M)
         resp += h * np.outer(time_phase, freq_phase)
     return resp
 
@@ -105,6 +104,7 @@ def ofdm_detect(stream: SampleStream, chan_freq_response: np.ndarray, sigma_sq: 
                 config: FrameConfig, cp_chips: int) -> np.ndarray:
     """Strip prefixes, FFT, one-tap MMSE equalize, hard-demap to bits."""
     _check_cp(cp_chips, config)
+    require_sigma_sq(sigma_sq)
     M, N, osf = config.M, config.N, config.oversampling
     L = M * osf
     cp = cp_chips * osf
@@ -114,5 +114,7 @@ def ofdm_detect(stream: SampleStream, chan_freq_response: np.ndarray, sigma_sq: 
     Hr = np.asarray(chan_freq_response)
     if Hr.shape != (N, M):
         raise ValueError(f"frequency response shape {Hr.shape} != ({N}, {M})")
+    if not np.all(np.isfinite(Hr)):
+        raise ValueError("frequency response has non-finite entries")
     X = np.conj(Hr) * Y / (np.abs(Hr) ** 2 + sigma_sq)
     return qam_demap(X.reshape(-1))

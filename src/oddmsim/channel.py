@@ -1,13 +1,13 @@
 """Time-varying multipath channel generation and sample-level application.
 
 A channel is one :class:`effchan.EffectiveChannel`: P paths, each a complex
-gain h_p on an integer delay-Doppler cell (l_p, k_p), with delay
-tau_p = l_p / (M delta_f) and Doppler nu_p = k_p / (N T).  The generators
+gain h_p on an integer delay-Doppler cell (l_p, k_p), in bins.  The generators
 snap each tap's delay and Doppler onto the grid and sum the gains of taps
 that land on one cell, so their cells are distinct; the sample-level channel
 below and the grid-level matrix model act on the same paths.  The EVA tap
 profile is hard-coded from 3GPP TS 36.101 Annex B.2 (Extended Vehicular A);
-it is an input to the simulator, not a derived quantity.
+it is an input to the simulator, not a derived quantity, and the one place where
+physical units meet the grid: EVA reads ``v_kmh`` (km/h), ``f_c`` and ``delta_f`` (Hz).
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ import math
 
 import numpy as np
 
-from .core import C_LIGHT, FrameConfig, delay_index, require_count, require_real, round_half_away
+from .core import FrameConfig, require_count, require_real, round_half_away
 from .effchan import EffectiveChannel
 from .waveform import SampleStream
 
 # 3GPP TS 36.101, Table B.2.1-2 (Extended Vehicular A model)
 EVA_DELAYS_NS = np.array([0.0, 30.0, 150.0, 310.0, 370.0, 710.0, 1090.0, 1730.0, 2510.0])
 EVA_POWERS_DB = np.array([0.0, -1.5, -1.4, -3.6, -0.6, -9.1, -7.0, -12.0, -16.9])
+C_LIGHT = 299_792_458.0
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -41,22 +42,35 @@ def channel_from_cells(config: FrameConfig, cells, gains) -> EffectiveChannel:
                             [l for l, _ in cells], [k for _, k in cells])
 
 
-def eva_support(config: FrameConfig, v_kmh: float, f_c: float) -> tuple:
-    """(paths, l_max, k_spread) of EVA at v_kmh and carrier f_c: tap count, last tap's delay bin
-    and Doppler spread nu_max N T in bins, of which a tap draws round(k_spread cos theta).  A
-    speed that is not a finite, nonnegative number of km/h, a carrier not finite and positive
-    (Hz) or a tap that can land off the grid raises ValueError naming v_kmh, f_c or delta_f."""
+def delay_index(tau: float, config: FrameConfig, delta_f: float) -> int:
+    """Integer delay bin l = round(tau * M * delta_f) of a delay tau (s) at spacing delta_f (Hz)."""
+    if tau < 0:
+        raise ValueError(f"delay must be nonnegative, got {tau}")
+    l = round_half_away(tau * config.M * delta_f)
+    if l >= config.M:
+        raise ValueError(f"delay {tau} s maps to bin {l} >= M = {config.M}")
+    return l
+
+
+def eva_support(config: FrameConfig, v_kmh: float, f_c: float, delta_f: float) -> tuple:
+    """(paths, l_max, k_spread) of EVA at v_kmh, carrier f_c and subcarrier spacing delta_f: tap
+    count, last tap's delay bin and Doppler spread nu_max N / delta_f in bins, of which a tap
+    draws round(k_spread cos theta).  A speed, carrier or spacing out of range, or a tap that
+    can land off the grid, raises ValueError naming v_kmh, f_c or delta_f."""
     if not 0 <= require_real("v_kmh", v_kmh) < math.inf:
         raise ValueError(f"v_kmh must be finite and nonnegative, got {v_kmh!r}")
     if not 0 < require_real("f_c", f_c) < math.inf:
         raise ValueError(f"f_c must be finite and positive, got {f_c!r}")
-    l_max = round_half_away(EVA_DELAYS_NS[-1] * 1e-9 * config.M * config.delta_f)
+    if not 0 < require_real("delta_f", delta_f) < math.inf or 1.0 / delta_f == math.inf:
+        raise ValueError(f"delta_f must be finite and positive, with a finite slot 1 / delta_f, "
+                         f"got {delta_f!r}")
+    l_max = round_half_away(EVA_DELAYS_NS[-1] * 1e-9 * config.M * delta_f)
     if l_max >= config.M:
-        raise ValueError(f"delta_f {config.delta_f!r} puts EVA's last tap on bin {l_max} >= M")
-    k_spread = (v_kmh / 3.6) * f_c / C_LIGHT * config.N * config.T
+        raise ValueError(f"delta_f {delta_f!r} puts EVA's last tap on bin {l_max} >= M")
+    k_spread = (v_kmh / 3.6) * f_c / C_LIGHT * config.N * (1.0 / delta_f)
     k_top = config.doppler_range[1]
     if k_spread == math.inf:  # overflowed: a carrier or a slot far beyond any grid
-        raise ValueError(f"f_c {f_c!r} and delta_f {config.delta_f!r} spread EVA's taps "
+        raise ValueError(f"f_c {f_c!r} and delta_f {delta_f!r} spread EVA's taps "
                          f"beyond float range at v_kmh {v_kmh!r}")
     if round_half_away(k_spread) > k_top:
         raise ValueError(f"v_kmh {v_kmh!r} spreads EVA's taps off the grid: {k_spread:.3g} bins")
@@ -80,22 +94,23 @@ def synthetic_support(config: FrameConfig, paths: int, l_max: int | None = None,
     return paths, l_max, k_max
 
 
-def gen_eva_channel(config: FrameConfig, v_kmh: float, f_c: float, rng_seed) -> EffectiveChannel:
-    """Draw one EVA realization at user speed v_kmh and carrier f_c.
+def gen_eva_channel(config: FrameConfig, v_kmh: float, f_c: float, delta_f: float,
+                    rng_seed) -> EffectiveChannel:
+    """Draw one EVA realization at user speed v_kmh, carrier f_c and subcarrier spacing delta_f.
 
     Tap gains are complex Gaussian with the profile's mean powers, normalized
     so the total mean path power is 1.  Each tap gets an independent Doppler
     nu = nu_max * cos(theta) with theta uniform (cosine arrival model), then
     delays and Dopplers are snapped onto the integer grid.
     """
-    _, _, k_spread = eva_support(config, v_kmh, f_c)
+    _, _, k_spread = eva_support(config, v_kmh, f_c, delta_f)
     rng = _as_rng(rng_seed)
     powers = 10.0 ** (EVA_POWERS_DB / 10.0)
     powers = powers / powers.sum()
     n_taps = len(powers)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n_taps)
     gains = np.sqrt(powers / 2.0) * (rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps))
-    cells = [(delay_index(tau, config), round_half_away(k))
+    cells = [(delay_index(tau, config, delta_f), round_half_away(k))
              for tau, k in zip(EVA_DELAYS_NS * 1e-9, k_spread * np.cos(theta))]
     return channel_from_cells(config, cells, gains)
 
@@ -114,23 +129,17 @@ def gen_synthetic_channel(config: FrameConfig, paths: int, rng_seed,
 def apply_physical_channel(stream: SampleStream, chan: EffectiveChannel) -> SampleStream:
     """Superpose delayed, Doppler-rotated copies of the stream, without noise.
 
-    Each path contributes h * x(t - tau) * exp(j*2*pi*nu*(t - tau)); noise is
-    added to the output by :func:`add_awgn`.  Delays must land on the sample grid.
+    At the stream's own oversampling osf, path p contributes
+    h_p x[t - l_p osf] e^{j2pi k_p (t - l_p osf) / (MN osf)}; noise is added to the output by
+    :func:`add_awgn`.
     """
-    x = stream.samples
-    rate = stream.rate
-    d = chan.tau * rate
-    shifts = np.round(d).astype(np.int64)
-    off_grid = np.abs(d - shifts) > 1e-6
-    if np.any(off_grid):
-        raise ValueError(f"path delay {chan.tau[off_grid][0]} s is not on the sample grid "
-                         f"(rate {rate})")
+    x, osf = stream.samples, stream.oversampling
+    shifts = chan.l * osf
     out = np.zeros(x.size + shifts.max(initial=0), dtype=complex)
-    # phase referenced to t - tau, i.e. to the input's own time axis
     t_in = stream.start + np.arange(x.size)
-    for h, nu, shift in zip(chan.gains, chan.nu, shifts):
-        out[shift:shift + x.size] += h * x * np.exp(2j * np.pi * (nu / rate) * t_in)
-    return SampleStream(samples=out, rate=rate, start=stream.start)
+    for h, cycles, shift in zip(chan.gains, chan.k / (chan.config.mn * osf), shifts):
+        out[shift:shift + x.size] += h * x * np.exp(2j * np.pi * cycles * t_in)
+    return SampleStream(samples=out, oversampling=osf, start=stream.start)
 
 
 def add_awgn(x: np.ndarray, noise_var: float, rng_seed=None) -> np.ndarray:

@@ -10,6 +10,8 @@ Conventions shared by every other module:
   (:attr:`FrameConfig.doppler_range`), and reduced mod N wherever they index the grid.
 * Rounding onto the integer grid is round-half-away-from-zero, so positive
   and negative Doppler quantize symmetrically.
+* The grid has no physical units: delay and Doppler are counted in bins, and
+  time in samples, ``oversampling`` to a delay bin.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-C_LIGHT = 299_792_458.0
-
 
 def round_half_away(x: float) -> int:
     """Round to the nearest integer with ties going away from zero."""
@@ -31,18 +31,26 @@ def round_half_away(x: float) -> int:
     return int(math.ceil(x - 0.5))
 
 
-def require_count(name: str, value, least: int = 1) -> None:
-    """A count must be an integer >= least; 2.5 trials or a bool is not one."""
+def require_count(name: str, value, least: int = 1) -> int:
+    """A count as an int: an integer >= least; 2.5 trials or a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def require_real(name: str, value) -> float:
-    """A real value as a float: in float range and not NaN; "0.3", None or a bool is not one."""
+    """A real value as a float: in float range and not NaN; "0.3", None or a bool is not one.
+    -0.0 comes back as 0.0, the same value, so that the two hash alike."""
     if not isinstance(value, bool) and isinstance(value, numbers.Real) and value == value:
         with contextlib.suppress(OverflowError):
-            return float(value)
+            return float(value) + 0.0
     raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def require_sigma_sq(sigma_sq) -> None:
+    """A detector's noise variance must be positive and finite."""
+    if not (np.isfinite(sigma_sq) and sigma_sq > 0):
+        raise ValueError(f"sigma_sq must be positive and finite, got {sigma_sq}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,10 +84,9 @@ class FrameConfig:
 
     M           delay bins / time slots per frame
     N           Doppler bins / subcarriers
-    delta_f     subcarrier spacing in Hz; the slot duration is T = 1/delta_f
-    Q           prototype-pulse half length in delay-resolution units
+    Q           prototype-pulse half length in delay bins
     rolloff     SRRC roll-off factor in [0, 1]
-    oversampling  samples per delay bin (sample rate = oversampling*M*delta_f)
+    oversampling  samples per delay bin
 
     Only the ODDM waveform reads the pulse (Q, rolloff), only the sample-level waveforms
     ``oversampling``, and the grid-level matrix model neither; 2Q < M is the pulse's own
@@ -90,7 +97,6 @@ class FrameConfig:
 
     M: int
     N: int
-    delta_f: float
     Q: int = 8
     rolloff: float = 0.25
     oversampling: int = 8
@@ -98,21 +104,10 @@ class FrameConfig:
     def __post_init__(self):
         # stored as int and float, so that equal configs hash alike however they were given
         for name, least in (("M", 2), ("N", 2), ("Q", 1), ("oversampling", 1)):
-            require_count(name, getattr(self, name), least)
-            object.__setattr__(self, name, int(getattr(self, name)))
-        for name in ("delta_f", "rolloff"):
-            object.__setattr__(self, name, require_real(name, getattr(self, name)))
-        if not 0.0 < self.delta_f < math.inf:
-            raise ValueError(f"delta_f must be finite and positive, got {self.delta_f}")
-        if not (self.T < math.inf and self.sample_rate < math.inf):
-            raise ValueError(f"delta_f {self.delta_f} makes the slot or the sample rate infinite")
+            object.__setattr__(self, name, require_count(name, getattr(self, name), least))
+        object.__setattr__(self, "rolloff", require_real("rolloff", self.rolloff))
         if not 0.0 <= self.rolloff <= 1.0:
             raise ValueError(f"rolloff must be in [0, 1], got {self.rolloff}")
-
-    @property
-    def T(self) -> float:
-        """Slot duration in seconds."""
-        return 1.0 / self.delta_f
 
     @property
     def mn(self) -> int:
@@ -122,10 +117,6 @@ class FrameConfig:
     def doppler_range(self) -> tuple:
         """First and last signed Doppler bin, -floor(N/2) and ceil(N/2) - 1 (the largest |k|)."""
         return -(self.N // 2), (self.N + 1) // 2 - 1
-
-    @property
-    def sample_rate(self) -> float:
-        return self.oversampling * self.M * self.delta_f
 
     @property
     def constellation_obj(self) -> Constellation:
@@ -174,16 +165,6 @@ def qam_demap(symbols) -> np.ndarray:
     d2 = np.abs(symbols[:, None] - QAM4.points[None, :]) ** 2
     idx = d2.argmin(axis=1)
     return QAM4.bit_labels[idx].reshape(-1)
-
-
-def delay_index(tau: float, config: FrameConfig) -> int:
-    """Integer delay bin l = round(tau * M * delta_f)."""
-    if tau < 0:
-        raise ValueError(f"delay must be nonnegative, got {tau}")
-    l = round_half_away(tau * config.M * config.delta_f)
-    if l >= config.M:
-        raise ValueError(f"delay {tau} s maps to bin {l} >= M = {config.M}")
-    return l
 
 
 def random_bits(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QAM4, qam_demap
+from .core import QAM4, qam_demap, require_sigma_sq
 from .effchan import EffectiveChannel, checked_chips, from_chips, to_chips
 
 VAR_FLOOR = 1e-10   # lower bound on every propagated variance
@@ -205,8 +205,7 @@ class LinearStage:
 
 
 def _observed_chips(y, H: EffectiveChannel, sigma_sq: float) -> np.ndarray:
-    if not (np.isfinite(sigma_sq) and sigma_sq > 0):
-        raise ValueError(f"sigma_sq must be positive and finite, got {sigma_sq}")
+    require_sigma_sq(sigma_sq)
     return checked_chips("observation", y, H.config)
 
 

@@ -2,8 +2,7 @@
 
 :class:`EffectiveChannel` is the one path record.  The channel generators
 return it, the estimator returns one, and the detector, the sample-level
-channel and the OFDM response read it.  A path's physical delay and Doppler
-follow from its cell: tau_p = l_p / (M delta_f) and nu_p = k_p / (N T).
+channel and the OFDM response read it.
 
 On the integer grid the MN x MN delay-Doppler input-output matrix is
 H = A^H H_t A, where A (:func:`core.dd_to_chips`) is the unitary map of the
@@ -119,6 +118,8 @@ class EffectiveChannel:
         self.k = np.asarray(self.k, dtype=np.int64).reshape(-1)
         if not self.gains.size == self.l.size == self.k.size:
             raise ValueError("gains, l and k must have one entry per path")
+        if not np.all(np.isfinite(self.gains)):
+            raise ValueError(f"gains {self.gains.tolist()} are not all finite")
         M, (k_lo, k_hi) = self.config.M, self.config.doppler_range
         if np.any((self.l < 0) | (self.l >= M)):
             raise ValueError(f"delay bins {self.l.tolist()} outside [0, {M})")
@@ -128,16 +129,6 @@ class EffectiveChannel:
     @property
     def P(self) -> int:
         return self.gains.size
-
-    @property
-    def tau(self) -> np.ndarray:
-        """Path delays (s), l / (M delta_f)."""
-        return self.l / (self.config.M * self.config.delta_f)
-
-    @property
-    def nu(self) -> np.ndarray:
-        """Path Doppler shifts (Hz), k / (N T)."""
-        return self.k / (self.config.N * self.config.T)
 
     @cached_property
     def weights(self) -> np.ndarray:

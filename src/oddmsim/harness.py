@@ -10,9 +10,9 @@ A trial senses its channel with one known frame, so its
 :class:`estimator.Sounding` is built once and every point's estimates share
 it; the cyclic prefix and the search window come from the channel model's
 support (:func:`channel.eva_support`, :func:`channel.synthetic_support`),
-which a spec must fit.  Each model reads its own parameters, and a spec sets no other:
-EVA reads the speed ``v_kmh`` and the carrier ``f_c``, the synthetic model its path count
-``paths`` and its window ``l_max``, ``k_max`` (:class:`ChannelSpec`).  Likewise each
+which a spec must fit.  Each model reads its own parameters, and a spec sets no other: EVA
+its speed ``v_kmh``, carrier ``f_c`` and subcarrier spacing ``delta_f``, a spec's only physical
+units, the synthetic model its path count ``paths`` and window ``l_max``, ``k_max``.  Likewise each
 scheme's waveform reads its own frame fields, and a spec leaves the others at
 :class:`core.FrameConfig`'s defaults: ODDM its pulse (``Q``, ``rolloff``) and ``oversampling``,
 OTFS and OFDM only ``oversampling``, the matrix model none of them; the pulse must fit the grid
@@ -72,7 +72,8 @@ FIDELITIES = ("matrix", "waveform")
 # one row per channel model: its support and generator in :mod:`channel`, by name so that a
 # wrapper put on the module sees each call, and its own parameters with their defaults
 _Model = collections.namedtuple("_Model", "support draw params")
-_MODELS = {"eva": _Model("eva_support", "gen_eva_channel", {"v_kmh": 350.0, "f_c": 5e9}),
+_MODELS = {"eva": _Model("eva_support", "gen_eva_channel",
+                         {"v_kmh": 350.0, "f_c": 5e9, "delta_f": 15e3}),
            "synthetic": _Model("synthetic_support", "gen_synthetic_channel",
                                {"paths": 3, "l_max": None, "k_max": None})}
 CHANNEL_MODELS = tuple(_MODELS)
@@ -89,6 +90,7 @@ class ChannelSpec:
     model: str = "eva"              # eva | synthetic
     v_kmh: float | None = None      # eva: user speed in km/h
     f_c: float | None = None        # eva: carrier frequency in Hz
+    delta_f: float | None = None    # eva: subcarrier spacing in Hz
     paths: int | None = None        # synthetic: path count
     l_max: int | None = None        # synthetic: last delay bin of the window
     k_max: int | None = None        # synthetic: largest |Doppler bin| of the window
@@ -103,8 +105,11 @@ class ChannelSpec:
                 raise ValueError(f"{name} {value!r} is not a parameter of the {self.model} "
                                  f"channel, which would ignore it")
             value = default if value is None else value
-            object.__setattr__(self, name, require_real(name, value)
-                               if isinstance(default, float) else value)
+            if isinstance(default, float):
+                value = require_real(name, value)
+            elif value is not None:  # a count: a path count from 1, a window bound from 0
+                value = require_count(name, value, least=1 if name == "paths" else 0)
+            object.__setattr__(self, name, value)
 
     def call(self, role: str, config: FrameConfig, **kwargs):
         """The model's ``support`` or ``draw`` on ``config``, its own parameters as keywords."""
@@ -133,20 +138,22 @@ class ExperimentSpec:
                               ("csi", CSI_MODES), ("fidelity", FIDELITIES)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
-        for name in ("trials", "frames_per_trial"):
-            require_count(name, getattr(self, name))
-        require_count("seed", self.seed, least=0)  # numpy seeds are non-negative integers
-        require_count("min_bit_errors", self.min_bit_errors, least=0)
+        for name, least in (("trials", 1), ("frames_per_trial", 1), ("seed", 0),  # numpy's least
+                            ("min_bit_errors", 0)):  # as ints, so that np.int64(5) hashes as 5
+            object.__setattr__(self, name, require_count(name, getattr(self, name), least))
         if not isinstance(self.snr_grid_db, (list, tuple)) or not self.snr_grid_db:
             raise ValueError(f"snr_grid_db must be a nonempty list or tuple of SNRs in dB, "
                              f"got {self.snr_grid_db!r}")
+        # floats, so that equal SNRs hash alike however they were given
+        object.__setattr__(self, "snr_grid_db",
+                           tuple(require_real("snr_grid_db", v) for v in self.snr_grid_db))
+        if self.sensing_snr_db is not None:
+            object.__setattr__(self, "sensing_snr_db",
+                               require_real("sensing_snr_db", self.sensing_snr_db))
         sensing = () if self.sensing_snr_db is None else (self.sensing_snr_db,)
         for name, values in (("snr_grid_db", self.snr_grid_db), ("sensing_snr_db", sensing)):
-            for v in values:
-                if require_real(name, v) == -math.inf:  # +inf is the noiseless case
-                    raise ValueError(f"{name} entry {v!r} is not an SNR")
-        # a tuple of floats, so that equal grids hash alike however they were given
-        object.__setattr__(self, "snr_grid_db", tuple(float(v) for v in self.snr_grid_db))
+            if -math.inf in values:  # +inf is the noiseless case
+                raise ValueError(f"{name} entry -inf is not an SNR")
         if self.scheme != "oddm" and self.fidelity == "matrix":
             raise ValueError(f"fidelity matrix is the oddm grid model, not {self.scheme}")
         read = _FRAME_READS[self.scheme] if self.fidelity == "waveform" else ()
@@ -173,7 +180,7 @@ class ExperimentSpec:
 
 
 def config_hash(spec: ExperimentSpec) -> str:
-    payload = json.dumps(asdict(spec), sort_keys=True, default=str)
+    payload = json.dumps(asdict(spec), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -298,7 +305,7 @@ class _TrialRunner:
         spec, cfg = self.spec, self.cfg
         if spec.fidelity == "matrix":
             return add_awgn(rx, noise_var, noise_rng)
-        rx = SampleStream(add_awgn(rx.samples, noise_var, noise_rng), rx.rate, rx.start)
+        rx = SampleStream(add_awgn(rx.samples, noise_var, noise_rng), rx.oversampling, rx.start)
         if spec.scheme == "oddm":
             return vectorize(oddm_demodulate(rx, cfg))
         if spec.scheme == "otfs":
@@ -476,7 +483,7 @@ def run_nmse_sweep(spec: ExperimentSpec) -> SweepResult:
                              for name in ("alg1", "mle") if name in rs[0]])
 
 
-DEFAULT_FRAME = dict(M=64, N=16, delta_f=15e3)
+DEFAULT_FRAME = dict(M=64, N=16)
 DEFAULT_SNR_DB = (0.0, 5.0, 10.0, 15.0)
 _SECTIONS = {"frame": FrameConfig, "channel": ChannelSpec}
 

@@ -7,9 +7,9 @@ to the delay and Doppler resolutions of the grid.  The grid fixes the pulse
 (:func:`build_srrc`).
 
 All waveform processing runs in *sample units*: one sample step is the unit of
-time, so a pulse spans ``2*Q*oversampling + 1`` samples and the frame spans
-``M*N*oversampling`` samples.  A :class:`SampleStream` counts time the same
-way: ``start`` is the index of its first sample, 0 being the frame's first.
+time, ``oversampling`` to a delay bin, so a pulse spans ``2*Q*oversampling + 1``
+samples and the frame spans ``M*N*oversampling`` samples.  A :class:`SampleStream`
+counts time the same way: ``start`` is the index of its first sample, 0 being the frame's first.
 Every modulator takes :func:`checked_frame`, and every receiver reads its own
 window of that axis through :func:`checked_samples`.  With the pulse train
 normalized to unit discrete energy, a matched filter then preserves
@@ -53,13 +53,14 @@ _CHUNK_BYTES = 256 * 1024  # bytes of chip windows that either direction forms a
 
 @dataclass(frozen=True, eq=False)
 class SampleStream:
-    """Complex baseband samples at `rate` Hz, the first at sample index `start`."""
+    """Complex baseband samples, `oversampling` per delay bin, the first at sample index `start`."""
 
     samples: np.ndarray
-    rate: float
+    oversampling: int
     start: int = 0
 
     def __post_init__(self):
+        require_count("oversampling", self.oversampling)
         if isinstance(self.start, bool) or not isinstance(self.start, numbers.Integral):
             raise ValueError(f"start must be an integer sample index, got {self.start!r}")
 
@@ -91,7 +92,7 @@ def build_srrc(config: FrameConfig) -> np.ndarray:
     taps, renormalized to discrete energy 1/N.
 
     Truncation support is [-Q, +Q] delay bins; with unit pulse energy per
-    train (N copies of energy 1/N, one per slot period T) the matched filter
+    train (N copies of energy 1/N, one per slot of M delay bins) the matched filter
     has unit gain.  The pulse must fit the grid: 2Q < M.
     """
     if 2 * config.Q >= config.M:
@@ -114,10 +115,10 @@ def checked_frame(frame, config: FrameConfig) -> np.ndarray:
 
 def checked_samples(stream: SampleStream, config: FrameConfig, first: int, stop: int) -> np.ndarray:
     """Samples [first, stop) of a received stream, which must be finite, at the config's
-    sample rate and cover them."""
-    if not np.isclose(stream.rate, config.sample_rate, rtol=1e-9, atol=0.0):
-        raise ValueError(f"stream rate {stream.rate} Hz != frame config sample rate "
-                         f"{config.sample_rate} Hz")
+    oversampling and cover them."""
+    if stream.oversampling != config.oversampling:
+        raise ValueError(f"stream oversampling {stream.oversampling} != frame config "
+                         f"oversampling {config.oversampling}")
     if not np.all(np.isfinite(stream.samples)):
         raise ValueError("stream has non-finite samples")
     lo, hi = first - stream.start, stop - stream.start
@@ -185,12 +186,12 @@ def oddm_modulate(frame, config: FrameConfig, cyclic_prefix_chips: int = 0) -> S
             blocks[lo + j:hi + j] += windows[:, j]
     body = blocks.reshape(-1)  # samples [-qos, L + qos)
     if cyclic_prefix_chips == 0:
-        return SampleStream(samples=body, rate=config.sample_rate, start=-qos)
+        return SampleStream(samples=body, oversampling=osf, start=-qos)
     cp = cyclic_prefix_chips * osf
     out = np.zeros(cp + L + 2 * qos, dtype=complex)
     out[cp:] = body
     out[:cp + 2 * qos] += body[L - cp:]  # fold frame tail in front of sample 0
-    return SampleStream(samples=out, rate=config.sample_rate, start=-(cp + qos))
+    return SampleStream(samples=out, oversampling=osf, start=-(cp + qos))
 
 
 def oddm_demodulate(stream: SampleStream, config: FrameConfig) -> np.ndarray:

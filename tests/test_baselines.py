@@ -12,7 +12,7 @@ from oracles import count_bit_errors, qpsk_awgn_ber
 
 
 def cfg32():
-    return FrameConfig(M=32, N=8, delta_f=15e3, Q=8)
+    return FrameConfig(M=32, N=8, Q=8)
 
 
 class TestOtfs:
@@ -75,7 +75,7 @@ class TestOfdm:
         assert count_bit_errors(bits, out) == 0
 
     def test_static_flat_channel_tracks_awgn(self):
-        cfg = FrameConfig(M=64, N=16, delta_f=15e3, Q=8)
+        cfg = FrameConfig(M=64, N=16, Q=8)
         snr_db = 7.0
         chan = channel_from_cells(cfg, [(0, 0)], [1.0])
         resp = ofdm_freq_response(chan, cfg, 4)
@@ -86,7 +86,7 @@ class TestOfdm:
             bits, frame = random_frame(cfg, rng)
             st = ofdm_modulate(frame, cfg, cp_chips=4)
             rx = apply_physical_channel(st, chan)
-            rx = SampleStream(add_awgn(rx.samples, nv, 7000 + seed), rx.rate, rx.start)
+            rx = SampleStream(add_awgn(rx.samples, nv, 7000 + seed), rx.oversampling, rx.start)
             out = ofdm_detect(rx, resp, nv, cfg, 4)
             errors += count_bit_errors(bits, out)
             total += bits.size
@@ -98,12 +98,12 @@ class TestOfdm:
     def test_high_mobility_error_floor(self):
         # noiseless with one-tap equalization: residual errors are pure
         # inter-carrier interference from the Doppler spread
-        cfg = FrameConfig(M=64, N=16, delta_f=15e3, Q=8)
+        cfg = FrameConfig(M=64, N=16, Q=8)
         errors = total = 0
         for seed in range(6):
             rng = np.random.default_rng(40 + seed)
             bits, frame = random_frame(cfg, rng)
-            chan = gen_eva_channel(cfg, 350.0, 5e9, 400 + seed)
+            chan = gen_eva_channel(cfg, 350.0, 5e9, 15e3, 400 + seed)
             cp = int(chan.l.max()) + 1
             st = ofdm_modulate(frame, cfg, cp_chips=cp)
             rx = apply_physical_channel(st, chan)
@@ -141,19 +141,44 @@ RECEIVERS = {  # (transmit a frame, receive a stream)
 @pytest.mark.parametrize("receiver", list(RECEIVERS))
 @pytest.mark.parametrize("fault", ["rate", "nan"])
 def test_receiver_rejects_bad_stream(receiver, fault):
-    # a stream at another sample rate or with a NaN sample raises, naming the mismatch
+    # a stream at another oversampling (samples per delay bin) or with a NaN sample raises,
+    # naming the mismatch
     cfg = cfg32()
     modulate, receive = RECEIVERS[receiver]
     st = modulate(cfg, random_frame(cfg, np.random.default_rng(7))[1])
     receive(st, cfg)  # the unmodified stream is accepted
     if fault == "rate":
-        bad = SampleStream(samples=st.samples, rate=2 * st.rate, start=st.start)
+        bad = SampleStream(samples=st.samples, oversampling=2 * st.oversampling, start=st.start)
     else:
         x = st.samples.copy()
         x[x.size // 2] = np.nan
-        bad = SampleStream(samples=x, rate=st.rate, start=st.start)
-    with pytest.raises(ValueError, match={"rate": "stream rate", "nan": "non-finite"}[fault]):
+        bad = SampleStream(samples=x, oversampling=st.oversampling, start=st.start)
+    with pytest.raises(ValueError, match={"rate": "^stream oversampling ", "nan": "non-finite"}[fault]):
         receive(bad, cfg)
+
+
+# (sigma_sq, one entry of the frequency response, the message) of each bad ofdm_detect input
+OFDM_DETECT_FAULTS = {
+    "sigma_sq-nan": (np.nan, 1.0, "^sigma_sq must be positive and finite"),
+    "sigma_sq-inf": (np.inf, 1.0, "^sigma_sq must be positive and finite"),
+    "sigma_sq-negative": (-1.0, 1.0, "^sigma_sq must be positive and finite"),
+    "sigma_sq-zero": (0.0, 1.0, "^sigma_sq must be positive and finite"),
+    "response-nan": (0.1, np.nan, "^frequency response has non-finite entries"),
+    "response-inf": (0.1, np.inf, "^frequency response has non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("fault", list(OFDM_DETECT_FAULTS))
+def test_ofdm_detect_rejects_bad_noise_or_response(fault):
+    # sigma_sq NaN or inf returned all-zero bits, -1 flipped most bits, and a non-finite
+    # response entry ran; sigma_sq now fails as in oamp_detect and lmmse_detect
+    cfg = cfg32()
+    sigma_sq, entry, message = OFDM_DETECT_FAULTS[fault]
+    stream = ofdm_modulate(random_frame(cfg, np.random.default_rng(10))[1], cfg, cp_chips=4)
+    response = np.ones((cfg.N, cfg.M), dtype=complex)
+    response[2, 5] = entry
+    with pytest.raises(ValueError, match=message):
+        ofdm_detect(stream, response, sigma_sq, cfg, 4)
 
 
 # each receiver's window [first, stop) of the frame's time axis (OFDM with its 4-chip prefix)
@@ -171,10 +196,10 @@ def test_receiver_reads_exactly_its_window(receiver):
     st = modulate(cfg, random_frame(cfg, np.random.default_rng(8))[1])
     first, stop = WINDOWS[receiver](cfg.Q, cfg.M, cfg.N, cfg.oversampling)
     exact = st.samples[first - st.start:stop - st.start]
-    assert np.array_equal(receive(SampleStream(exact, st.rate, first), cfg), receive(st, cfg))
+    assert np.array_equal(receive(SampleStream(exact, st.oversampling, first), cfg), receive(st, cfg))
     for cut, start in ((exact[1:], first + 1), (exact[:-1], first)):
         with pytest.raises(ValueError, match="receive window"):
-            receive(SampleStream(cut, st.rate, start), cfg)
+            receive(SampleStream(cut, st.oversampling, start), cfg)
 
 
 def _prefix_users(cfg):

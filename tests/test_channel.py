@@ -8,13 +8,13 @@ from oddmsim.waveform import SampleStream
 
 
 def paper_cfg():
-    return FrameConfig(M=512, N=32, delta_f=15e3)
+    return FrameConfig(M=512, N=32)
 
 
 class TestEvaGeneration:
     def test_delay_bin_pattern(self):
         cfg = paper_cfg()
-        chan = gen_eva_channel(cfg, 350.0, 5e9, 0)
+        chan = gen_eva_channel(cfg, 350.0, 5e9, 15e3, 0)
         ls = sorted(set(chan.l.tolist()))
         # 9 taps map to these delay bins (the two 0/30 ns taps share bin 0)
         assert set(ls) <= {0, 1, 2, 3, 5, 8, 13, 19}
@@ -23,28 +23,28 @@ class TestEvaGeneration:
     def test_doppler_bins_bounded(self):
         cfg = paper_cfg()
         for seed in range(20):
-            chan = gen_eva_channel(cfg, 350.0, 5e9, seed)
+            chan = gen_eva_channel(cfg, 350.0, 5e9, 15e3, seed)
             assert np.all((-3 <= chan.k) & (chan.k <= 3))
 
     def test_zero_speed_zero_doppler(self):
         cfg = paper_cfg()
-        chan = gen_eva_channel(cfg, 0.0, 5e9, 4)
+        chan = gen_eva_channel(cfg, 0.0, 5e9, 15e3, 4)
         assert np.all(chan.k == 0)
         # same-bin taps merged: 8 distinct delay bins remain
         assert chan.P == 8
 
     def test_deterministic_and_seed_dependent(self):
         cfg = paper_cfg()
-        a = gen_eva_channel(cfg, 350.0, 5e9, 123)
-        b = gen_eva_channel(cfg, 350.0, 5e9, 123)
-        c = gen_eva_channel(cfg, 350.0, 5e9, 124)
+        a = gen_eva_channel(cfg, 350.0, 5e9, 15e3, 123)
+        b = gen_eva_channel(cfg, 350.0, 5e9, 15e3, 123)
+        c = gen_eva_channel(cfg, 350.0, 5e9, 15e3, 124)
         for field in ("gains", "l", "k"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
         assert not np.array_equal(a.gains, c.gains)
 
     def test_mean_power_normalized(self):
         cfg = paper_cfg()
-        powers = [np.sum(np.abs(gen_eva_channel(cfg, 350.0, 5e9, s).gains) ** 2)
+        powers = [np.sum(np.abs(gen_eva_channel(cfg, 350.0, 5e9, 15e3, s).gains) ** 2)
                   for s in range(400)]
         assert np.mean(powers) == pytest.approx(1.0, rel=0.15)
 
@@ -57,10 +57,19 @@ class TestEvaGeneration:
         assert chan.gains.tolist() == [0.5j, 0.75]
 
     def test_delay_and_doppler_follow_from_cells(self):
+        # a path acts in bins: cell (l, k) delays a stream by l bins of oversampling samples
+        # and turns it by k / (MN oversampling) cycles per sample; it has no delay in seconds
         cfg = paper_cfg()
-        chan = channel_from_cells(cfg, [(3, -2), (19, 1)], [1.0, 0.5])
-        assert chan.tau.tolist() == [3 / (cfg.M * cfg.delta_f), 19 / (cfg.M * cfg.delta_f)]
-        assert chan.nu.tolist() == [-2 / (cfg.N * cfg.T), 1 / (cfg.N * cfg.T)]
+        t = np.arange(64)
+        for l, k in ((3, -2), (19, 1)):
+            chan = channel_from_cells(cfg, [(l, k)], [1.0])
+            out = apply_physical_channel(SampleStream(np.ones(t.size), cfg.oversampling), chan)
+            shift = l * cfg.oversampling
+            assert np.array_equal(out.samples[:shift], np.zeros(shift))
+            assert np.allclose(out.samples[shift:],
+                               np.exp(2j * np.pi * k * t / (cfg.mn * cfg.oversampling)),
+                               rtol=0.0, atol=1e-15)
+            assert not hasattr(chan, "tau") and not hasattr(chan, "nu")
 
     @pytest.mark.parametrize("v_kmh", [float("nan"), float("inf"), -1.0,
                                        5000.0])  # Doppler spread 49.4 bins, grid |k| <= 15
@@ -68,25 +77,24 @@ class TestEvaGeneration:
         # NaN and inf used to fail converting a Doppler to a cell index, and a speed whose
         # spread leaves the grid failed only on the seeds that drew a tap off it
         with pytest.raises(ValueError, match="^v_kmh "):
-            gen_eva_channel(paper_cfg(), v_kmh, 5e9, 0)
+            gen_eva_channel(paper_cfg(), v_kmh, 5e9, 15e3, 0)
 
     def test_last_tap_off_the_grid_rejected(self):
         # 2510 ns at delta_f = 500 kHz is delay bin 643 of M = 512
-        cfg = FrameConfig(M=512, N=32, delta_f=500e3)
         with pytest.raises(ValueError, match="^delta_f "):
-            gen_eva_channel(cfg, 350.0, 5e9, 0)
+            gen_eva_channel(paper_cfg(), 350.0, 5e9, 500e3, 0)
 
 
 class TestSyntheticGeneration:
     def test_path_count_and_windows(self):
-        cfg = FrameConfig(M=16, N=8, delta_f=15e3)
+        cfg = FrameConfig(M=16, N=8)
         chan = gen_synthetic_channel(cfg, 4, 9, l_max=5, k_max=2)
         assert chan.P == 4
         assert np.all((0 <= chan.l) & (chan.l <= 5) & (-2 <= chan.k) & (chan.k <= 2))
         assert len(set(zip(chan.l.tolist(), chan.k.tolist()))) == 4
 
     def test_too_many_paths_rejected(self):
-        cfg = FrameConfig(M=16, N=8, delta_f=15e3)
+        cfg = FrameConfig(M=16, N=8)
         with pytest.raises(ValueError):
             gen_synthetic_channel(cfg, 50, 0, l_max=2, k_max=1)
 
@@ -102,37 +110,37 @@ class TestSyntheticGeneration:
         pytest.param("paths", 26, id="P-26"),    # more than the default window's 5 x 5 cells
     ])
     def test_bad_arguments_rejected(self, name, value):
-        cfg = FrameConfig(M=16, N=8, delta_f=15e3)
+        cfg = FrameConfig(M=16, N=8)
         with pytest.raises(ValueError, match=f"^{name} "):
             gen_synthetic_channel(cfg, **{"paths": 2, "rng_seed": 0, name: value})
 
 
 class TestApplyChannel:
-    def _stream(self, n=256, rate=1e6, seed=0):
+    def _stream(self, n=256, oversampling=2, seed=0):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return SampleStream(samples=x, rate=rate, start=0)
+        return SampleStream(samples=x, oversampling=oversampling, start=0)
 
     def _chan(self, cfg, cells, gains):
         return channel_from_cells(cfg, cells, gains)
 
     def test_identity_path(self):
-        cfg = FrameConfig(M=16, N=8, delta_f=15e3, oversampling=2)
-        st = self._stream(rate=cfg.sample_rate)
+        cfg = FrameConfig(M=16, N=8, oversampling=2)
+        st = self._stream(oversampling=cfg.oversampling)
         out = apply_physical_channel(st, self._chan(cfg, [(0, 0)], [1.0]))
         assert np.allclose(out.samples, st.samples)
 
     def test_pure_delay_scaled(self):
-        cfg = FrameConfig(M=16, N=8, delta_f=15e3, oversampling=2)
-        st = self._stream(rate=cfg.sample_rate)
+        cfg = FrameConfig(M=16, N=8, oversampling=2)
+        st = self._stream(oversampling=cfg.oversampling)
         out = apply_physical_channel(st, self._chan(cfg, [(2, 0)], [1.0j]))
         shift = 2 * cfg.oversampling
         assert np.allclose(out.samples[shift:shift + st.samples.size], 1.0j * st.samples)
         assert np.allclose(out.samples[:shift], 0.0)
 
     def test_superposition(self):
-        cfg = FrameConfig(M=16, N=8, delta_f=15e3, oversampling=2)
-        st = self._stream(rate=cfg.sample_rate)
+        cfg = FrameConfig(M=16, N=8, oversampling=2)
+        st = self._stream(oversampling=cfg.oversampling)
         two = self._chan(cfg, [(1, 1), (3, -2)], [0.8, 0.3j])
         a = self._chan(cfg, [(1, 1)], [0.8])
         b = self._chan(cfg, [(3, -2)], [0.3j])
@@ -146,10 +154,13 @@ class TestApplyChannel:
         assert np.allclose(out2, pad, atol=1e-12)
 
     def test_off_grid_delay_rejected(self):
-        cfg = FrameConfig(M=16, N=8, delta_f=15e3, oversampling=2)
-        st = self._stream(rate=cfg.sample_rate / 3.1)  # rate mismatch -> fractional shift
-        with pytest.raises(ValueError):
-            apply_physical_channel(st, self._chan(cfg, [(1, 0)], [1.0]))
+        # a delay bin is a whole number of samples, so no path delay is off the sample grid:
+        # one bin delays a stream by the stream's own oversampling, 3 here, not the config's 2
+        cfg = FrameConfig(M=16, N=8, oversampling=2)
+        st = self._stream(oversampling=3)
+        out = apply_physical_channel(st, self._chan(cfg, [(1, 0)], [1.0]))
+        assert out.oversampling == 3
+        assert np.array_equal(out.samples, np.concatenate([np.zeros(3), st.samples]))
 
     # the channel adds no noise; the harness adds each SNR point's with add_awgn
     def test_noise_statistics(self):

@@ -3,27 +3,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddmsim.channel import eva_support
-from oddmsim.core import (QAM4, FrameConfig, chips_to_dd, dd_to_chips, delay_index, qam_demap,
-                          qam_map, round_half_away, vectorize)
+from oddmsim.channel import delay_index, eva_support
+from oddmsim.core import (QAM4, FrameConfig, chips_to_dd, dd_to_chips, qam_demap, qam_map,
+                          round_half_away, vectorize)
 from oddmsim.waveform import SampleStream, build_srrc, oddm_demodulate, oddm_modulate
 
 
 def paper_scale_config(**kw):
-    args = dict(M=512, N=32, delta_f=15e3, Q=20)
+    args = dict(M=512, N=32, Q=20)
     args.update(kw)
     return FrameConfig(**args)
 
 
 class TestFrameConfig:
     def test_paper_scale_resolutions(self):
+        # the grid has no physical units: a slot is M delay bins of oversampling samples, and
+        # only EVA's subcarrier spacing (15 kHz here) puts its last tap, 2510 ns, on bin 19
         cfg = paper_scale_config()
-        assert cfg.T == pytest.approx(1 / 15e3)
+        assert (cfg.mn, cfg.doppler_range, cfg.M * cfg.oversampling) == (16384, (-16, 15), 4096)
+        assert eva_support(cfg, 350.0, 5e9, 15e3)[1] == 19
+        assert not any(hasattr(cfg, name) for name in ("delta_f", "T", "sample_rate"))
 
     def test_pulse_too_long_rejected(self):
         # the grid takes any pulse length; the pulse, and each end through it, checks 2Q < M
-        cfg = FrameConfig(M=8, N=4, delta_f=15e3, Q=4)
-        stream = SampleStream(np.zeros(1), cfg.sample_rate)  # the pulse is checked first
+        cfg = FrameConfig(M=8, N=4, Q=4)
+        stream = SampleStream(np.zeros(1), cfg.oversampling)  # the pulse is checked first
         for use in (build_srrc, lambda c: oddm_modulate(np.ones((c.M, c.N)), c),
                     lambda c: oddm_demodulate(stream, c)):
             with pytest.raises(ValueError, match=r"^Q 4 is too long for the grid: need 2Q < M = 8"):
@@ -31,20 +35,18 @@ class TestFrameConfig:
 
     def test_grid_without_pulse(self):
         # a grid-only caller leaves the pulse and the sampling at their defaults
-        cfg = FrameConfig(M=8, N=4, delta_f=15e3)
+        cfg = FrameConfig(M=8, N=4)
         assert (cfg.mn, cfg.Q, cfg.rolloff, cfg.oversampling) == (32, 8, 0.25, 8)
 
     def test_small_valid(self):
-        cfg = FrameConfig(M=8, N=4, delta_f=15e3, Q=2)
+        cfg = FrameConfig(M=8, N=4, Q=2)
         assert cfg.mn == 32
 
     def test_stores_ints_and_floats(self):
         # integers given for the float fields hash like the floats
-        cfg = FrameConfig(M=8, N=4, delta_f=15000, Q=2, rolloff=0, oversampling=np.int64(4))
-        assert cfg == FrameConfig(M=8, N=4, delta_f=15e3, Q=2, rolloff=0.0,
-                                  oversampling=4)
-        assert [type(getattr(cfg, f)) for f in ("delta_f", "rolloff", "oversampling")] \
-            == [float, float, int]
+        cfg = FrameConfig(M=8, N=4, Q=2, rolloff=0, oversampling=np.int64(4))
+        assert cfg == FrameConfig(M=8, N=4, Q=2, rolloff=0.0, oversampling=4)
+        assert [type(getattr(cfg, f)) for f in ("rolloff", "oversampling")] == [float, int]
 
     @pytest.mark.parametrize("bad", [
         dict(M=1), dict(N=1), dict(Q=0), dict(delta_f=-1.0), dict(f_c=0.0),
@@ -56,12 +58,13 @@ class TestFrameConfig:
     ])
     def test_rejects_bad_values(self, bad):
         # an infinite delta_f or f_c used to pass or raise OverflowError, None TypeError, and
-        # "0.3", True, an infinite slot (1e-320) or sample rate (1e308) passed; the carrier
-        # is EVA's parameter now, so eva_support checks it
+        # "0.3", True, an infinite slot (1e-320) or sample rate (1e308) passed; the carrier and
+        # the subcarrier spacing are EVA's parameters now, so eva_support checks them
         ((field, value),) = bad.items()
         with pytest.raises(ValueError, match=f"^{field} "):
-            if field == "f_c":
-                eva_support(paper_scale_config(), 350.0, value)
+            if field in ("f_c", "delta_f"):
+                eva_support(paper_scale_config(), **{"v_kmh": 350.0, "f_c": 5e9, "delta_f": 15e3,
+                                                     **bad})
             else:
                 paper_scale_config(**bad)
 
@@ -172,31 +175,31 @@ class TestGridIndexing:
     def test_eva_longest_tap(self):
         cfg = paper_scale_config()
         # 2510 ns * 512 * 15 kHz = 19.28 -> 19
-        assert delay_index(2510e-9, cfg) == 19
+        assert delay_index(2510e-9, cfg, 15e3) == 19
 
     def test_doppler_350kmh(self):
         cfg = paper_scale_config()
         nu = (350 / 3.6) * 5e9 / 299_792_458.0
         assert nu == pytest.approx(1621.5, abs=2.0)
         # the EVA generator rounds each tap's Doppler of up to this many bins
-        assert round_half_away(eva_support(cfg, 350, 5e9)[2]) == 3
+        assert round_half_away(eva_support(cfg, 350, 5e9, 15e3)[2]) == 3
 
     def test_origin(self):
         cfg = paper_scale_config()
-        assert delay_index(0.0, cfg) == 0
+        assert delay_index(0.0, cfg, 15e3) == 0
 
     def test_out_of_range(self):
-        cfg = FrameConfig(M=8, N=4, delta_f=15e3, Q=2)
+        cfg = FrameConfig(M=8, N=4, Q=2)
         with pytest.raises(ValueError):
-            delay_index(cfg.T, cfg)  # maps to l = M
+            delay_index(1 / 15e3, cfg, 15e3)  # one slot maps to l = M
         with pytest.raises(ValueError):
-            delay_index(-1e-9, cfg)
+            delay_index(-1e-9, cfg, 15e3)
 
     @settings(max_examples=50)
     @given(st.lists(st.floats(0, 2500e-9), min_size=2, max_size=8))
     def test_delay_index_monotone(self, taus):
         cfg = paper_scale_config()
         taus = sorted(taus)
-        ls = [delay_index(t, cfg) for t in taus]
+        ls = [delay_index(t, cfg, 15e3) for t in taus]
         assert all(a <= b for a, b in zip(ls, ls[1:]))
 

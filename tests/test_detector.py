@@ -16,7 +16,7 @@ from oracles import count_bit_errors, dense_channel, dense_le, gram_band, qpsk_a
 
 
 def cfg_small():
-    return FrameConfig(M=8, N=4, delta_f=15e3)
+    return FrameConfig(M=8, N=4)
 
 
 def identity_channel(cfg):
@@ -58,14 +58,14 @@ class TestOampLE:
 
 
 def cfg16():
-    return FrameConfig(M=16, N=8, delta_f=15e3)
+    return FrameConfig(M=16, N=8)
 
 
 def estimated_eva_channel():
     """Estimated EVA channel (350 km/h, 64 x 16), as the estimated-CSI link detects with."""
-    cfg = FrameConfig(M=64, N=16, delta_f=15e3)
+    cfg = FrameConfig(M=64, N=16)
     rng = np.random.default_rng(5)
-    chan = gen_eva_channel(cfg, 350.0, 5e9, rng)
+    chan = gen_eva_channel(cfg, 350.0, 5e9, 15e3, rng)
     _, frame = random_frame(cfg, rng)
     s = vectorize(frame)
     y, _ = noisy_observation(chan, s, 20.0, 6)
@@ -76,7 +76,7 @@ def estimated_eva_channel():
 
 def ragged_channel():
     """MN = 105 chips in blocks of the half-band 6: the last block holds 3 chips."""
-    cfg = FrameConfig(M=15, N=7, delta_f=15e3)
+    cfg = FrameConfig(M=15, N=7)
     H = channel_from_cells(cfg, [(1, 0), (4, -1), (2, 1)], [0.7, -0.4j, 0.3 + 0.1j])
     assert LinearStage(H).ab.shape[0] - 1 == 6
     return H
@@ -133,7 +133,7 @@ class TestLinearStage:
     def test_any_channel_and_xi_match_dense_oracle(self, M, N, data):
         # random grids (odd MN among them) with 1-4 paths, so the half-band is any delay
         # spread and the last block of chips is often ragged; xi log-uniform over 15 decades
-        cfg = FrameConfig(M=M, N=N, delta_f=15e3)
+        cfg = FrameConfig(M=M, N=N)
         k_lo, k_hi = cfg.doppler_range
         cells = data.draw(st.lists(st.tuples(st.integers(0, M - 1), st.integers(k_lo, k_hi)),
                                    min_size=1, max_size=4, unique=True), label="cells")
@@ -278,7 +278,7 @@ class TestOampNLE:
 
 class TestOampDetect:
     def test_identity_channel_tracks_awgn_reference(self):
-        cfg = FrameConfig(M=64, N=16, delta_f=15e3)
+        cfg = FrameConfig(M=64, N=16)
         H = identity_channel(cfg)
         stage = LinearStage(H)
         snr_db = 7.0
@@ -299,7 +299,7 @@ class TestOampDetect:
         assert ber >= 0.5 * ref
 
     def test_identity_channel_high_snr_error_free(self):
-        cfg = FrameConfig(M=64, N=16, delta_f=15e3)
+        cfg = FrameConfig(M=64, N=16)
         H = identity_channel(cfg)
         stage = LinearStage(H)
         errors = 0
@@ -316,9 +316,9 @@ class TestOampDetect:
 
     def test_large_grid_eva_error_free(self):
         # 256 x 64 chips: the linear stage costs about linear time in MN
-        cfg = FrameConfig(M=256, N=64, delta_f=15e3)
+        cfg = FrameConfig(M=256, N=64)
         rng = np.random.default_rng(0)
-        H = gen_eva_channel(cfg, 350.0, 5e9, rng)
+        H = gen_eva_channel(cfg, 350.0, 5e9, 15e3, rng)
         bits, frame = random_frame(cfg, rng)
         y, nv = noisy_observation(H, vectorize(frame), 20.0, 1)
         det = oamp_detect(y, LinearStage(H), nv)
@@ -346,7 +346,7 @@ class TestOampDetect:
         assert np.allclose(post_mean, s_true, atol=1e-9)
 
     def test_variance_trace_tracks_empirical(self):
-        cfg = FrameConfig(M=32, N=8, delta_f=15e3)
+        cfg = FrameConfig(M=32, N=8)
         rng = np.random.default_rng(13)
         H = gen_synthetic_channel(cfg, 4, rng, l_max=6, k_max=3)
         _, frame = random_frame(cfg, rng)
@@ -374,7 +374,7 @@ class TestOampDetect:
 
     def test_iterations_stop_at_max_iters(self, monkeypatch):
         cfg = cfg16()
-        H = gen_eva_channel(cfg, 350.0, 5e9, 1)
+        H = gen_eva_channel(cfg, 350.0, 5e9, 15e3, 1)
         _, frame = random_frame(cfg, np.random.default_rng(15))
         y, nv = noisy_observation(H, vectorize(frame), 10.0, 16)
         assert oamp_detect(y, LinearStage(H), nv).iterations_used > 2
@@ -431,7 +431,7 @@ class TestLmmse:
         assert np.allclose(det.soft_symbols, y / (1 + nv), atol=1e-12)
 
     def test_matches_first_le_iteration_up_to_normalizer(self):
-        cfg = FrameConfig(M=16, N=8, delta_f=15e3)
+        cfg = FrameConfig(M=16, N=8)
         rng = np.random.default_rng(21)
         H = gen_synthetic_channel(cfg, 3, rng, l_max=5, k_max=2)
         _, frame = random_frame(cfg, rng)
@@ -445,7 +445,7 @@ class TestLmmse:
         assert np.allclose(r * eps, lmmse, atol=1e-10)
 
     def test_oamp_not_worse_than_lmmse_small_mc(self):
-        cfg = FrameConfig(M=32, N=8, delta_f=15e3)
+        cfg = FrameConfig(M=32, N=8)
         for snr_db in (9.0, 15.0):
             e_oamp = e_lmmse = bits_total = 0
             for seed in range(25):

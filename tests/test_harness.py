@@ -4,6 +4,7 @@ import math
 import re
 import time
 
+import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
@@ -307,16 +308,15 @@ IMPOSSIBLE_SPECS = {
     "l_max-off-grid": {"channel.model": "synthetic", "channel.l_max": 32},
     "k_max-off-grid": {"channel.model": "synthetic", "channel.k_max": 4},
     "v_kmh-off-grid": {"channel.v_kmh": 2000.0},
-    "delta_f-eva-last-tap": {"frame.delta_f": 500e3},
+    "delta_f-eva-last-tap": {"channel.delta_f": 500e3},
     # these raised TypeError or OverflowError, or ran: min_bit_errors "x" failed at the first
     # trial, -3 and 2.5 ran, and a synthetic channel ran at an infinite sample rate
     "snr_grid_db-scalar": {"run.snr_db": 5.0},
     "snr_grid_db-none": {"run.snr_db": None},
     "snr_grid_db-string": {"run.snr_db": ("a",)},
     "sensing_snr_db-string": {"run.sensing_snr_db": "x"},
-    "delta_f-none": {"frame.delta_f": None},
-    "delta_f-inf": {"frame.delta_f": math.inf},
-    "delta_f-inf-synthetic": {"frame.delta_f": math.inf, "channel.model": "synthetic"},
+    "delta_f-inf": {"channel.delta_f": math.inf},
+    "delta_f-inf-synthetic": {"channel.delta_f": math.inf, "channel.model": "synthetic"},
     "f_c-inf": {"channel.f_c": math.inf},
     # the EVA Doppler spread overflows to inf: the carrier and the slot spread it, not the speed
     "f_c-spread-overflow": {"channel.f_c": 1e308},
@@ -334,6 +334,8 @@ IMPOSSIBLE_SPECS = {
     "paths-eva": {"channel.paths": 3},
     "v_kmh-synthetic": {"channel.model": "synthetic", "channel.v_kmh": 350.0},
     "f_c-synthetic": {"channel.model": "synthetic", "channel.f_c": 5e9},
+    # the synthetic model acts in bins: it ran the same rows at 15, 30 and 480 kHz
+    "delta_f-synthetic": {"channel.model": "synthetic", "channel.delta_f": 15e3},
     "sensing_snr_db-perfect": {"run.sensing_snr_db": 20.0},
     # 9 EVA paths in a 2 x 3 cell search window used to fail at the first estimate, with
     # perfect CSI at run_nmse_sweep's first trial, which estimates whatever csi says
@@ -360,8 +362,9 @@ IMPOSSIBLE_SPECS = {
 
 
 # values once rejected for the field they set; the field is gone (the estimator assumes the
-# channel model's path count, the stopping rules are module constants and every frame is
-# 4-QAM), so the key itself is now rejected as unknown
+# channel model's path count, the stopping rules are module constants, every frame is 4-QAM
+# and the subcarrier spacing is EVA's channel.delta_f), so the key itself is now rejected as
+# unknown
 REMOVED_FIELD_SPECS = {
     "epsilon": {"est.epsilon": math.nan},
     "p_assumed": {"est.p_assumed": 0},
@@ -369,6 +372,7 @@ REMOVED_FIELD_SPECS = {
     "max_iters-det-bool": {"det.max_iters": True},
     # one spelling per experiment: "4QAM" would have run 4qam under another config_hash
     "constellation": {"frame.constellation": "4QAM"},
+    "delta_f-none": {"frame.delta_f": None},
 }
 
 
@@ -386,9 +390,9 @@ def test_impossible_spec_rejected_at_build(case):
 
 
 def test_integer_frame_floats_hash_like_floats():
-    # EVA's speed and carrier are stored as floats like the frame's; 350 and 350.0 hashed apart;
-    # the ODDM waveform reads the roll-off
-    as_ints = {"frame.delta_f": 30000, "frame.rolloff": 0, "channel.v_kmh": 350,
+    # EVA's speed, carrier and subcarrier spacing are stored as floats like the roll-off, which
+    # the ODDM waveform reads; 350 and 350.0 hashed apart
+    as_ints = {"channel.delta_f": 30000, "frame.rolloff": 0, "channel.v_kmh": 350,
                "channel.f_c": 4000000000}
     as_floats = {key: float(value) for key, value in as_ints.items()}
     waveform = {"run.fidelity": "waveform"}
@@ -459,14 +463,15 @@ def test_every_known_option_key_accepted():
     # each channel model takes its own parameters, so an EVA and a synthetic spec share the
     # frame and run keys and together pass all 22; the oddm waveform reads every frame field
     eva = {"frame.M": 32, "frame.N": 8, "frame.Q": 4, "frame.rolloff": 0.3,
-           "frame.oversampling": 4, "frame.delta_f": 30e3,
+           "frame.oversampling": 4,
            "channel.model": "eva", "channel.v_kmh": 120.0, "channel.f_c": 4e9,
+           "channel.delta_f": 30e3,
            "run.snr_db": [3.0], "run.scheme": "oddm", "run.detector": "lmmse",
            "run.csi": "estimated", "run.fidelity": "waveform", "run.trials": 2,
            "run.frames_per_trial": 1, "run.min_bit_errors": 5, "run.seed": 9,
            "run.sensing_snr_db": 20.0}
     synthetic = {**{key: value for key, value in eva.items()
-                    if key not in ("channel.v_kmh", "channel.f_c")},
+                    if key not in ("channel.v_kmh", "channel.f_c", "channel.delta_f")},
                  "channel.model": "synthetic", "channel.paths": 2, "channel.l_max": 5,
                  "channel.k_max": 2}
     assert sorted(eva.keys() | synthetic.keys()) == option_keys() and len(option_keys()) == 22
@@ -520,6 +525,35 @@ def test_any_options_build_a_spec_or_raise_value_error(options):
     assert config_hash(build_spec(spec_options(spec))) == config_hash(spec)
 
 
+def respelled(value):
+    """value spelled otherwise: an int as np.int64, a float as an int where integral (else as
+    np.float64), a list or tuple as a tuple of respelled entries."""
+    if isinstance(value, (list, tuple)):
+        return tuple(respelled(v) for v in value)
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else np.float64(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return np.int64(value)
+    return value
+
+
+@settings(max_examples=100)
+@given(any_options())
+@example({"run.seed": 5, "run.sensing_snr_db": 20, "run.csi": "estimated"})
+@example({"channel.model": "synthetic", "channel.paths": 2, "channel.l_max": 5})
+@example({"channel.v_kmh": -0.0, "run.snr_db": [-0.0]})  # -0.0 is 0.0
+def test_respelled_options_hash_alike(options):
+    # np.int64(5) and 5, or 20 and 20.0, spell one experiment: an accepted spec, given its own
+    # options or all of its stored values respelled, builds under the same config_hash
+    try:
+        spec = build_spec(options)
+    except ValueError:
+        return
+    for spelled in (options, spec_options(spec)):
+        assert config_hash(build_spec({key: respelled(value) for key, value in spelled.items()})) \
+            == config_hash(spec)
+
+
 ARGUMENT_NAMES = ("l_max", "k_max", "v_kmh", "delta_f", "paths", "p_assumed")
 
 
@@ -528,9 +562,9 @@ def channel_options(draw):
     """build_spec options of a small grid, odd or even each way, with either channel model."""
     options = {"frame.M": draw(st.integers(3, 24), label="M"),
                "frame.N": draw(st.integers(2, 9), label="N"),
-               "frame.delta_f": draw(st.sampled_from([15e3, 120e3, 480e3]), label="delta_f"),
                "channel.model": draw(st.sampled_from(["eva", "synthetic"]), label="model")}
     if options["channel.model"] == "eva":
+        options["channel.delta_f"] = draw(st.sampled_from([15e3, 120e3, 480e3]), label="delta_f")
         options["channel.v_kmh"] = draw(st.floats(0.0, 3000.0), label="v_kmh")
     else:
         options["channel.paths"] = draw(st.integers(1, 4), label="paths")
@@ -575,13 +609,13 @@ def one_trial_options(draw):
     cell = draw(st.sampled_from(COMBINATIONS), label="cell")
     options = {"frame.M": draw(st.integers(3, 12), label="M"),
                "frame.N": draw(st.integers(2, 7), label="N"),
-               "frame.delta_f": draw(st.sampled_from([15e3, 30e3]), label="delta_f"),
                "run.snr_db": (10.0,), "run.trials": 1, "run.frames_per_trial": 1, **cell}
     if (cell["run.scheme"], cell["run.fidelity"]) == ("oddm", "waveform"):
         options["frame.Q"] = 1  # the one reader of the pulse; the default is too long here
     if cell["run.csi"] == "estimated":
         options["run.sensing_snr_db"] = draw(st.none() | st.just(20.0), label="sensing_snr_db")
     if draw(st.sampled_from(harness.CHANNEL_MODELS), label="model") == "eva":
+        options["channel.delta_f"] = draw(st.sampled_from([15e3, 30e3]), label="delta_f")
         options["channel.v_kmh"] = draw(st.floats(0.0, 1000.0), label="v_kmh")
         return options
     options["channel.model"] = "synthetic"

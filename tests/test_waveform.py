@@ -17,14 +17,14 @@ from oracles import oddm_demodulate_literal, oddm_modulate_literal, pulse_orthog
 
 
 def cfg32(**kw):
-    args = dict(M=32, N=8, delta_f=15e3, Q=8, oversampling=8)
+    args = dict(M=32, N=8, Q=8, oversampling=8)
     args.update(kw)
     return FrameConfig(**args)
 
 
 class TestSrrc:
     def test_tap_count_and_energy(self):
-        cfg = FrameConfig(M=64, N=8, delta_f=15e3, Q=20, oversampling=8)
+        cfg = FrameConfig(M=64, N=8, Q=20, oversampling=8)
         a = build_srrc(cfg)
         assert a.size == 2 * 20 * 8 + 1 == 321
         assert abs(np.sum(a ** 2) - 1.0 / cfg.N) < 1e-6 / cfg.N
@@ -97,7 +97,7 @@ class TestModDemod:
     @pytest.mark.parametrize("M,Q", [(64, 8), (128, 16)])
     def test_roundtrip_identity_headroom_configs(self, M, Q):
         # 2Q <= M/4, oversampling >= 8
-        cfg = FrameConfig(M=M, N=8, delta_f=15e3, Q=Q, oversampling=8)
+        cfg = FrameConfig(M=M, N=8, Q=Q, oversampling=8)
         _, frame = random_frame(cfg, np.random.default_rng(M + Q))
         back = oddm_demodulate(oddm_modulate(frame, cfg), cfg)
         assert np.max(np.abs(back - frame)) <= 1e-2
@@ -122,7 +122,7 @@ class TestModDemod:
         cfg = cfg32()
         st = oddm_modulate(np.zeros((32, 8), dtype=complex), cfg)
         from oddmsim.waveform import SampleStream
-        clipped = SampleStream(samples=st.samples[:100], rate=st.rate, start=st.start)
+        clipped = SampleStream(samples=st.samples[:100], oversampling=st.oversampling, start=st.start)
         with pytest.raises(ValueError):
             oddm_demodulate(clipped, cfg)
 
@@ -147,7 +147,7 @@ LITERAL_CASES = [(M, N, Q, osf, beta, cp) for (M, N, Q) in LITERAL_GRIDS
 
 
 def literal_case(M, N, Q, osf, beta):
-    cfg = FrameConfig(M=M, N=N, delta_f=15e3, Q=Q, rolloff=beta,
+    cfg = FrameConfig(M=M, N=N, Q=Q, rolloff=beta,
                             oversampling=osf)
     rng = np.random.default_rng(M * 100 + osf * 10 + int(beta * 4))
     S = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
@@ -179,7 +179,7 @@ class TestLiteralOracle:
         x = np.concatenate([rng.standard_normal(3), st.samples, rng.standard_normal(2)])
         x = x + 0.1 * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
         start = st.start - 3
-        rx = SampleStream(samples=x, rate=cfg.sample_rate, start=start)
+        rx = SampleStream(samples=x, oversampling=cfg.oversampling, start=start)
         ref = oddm_demodulate_literal(x, start, a, cfg)
         assert rel_err(oddm_demodulate(rx, cfg), ref) <= 1e-12
 
@@ -191,7 +191,7 @@ class TestLiteralOracle:
         last_needed = (M * N - 1) * 3 + qos
         size = last_needed + qos + 1
         x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        rx = SampleStream(samples=x, rate=cfg.sample_rate, start=-qos)
+        rx = SampleStream(samples=x, oversampling=cfg.oversampling, start=-qos)
         ref = oddm_demodulate_literal(x, -qos, a, cfg)
         assert rel_err(oddm_demodulate(rx, cfg), ref) <= 1e-12
 
@@ -202,7 +202,7 @@ class TestLiteralOracle:
         cfg, a, S, rng = literal_case(M, N, Q, osf, beta)
         st = oddm_modulate(S, cfg)
         x = rng.standard_normal(st.samples.size) + 1j * rng.standard_normal(st.samples.size)
-        Y = oddm_demodulate(SampleStream(samples=x, rate=st.rate, start=st.start), cfg)
+        Y = oddm_demodulate(SampleStream(samples=x, oversampling=st.oversampling, start=st.start), cfg)
         lhs, rhs = np.vdot(st.samples, x), np.vdot(S, Y)
         assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(st.samples) * np.linalg.norm(x)
 
@@ -213,7 +213,7 @@ def test_chip_chunks_change_no_bit(monkeypatch, M, N, Q, osf):
     # 7 chips (ragged last chunks, a lone last chip at MN = 105) against one chunk of the
     # whole frame; the modulator keeps each stream block's sum in tap order across chunk
     # seams only because it walks the chunks from the last chip
-    cfg = FrameConfig(M=M, N=N, delta_f=15e3, Q=Q, oversampling=osf)
+    cfg = FrameConfig(M=M, N=N, Q=Q, oversampling=osf)
     rng = np.random.default_rng(M * N * osf)
     S = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
     noise = 0.1 * rng.standard_normal((5 + M * N + 2 * Q) * osf)
@@ -221,7 +221,7 @@ def test_chip_chunks_change_no_bit(monkeypatch, M, N, Q, osf):
     for chips in (M * N, 1, 4, 7):
         monkeypatch.setattr(waveform, "_CHUNK_BYTES", chips * 16 * (2 * Q + 1) * osf)
         st = oddm_modulate(S, cfg, cyclic_prefix_chips=5)
-        rx = SampleStream(st.samples + noise, st.rate, st.start)
+        rx = SampleStream(st.samples + noise, st.oversampling, st.start)
         outputs.append((st.samples, oddm_demodulate(rx, cfg)))
     for samples, Y in outputs[1:]:
         assert np.array_equal(samples, outputs[0][0])
@@ -232,7 +232,7 @@ def test_chip_chunks_change_no_bit(monkeypatch, M, N, Q, osf):
 @pytest.mark.parametrize("direction", ["modulate", "demodulate"])
 def test_pulse_follows_the_config(direction, field):
     # a config that differs from cfg32() only in Q or the roll-off has the same grid
-    # shape and sample rate, so only its pulse tells it apart: each end must use it
+    # shape and oversampling, so only its pulse tells it apart: each end must use it
     cfg = cfg32(**{"Q": dict(Q=4), "rolloff": dict(rolloff=0.9)}[field])
     a = build_srrc(cfg)
     rng = np.random.default_rng(17)
@@ -250,8 +250,8 @@ def test_pulse_follows_the_config(direction, field):
 def test_rejects_stream_at_another_rate():
     cfg = cfg32()
     st = oddm_modulate(np.ones((cfg.M, cfg.N)), cfg)
-    doubled = SampleStream(samples=st.samples, rate=2 * st.rate, start=st.start)
-    with pytest.raises(ValueError, match="stream rate"):
+    doubled = SampleStream(samples=st.samples, oversampling=2 * st.oversampling, start=st.start)
+    with pytest.raises(ValueError, match="^stream oversampling "):
         oddm_demodulate(doubled, cfg)
 
 
@@ -274,7 +274,7 @@ def test_rejects_non_finite_stream():
     x = st.samples.copy()
     x[100] = np.inf
     with pytest.raises(ValueError, match="non-finite samples"):
-        oddm_demodulate(SampleStream(samples=x, rate=st.rate, start=st.start), cfg)
+        oddm_demodulate(SampleStream(samples=x, oversampling=st.oversampling, start=st.start), cfg)
 
 
 def sweep_code(run, options, *args):
@@ -320,7 +320,7 @@ def test_scipy_loads_only_to_detect(case):
 
 class TestOrthogonality:
     def test_peak_and_off_peak(self):
-        cfg = FrameConfig(M=64, N=8, delta_f=15e3, Q=12, oversampling=8)
+        cfg = FrameConfig(M=64, N=8, Q=12, oversampling=8)
         a = build_srrc(cfg)
         m_range = list(range(-(64 - 24), 64 - 24 + 1))
         orth = pulse_orthogonality_matrix(a, cfg, m_range, range(8))
@@ -339,7 +339,7 @@ class TestOrthogonality:
     def test_tightens_with_Q(self):
         peaks = []
         for Q in (4, 8, 16, 20):
-            cfg = FrameConfig(M=64, N=8, delta_f=15e3, Q=Q, oversampling=8)
+            cfg = FrameConfig(M=64, N=8, Q=Q, oversampling=8)
             a = build_srrc(cfg)
             m_range = list(range(-(64 - 2 * Q), 64 - 2 * Q + 1))
             orth = pulse_orthogonality_matrix(a, cfg, m_range, range(8))
