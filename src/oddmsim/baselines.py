@@ -34,24 +34,24 @@ from .waveform import SampleStream, checked_frame, checked_samples
 
 def otfs_modulate(frame, config: FrameConfig, cyclic_prefix_chips: int = 0) -> SampleStream:
     """Map the DD grid to a sample stream: IDFT across Doppler, sample-and-hold."""
-    grid = checked_frame(frame, config)
+    chips = dd_to_chips(checked_frame(frame, config), config)
     require_count("cyclic_prefix_chips", cyclic_prefix_chips, least=0)
     if cyclic_prefix_chips > config.mn:
         raise ValueError(f"cyclic_prefix_chips must be in [0, MN = {config.mn}], "
                          f"got {cyclic_prefix_chips}")
-    samples = np.repeat(dd_to_chips(grid), config.oversampling) / np.sqrt(config.oversampling)
+    samples = np.repeat(chips, config.oversampling) / np.sqrt(config.oversampling)
     cp = cyclic_prefix_chips * config.oversampling
     if cp:
         samples = np.concatenate([samples[-cp:], samples])
-    return SampleStream(samples=samples, oversampling=config.oversampling, start=-cp)
+    return SampleStream(samples=samples, start=-cp)
 
 
 def otfs_demodulate(stream: SampleStream, config: FrameConfig) -> np.ndarray:
     """Adjoint chain: integrate chips, DFT across blocks back to the DD grid."""
     M, N, osf = config.M, config.N, config.oversampling
-    y = checked_samples(stream, config, 0, M * N * osf)
+    y = checked_samples(stream, 0, M * N * osf)
     chips = y.reshape(M * N, osf).sum(axis=1) / np.sqrt(osf)
-    return chips_to_dd(chips, M, N)
+    return chips_to_dd(chips, config).reshape(M, N)
 
 
 def _subcarriers(config: FrameConfig) -> np.ndarray:
@@ -78,7 +78,7 @@ def ofdm_modulate(frame, config: FrameConfig, cp_chips: int) -> SampleStream:
     time = np.fft.ifft(spec, axis=1) * np.sqrt(L)
     cp = cp_chips * config.oversampling
     with_cp = np.concatenate([time[:, L - cp:], time], axis=1) if cp else time
-    return SampleStream(samples=with_cp.reshape(-1), oversampling=config.oversampling)
+    return SampleStream(samples=with_cp.reshape(-1))
 
 
 def ofdm_freq_response(chan: EffectiveChannel, config: FrameConfig,
@@ -108,7 +108,7 @@ def ofdm_detect(stream: SampleStream, chan_freq_response: np.ndarray, sigma_sq: 
     M, N, osf = config.M, config.N, config.oversampling
     L = M * osf
     cp = cp_chips * osf
-    y = checked_samples(stream, config, 0, N * (L + cp)).reshape(N, L + cp)[:, cp:]
+    y = checked_samples(stream, 0, N * (L + cp)).reshape(N, L + cp)[:, cp:]
     spec = np.fft.fft(y, axis=1) / np.sqrt(L)
     Y = spec[:, _subcarriers(config) % L]
     Hr = np.asarray(chan_freq_response)

@@ -4,7 +4,8 @@ A channel is one :class:`effchan.EffectiveChannel`: P paths, each a complex
 gain h_p on an integer delay-Doppler cell (l_p, k_p), in bins.  The generators
 snap each tap's delay and Doppler onto the grid and sum the gains of taps
 that land on one cell, so their cells are distinct; the sample-level channel
-below and the grid-level matrix model act on the same paths.  The EVA tap
+below and the grid-level matrix model act on the same paths, the former at the
+``oversampling`` of the frame config they were drawn on.  The EVA tap
 profile is hard-coded from 3GPP TS 36.101 Annex B.2 (Extended Vehicular A);
 it is an input to the simulator, not a derived quantity, and the one place where
 physical units meet the grid: EVA reads ``v_kmh`` (km/h), ``f_c`` and ``delta_f`` (Hz).
@@ -24,12 +25,6 @@ from .waveform import SampleStream
 EVA_DELAYS_NS = np.array([0.0, 30.0, 150.0, 310.0, 370.0, 710.0, 1090.0, 1730.0, 2510.0])
 EVA_POWERS_DB = np.array([0.0, -1.5, -1.4, -3.6, -0.6, -9.1, -7.0, -12.0, -16.9])
 C_LIGHT = 299_792_458.0
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def channel_from_cells(config: FrameConfig, cells, gains) -> EffectiveChannel:
@@ -104,7 +99,7 @@ def gen_eva_channel(config: FrameConfig, v_kmh: float, f_c: float, delta_f: floa
     delays and Dopplers are snapped onto the integer grid.
     """
     _, _, k_spread = eva_support(config, v_kmh, f_c, delta_f)
-    rng = _as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     powers = 10.0 ** (EVA_POWERS_DB / 10.0)
     powers = powers / powers.sum()
     n_taps = len(powers)
@@ -119,7 +114,7 @@ def gen_synthetic_channel(config: FrameConfig, paths: int, rng_seed,
                           l_max: int | None = None, k_max: int | None = None) -> EffectiveChannel:
     """Paths with normalized Gaussian gains on distinct cells of :func:`synthetic_support`."""
     P, l_max, k_max = synthetic_support(config, paths, l_max, k_max)
-    rng = _as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     flat = rng.choice((l_max + 1) * (2 * k_max + 1), size=P, replace=False)
     cells = [(int(f) // (2 * k_max + 1), int(f) % (2 * k_max + 1) - k_max) for f in flat]
     gains = (rng.standard_normal(P) + 1j * rng.standard_normal(P)) / np.sqrt(2.0 * P)
@@ -129,17 +124,17 @@ def gen_synthetic_channel(config: FrameConfig, paths: int, rng_seed,
 def apply_physical_channel(stream: SampleStream, chan: EffectiveChannel) -> SampleStream:
     """Superpose delayed, Doppler-rotated copies of the stream, without noise.
 
-    At the stream's own oversampling osf, path p contributes
+    At the oversampling osf of the frame config the channel was drawn on, path p contributes
     h_p x[t - l_p osf] e^{j2pi k_p (t - l_p osf) / (MN osf)}; noise is added to the output by
     :func:`add_awgn`.
     """
-    x, osf = stream.samples, stream.oversampling
+    x, osf = stream.samples, chan.config.oversampling
     shifts = chan.l * osf
     out = np.zeros(x.size + shifts.max(initial=0), dtype=complex)
     t_in = stream.start + np.arange(x.size)
     for h, cycles, shift in zip(chan.gains, chan.k / (chan.config.mn * osf), shifts):
         out[shift:shift + x.size] += h * x * np.exp(2j * np.pi * cycles * t_in)
-    return SampleStream(samples=out, oversampling=osf, start=stream.start)
+    return SampleStream(samples=out, start=stream.start)
 
 
 def add_awgn(x: np.ndarray, noise_var: float, rng_seed=None) -> np.ndarray:
@@ -149,7 +144,7 @@ def add_awgn(x: np.ndarray, noise_var: float, rng_seed=None) -> np.ndarray:
         raise ValueError(f"noise_var must not be NaN or +inf, got {noise_var!r}")
     if noise_var <= 0.0:
         return x.copy()
-    rng = _as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     scale = np.sqrt(noise_var / 2.0)
     return x + scale * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
 
@@ -158,7 +153,14 @@ def snr_to_noise_var(snr_db: float) -> float:
     """Noise variance for unit average symbol energy: 10^(-snr_db/10).
 
     With the unit-energy pulse train and matched-filter receiver the
-    delay-Doppler-domain noise variance equals this per-sample value.
+    delay-Doppler-domain noise variance equals this per-sample value.  An SNR whose
+    noise variance is not a finite float (-inf, NaN, -4000 dB) raises ValueError.
     """
-    return float(10.0 ** (-snr_db / 10.0))
+    try:
+        noise_var = 10.0 ** (-float(snr_db) / 10.0)
+    except OverflowError:
+        noise_var = math.inf
+    if not math.isfinite(noise_var):
+        raise ValueError(f"snr_db {snr_db!r} has no finite noise variance 10^(-snr_db/10)")
+    return noise_var
 

@@ -8,6 +8,8 @@ Conventions shared by every other module:
   channel matrix decomposes into an M x M grid of N x N Doppler blocks.
 * Doppler indices are physically signed, in ``[-floor(N/2), ceil(N/2)-1]``
   (:attr:`FrameConfig.doppler_range`), and reduced mod N wherever they index the grid.
+* A frame goes to its MN time chips by one unitary map A, :func:`dd_to_chips`, and
+  back by :func:`chips_to_dd`; every module that works on chips calls this pair.
 * Rounding onto the integer grid is round-half-away-from-zero, so positive
   and negative Doppler quantize symmetrically.
 * The grid has no physical units: delay and Doppler are counted in bins, and
@@ -129,18 +131,19 @@ def vectorize(grid) -> np.ndarray:
     return np.ascontiguousarray(grid).reshape(-1)
 
 
-def dd_to_chips(grid: np.ndarray) -> np.ndarray:
-    """Unitary map of an M x N delay-Doppler grid to MN time chips.
+def dd_to_chips(x, config: FrameConfig) -> np.ndarray:
+    """A x: a delay-Doppler frame, its M x N grid or delay-major vector, to MN time chips.
 
     An inverse DFT across Doppler; chip ``n_hat*M + m`` carries delay bin
     ``m`` of block ``n_hat``.
     """
-    return (np.fft.ifft(grid, axis=1) * np.sqrt(grid.shape[1])).T.reshape(-1)
+    grid = np.asarray(x).reshape(config.M, config.N)
+    return (np.fft.ifft(grid, axis=1) * np.sqrt(config.N)).T.reshape(-1)
 
 
-def chips_to_dd(chips: np.ndarray, M: int, N: int) -> np.ndarray:
-    """Inverse of :func:`dd_to_chips`: MN time chips back to the M x N grid."""
-    return np.fft.fft(chips.reshape(N, M).T, axis=1) / np.sqrt(N)
+def chips_to_dd(chips: np.ndarray, config: FrameConfig) -> np.ndarray:
+    """A^H x_c: MN time chips back to the delay-major delay-Doppler vector."""
+    return np.fft.fft(chips.reshape(config.N, config.M).T, axis=1).ravel() / np.sqrt(config.N)
 
 
 def qam_map(bits) -> np.ndarray:
@@ -167,11 +170,7 @@ def qam_demap(symbols) -> np.ndarray:
     return QAM4.bit_labels[idx].reshape(-1)
 
 
-def random_bits(n: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.integers(0, 2, size=n, dtype=np.uint8)
-
-
 def random_frame(config: FrameConfig, rng: np.random.Generator):
     """Draw one frame of random constellation symbols; returns (bits, the M x N grid)."""
-    bits = random_bits(config.mn * QAM4.bits_per_symbol, rng)
+    bits = rng.integers(0, 2, size=config.mn * QAM4.bits_per_symbol, dtype=np.uint8)
     return bits, qam_map(bits).reshape(config.M, config.N)

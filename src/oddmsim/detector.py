@@ -49,8 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QAM4, qam_demap, require_sigma_sq
-from .effchan import EffectiveChannel, checked_chips, from_chips, to_chips
+from .core import QAM4, chips_to_dd, dd_to_chips, qam_demap, require_sigma_sq
+from .effchan import EffectiveChannel, checked_chips
 
 VAR_FLOOR = 1e-10   # lower bound on every propagated variance
 STOP_TOL = 1e-6     # |delta v_nle^2| stopping rule
@@ -197,9 +197,9 @@ class LinearStage:
         H = self.H
         v_nle_sq = max(v_nle_sq, VAR_FLOOR)
         xi = sigma_sq / v_nle_sq
-        z, residual = self.solve(y_c - H.apply_chips(to_chips(s_t, H.config)), xi)
+        z, residual = self.solve(y_c - H.apply_chips(dd_to_chips(s_t, H.config)), xi)
         eps = self.eps_phi(xi)
-        r = s_t + from_chips(H.apply_adjoint_chips(z), H.config) / eps
+        r = s_t + chips_to_dd(H.apply_adjoint_chips(z), H.config) / eps
         v_le_sq = max(v_nle_sq * (1.0 / eps - 1.0), VAR_FLOOR)
         return r, v_le_sq, residual
 
@@ -269,7 +269,7 @@ def lmmse_detect(y: np.ndarray, stage: LinearStage, sigma_sq: float) -> Detectio
     H = stage.H
     y_c = _observed_chips(y, H, sigma_sq)
     z, residual = stage.solve(y_c, sigma_sq)
-    soft = from_chips(H.apply_adjoint_chips(z), H.config)
+    soft = chips_to_dd(H.apply_adjoint_chips(z), H.config)
     return DetectionResult(soft_symbols=soft, hard_bits=qam_demap(soft),
                            variance_trace=[], iterations_used=1,
                            max_solve_residual=residual)

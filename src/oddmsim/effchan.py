@@ -5,8 +5,8 @@ return it, the estimator returns one, and the detector, the sample-level
 channel and the OFDM response read it.
 
 On the integer grid the MN x MN delay-Doppler input-output matrix is
-H = A^H H_t A, where A (:func:`core.dd_to_chips`) is the unitary map of the
-delay-major delay-Doppler vector to time chips q and
+H = A^H H_t A, where A is the one unitary map of the delay-major delay-Doppler
+vector to time chips q (:func:`core.dd_to_chips`, A^H :func:`core.chips_to_dd`) and
 
     H_t = sum_p h_p diag(e^{j2pi k_p (q - l_p) / MN}) Pi^{l_p}
 
@@ -29,16 +29,6 @@ import numpy as np
 from .core import FrameConfig, chips_to_dd, dd_to_chips
 
 
-def to_chips(x: np.ndarray, config: FrameConfig) -> np.ndarray:
-    """A x: delay-major delay-Doppler vector to MN time chips."""
-    return dd_to_chips(np.asarray(x).reshape(config.M, config.N))
-
-
-def from_chips(x_c: np.ndarray, config: FrameConfig) -> np.ndarray:
-    """A^H x_c: MN time chips back to the delay-major delay-Doppler vector."""
-    return chips_to_dd(x_c, config.M, config.N).reshape(-1)
-
-
 def checked_chips(name: str, x, config: FrameConfig) -> np.ndarray:
     """Chips of an input vector, which must be finite with shape (MN,)."""
     x = np.asarray(x, dtype=complex)
@@ -46,7 +36,7 @@ def checked_chips(name: str, x, config: FrameConfig) -> np.ndarray:
         raise ValueError(f"{name} shape {x.shape} != (MN,) = ({config.mn},)")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} contains non-finite values")
-    return to_chips(x, config)
+    return dd_to_chips(x, config)
 
 
 def _sources(l, mn: int) -> np.ndarray:
@@ -157,4 +147,4 @@ class EffectiveChannel:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """H x = A^H H_t A x."""
-        return from_chips(self.apply_chips(checked_chips("x", x, self.config)), self.config)
+        return chips_to_dd(self.apply_chips(checked_chips("x", x, self.config)), self.config)

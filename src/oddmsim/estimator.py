@@ -1,7 +1,7 @@
 """Sensing-stage channel parameter estimation.
 
 Every entry point maps the observation y and the known sensing frame s to
-time chips once (:func:`effchan.to_chips`, unitary, so inner products and
+time chips once (:func:`core.dd_to_chips`, unitary, so inner products and
 residuals are unchanged).  A unit-gain path (l, k) responds to s with
 u_{l,k} = H_{l,k} s, and the window scan of a target t is u_{l,k}^H t for
 every window cell (:func:`effchan.path_correlations`: one complex matrix

@@ -107,8 +107,8 @@ class ChannelSpec:
             value = default if value is None else value
             if isinstance(default, float):
                 value = require_real(name, value)
-            elif value is not None:  # a count: a path count from 1, a window bound from 0
-                value = require_count(name, value, least=1 if name == "paths" else 0)
+            elif isinstance(value, np.integer):  # a count, checked by the support
+                value = int(value)
             object.__setattr__(self, name, value)
 
     def call(self, role: str, config: FrameConfig, **kwargs):
@@ -138,8 +138,10 @@ class ExperimentSpec:
                               ("csi", CSI_MODES), ("fidelity", FIDELITIES)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
-        for name, least in (("trials", 1), ("frames_per_trial", 1), ("seed", 0),  # numpy's least
-                            ("min_bit_errors", 0)):  # as ints, so that np.int64(5) hashes as 5
+        # as ints, so that np.int64(5) hashes as 5; a point stops once its errors reach
+        # min_bit_errors, so 0 would stop every point after its first trial, as trials 1 does
+        for name, least in (("trials", 1), ("frames_per_trial", 1), ("min_bit_errors", 1),
+                            ("seed", 0)):  # numpy's least
             object.__setattr__(self, name, require_count(name, getattr(self, name), least))
         if not isinstance(self.snr_grid_db, (list, tuple)) or not self.snr_grid_db:
             raise ValueError(f"snr_grid_db must be a nonempty list or tuple of SNRs in dB, "
@@ -152,8 +154,11 @@ class ExperimentSpec:
                                require_real("sensing_snr_db", self.sensing_snr_db))
         sensing = () if self.sensing_snr_db is None else (self.sensing_snr_db,)
         for name, values in (("snr_grid_db", self.snr_grid_db), ("sensing_snr_db", sensing)):
-            if -math.inf in values:  # +inf is the noiseless case
-                raise ValueError(f"{name} entry -inf is not an SNR")
+            for snr_db in values:  # +inf is the noiseless case
+                try:
+                    snr_to_noise_var(snr_db)
+                except ValueError as exc:
+                    raise ValueError(f"{name} entry {snr_db!r} is not an SNR: {exc}") from None
         if self.scheme != "oddm" and self.fidelity == "matrix":
             raise ValueError(f"fidelity matrix is the oddm grid model, not {self.scheme}")
         read = _FRAME_READS[self.scheme] if self.fidelity == "waveform" else ()
@@ -305,7 +310,7 @@ class _TrialRunner:
         spec, cfg = self.spec, self.cfg
         if spec.fidelity == "matrix":
             return add_awgn(rx, noise_var, noise_rng)
-        rx = SampleStream(add_awgn(rx.samples, noise_var, noise_rng), rx.oversampling, rx.start)
+        rx = SampleStream(add_awgn(rx.samples, noise_var, noise_rng), rx.start)
         if spec.scheme == "oddm":
             return vectorize(oddm_demodulate(rx, cfg))
         if spec.scheme == "otfs":

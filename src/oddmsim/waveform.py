@@ -9,7 +9,8 @@ to the delay and Doppler resolutions of the grid.  The grid fixes the pulse
 All waveform processing runs in *sample units*: one sample step is the unit of
 time, ``oversampling`` to a delay bin, so a pulse spans ``2*Q*oversampling + 1``
 samples and the frame spans ``M*N*oversampling`` samples.  A :class:`SampleStream`
-counts time the same way: ``start`` is the index of its first sample, 0 being the frame's first.
+counts time the same way, at its frame config's ``oversampling``: ``start`` is the
+index of its first sample, 0 being the frame's first.
 Every modulator takes :func:`checked_frame`, and every receiver reads its own
 window of that axis through :func:`checked_samples`.  With the pulse train
 normalized to unit discrete energy, a matched filter then preserves
@@ -53,14 +54,12 @@ _CHUNK_BYTES = 256 * 1024  # bytes of chip windows that either direction forms a
 
 @dataclass(frozen=True, eq=False)
 class SampleStream:
-    """Complex baseband samples, `oversampling` per delay bin, the first at sample index `start`."""
+    """Complex baseband samples at the frame config's `oversampling`, the first at index `start`."""
 
     samples: np.ndarray
-    oversampling: int
     start: int = 0
 
     def __post_init__(self):
-        require_count("oversampling", self.oversampling)
         if isinstance(self.start, bool) or not isinstance(self.start, numbers.Integral):
             raise ValueError(f"start must be an integer sample index, got {self.start!r}")
 
@@ -113,12 +112,8 @@ def checked_frame(frame, config: FrameConfig) -> np.ndarray:
     return grid
 
 
-def checked_samples(stream: SampleStream, config: FrameConfig, first: int, stop: int) -> np.ndarray:
-    """Samples [first, stop) of a received stream, which must be finite, at the config's
-    oversampling and cover them."""
-    if stream.oversampling != config.oversampling:
-        raise ValueError(f"stream oversampling {stream.oversampling} != frame config "
-                         f"oversampling {config.oversampling}")
+def checked_samples(stream: SampleStream, first: int, stop: int) -> np.ndarray:
+    """Samples [first, stop) of a received stream, which must be finite and cover them."""
     if not np.all(np.isfinite(stream.samples)):
         raise ValueError("stream has non-finite samples")
     lo, hi = first - stream.start, stop - stream.start
@@ -186,12 +181,12 @@ def oddm_modulate(frame, config: FrameConfig, cyclic_prefix_chips: int = 0) -> S
             blocks[lo + j:hi + j] += windows[:, j]
     body = blocks.reshape(-1)  # samples [-qos, L + qos)
     if cyclic_prefix_chips == 0:
-        return SampleStream(samples=body, oversampling=osf, start=-qos)
+        return SampleStream(samples=body, start=-qos)
     cp = cyclic_prefix_chips * osf
     out = np.zeros(cp + L + 2 * qos, dtype=complex)
     out[cp:] = body
     out[:cp + 2 * qos] += body[L - cp:]  # fold frame tail in front of sample 0
-    return SampleStream(samples=out, oversampling=osf, start=-(cp + qos))
+    return SampleStream(samples=out, start=-(cp + qos))
 
 
 def oddm_demodulate(stream: SampleStream, config: FrameConfig) -> np.ndarray:
@@ -207,7 +202,7 @@ def oddm_demodulate(stream: SampleStream, config: FrameConfig) -> np.ndarray:
     M, N, osf = config.M, config.N, config.oversampling
     Q, qos = config.Q, config.Q * osf
     bank = _tap_bank(config).conj().T
-    y = checked_samples(stream, config, -qos, (M * N - 1) * osf + qos + 1)
+    y = checked_samples(stream, -qos, (M * N - 1) * osf + qos + 1)
     segment = np.concatenate([y, np.zeros(osf - 1)])
     windows = np.lib.stride_tricks.sliding_window_view(segment, (2 * Q + 1) * osf)[::osf]
     Z = np.empty((M * N, N), dtype=complex)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -86,7 +88,7 @@ class TestOfdm:
             bits, frame = random_frame(cfg, rng)
             st = ofdm_modulate(frame, cfg, cp_chips=4)
             rx = apply_physical_channel(st, chan)
-            rx = SampleStream(add_awgn(rx.samples, nv, 7000 + seed), rx.oversampling, rx.start)
+            rx = SampleStream(add_awgn(rx.samples, nv, 7000 + seed), rx.start)
             out = ofdm_detect(rx, resp, nv, cfg, 4)
             errors += count_bit_errors(bits, out)
             total += bits.size
@@ -141,19 +143,22 @@ RECEIVERS = {  # (transmit a frame, receive a stream)
 @pytest.mark.parametrize("receiver", list(RECEIVERS))
 @pytest.mark.parametrize("fault", ["rate", "nan"])
 def test_receiver_rejects_bad_stream(receiver, fault):
-    # a stream at another oversampling (samples per delay bin) or with a NaN sample raises,
-    # naming the mismatch
+    # a stream with a NaN sample raises, naming it; a stream has no rate of its own, so one
+    # sent at the frame's oversampling (samples per delay bin) is too short for a receiver at
+    # twice that
     cfg = cfg32()
     modulate, receive = RECEIVERS[receiver]
     st = modulate(cfg, random_frame(cfg, np.random.default_rng(7))[1])
     receive(st, cfg)  # the unmodified stream is accepted
     if fault == "rate":
-        bad = SampleStream(samples=st.samples, oversampling=2 * st.oversampling, start=st.start)
+        with pytest.raises(TypeError, match="oversampling"):
+            SampleStream(samples=st.samples, oversampling=2 * cfg.oversampling, start=st.start)
+        bad, cfg = st, replace(cfg, oversampling=2 * cfg.oversampling)
     else:
         x = st.samples.copy()
         x[x.size // 2] = np.nan
-        bad = SampleStream(samples=x, oversampling=st.oversampling, start=st.start)
-    with pytest.raises(ValueError, match={"rate": "^stream oversampling ", "nan": "non-finite"}[fault]):
+        bad = SampleStream(samples=x, start=st.start)
+    with pytest.raises(ValueError, match={"rate": "receive window", "nan": "non-finite"}[fault]):
         receive(bad, cfg)
 
 
@@ -196,10 +201,10 @@ def test_receiver_reads_exactly_its_window(receiver):
     st = modulate(cfg, random_frame(cfg, np.random.default_rng(8))[1])
     first, stop = WINDOWS[receiver](cfg.Q, cfg.M, cfg.N, cfg.oversampling)
     exact = st.samples[first - st.start:stop - st.start]
-    assert np.array_equal(receive(SampleStream(exact, st.oversampling, first), cfg), receive(st, cfg))
+    assert np.array_equal(receive(SampleStream(exact, first), cfg), receive(st, cfg))
     for cut, start in ((exact[1:], first + 1), (exact[:-1], first)):
         with pytest.raises(ValueError, match="receive window"):
-            receive(SampleStream(cut, st.oversampling, start), cfg)
+            receive(SampleStream(cut, start), cfg)
 
 
 def _prefix_users(cfg):

@@ -63,7 +63,7 @@ class TestEvaGeneration:
         t = np.arange(64)
         for l, k in ((3, -2), (19, 1)):
             chan = channel_from_cells(cfg, [(l, k)], [1.0])
-            out = apply_physical_channel(SampleStream(np.ones(t.size), cfg.oversampling), chan)
+            out = apply_physical_channel(SampleStream(np.ones(t.size)), chan)
             shift = l * cfg.oversampling
             assert np.array_equal(out.samples[:shift], np.zeros(shift))
             assert np.allclose(out.samples[shift:],
@@ -116,23 +116,23 @@ class TestSyntheticGeneration:
 
 
 class TestApplyChannel:
-    def _stream(self, n=256, oversampling=2, seed=0):
+    def _stream(self, n=256, seed=0):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return SampleStream(samples=x, oversampling=oversampling, start=0)
+        return SampleStream(samples=x, start=0)
 
     def _chan(self, cfg, cells, gains):
         return channel_from_cells(cfg, cells, gains)
 
     def test_identity_path(self):
         cfg = FrameConfig(M=16, N=8, oversampling=2)
-        st = self._stream(oversampling=cfg.oversampling)
+        st = self._stream()
         out = apply_physical_channel(st, self._chan(cfg, [(0, 0)], [1.0]))
         assert np.allclose(out.samples, st.samples)
 
     def test_pure_delay_scaled(self):
         cfg = FrameConfig(M=16, N=8, oversampling=2)
-        st = self._stream(oversampling=cfg.oversampling)
+        st = self._stream()
         out = apply_physical_channel(st, self._chan(cfg, [(2, 0)], [1.0j]))
         shift = 2 * cfg.oversampling
         assert np.allclose(out.samples[shift:shift + st.samples.size], 1.0j * st.samples)
@@ -140,7 +140,7 @@ class TestApplyChannel:
 
     def test_superposition(self):
         cfg = FrameConfig(M=16, N=8, oversampling=2)
-        st = self._stream(oversampling=cfg.oversampling)
+        st = self._stream()
         two = self._chan(cfg, [(1, 1), (3, -2)], [0.8, 0.3j])
         a = self._chan(cfg, [(1, 1)], [0.8])
         b = self._chan(cfg, [(3, -2)], [0.3j])
@@ -155,11 +155,12 @@ class TestApplyChannel:
 
     def test_off_grid_delay_rejected(self):
         # a delay bin is a whole number of samples, so no path delay is off the sample grid:
-        # one bin delays a stream by the stream's own oversampling, 3 here, not the config's 2
-        cfg = FrameConfig(M=16, N=8, oversampling=2)
-        st = self._stream(oversampling=3)
+        # one bin delays a stream by the oversampling of the config the channel was drawn on,
+        # 3 here; the stream has no rate of its own
+        cfg = FrameConfig(M=16, N=8, oversampling=3)
+        st = self._stream()
         out = apply_physical_channel(st, self._chan(cfg, [(1, 0)], [1.0]))
-        assert out.oversampling == 3
+        assert not hasattr(out, "oversampling")
         assert np.array_equal(out.samples, np.concatenate([np.zeros(3), st.samples]))
 
     # the channel adds no noise; the harness adds each SNR point's with add_awgn
@@ -188,4 +189,8 @@ class TestSnrAndSerialization:
         assert snr_to_noise_var(0.0) == 1.0
         assert snr_to_noise_var(10.0) == pytest.approx(0.1)
         assert snr_to_noise_var(20.0) == pytest.approx(0.01)
+        assert snr_to_noise_var(np.inf) == 0.0  # the noiseless case
+        for snr_db in (-4000.0, -np.inf, np.nan):  # 10^400 overflowed, -inf gave inf
+            with pytest.raises(ValueError, match="^snr_db "):
+                snr_to_noise_var(snr_db)
 

@@ -27,7 +27,7 @@ class TestFrameConfig:
     def test_pulse_too_long_rejected(self):
         # the grid takes any pulse length; the pulse, and each end through it, checks 2Q < M
         cfg = FrameConfig(M=8, N=4, Q=4)
-        stream = SampleStream(np.zeros(1), cfg.oversampling)  # the pulse is checked first
+        stream = SampleStream(np.zeros(1))  # the pulse is checked first
         for use in (build_srrc, lambda c: oddm_modulate(np.ones((c.M, c.N)), c),
                     lambda c: oddm_demodulate(stream, c)):
             with pytest.raises(ValueError, match=r"^Q 4 is too long for the grid: need 2Q < M = 8"):
@@ -144,29 +144,33 @@ def random_grid(M, N):
 
 
 class TestChipMap:
-    """dd_to_chips and chips_to_dd, the unitary map between the grid and time chips."""
+    """dd_to_chips and chips_to_dd, the unitary map between a frame, as its grid or its
+    delay-major vector, and time chips."""
 
     @pytest.mark.parametrize("M, N", CHIP_GRIDS)
     def test_matches_explicit_idft(self, M, N):
-        # chip n_hat*M + m carries sum_n S(m, n) e^{j2pi n n_hat / N} / sqrt(N)
-        grid = random_grid(M, N)
+        # chip n_hat*M + m carries sum_n S(m, n) e^{j2pi n n_hat / N} / sqrt(N), whichever
+        # spelling of the frame it is given
+        grid, cfg = random_grid(M, N), FrameConfig(M=M, N=N)
         ref = np.array([sum(grid[m, n] * np.exp(2j * np.pi * n * n_hat / N) for n in range(N))
                         for n_hat in range(N) for m in range(M)]) / np.sqrt(N)
-        assert np.allclose(dd_to_chips(grid), ref, atol=1e-12)
+        assert np.allclose(dd_to_chips(grid, cfg), ref, atol=1e-12)
+        assert np.array_equal(dd_to_chips(vectorize(grid), cfg), dd_to_chips(grid, cfg))
 
     @pytest.mark.parametrize("M, N", CHIP_GRIDS)
     def test_roundtrip(self, M, N):
-        grid = random_grid(M, N)
-        chips = dd_to_chips(grid)
-        assert np.allclose(chips_to_dd(chips, M, N), grid, atol=1e-12)
-        assert np.allclose(dd_to_chips(chips_to_dd(chips[::-1], M, N)), chips[::-1], atol=1e-12)
+        grid, cfg = random_grid(M, N), FrameConfig(M=M, N=N)
+        chips = dd_to_chips(grid, cfg)
+        assert np.allclose(chips_to_dd(chips, cfg), vectorize(grid), atol=1e-12)
+        assert np.allclose(dd_to_chips(chips_to_dd(chips[::-1], cfg), cfg), chips[::-1],
+                           atol=1e-12)
 
     @pytest.mark.parametrize("M, N", CHIP_GRIDS)
     def test_unitary(self, M, N):
-        # columns: the images of the delay-major unit grids; chips_to_dd is the adjoint
-        eye = np.eye(M * N)
-        A = np.stack([dd_to_chips(e.reshape(M, N)) for e in eye], axis=1)
-        A_inv = np.stack([vectorize(chips_to_dd(e, M, N)) for e in eye], axis=1)
+        # columns: the images of the delay-major unit vectors; chips_to_dd is the adjoint
+        eye, cfg = np.eye(M * N), FrameConfig(M=M, N=N)
+        A = np.stack([dd_to_chips(e, cfg) for e in eye], axis=1)
+        A_inv = np.stack([chips_to_dd(e, cfg) for e in eye], axis=1)
         assert np.allclose(A.conj().T @ A, eye, atol=1e-12)
         assert np.allclose(A_inv, A.conj().T, atol=1e-12)
 

@@ -7,9 +7,10 @@ from scipy.linalg import lapack
 from oddmsim import detector
 from oddmsim.channel import (channel_from_cells, gen_eva_channel, gen_synthetic_channel,
                              snr_to_noise_var)
-from oddmsim.core import QAM4, FrameConfig, qam_map, random_frame, vectorize
+from oddmsim.core import (QAM4, FrameConfig, chips_to_dd, dd_to_chips, qam_map, random_frame,
+                          vectorize)
 from oddmsim.detector import VAR_FLOOR, LinearStage, lmmse_detect, oamp_detect, oamp_nle
-from oddmsim.effchan import EffectiveChannel, from_chips, to_chips
+from oddmsim.effchan import EffectiveChannel
 from oddmsim.estimator import EstimationConfig, Sounding, estimate_channel
 
 from oracles import count_bit_errors, dense_channel, dense_le, gram_band, qpsk_awgn_ber
@@ -39,7 +40,7 @@ class TestOampLE:
         _, frame = random_frame(cfg, rng)
         s = vectorize(frame)
         y, nv = noisy_observation(H, s, 13.0, 1)
-        r, v_le, _ = LinearStage(H).step(np.zeros_like(s), to_chips(y, cfg), 1.0, nv)
+        r, v_le, _ = LinearStage(H).step(np.zeros_like(s), dd_to_chips(y, cfg), 1.0, nv)
         assert np.allclose(r, y, atol=1e-12)
         assert v_le == pytest.approx(nv, rel=1e-9)
 
@@ -52,8 +53,9 @@ class TestOampLE:
         _, frame = random_frame(cfg, rng)
         s = vectorize(frame)
         y, nv = noisy_observation(H, s, 10.0, 3)
-        r, v_le, _ = LinearStage(H).step(np.zeros_like(s), to_chips(y, cfg), 1.0, nv)
-        assert np.allclose(r, from_chips(H.apply_adjoint_chips(to_chips(y, cfg)), cfg), atol=1e-10)
+        r, v_le, _ = LinearStage(H).step(np.zeros_like(s), dd_to_chips(y, cfg), 1.0, nv)
+        assert np.allclose(r, chips_to_dd(H.apply_adjoint_chips(dd_to_chips(y, cfg)), cfg),
+                           atol=1e-10)
         assert v_le == pytest.approx(nv, rel=1e-9)
 
 
@@ -109,7 +111,7 @@ class TestLinearStage:
         r = rng.standard_normal(H.config.mn) + 1j * rng.standard_normal(H.config.mn)
         xis = (1e-6, 1e-2, 1.0, 10.0)
         for xi, (z_ref, eps_ref) in zip(xis, dense_le(Hd, r, xis)):
-            z = from_chips(stage.solve(to_chips(r, H.config), xi)[0], H.config)
+            z = chips_to_dd(stage.solve(dd_to_chips(r, H.config), xi)[0], H.config)
             assert np.linalg.norm(z - z_ref) <= 1e-10 * np.linalg.norm(z_ref)
             assert stage.eps_phi(xi) == pytest.approx(eps_ref, rel=1e-10)
 
@@ -125,7 +127,7 @@ class TestLinearStage:
         xis = (1e-6, 1e-2, 1.0, 10.0, 1e9)
         for xi, (z_ref, eps_ref) in zip(xis, dense_le(Hd, r, xis)):
             assert stage.eps_phi(xi) == pytest.approx(eps_ref, rel=1e-10)
-            z = from_chips(stage.solve(to_chips(r, H.config), xi)[0], H.config)
+            z = chips_to_dd(stage.solve(dd_to_chips(r, H.config), xi)[0], H.config)
             assert np.linalg.norm(z - z_ref) <= 1e-10 * np.linalg.norm(z_ref)
 
     @settings(max_examples=40)
@@ -145,7 +147,7 @@ class TestLinearStage:
         r = rng.standard_normal(cfg.mn) + 1j * rng.standard_normal(cfg.mn)
         stage = LinearStage(H)
         for xi, (z_ref, eps_ref) in zip(xis, dense_le(dense_channel(H), r, xis)):
-            z = from_chips(stage.solve(to_chips(r, cfg), xi)[0], cfg)
+            z = chips_to_dd(stage.solve(dd_to_chips(r, cfg), xi)[0], cfg)
             assert np.linalg.norm(z - z_ref) <= 1e-10 * np.linalg.norm(z_ref)
             assert stage.eps_phi(xi) == pytest.approx(eps_ref, rel=1e-10)
 
@@ -157,15 +159,15 @@ class TestLinearStage:
         A = Hd @ Hd.conj().T + 0.1 * np.eye(cfg.mn)
         r = rng.standard_normal(cfg.mn) + 1j * rng.standard_normal(cfg.mn)
         stage = LinearStage(H)
-        _, residual = stage.solve(to_chips(r, cfg), 0.2)
+        _, residual = stage.solve(dd_to_chips(r, cfg), 0.2)
         assert 0.0 < residual <= 1e-12
         # a corrupted band solves the wrong system; the returned residual is
         # the one the dense matrix gives for the returned vector.  Factors are
         # kept per xi, so T's half of the band, the one the solve reads, is
         # corrupted before xi = 0.1 is factored
         stage.ab[0, cfg.mn:] += 1.0
-        z_c, residual = stage.solve(to_chips(r, cfg), 0.1)
-        z = from_chips(z_c, cfg)
+        z_c, residual = stage.solve(dd_to_chips(r, cfg), 0.1)
+        z = chips_to_dd(z_c, cfg)
         dense_residual = np.linalg.norm(A @ z - r) / np.linalg.norm(r)
         assert dense_residual > 0.1
         assert residual == pytest.approx(dense_residual, rel=1e-9)
@@ -181,7 +183,7 @@ class TestLinearStage:
         stage = LinearStage(H)
         singular = lmmse_detect(y, stage, 1e-14)
         regular = lmmse_detect(y, stage, 1e-2)
-        _, own = LinearStage(H).solve(to_chips(y, cfg), 1e-2)
+        _, own = LinearStage(H).solve(dd_to_chips(y, cfg), 1e-2)
         assert singular.max_solve_residual > 1e-8
         assert regular.max_solve_residual == own <= 1e-12
 
@@ -340,7 +342,7 @@ class TestOampDetect:
         _, frame = random_frame(cfg, rng)
         s_true = vectorize(frame)
         y = H.apply(s_true)
-        r, v_le, _ = LinearStage(H).step(s_true, to_chips(y, cfg), 1e-6, 1e-14)
+        r, v_le, _ = LinearStage(H).step(s_true, dd_to_chips(y, cfg), 1e-6, 1e-14)
         assert np.allclose(r, s_true, atol=1e-10)
         _, _, post_mean, _, _ = oamp_nle(r, v_le)
         assert np.allclose(post_mean, s_true, atol=1e-9)
@@ -356,7 +358,7 @@ class TestOampDetect:
         v_nle = 1.0
         stage = LinearStage(H)
         for _ in range(3):
-            r, v_le, _ = stage.step(s_t, to_chips(y, cfg), v_nle, nv)
+            r, v_le, _ = stage.step(s_t, dd_to_chips(y, cfg), v_nle, nv)
             empirical = float(np.mean(np.abs(r - s_true) ** 2))
             assert 0.5 * empirical <= v_le <= 2.0 * empirical
             s_t, v_nle, _, _, _ = oamp_nle(r, v_le)
@@ -439,7 +441,7 @@ class TestLmmse:
         y, nv = noisy_observation(H, s, 9.0, 22)
         # t=0 LE from a zero prior with unit prior variance
         stage = LinearStage(H)
-        r, _, _ = stage.step(np.zeros_like(s), to_chips(y, cfg), 1.0, nv)
+        r, _, _ = stage.step(np.zeros_like(s), dd_to_chips(y, cfg), 1.0, nv)
         lmmse = lmmse_detect(y, stage, nv).soft_symbols
         [(_, eps)] = dense_le(dense_channel(H), y, [nv])
         assert np.allclose(r * eps, lmmse, atol=1e-10)

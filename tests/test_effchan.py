@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddmsim.channel import channel_from_cells, gen_synthetic_channel
-from oddmsim.core import FrameConfig, random_frame, vectorize
-from oddmsim.effchan import (EffectiveChannel, doppler_twiddles, from_chips, path_correlations,
-                             shifted_conj_rows, to_chips)
+from oddmsim.core import FrameConfig, chips_to_dd, dd_to_chips, random_frame, vectorize
+from oddmsim.effchan import (EffectiveChannel, doppler_twiddles, path_correlations,
+                             shifted_conj_rows)
 
 from oracles import (brute_force_effective_matrix, build_block, cyclic_permutation,
                      dense_channel, phase_rotation)
@@ -22,7 +22,7 @@ def single_path(cfg, l, k, h=1.0):
 
 def apply_adjoint(eff, y):
     """H^H y = A^H H_t^H A y, through the chip maps."""
-    return from_chips(eff.apply_adjoint_chips(to_chips(y, eff.config)), eff.config)
+    return chips_to_dd(eff.apply_adjoint_chips(dd_to_chips(y, eff.config)), eff.config)
 
 
 def materialize(eff, adjoint=False):
@@ -212,8 +212,9 @@ class TestApply:
         assert np.allclose(eff.apply(x), Hd @ x, atol=1e-12)
         assert np.allclose(apply_adjoint(eff, x), Hd.conj().T @ x, atol=1e-12)
         # the delay-Doppler products are the chip products between the maps
-        assert np.allclose(to_chips(Hd @ x, cfg), eff.apply_chips(to_chips(x, cfg)), atol=1e-12)
-        assert np.allclose(from_chips(to_chips(x, cfg), cfg), x, atol=1e-14)
+        assert np.allclose(dd_to_chips(Hd @ x, cfg), eff.apply_chips(dd_to_chips(x, cfg)),
+                           atol=1e-12)
+        assert np.allclose(chips_to_dd(dd_to_chips(x, cfg), cfg), x, atol=1e-14)
 
     @settings(max_examples=40)
     @given(st.integers(3, 9), st.integers(2, 7), st.data())
@@ -248,7 +249,7 @@ def per_cell_correlations(cfg, s, t, ds, ks):
 def correlate(cfg, s, t, n, ks):
     """path_correlations of s against t for the shifts d < n and the consecutive bins ks, in
     the given twiddle blocks of consecutive bins."""
-    return path_correlations(shifted_conj_rows(to_chips(s, cfg), n), to_chips(t, cfg),
+    return path_correlations(shifted_conj_rows(dd_to_chips(s, cfg), n), dd_to_chips(t, cfg),
                              [doppler_twiddles(cfg.M, cfg.N, b[0], b[-1] + 1) for b in ks])
 
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import oddmsim.estimator as estimator
 from oddmsim.channel import channel_from_cells, gen_synthetic_channel, snr_to_noise_var
-from oddmsim.core import FrameConfig, random_frame, vectorize
-from oddmsim.effchan import EffectiveChannel, from_chips, to_chips
+from oddmsim.core import FrameConfig, chips_to_dd, dd_to_chips, random_frame, vectorize
+from oddmsim.effchan import EffectiveChannel
 from oddmsim.estimator import (EstimationConfig, Sounding, estimate_channel, mle_exhaustive,
                                nmse, solve_gains)
 
@@ -137,7 +137,7 @@ class TestWindow:
         chan = channel_from_cells(cfg, [(5, -1)], [1.0])
         s, y = observe(cfg, chan, None)
         win = Sounding(ec, s)
-        amb = win.scan(to_chips(y, cfg))
+        amb = win.scan(dd_to_chips(y, cfg))
         ref = np.array([np.vdot(u, y) for u in responses(cfg, ec.cells, s)])
         assert np.max(np.abs(amb - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -238,7 +238,7 @@ class TestAmbiguityTable:
         win = Sounding(ec, s)
         u, window = responses(cfg, hyp, s), responses(cfg, ec.cells, s)
         h = np.array([0.7 - 0.2j, -0.4j, 1.1])
-        cols, scan_y = win.columns(hyp), win.scan(to_chips(y, cfg))
+        cols, scan_y = win.columns(hyp), win.scan(dd_to_chips(y, cfg))
         for p in range(len(hyp)):
             others = [q for q in range(len(hyp)) if q != p]
             got = scan_y - h[others] @ cols[others]
@@ -327,10 +327,10 @@ def test_sounding_matches_inner_products(window):
     t = rng.standard_normal(cfg.mn) + 1j * rng.standard_normal(cfg.mn)
     win = Sounding(ec, s)
     u = responses(cfg, ec.cells, s)
-    assert_close(win.scan(to_chips(t, cfg)), u.conj() @ t)
+    assert_close(win.scan(dd_to_chips(t, cfg)), u.conj() @ t)
     picked = [ec.cells[i] for i in rng.permutation(len(win.est.cells))[:3]]
     assert_close(win.columns(picked), responses(cfg, picked, s) @ u.conj().T)  # u_i^H u_c
-    s_c, q, mn = to_chips(s, cfg), np.arange(cfg.mn), cfg.mn
+    s_c, q, mn = dd_to_chips(s, cfg), np.arange(cfg.mn), cfg.mn
     table = [[np.vdot(np.exp(2j * np.pi * kappa * (q - d) / mn) * s_c[(q - d) % mn], s_c)
               for kappa in range(-win.dk, win.dk + 1)] for d in range(-win.dl, win.dl + 1)]
     assert_close(win.table, np.array(table))
@@ -489,7 +489,7 @@ class TestMleExhaustive:
         cfg = FrameConfig(M=8, N=4)
         chip = np.zeros(cfg.mn, dtype=complex)
         chip[0] = 1.0
-        s = from_chips(chip, cfg)
+        s = chips_to_dd(chip, cfg)
         ec = EstimationConfig(frame=cfg, p_assumed=2, l_range=(0, 1), k_range=(-1, 1))
         with pytest.raises(ValueError, match="no tuple of 2 window cells"):
             mle_exhaustive(s, Sounding(ec, s))

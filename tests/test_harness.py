@@ -327,6 +327,11 @@ IMPOSSIBLE_SPECS = {
     "min_bit_errors-string": {"run.min_bit_errors": "x"},
     "min_bit_errors-negative": {"run.min_bit_errors": -3},
     "min_bit_errors-fraction": {"run.min_bit_errors": 2.5},
+    # 0 stopped every point after its first trial: the rows of trials 1 under another hash
+    "min_bit_errors-zero": {"run.min_bit_errors": 0},
+    # 10^400, the noise variance of -4000 dB, built and then raised OverflowError in the sweep
+    "snr_grid_db-noise-overflow": {"run.snr_db": (-4000.0,)},
+    "sensing_snr_db-noise-overflow": {"run.csi": "estimated", "run.sensing_snr_db": -4000.0},
     # each channel model ignores the other's parameters, and a perfect-CSI link never senses:
     # these ran the plain row under another config_hash
     "l_max-eva": {"run.csi": "estimated", "channel.l_max": 5},

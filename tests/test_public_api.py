@@ -1,7 +1,9 @@
-"""Every public function the package exports is exercised by name in a test, and every
-private module-level name in the package is used."""
+"""Every public function the package exports is exercised by name in a test, every
+private module-level name in the package is used, and every cross-reference in the
+package's docstrings names an object that exists."""
 
 import ast
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -41,3 +43,26 @@ def test_every_private_module_name_is_referenced():
                              if name.startswith("_") and not name.endswith("__")
                              and not any(re.search(rf"\b{name}\b", t) for t in others)]
     assert unreferenced == []
+
+
+def _resolves(owner, dotted: str) -> bool:
+    for name in dotted.split("."):
+        if not hasattr(owner, name):
+            return False
+        owner = getattr(owner, name)
+    return True
+
+
+def test_docstring_cross_references_resolve():
+    # a reference is looked up in its own module first, then in the package, so a stale
+    # one (a deleted or renamed object) fails here instead of misleading a reader
+    role = re.compile(r":(?:func|class|data|meth|attr):`([\w.]+)`")
+    refs, unresolved = 0, []
+    for path in sorted(Path(oddmsim.__file__).parent.glob("*.py")):
+        module = importlib.import_module("oddmsim" if path.stem == "__init__"
+                                         else f"oddmsim.{path.stem}")
+        for ref in role.findall(path.read_text()):
+            refs += 1
+            if not (_resolves(module, ref) or _resolves(oddmsim, ref)):
+                unresolved.append(f"{path.name}: {ref}")
+    assert refs > 0 and unresolved == []
