@@ -13,17 +13,17 @@ support (:func:`channel.eva_support`, :func:`channel.synthetic_support`),
 which a spec must fit.  Each model reads its own parameters, and a spec sets no other: EVA
 its speed ``v_kmh``, carrier ``f_c`` and subcarrier spacing ``delta_f``, a spec's only physical
 units, the synthetic model its path count ``paths`` and window ``l_max``, ``k_max``.  Likewise each
-scheme's waveform reads its own frame fields, and a spec leaves the others at
-:class:`core.FrameConfig`'s defaults: ODDM its pulse (``Q``, ``rolloff``) and ``oversampling``,
-OTFS and OFDM only ``oversampling``, the matrix model none of them; the pulse must fit the grid
-(:func:`waveform.build_srrc`).  A spec sets ``sensing_snr_db`` only with estimated CSI, the
+link cell, a (scheme, fidelity) pair, is one row of :data:`_CELLS`, which names the frame fields
+its waveform reads (a spec leaves the others at :class:`core.FrameConfig`'s defaults, and a pulse
+that is read must fit the grid, :func:`waveform.build_srrc`), its modulator and demodulator, its
+detectors and its CSI modes.  A spec sets ``sensing_snr_db`` only with estimated CSI, the
 one link that senses.  The estimator looks for the model's own path count, and it and the
 OAMP detector stop by module constants (:data:`estimator.MAX_ITERS`,
 :data:`estimator.EPSILON`, :data:`detector.MAX_ITERS`, :data:`detector.STOP_TOL`)
 that no spec option changes.  The detector's
 :class:`detector.LinearStage` is built once per channel it detects with: per
-trial for perfect CSI, per point's estimate for estimated CSI, never for the
-OFDM baseline, which equalizes per subcarrier.  Trials go out in
+trial for perfect CSI, per point's estimate for estimated CSI, never for a
+cell whose row names a one-tap equalizer's response (OFDM).  Trials go out in
 order, serially or to a process pool, and aggregation keeps each point's
 results in trial order, so both give the same rows.
 
@@ -47,13 +47,12 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from . import baselines, channel, estimator
+from . import baselines, channel, detector, estimator, waveform
 from .channel import add_awgn, apply_physical_channel, snr_to_noise_var
 from .core import FrameConfig, random_frame, require_count, require_real, vectorize
-from .detector import LinearStage, lmmse_detect, oamp_detect
 from .effchan import EffectiveChannel
 from .estimator import EstimationConfig, Sounding, estimate_channel, mle_exhaustive, nmse
-from .waveform import SampleStream, build_srrc, oddm_demodulate, oddm_modulate
+from .waveform import SampleStream, build_srrc
 
 # stage tags for seed derivation
 _STAGE_CHANNEL = 1
@@ -62,13 +61,25 @@ _STAGE_SENSE_NOISE = 3
 _STAGE_COMM_BITS = 4
 _STAGE_COMM_NOISE = 5
 
-# one row per scheme: the pulse and sampling fields of FrameConfig its waveform reads
-_FRAME_READS = {"oddm": ("Q", "rolloff", "oversampling"), "otfs": ("oversampling",),
-                "ofdm": ("oversampling",)}
-SCHEMES = tuple(_FRAME_READS)
-DETECTORS = ("oamp", "lmmse")
+# one row per link cell (scheme, fidelity): the pulse and sampling fields of FrameConfig its
+# waveform reads; its modulator and demodulator (none at matrix fidelity; OFDM has no demodulator,
+# as its one-tap equalizer reads the stream, given the channel's per-subcarrier response); its
+# detectors and CSI modes.  A function is a (module, name) pair, looked up as it runs, so that a
+# wrapper put on the module sees each call
+_Cell = collections.namedtuple("_Cell", "reads modulate demodulate response detectors csi")
+_PULSE = ("Q", "rolloff", "oversampling")  # every pulse and sampling field of FrameConfig
+_LINEAR = {"oamp": (detector, "oamp_detect"), "lmmse": (detector, "lmmse_detect")}
 CSI_MODES = ("perfect", "estimated")
-FIDELITIES = ("matrix", "waveform")
+_CELLS = {("oddm", "matrix"): _Cell((), None, None, None, _LINEAR, CSI_MODES),
+          ("oddm", "waveform"): _Cell(_PULSE, (waveform, "oddm_modulate"),
+                                      (waveform, "oddm_demodulate"), None, _LINEAR, CSI_MODES),
+          ("otfs", "waveform"): _Cell(("oversampling",), (baselines, "otfs_modulate"),
+                                      (baselines, "otfs_demodulate"), None, _LINEAR, CSI_MODES),
+          ("ofdm", "waveform"): _Cell(("oversampling",), (baselines, "ofdm_modulate"), None,
+                                      (baselines, "ofdm_freq_response"),
+                                      {"lmmse": (baselines, "ofdm_detect")}, ("perfect",))}
+SCHEMES, FIDELITIES = (tuple(dict.fromkeys(names)) for names in zip(*_CELLS))
+DETECTORS = tuple(_LINEAR)
 # one row per channel model: its support and generator in :mod:`channel`, by name so that a
 # wrapper put on the module sees each call, and its own parameters with their defaults
 _Model = collections.namedtuple("_Model", "support draw params")
@@ -159,28 +170,27 @@ class ExperimentSpec:
                     snr_to_noise_var(snr_db)
                 except ValueError as exc:
                     raise ValueError(f"{name} entry {snr_db!r} is not an SNR: {exc}") from None
-        if self.scheme != "oddm" and self.fidelity == "matrix":
-            raise ValueError(f"fidelity matrix is the oddm grid model, not {self.scheme}")
-        read = _FRAME_READS[self.scheme] if self.fidelity == "waveform" else ()
-        for name in _FRAME_READS["oddm"]:  # every pulse and sampling field
+        cell = _CELLS.get((self.scheme, self.fidelity))
+        if cell is None:
+            raise ValueError(f"fidelity {self.fidelity} has no {self.scheme} cell: {list(_CELLS)}")
+        for name in _PULSE:
             value = getattr(self.frame, name)
-            if name not in read and value != getattr(FrameConfig, name):  # not its default
+            if name not in cell.reads and value != getattr(FrameConfig, name):  # not its default
                 raise ValueError(f"{name} {value!r} is not read by {self.scheme} at "
                                  f"{self.fidelity} fidelity, which would ignore it")
-        if "Q" in read:
+        if "Q" in cell.reads:
             build_srrc(self.frame)  # the pulse must fit the grid
         if self.sensing_snr_db is not None and self.csi != "estimated":
             raise ValueError(f"sensing_snr_db {self.sensing_snr_db!r} is read only with csi "
                              f"estimated: a {self.csi}-CSI link never senses")
-        if self.scheme == "ofdm":
-            if self.csi != "perfect":
-                raise ValueError("the ofdm baseline supports csi=perfect only")
-            if self.detector != "lmmse":
-                raise ValueError("detector must be lmmse: ofdm equalizes per subcarrier")
+        for name, allowed in (("detector", cell.detectors), ("csi", cell.csi)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} {getattr(self, name)} is not run by the {self.scheme} "
+                                 f"{self.fidelity} cell, which runs {name} {list(allowed)}")
         # an off-grid channel fails here, not in a trial, and so does a search window too small
         # for its paths: the link estimates with csi estimated, run_nmse_sweep whatever csi says
         runner = _TrialRunner(self)
-        if self.scheme != "ofdm":
+        if "estimated" in cell.csi:
             runner.est_cfg
 
 
@@ -277,6 +287,10 @@ class _TrialRunner:
         # one chip more than the largest delay bin; M - 1 still covers every bin on the grid
         self.cp = min(self.cfg.M - 1, l_max + 1)
 
+    @property
+    def cell(self) -> _Cell:
+        return _CELLS[self.spec.scheme, self.spec.fidelity]
+
     @functools.cached_property
     def est_cfg(self) -> EstimationConfig:
         """The channel model's path count, searched for in a window of delay bins up to the
@@ -293,29 +307,19 @@ class _TrialRunner:
     def _send(self, frame, chan):
         """Noiseless received signal of one frame: ``chan.apply(s)`` (matrix
         fidelity) or the frame's sample stream through the paths of ``chan``."""
-        spec, cfg = self.spec, self.cfg
-        if spec.fidelity == "matrix":
+        if self.cell.modulate is None:
             return chan.apply(vectorize(frame))
-        if spec.scheme == "oddm":
-            st = oddm_modulate(frame, cfg, cyclic_prefix_chips=self.cp)
-        elif spec.scheme == "otfs":
-            st = baselines.otfs_modulate(frame, cfg, cyclic_prefix_chips=self.cp)
-        else:
-            st = baselines.ofdm_modulate(frame, cfg, self.cp)
-        return apply_physical_channel(st, chan)
+        return apply_physical_channel(getattr(*self.cell.modulate)(frame, self.cfg, self.cp), chan)
 
     def _observe(self, rx, noise_var, noise_rng):
-        """What the receiver sees of ``_send``'s output at ``noise_var``: the
-        DD observation vector, or for OFDM the noisy sample stream."""
-        spec, cfg = self.spec, self.cfg
-        if spec.fidelity == "matrix":
+        """What the receiver sees of ``_send``'s output at ``noise_var``: the DD
+        observation vector, or for a cell without a demodulator the noisy sample stream."""
+        if self.cell.modulate is None:
             return add_awgn(rx, noise_var, noise_rng)
         rx = SampleStream(add_awgn(rx.samples, noise_var, noise_rng), rx.start)
-        if spec.scheme == "oddm":
-            return vectorize(oddm_demodulate(rx, cfg))
-        if spec.scheme == "otfs":
-            return vectorize(baselines.otfs_demodulate(rx, cfg))
-        return rx
+        if self.cell.demodulate is None:
+            return rx
+        return vectorize(getattr(*self.cell.demodulate)(rx, self.cfg))
 
     def _sensing(self, trial: int, chan):
         """The trial's :class:`Sounding` and ``observe(snr_idx)``, that point's
@@ -336,18 +340,18 @@ class _TrialRunner:
         """Draw and send one link trial; returns its per-point work: sense,
         estimate and build the estimate's linear stage (estimated CSI), then
         receive and detect every frame."""
-        spec, cfg = self.spec, self.cfg
+        spec, cfg, cell = self.spec, self.cfg, self.cell
         chan = _draw_channel(spec, trial)
         frames = [random_frame(cfg, derive_rng(spec.seed, _STAGE_COMM_BITS, trial, f))
                   for f in range(spec.frames_per_trial)]
         sent = [self._send(frame, chan) for _, frame in frames]
-        trial_stage = None
-        if spec.scheme == "ofdm":
-            resp = baselines.ofdm_freq_response(chan, cfg, self.cp)
+        detect, trial_stage = getattr(*cell.detectors[spec.detector]), None
+        if cell.response is not None:  # a one-tap equalizer, with perfect CSI only
+            trial_stage = getattr(*cell.response)(chan, cfg, self.cp)
         elif spec.csi == "estimated":
             sounding, sense = self._sensing(trial, chan)
         else:
-            trial_stage = LinearStage(chan)  # perfect CSI: every point detects with it
+            trial_stage = detector.LinearStage(chan)  # perfect CSI: every point detects with it
 
         def point(snr_idx):
             noise_var = snr_to_noise_var(spec.snr_grid_db[snr_idx])
@@ -355,17 +359,13 @@ class _TrialRunner:
             stage, nmse_db = trial_stage, None
             if spec.csi == "estimated":
                 H_est = estimate_channel(sense(snr_idx), sounding).channel
-                stage, nmse_db = LinearStage(H_est), nmse(H_est, chan)
+                stage, nmse_db = detector.LinearStage(H_est), nmse(H_est, chan)
             errors = 0
             for f, ((bits, _), rx) in enumerate(zip(frames, sent)):
                 y = self._observe(rx, noise_var,
                                   derive_rng(spec.seed, _STAGE_COMM_NOISE, trial, f, snr_idx))
-                if spec.scheme == "ofdm":
-                    hard = baselines.ofdm_detect(y, resp, sigma, cfg, self.cp)
-                elif spec.detector == "oamp":
-                    hard = oamp_detect(y, stage, sigma).hard_bits
-                else:
-                    hard = lmmse_detect(y, stage, sigma).hard_bits
+                hard = detect(y, stage, sigma).hard_bits if cell.response is None \
+                    else detect(y, stage, sigma, cfg, self.cp)
                 errors += int(np.sum(hard != bits))
             return {"bits": sum(b.size for b, _ in frames), "bit_errors": errors,
                     "nmse_db": nmse_db}
@@ -476,8 +476,8 @@ def run_nmse_sweep(spec: ExperimentSpec) -> SweepResult:
     sensing stage, so ``spec.fidelity`` applies.  It runs and hashes the spec
     with the fields it never reads at their defaults.
     """
-    if spec.scheme == "ofdm":
-        raise ValueError("run_nmse_sweep: scheme 'ofdm' has no channel estimate")
+    if "estimated" not in _CELLS[spec.scheme, spec.fidelity].csi:
+        raise ValueError(f"run_nmse_sweep: scheme {spec.scheme!r} has no channel estimate")
     if spec.sensing_snr_db is not None:
         raise ValueError("run_nmse_sweep: sensing_snr_db must be None (the grid is the sensing SNR)")
     spec = replace(spec, **{f.name: f.default for f in fields(ExperimentSpec)
