@@ -24,15 +24,18 @@ T is built once per channel, one row per delay difference d = l_p - l_r
 reversed chip order, as one band of diag(J T J, T).  For each new xi, that
 band's Cholesky factor is a twisted pair: U U^H = T + xi I, U upper
 triangular, from the reversed half, and L L^H in chip order.  A solve is two
-banded triangular solves with L.  Cut into blocks of w chips (the last one
-ragged), T is block tridiagonal, and the k-th diagonal block of
-(T + xi I)^{-1} is (G_k + xi I)^{-1} with the positive semidefinite
+banded triangular solves with L, z = (T + xi I)^{-1} r, then one
+x = H_t^H z, which is all both detectors read of it.  Cut into blocks of
+w chips (the last one ragged), T is block tridiagonal, and the k-th diagonal
+block of (T + xi I)^{-1} is (G_k + xi I)^{-1} with the positive semidefinite
 
     G_k = T_kk - L_{k,k-1} L_{k,k-1}^H - U_{k,k+1} U_{k,k+1}^H,
 
 so eps = sum_k tr(G_k (G_k + xi I)^{-1}) / MN, one batched solve over the
 blocks.  Unlike 1 - xi tr((T + xi I)^{-1}) / MN, no term cancels when xi is
 far above ||T||, which OAMP reaches once v_nle^2 meets the variance floor.
+T_kk and the corners are blocks of T's band or of its factor at xi, all read
+through one flat index (:func:`_band_blocks`).
 
 :class:`LinearStage` holds this for one channel.  The caller builds it once
 per channel it detects with and passes it to :func:`oamp_detect` and
@@ -75,21 +78,17 @@ def _interleave(n: int) -> np.ndarray:
     return perm
 
 
-def _corners(starts: np.ndarray, w: int, n: int):
-    """Flat index into a (w + 1, 2n) Fortran band factor, and mask, of its w x w corners.
+def _band_blocks(rows: np.ndarray, cols: np.ndarray, b: int, hw: int, size: int):
+    """Flat index into the (hw + 1, size) Fortran lower band of M, and mask, of b x b blocks.
 
-    For a lower band factor L of half-width w the corner L[p + i, p - w + j]
-    is the coupling block L_{k,k-1} of the block starting at chip p; it is
-    upper triangular, and its rows past the last chip or columns before the
-    first are zero.  These are the corners of the last n columns at each p in
-    starts, then of the first n columns at each n - p.
+    Block k holds M[rows[k] + i, cols[k] + j]; M[r, c] sits at band row r - c of
+    column c, flat r + hw c.  Entries above the diagonal or outside the band or M
+    are masked, with index 0.
     """
-    p = np.concatenate([starts, n - starts])[:, None, None]
-    i, j = np.arange(w)[:, None], np.arange(w)
-    row, col = p + i, p - w + j
-    keep = (j >= i) & (row < n) & (col >= 0)
-    col = col + n * (np.arange(p.size) < starts.size)[:, None, None]
-    return np.where(keep, w + i - j + (w + 1) * col, 0), keep
+    row = rows[:, None, None] + np.arange(b)[:, None]
+    col = cols[:, None, None] + np.arange(b)
+    keep = (row >= col) & (row - col <= hw) & (row < size) & (col >= 0)
+    return np.where(keep, row + hw * col, 0), keep
 
 
 def _cholesky(ab: np.ndarray, xi: float) -> np.ndarray:
@@ -111,8 +110,9 @@ class LinearStage:
     diag(J T J, T), the interleaved chip-domain Gram T in its last MN columns.
     T goes last, so the reversed half adds only exact zeros to T's factor: it
     is bit for bit T's own unless LAPACK's 32-column blocks (half-width 32 and
-    up) straddle MN.  The factor of the last xi is kept, so the solve and the
-    trace factor of one linear step share it.
+    up) straddle MN.  The factor never couples the halves, so one block reader
+    serves both.  The factor of the last xi is kept, so the solve and the trace
+    factor of one linear step share it.
     """
 
     def __init__(self, H: EffectiveChannel):
@@ -142,18 +142,18 @@ class LinearStage:
         # with c + d >= n are zero, so are the wrapped reads, and no entry couples the halves
         d = np.arange(hw + 1)[:, None]
         self.ab[:, :n] = np.conj(self.ab[d, n + (n - 1 - d - q) % n])
-        # diagonal blocks T_kk of b = hw chips, the ragged last one zero-padded;
-        # a padded row adds nothing to tr(G (G + xi I)^{-1})
+        # diagonal blocks T_kk of b = hw chips, read below the diagonal and conjugated above;
+        # the ragged last one is zero-padded: a padded row adds nothing to tr(G (G + xi I)^{-1})
         b = max(hw, 1)
         starts = np.arange(0, n, b)
-        row = starts[:, None, None] + np.arange(b)[:, None]
-        col = starts[:, None, None] + np.arange(b)
-        lo, hi = np.maximum(row, col), np.minimum(row, col)
-        keep = (lo - hi <= hw) & (lo < n)
-        t = self.ab[np.where(keep, lo - hi, 0), n + np.where(keep, hi, 0)]
-        self._blocks = np.where(keep, np.where(row >= col, t, np.conj(t)), 0.0)
-        # coupling corners at each block boundary p: forward at p, reversed at n - p
-        self._corners = _corners(starts[1:], hw, n)
+        flat, keep = _band_blocks(n + starts, n + starts, b, hw, 2 * n)
+        t = self.ab.ravel(order="F")[flat]
+        self._blocks = np.where(np.tri(b, dtype=bool), np.where(keep, t, 0.0),
+                                np.where(keep, np.conj(t), 0.0).swapaxes(1, 2))
+        # w x w corners L_{k,k-1} at each block boundary p, forward at n + p and reversed at
+        # n - p, whose rows past n read the factor across the pair's seam, where it is zero
+        p = np.concatenate([n + starts[1:], n - starts[1:]])
+        self._corners = _band_blocks(p, p - hw, hw, hw, 2 * n)
         self._xi = self._factor = None
 
     def _pair(self, xi: float) -> np.ndarray:
@@ -163,20 +163,20 @@ class LinearStage:
         return self._factor
 
     def solve(self, rhs: np.ndarray, xi: float) -> tuple[np.ndarray, float]:
-        """(z, residual): z = (T + xi I)^{-1} rhs on chips and its measured
-        ||(T + xi I) z - rhs|| / ||rhs||, 0 for rhs = 0.  A is unitary, so that
-        is also the delay-Doppler residual of (H H^H + xi I)."""
+        """(x, residual): x = H_t^H z on chips, z = (T + xi I)^{-1} rhs, and the
+        measured ||(T + xi I) z - rhs|| / ||rhs|| of z, 0 for rhs = 0.  A is
+        unitary, so that is also the delay-Doppler residual of (H H^H + xi I)."""
         from scipy.linalg.lapack import zpbtrs
 
         n = self.H.config.mn
-        x, _ = zpbtrs(self._pair(xi)[:, n:], rhs[self.perm, None], lower=1)
         z = np.empty(n, dtype=complex)
-        z[self.perm] = x[:, 0]
+        z[self.perm] = zpbtrs(self._pair(xi)[:, n:], rhs[self.perm, None], lower=1)[0][:, 0]
+        x = self.H.apply_adjoint_chips(z)
         rnorm = np.linalg.norm(rhs)
         if rnorm == 0:
-            return z, 0.0
-        resid = self.H.apply_chips(self.H.apply_adjoint_chips(z)) + xi * z - rhs
-        return z, float(np.linalg.norm(resid) / rnorm)
+            return x, 0.0
+        resid = self.H.apply_chips(x) + xi * z - rhs
+        return x, float(np.linalg.norm(resid) / rnorm)
 
     def eps_phi(self, xi: float) -> float:
         """Tr(H^H (H H^H + xi I)^{-1} H) / MN."""
@@ -197,9 +197,9 @@ class LinearStage:
         H = self.H
         v_nle_sq = max(v_nle_sq, VAR_FLOOR)
         xi = sigma_sq / v_nle_sq
-        z, residual = self.solve(y_c - H.apply_chips(dd_to_chips(s_t, H.config)), xi)
+        x, residual = self.solve(y_c - H.apply_chips(dd_to_chips(s_t, H.config)), xi)
         eps = self.eps_phi(xi)
-        r = s_t + chips_to_dd(H.apply_adjoint_chips(z), H.config) / eps
+        r = s_t + chips_to_dd(x, H.config) / eps
         v_le_sq = max(v_nle_sq * (1.0 / eps - 1.0), VAR_FLOOR)
         return r, v_le_sq, residual
 
@@ -268,8 +268,8 @@ def lmmse_detect(y: np.ndarray, stage: LinearStage, sigma_sq: float) -> Detectio
     """One-shot s_hat = H^H (H H^H + sigma^2 I)^{-1} y on ``stage.H`` with hard decisions."""
     H = stage.H
     y_c = _observed_chips(y, H, sigma_sq)
-    z, residual = stage.solve(y_c, sigma_sq)
-    soft = chips_to_dd(H.apply_adjoint_chips(z), H.config)
+    x, residual = stage.solve(y_c, sigma_sq)
+    soft = chips_to_dd(x, H.config)
     return DetectionResult(soft_symbols=soft, hard_bits=qam_demap(soft),
                            variance_trace=[], iterations_used=1,
                            max_solve_residual=residual)

@@ -326,8 +326,12 @@ def nmse(estimate: EffectiveChannel, truth: EffectiveChannel) -> float:
     """Channel reconstruction error in dB: 10*log10(||H_hat - H||_F^2 / ||H||_F^2).
 
     Both norms are taken over merged integer cells (the common factor MN
-    cancels).  Perfect reconstruction is floored at -100 dB.
+    cancels), so both channels must be on one M x N grid.  Perfect
+    reconstruction is floored at -100 dB.
     """
+    e, t = estimate.config, truth.config
+    if (e.M, e.N) != (t.M, t.N):
+        raise ValueError(f"estimate on the {e.M}x{e.N} grid, truth on the {t.M}x{t.N}")
     est, true = _cell_gains(estimate), _cell_gains(truth)
     denom = sum(abs(h) ** 2 for h in true.values())
     if denom == 0.0:

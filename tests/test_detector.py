@@ -110,9 +110,10 @@ class TestLinearStage:
         rng = np.random.default_rng(30)
         r = rng.standard_normal(H.config.mn) + 1j * rng.standard_normal(H.config.mn)
         xis = (1e-6, 1e-2, 1.0, 10.0)
-        for xi, (z_ref, eps_ref) in zip(xis, dense_le(Hd, r, xis)):
-            z = chips_to_dd(stage.solve(dd_to_chips(r, H.config), xi)[0], H.config)
-            assert np.linalg.norm(z - z_ref) <= 1e-10 * np.linalg.norm(z_ref)
+        for xi, (x_ref, eps_ref) in zip(xis, dense_le(Hd, r, xis)):
+            x, residual = stage.solve(dd_to_chips(r, H.config), xi)
+            assert np.linalg.norm(chips_to_dd(x, H.config) - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+            assert residual <= 1e-10
             assert stage.eps_phi(xi) == pytest.approx(eps_ref, rel=1e-10)
 
     @pytest.mark.parametrize("name", list(STAGE_CHANNELS))
@@ -125,10 +126,11 @@ class TestLinearStage:
         rng = np.random.default_rng(32)
         r = rng.standard_normal(H.config.mn) + 1j * rng.standard_normal(H.config.mn)
         xis = (1e-6, 1e-2, 1.0, 10.0, 1e9)
-        for xi, (z_ref, eps_ref) in zip(xis, dense_le(Hd, r, xis)):
+        for xi, (x_ref, eps_ref) in zip(xis, dense_le(Hd, r, xis)):
             assert stage.eps_phi(xi) == pytest.approx(eps_ref, rel=1e-10)
-            z = chips_to_dd(stage.solve(dd_to_chips(r, H.config), xi)[0], H.config)
-            assert np.linalg.norm(z - z_ref) <= 1e-10 * np.linalg.norm(z_ref)
+            x, residual = stage.solve(dd_to_chips(r, H.config), xi)
+            assert np.linalg.norm(chips_to_dd(x, H.config) - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+            assert residual <= 1e-10
 
     @settings(max_examples=40)
     @given(st.integers(3, 12), st.integers(2, 7), st.data())
@@ -146,10 +148,21 @@ class TestLinearStage:
         H = channel_from_cells(cfg, cells, gains)
         r = rng.standard_normal(cfg.mn) + 1j * rng.standard_normal(cfg.mn)
         stage = LinearStage(H)
-        for xi, (z_ref, eps_ref) in zip(xis, dense_le(dense_channel(H), r, xis)):
-            z = chips_to_dd(stage.solve(dd_to_chips(r, cfg), xi)[0], cfg)
-            assert np.linalg.norm(z - z_ref) <= 1e-10 * np.linalg.norm(z_ref)
+        for xi, (x_ref, eps_ref) in zip(xis, dense_le(dense_channel(H), r, xis)):
+            x = chips_to_dd(stage.solve(dd_to_chips(r, cfg), xi)[0], cfg)
+            assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
             assert stage.eps_phi(xi) == pytest.approx(eps_ref, rel=1e-10)
+
+    @pytest.mark.parametrize("name", list(STAGE_CHANNELS))
+    def test_pair_never_couples_its_halves(self, name):
+        # the trace factor's reversed corners read the factor of diag(J T J, T) across
+        # its seam unmasked: each entry of a reversed-half column in a row of T's half is 0
+        H = STAGE_CHANNELS[name]()
+        stage = LinearStage(H)
+        n = H.config.mn
+        seam = np.arange(stage.ab.shape[0])[:, None] + np.arange(n) >= n
+        for xi in (1e-6, 1e-2, 1.0, 1e9):
+            assert np.all(stage._pair(xi)[:, :n][seam] == 0.0)
 
     def test_residual_is_measured(self):
         cfg = cfg16()
@@ -162,12 +175,14 @@ class TestLinearStage:
         _, residual = stage.solve(dd_to_chips(r, cfg), 0.2)
         assert 0.0 < residual <= 1e-12
         # a corrupted band solves the wrong system; the returned residual is
-        # the one the dense matrix gives for the returned vector.  Factors are
-        # kept per xi, so T's half of the band, the one the solve reads, is
-        # corrupted before xi = 0.1 is factored
+        # the one the dense matrix gives for the vector it solved for.  Factors
+        # are kept per xi, so T's half of the band, the one the solve reads, is
+        # corrupted before xi = 0.1 is factored: with 1 added to T's diagonal
+        # the solve returns x = H^H z for (H H^H + 1.1 I) z = r
         stage.ab[0, cfg.mn:] += 1.0
-        z_c, residual = stage.solve(dd_to_chips(r, cfg), 0.1)
-        z = chips_to_dd(z_c, cfg)
+        x, residual = stage.solve(dd_to_chips(r, cfg), 0.1)
+        z = np.linalg.solve(A + np.eye(cfg.mn), r)
+        assert np.linalg.norm(chips_to_dd(x, cfg) - Hd.conj().T @ z) <= 1e-12 * np.linalg.norm(r)
         dense_residual = np.linalg.norm(A @ z - r) / np.linalg.norm(r)
         assert dense_residual > 0.1
         assert residual == pytest.approx(dense_residual, rel=1e-9)

@@ -548,3 +548,10 @@ class TestNmse:
         est = channel_from_cells(cfg, [(0, 0)], [1.0])
         with pytest.raises(ValueError):
             nmse(est, truth)
+
+    def test_different_grids_rejected(self):
+        # one path on (2, 1) is the same cell key on both grids, but not the same channel
+        truth = channel_from_cells(FrameConfig(M=64, N=16), [(2, 1)], [1.0])
+        est = channel_from_cells(FrameConfig(M=32, N=8), [(2, 1)], [1.0])
+        with pytest.raises(ValueError, match=r"estimate on the 32x8 grid, truth on the 64x16"):
+            nmse(est, truth)

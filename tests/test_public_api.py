@@ -1,6 +1,6 @@
 """Every public function the package exports is exercised by name in a test, every
-private module-level name in the package is used, and every cross-reference in the
-package's docstrings names an object that exists."""
+private module-level name and every module-level import in the package is used, and
+every cross-reference in the package's docstrings names an object that exists."""
 
 import ast
 import importlib
@@ -43,6 +43,23 @@ def test_every_private_module_name_is_referenced():
                              if name.startswith("_") and not name.endswith("__")
                              and not any(re.search(rf"\b{name}\b", t) for t in others)]
     assert unreferenced == []
+
+
+def test_every_module_level_import_is_used():
+    # a name a submodule imports at module level and never reads is left over from an
+    # edit; the package's __init__ imports only to re-export, so it is not checked
+    unused = []
+    for path in Path(oddmsim.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unused += [f"{path.name}: {name}" for name in bound if name not in read]
+    assert unused == []
 
 
 def _resolves(owner, dotted: str) -> bool:
