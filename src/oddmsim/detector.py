@@ -9,7 +9,13 @@ with a divergence-free nonlinear estimator: a per-component posterior mean
 over the constellation at noise level v_le^2, recentred by
 C * (s_hat - (v_post / v_le^2) r) with C = v_le^2 / (v_le^2 - v_post), which
 removes the correlation between the denoiser's output error and its input
-error.  Variances propagate deterministically:
+error.  The 4-QAM points a (+-1 +- j) are a product of two binary alphabets, so
+the posterior is separable and in closed form:
+
+    s_hat = a (tanh(2a Re r / v_le^2) + j tanh(2a Im r / v_le^2)),
+    posterior variance 1 - |s_hat|^2.
+
+Variances propagate deterministically:
 v_le^2 = v_nle^2 (1/eps - 1) and 1/v_nle'^2 = 1/v_post - 1/v_le^2.
 
 The linear estimator needs the regularized solve (H H^H + xi I)^{-1} r and
@@ -29,11 +35,13 @@ x = H_t^H z, which is all both detectors read of it.  Cut into blocks of
 w chips (the last one ragged), T is block tridiagonal, and the k-th diagonal
 block of (T + xi I)^{-1} is (G_k + xi I)^{-1} with the positive semidefinite
 
-    G_k = T_kk - L_{k,k-1} L_{k,k-1}^H - U_{k,k+1} U_{k,k+1}^H,
+    G_k = T_kk - L_{k,k-1} L_{k,k-1}^H - U_{k,k+1} U_{k,k+1}^H = T_kk - C_k C_k^H,
 
-so eps = sum_k tr(G_k (G_k + xi I)^{-1}) / MN, one batched solve over the
-blocks.  Unlike 1 - xi tr((T + xi I)^{-1}) / MN, no term cancels when xi is
-far above ||T||, which OAMP reaches once v_nle^2 meets the variance floor.
+with one corner matrix C_k = [L_{k,k-1} | U_{k,k+1} J] per block, so all the
+G_k are one batched product and eps = sum_k tr(G_k (G_k + xi I)^{-1}) / MN is
+one batched solve over the blocks.  Unlike 1 - xi tr((T + xi I)^{-1}) / MN, no
+term cancels when xi is far above ||T||, which OAMP reaches once v_nle^2 meets
+the variance floor.
 T_kk and the corners are blocks of T's band or of its factor at xi, all read
 through one flat index (:func:`_band_blocks`).
 
@@ -150,10 +158,12 @@ class LinearStage:
         t = self.ab.ravel(order="F")[flat]
         self._blocks = np.where(np.tri(b, dtype=bool), np.where(keep, t, 0.0),
                                 np.where(keep, np.conj(t), 0.0).swapaxes(1, 2))
-        # w x w corners L_{k,k-1} at each block boundary p, forward at n + p and reversed at
-        # n - p, whose rows past n read the factor across the pair's seam, where it is zero
-        p = np.concatenate([n + starts[1:], n - starts[1:]])
-        self._corners = _band_blocks(p, p - hw, hw, hw, 2 * n)
+        # b x 2b corners C_k = [L_{k,k-1} | U_{k,k+1} J]: forward at rows n + starts, reversed
+        # at rows n - starts - b with its rows flipped to chip order; block 0's forward corner
+        # reads the pair's seam, where the factor is zero
+        fwd = _band_blocks(n + starts, n + starts - b, b, hw, 2 * n)
+        rev = _band_blocks(n - starts - b, n - starts - 2 * b, b, hw, 2 * n)
+        self._corners = tuple(np.concatenate([f, r[:, ::-1]], axis=2) for f, r in zip(fwd, rev))
         self._xi = self._factor = None
 
     def _pair(self, xi: float) -> np.ndarray:
@@ -182,12 +192,8 @@ class LinearStage:
         """Tr(H^H (H H^H + xi I)^{-1} H) / MN."""
         flat, keep = self._corners
         c = np.where(keep, self._pair(xi).ravel(order="F")[flat], 0.0)
-        gram = c @ np.conj(c.swapaxes(1, 2))
-        g, hw, k = self._blocks.copy(), c.shape[1], c.shape[0] // 2
-        b = g.shape[1]
-        g[1:, :hw, :hw] -= gram[:k]
-        g[:-1, b - hw:, b - hw:] -= gram[k:, ::-1, ::-1]
-        ratio = np.linalg.solve(g + xi * np.eye(b), g)
+        g = self._blocks - c @ np.conj(c.swapaxes(1, 2))
+        ratio = np.linalg.solve(g + xi * np.eye(g.shape[1]), g)
         return float(np.trace(ratio, axis1=1, axis2=2).real.sum() / self.H.config.mn)
 
     def step(self, s_t: np.ndarray, y_c: np.ndarray, v_nle_sq: float,
@@ -206,25 +212,24 @@ class LinearStage:
 
 def _observed_chips(y, H: EffectiveChannel, sigma_sq: float) -> np.ndarray:
     require_sigma_sq(sigma_sq)
+    if not np.any(H.gains):
+        # H = 0 makes eps 0: nothing of the frame reaches the observation
+        raise ValueError(f"channel has no path with a nonzero gain (gains {H.gains.tolist()}), "
+                         "so there is no signal to detect")
     return checked_chips("observation", y, H.config)
 
 
 def oamp_nle(r_t: np.ndarray, v_le_sq: float):
-    """Posterior-mean denoiser over :data:`QAM4` plus divergence-free recentring.
+    """Closed-form posterior-mean denoiser over :data:`QAM4` plus divergence-free recentring.
 
     Returns (s_next, v_nle_sq_next, posterior_means, posterior_var,
     non_contracting); the last entry flags the degenerate case
     v_post >= v_le_sq, where the orthogonalization step is skipped.
     """
     v = max(v_le_sq, VAR_FLOOR)
-    d2 = np.abs(r_t[:, None] - QAM4.points[None, :]) ** 2
-    expo = -d2 / v
-    expo -= expo.max(axis=1, keepdims=True)
-    w = np.exp(expo)
-    w /= w.sum(axis=1, keepdims=True)
-    post_mean = w @ QAM4.points
-    e2 = w @ (np.abs(QAM4.points) ** 2)
-    post_var = np.maximum(e2 - np.abs(post_mean) ** 2, 0.0)
+    a = QAM4.points.real.max()
+    post_mean = a * (np.tanh(2 * a * r_t.real / v) + 1j * np.tanh(2 * a * r_t.imag / v))
+    post_var = np.maximum(1.0 - np.abs(post_mean) ** 2, 0.0)
     v_post = max(float(post_var.mean()), VAR_FLOOR)
     if v_post >= v * (1.0 - 1e-12):
         # denoiser did not contract; skip the orthogonalization step

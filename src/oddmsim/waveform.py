@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,18 +124,23 @@ def checked_samples(stream: SampleStream, first: int, stop: int) -> np.ndarray:
     return stream.samples[lo:hi]
 
 
+@lru_cache(maxsize=8)
 def _tap_bank(config: FrameConfig) -> np.ndarray:
-    """(N, (2Q+1)*osf) Doppler-modulated taps a[tau] * e^{j2pi n tau/(MN*osf)}.
+    """(N, (2Q+1)*osf) read-only Doppler-modulated taps a[tau] * e^{j2pi n tau/(MN*osf)}.
 
     Column c holds tap offset tau = c - Q*osf; the osf - 1 columns past the
-    last tap are zero so the bank splits into 2Q + 1 blocks of osf taps.
+    last tap are zero so the bank splits into 2Q + 1 blocks of osf taps.  The
+    bank depends only on the config, so it is built once and shared by every
+    frame that either direction processes on it.
     """
     osf, a = config.oversampling, build_srrc(config)
     taps = np.zeros((2 * config.Q + 1) * osf)
     taps[:a.size] = a
     tau = np.arange(taps.size) - config.Q * osf
     n = np.arange(config.N)
-    return taps * np.exp(2j * np.pi * np.outer(n, tau) / (config.mn * osf))
+    bank = taps * np.exp(2j * np.pi * np.outer(n, tau) / (config.mn * osf))
+    bank.flags.writeable = False
+    return bank
 
 
 def _chunks(chips: int, taps: int) -> list[tuple[int, int]]:

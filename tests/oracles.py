@@ -6,7 +6,8 @@ input-output relation (with the wrap phase the library's chip-domain form
 never writes out), the block and permutation helpers spell out the paper's
 block structure of that matrix, the path statistic is a dense direct
 computation, the Gram band oracle scatters one path pair at a time, the
-linear-estimator oracle works from the SVD of the dense matrix, the ODDM
+linear-estimator oracle works from the SVD of the dense matrix, the OAMP
+denoiser oracle weighs all four constellation points by a softmax, the ODDM
 modulator and matched filter build every symbol's pulse train sample by
 sample from its defining formula, and the AWGN reference is the closed-form
 Q-function bit error rate for Gray 4-QAM.  The pulse
@@ -158,6 +159,31 @@ def dense_le(H, r, xis):
     r_u = U.conj().T @ r
     return [(Vh.conj().T @ (sv * r_u / (lam + xi)), float(np.mean(lam / (lam + xi))))
             for xi in xis]
+
+
+def softmax_nle(r_t, v_le_sq, var_floor):
+    """The OAMP denoiser's five outputs, its posterior taken as a softmax over the 4 points.
+
+    Each component's weights over (+-1 +- j) / sqrt(2) are exp(-|r - x|^2 / v) with
+    v = max(v_le_sq, var_floor), shifted by their maximum exponent before
+    normalizing.  The posterior mean and variance are the weighted sums; the
+    recentring and the non-contracting rule follow the detector's docstring.
+    """
+    points = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2.0)
+    v = max(v_le_sq, var_floor)
+    expo = -np.abs(r_t[:, None] - points[None, :]) ** 2 / v
+    expo -= expo.max(axis=1, keepdims=True)
+    w = np.exp(expo)
+    w /= w.sum(axis=1, keepdims=True)
+    post_mean = w @ points
+    post_var = np.maximum(w @ (np.abs(points) ** 2) - np.abs(post_mean) ** 2, 0.0)
+    v_post = max(float(post_var.mean()), var_floor)
+    if v_post >= v * (1.0 - 1e-12):
+        return post_mean, v_post, post_mean, post_var, True
+    c = v / (v - v_post)
+    s_next = c * (post_mean - (v_post / v) * r_t)
+    v_next = max(1.0 / (1.0 / v_post - 1.0 / v), var_floor)
+    return s_next, v_next, post_mean, post_var, False
 
 
 def _oddm_symbol_trains(a, config, t):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
@@ -13,7 +13,8 @@ from oddmsim.detector import VAR_FLOOR, LinearStage, lmmse_detect, oamp_detect, 
 from oddmsim.effchan import EffectiveChannel
 from oddmsim.estimator import EstimationConfig, Sounding, estimate_channel
 
-from oracles import count_bit_errors, dense_channel, dense_le, gram_band, qpsk_awgn_ber
+from oracles import (count_bit_errors, dense_channel, dense_le, gram_band, qpsk_awgn_ber,
+                     softmax_nle)
 
 
 def cfg_small():
@@ -254,7 +255,52 @@ class TestFactorCount:
         assert kinds == ["band", "band"]
 
 
+def assert_matches_softmax(r, v):
+    """oamp_nle's five outputs against the softmax oracle's: within 1e-9 plus its rounding.
+
+    The oracle's exponents |r - x|^2 / v round by about eps (|r| + 1)^2 / v each, which moves
+    its posterior mean by that times the component's posterior variance.  The recentring
+    carries both posteriors' spread through c = v / (v - v_post); where the two v_post lie on
+    either side of the non-contracting threshold, rounding decides the flag, and nothing past
+    the posterior is compared.
+    """
+    got, want = oamp_nle(r, v), softmax_nle(r, v, VAR_FLOOR)
+    v = max(v, VAR_FLOOR)
+    eps = np.finfo(float).eps
+    slack = 3 * np.maximum(got[3], want[3]) * 4 * eps * (np.abs(r) + 1) ** 2 / v + 4 * eps
+    assert np.all(np.abs(got[2] - want[2]) <= 1e-9 + slack)
+    assert np.all(np.abs(got[3] - want[3]) <= 2 * slack)
+    v_posts = [max(float(out[3].mean()), VAR_FLOOR) for out in (got, want)]
+    dv = abs(v_posts[0] - v_posts[1])
+    assert dv <= 2 * slack.mean()
+    if (v_posts[0] >= v * (1 - 1e-12)) != (v_posts[1] >= v * (1 - 1e-12)):
+        return
+    assert got[4] == want[4]
+    if got[4]:
+        assert np.all(got[0] == got[2]) and got[1] == v_posts[0]
+        return
+    c_got, c_want = (v / (v - v_post) for v_post in v_posts)
+    tol = (max(c_got, c_want) * (1e-9 + slack)
+           + c_got * c_want * dv * (1 + np.abs(r)) / v)
+    assert np.all(np.abs(got[0] - want[0]) <= tol)
+    # 1 / (1 / v_post - 1 / v) loses about log2(c) bits to its difference
+    assert abs(got[1] - want[1]) <= c_got * c_want * dv + 4 * eps * c_want * want[1]
+
+
 class TestOampNLE:
+    @settings(max_examples=300)
+    @given(st.lists(st.complex_numbers(max_magnitude=30.0, allow_nan=False)
+                    | st.sampled_from([0j, *QAM4.points]), min_size=1, max_size=16),
+           st.floats(-10.0, 3.0).map(lambda e: 10.0 ** e))
+    @example([0j], 0.5)  # non-contracting: the posterior variance 1 exceeds v
+    @example([complex(p) for p in QAM4.points], 1e-10)
+    @example([0j, 1e-6 + 30j, -3e-7 + 21j], 1e-6)
+    def test_matches_softmax_oracle(self, r, v):
+        # |r| <= 30 and v over the whole range OAMP reaches, the points themselves and 0 among
+        # the drawn inputs; inputs a v from a decision boundary but far from 0 are where the
+        # softmax rounds most
+        assert_matches_softmax(np.array(r, dtype=complex), v)
+
     def test_hard_decision_limit(self):
         rng = np.random.default_rng(6)
         sym = qam_map(rng.integers(0, 2, 400))
@@ -435,6 +481,16 @@ class TestOampDetect:
             y = np.ones(cfg.mn + 1, dtype=complex)
         with pytest.raises(ValueError):
             detect(y, LinearStage(H), sigma_sq)
+
+    @pytest.mark.parametrize("detect", [oamp_detect, lmmse_detect])
+    @pytest.mark.parametrize("channel", [
+        STAGE_CHANNELS["no-paths"], lambda: channel_from_cells(cfg16(), [(2, 1)], [0.0])],
+        ids=["no-paths", "zero-gain"])
+    def test_rejects_channel_without_signal(self, detect, channel):
+        # H = 0 makes eps 0: OAMP divided by it, and LMMSE returned zeros
+        H = channel()
+        with pytest.raises(ValueError, match="no path with a nonzero gain"):
+            detect(np.ones(H.config.mn, dtype=complex), LinearStage(H), 0.1)
 
 
 class TestLmmse:

@@ -228,6 +228,13 @@ def test_chip_chunks_change_no_bit(monkeypatch, M, N, Q, osf):
         assert np.array_equal(Y, outputs[0][1])
 
 
+def test_tap_bank_is_built_once_per_config():
+    # both directions read one shared bank per config, which no caller may write
+    bank = waveform._tap_bank(cfg32())
+    assert waveform._tap_bank(cfg32()) is bank
+    assert not bank.flags.writeable
+
+
 @pytest.mark.parametrize("field", ["Q", "rolloff"])
 @pytest.mark.parametrize("direction", ["modulate", "demodulate"])
 def test_pulse_follows_the_config(direction, field):
