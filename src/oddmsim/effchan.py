@@ -13,10 +13,11 @@ vector to time chips q (:func:`core.dd_to_chips`, A^H :func:`core.chips_to_dd`) 
 with Pi the cyclic chip shift, (Pi^l x)[q] = x[(q - l) mod MN].  A path is
 therefore a cyclic shift by l_p followed by a phase ramp, and H_t x is P
 gathers from the source chips (q - l_p) mod MN; its adjoint gathers from
-(q + l_p) mod MN.  Distinct integer cells are Frobenius-orthogonal and every
-unit-gain path has ||H_p||_F^2 = MN.  This module is the only place that
-defines a path's shift and ramp; the estimator and the detector work on
-chips through it.
+(q + l_p) mod MN.  A channel has at most one path per (l, k) cell.  Distinct
+integer cells are Frobenius-orthogonal and every unit-gain path has
+||H_p||_F^2 = MN, so H = 0 only when every gain is 0.  This module is the only
+place that defines a path's shift and ramp; the estimator and the detector
+work on chips through it.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ def path_correlations(rows: np.ndarray, t_c: np.ndarray, blocks) -> np.ndarray:
 
 @dataclass(eq=False)
 class EffectiveChannel:
-    """Paths (gains[p], l[p], k[p]) and their H = sum_p gains[p] * H_{l[p], k[p]}.
+    """Paths (gains[p], l[p], k[p]), on distinct (l, k) cells, and their
+    H = sum_p gains[p] * H_{l[p], k[p]}.
 
     H is applied on chips in O(P*MN).
     """
@@ -115,6 +117,11 @@ class EffectiveChannel:
             raise ValueError(f"delay bins {self.l.tolist()} outside [0, {M})")
         if np.any((self.k < k_lo) | (self.k > k_hi)):
             raise ValueError(f"Doppler bins {self.k.tolist()} outside [{k_lo}, {k_hi}]")
+        seen = set()
+        for cell in zip(self.l.tolist(), self.k.tolist()):
+            if cell in seen:  # two paths there are one path, whose gain is their sum
+                raise ValueError(f"more than one path on cell (l, k) = {cell}")
+            seen.add(cell)
 
     @property
     def P(self) -> int:

@@ -38,7 +38,7 @@ Each returns an :class:`EstimationResult` whose ``channel`` is an
 channel generators return, so the detector takes it as its H.
 :func:`nmse` compares two such channels cell by cell: distinct integer cells are
 Frobenius-orthogonal with ||H_{l,k}||_F^2 = MN, so the matrix error ratio is
-the ratio of summed squared gain errors over the merged cells.
+the ratio of summed squared gain errors over the cells of either channel.
 """
 
 from __future__ import annotations
@@ -315,17 +315,14 @@ def mle_exhaustive(y: np.ndarray, sounding: Sounding) -> EstimationResult:
 
 
 def _cell_gains(eff: EffectiveChannel) -> dict:
-    """Summed gain per distinct (l, k) cell."""
-    merged = {}
-    for cell, h in zip(zip(eff.l.tolist(), eff.k.tolist()), eff.gains):
-        merged[cell] = merged.get(cell, 0j) + h
-    return merged
+    """Gain per (l, k) cell; a channel has one path per cell."""
+    return dict(zip(zip(eff.l.tolist(), eff.k.tolist()), eff.gains))
 
 
 def nmse(estimate: EffectiveChannel, truth: EffectiveChannel) -> float:
     """Channel reconstruction error in dB: 10*log10(||H_hat - H||_F^2 / ||H||_F^2).
 
-    Both norms are taken over merged integer cells (the common factor MN
+    Both norms are taken over integer cells (the common factor MN
     cancels), so both channels must be on one M x N grid.  Perfect
     reconstruction is floored at -100 dB.
     """

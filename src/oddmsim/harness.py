@@ -23,9 +23,12 @@ OAMP detector stop by module constants (:data:`estimator.MAX_ITERS`,
 that no spec option changes.  The detector's
 :class:`detector.LinearStage` is built once per channel it detects with: per
 trial for perfect CSI, per point's estimate for estimated CSI, never for a
-cell whose row names a one-tap equalizer's response (OFDM).  Trials go out in
-order, serially or to a process pool, and aggregation keeps each point's
-results in trial order, so both give the same rows.
+cell whose row names a one-tap equalizer's response (OFDM).  A trial returns, at
+each SNR point, one record per row it feeds (``_Point``: its NMSE, bits, bit
+errors and times): the link's under its detector, the NMSE sweep's under each
+estimator that ran.  Trials go out in order, serially or to a process pool, and
+aggregation keeps each point's records in trial order, so both give the same
+rows; one ``_row`` builds every row of both sweeps.
 
 Seed derivation: every random draw uses
 ``numpy.random.SeedSequence((master_seed, stage_tag, trial, ...))`` with
@@ -88,6 +91,11 @@ _MODELS = {"eva": _Model("eva_support", "gen_eva_channel",
            "synthetic": _Model("synthetic_support", "gen_synthetic_channel",
                                {"paths": 3, "l_max": None, "k_max": None})}
 CHANNEL_MODELS = tuple(_MODELS)
+# one trial's record at one SNR point for one row (the link's detector, or one estimator of the
+# NMSE sweep); own_s times the work of this row alone (its estimator's search), and
+# _TrialRunner.run_trial sets wall_time_s
+_Point = collections.namedtuple("_Point", "nmse_db bits bit_errors own_s wall_time_s",
+                                defaults=(0, 0, 0.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -210,7 +218,7 @@ class SweepRow:
     ``wall_time_s`` sums, over the trials the point kept, the point's own
     noise, receive, estimate and detect time (in an NMSE row, of its own
     estimator only) plus an equal share of the trial's draw and send time;
-    both are measured where the trial runs.
+    both are measured where the trial runs (:meth:`_TrialRunner.run_trial`).
     """
 
     scheme: str
@@ -367,8 +375,7 @@ class _TrialRunner:
                 hard = detect(y, stage, sigma).hard_bits if cell.response is None \
                     else detect(y, stage, sigma, cfg, self.cp)
                 errors += int(np.sum(hard != bits))
-            return {"bits": sum(b.size for b, _ in frames), "bit_errors": errors,
-                    "nmse_db": nmse_db}
+            return {spec.detector: _Point(nmse_db, sum(b.size for b, _ in frames), errors)}
 
         return point
 
@@ -380,30 +387,34 @@ class _TrialRunner:
         sounding, observe = self._sensing(trial, chan)
 
         def point(snr_idx):
-            y, out = observe(snr_idx), {"own_s": {}}  # own_s: _row counts each in its row only
+            y, out = observe(snr_idx), {}
             for name, search in (("alg1", estimate_channel), ("mle", mle_exhaustive))[:1 + mle_ok]:
                 t0 = time.perf_counter()
-                out[name] = nmse(search(y, sounding).channel, chan)
-                out["own_s"][name] = time.perf_counter() - t0
+                nmse_db = nmse(search(y, sounding).channel, chan)
+                out[name] = _Point(nmse_db, own_s=time.perf_counter() - t0)
             return out
 
         return point
 
     def run_trial(self, stage, trial: int, points) -> dict:
-        """{snr_idx: result} of ``stage`` (``link_trial`` or ``nmse_trial``)
-        at every SNR index in ``points``, timed by :class:`SweepRow`'s rule."""
+        """{snr_idx: {row name: _Point}} of ``stage`` (``link_trial`` or ``nmse_trial``) at
+        every SNR index in ``points``.  Each record's ``wall_time_s`` is the trial's draw and
+        send time over ``len(points)``, plus the point's time less every record's ``own_s``
+        (the work its rows share), plus the record's own ``own_s``."""
         start = time.perf_counter()
         point = stage(self, trial)
         share = (time.perf_counter() - start) / len(points)
         out = {}
         for i in points:
             t0 = time.perf_counter()
-            out[i] = dict(point(i), wall_time_s=share + time.perf_counter() - t0)
+            records = point(i)
+            shared = share + time.perf_counter() - t0 - sum(p.own_s for p in records.values())
+            out[i] = {name: p._replace(wall_time_s=shared + p.own_s) for name, p in records.items()}
         return out
 
 
 def _run_trials(spec, stage, threads=1, min_bit_errors=math.inf) -> list:
-    """Each SNR point's trial results, in trial order.
+    """Each SNR point's trial results (``{row name: _Point}``), in trial order.
 
     Trials go out in order with the points active at hand-out time, at most
     ``threads`` in flight (on a process pool when ``threads > 1``).  A point
@@ -436,7 +447,7 @@ def _run_trials(spec, stage, threads=1, min_bit_errors=math.inf) -> list:
                 for i, r in (res.result() if pool else res).items():
                     if i in active:
                         kept[i].append(r)
-                        if sum(k.get("bit_errors", 0) for k in kept[i]) >= min_bit_errors:
+                        if sum(p.bit_errors for k in kept[i] for p in k.values()) >= min_bit_errors:
                             active.remove(i)
         finally:
             for future in pending if pool else ():
@@ -444,18 +455,18 @@ def _run_trials(spec, stage, threads=1, min_bit_errors=math.inf) -> list:
     return kept
 
 
-def _row(spec, snr_db, results, detector, csi, nmse_key) -> SweepRow:
-    """One CSV row from a point's trial results; NMSE is averaged linearly."""
-    bits = sum(r.get("bits", 0) for r in results)
-    errors = sum(r.get("bit_errors", 0) for r in results)
-    nmse_lin = [10.0 ** (r[nmse_key] / 10.0) for r in results if r.get(nmse_key) is not None]
+def _row(spec, snr_db, name, csi, points) -> SweepRow:
+    """The CSV row ``name`` of one SNR point from its records, one per trial kept; NMSE is
+    averaged linearly."""
+    bits = sum(p.bits for p in points)
+    errors = sum(p.bit_errors for p in points)
+    nmse_lin = [10.0 ** (p.nmse_db / 10.0) for p in points if p.nmse_db is not None]
     return SweepRow(
-        scheme=spec.scheme, detector=detector, csi=csi, snr_db=float(snr_db),
-        trials_run=len(results), bits=bits, bit_errors=errors,
+        scheme=spec.scheme, detector=name, csi=csi, snr_db=float(snr_db),
+        trials_run=len(points), bits=bits, bit_errors=errors,
         ber=(errors / bits) if bits else None,
         nmse_db=float(10.0 * np.log10(np.mean(nmse_lin))) if nmse_lin else None,
-        wall_time_s=sum(r["wall_time_s"] - sum(t for key, t in r.get("own_s", {}).items()
-                                               if key != nmse_key) for r in results),
+        wall_time_s=sum(p.wall_time_s for p in points),
         seed=spec.seed, config_hash=config_hash(spec))
 
 
@@ -464,8 +475,8 @@ def run_sensing_then_comm(spec: ExperimentSpec, threads: int = 1) -> SweepResult
     trials at a time (on a process pool when more than one)."""
     require_count("threads", threads)
     kept = _run_trials(spec, _TrialRunner.link_trial, threads, spec.min_bit_errors)
-    return SweepResult(rows=[_row(spec, snr_db, rs, spec.detector, spec.csi, "nmse_db")
-                             for snr_db, rs in zip(spec.snr_grid_db, kept)])
+    return SweepResult(rows=[_row(spec, snr_db, name, spec.csi, [r[name] for r in rs])
+                             for snr_db, rs in zip(spec.snr_grid_db, kept) for name in rs[0]])
 
 
 def run_nmse_sweep(spec: ExperimentSpec) -> SweepResult:
@@ -483,9 +494,8 @@ def run_nmse_sweep(spec: ExperimentSpec) -> SweepResult:
     spec = replace(spec, **{f.name: f.default for f in fields(ExperimentSpec)
                             if f.name in ("detector", "csi", "frames_per_trial", "min_bit_errors")})
     kept = _run_trials(spec, _TrialRunner.nmse_trial)
-    return SweepResult(rows=[_row(spec, snr_db, rs, name, "estimated", name)
-                             for snr_db, rs in zip(spec.snr_grid_db, kept)
-                             for name in ("alg1", "mle") if name in rs[0]])
+    return SweepResult(rows=[_row(spec, snr_db, name, "estimated", [r[name] for r in rs])
+                             for snr_db, rs in zip(spec.snr_grid_db, kept) for name in rs[0]])
 
 
 DEFAULT_FRAME = dict(M=64, N=16)

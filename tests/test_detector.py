@@ -156,8 +156,8 @@ class TestLinearStage:
 
     @pytest.mark.parametrize("name", list(STAGE_CHANNELS))
     def test_pair_never_couples_its_halves(self, name):
-        # the trace factor's reversed corners read the factor of diag(J T J, T) across
-        # its seam unmasked: each entry of a reversed-half column in a row of T's half is 0
+        # block 0's forward corner reads the factor of diag(J T J, T) across its seam
+        # unmasked: each entry of a reversed-half column in a row of T's half is 0
         H = STAGE_CHANNELS[name]()
         stage = LinearStage(H)
         n = H.config.mn

@@ -188,6 +188,12 @@ class TestPathCoefficients:
         with pytest.raises(ValueError):
             EffectiveChannel(cfg, [1.0, 0.5], [0], [0])
 
+    def test_repeated_cell_rejected(self):
+        # paths that shared a cell and cancelled gave H = 0 with nonzero gains: eps was 0 and
+        # oamp_detect divided by it
+        with pytest.raises(ValueError, match=r"^more than one path on cell \(l, k\) = \(2, 1\)$"):
+            EffectiveChannel(FrameConfig(8, 4), [1, -1], [2, 2], [1, 1])
+
     @pytest.mark.parametrize("gain", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_gains_rejected(self, gain):
         # a NaN gain made oamp_detect return all-zero bits with a solve residual of 0.0, and

@@ -519,8 +519,12 @@ class TestNmse:
     @pytest.mark.parametrize("case", list(NMSE_CASES))
     def test_matches_dense_frobenius_ratio(self, case):
         cfg = FrameConfig(M=8, N=4)
-        est, truth = (EffectiveChannel(cfg, gains, *zip(*cells))
-                      for cells, gains in NMSE_CASES[case])
+        for cells, gains in NMSE_CASES[case]:
+            repeated = [cell for p, cell in enumerate(cells) if cell in cells[:p]]
+            if repeated:  # one path per cell: refused, and channel_from_cells sums the gains
+                with pytest.raises(ValueError, match=re.escape(f"cell (l, k) = {repeated[0]}")):
+                    EffectiveChannel(cfg, gains, *zip(*cells))
+        est, truth = (channel_from_cells(cfg, cells, gains) for cells, gains in NMSE_CASES[case])
         He, Ht = dense_channel(est), dense_channel(truth)
         ref = 10 * np.log10(np.linalg.norm(He - Ht) ** 2 / np.linalg.norm(Ht) ** 2)
         assert nmse(est, truth) == pytest.approx(ref, abs=1e-10)

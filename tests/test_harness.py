@@ -470,6 +470,20 @@ def test_nmse_rows_time_their_own_estimator(monkeypatch):
     assert alg1.wall_time_s < 0.2 <= mle.wall_time_s
 
 
+def test_link_rows_time_their_detection(monkeypatch):
+    # a link record has no time of its own: its row's time is the whole point's, detection too
+    literal = detector.oamp_detect
+
+    def slow_detect(*args):
+        time.sleep(0.2)
+        return literal(*args)
+
+    monkeypatch.setattr(detector, "oamp_detect", slow_detect)
+    (row,) = run_sensing_then_comm(tiny_spec()).rows
+    assert row.detector == "oamp"
+    assert row.wall_time_s >= 0.2
+
+
 def test_infinite_snr_is_the_noiseless_case():
     spec = tiny_spec(**{"run.snr_db": (math.inf,), "run.sensing_snr_db": math.inf,
                         "run.csi": "estimated"})
