@@ -8,8 +8,7 @@ detector, OTFS/OFDM baselines, and a seeded Monte Carlo harness with CSV
 output.
 """
 
-from .core import (Constellation, FrameConfig, chips_to_dd, dd_to_chips, qam_demap, qam_map,
-                   vectorize)
+from .core import FrameConfig, chips_to_dd, dd_to_chips, qam_demap, qam_map, vectorize
 from .waveform import SampleStream, build_srrc, oddm_demodulate, oddm_modulate
 from .effchan import EffectiveChannel
 from .channel import (add_awgn, apply_physical_channel, delay_index, gen_eva_channel,

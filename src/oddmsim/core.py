@@ -1,4 +1,4 @@
-"""Frame configuration, delay-Doppler grid indexing, and constellation mapping.
+"""Frame configuration, delay-Doppler grid indexing, and the QPSK map.
 
 Conventions shared by every other module:
 
@@ -14,10 +14,14 @@ Conventions shared by every other module:
   and negative Doppler quantize symmetrically.
 * The grid has no physical units: delay and Doppler are counted in bins, and
   time in samples, ``oversampling`` to a delay bin.
+* Every symbol is Gray 4-QAM (QPSK) in closed form: bit pair (b0, b1) maps to
+  ``((1 - 2 b1) + j (1 - 2 b0)) / sqrt(2)`` (:func:`qam_map`), and the hard decision
+  reads the bits back as the signs of the imaginary and real parts (:func:`qam_demap`).
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import math
 import numbers
@@ -55,29 +59,11 @@ def require_sigma_sq(sigma_sq) -> None:
         raise ValueError(f"sigma_sq must be positive and finite, got {sigma_sq}")
 
 
-@dataclass(frozen=True, eq=False)
-class Constellation:
-    """Symbol alphabet with unit average energy and Gray bit labels."""
-
-    points: np.ndarray      # complex points, mean |point|^2 == 1
-    bit_labels: np.ndarray  # (n_points, bits_per_symbol) array of {0, 1}
-
-    @property
-    def bits_per_symbol(self) -> int:
-        return self.bit_labels.shape[1]
-
-    def label_values(self) -> np.ndarray:
-        """Integer value of each point's bit label (MSB first)."""
-        k = self.bits_per_symbol
-        weights = 1 << np.arange(k - 1, -1, -1)
-        return self.bit_labels @ weights
-
-
 # The one alphabet, Gray map pinned for reproducibility:
 #   00 -> (+1+j)/sqrt(2)   01 -> (-1+j)/sqrt(2)
 #   11 -> (-1-j)/sqrt(2)   10 -> (+1-j)/sqrt(2)
-QAM4 = Constellation(np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], dtype=complex) / np.sqrt(2.0),
-                     np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8))
+QAM4 = collections.namedtuple("QAM4", "points bits_per_symbol")(
+    np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], dtype=complex) / np.sqrt(2.0), 2)
 
 
 @dataclass(frozen=True)
@@ -94,7 +80,8 @@ class FrameConfig:
     ``oversampling``, and the grid-level matrix model neither; 2Q < M is the pulse's own
     check (:func:`waveform.build_srrc`), so a grid-only config may leave all three out.
 
-    Every frame carries 4-QAM symbols (:data:`QAM4`).
+    Every frame carries Gray 4-QAM (QPSK) symbols (:data:`QAM4`) in closed form: bit pair
+    (b0, b1) maps to ((1 - 2 b1) + j (1 - 2 b0)) / sqrt(2).
     """
 
     M: int
@@ -121,8 +108,10 @@ class FrameConfig:
         return -(self.N // 2), (self.N + 1) // 2 - 1
 
     @property
-    def constellation_obj(self) -> Constellation:
-        """:data:`QAM4`; kept only for the benchmark's row checks in perfbench/workloads.py."""
+    def constellation_obj(self):
+        """:data:`QAM4`. It stays only because perfbench/workloads.py reads its
+        ``bits_per_symbol`` for the benchmark's row checks; once the benchmark counts the
+        2 bits per QPSK symbol itself, this accessor goes."""
         return QAM4
 
 
@@ -147,27 +136,30 @@ def chips_to_dd(chips: np.ndarray, config: FrameConfig) -> np.ndarray:
 
 
 def qam_map(bits) -> np.ndarray:
-    """Map a bit sequence onto unit-energy 4-QAM symbols."""
+    """Map a bit sequence onto unit-energy 4-QAM symbols, ((1 - 2 b1) + j (1 - 2 b0)) / sqrt(2)
+    per bit pair (b0, b1)."""
     bits = np.asarray(bits).reshape(-1)
     bad = (bits != 0) & (bits != 1)
     if bad.any():
         raise ValueError(f"bits must be 0 or 1, got {np.unique(bits[bad])[:4].tolist()}")
-    bits = bits.astype(np.int64)
-    k = QAM4.bits_per_symbol
-    if bits.size % k:
-        raise ValueError(f"bit count {bits.size} not divisible by {k}")
-    vals = bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))
-    # point order sorted by label value so lookup is a plain index
-    order = np.argsort(QAM4.label_values())
-    return QAM4.points[order][vals]
+    if bits.size % 2:
+        raise ValueError(f"bit count {bits.size} not divisible by 2")
+    rails = 1.0 - 2.0 * bits.reshape(-1, 2)
+    return (rails[:, 1] + 1j * rails[:, 0]) / np.sqrt(2.0)
 
 
 def qam_demap(symbols) -> np.ndarray:
-    """Hard nearest-point 4-QAM decision back to bits."""
+    """Hard nearest-point 4-QAM decision back to bits: b0 = Im < 0 and b1 = Re < 0.
+
+    A symbol on the imaginary axis takes b1 = 1 when Im < 0, so -1j demaps to 11 and 0
+    to 00. A NaN or infinite symbol has no nearest point and raises ``ValueError``.
+    """
     symbols = np.asarray(symbols, dtype=complex).reshape(-1)
-    d2 = np.abs(symbols[:, None] - QAM4.points[None, :]) ** 2
-    idx = d2.argmin(axis=1)
-    return QAM4.bit_labels[idx].reshape(-1)
+    bad = ~np.isfinite(symbols)
+    if bad.any():
+        raise ValueError(f"symbols must be finite, got {symbols[bad][:4].tolist()}")
+    re, below = symbols.real, symbols.imag < 0
+    return np.stack([below, (re < 0) | ((re == 0) & below)], axis=1).astype(np.uint8).reshape(-1)
 
 
 def random_frame(config: FrameConfig, rng: np.random.Generator):

@@ -7,7 +7,8 @@ never writes out), the block and permutation helpers spell out the paper's
 block structure of that matrix, the path statistic is a dense direct
 computation, the Gram band oracle scatters one path pair at a time, the
 linear-estimator oracle works from the SVD of the dense matrix, the OAMP
-denoiser oracle weighs all four constellation points by a softmax, the ODDM
+denoiser oracle weighs all four constellation points by a softmax, the hard
+decision oracle takes the nearest of the four by their distances, the ODDM
 modulator and matched filter build every symbol's pulse train sample by
 sample from its defining formula, and the AWGN reference is the closed-form
 Q-function bit error rate for Gray 4-QAM.  The pulse
@@ -184,6 +185,20 @@ def softmax_nle(r_t, v_le_sq, var_floor):
     s_next = c * (post_mean - (v_post / v) * r_t)
     v_next = max(1.0 / (1.0 / v_post - 1.0 / v), var_floor)
     return s_next, v_next, post_mean, post_var, False
+
+
+def nearest_point_demap(symbols):
+    """Bits of the nearest Gray 4-QAM point to each symbol, by the full distance table.
+
+    The points (+-1 +- j) / sqrt(2) carry the labels 00, 01, 11, 10 in the order
+    +1+j, -1+j, -1-j, +1-j, and of tied points the first wins.  The distances round
+    when a component is within about 1e-16 |s|^2 of an axis.
+    """
+    points = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2.0)
+    labels = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)
+    symbols = np.asarray(symbols, dtype=complex).reshape(-1)
+    d2 = np.abs(symbols[:, None] - points[None, :]) ** 2
+    return labels[d2.argmin(axis=1)].reshape(-1)
 
 
 def _oddm_symbol_trains(a, config, t):

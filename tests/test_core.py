@@ -8,6 +8,13 @@ from oddmsim.core import (QAM4, FrameConfig, chips_to_dd, dd_to_chips, qam_demap
                           round_half_away, vectorize)
 from oddmsim.waveform import SampleStream, build_srrc, oddm_demodulate, oddm_modulate
 
+from oracles import nearest_point_demap
+
+
+# a symbol component exactly on an axis or at least 1e-12 from it
+AXIS_OR_CLEAR = (st.sampled_from([0.0, -0.0]) | st.floats(1e-12, 10.0)
+                 | st.floats(-10.0, -1e-12))
+
 
 def paper_scale_config(**kw):
     args = dict(M=512, N=32, Q=20)
@@ -71,12 +78,11 @@ class TestFrameConfig:
 
 class TestConstellation:
     def test_unit_energy(self):
-        const = QAM4
-        assert abs(np.mean(np.abs(const.points) ** 2) - 1.0) < 1e-12
+        assert abs(np.mean(np.abs(QAM4.points) ** 2) - 1.0) < 1e-12
 
     def test_gray_neighbors_differ_in_one_bit(self):
-        const = QAM4
-        pts, labels = const.points, const.bit_labels
+        pts = QAM4.points
+        labels = qam_demap(pts).reshape(-1, QAM4.bits_per_symbol)
         for i in range(len(pts)):
             for j in range(len(pts)):
                 if i == j:
@@ -117,6 +123,34 @@ class TestConstellation:
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, 2048)
         assert np.array_equal(qam_demap(qam_map(bits)), bits)
+
+    @pytest.mark.parametrize("symbol, bits", [
+        (0j, [0, 0]), (complex(-0.0, 0.0), [0, 0]), (1 + 0j, [0, 0]), (-1 + 0j, [0, 1]),
+        (1j, [0, 0]), (complex(0.0, -1.0), [1, 1]), (complex(0.0, -0.5), [1, 1]),
+        (complex(-0.0, -1.0), [1, 1]), (complex(-0.5, 0.0), [0, 1]),
+        # the nearest point is +1-j; a table of distances to the points rounds the 1.5e-16 away
+        (1.486e-16 - 1.011e-13j, [1, 0]),
+    ])
+    def test_axis_decisions(self, symbol, bits):
+        # on an axis the decision is the first of the tied points in the order +1+j, -1+j,
+        # -1-j, +1-j, as the distance table's argmin took it
+        assert qam_demap([symbol]).tolist() == bits
+
+    @settings(max_examples=300, derandomize=True)
+    @given(st.lists(st.builds(complex, AXIS_OR_CLEAR, AXIS_OR_CLEAR), min_size=1, max_size=8))
+    def test_matches_nearest_point_oracle(self, symbols):
+        # the oracle's distances decide correctly only while each component stays well above
+        # their rounding, about 1e-16 |s|^2; components of at most 10 keep 1e-12 above it
+        assert np.array_equal(qam_demap(symbols), nearest_point_demap(symbols))
+
+    @pytest.mark.parametrize("symbols", [
+        [complex(np.nan, -1.0)], [complex(np.inf, -1.0)], [complex(-np.inf, 0.0)],
+        [complex(1.0, np.nan)], [complex(np.nan, np.nan)], [1 + 1j, complex(0.5, np.inf)],
+    ])
+    def test_rejects_non_finite_symbols(self, symbols):
+        # NaN - 1j and inf - 1j used to demap to 00 without a word
+        with pytest.raises(ValueError, match="symbols must be finite"):
+            qam_demap(symbols)
 
 
 class TestVectorization:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from oddmsim import detector, estimator, harness
 from oddmsim.channel import apply_physical_channel
-from oddmsim.core import QAM4, FrameConfig, random_frame, vectorize
+from oddmsim.core import FrameConfig, random_frame, vectorize
 from oddmsim.harness import (CSI_MODES, DETECTORS, FIDELITIES, SCHEMES, build_spec,
                              config_hash, emit_csv, option_keys, parse_csv, run_nmse_sweep,
                              run_sensing_then_comm)
@@ -74,7 +74,7 @@ def test_every_accepted_combination_runs(options):
     spec = experiment(options)
     result = run_sensing_then_comm(spec)
     (row,) = result.rows
-    assert row.bits == row.trials_run * spec.frames_per_trial * spec.frame.mn * QAM4.bits_per_symbol
+    assert row.bits == row.trials_run * spec.frames_per_trial * spec.frame.mn * spec.frame.constellation_obj.bits_per_symbol
     assert 0.0 <= row.ber <= 0.5
     assert (row.nmse_db is not None) == (options["run.csi"] == "estimated")
 
