@@ -27,31 +27,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FrameConfig, chips_to_dd, dd_to_chips, qam_demap, require_count, require_sigma_sq
+from .core import FrameConfig, checked_frame, chips_to_dd, dd_to_chips, qam_demap, require_sigma_sq
 from .effchan import EffectiveChannel
-from .waveform import SampleStream, checked_frame, checked_samples
+from .waveform import SampleStream, checked_prefix, checked_samples
 
 
-def otfs_modulate(frame, config: FrameConfig, cyclic_prefix_chips: int = 0) -> SampleStream:
-    """Map the DD grid to a sample stream: IDFT across Doppler, sample-and-hold."""
-    chips = dd_to_chips(checked_frame(frame, config), config)
-    require_count("cyclic_prefix_chips", cyclic_prefix_chips, least=0)
-    if cyclic_prefix_chips > config.mn:
-        raise ValueError(f"cyclic_prefix_chips must be in [0, MN = {config.mn}], "
-                         f"got {cyclic_prefix_chips}")
+def otfs_modulate(frame, config: FrameConfig, cp_chips: int) -> SampleStream:
+    """Map the delay-major frame to a sample stream: IDFT across Doppler, sample-and-hold."""
+    chips = dd_to_chips(checked_frame("frame", frame, config), config)
     samples = np.repeat(chips, config.oversampling) / np.sqrt(config.oversampling)
-    cp = cyclic_prefix_chips * config.oversampling
+    cp = checked_prefix(cp_chips, config) * config.oversampling
     if cp:
         samples = np.concatenate([samples[-cp:], samples])
     return SampleStream(samples=samples, start=-cp)
 
 
 def otfs_demodulate(stream: SampleStream, config: FrameConfig) -> np.ndarray:
-    """Adjoint chain: integrate chips, DFT across blocks back to the DD grid."""
+    """Adjoint chain: integrate chips, DFT across blocks back to the delay-major (MN,) vector."""
     M, N, osf = config.M, config.N, config.oversampling
     y = checked_samples(stream, 0, M * N * osf)
     chips = y.reshape(M * N, osf).sum(axis=1) / np.sqrt(osf)
-    return chips_to_dd(chips, config).reshape(M, N)
+    return chips_to_dd(chips, config)
 
 
 def _subcarriers(config: FrameConfig) -> np.ndarray:
@@ -61,22 +57,14 @@ def _subcarriers(config: FrameConfig) -> np.ndarray:
     return index
 
 
-def _check_cp(cp_chips, config: FrameConfig) -> None:
-    """An OFDM prefix is a whole number of chips in [0, M)."""
-    require_count("cp_chips", cp_chips, least=0)
-    if cp_chips >= config.M:
-        raise ValueError(f"cp_chips must be in [0, M = {config.M}), got {cp_chips}")
-
-
 def ofdm_modulate(frame, config: FrameConfig, cp_chips: int) -> SampleStream:
     """Cyclic-prefix OFDM: N symbols of M subcarriers, one Doppler bin of the frame apart."""
-    grid = checked_frame(frame, config).reshape(config.N, config.M)  # one row per OFDM symbol
-    _check_cp(cp_chips, config)
+    grid = checked_frame("frame", frame, config).reshape(config.N, config.M)  # one row per symbol
     L = config.M * config.oversampling
     spec = np.zeros((config.N, L), dtype=complex)
     spec[:, _subcarriers(config) % L] = grid
     time = np.fft.ifft(spec, axis=1) * np.sqrt(L)
-    cp = cp_chips * config.oversampling
+    cp = checked_prefix(cp_chips, config) * config.oversampling
     with_cp = np.concatenate([time[:, L - cp:], time], axis=1) if cp else time
     return SampleStream(samples=with_cp.reshape(-1))
 
@@ -89,8 +77,7 @@ def ofdm_freq_response(chan: EffectiveChannel, config: FrameConfig,
     cycles k t_c / (MN osf) - (subcarrier + k/N) l / M; inter-carrier interference is
     deliberately not modeled, so a fast channel leaves residual error.
     """
-    _check_cp(cp_chips, config)
-    L, cp = config.M * config.oversampling, cp_chips * config.oversampling
+    L, cp = config.M * config.oversampling, checked_prefix(cp_chips, config) * config.oversampling
     t_c = np.arange(config.N) * (L + cp) + cp + L / 2.0
     resp = np.zeros((config.N, config.M), dtype=complex)
     for h, l, k in zip(chan.gains, chan.l, chan.k):
@@ -103,11 +90,10 @@ def ofdm_freq_response(chan: EffectiveChannel, config: FrameConfig,
 def ofdm_detect(stream: SampleStream, chan_freq_response: np.ndarray, sigma_sq: float,
                 config: FrameConfig, cp_chips: int) -> np.ndarray:
     """Strip prefixes, FFT, one-tap MMSE equalize, hard-demap to bits."""
-    _check_cp(cp_chips, config)
     require_sigma_sq(sigma_sq)
     M, N, osf = config.M, config.N, config.oversampling
     L = M * osf
-    cp = cp_chips * osf
+    cp = checked_prefix(cp_chips, config) * osf
     y = checked_samples(stream, 0, N * (L + cp)).reshape(N, L + cp)[:, cp:]
     spec = np.fft.fft(y, axis=1) / np.sqrt(L)
     Y = spec[:, _subcarriers(config) % L]

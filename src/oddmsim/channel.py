@@ -137,7 +137,7 @@ def apply_physical_channel(stream: SampleStream, chan: EffectiveChannel) -> Samp
     return SampleStream(samples=out, start=stream.start)
 
 
-def add_awgn(x: np.ndarray, noise_var: float, rng_seed=None) -> np.ndarray:
+def add_awgn(x: np.ndarray, noise_var: float, rng_seed) -> np.ndarray:
     """x plus circularly-symmetric complex Gaussian noise of per-sample variance
     noise_var (none for noise_var <= 0), always as a new array."""
     if math.isnan(noise_var) or noise_var == math.inf:

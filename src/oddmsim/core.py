@@ -2,10 +2,11 @@
 
 Conventions shared by every other module:
 
-* A frame is an M x N complex grid ``S(m, n)`` with ``m`` the delay index
-  (0..M-1) and ``n`` the Doppler index (0..N-1).
-* Vectorization is delay-major: ``s[m*N + n] = S(m, n)``, so the effective
-  channel matrix decomposes into an M x M grid of N x N Doppler blocks.
+* A frame is the delay-major vector of MN complex symbols ``s[m*N + n] = S(m, n)``,
+  with ``m`` the delay index (0..M-1) and ``n`` the Doppler index (0..N-1), so the
+  effective channel matrix decomposes into an M x M grid of N x N Doppler blocks.
+  Every function that takes or returns a frame or an observation uses this vector
+  (:func:`checked_frame`).
 * Doppler indices are physically signed, in ``[-floor(N/2), ceil(N/2)-1]``
   (:attr:`FrameConfig.doppler_range`), and reduced mod N wherever they index the grid.
 * A frame goes to its MN time chips by one unitary map A, :func:`dd_to_chips`, and
@@ -115,13 +116,19 @@ class FrameConfig:
         return QAM4
 
 
-def vectorize(grid) -> np.ndarray:
-    """Flatten a delay-Doppler grid delay-major: s[m*N + n] = S(m, n)."""
-    return np.ascontiguousarray(grid).reshape(-1)
+def checked_frame(name: str, x, config: FrameConfig) -> np.ndarray:
+    """A delay-major frame or observation as a complex vector, which must be finite with
+    shape (MN,)."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (config.mn,):
+        raise ValueError(f"{name} shape {x.shape} != (MN,) = ({config.mn},)")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} contains non-finite values")
+    return x
 
 
 def dd_to_chips(x, config: FrameConfig) -> np.ndarray:
-    """A x: a delay-Doppler frame, its M x N grid or delay-major vector, to MN time chips.
+    """A x: a delay-major delay-Doppler vector to MN time chips.
 
     An inverse DFT across Doppler; chip ``n_hat*M + m`` carries delay bin
     ``m`` of block ``n_hat``.
@@ -163,6 +170,6 @@ def qam_demap(symbols) -> np.ndarray:
 
 
 def random_frame(config: FrameConfig, rng: np.random.Generator):
-    """Draw one frame of random constellation symbols; returns (bits, the M x N grid)."""
+    """Draw one frame of random QPSK symbols; returns (bits, the delay-major (MN,) vector)."""
     bits = rng.integers(0, 2, size=config.mn * QAM4.bits_per_symbol, dtype=np.uint8)
-    return bits, qam_map(bits).reshape(config.M, config.N)
+    return bits, qam_map(bits)

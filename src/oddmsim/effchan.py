@@ -27,17 +27,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import FrameConfig, chips_to_dd, dd_to_chips
+from .core import FrameConfig, checked_frame, chips_to_dd, dd_to_chips
 
 
 def checked_chips(name: str, x, config: FrameConfig) -> np.ndarray:
-    """Chips of an input vector, which must be finite with shape (MN,)."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (config.mn,):
-        raise ValueError(f"{name} shape {x.shape} != (MN,) = ({config.mn},)")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains non-finite values")
-    return dd_to_chips(x, config)
+    """Chips of a delay-major input vector, checked by :func:`core.checked_frame`."""
+    return dd_to_chips(checked_frame(name, x, config), config)
 
 
 def _sources(l, mn: int) -> np.ndarray:

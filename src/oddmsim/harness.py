@@ -52,7 +52,7 @@ import numpy as np
 
 from . import baselines, channel, detector, estimator, waveform
 from .channel import add_awgn, apply_physical_channel, snr_to_noise_var
-from .core import FrameConfig, random_frame, require_count, require_real, vectorize
+from .core import FrameConfig, random_frame, require_count, require_real
 from .effchan import EffectiveChannel
 from .estimator import EstimationConfig, Sounding, estimate_channel, mle_exhaustive, nmse
 from .waveform import SampleStream, build_srrc
@@ -316,7 +316,7 @@ class _TrialRunner:
         """Noiseless received signal of one frame: ``chan.apply(s)`` (matrix
         fidelity) or the frame's sample stream through the paths of ``chan``."""
         if self.cell.modulate is None:
-            return chan.apply(vectorize(frame))
+            return chan.apply(frame)
         return apply_physical_channel(getattr(*self.cell.modulate)(frame, self.cfg, self.cp), chan)
 
     def _observe(self, rx, noise_var, noise_rng):
@@ -327,7 +327,7 @@ class _TrialRunner:
         rx = SampleStream(add_awgn(rx.samples, noise_var, noise_rng), rx.start)
         if self.cell.demodulate is None:
             return rx
-        return vectorize(getattr(*self.cell.demodulate)(rx, self.cfg))
+        return getattr(*self.cell.demodulate)(rx, self.cfg)
 
     def _sensing(self, trial: int, chan):
         """The trial's :class:`Sounding` and ``observe(snr_idx)``, that point's
@@ -342,7 +342,7 @@ class _TrialRunner:
             noise_rng = derive_rng(spec.seed, _STAGE_SENSE_NOISE, trial, snr_idx)
             return self._observe(rx, snr_to_noise_var(snr_db), noise_rng)
 
-        return Sounding(self.est_cfg, vectorize(frame)), observe
+        return Sounding(self.est_cfg, frame), observe
 
     def link_trial(self, trial: int):
         """Draw and send one link trial; returns its per-point work: sense,

@@ -11,8 +11,10 @@ time, ``oversampling`` to a delay bin, so a pulse spans ``2*Q*oversampling + 1``
 samples and the frame spans ``M*N*oversampling`` samples.  A :class:`SampleStream`
 counts time the same way, at its frame config's ``oversampling``: ``start`` is the
 index of its first sample, 0 being the frame's first.
-Every modulator takes :func:`checked_frame`, and every receiver reads its own
-window of that axis through :func:`checked_samples`.  With the pulse train
+Every modulator takes a delay-major frame vector (:func:`core.checked_frame`) and
+one cyclic prefix (:func:`checked_prefix`); every receiver reads its own window of
+that axis through :func:`checked_samples`, and every demodulator returns the
+delay-major vector.  With the pulse train
 normalized to unit discrete energy, a matched filter then preserves
 per-sample noise variance, which keeps the SNR bookkeeping identical between
 the sample-level chain and the grid-level matrix model.
@@ -48,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import FrameConfig, require_count
+from .core import FrameConfig, checked_frame, require_count
 
 _CHUNK_BYTES = 256 * 1024  # bytes of chip windows that either direction forms at once
 
@@ -103,14 +105,12 @@ def build_srrc(config: FrameConfig) -> np.ndarray:
     return a / np.sqrt(config.N * np.sum(a * a))
 
 
-def checked_frame(frame, config: FrameConfig) -> np.ndarray:
-    """A frame to transmit: an (M, N) array of finite symbols."""
-    grid = np.asarray(frame)
-    if grid.shape != (config.M, config.N):
-        raise ValueError(f"frame shape {grid.shape} != ({config.M}, {config.N})")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("frame has non-finite symbols")
-    return grid
+def checked_prefix(cp_chips, config: FrameConfig) -> int:
+    """A cyclic prefix: a whole number of chips in [0, M)."""
+    cp_chips = require_count("cp_chips", cp_chips, least=0)
+    if cp_chips >= config.M:
+        raise ValueError(f"cp_chips must be in [0, M = {config.M}), got {cp_chips}")
+    return cp_chips
 
 
 def checked_samples(stream: SampleStream, first: int, stop: int) -> np.ndarray:
@@ -155,27 +155,25 @@ def _hop_phases(N: int, sign: int) -> np.ndarray:
     return np.exp(sign * 2j * np.pi * np.outer(np.arange(N), np.arange(N)) / N)
 
 
-def oddm_modulate(frame, config: FrameConfig, cyclic_prefix_chips: int = 0) -> SampleStream:
-    """Synthesize the staggered multicarrier waveform for one frame.
+def oddm_modulate(frame, config: FrameConfig, cp_chips: int) -> SampleStream:
+    """Synthesize the staggered multicarrier waveform for one delay-major frame.
 
-    Each symbol S(m, n) rides the config's pulse train (:func:`build_srrc`)
+    Each symbol S(m, n) = s[m*N + n] rides the config's pulse train (:func:`build_srrc`)
     delayed by m slots and modulated by the n-th Doppler subcarrier.  In the
     chip-grid form of the module docstring, the chip weights
     X[q, n] = S(m, n) * e^{j2pi n n_hat/N} times the tap bank give each chip's
     (2Q + 1)*osf samples, which are overlap-added into the stream's
     (MN + 2Q, osf) blocks: window block j of chip q lands on stream block
     q + j.  The stream covers samples [-Q*osf, MN*osf + Q*osf): ``start`` is
-    -Q*osf.  With ``cyclic_prefix_chips > 0`` the tail of the frame is folded
+    -Q*osf.  With ``cp_chips > 0`` the tail of the frame is folded
     in front of sample 0 (``start`` moves back as many chips) so that a
     multipath channel with delay spread up to that many delay bins acts
     circularly on the frame, matching the wrap blocks of the grid-level
     channel matrix.
     """
-    grid = checked_frame(frame, config)
+    grid = checked_frame("frame", frame, config).reshape(config.M, config.N)
+    cp_chips = checked_prefix(cp_chips, config)
     M, N, osf = config.M, config.N, config.oversampling
-    require_count("cyclic_prefix_chips", cyclic_prefix_chips, least=0)
-    if cyclic_prefix_chips > M:
-        raise ValueError(f"cyclic_prefix_chips must be in [0, M = {M}], got {cyclic_prefix_chips}")
     Q, qos = config.Q, config.Q * osf
     L = M * N * osf
     chips = (_hop_phases(N, +1)[:, None, :] * grid[None, :, :]).reshape(M * N, N)
@@ -186,9 +184,9 @@ def oddm_modulate(frame, config: FrameConfig, cyclic_prefix_chips: int = 0) -> S
         for j in range(2 * Q + 1):
             blocks[lo + j:hi + j] += windows[:, j]
     body = blocks.reshape(-1)  # samples [-qos, L + qos)
-    if cyclic_prefix_chips == 0:
+    if cp_chips == 0:
         return SampleStream(samples=body, start=-qos)
-    cp = cyclic_prefix_chips * osf
+    cp = cp_chips * osf
     out = np.zeros(cp + L + 2 * qos, dtype=complex)
     out[cp:] = body
     out[:cp + 2 * qos] += body[L - cp:]  # fold frame tail in front of sample 0
@@ -196,7 +194,8 @@ def oddm_modulate(frame, config: FrameConfig, cyclic_prefix_chips: int = 0) -> S
 
 
 def oddm_demodulate(stream: SampleStream, config: FrameConfig) -> np.ndarray:
-    """Project a received stream back onto the M x N grid via the matched filter.
+    """Project a received stream back onto the delay-major (MN,) frame vector via the
+    matched filter.
 
     The transpose of :func:`oddm_modulate`: samples [-Q*osf, MN*osf + Q*osf)
     are viewed as (MN + 2Q, osf) blocks, chip q correlates its window (blocks
@@ -214,4 +213,4 @@ def oddm_demodulate(stream: SampleStream, config: FrameConfig) -> np.ndarray:
     Z = np.empty((M * N, N), dtype=complex)
     for lo, hi in _chunks(M * N, bank.shape[0]):
         np.matmul(windows[lo:hi], bank, out=Z[lo:hi])
-    return np.einsum("kmn,kn->mn", Z.reshape(N, M, N), _hop_phases(N, -1))
+    return np.einsum("kmn,kn->mn", Z.reshape(N, M, N), _hop_phases(N, -1)).reshape(-1)

@@ -222,21 +222,23 @@ def _oddm_symbol_trains(a, config, t):
         yield m, train * roots[(n * (t - m * osf)) % (M * N * osf)]
 
 
-def oddm_modulate_literal(S, a, config, cyclic_prefix_chips=0):
-    """(samples, first sample index) of sum_{m,n} S(m, n) u_{m,n}(t), sample by sample.
+def oddm_modulate_literal(s, a, config, cp_chips):
+    """(samples, first sample index) of sum_{m,n} S(m, n) u_{m,n}(t), sample by sample, for
+    the delay-major frame s[m*N + n] = S(m, n).
 
     The stream covers t in [-cp*osf - Q*osf, MN*osf + Q*osf); a cyclic prefix
     of cp chips adds the frame's copy delayed by -MN*osf on t < Q*osf, so the
     prefix carries the frame tail.
     """
+    S = np.reshape(s, (config.M, config.N))
     osf, qos = config.oversampling, (a.size - 1) // 2
     L = config.M * config.N * osf
-    start = -cyclic_prefix_chips * osf - qos
+    start = -cp_chips * osf - qos
     t = np.arange(start, L + qos)
     x = np.zeros(t.size, dtype=complex)
     for m, u in _oddm_symbol_trains(a, config, t):
         x += S[m] @ u
-    if cyclic_prefix_chips:
+    if cp_chips:
         head = t[t < qos]
         for m, u in _oddm_symbol_trains(a, config, head + L):
             x[:head.size] += S[m] @ u
@@ -244,12 +246,13 @@ def oddm_modulate_literal(S, a, config, cyclic_prefix_chips=0):
 
 
 def oddm_demodulate_literal(samples, start, a, config):
-    """Y(m, n) = sum_t x(t) * conj(u_{m,n}(t)) over the stream's samples from index `start`."""
+    """Y(m, n) = sum_t x(t) * conj(u_{m,n}(t)) over the stream's samples from index `start`,
+    as the delay-major vector y[m*N + n] = Y(m, n)."""
     t = start + np.arange(samples.size)
     Y = np.empty((config.M, config.N), dtype=complex)
     for m, u in _oddm_symbol_trains(a, config, t):
         Y[m] = u.conj() @ samples
-    return Y
+    return Y.reshape(-1)
 
 
 def pulse_orthogonality_matrix(a, config, m_range, n_range):

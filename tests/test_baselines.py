@@ -1,13 +1,15 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from oddmsim import harness
 from oddmsim.baselines import (ofdm_detect, ofdm_freq_response, ofdm_modulate,
                                otfs_demodulate, otfs_modulate)
 from oddmsim.channel import (add_awgn, apply_physical_channel, channel_from_cells,
                              gen_eva_channel, snr_to_noise_var)
-from oddmsim.core import FrameConfig, random_frame, vectorize
+from oddmsim.core import FrameConfig, random_frame
 from oddmsim.waveform import SampleStream, oddm_demodulate, oddm_modulate
 
 from oracles import count_bit_errors, qpsk_awgn_ber
@@ -21,19 +23,19 @@ class TestOtfs:
     def test_roundtrip_identity(self):
         cfg = cfg32()
         _, frame = random_frame(cfg, np.random.default_rng(0))
-        back = otfs_demodulate(otfs_modulate(frame, cfg), cfg)
+        back = otfs_demodulate(otfs_modulate(frame, cfg, 0), cfg)
         assert np.max(np.abs(back - frame)) <= 1e-10
 
     def test_roundtrip_with_prefix(self):
         cfg = cfg32()
         _, frame = random_frame(cfg, np.random.default_rng(1))
-        back = otfs_demodulate(otfs_modulate(frame, cfg, cyclic_prefix_chips=8), cfg)
+        back = otfs_demodulate(otfs_modulate(frame, cfg, cp_chips=8), cfg)
         assert np.max(np.abs(back - frame)) <= 1e-10
 
     def test_parseval(self):
         cfg = cfg32()
         _, frame = random_frame(cfg, np.random.default_rng(2))
-        st = otfs_modulate(frame, cfg)
+        st = otfs_modulate(frame, cfg, 0)
         assert np.sum(np.abs(st.samples) ** 2) == pytest.approx(
             np.sum(np.abs(frame) ** 2), rel=1e-10)
 
@@ -42,10 +44,10 @@ class TestOtfs:
         _, frame = random_frame(cfg, np.random.default_rng(3))
         chan = channel_from_cells(cfg, [(3, 0)], [0.9 - 0.2j])
         rx = apply_physical_channel(
-            otfs_modulate(frame, cfg, cyclic_prefix_chips=8), chan)
-        Y = otfs_demodulate(rx, cfg)
-        ref = chan.apply(vectorize(frame))
-        assert np.max(np.abs(Y.reshape(-1) - ref)) <= 1e-10
+            otfs_modulate(frame, cfg, cp_chips=8), chan)
+        y = otfs_demodulate(rx, cfg)
+        ref = chan.apply(frame)
+        assert np.max(np.abs(y - ref)) <= 1e-10
 
     def test_doppler_channel_close_to_model(self):
         # chip-held transmit pulses rotate inside a chip, so Doppler paths
@@ -54,15 +56,15 @@ class TestOtfs:
         _, frame = random_frame(cfg, np.random.default_rng(4))
         chan = channel_from_cells(cfg, [(2, 1), (5, -1)], [0.8, 0.4j])
         rx = apply_physical_channel(
-            otfs_modulate(frame, cfg, cyclic_prefix_chips=8), chan)
-        Y = otfs_demodulate(rx, cfg).reshape(-1)
-        ref = chan.apply(vectorize(frame))
-        assert np.linalg.norm(Y - ref) / np.linalg.norm(ref) <= 3e-2
+            otfs_modulate(frame, cfg, cp_chips=8), chan)
+        y = otfs_demodulate(rx, cfg)
+        ref = chan.apply(frame)
+        assert np.linalg.norm(y - ref) / np.linalg.norm(ref) <= 3e-2
 
     def test_frame_shape_checked(self):
         cfg = cfg32()
         with pytest.raises(ValueError):
-            otfs_modulate(np.zeros((8, 32), dtype=complex), cfg)
+            otfs_modulate(np.zeros((8, 32), dtype=complex), cfg, 0)
 
 
 class TestOfdm:
@@ -131,9 +133,9 @@ class TestOfdm:
 
 
 RECEIVERS = {  # (transmit a frame, receive a stream)
-    "oddm": (lambda cfg, frame: oddm_modulate(frame, cfg, cyclic_prefix_chips=5),
+    "oddm": (lambda cfg, frame: oddm_modulate(frame, cfg, cp_chips=5),
              lambda stream, cfg: oddm_demodulate(stream, cfg)),
-    "otfs": (lambda cfg, frame: otfs_modulate(frame, cfg, cyclic_prefix_chips=8),
+    "otfs": (lambda cfg, frame: otfs_modulate(frame, cfg, cp_chips=8),
              lambda stream, cfg: otfs_demodulate(stream, cfg)),
     "ofdm": (lambda cfg, frame: ofdm_modulate(frame, cfg, cp_chips=4),
              lambda stream, cfg: ofdm_detect(stream, np.ones((cfg.N, cfg.M)), 0.1, cfg, 4)),
@@ -208,30 +210,45 @@ def test_receiver_reads_exactly_its_window(receiver):
 
 
 def _prefix_users(cfg):
-    """{function: (its prefix argument, the least prefix it refuses, a call with a prefix)} of
-    every function that takes a cyclic prefix in chips."""
+    """{function: a call with a prefix} of every function that takes a cyclic prefix in chips."""
     frame = random_frame(cfg, np.random.default_rng(9))[1]
     chan = channel_from_cells(cfg, [(0, 0), (2, 1)], [0.8, 0.6])
     stream = ofdm_modulate(frame, cfg, cp_chips=4)
     return {
-        "oddm_modulate": ("cyclic_prefix_chips", cfg.M + 1,
-                          lambda cp: oddm_modulate(frame, cfg, cyclic_prefix_chips=cp)),
-        "otfs_modulate": ("cyclic_prefix_chips", cfg.mn + 1,
-                          lambda cp: otfs_modulate(frame, cfg, cyclic_prefix_chips=cp)),
-        "ofdm_modulate": ("cp_chips", cfg.M, lambda cp: ofdm_modulate(frame, cfg, cp)),
-        "ofdm_freq_response": ("cp_chips", cfg.M, lambda cp: ofdm_freq_response(chan, cfg, cp)),
-        "ofdm_detect": ("cp_chips", cfg.M,
-                        lambda cp: ofdm_detect(stream, np.ones((cfg.N, cfg.M)), 0.1, cfg, cp)),
+        "oddm_modulate": lambda cp: oddm_modulate(frame, cfg, cp_chips=cp),
+        "otfs_modulate": lambda cp: otfs_modulate(frame, cfg, cp_chips=cp),
+        "ofdm_modulate": lambda cp: ofdm_modulate(frame, cfg, cp_chips=cp),
+        "ofdm_freq_response": lambda cp: ofdm_freq_response(chan, cfg, cp_chips=cp),
+        "ofdm_detect": lambda cp: ofdm_detect(stream, np.ones((cfg.N, cfg.M)), 0.1, cfg,
+                                              cp_chips=cp),
     }
 
 
 @pytest.mark.parametrize("bad", ["fraction", "bool", "negative", "past-bound"])
 @pytest.mark.parametrize("function", list(_prefix_users(cfg32())))
 def test_bad_cyclic_prefix_rejected(function, bad):
-    # a prefix is a whole number of chips up to the function's bound: the modulators raised
-    # TypeError for 2.5 and took True as one chip, ofdm_freq_response took all four and
-    # ofdm_detect raised IndexError at -1
-    name, past, call = _prefix_users(cfg32())[function]
-    value = {"fraction": 2.5, "bool": True, "negative": -1, "past-bound": past}[bad]
-    with pytest.raises(ValueError, match=f"^{name} "):
-        call(value)
+    # a prefix is a whole number of chips in [0, M), the one rule of every function that
+    # takes one: the modulators raised TypeError for 2.5 and took True as one chip,
+    # ofdm_freq_response took all four and ofdm_detect raised IndexError at -1
+    cfg = cfg32()
+    value = {"fraction": 2.5, "bool": True, "negative": -1, "past-bound": cfg.M}[bad]
+    with pytest.raises(ValueError, match="^cp_chips "):
+        _prefix_users(cfg)[function](value)
+
+
+@pytest.mark.parametrize("scheme", [scheme for scheme, fidelity in harness._CELLS
+                                    if fidelity == "waveform"])
+def test_waveform_cells_share_one_modem_contract(scheme):
+    # each link cell's modulator takes the delay-major (MN,) frame and refuses the (M, N)
+    # grid, its demodulator returns that vector, and its prefix is in [0, M): ODDM took
+    # cp = M and OTFS any cp up to MN
+    cfg = cfg32()
+    cell = harness._CELLS[scheme, "waveform"]
+    modulate = getattr(*cell.modulate)
+    frame = random_frame(cfg, np.random.default_rng(11))[1]
+    with pytest.raises(ValueError, match=re.escape(f"frame shape ({cfg.M}, {cfg.N}) != (MN,)")):
+        modulate(frame.reshape(cfg.M, cfg.N), cfg, 4)
+    with pytest.raises(ValueError, match="^cp_chips "):
+        modulate(frame, cfg, cfg.M)
+    if cell.demodulate is not None:
+        assert getattr(*cell.demodulate)(modulate(frame, cfg, cfg.M - 1), cfg).shape == (cfg.mn,)

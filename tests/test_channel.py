@@ -169,8 +169,8 @@ class TestApplyChannel:
         assert np.mean(np.abs(out) ** 2) == pytest.approx(0.25, rel=0.02)
         clean = self._stream().samples
         for noiseless in (0.0, -1.0, -np.inf):
-            assert np.array_equal(add_awgn(clean, noiseless), clean)
-        assert add_awgn(clean, 0.0) is not clean
+            assert np.array_equal(add_awgn(clean, noiseless, 0), clean)
+        assert add_awgn(clean, 0.0, 0) is not clean
 
     @pytest.mark.parametrize("noise_var", [float("nan"), float("inf")])
     def test_non_finite_noise_var_rejected(self, noise_var):
@@ -182,6 +182,11 @@ class TestApplyChannel:
         x = self._stream().samples
         assert np.array_equal(add_awgn(x, 0.1, 7), add_awgn(x, 0.1, 7))
         assert not np.array_equal(add_awgn(x, 0.1, 7), add_awgn(x, 0.1, 8))
+
+    def test_seed_is_required(self):
+        # noise drawn from no seed came from OS entropy, so no run could reproduce it
+        with pytest.raises(TypeError, match="rng_seed"):
+            add_awgn(np.zeros(4, complex), 0.1)
 
 
 class TestSnrAndSerialization:

@@ -1,11 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddmsim.channel import delay_index, eva_support
-from oddmsim.core import (QAM4, FrameConfig, chips_to_dd, dd_to_chips, qam_demap, qam_map,
-                          round_half_away, vectorize)
+from oddmsim.core import (QAM4, FrameConfig, checked_frame, chips_to_dd, dd_to_chips, qam_demap,
+                          qam_map, round_half_away)
 from oddmsim.waveform import SampleStream, build_srrc, oddm_demodulate, oddm_modulate
 
 from oracles import nearest_point_demap
@@ -35,7 +37,7 @@ class TestFrameConfig:
         # the grid takes any pulse length; the pulse, and each end through it, checks 2Q < M
         cfg = FrameConfig(M=8, N=4, Q=4)
         stream = SampleStream(np.zeros(1))  # the pulse is checked first
-        for use in (build_srrc, lambda c: oddm_modulate(np.ones((c.M, c.N)), c),
+        for use in (build_srrc, lambda c: oddm_modulate(np.ones(c.mn), c, 0),
                     lambda c: oddm_demodulate(stream, c)):
             with pytest.raises(ValueError, match=r"^Q 4 is too long for the grid: need 2Q < M = 8"):
                 use(cfg)
@@ -154,48 +156,55 @@ class TestConstellation:
 
 
 class TestVectorization:
+    """A frame's one spelling, the delay-major vector s[m*N + n] = S(m, n)."""
+
     def test_delay_major_order(self):
-        grid = np.array([[1, 2], [3, 4], [5, 6], [7, 8]], dtype=complex)
-        assert np.array_equal(vectorize(grid), np.arange(1, 9))
+        # the symbol at s[m*N + n] rides delay bin m: its N pulse copies sit on chips n_hat*M + m
+        cfg = FrameConfig(M=4, N=2)
+        for m in range(cfg.M):
+            for n in range(cfg.N):
+                s = np.zeros(cfg.mn, dtype=complex)
+                s[m * cfg.N + n] = 1.0
+                chips = np.flatnonzero(np.abs(dd_to_chips(s, cfg)) > 1e-12)
+                assert np.array_equal(chips, m + cfg.M * np.arange(cfg.N))
 
     @settings(max_examples=30)
     @given(st.integers(3, 10), st.integers(2, 6), st.integers(0, 2 ** 31 - 1))
     def test_roundtrip_random(self, M, N, seed):
-        # delay-major whatever the grid's memory order; reshape to (M, N) undoes it
+        # checked_frame passes an (MN,) vector through as complex, and refuses its (M, N) grid
         rng = np.random.default_rng(seed)
-        grid = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
-        v = vectorize(grid)
-        assert np.array_equal(v.reshape(M, N), grid)
-        assert np.array_equal(vectorize(np.asfortranarray(grid)), v)
+        s, cfg = rng.standard_normal(M * N) + 1j * rng.standard_normal(M * N), FrameConfig(M=M, N=N)
+        assert np.array_equal(checked_frame("frame", s.real, cfg), s.real + 0j)
+        assert np.array_equal(checked_frame("frame", s, cfg), s)
+        with pytest.raises(ValueError, match=re.escape(f"frame shape ({M}, {N}) != (MN,)")):
+            checked_frame("frame", s.reshape(M, N), cfg)
 
 
 CHIP_GRIDS = [(4, 2), (8, 4), (6, 5)]
 
 
-def random_grid(M, N):
+def random_frame_vector(M, N):
     rng = np.random.default_rng(M * 10 + N)
-    return rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
+    return rng.standard_normal(M * N) + 1j * rng.standard_normal(M * N)
 
 
 class TestChipMap:
-    """dd_to_chips and chips_to_dd, the unitary map between a frame, as its grid or its
-    delay-major vector, and time chips."""
+    """dd_to_chips and chips_to_dd, the unitary map between a frame's delay-major vector and
+    time chips."""
 
     @pytest.mark.parametrize("M, N", CHIP_GRIDS)
     def test_matches_explicit_idft(self, M, N):
-        # chip n_hat*M + m carries sum_n S(m, n) e^{j2pi n n_hat / N} / sqrt(N), whichever
-        # spelling of the frame it is given
-        grid, cfg = random_grid(M, N), FrameConfig(M=M, N=N)
-        ref = np.array([sum(grid[m, n] * np.exp(2j * np.pi * n * n_hat / N) for n in range(N))
+        # chip n_hat*M + m carries sum_n S(m, n) e^{j2pi n n_hat / N} / sqrt(N)
+        s, cfg = random_frame_vector(M, N), FrameConfig(M=M, N=N)
+        ref = np.array([sum(s[m * N + n] * np.exp(2j * np.pi * n * n_hat / N) for n in range(N))
                         for n_hat in range(N) for m in range(M)]) / np.sqrt(N)
-        assert np.allclose(dd_to_chips(grid, cfg), ref, atol=1e-12)
-        assert np.array_equal(dd_to_chips(vectorize(grid), cfg), dd_to_chips(grid, cfg))
+        assert np.allclose(dd_to_chips(s, cfg), ref, atol=1e-12)
 
     @pytest.mark.parametrize("M, N", CHIP_GRIDS)
     def test_roundtrip(self, M, N):
-        grid, cfg = random_grid(M, N), FrameConfig(M=M, N=N)
-        chips = dd_to_chips(grid, cfg)
-        assert np.allclose(chips_to_dd(chips, cfg), vectorize(grid), atol=1e-12)
+        s, cfg = random_frame_vector(M, N), FrameConfig(M=M, N=N)
+        chips = dd_to_chips(s, cfg)
+        assert np.allclose(chips_to_dd(chips, cfg), s, atol=1e-12)
         assert np.allclose(dd_to_chips(chips_to_dd(chips[::-1], cfg), cfg), chips[::-1],
                            atol=1e-12)
 

@@ -7,8 +7,7 @@ from scipy.linalg import lapack
 from oddmsim import detector
 from oddmsim.channel import (channel_from_cells, gen_eva_channel, gen_synthetic_channel,
                              snr_to_noise_var)
-from oddmsim.core import (QAM4, FrameConfig, chips_to_dd, dd_to_chips, qam_map, random_frame,
-                          vectorize)
+from oddmsim.core import QAM4, FrameConfig, chips_to_dd, dd_to_chips, qam_map, random_frame
 from oddmsim.detector import VAR_FLOOR, LinearStage, lmmse_detect, oamp_detect, oamp_nle
 from oddmsim.effchan import EffectiveChannel
 from oddmsim.estimator import EstimationConfig, Sounding, estimate_channel
@@ -38,8 +37,7 @@ class TestOampLE:
         cfg = cfg_small()
         H = identity_channel(cfg)
         rng = np.random.default_rng(0)
-        _, frame = random_frame(cfg, rng)
-        s = vectorize(frame)
+        _, s = random_frame(cfg, rng)
         y, nv = noisy_observation(H, s, 13.0, 1)
         r, v_le, _ = LinearStage(H).step(np.zeros_like(s), dd_to_chips(y, cfg), 1.0, nv)
         assert np.allclose(r, y, atol=1e-12)
@@ -51,8 +49,7 @@ class TestOampLE:
         cfg = cfg_small()
         H = channel_from_cells(cfg, [(3, 1)], [1.0])
         rng = np.random.default_rng(2)
-        _, frame = random_frame(cfg, rng)
-        s = vectorize(frame)
+        _, s = random_frame(cfg, rng)
         y, nv = noisy_observation(H, s, 10.0, 3)
         r, v_le, _ = LinearStage(H).step(np.zeros_like(s), dd_to_chips(y, cfg), 1.0, nv)
         assert np.allclose(r, chips_to_dd(H.apply_adjoint_chips(dd_to_chips(y, cfg)), cfg),
@@ -69,8 +66,7 @@ def estimated_eva_channel():
     cfg = FrameConfig(M=64, N=16)
     rng = np.random.default_rng(5)
     chan = gen_eva_channel(cfg, 350.0, 5e9, 15e3, rng)
-    _, frame = random_frame(cfg, rng)
-    s = vectorize(frame)
+    _, s = random_frame(cfg, rng)
     y, _ = noisy_observation(chan, s, 20.0, 6)
     est = estimate_channel(y, Sounding(EstimationConfig(frame=cfg, p_assumed=9, l_range=(0, 4),
                                                         k_range=(-3, 4)), s))
@@ -227,7 +223,7 @@ class TestFactorCount:
         rng = np.random.default_rng(40)
         H = gen_synthetic_channel(cfg16(), 4, rng, l_max=5, k_max=2)
         _, frame = random_frame(cfg16(), rng)
-        y, nv = noisy_observation(H, vectorize(frame), 10.0, 41)
+        y, nv = noisy_observation(H, frame, 10.0, 41)
         return H, y, nv
 
     def test_oamp_factors_once_per_xi(self, monkeypatch):
@@ -349,8 +345,7 @@ class TestOampDetect:
         errors = 0
         for seed in range(60):
             rng = np.random.default_rng(100 + seed)
-            bits, frame = random_frame(cfg, rng)
-            s = vectorize(frame)
+            bits, s = random_frame(cfg, rng)
             y, nv = noisy_observation(H, s, snr_db, 10_000 + seed)
             det = oamp_detect(y, stage, nv)
             errors += count_bit_errors(bits, det.hard_bits)
@@ -370,7 +365,7 @@ class TestOampDetect:
         for seed in range(98):
             rng = np.random.default_rng(seed)
             bits, frame = random_frame(cfg, rng)
-            y, nv = noisy_observation(H, vectorize(frame), 20.0, 50_000 + seed)
+            y, nv = noisy_observation(H, frame, 20.0, 50_000 + seed)
             det = oamp_detect(y, stage, nv)
             errors += count_bit_errors(bits, det.hard_bits)
             total += bits.size
@@ -383,7 +378,7 @@ class TestOampDetect:
         rng = np.random.default_rng(0)
         H = gen_eva_channel(cfg, 350.0, 5e9, 15e3, rng)
         bits, frame = random_frame(cfg, rng)
-        y, nv = noisy_observation(H, vectorize(frame), 20.0, 1)
+        y, nv = noisy_observation(H, frame, 20.0, 1)
         det = oamp_detect(y, LinearStage(H), nv)
         assert count_bit_errors(bits, det.hard_bits) == 0
         assert det.max_solve_residual <= 1e-12
@@ -393,15 +388,14 @@ class TestOampDetect:
         H = channel_from_cells(cfg, [(2, 1)], [0.8 + 0.3j])
         rng = np.random.default_rng(11)
         bits, frame = random_frame(cfg, rng)
-        det = oamp_detect(H.apply(vectorize(frame)), LinearStage(H), 1e-12)
+        det = oamp_detect(H.apply(frame), LinearStage(H), 1e-12)
         assert count_bit_errors(bits, det.hard_bits) == 0
 
     def test_fixed_point_at_truth(self):
         cfg = cfg_small()
         rng = np.random.default_rng(12)
         H = gen_synthetic_channel(cfg, 3, rng, l_max=4, k_max=1)
-        _, frame = random_frame(cfg, rng)
-        s_true = vectorize(frame)
+        _, s_true = random_frame(cfg, rng)
         y = H.apply(s_true)
         r, v_le, _ = LinearStage(H).step(s_true, dd_to_chips(y, cfg), 1e-6, 1e-14)
         assert np.allclose(r, s_true, atol=1e-10)
@@ -412,8 +406,7 @@ class TestOampDetect:
         cfg = FrameConfig(M=32, N=8)
         rng = np.random.default_rng(13)
         H = gen_synthetic_channel(cfg, 4, rng, l_max=6, k_max=3)
-        _, frame = random_frame(cfg, rng)
-        s_true = vectorize(frame)
+        _, s_true = random_frame(cfg, rng)
         y, nv = noisy_observation(H, s_true, 10.0, 14)
         s_t = np.zeros_like(s_true)
         v_nle = 1.0
@@ -429,7 +422,7 @@ class TestOampDetect:
         H = identity_channel(cfg)
         rng = np.random.default_rng(15)
         _, frame = random_frame(cfg, rng)
-        y, nv = noisy_observation(H, vectorize(frame), 10.0, 16)
+        y, nv = noisy_observation(H, frame, 10.0, 16)
         det = oamp_detect(y, LinearStage(H), nv)
         assert det.iterations_used == len(det.variance_trace)
         for v_le, v_nle in det.variance_trace:
@@ -439,7 +432,7 @@ class TestOampDetect:
         cfg = cfg16()
         H = gen_eva_channel(cfg, 350.0, 5e9, 15e3, 1)
         _, frame = random_frame(cfg, np.random.default_rng(15))
-        y, nv = noisy_observation(H, vectorize(frame), 10.0, 16)
+        y, nv = noisy_observation(H, frame, 10.0, 16)
         assert oamp_detect(y, LinearStage(H), nv).iterations_used > 2
         monkeypatch.setattr(detector, "MAX_ITERS", 2)
         det = oamp_detect(y, LinearStage(H), nv)
@@ -450,7 +443,7 @@ class TestOampDetect:
         rng = np.random.default_rng(17)
         H = gen_synthetic_channel(cfg, 2, rng, l_max=4, k_max=1)
         _, frame = random_frame(cfg, rng)
-        y, nv = noisy_observation(H, vectorize(frame), 8.0, 18)
+        y, nv = noisy_observation(H, frame, 8.0, 18)
         stage = LinearStage(H)
         a = oamp_detect(y, stage, nv)
         b = oamp_detect(y.copy(), stage, nv)
@@ -499,7 +492,7 @@ class TestLmmse:
         H = identity_channel(cfg)
         rng = np.random.default_rng(19)
         _, frame = random_frame(cfg, rng)
-        y, nv = noisy_observation(H, vectorize(frame), 10.0, 20)
+        y, nv = noisy_observation(H, frame, 10.0, 20)
         det = lmmse_detect(y, LinearStage(H), nv)
         assert np.allclose(det.soft_symbols, y / (1 + nv), atol=1e-12)
 
@@ -507,8 +500,7 @@ class TestLmmse:
         cfg = FrameConfig(M=16, N=8)
         rng = np.random.default_rng(21)
         H = gen_synthetic_channel(cfg, 3, rng, l_max=5, k_max=2)
-        _, frame = random_frame(cfg, rng)
-        s = vectorize(frame)
+        _, s = random_frame(cfg, rng)
         y, nv = noisy_observation(H, s, 9.0, 22)
         # t=0 LE from a zero prior with unit prior variance
         stage = LinearStage(H)
@@ -525,7 +517,7 @@ class TestLmmse:
                 rng = np.random.default_rng(1000 + seed)
                 H = gen_synthetic_channel(cfg, 5, rng, l_max=6, k_max=3)
                 bits, frame = random_frame(cfg, rng)
-                y, nv = noisy_observation(H, vectorize(frame), snr_db, 2000 + seed)
+                y, nv = noisy_observation(H, frame, snr_db, 2000 + seed)
                 stage = LinearStage(H)
                 e_oamp += count_bit_errors(bits, oamp_detect(y, stage, nv).hard_bits)
                 e_lmmse += count_bit_errors(bits, lmmse_detect(y, stage, nv).hard_bits)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddmsim.channel import channel_from_cells, gen_synthetic_channel
-from oddmsim.core import FrameConfig, chips_to_dd, dd_to_chips, random_frame, vectorize
+from oddmsim.core import FrameConfig, chips_to_dd, dd_to_chips, random_frame
 from oddmsim.effchan import (EffectiveChannel, doppler_twiddles, path_correlations,
                              shifted_conj_rows)
 
@@ -267,7 +267,7 @@ class TestChipResponses:
         # oracle matrix
         cfg = FrameConfig(M=M, N=N)
         rng = np.random.default_rng(M * N)
-        s = vectorize(random_frame(cfg, rng)[1])
+        s = random_frame(cfg, rng)[1]
         t = random_vector(rng, cfg.mn)
         ks = np.arange(-(N // 2), (N + 1) // 2)
         got = correlate(cfg, s, t, M, np.split(ks, [N // 2]))

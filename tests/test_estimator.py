@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oddmsim.estimator as estimator
 from oddmsim.channel import channel_from_cells, gen_synthetic_channel, snr_to_noise_var
-from oddmsim.core import FrameConfig, chips_to_dd, dd_to_chips, random_frame, vectorize
+from oddmsim.core import FrameConfig, chips_to_dd, dd_to_chips, random_frame
 from oddmsim.effchan import EffectiveChannel
 from oddmsim.estimator import (EstimationConfig, Sounding, estimate_channel, mle_exhaustive,
                                nmse, solve_gains)
@@ -43,8 +43,7 @@ def cells(chan):
 
 def observe(cfg, chan, snr_db, seed=0, s_seed=1):
     """Known sensing frame through the grid-level model plus noise."""
-    _, frame = random_frame(cfg, np.random.default_rng(s_seed))
-    s = vectorize(frame)
+    _, s = random_frame(cfg, np.random.default_rng(s_seed))
     y = chan.apply(s)
     if snr_db is not None:
         nv = snr_to_noise_var(snr_db)
@@ -92,7 +91,7 @@ class TestPathObjective:
 
     def test_zero_observation(self):
         cfg = cfg16()
-        s = vectorize(random_frame(cfg, np.random.default_rng(0))[1])
+        s = random_frame(cfg, np.random.default_rng(0))[1]
         y = np.zeros(cfg.mn, dtype=complex)
         assert path_objective(0, y, s, [(3, 1)], np.array([0j]), cfg) == 0.0
 
@@ -100,9 +99,8 @@ class TestPathObjective:
         # sparse sensing frame so the two paths' responses have disjoint
         # delay support: the cross-Gram is exactly zero
         cfg = cfg16()
-        S = np.zeros((cfg.M, cfg.N), dtype=complex)
-        S[0, :] = np.exp(2j * np.pi * np.arange(cfg.N) / cfg.N)
-        s = vectorize(S)
+        s = np.zeros(cfg.mn, dtype=complex)
+        s[:cfg.N] = np.exp(2j * np.pi * np.arange(cfg.N) / cfg.N)  # delay bin 0 only
         chan = channel_from_cells(cfg, [(0, 0), (8, 0)], [1.0, 0.9])
         y = chan.apply(s)
         hyp = [(0, 0), (8, 0)]
@@ -146,7 +144,7 @@ class TestWindow:
         # 1.28 relative; pick_peak raised KeyError
         cfg = cfg16()
         win = Sounding(est_cfg(cfg, 1, l_range=(0, 5), k_range=(-2, 3)),
-                       vectorize(random_frame(cfg, np.random.default_rng(0))[1]))
+                       random_frame(cfg, np.random.default_rng(0))[1])
         for cell in [(7, 0), (2, 5), (-1, 0), (0, -3)]:
             with pytest.raises(ValueError, match=rf"cells \[{re.escape(str(cell))}\] outside"):
                 win.columns([(0, 0), cell])
@@ -155,7 +153,7 @@ class TestWindow:
 
     def test_zero_observation_picks_cells_in_tie_order(self):
         cfg = cfg16()
-        s = vectorize(random_frame(cfg, np.random.default_rng(0))[1])
+        s = random_frame(cfg, np.random.default_rng(0))[1]
         res = estimate_channel(np.zeros(cfg.mn), Sounding(est_cfg(cfg, 3, l_range=(2, 5)), s))
         assert cells(res.channel) == [(2, 0), (2, -1), (2, 1)]
 
@@ -225,7 +223,7 @@ class TestAmbiguityTable:
         ec = EstimationConfig(frame=cfg, p_assumed=3, l_range=(0, M),
                               k_range=(-(N // 2), (N + 1) // 2))
         rng = np.random.default_rng(M * N)
-        s = vectorize(random_frame(cfg, rng)[1])
+        s = random_frame(cfg, rng)[1]
         hyp = [(M - 1, -(N // 2)), (1, -1), (M // 2, (N - 1) // 2)]
         gains = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         y = channel_from_cells(cfg, hyp, gains).apply(s)
@@ -323,7 +321,7 @@ def test_sounding_matches_inner_products(window):
     cfg = FrameConfig(M=M, N=N)
     ec = EstimationConfig(frame=cfg, p_assumed=1, l_range=l_range, k_range=k_range)
     rng = np.random.default_rng(seed)
-    s = vectorize(random_frame(cfg, rng)[1])
+    s = random_frame(cfg, rng)[1]
     t = rng.standard_normal(cfg.mn) + 1j * rng.standard_normal(cfg.mn)
     win = Sounding(ec, s)
     u = responses(cfg, ec.cells, s)
@@ -359,7 +357,7 @@ def test_noiseless_single_path_recovered_exactly(case):
     M, N, l_range, k_range, cell, gain, seed = case
     cfg = FrameConfig(M=M, N=N)
     ec = EstimationConfig(frame=cfg, p_assumed=1, l_range=l_range, k_range=k_range)
-    s = vectorize(random_frame(cfg, np.random.default_rng(seed))[1])
+    s = random_frame(cfg, np.random.default_rng(seed))[1]
     y = channel_from_cells(cfg, [cell], [gain]).apply(s)
     res = estimate_channel(y, Sounding(ec, s))
     assert cells(res.channel) == [cell]
@@ -390,7 +388,7 @@ class TestSounding:
 
     def test_shared_arrays_are_read_only(self):
         cfg = cfg16()
-        s = vectorize(random_frame(cfg, np.random.default_rng(0))[1])
+        s = random_frame(cfg, np.random.default_rng(0))[1]
         sounding = Sounding(est_cfg(cfg, 2), s)
         for array in (sounding.table, sounding.gram):
             with pytest.raises(ValueError, match="read-only"):
@@ -421,7 +419,7 @@ class TestEstimateChannel:
     def test_noise_only_flags_low_confidence(self):
         cfg = cfg16()
         rng = np.random.default_rng(8)
-        s = vectorize(random_frame(cfg, rng)[1])
+        s = random_frame(cfg, rng)[1]
         y = np.sqrt(0.5) * (rng.standard_normal(cfg.mn) + 1j * rng.standard_normal(cfg.mn))
         res = estimate_channel(y, Sounding(est_cfg(cfg, 1), s))
         assert res.low_confidence

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from oddmsim import detector, estimator, harness
 from oddmsim.channel import apply_physical_channel
-from oddmsim.core import FrameConfig, random_frame, vectorize
+from oddmsim.core import FrameConfig, random_frame
 from oddmsim.harness import (CSI_MODES, DETECTORS, FIDELITIES, SCHEMES, build_spec,
                              config_hash, emit_csv, option_keys, parse_csv, run_nmse_sweep,
                              run_sensing_then_comm)
@@ -679,11 +679,11 @@ def test_waveform_chains_realize_the_grid_model(case, seed):
     runner = harness._TrialRunner(types.SimpleNamespace(frame=config, channel=channel_spec))
     chan = channel_spec.call("draw", config, rng_seed=seed)
     _, frame = random_frame(config, np.random.default_rng(seed))
-    hs = chan.apply(vectorize(frame))
+    hs = chan.apply(frame)
     for scheme, bound in MISMATCH_DB.items():
         cell = harness._CELLS[scheme, "waveform"]
         rx = apply_physical_channel(getattr(*cell.modulate)(frame, config, runner.cp), chan)
-        y = vectorize(getattr(*cell.demodulate)(rx, config))
+        y = getattr(*cell.demodulate)(rx, config)
         mismatch_db = 10 * np.log10(np.sum(np.abs(y - hs) ** 2) / np.sum(np.abs(hs) ** 2))
         assert mismatch_db <= bound, (scheme, mismatch_db)
 

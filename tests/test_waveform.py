@@ -10,7 +10,7 @@ import oddmsim
 from oddmsim import waveform
 from oddmsim.baselines import ofdm_modulate, otfs_modulate
 from oddmsim.channel import apply_physical_channel, channel_from_cells
-from oddmsim.core import FrameConfig, random_frame, vectorize
+from oddmsim.core import FrameConfig, random_frame
 from oddmsim.waveform import SampleStream, build_srrc, oddm_demodulate, oddm_modulate
 
 from oracles import oddm_demodulate_literal, oddm_modulate_literal, pulse_orthogonality_matrix
@@ -60,9 +60,9 @@ class TestModDemod:
     def test_single_symbol_is_pulse_train(self):
         cfg = cfg32()
         a = build_srrc(cfg)
-        S = np.zeros((32, 8), dtype=complex)
-        S[0, 0] = 1.0
-        st = oddm_modulate(S, cfg)
+        s = np.zeros(cfg.mn, dtype=complex)
+        s[0] = 1.0  # S(0, 0)
+        st = oddm_modulate(s, cfg, 0)
         u = np.zeros_like(st.samples)
         for n_hat in range(cfg.N):
             start = n_hat * cfg.M * cfg.oversampling
@@ -71,12 +71,12 @@ class TestModDemod:
 
     def test_delay_slot_is_integer_shift(self):
         cfg = cfg32()
-        S0 = np.zeros((32, 8), dtype=complex)
-        S0[0, 0] = 1.0
-        Sm = np.zeros((32, 8), dtype=complex)
-        Sm[5, 0] = 1.0
-        a = oddm_modulate(S0, cfg).samples
-        b = oddm_modulate(Sm, cfg).samples
+        s0 = np.zeros(cfg.mn, dtype=complex)
+        s0[0] = 1.0  # S(0, 0)
+        sm = np.zeros(cfg.mn, dtype=complex)
+        sm[5 * cfg.N] = 1.0  # S(5, 0)
+        a = oddm_modulate(s0, cfg, 0).samples
+        b = oddm_modulate(sm, cfg, 0).samples
         shift = 5 * cfg.oversampling
         assert np.allclose(b[shift:], a[:-shift], atol=1e-12)
         assert np.allclose(b[:shift], 0.0, atol=1e-12)
@@ -84,14 +84,14 @@ class TestModDemod:
     def test_energy_conservation(self):
         cfg = cfg32()
         _, frame = random_frame(cfg, np.random.default_rng(42))
-        st = oddm_modulate(frame, cfg)
+        st = oddm_modulate(frame, cfg, 0)
         ratio = np.sum(np.abs(st.samples) ** 2) / np.sum(np.abs(frame) ** 2)
         assert 0.98 <= ratio <= 1.0
 
     def test_roundtrip_identity(self):
         cfg = cfg32()
         _, frame = random_frame(cfg, np.random.default_rng(7))
-        back = oddm_demodulate(oddm_modulate(frame, cfg), cfg)
+        back = oddm_demodulate(oddm_modulate(frame, cfg, 0), cfg)
         assert np.max(np.abs(back - frame)) <= 1e-2
 
     @pytest.mark.parametrize("M,Q", [(64, 8), (128, 16)])
@@ -99,12 +99,12 @@ class TestModDemod:
         # 2Q <= M/4, oversampling >= 8
         cfg = FrameConfig(M=M, N=8, Q=Q, oversampling=8)
         _, frame = random_frame(cfg, np.random.default_rng(M + Q))
-        back = oddm_demodulate(oddm_modulate(frame, cfg), cfg)
+        back = oddm_demodulate(oddm_modulate(frame, cfg, 0), cfg)
         assert np.max(np.abs(back - frame)) <= 1e-2
 
     def test_zero_stream(self):
         cfg = cfg32()
-        st = oddm_modulate(np.zeros((32, 8), dtype=complex), cfg)
+        st = oddm_modulate(np.zeros(cfg.mn, dtype=complex), cfg, 0)
         back = oddm_demodulate(st, cfg)
         assert np.allclose(back, 0.0)
 
@@ -114,13 +114,13 @@ class TestModDemod:
         _, fx = random_frame(cfg, rng)
         _, fy = random_frame(cfg, rng)
         a, b = 1.3 - 0.2j, -0.4 + 0.9j
-        combo = oddm_modulate(a * fx + b * fy, cfg).samples
-        parts = a * oddm_modulate(fx, cfg).samples + b * oddm_modulate(fy, cfg).samples
+        combo = oddm_modulate(a * fx + b * fy, cfg, 0).samples
+        parts = a * oddm_modulate(fx, cfg, 0).samples + b * oddm_modulate(fy, cfg, 0).samples
         assert np.allclose(combo, parts, atol=1e-12)
 
     def test_stream_too_short(self):
         cfg = cfg32()
-        st = oddm_modulate(np.zeros((32, 8), dtype=complex), cfg)
+        st = oddm_modulate(np.zeros(cfg.mn, dtype=complex), cfg, 0)
         from oddmsim.waveform import SampleStream
         clipped = SampleStream(samples=st.samples[:100], start=st.start)
         with pytest.raises(ValueError):
@@ -130,11 +130,11 @@ class TestModDemod:
         cfg = cfg32()
         _, frame = random_frame(cfg, np.random.default_rng(11))
         chan = channel_from_cells(cfg, [(2, 1)], [1.0])
-        st = oddm_modulate(frame, cfg, cyclic_prefix_chips=8)
+        st = oddm_modulate(frame, cfg, cp_chips=8)
         rx = apply_physical_channel(st, chan)
-        Y = oddm_demodulate(rx, cfg)
-        ref = chan.apply(vectorize(frame)).reshape(cfg.M, cfg.N)
-        assert np.linalg.norm(Y - ref) / np.linalg.norm(ref) <= 2e-2
+        y = oddm_demodulate(rx, cfg)
+        ref = chan.apply(frame)
+        assert np.linalg.norm(y - ref) / np.linalg.norm(ref) <= 2e-2
 
 
 def rel_err(a, b):
@@ -142,16 +142,17 @@ def rel_err(a, b):
 
 
 LITERAL_GRIDS = [(32, 8, 4), (64, 16, 8), (24, 6, 4)]
+# cp M - 1 is the largest prefix a transmitter accepts
 LITERAL_CASES = [(M, N, Q, osf, beta, cp) for (M, N, Q) in LITERAL_GRIDS
-                 for osf in (1, 3, 8) for beta in (0.0, 0.25) for cp in (0, 5, M)]
+                 for osf in (1, 3, 8) for beta in (0.0, 0.25) for cp in (0, 5, M - 1)]
 
 
 def literal_case(M, N, Q, osf, beta):
     cfg = FrameConfig(M=M, N=N, Q=Q, rolloff=beta,
                             oversampling=osf)
     rng = np.random.default_rng(M * 100 + osf * 10 + int(beta * 4))
-    S = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
-    return cfg, build_srrc(cfg), S, rng
+    s = rng.standard_normal(M * N) + 1j * rng.standard_normal(M * N)
+    return cfg, build_srrc(cfg), s, rng
 
 
 def case_id(case):
@@ -164,17 +165,17 @@ class TestLiteralOracle:
     @pytest.mark.parametrize("M,N,Q,osf,beta,cp", LITERAL_CASES,
                              ids=[case_id(c) for c in LITERAL_CASES])
     def test_modulate_matches_literal(self, M, N, Q, osf, beta, cp):
-        cfg, a, S, _ = literal_case(M, N, Q, osf, beta)
-        st = oddm_modulate(S, cfg, cyclic_prefix_chips=cp)
-        ref, start = oddm_modulate_literal(S, a, cfg, cyclic_prefix_chips=cp)
+        cfg, a, s, _ = literal_case(M, N, Q, osf, beta)
+        st = oddm_modulate(s, cfg, cp_chips=cp)
+        ref, start = oddm_modulate_literal(s, a, cfg, cp_chips=cp)
         assert st.start == start and st.samples.size == ref.size
         assert rel_err(st.samples, ref) <= 1e-12
 
     @pytest.mark.parametrize("M,N,Q,osf,beta,cp", LITERAL_CASES,
                              ids=[case_id(c) for c in LITERAL_CASES])
     def test_demodulate_matches_literal(self, M, N, Q, osf, beta, cp):
-        cfg, a, S, rng = literal_case(M, N, Q, osf, beta)
-        st = oddm_modulate(S, cfg, cyclic_prefix_chips=cp)
+        cfg, a, s, rng = literal_case(M, N, Q, osf, beta)
+        st = oddm_modulate(s, cfg, cp_chips=cp)
         # the transmitted frame plus noise, with a few extra samples on both sides
         x = np.concatenate([rng.standard_normal(3), st.samples, rng.standard_normal(2)])
         x = x + 0.1 * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
@@ -199,11 +200,11 @@ class TestLiteralOracle:
                              ids=[case_id(c)[:-4] for c in LITERAL_CASES if c[5] == 0])
     def test_adjoint_identity(self, M, N, Q, osf, beta):
         # <mod(S), x> = <S, demod(x)> on the stream span of a frame without cyclic prefix
-        cfg, a, S, rng = literal_case(M, N, Q, osf, beta)
-        st = oddm_modulate(S, cfg)
+        cfg, a, s, rng = literal_case(M, N, Q, osf, beta)
+        st = oddm_modulate(s, cfg, 0)
         x = rng.standard_normal(st.samples.size) + 1j * rng.standard_normal(st.samples.size)
-        Y = oddm_demodulate(SampleStream(samples=x, start=st.start), cfg)
-        lhs, rhs = np.vdot(st.samples, x), np.vdot(S, Y)
+        y = oddm_demodulate(SampleStream(samples=x, start=st.start), cfg)
+        lhs, rhs = np.vdot(st.samples, x), np.vdot(s, y)
         assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(st.samples) * np.linalg.norm(x)
 
 
@@ -215,12 +216,12 @@ def test_chip_chunks_change_no_bit(monkeypatch, M, N, Q, osf):
     # seams only because it walks the chunks from the last chip
     cfg = FrameConfig(M=M, N=N, Q=Q, oversampling=osf)
     rng = np.random.default_rng(M * N * osf)
-    S = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
+    s = rng.standard_normal(M * N) + 1j * rng.standard_normal(M * N)
     noise = 0.1 * rng.standard_normal((5 + M * N + 2 * Q) * osf)
     outputs = []
     for chips in (M * N, 1, 4, 7):
         monkeypatch.setattr(waveform, "_CHUNK_BYTES", chips * 16 * (2 * Q + 1) * osf)
-        st = oddm_modulate(S, cfg, cyclic_prefix_chips=5)
+        st = oddm_modulate(s, cfg, cp_chips=5)
         rx = SampleStream(st.samples + noise, st.start)
         outputs.append((st.samples, oddm_demodulate(rx, cfg)))
     for samples, Y in outputs[1:]:
@@ -243,13 +244,13 @@ def test_pulse_follows_the_config(direction, field):
     cfg = cfg32(**{"Q": dict(Q=4), "rolloff": dict(rolloff=0.9)}[field])
     a = build_srrc(cfg)
     rng = np.random.default_rng(17)
-    S = rng.standard_normal((cfg.M, cfg.N)) + 1j * rng.standard_normal((cfg.M, cfg.N))
+    s = rng.standard_normal(cfg.mn) + 1j * rng.standard_normal(cfg.mn)
     if direction == "modulate":
-        st = oddm_modulate(S, cfg)
-        ref, start = oddm_modulate_literal(S, a, cfg)
+        st = oddm_modulate(s, cfg, 0)
+        ref, start = oddm_modulate_literal(s, a, cfg, 0)
         assert st.start == start and rel_err(st.samples, ref) <= 1e-12
     else:
-        st = oddm_modulate(S, cfg32())  # sent with the default pulse
+        st = oddm_modulate(s, cfg32(), 0)  # sent with the default pulse
         ref = oddm_demodulate_literal(st.samples, st.start, a, cfg)
         assert rel_err(oddm_demodulate(st, cfg), ref) <= 1e-12
 
@@ -258,29 +259,28 @@ def test_rejects_stream_at_another_rate():
     # a stream has no rate of its own to disagree with the frame's: it counts samples at its
     # frame config's oversampling, so a receiver at twice that finds it too short
     cfg = cfg32()
-    st = oddm_modulate(np.ones((cfg.M, cfg.N)), cfg)
+    st = oddm_modulate(np.ones(cfg.mn), cfg, 0)
     with pytest.raises(TypeError, match="oversampling"):
         SampleStream(samples=st.samples, oversampling=2 * cfg.oversampling, start=st.start)
     with pytest.raises(ValueError, match="receive window"):
         oddm_demodulate(st, cfg32(oversampling=2 * cfg.oversampling))
 
 
-MODULATORS = {"oddm": oddm_modulate, "otfs": otfs_modulate,
-              "ofdm": lambda frame, cfg: ofdm_modulate(frame, cfg, cp_chips=4)}
+MODULATORS = {"oddm": oddm_modulate, "otfs": otfs_modulate, "ofdm": ofdm_modulate}
 
 
 @pytest.mark.parametrize("scheme", list(MODULATORS))
 def test_rejects_non_finite_frame(scheme):
     cfg = cfg32()
-    S = np.ones((cfg.M, cfg.N))
-    S[3, 2] = np.nan
-    with pytest.raises(ValueError, match="non-finite symbols"):
-        MODULATORS[scheme](S, cfg)
+    s = np.ones(cfg.mn)
+    s[3 * cfg.N + 2] = np.nan
+    with pytest.raises(ValueError, match="frame contains non-finite values"):
+        MODULATORS[scheme](s, cfg, 4)
 
 
 def test_rejects_non_finite_stream():
     cfg = cfg32()
-    st = oddm_modulate(np.ones((cfg.M, cfg.N)), cfg)
+    st = oddm_modulate(np.ones(cfg.mn), cfg, 0)
     x = st.samples.copy()
     x[100] = np.inf
     with pytest.raises(ValueError, match="non-finite samples"):
