@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import FrameConfig, require_count, require_real, round_half_away
+from .core import FrameConfig, require_count, require_real, require_window, round_half_away
 from .effchan import EffectiveChannel
 from .waveform import SampleStream
 
@@ -77,13 +77,9 @@ def synthetic_support(config: FrameConfig, paths: int, l_max: int | None = None,
     """(paths, l_max, k_max): paths on distinct cells l <= l_max, |k| <= k_max, each window a
     quarter of the grid unless given.  An argument that does not fit raises ValueError naming it."""
     require_count("paths", paths)
-    k_top = config.doppler_range[1]
     l_max = config.M // 4 if l_max is None else l_max
-    k_max = min(k_top, max(1, config.N // 4)) if k_max is None else k_max
-    for name, value, top in (("l_max", l_max, config.M - 1), ("k_max", k_max, k_top)):
-        require_count(name, value, least=0)
-        if value > top:
-            raise ValueError(f"{name} {value} reaches off the grid, whose bins end at {top}")
+    k_max = min(config.doppler_range[1], max(1, config.N // 4)) if k_max is None else k_max
+    l_max, k_max = require_window(config, l_max, k_max)
     if paths > (l_max + 1) * (2 * k_max + 1):
         raise ValueError(f"paths {paths} is more than the {(l_max + 1) * (2 * k_max + 1)} cells")
     return paths, l_max, k_max
@@ -153,11 +149,12 @@ def snr_to_noise_var(snr_db: float) -> float:
     """Noise variance for unit average symbol energy: 10^(-snr_db/10).
 
     With the unit-energy pulse train and matched-filter receiver the
-    delay-Doppler-domain noise variance equals this per-sample value.  An SNR whose
-    noise variance is not a finite float (-inf, NaN, -4000 dB) raises ValueError.
+    delay-Doppler-domain noise variance equals this per-sample value.  An snr_db that is not
+    a real number (NaN, "10", True, None) or whose noise variance is not a finite float
+    (-inf, -4000 dB) raises ValueError.
     """
     try:
-        noise_var = 10.0 ** (-float(snr_db) / 10.0)
+        noise_var = 10.0 ** (-require_real("snr_db", snr_db) / 10.0)
     except OverflowError:
         noise_var = math.inf
     if not math.isfinite(noise_var):

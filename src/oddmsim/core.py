@@ -116,6 +116,16 @@ class FrameConfig:
         return QAM4
 
 
+def require_window(config: FrameConfig, l_max, k_max) -> tuple:
+    """(l_max, k_max) as ints, the window of delays 0..l_max and Dopplers -k_max..k_max: each
+    an integer >= 0 that stays on the grid, l_max <= M - 1 and k_max <= doppler_range[1]."""
+    k_top = config.doppler_range[1]
+    for name, value, top in ("l_max", l_max, config.M - 1), ("k_max", k_max, k_top):
+        if require_count(name, value, least=0) > top:
+            raise ValueError(f"{name} {value} reaches off the grid, whose bins end at {top}")
+    return int(l_max), int(k_max)
+
+
 def checked_frame(name: str, x, config: FrameConfig) -> np.ndarray:
     """A delay-major frame or observation as a complex vector, which must be finite with
     shape (MN,)."""

@@ -13,7 +13,8 @@ frame's discrete ambiguity function (Woodward 1953) at the cell difference:
     u_{l,k}^H u_{l',k'} = e^{j2pi k' (l - l') / MN} C(l - l', k - k'),
     C(d, kappa) = u_{d,kappa}^H s.
 
-An :class:`EstimationConfig` owns the search window, built once per config.
+An :class:`EstimationConfig` owns the search window, built once per config: the
+channel's integer support, delays 0..l_max and Dopplers -k_max..k_max.
 A :class:`Sounding` holds what depends on the sensing frame: its conj-shifted
 rows and C over the window's cell differences (d >= 0 by the same product as
 the scans; d < 0 is the Hermitian mirror).  It is built once per sensing frame
@@ -45,19 +46,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import FrameConfig, require_count
+from .core import FrameConfig, require_count, require_window
 from .effchan import (EffectiveChannel, checked_chips, doppler_twiddles, path_correlations,
                       shifted_conj_rows)
 
 COND_LIMIT = 1e12
 NMSE_FLOOR_DB = -100.0
-LOW_CONF_FACTOR = 5.0   # a selected peak below this times the window median is low-confidence
+LOW_CONF_FACTOR = 5.0   # a selected peak not above this times the window median is low-confidence
 MLE_MAX_HYPOTHESES = 200_000  # cell tuples mle_exhaustive will try
 MAX_ITERS = 20          # outer iterations of estimate_channel at most
 EPSILON = 1e-4          # converged once a pass changes the 3P parameters by at most this, summed
@@ -65,23 +65,18 @@ EPSILON = 1e-4          # converged once a pass changes the 3P parameters by at 
 
 @dataclass(frozen=True)
 class EstimationConfig:
-    """Search window and path count of the alternating estimator, which stops after
-    ``MAX_ITERS`` outer passes or once a pass changes the parameters by ``EPSILON`` or less."""
+    """Search window, delays 0..l_max and Dopplers -k_max..k_max (:func:`core.require_window`),
+    and path count of the alternating estimator, which stops after ``MAX_ITERS`` outer passes
+    or once a pass changes the parameters by ``EPSILON`` or less."""
 
     frame: FrameConfig
     p_assumed: int
-    l_range: tuple              # (lo, hi) half-open delay window
-    k_range: tuple              # (lo, hi) half-open signed Doppler window
+    l_max: int                  # last delay bin of the window
+    k_max: int                  # largest |Doppler bin| of the window
 
     def __post_init__(self):
         require_count("p_assumed", self.p_assumed)
-        k_first, k_last = self.frame.doppler_range
-        for name, first, end in ("l_range", 0, self.frame.M), ("k_range", k_first, k_last + 1):
-            lo, hi = bounds = getattr(self, name)
-            if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in bounds):
-                raise ValueError(f"{name} bounds must be integers, got {bounds!r}")
-            if not first <= lo < hi <= end:
-                raise ValueError(f"{name} {bounds} outside the grid's [{first}, {end})")
+        require_window(self.frame, self.l_max, self.k_max)
         if self.p_assumed > len(self.cells):
             raise ValueError(f"p_assumed {self.p_assumed} exceeds the "
                              f"{len(self.cells)} cells of the search window")
@@ -89,8 +84,8 @@ class EstimationConfig:
     @cached_property
     def cells(self) -> tuple:
         """Window cells in tie-break order: l ascending, then |k|, negative first."""
-        ks = sorted(range(*self.k_range), key=lambda k: (abs(k), -(k < 0)))
-        return tuple((l, k) for l in range(*self.l_range) for k in ks)
+        ks = sorted(range(-self.k_max, self.k_max + 1), key=lambda k: (abs(k), -(k < 0)))
+        return tuple((l, k) for l in range(self.l_max + 1) for k in ks)
 
     @cached_property
     def index(self) -> dict:
@@ -112,7 +107,7 @@ class EstimationConfig:
         outside = [c for c in cells if c not in self.index]
         if outside:
             raise ValueError(f"cells {outside} outside the search window "
-                             f"l_range={self.l_range}, k_range={self.k_range}")
+                             f"l_max={self.l_max}, k_max={self.k_max}")
         return [self.index[c] for c in cells]
 
     def pick_peak(self, metric: np.ndarray, occupied) -> tuple:
@@ -161,23 +156,19 @@ class Sounding:
         self.est, self.s = est, checked_chips("s_known", s_known, est.frame)
         if not np.any(self.s):
             raise ValueError("s_known has zero energy, so no path is observable")
-        (l_lo, l_hi), (k_lo, k_hi) = est.l_range, est.k_range
-        self.dl, self.dk, self.mn = l_hi - l_lo - 1, k_hi - k_lo - 1, self.s.size
-        # one stack of rows conj(s[q - d]), d <= dl, serves the table and the scans: the scan
-        # at l = l_lo + d shifts t by -l_lo instead
+        self.dl, self.dk, self.mn = est.l_max, 2 * est.k_max, self.s.size
+        # one stack of rows conj(s[q - d]), d <= dl, serves the table and the scans
         self.rows = shifted_conj_rows(self.s, self.dl + 1)
         self.rows.flags.writeable = False
-        # one twiddle matrix, k from min(k_lo, -dk) up, holds the window's k and the table's kappa
-        o = max(-k_lo, self.dk)  # row of k = 0
-        twiddles = doppler_twiddles(est.frame.M, est.frame.N, -o, max(k_hi, self.dk + 1))
-        self._scan_twiddles = twiddles[o + k_lo:o + k_hi]
-        self._scan_order = est.cell_lk[1][:k_hi - k_lo] - k_lo  # ascending k to cell order
+        # one twiddle matrix, k in [-dk, dk], holds the window's k and the table's kappa
+        twiddles = doppler_twiddles(est.frame.M, est.frame.N, -self.dk, self.dk + 1)
+        self._scan_twiddles = twiddles[self.dk - est.k_max:self.dk + est.k_max + 1]
+        self._scan_order = est.cell_lk[1][:2 * est.k_max + 1] + est.k_max  # ascending k to cells
         # C(d, kappa) for |d| <= dl, |kappa| <= dk; the product for d >= 0 only, as u_a^H u_b =
         # conj(u_b^H u_a) gives C(-d, -kappa) = e^{j2pi kappa d / MN} conj(C(d, kappa)).  kappa < 0
         # and kappa >= 0 go in as two blocks, each no wider than the window, so no twiddled
         # target outgrows a scan's (a table-wide one made the heap fault in afresh every frame)
-        half = path_correlations(self.rows, self.s, [twiddles[o - self.dk:o],
-                                                     twiddles[o:o + self.dk + 1]])
+        half = path_correlations(self.rows, self.s, [twiddles[:self.dk], twiddles[self.dk:]])
         d, kappa = np.arange(self.dl + 1), np.arange(-self.dk, self.dk + 1)
         mirror = np.exp(2j * np.pi * np.outer(d, kappa) / self.mn) * np.conj(half)
         self.table = np.vstack([mirror[:0:-1, ::-1], half])
@@ -185,8 +176,7 @@ class Sounding:
 
     def scan(self, t_c: np.ndarray) -> np.ndarray:
         """u_{l,k}^H t for every window cell, flat in cell order."""
-        shifted = np.roll(t_c, -self.est.l_range[0])
-        scans = path_correlations(self.rows, shifted, [self._scan_twiddles])
+        scans = path_correlations(self.rows, t_c, [self._scan_twiddles])
         return scans[:, self._scan_order].ravel()
 
     def columns(self, cells) -> np.ndarray:
@@ -273,8 +263,8 @@ def estimate_channel(y: np.ndarray, sounding: Sounding) -> EstimationResult:
             converged = True
             break
 
-    # confidence: selected peaks should clear the window's median statistic
-    low_conf = any(m[est.index[c]] < LOW_CONF_FACTOR * np.median(m)
+    # confidence: each selected peak must exceed the window's median statistic, not tie it
+    low_conf = any(not m[est.index[c]] > LOW_CONF_FACTOR * np.median(m)
                    for m, c in zip(last_maps, cells))
 
     return EstimationResult(channel=EffectiveChannel(est.frame, gains, *zip(*cells)),

@@ -301,16 +301,15 @@ class _TrialRunner:
 
     @functools.cached_property
     def est_cfg(self) -> EstimationConfig:
-        """The channel model's path count, searched for in a window of delay bins up to the
-        cyclic prefix and of the Doppler spread plus a margin."""
+        """The channel model's path count, searched for in delays 0..l_max and Dopplers
+        -k_max..k_max: l_max the cyclic prefix, k_max the Doppler spread plus a margin."""
         ch = self.spec.channel
         # EVA's spread and an explicit k_max get a one-bin Doppler margin where no drawn path
         # lies, the default synthetic window none: kept apart, as changing a window moves the
         # estimates of every spec it touches (sense-syn-128x32 pins a default one at 34 x 17).
         margin = 0 if ch.model == "synthetic" and ch.k_max is None else 1
         k_lim = min(self.cfg.doppler_range[1], math.ceil(self.k_spread) + margin)
-        return EstimationConfig(frame=self.cfg, p_assumed=self.paths, l_range=(0, self.cp + 1),
-                                k_range=(-k_lim, k_lim + 1))
+        return EstimationConfig(frame=self.cfg, p_assumed=self.paths, l_max=self.cp, k_max=k_lim)
 
     def _send(self, frame, chan):
         """Noiseless received signal of one frame: ``chan.apply(s)`` (matrix

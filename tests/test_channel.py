@@ -195,7 +195,8 @@ class TestSnrAndSerialization:
         assert snr_to_noise_var(10.0) == pytest.approx(0.1)
         assert snr_to_noise_var(20.0) == pytest.approx(0.01)
         assert snr_to_noise_var(np.inf) == 0.0  # the noiseless case
-        for snr_db in (-4000.0, -np.inf, np.nan):  # 10^400 overflowed, -inf gave inf
+        # 10^400 overflowed, -inf gave inf; "10" and b"10" were parsed as 10 dB, True as 1 dB
+        for snr_db in (-4000.0, -np.inf, np.nan, "10", b"10", True, None):
             with pytest.raises(ValueError, match="^snr_db "):
                 snr_to_noise_var(snr_db)
 

@@ -68,8 +68,8 @@ def estimated_eva_channel():
     chan = gen_eva_channel(cfg, 350.0, 5e9, 15e3, rng)
     _, s = random_frame(cfg, rng)
     y, _ = noisy_observation(chan, s, 20.0, 6)
-    est = estimate_channel(y, Sounding(EstimationConfig(frame=cfg, p_assumed=9, l_range=(0, 4),
-                                                        k_range=(-3, 4)), s))
+    window = EstimationConfig(frame=cfg, p_assumed=9, l_max=3, k_max=3)
+    est = estimate_channel(y, Sounding(window, s))
     return est.channel
 
 

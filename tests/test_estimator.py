@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oddmsim.estimator as estimator
-from oddmsim.channel import channel_from_cells, gen_synthetic_channel, snr_to_noise_var
+from oddmsim.channel import (channel_from_cells, gen_synthetic_channel, snr_to_noise_var,
+                             synthetic_support)
 from oddmsim.core import FrameConfig, chips_to_dd, dd_to_chips, random_frame
 from oddmsim.effchan import EffectiveChannel
 from oddmsim.estimator import (EstimationConfig, Sounding, estimate_channel, mle_exhaustive,
@@ -20,7 +21,7 @@ def cfg16():
 
 
 def est_cfg(cfg, P, **kw):
-    args = dict(frame=cfg, p_assumed=P, l_range=(0, 8), k_range=(-4, 4))
+    args = dict(frame=cfg, p_assumed=P, l_max=7, k_max=3)
     args.update(kw)
     return EstimationConfig(**args)
 
@@ -115,7 +116,7 @@ class TestWindow:
         # literal reference: the smallest key (-metric, l, |k|, negative
         # first) over the unoccupied cells
         cfg = cfg16()
-        ec = est_cfg(cfg, 2, l_range=(2, 7), k_range=(-3, 4))
+        ec = est_cfg(cfg, 2, l_max=6)
         rng = np.random.default_rng(9)
         for _ in range(200):
             metric = rng.integers(0, 3, len(ec.cells)).astype(float)  # many ties
@@ -143,7 +144,7 @@ class TestWindow:
         # columns used to wrap (7, 0) into the table's negative delays and return a row off by
         # 1.28 relative; pick_peak raised KeyError
         cfg = cfg16()
-        win = Sounding(est_cfg(cfg, 1, l_range=(0, 5), k_range=(-2, 3)),
+        win = Sounding(est_cfg(cfg, 1, l_max=4, k_max=2),
                        random_frame(cfg, np.random.default_rng(0))[1])
         for cell in [(7, 0), (2, 5), (-1, 0), (0, -3)]:
             with pytest.raises(ValueError, match=rf"cells \[{re.escape(str(cell))}\] outside"):
@@ -154,8 +155,9 @@ class TestWindow:
     def test_zero_observation_picks_cells_in_tie_order(self):
         cfg = cfg16()
         s = random_frame(cfg, np.random.default_rng(0))[1]
-        res = estimate_channel(np.zeros(cfg.mn), Sounding(est_cfg(cfg, 3, l_range=(2, 5)), s))
-        assert cells(res.channel) == [(2, 0), (2, -1), (2, 1)]
+        res = estimate_channel(np.zeros(cfg.mn), Sounding(est_cfg(cfg, 3), s))
+        assert cells(res.channel) == [(0, 0), (0, -1), (0, 1)]
+        assert res.low_confidence
 
 
 @pytest.mark.parametrize("entry", ["estimate_channel", "mle_exhaustive"])
@@ -182,7 +184,7 @@ def test_rejects_bad_input(entry, name, fault):
     else:
         v = v.reshape(cfg.M, cfg.N)
     args = {"y": y, "s_known": s, name: v}
-    ec = EstimationConfig(frame=cfg, p_assumed=1, l_range=(0, 8), k_range=(-2, 2))
+    ec = EstimationConfig(frame=cfg, p_assumed=1, l_max=7, k_max=1)
     with pytest.raises(ValueError, match=f"^{name} "):
         {"estimate_channel": estimate_channel,
          "mle_exhaustive": mle_exhaustive}[entry](args["y"], Sounding(ec, args["s_known"]))
@@ -190,9 +192,9 @@ def test_rejects_bad_input(entry, name, fault):
 
 def test_more_paths_than_window_cells_rejected():
     cfg = FrameConfig(M=8, N=4)
-    with pytest.raises(ValueError, match="p_assumed 5 exceeds the 4 cells"):
-        EstimationConfig(frame=cfg, p_assumed=5, l_range=(0, 2), k_range=(-1, 1))
-    EstimationConfig(frame=cfg, p_assumed=4, l_range=(0, 2), k_range=(-1, 1))
+    with pytest.raises(ValueError, match="p_assumed 4 exceeds the 3 cells"):
+        EstimationConfig(frame=cfg, p_assumed=4, l_max=0, k_max=1)
+    EstimationConfig(frame=cfg, p_assumed=3, l_max=0, k_max=1)
 
 
 @pytest.mark.parametrize("field, value", [("p_assumed", 2.5), ("p_assumed", True),
@@ -203,12 +205,21 @@ def test_rejects_bad_counts(field, value):
         est_cfg(cfg16(), 1, **{field: value})
 
 
-@pytest.mark.parametrize("field, value", [("l_range", (0, 8.5)), ("k_range", (-2.0, 2)),
-                                          ("l_range", (False, 4))])
-def test_rejects_non_integer_windows(field, value):
-    # (0, 8.5) used to build and then fail with a TypeError in cells()
-    with pytest.raises(ValueError, match=f"^{field} bounds must be integers"):
-        est_cfg(cfg16(), 1, **{field: value})
+@pytest.mark.parametrize("field, value", [(field, value) for field in ("l_max", "k_max")
+                                          for value in (8.5, 2.0, False, -1)]
+                         + [("l_max", 16), ("k_max", 4)])
+def test_rejects_bad_window_bounds(field, value):
+    # one grid-fit rule for a window bound: the estimator's window and the synthetic channel's
+    # support refuse a bound that is no integer, is negative or is one bin off the 16 x 8 grid,
+    # with one message naming it
+    bounds = {"l_max": 7, "k_max": 3, field: value}
+    errors = []
+    for build in (lambda: EstimationConfig(frame=cfg16(), p_assumed=1, **bounds),
+                  lambda: synthetic_support(cfg16(), 1, **bounds)):
+        with pytest.raises(ValueError, match=f"^{field} ") as exc:
+            build()
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
 
 
 class TestAmbiguityTable:
@@ -217,14 +228,14 @@ class TestAmbiguityTable:
 
     @staticmethod
     def draw(M, N):
-        # full window, so cell differences span every delay and Doppler offset; the
+        # the widest window, so cell differences span every delay and Doppler offset; the
         # far-edge delay wraps the delay axis and two paths have negative Doppler
         cfg = FrameConfig(M=M, N=N)
-        ec = EstimationConfig(frame=cfg, p_assumed=3, l_range=(0, M),
-                              k_range=(-(N // 2), (N + 1) // 2))
+        k_max = cfg.doppler_range[1]
+        ec = EstimationConfig(frame=cfg, p_assumed=3, l_max=M - 1, k_max=k_max)
         rng = np.random.default_rng(M * N)
         s = random_frame(cfg, rng)[1]
-        hyp = [(M - 1, -(N // 2)), (1, -1), (M // 2, (N - 1) // 2)]
+        hyp = [(M - 1, -k_max), (1, -1), (M // 2, k_max)]
         gains = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         y = channel_from_cells(cfg, hyp, gains).apply(s)
         y = y + 0.3 * (rng.standard_normal(cfg.mn) + 1j * rng.standard_normal(cfg.mn))
@@ -262,7 +273,7 @@ class TestAmbiguityTable:
         assert yy - res.objective_trace[-1] == pytest.approx(np.vdot(r, r).real, abs=1e-12 * yy)
 
     @pytest.mark.parametrize("n_paths, seed, P, iterations",
-                             [(1, 50, 1, 1), (2, 8, 3, 2), (3, 11, 6, 2), (1, 50, 8, 3)])
+                             [(1, 50, 1, 1), (2, 8, 3, 2), (3, 11, 6, 1), (1, 50, 8, 3)])
     def test_two_scans_per_estimate(self, monkeypatch, n_paths, seed, P, iterations):
         # draws at 0 dB on which the search moves paths and runs 1 to 3 outer passes: the
         # sounding's table is one path_correlations product, and each estimate from it one
@@ -294,13 +305,11 @@ class TestAmbiguityTable:
 
 @st.composite
 def search_windows(draw):
-    """(M, N, l_range, k_range, seed) of a random small grid and any search window in it."""
+    """(M, N, l_max, k_max, seed) of a random small grid and any search window in it."""
     M, N = draw(st.integers(3, 10), label="M"), draw(st.integers(2, 6), label="N")
-    lo = draw(st.integers(0, M - 1), label="l_lo")
-    hi = draw(st.integers(lo + 1, M), label="l_hi")
-    klo = draw(st.integers(-(N // 2), (N + 1) // 2 - 1), label="k_lo")
-    khi = draw(st.integers(klo + 1, (N + 1) // 2), label="k_hi")
-    return M, N, (lo, hi), (klo, khi), draw(st.integers(0, 2 ** 31 - 1), label="seed")
+    l_max = draw(st.integers(0, M - 1), label="l_max")
+    k_max = draw(st.integers(0, (N + 1) // 2 - 1), label="k_max")
+    return M, N, l_max, k_max, draw(st.integers(0, 2 ** 31 - 1), label="seed")
 
 
 def assert_close(got, ref):
@@ -309,17 +318,18 @@ def assert_close(got, ref):
 
 @settings(max_examples=25)
 @given(search_windows())
-# odd MN with a window that starts above 0, reaches the delay wrap and spans every Doppler bin
-@example((5, 3, (2, 5), (-1, 2), 7))
-@example((7, 5, (0, 7), (-2, 3), 3))
-@example((9, 4, (3, 6), (0, 1), 11))
+# odd MN with a window that reaches the delay wrap and spans every Doppler bin, and a window
+# of Doppler 0 alone
+@example((5, 3, 4, 1, 7))
+@example((7, 5, 6, 2, 3))
+@example((9, 4, 5, 0, 11))
 def test_sounding_matches_inner_products(window):
     # the scan, the ambiguity table and the columns of one sounding against explicit inner
     # products: u_{l,k}^H t with the oracle responses, and C(d, kappa) = u_{d,kappa}^H s with
     # u_{d,kappa} written out on chips, e^{j2pi kappa (q - d) / MN} s_c[(q - d) mod MN]
-    M, N, l_range, k_range, seed = window
+    M, N, l_max, k_max, seed = window
     cfg = FrameConfig(M=M, N=N)
-    ec = EstimationConfig(frame=cfg, p_assumed=1, l_range=l_range, k_range=k_range)
+    ec = EstimationConfig(frame=cfg, p_assumed=1, l_max=l_max, k_max=k_max)
     rng = np.random.default_rng(seed)
     s = random_frame(cfg, rng)[1]
     t = rng.standard_normal(cfg.mn) + 1j * rng.standard_normal(cfg.mn)
@@ -336,27 +346,26 @@ def test_sounding_matches_inner_products(window):
 
 @st.composite
 def single_paths(draw):
-    """(M, N, l_range, k_range, cell, gain, seed): a window of :func:`search_windows` and one
+    """(M, N, l_max, k_max, cell, gain, seed): a window of :func:`search_windows` and one
     path on a cell of it."""
-    M, N, l_range, k_range, seed = draw(search_windows())
-    cell = (draw(st.integers(l_range[0], l_range[1] - 1), label="l"),
-            draw(st.integers(k_range[0], k_range[1] - 1), label="k"))
+    M, N, l_max, k_max, seed = draw(search_windows())
+    cell = (draw(st.integers(0, l_max), label="l"), draw(st.integers(-k_max, k_max), label="k"))
     gain = draw(st.complex_numbers(min_magnitude=0.01, max_magnitude=100.0), label="gain")
-    return M, N, l_range, k_range, cell, gain, seed
+    return M, N, l_max, k_max, cell, gain, seed
 
 
 @settings(max_examples=60)
 @given(single_paths())
-# odd MN, a window above delay 0 with the path on its last cell, and a one-cell window
-@example((5, 3, (2, 5), (-1, 2), (4, 1), 0.3 - 1.2j, 7))
-@example((7, 5, (0, 7), (-2, 3), (6, -2), 1.0, 3))
-@example((3, 2, (1, 2), (0, 1), (1, 0), -2.0j, 0))
+# odd MN, a window with the path on its last cell, and a one-cell window
+@example((5, 3, 4, 1, (4, 1), 0.3 - 1.2j, 7))
+@example((7, 5, 6, 2, (6, -2), 1.0, 3))
+@example((3, 2, 0, 0, (0, 0), -2.0j, 0))
 def test_noiseless_single_path_recovered_exactly(case):
     # y = H s without noise and one assumed path: the estimate is the path's own cell, and
     # its gain is the planted one to round-off
-    M, N, l_range, k_range, cell, gain, seed = case
+    M, N, l_max, k_max, cell, gain, seed = case
     cfg = FrameConfig(M=M, N=N)
-    ec = EstimationConfig(frame=cfg, p_assumed=1, l_range=l_range, k_range=k_range)
+    ec = EstimationConfig(frame=cfg, p_assumed=1, l_max=l_max, k_max=k_max)
     s = random_frame(cfg, np.random.default_rng(seed))[1]
     y = channel_from_cells(cfg, [cell], [gain]).apply(s)
     res = estimate_channel(y, Sounding(ec, s))
@@ -457,10 +466,10 @@ class TestMleExhaustive:
         cfg = FrameConfig(M=8, N=4)
         chan = channel_from_cells(cfg, [(3, 1)], [0.9])
         s, y = observe(cfg, chan, 20.0, seed=2)
-        ec = EstimationConfig(frame=cfg, p_assumed=1, l_range=(0, 8), k_range=(-2, 2))
+        ec = EstimationConfig(frame=cfg, p_assumed=1, l_max=7, k_max=1)
         res = mle_exhaustive(y, Sounding(ec, s))
         vals = {(l, k): path_objective(0, y, s, [(l, k)], np.array([0j]), cfg)
-                for l in range(8) for k in range(-2, 2)}
+                for l in range(8) for k in range(-1, 2)}
         assert cells(res.channel)[0] == max(vals, key=vals.get)
 
     def test_zero_residual_at_planted_tuple(self):
@@ -488,7 +497,7 @@ class TestMleExhaustive:
         chip = np.zeros(cfg.mn, dtype=complex)
         chip[0] = 1.0
         s = chips_to_dd(chip, cfg)
-        ec = EstimationConfig(frame=cfg, p_assumed=2, l_range=(0, 1), k_range=(-1, 1))
+        ec = EstimationConfig(frame=cfg, p_assumed=2, l_max=0, k_max=1)
         with pytest.raises(ValueError, match="no tuple of 2 window cells"):
             mle_exhaustive(s, Sounding(ec, s))
 

@@ -643,8 +643,7 @@ def test_drawn_cells_lie_on_the_grid_under_the_prefix_and_in_the_window(options)
         chan = harness._draw_channel(runner.spec, trial)
         for l, k in zip(chan.l.tolist(), chan.k.tolist()):
             assert 0 <= l <= runner.cp < M and -(N // 2) <= k < (N + 1) // 2
-            assert window.l_range[0] <= l < window.l_range[1]
-            assert window.k_range[0] <= k < window.k_range[1]
+            assert l <= window.l_max and abs(k) <= window.k_max
 
 
 # the worst noiseless mismatch 10 log10(|y - H s|^2 / |H s|^2) that a waveform cell's chain may
