@@ -141,8 +141,14 @@ def add_awgn(x: np.ndarray, noise_var: float, rng_seed) -> np.ndarray:
     if noise_var <= 0.0:
         return x.copy()
     rng = np.random.default_rng(rng_seed)
-    scale = np.sqrt(noise_var / 2.0)
-    return x + scale * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
+    # the real and the imaginary draw go straight into one complex buffer, which is scaled and
+    # offset in place: the same values as x + scale * (a + 1j * b), without its temporaries
+    noise = np.empty(x.shape, dtype=complex)
+    noise.real = rng.standard_normal(x.shape)
+    noise.imag = rng.standard_normal(x.shape)
+    noise *= np.sqrt(noise_var / 2.0)
+    noise += x
+    return noise
 
 
 def snr_to_noise_var(snr_db: float) -> float:

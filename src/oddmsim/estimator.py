@@ -20,6 +20,10 @@ rows and C over the window's cell differences (d >= 0 by the same product as
 the scans; d < 0 is the Hermitian mirror).  It is built once per sensing frame
 and shared by every estimate from that frame, so an estimate runs one product,
 scan(s, y); every cancelled scan, Gram entry and residual after that is a gather.
+It also caches, read-only, the column (the scans of the unit response) of each
+cell an estimate places, since the estimates of one frame mostly place the same
+cells; the search itself works on flat window indices and names cells (l, k)
+only in its result.
 
 * :func:`estimate_channel` -- low-complexity alternating search.  Paths are
   seeded by successive extraction of matched-filter peaks, then each outer
@@ -110,12 +114,6 @@ class EstimationConfig:
                              f"l_max={self.l_max}, k_max={self.k_max}")
         return [self.index[c] for c in cells]
 
-    def pick_peak(self, metric: np.ndarray, occupied) -> tuple:
-        """First maximum of the flat metric outside the occupied cells."""
-        metric = metric.copy()
-        metric[self.indices(occupied)] = -np.inf
-        return self.cells[int(np.argmax(metric))]
-
 
 @dataclass
 class EstimationResult:
@@ -129,15 +127,24 @@ class EstimationResult:
     ill_conditioned: bool = False
 
 
+def pick_peak(metric: np.ndarray, occupied) -> int:
+    """Flat window index of the first maximum of the flat metric outside the occupied flat
+    indices, which it overwrites with -inf."""
+    metric[occupied] = -np.inf
+    return int(np.argmax(metric))
+
+
 def solve_gains(G: np.ndarray, b: np.ndarray):
     """Exact least-squares gains from the P x P normal equations G gains = b.
 
     G[p, q] = u_p^H u_q is the Gram of the path responses and b[p] = u_p^H y.
-    Returns (gains, ill_conditioned); an ill-conditioned system (cond > 1e12,
-    e.g. duplicated hypotheses) falls back to the smallest-norm solution.
+    Returns (gains, ill_conditioned); an ill-conditioned system (2-norm condition number
+    sv_max / sv_min > 1e12, or a zero singular value, e.g. duplicated hypotheses) falls back
+    to the smallest-norm solution.
     """
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    sv = np.linalg.svd(G, compute_uv=False)
+    sv_max, sv_min = float(sv[0]), float(sv[-1])
+    if not (sv_min > 0.0 and sv_max / sv_min <= COND_LIMIT):
         gains, *_ = np.linalg.lstsq(G, b, rcond=None)
         return gains, True
     return np.linalg.solve(G, b), False
@@ -149,7 +156,11 @@ class Sounding:
 
     Holds the checked chips ``s`` of ``s_known``, the rows conj(s[q - d]) for the window's
     delay spread d, the frame's ambiguity table over the cells' differences and, on first
-    use, the Gram of every pair of cells.
+    use, the column of each cell an estimate places (:meth:`Sounding.column`) and the Gram
+    of every pair of cells.
+
+    Not re-entrant: every scan forms its twiddled target in one scratch block of the
+    sounding, so use a sounding from one thread at a time.
     """
 
     def __init__(self, est: EstimationConfig, s_known: np.ndarray):
@@ -157,35 +168,59 @@ class Sounding:
         if not np.any(self.s):
             raise ValueError("s_known has zero energy, so no path is observable")
         self.dl, self.dk, self.mn = est.l_max, 2 * est.k_max, self.s.size
-        # one stack of rows conj(s[q - d]), d <= dl, serves the table and the scans
-        self.rows = shifted_conj_rows(self.s, self.dl + 1)
+        # one stack of rows conj(s[q - d]), d <= dl, serves the table and the scans, and the
+        # rows after it take each product's twiddled target, so a scan allocates no MB-sized
+        # temporary.  One block also keeps glibc from handing a trial's memory back to the
+        # system and faulting it in again: it trims a freed heap top only once that outgrows
+        # twice the largest block it has unmapped, and a trial's peak is below twice this one
+        # (at 128 x 32: a 3.3 MB block, a 3.9 MB peak)
+        work = np.empty((self.dl + 2 + self.dk, self.mn), dtype=complex)
+        self.rows = shifted_conj_rows(self.s, work[:self.dl + 1])
         self.rows.flags.writeable = False
+        self._scratch = work[self.dl + 1:]  # 2 k_max + 1 rows: the widest twiddle block
         # one twiddle matrix, k in [-dk, dk], holds the window's k and the table's kappa
         twiddles = doppler_twiddles(est.frame.M, est.frame.N, -self.dk, self.dk + 1)
         self._scan_twiddles = twiddles[self.dk - est.k_max:self.dk + est.k_max + 1]
         self._scan_order = est.cell_lk[1][:2 * est.k_max + 1] + est.k_max  # ascending k to cells
         # C(d, kappa) for |d| <= dl, |kappa| <= dk; the product for d >= 0 only, as u_a^H u_b =
         # conj(u_b^H u_a) gives C(-d, -kappa) = e^{j2pi kappa d / MN} conj(C(d, kappa)).  kappa < 0
-        # and kappa >= 0 go in as two blocks, each no wider than the window, so no twiddled
-        # target outgrows a scan's (a table-wide one made the heap fault in afresh every frame)
-        half = path_correlations(self.rows, self.s, [twiddles[:self.dk], twiddles[self.dk:]])
+        # and kappa >= 0 go in as two blocks, each no wider than the window, so each twiddled
+        # target fits the scans' scratch rows
+        half = path_correlations(self.rows, self.s, [twiddles[:self.dk], twiddles[self.dk:]],
+                                 self._scratch)
         d, kappa = np.arange(self.dl + 1), np.arange(-self.dk, self.dk + 1)
         mirror = np.exp(2j * np.pi * np.outer(d, kappa) / self.mn) * np.conj(half)
         self.table = np.vstack([mirror[:0:-1, ::-1], half])
         self.table.flags.writeable = False  # shared by every estimate from this frame
+        self._placed = {}  # flat index -> column(index)
 
     def scan(self, t_c: np.ndarray) -> np.ndarray:
         """u_{l,k}^H t for every window cell, flat in cell order."""
-        scans = path_correlations(self.rows, t_c, [self._scan_twiddles])
+        scans = path_correlations(self.rows, t_c, [self._scan_twiddles], self._scratch)
         return scans[:, self._scan_order].ravel()
 
     def columns(self, cells) -> np.ndarray:
         """(len(cells), n_cells) scans of the cells' unit path responses u_c, read from the
         table: u_{l,k}^H u_c = e^{j2pi k_c (l - l_c) / MN} C(l - l_c, k - k_c)."""
-        (l, k), idx = self.est.cell_lk, self.est.indices(cells)
+        return self._columns(self.est.indices(cells))
+
+    def _columns(self, idx: list) -> np.ndarray:
+        """:meth:`Sounding.columns` of the cells at flat window indices idx."""
+        l, k = self.est.cell_lk
         lc, kc = l[idx][:, None], k[idx][:, None]
         return (np.exp(2j * np.pi * kc * (l - lc) / self.mn)
                 * self.table[l - lc + self.dl, k - kc + self.dk])
+
+    def column(self, i: int) -> np.ndarray:
+        """Read-only row of :meth:`Sounding.columns` of the cell at flat window index i,
+        computed once per sounding: the estimates of one frame mostly place the same cells
+        (the three of a 128 x 32 sensing trial with four paths ask for 12 columns, and 2 in
+        3 are already cached)."""
+        col = self._placed.get(i)
+        if col is None:
+            col = self._placed[i] = self._columns([i])[0]
+            col.flags.writeable = False  # shared by every estimate from this frame
+        return col
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -207,67 +242,67 @@ def estimate_channel(y: np.ndarray, sounding: Sounding) -> EstimationResult:
     y, yy = _observed(y, est.frame)
     scan_y = sounding.scan(y)
     P = est.p_assumed
+    others = [[q for q in range(P) if q != p] for p in range(P)]
 
     def fit():
         """Gains of the placed paths, their flag and the joint residual ||y - sum_q g_q u_q||^2
         = ||y||^2 - 2 Re(g^H b) + g^H G g; G[p, q] = u_p^H u_q is column q at cell p."""
-        idx = est.indices(cells)
-        G, b = cols[:, idx].T, scan_y[idx]
+        G, b = cols[:len(cells), cells].T, scan_y[cells]
         gains, ill = solve_gains(G, b)
         return gains, ill, float(yy - 2 * np.vdot(gains, b).real + np.vdot(gains, G @ gains).real)
 
-    cells: list = []
-    cols = np.zeros((0, scan_y.size), dtype=complex)
+    cells: list = []  # flat window index of each placed path
+    cols = np.empty((P, scan_y.size), dtype=complex)  # row p: the column of cells[p]
     gains = np.zeros(0, dtype=complex)
     ill = False
 
     # successive extraction: place each path at the peak of the matched filter
     # applied to the residual of the paths placed so far
     for p in range(P):
-        amb = scan_y - gains @ cols
-        cell = est.pick_peak(np.abs(amb) ** 2, cells)
-        cells.append(cell)
-        cols = np.vstack([cols, sounding.columns([cell])])
+        amb = scan_y - gains @ cols[:p]
+        cells.append(pick_peak(np.abs(amb) ** 2, cells))
+        cols[p] = sounding.column(cells[-1])
         gains, flag, residual = fit()
         ill = ill or flag
 
     trace = [yy - residual]
     iterations = 0
     converged = False
-    last_maps = [None] * P
+    maps = np.empty((P, scan_y.size))  # each path's |cancelled scan| of the latest pass
 
     for outer in range(MAX_ITERS):
         iterations = outer + 1
         prev_cells = list(cells)
         prev_gains = gains.copy()
         for p in range(P):
-            amb = scan_y - np.delete(gains, p) @ np.delete(cols, p, axis=0)
-            last_maps[p] = np.abs(amb)
-            cand = est.pick_peak(np.abs(amb) ** 2, cells[:p] + cells[p + 1:])
+            amb = scan_y - gains[others[p]] @ cols[others[p]]
+            maps[p] = np.abs(amb)
+            cand = pick_peak(maps[p] ** 2, cells[:p] + cells[p + 1:])
             if cand == cells[p]:
                 continue
-            saved = (cells[p], cols[p].copy(), gains, ill)
+            saved = (cells[p], gains, ill)
             cells[p] = cand
-            cols[p] = sounding.columns([cand])[0]
+            cols[p] = sounding.column(cand)
             gains, flag, new_residual = fit()
             ill = ill or flag
             if new_residual <= residual + 1e-12 * max(1.0, residual):
                 residual = new_residual
             else:  # safeguard: reject moves that worsen the joint residual
-                cells[p], cols[p], gains, ill = saved
+                cells[p], gains, ill = saved
+                cols[p] = sounding.column(cells[p])
         trace.append(yy - residual)
-        change = sum(abs(gains[p] - prev_gains[p])
-                     + abs(cells[p][0] - prev_cells[p][0])
-                     + abs(cells[p][1] - prev_cells[p][1]) for p in range(P))
-        if change <= EPSILON:
+        # a moved path changes its l or k by a whole bin, more than EPSILON, so only a pass that
+        # keeps every cell can converge; its change is then the gains' alone
+        if cells == prev_cells and sum(abs(g - g0) for g, g0 in zip(gains, prev_gains)) <= EPSILON:
             converged = True
             break
 
-    # confidence: each selected peak must exceed the window's median statistic, not tie it
-    low_conf = any(not m[est.index[c]] > LOW_CONF_FACTOR * np.median(m)
-                   for m, c in zip(last_maps, cells))
+    # confidence: each selected peak must exceed its map's median statistic, not tie it
+    medians = np.median(maps, axis=1)
+    low_conf = not np.all(maps[np.arange(P), cells] > LOW_CONF_FACTOR * medians)
 
-    return EstimationResult(channel=EffectiveChannel(est.frame, gains, *zip(*cells)),
+    l, k = est.cell_lk
+    return EstimationResult(channel=EffectiveChannel(est.frame, gains, l[cells], k[cells]),
                             iterations=iterations, objective_trace=trace,
                             converged=converged, low_confidence=low_conf,
                             ill_conditioned=ill)

@@ -30,6 +30,13 @@ estimator that ran.  Trials go out in order, serially or to a process pool, and
 aggregation keeps each point's records in trial order, so both give the same
 rows; one ``_row`` builds every row of both sweeps.
 
+BLAS threads: the window scans and the detector's band solves run on the BLAS that numpy
+loads, with its own thread count.  That count is set only through the environment, with
+``OPENBLAS_NUM_THREADS`` (or ``OMP_NUM_THREADS``) exported before numpy is first imported,
+e.g. ``OPENBLAS_NUM_THREADS=1 python3 run.py``; this package has no in-process switch, and
+process-pool workers inherit the parent's environment.  The rows are the same at one thread
+and at the default count.
+
 Seed derivation: every random draw uses
 ``numpy.random.SeedSequence((master_seed, stage_tag, trial, ...))`` with
 documented integer stage tags, so adding SNR points or threads never shifts

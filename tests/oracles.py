@@ -5,7 +5,9 @@ matrix oracle is a literal per-cell enumeration of the delay-Doppler
 input-output relation (with the wrap phase the library's chip-domain form
 never writes out), the block and permutation helpers spell out the paper's
 block structure of that matrix, the path statistic is a dense direct
-computation, the Gram band oracle scatters one path pair at a time, the
+computation, the alternating channel search is its loop written on (l, k) cells
+with every column, median and condition number taken afresh, the Gram band
+oracle scatters one path pair at a time, the
 linear-estimator oracle works from the SVD of the dense matrix, the OAMP
 denoiser oracle weighs all four constellation points by a softmax, the hard
 decision oracle takes the nearest of the four by their distances, the ODDM
@@ -18,6 +20,9 @@ train by direct shifted inner products.
 
 import numpy as np
 from scipy.special import erfc
+
+from oddmsim import estimator
+from oddmsim.effchan import EffectiveChannel
 
 
 def brute_force_effective_matrix(paths, M, N):
@@ -112,6 +117,85 @@ def path_objective(p, y, s_known, hypotheses, gains, config):
             continue
         i_term += (h * np.vdot(u[p], uq) * np.conj(b_p)).real
     return q_term - i_term / denom
+
+
+def estimate_channel_literal(y, sounding):
+    """The alternating search of :func:`estimator.estimate_channel`, written on (l, k) tuples.
+
+    Each placed path's column comes from a fresh ``sounding.columns`` call, the other paths'
+    scans are cancelled through ``np.delete``, the condition number is ``np.linalg.cond``,
+    each map's median is its own ``np.median``, and a peak is looked up through the window's
+    cell dict.  The module's constants are read at call time, so a patched cap applies here too.
+    """
+    est = sounding.est
+    y, yy = estimator._observed(y, est.frame)
+    scan_y = sounding.scan(y)
+    P = est.p_assumed
+
+    def pick_peak(metric, occupied):
+        metric = metric.copy()
+        metric[est.indices(occupied)] = -np.inf
+        return est.cells[int(np.argmax(metric))]
+
+    def fit():
+        idx = est.indices(cells)
+        G, b = cols[:, idx].T, scan_y[idx]
+        cond = np.linalg.cond(G)
+        if not np.isfinite(cond) or cond > estimator.COND_LIMIT:
+            gains, flag = np.linalg.lstsq(G, b, rcond=None)[0], True
+        else:
+            gains, flag = np.linalg.solve(G, b), False
+        return gains, flag, float(yy - 2 * np.vdot(gains, b).real + np.vdot(gains, G @ gains).real)
+
+    cells = []
+    cols = np.zeros((0, scan_y.size), dtype=complex)
+    gains = np.zeros(0, dtype=complex)
+    ill = False
+    for p in range(P):
+        amb = scan_y - gains @ cols
+        cell = pick_peak(np.abs(amb) ** 2, cells)
+        cells.append(cell)
+        cols = np.vstack([cols, sounding.columns([cell])])
+        gains, flag, residual = fit()
+        ill = ill or flag
+
+    trace = [yy - residual]
+    iterations = 0
+    converged = False
+    last_maps = [None] * P
+    for outer in range(estimator.MAX_ITERS):
+        iterations = outer + 1
+        prev_cells = list(cells)
+        prev_gains = gains.copy()
+        for p in range(P):
+            amb = scan_y - np.delete(gains, p) @ np.delete(cols, p, axis=0)
+            last_maps[p] = np.abs(amb)
+            cand = pick_peak(np.abs(amb) ** 2, cells[:p] + cells[p + 1:])
+            if cand == cells[p]:
+                continue
+            saved = (cells[p], cols[p].copy(), gains, ill)
+            cells[p] = cand
+            cols[p] = sounding.columns([cand])[0]
+            gains, flag, new_residual = fit()
+            ill = ill or flag
+            if new_residual <= residual + 1e-12 * max(1.0, residual):
+                residual = new_residual
+            else:
+                cells[p], cols[p], gains, ill = saved
+        trace.append(yy - residual)
+        change = sum(abs(gains[p] - prev_gains[p])
+                     + abs(cells[p][0] - prev_cells[p][0])
+                     + abs(cells[p][1] - prev_cells[p][1]) for p in range(P))
+        if change <= estimator.EPSILON:
+            converged = True
+            break
+
+    low_conf = any(not m[est.index[c]] > estimator.LOW_CONF_FACTOR * np.median(m)
+                   for m, c in zip(last_maps, cells))
+    return estimator.EstimationResult(
+        channel=EffectiveChannel(est.frame, gains, *zip(*cells)), iterations=iterations,
+        objective_trace=trace, converged=converged, low_confidence=low_conf,
+        ill_conditioned=ill)
 
 
 def gram_band(H):

@@ -172,6 +172,24 @@ class TestApplyChannel:
             assert np.array_equal(add_awgn(clean, noiseless, 0), clean)
         assert add_awgn(clean, 0.0, 0) is not clean
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_noise_is_the_literal_draw(self, kind):
+        # bit for bit x + scale * (a + 1j * b), with a and b the seed's two standard normal
+        # draws in turn; without noise, a copy of x with its dtype
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(257)
+        if kind == "complex":
+            x = x + 1j * rng.standard_normal(257)
+        for noise_var, seed in [(0.25, 1), (1e-3, 2), (4.0, 3)]:
+            draws = np.random.default_rng(seed)
+            a, b = draws.standard_normal(x.shape), draws.standard_normal(x.shape)
+            literal = x + np.sqrt(noise_var / 2.0) * (a + 1j * b)
+            out = add_awgn(x, noise_var, seed)
+            assert out.dtype == literal.dtype and out.tobytes() == literal.tobytes()
+        for noiseless in (0.0, -1.0):
+            out = add_awgn(x, noiseless, 0)
+            assert out is not x and out.dtype == x.dtype and out.tobytes() == x.tobytes()
+
     @pytest.mark.parametrize("noise_var", [float("nan"), float("inf")])
     def test_non_finite_noise_var_rejected(self, noise_var):
         # these used to return all-NaN or infinite samples

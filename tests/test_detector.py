@@ -81,6 +81,15 @@ def ragged_channel():
     return H
 
 
+def wide_band_channel():
+    """Paths at delays 0 and 20 on 48 x 8: a half-band of 32 or more, where LAPACK's band
+    Cholesky runs in 32-column blocks; MN = 384 keeps the dense oracle cheap."""
+    cfg = FrameConfig(M=48, N=8)
+    H = channel_from_cells(cfg, [(0, 1), (20, -2)], [0.8 + 0.1j, -0.5j])
+    assert LinearStage(H).ab.shape[0] - 1 >= 32
+    return H
+
+
 STAGE_CHANNELS = {
     "identity": lambda: identity_channel(cfg16()),
     "wrap-path": lambda: channel_from_cells(cfg16(), [(15, 1)], [0.8 - 0.3j]),
@@ -88,6 +97,7 @@ STAGE_CHANNELS = {
         cfg16(), [(3, -2), (3, 0), (3, 1)], [0.6, -0.5j, 0.3 + 0.2j]),
     "eva-estimated": estimated_eva_channel,
     "ragged-blocks": ragged_channel,
+    "wide-band": wide_band_channel,
     "no-paths": lambda: EffectiveChannel(cfg16(), [], [], []),
 }
 

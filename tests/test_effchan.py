@@ -237,6 +237,21 @@ class TestApply:
         gap = abs(np.vdot(y, forward) - np.vdot(eff.apply_adjoint_chips(y), x))
         assert gap <= 1e-12 * np.linalg.norm(forward) * np.linalg.norm(y)
 
+    @pytest.mark.parametrize("M, N", [(7, 3), (12, 5), (64, 16), (128, 32), (256, 64)])
+    def test_ramps_match_integer_reduced_phase(self, M, N):
+        # the weight of path (h, l, k) at chip q is h e^{j2pi ((k (q - l)) mod MN) / MN}, the
+        # exponent reduced exactly in integers, for k at both ends of the Doppler range and l at
+        # both ends of the delay range; an exponential of the unreduced 2pi k (q - l) / MN was
+        # off by 1.8e-14 at 128 x 32 and 2.9e-14 at 256 x 64
+        cfg = FrameConfig(M=M, N=N)
+        cells = [(l, k) for l in (0, M - 1) for k in cfg.doppler_range]
+        l, k = (np.array(v) for v in zip(*cells))
+        gains = np.exp(1j * np.arange(len(cells)))
+        q = np.arange(cfg.mn)
+        ref = gains[:, None] * np.exp(2j * np.pi * ((k[:, None] * (q - l[:, None])) % cfg.mn)
+                                      / cfg.mn)
+        assert np.max(np.abs(EffectiveChannel(cfg, gains, l, k).weights - ref)) <= 1e-14
+
     def test_dimension_mismatch(self):
         cfg = small_config()
         eff = channel_from_cells(cfg, [(0, 0)], [1.0])
@@ -255,8 +270,11 @@ def per_cell_correlations(cfg, s, t, ds, ks):
 def correlate(cfg, s, t, n, ks):
     """path_correlations of s against t for the shifts d < n and the consecutive bins ks, in
     the given twiddle blocks of consecutive bins."""
-    return path_correlations(shifted_conj_rows(dd_to_chips(s, cfg), n), dd_to_chips(t, cfg),
-                             [doppler_twiddles(cfg.M, cfg.N, b[0], b[-1] + 1) for b in ks])
+    rows = shifted_conj_rows(dd_to_chips(s, cfg), np.empty((n, cfg.mn), dtype=complex))
+    scratch = np.empty((max(len(b) for b in ks), cfg.mn), dtype=complex)
+    return path_correlations(rows, dd_to_chips(t, cfg),
+                             [doppler_twiddles(cfg.M, cfg.N, b[0], b[-1] + 1) for b in ks],
+                             scratch)
 
 
 class TestChipResponses:

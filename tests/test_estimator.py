@@ -11,9 +11,10 @@ from oddmsim.channel import (channel_from_cells, gen_synthetic_channel, snr_to_n
 from oddmsim.core import FrameConfig, chips_to_dd, dd_to_chips, random_frame
 from oddmsim.effchan import EffectiveChannel
 from oddmsim.estimator import (EstimationConfig, Sounding, estimate_channel, mle_exhaustive,
-                               nmse, solve_gains)
+                               nmse, pick_peak, solve_gains)
 
-from oracles import brute_force_effective_matrix, dense_channel, path_objective
+from oracles import (brute_force_effective_matrix, dense_channel, estimate_channel_literal,
+                     path_objective)
 
 
 def cfg16():
@@ -128,7 +129,7 @@ class TestWindow:
                 key = (-m, l, abs(k), 0 if k < 0 else 1)
                 if best_key is None or key < best_key:
                     best_key, best = key, (l, k)
-            assert ec.pick_peak(metric, occupied) == best
+            assert ec.cells[pick_peak(metric.copy(), ec.indices(occupied))] == best
 
     def test_scan_in_cell_order(self):
         cfg = cfg16()
@@ -142,7 +143,7 @@ class TestWindow:
 
     def test_cells_outside_the_window_rejected(self):
         # columns used to wrap (7, 0) into the table's negative delays and return a row off by
-        # 1.28 relative; pick_peak raised KeyError
+        # 1.28 relative; looking a peak's cell up raised KeyError
         cfg = cfg16()
         win = Sounding(est_cfg(cfg, 1, l_max=4, k_max=2),
                        random_frame(cfg, np.random.default_rng(0))[1])
@@ -150,7 +151,7 @@ class TestWindow:
             with pytest.raises(ValueError, match=rf"cells \[{re.escape(str(cell))}\] outside"):
                 win.columns([(0, 0), cell])
             with pytest.raises(ValueError, match="outside the search window"):
-                win.est.pick_peak(np.ones(len(win.est.cells)), [cell])
+                win.est.indices([cell])
 
     def test_zero_observation_picks_cells_in_tie_order(self):
         cfg = cfg16()
@@ -299,8 +300,10 @@ class TestAmbiguityTable:
         cfg = cfg16()
         chan = gen_synthetic_channel(cfg, 1, 50, l_max=7, k_max=3)
         s, y = observe(cfg, chan, 0.0, seed=50)
-        res = estimate_channel(y, Sounding(est_cfg(cfg, 8), s))
+        sounding = Sounding(est_cfg(cfg, 8), s)
+        res = estimate_channel(y, sounding)
         assert (res.iterations, res.converged) == (2, False)
+        assert TestSounding.same(res, estimate_channel_literal(y, sounding))
 
 
 @st.composite
@@ -399,9 +402,105 @@ class TestSounding:
         cfg = cfg16()
         s = random_frame(cfg, np.random.default_rng(0))[1]
         sounding = Sounding(est_cfg(cfg, 2), s)
-        for array in (sounding.table, sounding.gram):
+        for array in (sounding.table, sounding.gram, sounding.column(3)):
             with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 0
+                array[..., 0] = 0
+
+
+class TestLiteralSearch:
+    """estimate_channel against the literal loop of tests/oracles.py: the same cells, gains
+    (bit for bit), trace and flags."""
+
+    same = staticmethod(TestSounding.same)
+
+    @pytest.mark.parametrize("n_paths, seed, P", [(1, 50, 1), (2, 8, 3), (3, 11, 6), (1, 50, 8)])
+    def test_searches_that_move_paths(self, n_paths, seed, P):
+        # the draws of test_two_scans_per_estimate: 1 to 3 outer passes, with accepted moves
+        cfg = cfg16()
+        chan = gen_synthetic_channel(cfg, n_paths, seed, l_max=7, k_max=3)
+        s, y = observe(cfg, chan, 0.0, seed=seed)
+        sounding = Sounding(est_cfg(cfg, P), s)
+        assert self.same(estimate_channel(y, sounding), estimate_channel_literal(y, sounding))
+
+    @pytest.mark.parametrize("n_paths, seed, P", [(2, 8, 3), (3, 11, 6), (1, 50, 8)])
+    def test_rejected_moves(self, monkeypatch, n_paths, seed, P):
+        # a move to the peak of its cancelled scan never raises the joint residual with exact
+        # solves, so no draw reaches the rollback; halving every second solve makes one move
+        # of each of these draws raise it, and both loops see the same solves in turn
+        exact, calls = np.linalg.solve, []
+
+        def damped(G, b):
+            calls.append(None)
+            x = exact(G, b)
+            return x if len(calls) % 2 else 0.5 * x
+
+        monkeypatch.setattr(np.linalg, "solve", damped)
+        cfg = cfg16()
+        chan = gen_synthetic_channel(cfg, n_paths, seed, l_max=7, k_max=3)
+        s, y = observe(cfg, chan, 0.0, seed=seed)
+        sounding = Sounding(est_cfg(cfg, P), s)
+        res = estimate_channel(y, sounding)
+        calls.clear()
+        assert self.same(res, estimate_channel_literal(y, sounding))
+
+    @pytest.mark.parametrize("l_max", [6, 7], ids=["odd-cells", "even-cells"])
+    def test_confidence_against_the_median(self, l_max):
+        # at -4 dB the weaker path's peak falls on either side of LOW_CONF_FACTOR times its
+        # map's median, so the flag follows the exact median, of 49 cells (the middle one) or
+        # of 56 (the mean of the middle two)
+        cfg = cfg16()
+        s = random_frame(cfg, np.random.default_rng(1))[1]
+        sounding = Sounding(est_cfg(cfg, 2, l_max=l_max), s)
+        clean = channel_from_cells(cfg, [(3, 1), (5, -2)], [1.0, 0.6j]).apply(s)
+        scale = np.sqrt(snr_to_noise_var(-4.0) / 2)
+        flags = set()
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            y = clean + scale * (rng.standard_normal(cfg.mn) + 1j * rng.standard_normal(cfg.mn))
+            res = estimate_channel(y, sounding)
+            assert self.same(res, estimate_channel_literal(y, sounding))
+            flags.add(res.low_confidence)
+        assert flags == {False, True}
+
+    @pytest.mark.parametrize("observation", ["noise-only", "zero"])
+    def test_observations_without_paths(self, observation):
+        cfg = cfg16()
+        rng = np.random.default_rng(8)
+        s = random_frame(cfg, rng)[1]
+        y = np.sqrt(0.5) * (rng.standard_normal(cfg.mn) + 1j * rng.standard_normal(cfg.mn))
+        if observation == "zero":
+            y = np.zeros(cfg.mn, dtype=complex)
+        sounding = Sounding(est_cfg(cfg, 3), s)
+        res = estimate_channel(y, sounding)
+        assert res.low_confidence
+        assert self.same(res, estimate_channel_literal(y, sounding))
+
+    def test_ill_conditioned_fit(self):
+        # a one-chip sensing frame gives every path of one delay the same response, and three
+        # paths in a window of two delays put two on one delay: a singular Gram, fitted by
+        # least squares (a frame on Doppler bin 0 alone keeps this window's Gram at cond 8.7)
+        cfg = cfg16()
+        chip = np.zeros(cfg.mn, dtype=complex)
+        chip[0] = 1.0
+        s = chips_to_dd(chip, cfg)
+        rng = np.random.default_rng(4)
+        y = channel_from_cells(cfg, [(0, 1), (1, -1)], [0.9, 0.4j]).apply(s)
+        y = y + 0.1 * (rng.standard_normal(cfg.mn) + 1j * rng.standard_normal(cfg.mn))
+        sounding = Sounding(est_cfg(cfg, 3, l_max=1, k_max=1), s)
+        res = estimate_channel(y, sounding)
+        assert res.ill_conditioned
+        assert self.same(res, estimate_channel_literal(y, sounding))
+
+    def test_estimates_sharing_a_sounding(self):
+        # three points of one trial place different cells through one sounding, so a cached
+        # column handed out for another cell, or changed by an estimate, shows in a later one
+        cfg = cfg16()
+        chan = gen_synthetic_channel(cfg, 3, 41, l_max=7, k_max=3)
+        obs = [observe(cfg, chan, snr_db, seed=i) for i, snr_db in enumerate((0.0, 10.0, 20.0))]
+        shared = Sounding(est_cfg(cfg, 4), obs[0][0])
+        for s, y in obs:
+            assert self.same(estimate_channel(y, shared),
+                             estimate_channel_literal(y, Sounding(est_cfg(cfg, 4), s)))
 
 
 class TestEstimateChannel:
