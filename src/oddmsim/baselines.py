@@ -75,7 +75,9 @@ def ofdm_freq_response(chan: EffectiveChannel, config: FrameConfig,
 
     Evaluates each path's phasor at the middle sample t_c of each symbol's useful part, in
     cycles k t_c / (MN osf) - (subcarrier + k/N) l / M; inter-carrier interference is
-    deliberately not modeled, so a fast channel leaves residual error.
+    deliberately not modeled, so a fast channel leaves residual error.  t_c = cp + L/2 is a
+    half-integer when M osf is odd, off every integer twiddle of :mod:`effchan`, so this
+    phase is the package's one exponential of its own.
     """
     L, cp = config.M * config.oversampling, checked_prefix(cp_chips, config) * config.oversampling
     t_c = np.arange(config.N) * (L + cp) + cp + L / 2.0

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .core import FrameConfig, require_count, require_real, require_window, round_half_away
-from .effchan import EffectiveChannel
+from .effchan import EffectiveChannel, _twiddles
 from .waveform import SampleStream
 
 # 3GPP TS 36.101, Table B.2.1-2 (Extended Vehicular A model)
@@ -122,14 +122,16 @@ def apply_physical_channel(stream: SampleStream, chan: EffectiveChannel) -> Samp
 
     At the oversampling osf of the frame config the channel was drawn on, path p contributes
     h_p x[t - l_p osf] e^{j2pi k_p (t - l_p osf) / (MN osf)}; noise is added to the output by
-    :func:`add_awgn`.
+    :func:`add_awgn`.  The ramp at sample t is conj(W_s[k_p, t mod MN osf]), with W_s the
+    :func:`effchan._twiddles` of the sample grid, (M osf) x N.
     """
-    x, osf = stream.samples, chan.config.oversampling
+    x, config, osf = stream.samples, chan.config, chan.config.oversampling
     shifts = chan.l * osf
     out = np.zeros(x.size + shifts.max(initial=0), dtype=complex)
-    t_in = stream.start + np.arange(x.size)
-    for h, cycles, shift in zip(chan.gains, chan.k / (chan.config.mn * osf), shifts):
-        out[shift:shift + x.size] += h * x * np.exp(2j * np.pi * cycles * t_in)
+    t_in = (stream.start + np.arange(x.size)) % (config.mn * osf)
+    ramps = _twiddles(config.M * osf, config.N, chan.k)
+    for h, ramp, shift in zip(chan.gains, np.conj(ramps, out=ramps), shifts):
+        out[shift:shift + x.size] += h * x * ramp[t_in]
     return SampleStream(samples=out, start=stream.start)
 
 

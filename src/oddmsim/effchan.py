@@ -19,14 +19,15 @@ integer cells are Frobenius-orthogonal and every unit-gain path has
 place that defines a path's shift and ramp; the estimator and the detector
 work on chips through it.
 
-A ramp is built exactly as the estimator's Doppler twiddles are: e^{j2pi k (q - l) / MN}
-is conj(W[k, (q - l) mod MN]) with W[k, q] = e^{-j2pi k q / MN}, and W is the product of
-e^{-j2pi k n / N} and e^{-j2pi k m / MN} over chip q = nM + m, each exponent reduced to its
-integer power first.  So a path takes N + M exponentials instead of MN, none with an argument
-of 2pi or more, and its ramp is within about 1e-15 of the exactly reduced phase
-e^{j2pi ((k (q - l)) mod MN) / MN} on grids from 7 x 3 to 256 x 64 (tested to 1e-14); an
-exponential of the unreduced 2pi k (q - l) / MN was off by 1.8e-14 at 128 x 32 and 2.9e-14
-at 256 x 64.
+It is also the one owner of every delay-Doppler and DFT phase in the package: the
+integer-reduced twiddles W[k, q] = e^{-j2pi k q / MN} of :func:`_twiddles`.  On the chip grid
+they are the ramps, e^{j2pi k (q - l) / MN} = conj(W[k, (q - l) mod MN]), and the estimator's
+scans, table and columns; on the sample grid, (M osf) x N, the ramps of
+:func:`channel.apply_physical_channel` and the waveform's tap bank; with M = 1, its hop
+phases.  Each is within about 1e-15 of the exactly reduced phase on grids to 256 x 64, at
+osf 8 on the sample grid (tested to 1e-14); an unreduced exponential was off by 2.9e-14 at
+256 x 64 and 8.2e-14 for 128 hop phases.  Only :func:`baselines.ofdm_freq_response` keeps
+its own exponential, and says why.
 """
 
 from __future__ import annotations
@@ -62,16 +63,20 @@ def shifted_conj_rows(x_c: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _twiddles(M: int, N: int, k: np.ndarray) -> np.ndarray:
-    """(len(k), MN) twiddles W[k, q] = e^{-j2pi k q / MN} of the Doppler bins k.
+def _twiddles(M: int, N: int, k, q=None) -> np.ndarray:
+    """(len(k), MN) twiddles W[k, q] = e^{-j2pi k q / MN} of the Doppler bins k, or, bit for
+    bit, their columns at the chips q in [0, MN) alone.
 
     Built from the separable factors of chip q = nM + m, W[k, q] = e^{-j2pi k n / N}
     e^{-j2pi k m / MN}, each exponent reduced to its integer power first, so no exponential
     runs over all MN chips and none has an argument of 2pi or more.
     """
-    k, n, m = k[:, None, None], np.arange(N)[:, None], np.arange(M)
-    return (np.exp(-2j * np.pi * (k * n % N) / N)
-            * np.exp(-2j * np.pi * (k * m % (M * N)) / (M * N))).reshape(len(k), M * N)
+    k = np.asarray(k)[:, None]
+    slots = np.exp(-2j * np.pi * (k * np.arange(N) % N) / N)
+    offsets = np.exp(-2j * np.pi * (k * np.arange(M) % (M * N)) / (M * N))
+    if q is None:
+        return (slots[:, :, None] * offsets[:, None, :]).reshape(len(k), M * N)
+    return slots[:, q // M] * offsets[:, q % M]
 
 
 def _ramps(config: FrameConfig, l, k) -> np.ndarray:

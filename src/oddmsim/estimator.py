@@ -20,10 +20,9 @@ rows and C over the window's cell differences (d >= 0 by the same product as
 the scans; d < 0 is the Hermitian mirror).  It is built once per sensing frame
 and shared by every estimate from that frame, so an estimate runs one product,
 scan(s, y); every cancelled scan, Gram entry and residual after that is a gather.
-It also caches, read-only, the column (the scans of the unit response) of each
-cell an estimate places, since the estimates of one frame mostly place the same
-cells; the search itself works on flat window indices and names cells (l, k)
-only in its result.
+The column of a cell (the scans of its unit response) is two gathers, its phase from the
+sounding's Doppler twiddles and C from the table, so nothing is cached per cell; the search
+itself works on flat window indices and names cells (l, k) only in its result.
 
 * :func:`estimate_channel` -- low-complexity alternating search.  Paths are
   seeded by successive extraction of matched-filter peaks, then each outer
@@ -155,9 +154,8 @@ class Sounding:
     from that frame shares, done once.
 
     Holds the checked chips ``s`` of ``s_known``, the rows conj(s[q - d]) for the window's
-    delay spread d, the frame's ambiguity table over the cells' differences and, on first
-    use, the column of each cell an estimate places (:meth:`Sounding.column`) and the Gram
-    of every pair of cells.
+    delay spread d, the Doppler twiddles of the table's kappa, the frame's ambiguity table
+    over the cells' differences and, on first use, the Gram of every pair of cells.
 
     Not re-entrant: every scan forms its twiddled target in one scratch block of the
     sounding, so use a sounding from one thread at a time.
@@ -188,11 +186,10 @@ class Sounding:
         # target fits the scans' scratch rows
         half = path_correlations(self.rows, self.s, [twiddles[:self.dk], twiddles[self.dk:]],
                                  self._scratch)
-        d, kappa = np.arange(self.dl + 1), np.arange(-self.dk, self.dk + 1)
-        mirror = np.exp(2j * np.pi * np.outer(d, kappa) / self.mn) * np.conj(half)
+        mirror = np.conj(twiddles[:, :self.dl + 1].T * half)
         self.table = np.vstack([mirror[:0:-1, ::-1], half])
         self.table.flags.writeable = False  # shared by every estimate from this frame
-        self._placed = {}  # flat index -> column(index)
+        self._twiddles = twiddles
 
     def scan(self, t_c: np.ndarray) -> np.ndarray:
         """u_{l,k}^H t for every window cell, flat in cell order."""
@@ -205,22 +202,11 @@ class Sounding:
         return self._columns(self.est.indices(cells))
 
     def _columns(self, idx: list) -> np.ndarray:
-        """:meth:`Sounding.columns` of the cells at flat window indices idx."""
+        """:meth:`Sounding.columns` of the cells at flat window indices idx, in two gathers."""
         l, k = self.est.cell_lk
         lc, kc = l[idx][:, None], k[idx][:, None]
-        return (np.exp(2j * np.pi * kc * (l - lc) / self.mn)
+        return (np.conj(self._twiddles[kc + self.dk, (l - lc) % self.mn])
                 * self.table[l - lc + self.dl, k - kc + self.dk])
-
-    def column(self, i: int) -> np.ndarray:
-        """Read-only row of :meth:`Sounding.columns` of the cell at flat window index i,
-        computed once per sounding: the estimates of one frame mostly place the same cells
-        (the three of a 128 x 32 sensing trial with four paths ask for 12 columns, and 2 in
-        3 are already cached)."""
-        col = self._placed.get(i)
-        if col is None:
-            col = self._placed[i] = self._columns([i])[0]
-            col.flags.writeable = False  # shared by every estimate from this frame
-        return col
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -261,7 +247,7 @@ def estimate_channel(y: np.ndarray, sounding: Sounding) -> EstimationResult:
     for p in range(P):
         amb = scan_y - gains @ cols[:p]
         cells.append(pick_peak(np.abs(amb) ** 2, cells))
-        cols[p] = sounding.column(cells[-1])
+        cols[p] = sounding._columns([cells[-1]])[0]
         gains, flag, residual = fit()
         ill = ill or flag
 
@@ -280,16 +266,15 @@ def estimate_channel(y: np.ndarray, sounding: Sounding) -> EstimationResult:
             cand = pick_peak(maps[p] ** 2, cells[:p] + cells[p + 1:])
             if cand == cells[p]:
                 continue
-            saved = (cells[p], gains, ill)
+            saved = (cells[p], gains, ill, cols[p].copy())
             cells[p] = cand
-            cols[p] = sounding.column(cand)
+            cols[p] = sounding._columns([cand])[0]
             gains, flag, new_residual = fit()
             ill = ill or flag
             if new_residual <= residual + 1e-12 * max(1.0, residual):
                 residual = new_residual
             else:  # safeguard: reject moves that worsen the joint residual
-                cells[p], gains, ill = saved
-                cols[p] = sounding.column(cells[p])
+                cells[p], gains, ill, cols[p] = saved
         trace.append(yy - residual)
         # a moved path changes its l or k by a whole bin, more than EPSILON, so only a pass that
         # keeps every cell can converge; its change is then the gains' alone

@@ -30,7 +30,8 @@ The delay slot m cancels out of the phase: the carrier is referenced to the
 symbol's own delay, and what remains is a per-chip Doppler weight times one
 Doppler-modulated tap bank b_n[tau] = a[tau] * e^{j2pi n tau/(MN*osf)} shared
 by all chips.  The modulator puts X[q, n] = S(m, n) * e^{j2pi n n_hat/N} on the
-chips and filters them with the bank; the matched filter is its transpose,
+chips and filters them with the bank (both phases come from :func:`effchan._twiddles`, the
+N-point twiddles and those of the sample grid); the matched filter is its transpose,
 chip correlations with the conjugate bank followed by the length-N sum over
 n_hat against e^{-j2pi n n_hat/N}.  Both touch only the (2Q + 1)*osf-tap window
 around each of the MN chips.  Splitting each tap offset as
@@ -51,6 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import FrameConfig, checked_frame, require_count
+from .effchan import _twiddles
 
 _CHUNK_BYTES = 256 * 1024  # bytes of chip windows that either direction forms at once
 
@@ -137,8 +139,8 @@ def _tap_bank(config: FrameConfig) -> np.ndarray:
     taps = np.zeros((2 * config.Q + 1) * osf)
     taps[:a.size] = a
     tau = np.arange(taps.size) - config.Q * osf
-    n = np.arange(config.N)
-    bank = taps * np.exp(2j * np.pi * np.outer(n, tau) / (config.mn * osf))
+    ramps = _twiddles(config.M * osf, config.N, np.arange(config.N), tau % (config.mn * osf))
+    bank = taps * np.conj(ramps)
     bank.flags.writeable = False
     return bank
 
@@ -151,8 +153,9 @@ def _chunks(chips: int, taps: int) -> list[tuple[int, int]]:
 
 
 def _hop_phases(N: int, sign: int) -> np.ndarray:
-    """(N, N) array e^{sign*j2pi n n_hat/N} indexed [n_hat, n]."""
-    return np.exp(sign * 2j * np.pi * np.outer(np.arange(N), np.arange(N)) / N)
+    """(N, N) array e^{sign*j2pi n n_hat/N} indexed [n_hat, n], from the N-point twiddles."""
+    phases = _twiddles(1, N, np.arange(N))
+    return np.conj(phases) if sign > 0 else phases
 
 
 def oddm_modulate(frame, config: FrameConfig, cp_chips: int) -> SampleStream:
