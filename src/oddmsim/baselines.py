@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import FrameConfig, checked_frame, chips_to_dd, dd_to_chips, qam_demap, require_sigma_sq
-from .effchan import EffectiveChannel
+from .effchan import EffectiveChannel, _twiddles
 from .waveform import SampleStream, checked_prefix, checked_samples
 
 
@@ -76,15 +76,17 @@ def ofdm_freq_response(chan: EffectiveChannel, config: FrameConfig,
     Evaluates each path's phasor at the middle sample t_c of each symbol's useful part, in
     cycles k t_c / (MN osf) - (subcarrier + k/N) l / M; inter-carrier interference is
     deliberately not modeled, so a fast channel leaves residual error.  t_c = cp + L/2 is a
-    half-integer when M osf is odd, off every integer twiddle of :mod:`effchan`, so this
-    phase is the package's one exponential of its own.
+    half-integer when M osf is odd, but 2 t_c never is, so the time phase is a twiddle of
+    :mod:`effchan` on the doubled sample grid, (2 M osf) x N, and the frequency phase, in
+    cycles (subcarrier N + k) l / MN, one on the chip grid.
     """
-    L, cp = config.M * config.oversampling, checked_prefix(cp_chips, config) * config.oversampling
-    t_c = np.arange(config.N) * (L + cp) + cp + L / 2.0
-    resp = np.zeros((config.N, config.M), dtype=complex)
+    M, N = config.M, config.N
+    L, cp = M * config.oversampling, checked_prefix(cp_chips, config) * config.oversampling
+    t2 = (2 * (np.arange(N) * (L + cp) + cp) + L) % (2 * L * N)  # 2 t_c on the doubled grid
+    resp = np.zeros((N, M), dtype=complex)
     for h, l, k in zip(chan.gains, chan.l, chan.k):
-        time_phase = np.exp(2j * np.pi * k * t_c / (config.mn * config.oversampling))
-        freq_phase = np.exp(-2j * np.pi * (_subcarriers(config) + k / config.N) * l / config.M)
+        time_phase = np.conj(_twiddles(2 * L, N, [k], t2)[0])
+        freq_phase = _twiddles(M, N, _subcarriers(config) * N + k, l)
         resp += h * np.outer(time_phase, freq_phase)
     return resp
 

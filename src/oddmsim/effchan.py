@@ -20,14 +20,16 @@ place that defines a path's shift and ramp; the estimator and the detector
 work on chips through it.
 
 It is also the one owner of every delay-Doppler and DFT phase in the package: the
-integer-reduced twiddles W[k, q] = e^{-j2pi k q / MN} of :func:`_twiddles`.  On the chip grid
-they are the ramps, e^{j2pi k (q - l) / MN} = conj(W[k, (q - l) mod MN]), and the estimator's
-scans, table and columns; on the sample grid, (M osf) x N, the ramps of
-:func:`channel.apply_physical_channel` and the waveform's tap bank; with M = 1, its hop
-phases.  Each is within about 1e-15 of the exactly reduced phase on grids to 256 x 64, at
-osf 8 on the sample grid (tested to 1e-14); an unreduced exponential was off by 2.9e-14 at
-256 x 64 and 8.2e-14 for 128 hop phases.  Only :func:`baselines.ofdm_freq_response` keeps
-its own exponential, and says why.
+integer-reduced twiddles W[k, q] = e^{-j2pi k q / MN} of :func:`_twiddles`, and every phase is
+a gather from them.  On the chip grid a path's ramp, e^{j2pi k (q - l) / MN} =
+conj(W[k, (q - l) mod MN]), is its twiddle row gathered at the source chips, and the
+estimator's scans, table and columns read them too; on the sample grid, (M osf) x N, they are
+the ramps of :func:`channel.apply_physical_channel` and the waveform's tap bank; with M = 1,
+its hop phases; on the doubled sample grid, (2 M osf) x N, the mid-symbol phases of
+:func:`baselines.ofdm_freq_response`.  Each is within about 1e-15 of the exactly reduced phase
+on grids to 256 x 64, at osf 8 on the sample grid (tested to 1e-14); an unreduced exponential
+was off by 2.9e-14 at 256 x 64, 8.2e-14 for 128 hop phases and 1.7e-13 in the OFDM response.
+There is no exception.
 """
 
 from __future__ import annotations
@@ -77,17 +79,6 @@ def _twiddles(M: int, N: int, k, q=None) -> np.ndarray:
     if q is None:
         return (slots[:, :, None] * offsets[:, None, :]).reshape(len(k), M * N)
     return slots[:, q // M] * offsets[:, q % M]
-
-
-def _ramps(config: FrameConfig, l, k) -> np.ndarray:
-    """(P, MN) phase ramps e^{j2pi k_p (q - l_p) / MN} = conj(W[k_p, (q - l_p) mod MN]): row k_p of
-    the twiddles W of :func:`_twiddles`, conjugated and cyclically shifted by l_p chips."""
-    twiddles = _twiddles(config.M, config.N, np.asarray(k))
-    np.conj(twiddles, out=twiddles)
-    ramps = np.empty_like(twiddles)
-    for ramp, row, shift in zip(ramps, twiddles, np.asarray(l).tolist()):
-        ramp[shift:], ramp[:shift] = row[:row.size - shift], row[row.size - shift:]
-    return ramps
 
 
 @lru_cache(maxsize=8)
@@ -154,14 +145,17 @@ class EffectiveChannel:
     def P(self) -> int:
         return self.gains.size
 
-    @cached_property
+    @property
     def weights(self) -> np.ndarray:
         """(P, MN) gain-weighted chip ramps h_p e^{j2pi k_p (q - l_p) / MN}."""
-        return self.gains[:, None] * _ramps(self.config, self.l, self.k)
+        return self._forward[1]
 
     @cached_property
     def _forward(self):
-        return _sources(self.l, self.config.mn), self.weights
+        # the ramp of path p is conj(W[k_p, (q - l_p) mod MN]): its twiddle row at the source chips
+        src = _sources(self.l, self.config.mn)
+        rows = _twiddles(self.config.M, self.config.N, self.k)
+        return src, self.gains[:, None] * np.conj(np.take_along_axis(rows, src, axis=1))
 
     @cached_property
     def _adjoint(self):

@@ -20,9 +20,9 @@ rows and C over the window's cell differences (d >= 0 by the same product as
 the scans; d < 0 is the Hermitian mirror).  It is built once per sensing frame
 and shared by every estimate from that frame, so an estimate runs one product,
 scan(s, y); every cancelled scan, Gram entry and residual after that is a gather.
-The column of a cell (the scans of its unit response) is two gathers, its phase from the
-sounding's Doppler twiddles and C from the table, so nothing is cached per cell; the search
-itself works on flat window indices and names cells (l, k) only in its result.
+The column of a cell (the scans of its unit response) is two gathers, its phase read from the
+sounding's window phase table and C from the ambiguity table, so nothing is cached per cell;
+the search itself works on flat window indices and names cells (l, k) only in its result.
 
 * :func:`estimate_channel` -- low-complexity alternating search.  Paths are
   seeded by successive extraction of matched-filter peaks, then each outer
@@ -154,7 +154,7 @@ class Sounding:
     from that frame shares, done once.
 
     Holds the checked chips ``s`` of ``s_known``, the rows conj(s[q - d]) for the window's
-    delay spread d, the Doppler twiddles of the table's kappa, the frame's ambiguity table
+    delay spread d, the window's Doppler twiddles and phase table, the frame's ambiguity table
     over the cells' differences and, on first use, the Gram of every pair of cells.
 
     Not re-entrant: every scan forms its twiddled target in one scratch block of the
@@ -189,7 +189,8 @@ class Sounding:
         mirror = np.conj(twiddles[:, :self.dl + 1].T * half)
         self.table = np.vstack([mirror[:0:-1, ::-1], half])
         self.table.flags.writeable = False  # shared by every estimate from this frame
-        self._twiddles = twiddles
+        # the columns' phases e^{j2pi k d / MN} = conj(W[k, d mod MN]), |k| <= k_max, |d| <= dl
+        self._phases = np.conj(self._scan_twiddles[:, np.arange(-self.dl, self.dl + 1) % self.mn])
 
     def scan(self, t_c: np.ndarray) -> np.ndarray:
         """u_{l,k}^H t for every window cell, flat in cell order."""
@@ -205,7 +206,7 @@ class Sounding:
         """:meth:`Sounding.columns` of the cells at flat window indices idx, in two gathers."""
         l, k = self.est.cell_lk
         lc, kc = l[idx][:, None], k[idx][:, None]
-        return (np.conj(self._twiddles[kc + self.dk, (l - lc) % self.mn])
+        return (self._phases[kc + self.est.k_max, l - lc + self.dl]
                 * self.table[l - lc + self.dl, k - kc + self.dk])
 
     @cached_property

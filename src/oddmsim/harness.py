@@ -33,12 +33,14 @@ rows; one ``_row`` builds every row of both sweeps.
 BLAS threads: the window scans and the detector's band solves run on the BLAS that numpy
 loads, with its own thread count.  That count is set only through the environment, with
 ``OPENBLAS_NUM_THREADS`` (or ``OMP_NUM_THREADS``) exported before numpy is first imported,
-e.g. ``OPENBLAS_NUM_THREADS=1 python3 run.py``; this package has no in-process switch, and
-process-pool workers inherit the parent's environment.  The rows are the same at one thread
-and at the default count.  At the default count OpenBLAS's helper thread spins a second core
-for a whole sweep, woken by :func:`waveform.oddm_modulate`, :func:`waveform.oddm_demodulate`
-and the window scans (per ``/proc/self/task``, 2 Xeon CPUs: 2.47 s of CPU in a 2.50 s link
-sweep, 2.42 s in a 2.51 s sensing sweep).
+e.g. ``OPENBLAS_NUM_THREADS=1 python3 run.py``; this package has no in-process switch.  Pool
+workers run one BLAS thread each: they spawn with each of ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` that the user left unset at 1, so that two workers
+do not contend for the cores.  The rows are the same at one thread and at the default count.
+At the default count OpenBLAS's helper thread spins a second core for a whole sweep, woken by
+:func:`waveform.oddm_modulate`, :func:`waveform.oddm_demodulate` and the window scans (per
+``/proc/self/task``, 2 Xeon CPUs: 2.47 s of CPU in a 2.50 s link sweep, 2.42 s in a 2.51 s
+sensing sweep).
 
 Seed derivation: every random draw uses
 ``numpy.random.SeedSequence((master_seed, stage_tag, trial, ...))`` with
@@ -55,6 +57,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -73,6 +76,8 @@ _STAGE_SENSE_BITS = 2
 _STAGE_SENSE_NOISE = 3
 _STAGE_COMM_BITS = 4
 _STAGE_COMM_NOISE = 5
+# the thread counts of the BLAS and OpenMP libraries numpy may load, read as they load
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # one row per link cell (scheme, fidelity): the pulse and sampling fields of FrameConfig its
 # waveform reads; its modulator and demodulator (none at matrix fidelity; OFDM has no demodulator,
@@ -251,9 +256,6 @@ class SweepResult:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
-# field type (an annotation string) -> parser of its CSV text
-_PARSERS = {"str": str, "int": int, "float": float,
-            "float | None": lambda text: float(text) if text else None}
 
 
 def _fmt(value) -> str:
@@ -273,21 +275,6 @@ def emit_csv(result: SweepResult, path) -> None:
                 fh.write(",".join(_fmt(getattr(row, c)) for c in CSV_COLUMNS) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write sweep CSV to {path}: {exc}") from exc
-
-
-def parse_csv(path) -> SweepResult:
-    rows = []
-    with open(path) as fh:
-        if tuple(fh.readline().strip().split(",")) != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV header in {path}")
-        for number, line in enumerate(fh, start=2):
-            texts = line.rstrip("\n").split(",")
-            if len(texts) != len(CSV_COLUMNS):
-                raise ValueError(f"{path} line {number} has {len(texts)} fields, "
-                                 f"not {len(CSV_COLUMNS)}")
-            rows.append(SweepRow(*(_PARSERS[f.type](text)
-                                   for f, text in zip(fields(SweepRow), texts))))
-    return SweepResult(rows=rows)
 
 
 def _draw_channel(spec: ExperimentSpec, trial: int) -> EffectiveChannel:
@@ -422,6 +409,19 @@ class _TrialRunner:
         return out
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Set each of ``_BLAS_THREADS`` that the environment lacks to "1" while the block runs,
+    for the pool workers it spawns; a value already set is left alone."""
+    unset = [name for name in _BLAS_THREADS if name not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    try:
+        yield
+    finally:
+        for name in unset:
+            os.environ.pop(name, None)
+
+
 def _run_trials(spec, stage, threads=1, min_bit_errors=math.inf) -> list:
     """Each SNR point's trial results (``{row name: _Point}``), in trial order.
 
@@ -429,20 +429,22 @@ def _run_trials(spec, stage, threads=1, min_bit_errors=math.inf) -> list:
     ``threads`` in flight (on a process pool when ``threads > 1``).  A point
     stops once its bit errors reach ``min_bit_errors``; its results from trials
     handed out before that are dropped, so serial and parallel runs keep the
-    same trials.  Trials still queued when no point is active are cancelled.
+    same trials.  Trials still queued when no point is active are cancelled.  The workers
+    start with one BLAS thread each (:func:`_one_blas_thread`).
     """
     kept = [[] for _ in spec.snr_grid_db]
     active = list(range(len(spec.snr_grid_db)))
     runner = _TrialRunner(spec)
-    context = contextlib.nullcontext()
-    if threads > 1:
-        # only a pool loads the pool modules; serial sweeps never need them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    with contextlib.ExitStack() as stack:
+        pool = None
+        if threads > 1:
+            # only a pool loads the pool modules; serial sweeps never need them
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-        context = ProcessPoolExecutor(max_workers=threads,
-                                      mp_context=multiprocessing.get_context("spawn"))
-    with context as pool:
+            stack.enter_context(_one_blas_thread())  # unwound after the pool's shutdown
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=threads, mp_context=multiprocessing.get_context("spawn")))
         pending = collections.deque()  # futures (pool) or results, in trial order
         next_trial = 0
         try:

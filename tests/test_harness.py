@@ -1,7 +1,9 @@
 import collections
+import csv
 import itertools
 import math
-import re
+import multiprocessing
+import os
 import time
 import types
 
@@ -13,8 +15,8 @@ from hypothesis import strategies as st
 from oddmsim import detector, estimator, harness
 from oddmsim.channel import apply_physical_channel
 from oddmsim.core import FrameConfig, random_frame
-from oddmsim.harness import (CSI_MODES, DETECTORS, FIDELITIES, SCHEMES, build_spec,
-                             config_hash, emit_csv, option_keys, parse_csv, run_nmse_sweep,
+from oddmsim.harness import (CSI_MODES, CSV_COLUMNS, DETECTORS, FIDELITIES, SCHEMES,
+                             build_spec, config_hash, emit_csv, option_keys, run_nmse_sweep,
                              run_sensing_then_comm)
 
 
@@ -161,21 +163,41 @@ def test_csv_round_trip(tmp_path):
     for res in (result, nmse):
         path = tmp_path / "sweep.csv"
         emit_csv(res, path)
-        assert parse_csv(path).rows == res.rows
+        with open(path, newline="") as fh:
+            texts = list(csv.DictReader(fh))
+        assert len(texts) == len(res.rows)
+        for row, text in zip(res.rows, texts):
+            assert tuple(text) == CSV_COLUMNS
+            for name, value in vars(row).items():
+                if isinstance(value, float):  # every float parses back to the row's own value
+                    assert float(text[name]) == value
+                else:
+                    assert text[name] == ("" if value is None else str(value))
 
 
-@pytest.mark.parametrize("fault", ["extra-field", "short-row", "blank-line"])
-def test_parse_csv_checks_the_field_count(tmp_path, fault):
-    # a row of another width raises, naming the file and the line: an extra field was dropped,
-    # and a short row or a blank line raised TypeError from SweepRow
-    path = tmp_path / "sweep.csv"
-    emit_csv(run_sensing_then_comm(tiny_spec(**{"run.snr_db": (0.0, 10.0)})), path)
-    header, first, second = path.read_text().splitlines()
-    line = {"extra-field": first + ",1", "short-row": first.rsplit(",", 1)[0],
-            "blank-line": ""}[fault]
-    path.write_text("\n".join([header, second, line, second]) + "\n")
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} line 3 "):
-        parse_csv(path)
+def test_pool_workers_start_with_one_blas_thread(monkeypatch):
+    # a spawned worker reads its BLAS thread counts as numpy loads; a count the user set stays
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    with harness._one_blas_thread():
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            seen = [pool.apply(os.getenv, (name,)) for name in harness._BLAS_THREADS]
+    assert seen == ["1", "3", "1"]
+    assert [os.getenv(name) for name in harness._BLAS_THREADS] == [None, "3", None]
+
+
+def _blas_threads_stage(runner, trial):
+    """A trial stage that records the OPENBLAS_NUM_THREADS its process started with."""
+    count = float(os.getenv("OPENBLAS_NUM_THREADS", "nan"))
+    return lambda snr_idx: {"blas": harness._Point(nmse_db=count)}
+
+
+def test_sweep_pool_runs_one_blas_thread(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    kept = harness._run_trials(tiny_spec(**{"run.trials": 2}), _blas_threads_stage, threads=2)
+    assert [r["blas"].nmse_db for r in kept[0]] == [1.0, 1.0]
+    assert os.getenv("OPENBLAS_NUM_THREADS") is None
 
 
 def test_nmse_sweep_golden_rows():

@@ -65,9 +65,7 @@ def test_every_module_level_import_is_used():
 
 def test_every_complex_exponential_is_owned_by_effchan():
     # a Doppler or DFT phase comes from effchan's integer-reduced twiddles; an np.exp of an
-    # imaginary argument elsewhere is a second definition of it, off by up to 8e-14 unreduced.
-    # ofdm_freq_response keeps its own: its mid-symbol sample is a half-integer when M osf is odd
-    allowed = {("baselines.py", "ofdm_freq_response")}
+    # imaginary argument elsewhere is a second definition of it, off by up to 1.7e-13 unreduced
     found = []
     for path in sorted(Path(oddmsim.__file__).parent.glob("*.py")):
         if path.name == "effchan.py":
@@ -76,8 +74,7 @@ def test_every_complex_exponential_is_owned_by_effchan():
             for node in ast.walk(top):
                 if (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.exp"
                         and any(isinstance(leaf, ast.Constant) and isinstance(leaf.value, complex)
-                                for arg in node.args for leaf in ast.walk(arg))
-                        and (path.name, getattr(top, "name", None)) not in allowed):
+                                for arg in node.args for leaf in ast.walk(arg))):
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
