@@ -35,11 +35,9 @@ from .waveform import SampleStream, checked_prefix, checked_samples
 def otfs_modulate(frame, config: FrameConfig, cp_chips: int) -> SampleStream:
     """Map the delay-major frame to a sample stream: IDFT across Doppler, sample-and-hold."""
     chips = dd_to_chips(checked_frame("frame", frame, config), config)
-    samples = np.repeat(chips, config.oversampling) / np.sqrt(config.oversampling)
-    cp = checked_prefix(cp_chips, config) * config.oversampling
-    if cp:
-        samples = np.concatenate([samples[-cp:], samples])
-    return SampleStream(samples=samples, start=-cp)
+    cp_chips, osf = checked_prefix(cp_chips, config), config.oversampling
+    chips = np.concatenate([chips[chips.size - cp_chips:], chips])  # the frame prefix
+    return SampleStream(samples=np.repeat(chips, osf) / np.sqrt(osf), start=-cp_chips * osf)
 
 
 def otfs_demodulate(stream: SampleStream, config: FrameConfig) -> np.ndarray:
@@ -65,13 +63,11 @@ def ofdm_modulate(frame, config: FrameConfig, cp_chips: int) -> SampleStream:
     spec[:, _subcarriers(config) % L] = grid
     time = np.fft.ifft(spec, axis=1) * np.sqrt(L)
     cp = checked_prefix(cp_chips, config) * config.oversampling
-    with_cp = np.concatenate([time[:, L - cp:], time], axis=1) if cp else time
-    return SampleStream(samples=with_cp.reshape(-1))
+    return SampleStream(samples=np.concatenate([time[:, L - cp:], time], axis=1).reshape(-1))
 
 
-def ofdm_freq_response(chan: EffectiveChannel, config: FrameConfig,
-                       cp_chips: int) -> np.ndarray:
-    """(N, M) per-symbol one-tap response from the path parameters.
+def ofdm_freq_response(chan: EffectiveChannel, cp_chips: int) -> np.ndarray:
+    """(N, M) per-symbol one-tap response from the path parameters, on ``chan.config``.
 
     Evaluates each path's phasor at the middle sample t_c of each symbol's useful part, in
     cycles k t_c / (MN osf) - (subcarrier + k/N) l / M; inter-carrier interference is
@@ -80,6 +76,7 @@ def ofdm_freq_response(chan: EffectiveChannel, config: FrameConfig,
     :mod:`effchan` on the doubled sample grid, (2 M osf) x N, and the frequency phase, in
     cycles (subcarrier N + k) l / MN, one on the chip grid.
     """
+    config = chan.config
     M, N = config.M, config.N
     L, cp = M * config.oversampling, checked_prefix(cp_chips, config) * config.oversampling
     t2 = (2 * (np.arange(N) * (L + cp) + cp) + L) % (2 * L * N)  # 2 t_c on the doubled grid

@@ -27,6 +27,13 @@ EVA_POWERS_DB = np.array([0.0, -1.5, -1.4, -3.6, -0.6, -9.1, -7.0, -12.0, -16.9]
 C_LIGHT = 299_792_458.0
 
 
+def _rng(rng_seed) -> np.random.Generator:
+    """numpy's generator of a required seed: None, which numpy reads as OS entropy, raises."""
+    if rng_seed is None:
+        raise TypeError("rng_seed is required, got None")
+    return np.random.default_rng(rng_seed)
+
+
 def channel_from_cells(config: FrameConfig, cells, gains) -> EffectiveChannel:
     """Paths on integer (l, k) cells; gains landing on one cell are summed."""
     merged: dict = {}
@@ -95,7 +102,7 @@ def gen_eva_channel(config: FrameConfig, v_kmh: float, f_c: float, delta_f: floa
     delays and Dopplers are snapped onto the integer grid.
     """
     _, _, k_spread = eva_support(config, v_kmh, f_c, delta_f)
-    rng = np.random.default_rng(rng_seed)
+    rng = _rng(rng_seed)
     powers = 10.0 ** (EVA_POWERS_DB / 10.0)
     powers = powers / powers.sum()
     n_taps = len(powers)
@@ -110,7 +117,7 @@ def gen_synthetic_channel(config: FrameConfig, paths: int, rng_seed,
                           l_max: int | None = None, k_max: int | None = None) -> EffectiveChannel:
     """Paths with normalized Gaussian gains on distinct cells of :func:`synthetic_support`."""
     P, l_max, k_max = synthetic_support(config, paths, l_max, k_max)
-    rng = np.random.default_rng(rng_seed)
+    rng = _rng(rng_seed)
     flat = rng.choice((l_max + 1) * (2 * k_max + 1), size=P, replace=False)
     cells = [(int(f) // (2 * k_max + 1), int(f) % (2 * k_max + 1) - k_max) for f in flat]
     gains = (rng.standard_normal(P) + 1j * rng.standard_normal(P)) / np.sqrt(2.0 * P)
@@ -140,9 +147,9 @@ def add_awgn(x: np.ndarray, noise_var: float, rng_seed) -> np.ndarray:
     noise_var (none for noise_var <= 0), always as a new array."""
     if math.isnan(noise_var) or noise_var == math.inf:
         raise ValueError(f"noise_var must not be NaN or +inf, got {noise_var!r}")
+    rng = _rng(rng_seed)
     if noise_var <= 0.0:
         return x.copy()
-    rng = np.random.default_rng(rng_seed)
     # the real and the imaginary draw go straight into one complex buffer, which is scaled and
     # offset in place: the same values as x + scale * (a + 1j * b), without its temporaries
     noise = np.empty(x.shape, dtype=complex)

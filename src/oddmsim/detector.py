@@ -23,11 +23,12 @@ the trace factor eps at every iteration.  Both are exact and run on chips
 (see :mod:`effchan`): H H^H = A^H T A with T = H_t H_t^H, which is
 cyclically banded with half-width max_p l_p - min_p l_p.  Taking the chips
 in the interleaved order (0, MN-1, 1, MN-2, ...) turns that cyclic band into
-an ordinary band of half-width w, at most twice that plus one.
+an ordinary band of half-width w, at most twice that plus one, and at least 1.
 
 T is built once per channel, one row per delay difference d = l_p - l_r
-(T[q, q - d] summed over its path pairs), and kept beside J T J, T in the
-reversed chip order, as one band of diag(J T J, T).  For each new xi, that
+(T[q, q - d] summed over its path pairs, read at the source chips q - d of
+:func:`effchan._sources`), and kept beside J T J, T in the reversed chip order,
+its entries mirrored, as one band of diag(J T J, T).  For each new xi, that
 band's Cholesky factor is a twisted pair: U U^H = T + xi I, U upper
 triangular, from the reversed half, and L L^H in chip order.  A solve is two
 banded triangular solves with L, z = (T + xi I)^{-1} r, then one
@@ -43,7 +44,9 @@ one batched solve over the blocks.  Unlike 1 - xi tr((T + xi I)^{-1}) / MN, no
 term cancels when xi is far above ||T||, which OAMP reaches once v_nle^2 meets
 the variance floor.
 T_kk and the corners are blocks of T's band or of its factor at xi, all read
-through one flat index (:func:`_band_blocks`).
+through one flat index (:func:`_band_blocks`) with no mask: an entry outside the
+band or the matrix reads band row w >= 1 of the last column, past the matrix end,
+which is zero in the band and, as LAPACK never references it, in every factor.
 
 :class:`LinearStage` holds this for one channel.  The caller builds it once
 per channel it detects with and passes it to :func:`oamp_detect` and
@@ -61,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import QAM4, chips_to_dd, dd_to_chips, qam_demap, require_sigma_sq
-from .effchan import EffectiveChannel, checked_chips
+from .effchan import EffectiveChannel, _sources, checked_chips
 
 VAR_FLOOR = 1e-10   # lower bound on every propagated variance
 STOP_TOL = 1e-6     # |delta v_nle^2| stopping rule
@@ -86,17 +89,17 @@ def _interleave(n: int) -> np.ndarray:
     return perm
 
 
-def _band_blocks(rows: np.ndarray, cols: np.ndarray, b: int, hw: int, size: int):
-    """Flat index into the (hw + 1, size) Fortran lower band of M, and mask, of b x b blocks.
+def _band_blocks(rows: np.ndarray, cols: np.ndarray, hw: int, size: int) -> np.ndarray:
+    """Flat index into the (hw + 1, size) Fortran lower band of M of its hw x hw blocks.
 
     Block k holds M[rows[k] + i, cols[k] + j]; M[r, c] sits at band row r - c of
     column c, flat r + hw c.  Entries above the diagonal or outside the band or M
-    are masked, with index 0.
+    read the last flat index, band row hw >= 1 of the last column, past M's end.
     """
-    row = rows[:, None, None] + np.arange(b)[:, None]
-    col = cols[:, None, None] + np.arange(b)
-    keep = (row >= col) & (row - col <= hw) & (row < size) & (col >= 0)
-    return np.where(keep, row + hw * col, 0), keep
+    row = rows[:, None, None] + np.arange(hw)[:, None]
+    col = cols[:, None, None] + np.arange(hw)
+    outside = (row < col) | (row - col > hw) | (row >= size) | (col < 0)
+    return np.where(outside, (hw + 1) * size - 1, row + hw * col)
 
 
 def _cholesky(ab: np.ndarray, xi: float) -> np.ndarray:
@@ -115,7 +118,8 @@ class LinearStage:
     """Exact (T + xi I)^{-1}, T = H_t H_t^H, and trace factor of one channel, for any xi.
 
     ``H`` is the channel the stage was built for.  ``ab`` is the lower band of
-    diag(J T J, T), the interleaved chip-domain Gram T in its last MN columns.
+    diag(J T J, T), the interleaved chip-domain Gram T in its last MN columns,
+    with half-band hw >= 1 (a single-delay channel keeps one all-zero row).
     T goes last, so the reversed half adds only exact zeros to T's factor: it
     is bit for bit T's own unless LAPACK's 32-column blocks (half-width 32 and
     up) straddle MN.  The factor never couples the halves, so one block reader
@@ -128,42 +132,38 @@ class LinearStage:
         n = H.config.mn
         self.perm = _interleave(n)
         pos = np.argsort(self.perm)  # chip q sits at interleaved position pos[q]
-        q = np.arange(n)
         # one row per delay difference d = l_p - l_r: T[q, q - d] sums
         # h_p D_p Pi^d (h_r D_r)^H over the pairs with that difference, in (p, r)
-        # order; d = 0 keeps the band nonempty for a channel without paths
-        diffs = np.union1d(H.l[:, None] - H.l, 0)
+        # order, read at row i of the one source table src, chips q - diffs[i]
+        diffs = np.unique(H.l[:, None] - H.l)
+        src = _sources(diffs, n)
         t = np.zeros((diffs.size, n), dtype=complex)
         w = H.weights
         for p in range(H.P):
             for r in range(H.P):
-                d = H.l[p] - H.l[r]
-                t[np.searchsorted(diffs, d)] += w[p] * np.conj(w[r, (q - d) % n])
-        # T[q, c] is band row pos[q] - pos[c] of interleaved column pos[c], kept below the diagonal
-        c = pos[(q - diffs[:, None]) % n]
-        band = pos - c
-        keep = band >= 0
-        hw = int(band[keep].max())
+                i = np.searchsorted(diffs, H.l[p] - H.l[r])
+                t[i] += w[p] * np.conj(w[r, src[i]])
+        # T[q, q - d] is band row b = pos[q] - c of interleaved column c = pos[q - d], kept
+        # below the diagonal; mirrored, (J T J)[n-1-c, n-1-c-b] = conj(T[c + b, c]) in the
+        # interleaved order is band row b of column n - 1 - c - b: no entry couples the halves
+        c = pos[src]
+        keep = pos >= c
+        band, c, t = (pos - c)[keep], c[keep], t[keep]
+        hw = int(band.max(initial=1))  # at least 1, so band row hw of the last column is past T
         self.ab = np.zeros((hw + 1, 2 * n), dtype=complex, order="F")
-        self.ab[band[keep], n + c[keep]] = t[keep]
-        # reversed order: (J T J)[c + d, c] = conj(T[n-1-c, n-1-c-d]); band entries T[c + d, c]
-        # with c + d >= n are zero, so are the wrapped reads, and no entry couples the halves
-        d = np.arange(hw + 1)[:, None]
-        self.ab[:, :n] = np.conj(self.ab[d, n + (n - 1 - d - q) % n])
-        # diagonal blocks T_kk of b = hw chips, read below the diagonal and conjugated above;
-        # the ragged last one is zero-padded: a padded row adds nothing to tr(G (G + xi I)^{-1})
-        b = max(hw, 1)
-        starts = np.arange(0, n, b)
-        flat, keep = _band_blocks(n + starts, n + starts, b, hw, 2 * n)
-        t = self.ab.ravel(order="F")[flat]
-        self._blocks = np.where(np.tri(b, dtype=bool), np.where(keep, t, 0.0),
-                                np.where(keep, np.conj(t), 0.0).swapaxes(1, 2))
-        # b x 2b corners C_k = [L_{k,k-1} | U_{k,k+1} J]: forward at rows n + starts, reversed
-        # at rows n - starts - b with its rows flipped to chip order; block 0's forward corner
-        # reads the pair's seam, where the factor is zero
-        fwd = _band_blocks(n + starts, n + starts - b, b, hw, 2 * n)
-        rev = _band_blocks(n - starts - b, n - starts - 2 * b, b, hw, 2 * n)
-        self._corners = tuple(np.concatenate([f, r[:, ::-1]], axis=2) for f, r in zip(fwd, rev))
+        self.ab[band, n + c] = t
+        self.ab[band, n - 1 - c - band] = np.conj(t)
+        # diagonal blocks T_kk of hw chips, read below the diagonal and conjugated above; the
+        # ragged last one is zero-padded: a padded row adds nothing to tr(G (G + xi I)^{-1})
+        starts = np.arange(0, n, hw)
+        t = self.ab.ravel(order="F")[_band_blocks(n + starts, n + starts, hw, 2 * n)]
+        self._blocks = np.where(np.tri(hw, dtype=bool), t, np.conj(t).swapaxes(1, 2))
+        # hw x 2hw corners C_k = [L_{k,k-1} | U_{k,k+1} J]: forward at rows n + starts,
+        # reversed at rows n - starts - hw with its rows flipped to chip order; block 0's
+        # forward corner reads the pair's seam, where the factor is zero
+        fwd = _band_blocks(n + starts, n + starts - hw, hw, 2 * n)
+        rev = _band_blocks(n - starts - hw, n - starts - 2 * hw, hw, 2 * n)
+        self._corners = np.concatenate([fwd, rev[:, ::-1]], axis=2)
         self._xi = self._factor = None
 
     def _pair(self, xi: float) -> np.ndarray:
@@ -190,8 +190,7 @@ class LinearStage:
 
     def eps_phi(self, xi: float) -> float:
         """Tr(H^H (H H^H + xi I)^{-1} H) / MN."""
-        flat, keep = self._corners
-        c = np.where(keep, self._pair(xi).ravel(order="F")[flat], 0.0)
+        c = self._pair(xi).ravel(order="F")[self._corners]
         g = self._blocks - c @ np.conj(c.swapaxes(1, 2))
         ratio = np.linalg.solve(g + xi * np.eye(g.shape[1]), g)
         return float(np.trace(ratio, axis1=1, axis2=2).real.sum() / self.H.config.mn)

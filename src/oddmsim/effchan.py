@@ -27,9 +27,7 @@ estimator's scans, table and columns read them too; on the sample grid, (M osf) 
 the ramps of :func:`channel.apply_physical_channel` and the waveform's tap bank; with M = 1,
 its hop phases; on the doubled sample grid, (2 M osf) x N, the mid-symbol phases of
 :func:`baselines.ofdm_freq_response`.  Each is within about 1e-15 of the exactly reduced phase
-on grids to 256 x 64, at osf 8 on the sample grid (tested to 1e-14); an unreduced exponential
-was off by 2.9e-14 at 256 x 64, 8.2e-14 for 128 hop phases and 1.7e-13 in the OFDM response.
-There is no exception.
+on grids to 256 x 64, at osf 8 on the sample grid (tested to 1e-14).  There is no exception.
 """
 
 from __future__ import annotations
@@ -124,8 +122,13 @@ class EffectiveChannel:
 
     def __post_init__(self):
         self.gains = np.asarray(self.gains, dtype=complex).reshape(-1)
-        self.l = np.asarray(self.l, dtype=np.int64).reshape(-1)
-        self.k = np.asarray(self.k, dtype=np.int64).reshape(-1)
+        for name in ("l", "k"):  # integer bins: a cast would truncate 2.5 and read True as 1
+            given = np.asarray(getattr(self, name)).reshape(-1)
+            with np.errstate(invalid="ignore"):
+                bins = given.astype(np.int64)
+            if given.dtype == bool or not np.array_equal(bins, given):
+                raise ValueError(f"{name} {given.tolist()} are not all integer bins")
+            setattr(self, name, bins)
         if not self.gains.size == self.l.size == self.k.size:
             raise ValueError("gains, l and k must have one entry per path")
         if not np.all(np.isfinite(self.gains)):

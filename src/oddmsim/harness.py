@@ -351,7 +351,7 @@ class _TrialRunner:
         sent = [self._send(frame, chan) for _, frame in frames]
         detect, trial_stage = getattr(*cell.detectors[spec.detector]), None
         if cell.response is not None:  # a one-tap equalizer, with perfect CSI only
-            trial_stage = getattr(*cell.response)(chan, cfg, self.cp)
+            trial_stage = getattr(*cell.response)(chan, self.cp)
         elif spec.csi == "estimated":
             sounding, sense = self._sensing(trial, chan)
         else:

@@ -165,14 +165,14 @@ def oddm_modulate(frame, config: FrameConfig, cp_chips: int) -> SampleStream:
     delayed by m slots and modulated by the n-th Doppler subcarrier.  In the
     chip-grid form of the module docstring, the chip weights
     X[q, n] = S(m, n) * e^{j2pi n n_hat/N} times the tap bank give each chip's
-    (2Q + 1)*osf samples, which are overlap-added into the stream's
-    (MN + 2Q, osf) blocks: window block j of chip q lands on stream block
-    q + j.  The stream covers samples [-Q*osf, MN*osf + Q*osf): ``start`` is
-    -Q*osf.  With ``cp_chips > 0`` the tail of the frame is folded
-    in front of sample 0 (``start`` moves back as many chips) so that a
-    multipath channel with delay spread up to that many delay bins acts
-    circularly on the frame, matching the wrap blocks of the grid-level
-    channel matrix.
+    (2Q + 1)*osf samples, which are overlap-added into the one stream buffer
+    of (cp_chips + MN + 2Q, osf) blocks, samples [``start``, MN*osf + Q*osf) with
+    ``start`` = -(cp_chips + Q)*osf: window block j of chip q lands on block
+    cp_chips + q + j.
+    Its first cp_chips blocks are the prefix, the frame's tail folded in
+    place in front of sample 0, so that a multipath channel with delay spread
+    up to that many delay bins acts circularly on the frame, matching the
+    wrap blocks of the grid-level channel matrix.
     """
     grid = checked_frame("frame", frame, config).reshape(config.M, config.N)
     cp_chips = checked_prefix(cp_chips, config)
@@ -181,18 +181,16 @@ def oddm_modulate(frame, config: FrameConfig, cp_chips: int) -> SampleStream:
     L = M * N * osf
     chips = (_hop_phases(N, +1)[:, None, :] * grid[None, :, :]).reshape(M * N, N)
     bank = _tap_bank(config)
-    blocks = np.zeros((M * N + 2 * Q, osf), dtype=complex)
+    out = np.zeros((cp_chips + M * N + 2 * Q, osf), dtype=complex)
+    blocks = out[cp_chips:]  # samples [-qos, L + qos)
     for lo, hi in reversed(_chunks(M * N, bank.shape[1])):
         windows = (chips[lo:hi] @ bank).reshape(hi - lo, 2 * Q + 1, osf)
         for j in range(2 * Q + 1):
             blocks[lo + j:hi + j] += windows[:, j]
-    body = blocks.reshape(-1)  # samples [-qos, L + qos)
-    if cp_chips == 0:
-        return SampleStream(samples=body, start=-qos)
+    out = out.reshape(-1)  # samples [-(cp + qos), L + qos)
     cp = cp_chips * osf
-    out = np.zeros(cp + L + 2 * qos, dtype=complex)
-    out[cp:] = body
-    out[:cp + 2 * qos] += body[L - cp:]  # fold frame tail in front of sample 0
+    if cp:
+        out[:cp + 2 * qos] += out[L:L + cp + 2 * qos]  # fold frame tail in front of sample 0
     return SampleStream(samples=out, start=-(cp + qos))
 
 

@@ -75,14 +75,14 @@ class TestOfdm:
         chan = channel_from_cells(cfg, [(1, 0)], [0.6 + 0.8j])
         st = ofdm_modulate(frame, cfg, cp_chips=4)
         rx = apply_physical_channel(st, chan)
-        out = ofdm_detect(rx, ofdm_freq_response(chan, cfg, 4), 1e-12, cfg, 4)
+        out = ofdm_detect(rx, ofdm_freq_response(chan, 4), 1e-12, cfg, 4)
         assert count_bit_errors(bits, out) == 0
 
     def test_static_flat_channel_tracks_awgn(self):
         cfg = FrameConfig(M=64, N=16, Q=8)
         snr_db = 7.0
         chan = channel_from_cells(cfg, [(0, 0)], [1.0])
-        resp = ofdm_freq_response(chan, cfg, 4)
+        resp = ofdm_freq_response(chan, 4)
         nv = snr_to_noise_var(snr_db)
         errors = total = 0
         for seed in range(60):
@@ -111,7 +111,7 @@ class TestOfdm:
             cp = int(chan.l.max()) + 1
             st = ofdm_modulate(frame, cfg, cp_chips=cp)
             rx = apply_physical_channel(st, chan)
-            out = ofdm_detect(rx, ofdm_freq_response(chan, cfg, cp), 1e-9, cfg, cp)
+            out = ofdm_detect(rx, ofdm_freq_response(chan, cp), 1e-9, cfg, cp)
             errors += count_bit_errors(bits, out)
             total += bits.size
         assert errors > 0  # the floor is visible even without noise
@@ -123,7 +123,7 @@ class TestOfdm:
         chan = channel_from_cells(cfg, [(0, 0), (6, 0)], [0.8, 0.6])
         st = ofdm_modulate(frame, cfg, cp_chips=2)  # too short
         rx = apply_physical_channel(st, chan)
-        out = ofdm_detect(rx, ofdm_freq_response(chan, cfg, 2), 1e-9, cfg, 2)
+        out = ofdm_detect(rx, ofdm_freq_response(chan, 2), 1e-9, cfg, 2)
         assert count_bit_errors(bits, out) > 0
 
     def test_symbol_count_validated(self):
@@ -148,7 +148,7 @@ class TestOfdm:
             t2 = 2 * (np.arange(N) * (L + cp) + cp) + L  # 2 t_c, an integer
             ref = sum(np.exp(2j * np.pi * ((k * t2[:, None] - 2 * osf * (s * N + k) * l) % D) / D)
                       for l, k in ((M - 1, k_lo), (1, k_hi)))
-            assert np.max(np.abs(ofdm_freq_response(chan, cfg, cp_chips) - ref)) <= 1e-14
+            assert np.max(np.abs(ofdm_freq_response(chan, cp_chips) - ref)) <= 1e-14
 
 
 RECEIVERS = {  # (transmit a frame, receive a stream)
@@ -207,6 +207,14 @@ def test_ofdm_detect_rejects_bad_noise_or_response(fault):
         ofdm_detect(stream, response, sigma_sq, cfg, 4)
 
 
+def test_ofdm_detect_rejects_a_response_of_another_shape():
+    cfg = cfg32()
+    stream = ofdm_modulate(random_frame(cfg, np.random.default_rng(10))[1], cfg, cp_chips=4)
+    message = re.escape(f"frequency response shape ({cfg.M}, {cfg.N}) != ({cfg.N}, {cfg.M})")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ofdm_detect(stream, np.ones((cfg.M, cfg.N)), 0.1, cfg, 4)
+
+
 # each receiver's window [first, stop) of the frame's time axis (OFDM with its 4-chip prefix)
 WINDOWS = {"oddm": lambda Q, M, N, osf: (-Q * osf, (M * N - 1) * osf + Q * osf + 1),
            "otfs": lambda Q, M, N, osf: (0, M * N * osf),
@@ -237,7 +245,7 @@ def _prefix_users(cfg):
         "oddm_modulate": lambda cp: oddm_modulate(frame, cfg, cp_chips=cp),
         "otfs_modulate": lambda cp: otfs_modulate(frame, cfg, cp_chips=cp),
         "ofdm_modulate": lambda cp: ofdm_modulate(frame, cfg, cp_chips=cp),
-        "ofdm_freq_response": lambda cp: ofdm_freq_response(chan, cfg, cp_chips=cp),
+        "ofdm_freq_response": lambda cp: ofdm_freq_response(chan, cp_chips=cp),
         "ofdm_detect": lambda cp: ofdm_detect(stream, np.ones((cfg.N, cfg.M)), 0.1, cfg,
                                               cp_chips=cp),
     }

@@ -219,6 +219,14 @@ class TestApplyChannel:
         # noise drawn from no seed came from OS entropy, so no run could reproduce it
         with pytest.raises(TypeError, match="rng_seed"):
             add_awgn(np.zeros(4, complex), 0.1)
+        # numpy reads a None seed as fresh OS entropy
+        cfg = FrameConfig(M=8, N=4)
+        for draw in (lambda: add_awgn(np.zeros(3, complex), 1.0, None),
+                     lambda: add_awgn(np.zeros(3, complex), 0.0, None),
+                     lambda: gen_eva_channel(cfg, 350.0, 5e9, 15e3, None),
+                     lambda: gen_synthetic_channel(cfg, 2, None)):
+            with pytest.raises(TypeError, match="^rng_seed is required"):
+                draw()
 
 
 class TestSnrAndSerialization:

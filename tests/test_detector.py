@@ -105,9 +105,29 @@ STAGE_CHANNELS = {
 class TestLinearStage:
     @pytest.mark.parametrize("name", list(STAGE_CHANNELS))
     def test_gram_band_matches_pair_loop(self, name):
-        # T's entries are summed in the pair loop's order, so its band is the same bit for bit
+        # T's entries are summed in the pair loop's order, so its band is the same bit for bit;
+        # the half-band is at least 1, so a single-delay channel keeps one more row, all zero
         H = STAGE_CHANNELS[name]()
-        assert np.array_equal(LinearStage(H).ab[:, H.config.mn:], gram_band(H))
+        band, gram = LinearStage(H).ab[:, H.config.mn:], gram_band(H)
+        assert np.array_equal(band[:len(gram)], gram) and not np.any(band[len(gram):])
+
+    @pytest.mark.parametrize("name", list(STAGE_CHANNELS))
+    def test_masked_block_entries_read_a_zero_cell(self, name):
+        # every block entry above the diagonal or outside the band or the matrix reads band
+        # row hw of the last column, past the matrix end: zero in the band and in each factor
+        stage = LinearStage(STAGE_CHANNELS[name]())
+        hw, size = stage.ab.shape[0] - 1, stage.ab.shape[1]
+        cell = (hw + 1) * size - 1
+        assert hw >= 1 and np.any(stage._corners == cell)
+        assert stage.ab.ravel(order="F")[cell] == 0
+        for xi in (1e-6, 1e-2, 1.0, 10.0, 1e9):
+            assert stage._pair(xi).ravel(order="F")[cell] == 0
+
+    def test_shift_below_minus_norm_is_not_positive_definite(self):
+        # T = I, so T + xi I is negative definite at xi = -2
+        stage = LinearStage(identity_channel(cfg16()))
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite at xi = -2.0"):
+            stage.eps_phi(-2.0)
 
     @pytest.mark.parametrize("name", list(STAGE_CHANNELS))
     def test_matches_dense_oracle(self, name):
@@ -179,6 +199,8 @@ class TestLinearStage:
         A = Hd @ Hd.conj().T + 0.1 * np.eye(cfg.mn)
         r = rng.standard_normal(cfg.mn) + 1j * rng.standard_normal(cfg.mn)
         stage = LinearStage(H)
+        x, residual = stage.solve(np.zeros(cfg.mn, dtype=complex), 0.2)
+        assert not np.any(x) and residual == 0.0  # rhs = 0 has no relative residual
         _, residual = stage.solve(dd_to_chips(r, cfg), 0.2)
         assert 0.0 < residual <= 1e-12
         # a corrupted band solves the wrong system; the returned residual is

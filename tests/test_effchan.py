@@ -187,6 +187,13 @@ class TestPathCoefficients:
                 single_path(cfg, l, k)
         with pytest.raises(ValueError):
             EffectiveChannel(cfg, [1.0, 0.5], [0], [0])
+        # a cast to integers built a path on (2, 0) for (2.5, -0.7) and read True as bin 1
+        for l, k, field in [([2.5], [-0.7], "l"), ([2], [-0.7], "k"), ([np.nan], [0], "l"),
+                            ([True], [0], "l"), ([0], np.array([True]), "k")]:
+            with pytest.raises(ValueError, match=f"^{field} .* are not all integer bins$"):
+                EffectiveChannel(cfg, [1.0], l, k)
+        assert EffectiveChannel(cfg, [], [], []).P == 0
+        assert EffectiveChannel(cfg, [1.0], [2.0], [-1.0]).l.dtype == np.int64
 
     def test_repeated_cell_rejected(self):
         # paths that shared a cell and cancelled gave H = 0 with nonzero gains: eps was 0 and

@@ -4,8 +4,10 @@ import itertools
 import math
 import multiprocessing
 import os
+import re
 import time
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,6 +175,9 @@ def test_csv_round_trip(tmp_path):
                     assert float(text[name]) == value
                 else:
                     assert text[name] == ("" if value is None else str(value))
+    missing = tmp_path / "no-such-directory" / "sweep.csv"
+    with pytest.raises(OSError, match=f"^cannot write sweep CSV to {re.escape(str(missing))}: "):
+        emit_csv(result, missing)
 
 
 def test_pool_workers_start_with_one_blas_thread(monkeypatch):
@@ -227,6 +232,15 @@ def test_serial_and_parallel_csvs_identical(tmp_path):
     assert parallel.rows[0].trials_run == 1
     # the 0 dB point stopping leaves the 10 dB point running every trial
     assert parallel.rows[1].trials_run == 3
+
+
+def test_pool_sweep_stopping_every_point_cancels_its_queue():
+    # the one point stops after the first trial, with the second still in flight on the pool
+    spec = link_spec(**{"run.snr_db": (0.0,), "run.min_bit_errors": 1})
+    serial, parallel = (run_sensing_then_comm(spec, threads=n).rows for n in (1, 2))
+    assert [replace(row, wall_time_s=0.0) for row in parallel] == \
+        [replace(row, wall_time_s=0.0) for row in serial]
+    assert parallel[0].trials_run == 1
 
 
 def test_min_bit_errors_stops_early():

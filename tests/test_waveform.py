@@ -265,6 +265,12 @@ def test_pulse_follows_the_config(direction, field):
         assert rel_err(oddm_demodulate(st, cfg), ref) <= 1e-12
 
 
+@pytest.mark.parametrize("start", [2.5, True, "0"])
+def test_stream_start_is_an_integer_sample_index(start):
+    with pytest.raises(ValueError, match="^start must be an integer sample index"):
+        SampleStream(samples=np.zeros(4, complex), start=start)
+
+
 def test_rejects_stream_at_another_rate():
     # a stream has no rate of its own to disagree with the frame's: it counts samples at its
     # frame config's oversampling, so a receiver at twice that finds it too short
