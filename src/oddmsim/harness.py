@@ -5,7 +5,8 @@ communication frames (time-division: the transmitter first sounds the channel
 with a known frame, then sends data over the same realization).  Sweeps run
 trial-major: one runner call draws a trial's channel and frames and sends
 each frame once without noise, then every SNR point still short of
-``min_bit_errors`` adds its own noise, receives, estimates and detects.
+``min_bit_errors`` adds its own noise, receives and detects, estimating the
+channel first only when its sensing draw (below) has no estimate yet.
 A trial senses its channel with one known frame, so its
 :class:`estimator.Sounding` is built once and every point's estimates share
 it; the cyclic prefix and the search window come from the channel model's
@@ -21,9 +22,12 @@ one link that senses.  The estimator looks for the model's own path count, and i
 OAMP detector stop by module constants (:data:`estimator.MAX_ITERS`,
 :data:`estimator.EPSILON`, :data:`detector.MAX_ITERS`, :data:`detector.STOP_TOL`)
 that no spec option changes.  The detector's
-:class:`detector.LinearStage` is built once per channel it detects with: per
-trial for perfect CSI, per point's estimate for estimated CSI, never for a
-cell whose row names a one-tap equalizer's response (OFDM).  A trial returns, at
+:class:`detector.LinearStage` is built once per sensing draw, by the first point that
+detects on it: once per trial for perfect CSI (the true channel, draw None) and for
+estimated CSI at a fixed ``sensing_snr_db`` (one draw, one estimate), once per point
+when the sensing SNR follows the grid (each point's own draw and estimate), and never
+for a cell whose row names a one-tap equalizer's response (OFDM), which builds that
+response once per trial instead.  A trial returns, at
 each SNR point, one record per row it feeds (``_Point``: its NMSE, bits, bit
 errors and times): the link's under its detector, the NMSE sweep's under each
 estimator that ran.  Trials go out in order, serially or to a process pool, and
@@ -46,7 +50,10 @@ Seed derivation: every random draw uses
 ``numpy.random.SeedSequence((master_seed, stage_tag, trial, ...))`` with
 documented integer stage tags, so adding SNR points or threads never shifts
 any other draw.  Channel and frame draws are shared across SNR points
-(common random numbers); only the noise depends on the SNR index.
+(common random numbers); only the noise depends on the SNR index.  The sensing
+noise does only when the sensing SNR follows the grid, keyed
+``(seed, 3, trial, snr_idx)``; at a fixed ``sensing_snr_db`` a trial makes one
+sensing draw, keyed ``(seed, 3, trial, 0)``, that every point shares.
 """
 
 from __future__ import annotations
@@ -234,6 +241,9 @@ class SweepRow:
     noise, receive, estimate and detect time (in an NMSE row, of its own
     estimator only) plus an equal share of the trial's draw and send time;
     both are measured where the trial runs (:meth:`_TrialRunner.run_trial`).
+    A stage that a trial's points share (perfect CSI's, the OFDM one-tap response, or the
+    one estimate's at a fixed ``sensing_snr_db``) is built by the first point the trial
+    runs, its lowest active SNR index, whose time pays for it.
     """
 
     scheme: str
@@ -326,44 +336,50 @@ class _TrialRunner:
         return getattr(*self.cell.demodulate)(rx, self.cfg)
 
     def _sensing(self, trial: int, chan):
-        """The trial's :class:`Sounding` and ``observe(snr_idx)``, that point's
-        sensing observation y; the sensing frame is drawn and sent once."""
+        """The trial's :class:`Sounding` and ``observe(draw)``, the sensing observation y of
+        noise draw ``draw``: at ``sensing_snr_db`` when the spec sets it, else at the grid SNR
+        of index ``draw``; the sensing frame is drawn and sent once."""
         spec = self.spec
         _, frame = random_frame(self.cfg, derive_rng(spec.seed, _STAGE_SENSE_BITS, trial))
         rx = self._send(frame, chan)
 
-        def observe(snr_idx):
-            snr_db = spec.snr_grid_db[snr_idx] if spec.sensing_snr_db is None \
+        def observe(draw):
+            snr_db = spec.snr_grid_db[draw] if spec.sensing_snr_db is None \
                 else spec.sensing_snr_db
-            noise_rng = derive_rng(spec.seed, _STAGE_SENSE_NOISE, trial, snr_idx)
+            noise_rng = derive_rng(spec.seed, _STAGE_SENSE_NOISE, trial, draw)
             return self._observe(rx, snr_to_noise_var(snr_db), noise_rng)
 
         return Sounding(self.est_cfg, frame), observe
 
     def link_trial(self, trial: int):
-        """Draw and send one link trial; returns its per-point work: sense,
-        estimate and build the estimate's linear stage (estimated CSI), then
-        receive and detect every frame."""
+        """Draw and send one link trial; returns its per-point work: receive every frame and
+        detect it on the stage of the point's sensing draw, which ``detected_on(draw)`` builds
+        with its NMSE (dB).  Draw None (perfect CSI) is the true channel, with no NMSE; an
+        integer draw is the estimate from ``observe(draw)``: the point's SNR index when the
+        sensing SNR follows the grid, the trial's one draw 0 at a fixed ``sensing_snr_db``."""
         spec, cfg, cell = self.spec, self.cfg, self.cell
         chan = _draw_channel(spec, trial)
         frames = [random_frame(cfg, derive_rng(spec.seed, _STAGE_COMM_BITS, trial, f))
                   for f in range(spec.frames_per_trial)]
         sent = [self._send(frame, chan) for _, frame in frames]
-        detect, trial_stage = getattr(*cell.detectors[spec.detector]), None
-        if cell.response is not None:  # a one-tap equalizer, with perfect CSI only
-            trial_stage = getattr(*cell.response)(chan, self.cp)
-        elif spec.csi == "estimated":
-            sounding, sense = self._sensing(trial, chan)
-        else:
-            trial_stage = detector.LinearStage(chan)  # perfect CSI: every point detects with it
+        detect = getattr(*cell.detectors[spec.detector])
+        if spec.csi == "estimated":
+            sounding, observe = self._sensing(trial, chan)
+
+        # one entry: points ask for a shared draw one after another, and never again for a
+        # point's own draw, whose stage would otherwise stay alive until the trial ends
+        @functools.lru_cache(maxsize=1)
+        def detected_on(draw):
+            H = chan if draw is None else estimate_channel(observe(draw), sounding).channel
+            if cell.response is not None:  # a one-tap equalizer, with perfect CSI only
+                return getattr(*cell.response)(H, self.cp), None
+            return detector.LinearStage(H), None if draw is None else nmse(H, chan)
 
         def point(snr_idx):
             noise_var = snr_to_noise_var(spec.snr_grid_db[snr_idx])
             sigma = max(noise_var, 1e-12)
-            stage, nmse_db = trial_stage, None
-            if spec.csi == "estimated":
-                H_est = estimate_channel(sense(snr_idx), sounding).channel
-                stage, nmse_db = detector.LinearStage(H_est), nmse(H_est, chan)
+            stage, nmse_db = detected_on(None if spec.csi == "perfect" else
+                                         snr_idx if spec.sensing_snr_db is None else 0)
             errors = 0
             for f, ((bits, _), rx) in enumerate(zip(frames, sent)):
                 y = self._observe(rx, noise_var,

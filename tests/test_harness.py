@@ -234,6 +234,56 @@ def test_serial_and_parallel_csvs_identical(tmp_path):
     assert parallel.rows[1].trials_run == 3
 
 
+# (trials_run, bits, bit_errors, nmse_db) of run_sensing_then_comm(link_spec()) at a fixed
+# 20 dB sensing SNR: both rows sense on the trial's draw 0, so the 0 dB row is the one recorded
+# when each point drew its own sensing noise, and the 10 dB row's NMSE left its own draw's
+# -31.97147236011488 dB
+GOLDEN_FIXED_SENSING_ROWS = [(2, 1024, 157, -34.60105023588623),
+                             (3, 1536, 7, -32.398493845643316)]
+
+
+def test_fixed_sensing_snr_rows():
+    rows = run_sensing_then_comm(link_spec(**{"run.sensing_snr_db": 20.0})).rows
+    for row, golden in zip(rows, GOLDEN_FIXED_SENSING_ROWS, strict=True):
+        assert_row(row, *golden)
+    # every point detects on the trial's one estimate, so every row averages the same NMSE
+    full = run_sensing_then_comm(link_spec(**{"run.sensing_snr_db": 20.0,
+                                              "run.min_bit_errors": 10**9})).rows
+    assert [row.trials_run for row in full] == [3, 3]
+    assert len({row.nmse_db for row in full}) == 1
+
+
+def test_estimation_tracks_the_sensing_snr():
+    # a claim check, not a golden: measured before a fixed sensing SNR sensed once per trial,
+    # bit errors of 20480 bits at 10 and 15 dB were 426, 22 with perfect CSI, 426, 24 with
+    # estimated CSI sensed at 30 dB, and 494, 22 sensed at the grid SNR, whose NMSE was
+    # -21.26, -26.27 dB
+    base = {"frame.M": 32, "frame.N": 8, "run.snr_db": (10.0, 15.0), "run.trials": 20,
+            "run.frames_per_trial": 2, "run.seed": 3, "run.min_bit_errors": 10**9}
+    perfect, fixed, grid = (run_sensing_then_comm(build_spec({**base, **options})).rows
+                            for options in ({}, {"run.csi": "estimated",
+                                                 "run.sensing_snr_db": 30.0},
+                                            {"run.csi": "estimated"}))
+    # NMSE falls with the sensing SNR: by more than half of the grid's 5 dB step
+    assert grid[1].nmse_db < grid[0].nmse_db - 2.5
+    assert fixed[0].nmse_db < grid[1].nmse_db
+    # sensed at 30 dB, the estimate's bit errors are within 4 binomial sigma of perfect CSI's
+    for est, ref in zip(fixed, perfect, strict=True):
+        sigma = math.sqrt(ref.bits * ref.ber * (1.0 - ref.ber))
+        assert abs(est.bit_errors - ref.bit_errors) <= 4.0 * sigma
+
+
+def test_serial_and_parallel_rows_identical_at_a_fixed_sensing_snr():
+    # the 0 dB point stops after the first trial; the 10 dB point then runs alone and still
+    # detects on the sensing draw the two points shared, which it builds itself
+    spec = link_spec(**{"run.sensing_snr_db": 20.0, "run.min_bit_errors": 1})
+    serial, parallel = (run_sensing_then_comm(spec, threads=n).rows for n in (1, 2))
+    assert [replace(row, wall_time_s=0.0) for row in parallel] == \
+        [replace(row, wall_time_s=0.0) for row in serial]
+    assert [row.trials_run for row in parallel] == [1, 3]
+    assert_row(parallel[1], *GOLDEN_FIXED_SENSING_ROWS[1])
+
+
 def test_pool_sweep_stopping_every_point_cancels_its_queue():
     # the one point stops after the first trial, with the second still in flight on the pool
     spec = link_spec(**{"run.snr_db": (0.0,), "run.min_bit_errors": 1})
@@ -277,6 +327,8 @@ def test_perfect_csi_builds_one_stage_and_draws_one_channel_per_trial(monkeypatc
 @pytest.mark.parametrize("options, stages", [
     # one stage per estimate: every trial at every active point
     ({"run.csi": "estimated"}, 3 * 2),
+    # at a fixed sensing SNR a trial estimates once, and every point detects on that estimate
+    ({"run.csi": "estimated", "run.sensing_snr_db": 20.0}, 3),
     # the OFDM baseline equalizes per subcarrier
     ({"run.scheme": "ofdm", "run.detector": "lmmse", "run.fidelity": "waveform"}, 0),
     # delays up to M - 1: the cyclic prefix is clamped to M - 1, which covers them; the OFDM
@@ -284,7 +336,7 @@ def test_perfect_csi_builds_one_stage_and_draws_one_channel_per_trial(monkeypatc
     ({"run.scheme": "ofdm", "run.detector": "lmmse", "run.fidelity": "waveform",
       "frame.M": 16, "channel.model": "synthetic", "channel.l_max": 15,
       "channel.paths": 40}, 0),
-], ids=["estimated", "ofdm", "ofdm-clamped-cp"])
+], ids=["estimated", "estimated-fixed-sensing", "ofdm", "ofdm-clamped-cp"])
 def test_stages_built_in_the_other_csi_modes(monkeypatch, options, stages):
     built = []
     build_stage = detector.LinearStage.__init__
@@ -303,7 +355,9 @@ def test_stages_built_in_the_other_csi_modes(monkeypatch, options, stages):
     # EVA window of 15 cells: the exhaustive search runs too, from the same sounding
     (run_nmse_sweep, {}, 6, 7),
     (run_sensing_then_comm, {}, 3, 4),
-], ids=["nmse-alg1", "nmse-alg1-mle", "link"])
+    # a fixed sensing SNR: one scan for the trial's one estimate
+    (run_sensing_then_comm, {"run.csi": "estimated", "run.sensing_snr_db": 20.0}, 3, 2),
+], ids=["nmse-alg1", "nmse-alg1-mle", "link", "link-fixed-sensing"])
 def test_one_sounding_per_trial(monkeypatch, sweep, options, n_rows, calls):
     # one path_correlations product per trial for the ambiguity table, then one scan per estimate
     counted = []
