@@ -91,11 +91,6 @@ class EstimationConfig:
         return tuple((l, k) for l in range(self.l_max + 1) for k in ks)
 
     @cached_property
-    def index(self) -> dict:
-        """Flat index of each window cell."""
-        return {c: i for i, c in enumerate(self.cells)}
-
-    @cached_property
     def cell_lk(self) -> tuple:
         """l and k arrays of the window cells, in cell order."""
         return tuple(np.array(v) for v in zip(*self.cells))
@@ -104,14 +99,6 @@ class EstimationConfig:
     def hypotheses(self) -> int:
         """Cell tuples the exhaustive search tries: C(number of cells, p_assumed)."""
         return math.comb(len(self.cells), self.p_assumed)
-
-    def indices(self, cells) -> list:
-        """Flat indices of window cells; a cell outside the window raises ValueError."""
-        outside = [c for c in cells if c not in self.index]
-        if outside:
-            raise ValueError(f"cells {outside} outside the search window "
-                             f"l_max={self.l_max}, k_max={self.k_max}")
-        return [self.index[c] for c in cells]
 
 
 @dataclass
@@ -197,13 +184,10 @@ class Sounding:
         scans = path_correlations(self.rows, t_c, [self._scan_twiddles], self._scratch)
         return scans[:, self._scan_order].ravel()
 
-    def columns(self, cells) -> np.ndarray:
-        """(len(cells), n_cells) scans of the cells' unit path responses u_c, read from the
-        table: u_{l,k}^H u_c = e^{j2pi k_c (l - l_c) / MN} C(l - l_c, k - k_c)."""
-        return self._columns(self.est.indices(cells))
-
-    def _columns(self, idx: list) -> np.ndarray:
-        """:meth:`Sounding.columns` of the cells at flat window indices idx, in two gathers."""
+    def _columns(self, idx) -> np.ndarray:
+        """(len(idx), n_cells) scans of the unit path responses u_c of the cells at flat window
+        indices idx, in two gathers from the table:
+        u_{l,k}^H u_c = e^{j2pi k_c (l - l_c) / MN} C(l - l_c, k - k_c)."""
         l, k = self.est.cell_lk
         lc, kc = l[idx][:, None], k[idx][:, None]
         return (self._phases[kc + self.est.k_max, l - lc + self.dl]
@@ -212,7 +196,7 @@ class Sounding:
     @cached_property
     def gram(self) -> np.ndarray:
         """Gram u_p^H u_q of every pair of window cells, for :func:`mle_exhaustive`."""
-        gram = self.columns(self.est.cells).T
+        gram = self._columns(np.arange(len(self.est.cells))).T
         gram.flags.writeable = False
         return gram
 
@@ -320,8 +304,8 @@ def mle_exhaustive(y: np.ndarray, sounding: Sounding) -> EstimationResult:
     if best is None:
         raise ValueError(f"no tuple of {P} window cells has a solvable gain system")
     resid, idx, h = best
-    cells = [est.cells[i] for i in idx]
-    return EstimationResult(channel=EffectiveChannel(est.frame, h, *zip(*cells)),
+    l, k = est.cell_lk
+    return EstimationResult(channel=EffectiveChannel(est.frame, h, l[idx], k[idx]),
                             iterations=1, objective_trace=[yy - resid])
 
 

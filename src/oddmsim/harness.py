@@ -449,6 +449,7 @@ def _run_trials(spec, stage, threads=1, min_bit_errors=math.inf) -> list:
     start with one BLAS thread each (:func:`_one_blas_thread`).
     """
     kept = [[] for _ in spec.snr_grid_db]
+    errors = [0] * len(kept)  # each point's bit errors over its kept trials
     active = list(range(len(spec.snr_grid_db)))
     runner = _TrialRunner(spec)
     with contextlib.ExitStack() as stack:
@@ -474,7 +475,8 @@ def _run_trials(spec, stage, threads=1, min_bit_errors=math.inf) -> list:
                 for i, r in (res.result() if pool else res).items():
                     if i in active:
                         kept[i].append(r)
-                        if sum(p.bit_errors for k in kept[i] for p in k.values()) >= min_bit_errors:
+                        errors[i] += sum(p.bit_errors for p in r.values())
+                        if errors[i] >= min_bit_errors:
                             active.remove(i)
         finally:
             for future in pending if pool else ():

@@ -122,10 +122,11 @@ def path_objective(p, y, s_known, hypotheses, gains, config):
 def estimate_channel_literal(y, sounding):
     """The alternating search of :func:`estimator.estimate_channel`, written on (l, k) tuples.
 
-    Each placed path's column comes from a fresh ``sounding.columns`` call, the other paths'
+    Each placed path's column comes from a fresh ``sounding._columns`` call, the other paths'
     scans are cancelled through ``np.delete``, the condition number is ``np.linalg.cond``,
-    each map's median is its own ``np.median``, and a peak is looked up through the window's
-    cell dict.  The module's constants are read at call time, so a patched cap applies here too.
+    each map's median is its own ``np.median``, and every cell is looked up through
+    ``cells.index``.  The module's constants are read at call time, so a patched cap applies
+    here too.
     """
     est = sounding.est
     y, yy = estimator._observed(y, est.frame)
@@ -134,11 +135,11 @@ def estimate_channel_literal(y, sounding):
 
     def pick_peak(metric, occupied):
         metric = metric.copy()
-        metric[est.indices(occupied)] = -np.inf
+        metric[[est.cells.index(c) for c in occupied]] = -np.inf
         return est.cells[int(np.argmax(metric))]
 
     def fit():
-        idx = est.indices(cells)
+        idx = [est.cells.index(c) for c in cells]
         G, b = cols[:, idx].T, scan_y[idx]
         cond = np.linalg.cond(G)
         if not np.isfinite(cond) or cond > estimator.COND_LIMIT:
@@ -155,7 +156,7 @@ def estimate_channel_literal(y, sounding):
         amb = scan_y - gains @ cols
         cell = pick_peak(np.abs(amb) ** 2, cells)
         cells.append(cell)
-        cols = np.vstack([cols, sounding.columns([cell])])
+        cols = np.vstack([cols, sounding._columns([est.cells.index(cell)])])
         gains, flag, residual = fit()
         ill = ill or flag
 
@@ -175,7 +176,7 @@ def estimate_channel_literal(y, sounding):
                 continue
             saved = (cells[p], cols[p].copy(), gains, ill)
             cells[p] = cand
-            cols[p] = sounding.columns([cand])[0]
+            cols[p] = sounding._columns([est.cells.index(cand)])[0]
             gains, flag, new_residual = fit()
             ill = ill or flag
             if new_residual <= residual + 1e-12 * max(1.0, residual):
@@ -190,7 +191,7 @@ def estimate_channel_literal(y, sounding):
             converged = True
             break
 
-    low_conf = any(not m[est.index[c]] > estimator.LOW_CONF_FACTOR * np.median(m)
+    low_conf = any(not m[est.cells.index(c)] > estimator.LOW_CONF_FACTOR * np.median(m)
                    for m, c in zip(last_maps, cells))
     return estimator.EstimationResult(
         channel=EffectiveChannel(est.frame, gains, *zip(*cells)), iterations=iterations,

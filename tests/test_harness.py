@@ -253,14 +253,17 @@ def test_fixed_sensing_snr_rows():
     assert len({row.nmse_db for row in full}) == 1
 
 
+# the link of the claim checks: EVA at 32 x 8, matrix fidelity, 20480 bits per SNR point
+CLAIM_BASE = {"frame.M": 32, "frame.N": 8, "run.snr_db": (10.0, 15.0), "run.trials": 20,
+              "run.frames_per_trial": 2, "run.seed": 3, "run.min_bit_errors": 10**9}
+
+
 def test_estimation_tracks_the_sensing_snr():
     # a claim check, not a golden: measured before a fixed sensing SNR sensed once per trial,
     # bit errors of 20480 bits at 10 and 15 dB were 426, 22 with perfect CSI, 426, 24 with
     # estimated CSI sensed at 30 dB, and 494, 22 sensed at the grid SNR, whose NMSE was
     # -21.26, -26.27 dB
-    base = {"frame.M": 32, "frame.N": 8, "run.snr_db": (10.0, 15.0), "run.trials": 20,
-            "run.frames_per_trial": 2, "run.seed": 3, "run.min_bit_errors": 10**9}
-    perfect, fixed, grid = (run_sensing_then_comm(build_spec({**base, **options})).rows
+    perfect, fixed, grid = (run_sensing_then_comm(build_spec({**CLAIM_BASE, **options})).rows
                             for options in ({}, {"run.csi": "estimated",
                                                  "run.sensing_snr_db": 30.0},
                                             {"run.csi": "estimated"}))
@@ -271,6 +274,32 @@ def test_estimation_tracks_the_sensing_snr():
     for est, ref in zip(fixed, perfect, strict=True):
         sigma = math.sqrt(ref.bits * ref.ber * (1.0 - ref.ber))
         assert abs(est.bit_errors - ref.bit_errors) <= 4.0 * sigma
+
+
+def test_oamp_beats_lmmse():
+    # a claim check, not a golden: with perfect CSI, OAMP's bit errors lie more than 4 binomial
+    # sigma of the difference below LMMSE's (measured: 426, 22 against 777, 104 of 20480 bits at
+    # 10 and 15 dB, sigma 34.1 and 11.2); 20 dB is left out, its 0 against 3 cannot resolve it
+    oamp, lmmse = (run_sensing_then_comm(build_spec({**CLAIM_BASE, "run.detector": name})).rows
+                   for name in ("oamp", "lmmse"))
+    for o, l in zip(oamp, lmmse, strict=True):
+        sigma = math.sqrt(o.bits * o.ber * (1.0 - o.ber) + l.bits * l.ber * (1.0 - l.ber))
+        assert o.bit_errors + 4.0 * sigma < l.bit_errors
+
+
+def test_alg1_is_close_to_the_exhaustive_search():
+    # a claim check, not a golden: on a synthetic channel whose window is small enough for the
+    # exhaustive search (4 x 5 cells, C(20, 3) = 1140 tuples), the alternating search's NMSE is
+    # within 0.5 dB of the ML search's at every SNR (measured: equal to 1e-14 at -15.93,
+    # -26.16, -36.92 dB)
+    spec = build_spec({"frame.M": 32, "frame.N": 8, "channel.model": "synthetic",
+                       "channel.paths": 3, "channel.l_max": 2, "channel.k_max": 1,
+                       "run.seed": 9, "run.trials": 10, "run.snr_db": (0.0, 10.0, 20.0)})
+    assert harness._TrialRunner(spec).est_cfg.hypotheses == 1140
+    rows = {(r.detector, r.snr_db): r.nmse_db for r in run_nmse_sweep(spec).rows}
+    assert sorted(rows) == sorted(itertools.product(("alg1", "mle"), (0.0, 10.0, 20.0)))
+    for snr_db in (0.0, 10.0, 20.0):
+        assert abs(rows["alg1", snr_db] - rows["mle", snr_db]) <= 0.5
 
 
 def test_serial_and_parallel_rows_identical_at_a_fixed_sensing_snr():
