@@ -121,19 +121,16 @@ def pick_peak(metric: np.ndarray, occupied) -> int:
 
 
 def solve_gains(G: np.ndarray, b: np.ndarray):
-    """Exact least-squares gains from the P x P normal equations G gains = b.
+    """Least-squares gains from the P x P normal equations G gains = b, in one call.
 
     G[p, q] = u_p^H u_q is the Gram of the path responses and b[p] = u_p^H y.
-    Returns (gains, ill_conditioned); an ill-conditioned system (2-norm condition number
-    sv_max / sv_min > 1e12, or a zero singular value, e.g. duplicated hypotheses) falls back
-    to the smallest-norm solution.
+    Returns (gains, ill_conditioned): the smallest-norm least-squares gains, the exact
+    solution wherever G is invertible, and a flag read from that call's singular values:
+    set when the 2-norm condition number sv_max / sv_min exceeds ``COND_LIMIT`` or a
+    singular value is zero (e.g. duplicated hypotheses).
     """
-    sv = np.linalg.svd(G, compute_uv=False)
-    sv_max, sv_min = float(sv[0]), float(sv[-1])
-    if not (sv_min > 0.0 and sv_max / sv_min <= COND_LIMIT):
-        gains, *_ = np.linalg.lstsq(G, b, rcond=None)
-        return gains, True
-    return np.linalg.solve(G, b), False
+    gains, _, _, sv = np.linalg.lstsq(G, b, rcond=None)
+    return gains, not (sv[-1] > 0 and sv[0] / sv[-1] <= COND_LIMIT)
 
 
 class Sounding:

@@ -32,7 +32,7 @@ each SNR point, one record per row it feeds (``_Point``: its NMSE, bits, bit
 errors and times): the link's under its detector, the NMSE sweep's under each
 estimator that ran.  Trials go out in order, serially or to a process pool, and
 aggregation keeps each point's records in trial order, so both give the same
-rows; one ``_row`` builds every row of both sweeps.
+rows; one ``_rows`` builds the rows of either sweep, hashing its spec once.
 
 BLAS threads: the window scans and the detector's band solves run on the BLAS that numpy
 loads, with its own thread count.  That count is set only through the environment, with
@@ -484,19 +484,22 @@ def _run_trials(spec, stage, threads=1, min_bit_errors=math.inf) -> list:
     return kept
 
 
-def _row(spec, snr_db, name, csi, points) -> SweepRow:
-    """The CSV row ``name`` of one SNR point from its records, one per trial kept; NMSE is
-    averaged linearly."""
-    bits = sum(p.bits for p in points)
-    errors = sum(p.bit_errors for p in points)
-    nmse_lin = [10.0 ** (p.nmse_db / 10.0) for p in points if p.nmse_db is not None]
-    return SweepRow(
-        scheme=spec.scheme, detector=name, csi=csi, snr_db=float(snr_db),
-        trials_run=len(points), bits=bits, bit_errors=errors,
-        ber=(errors / bits) if bits else None,
-        nmse_db=float(10.0 * np.log10(np.mean(nmse_lin))) if nmse_lin else None,
-        wall_time_s=sum(p.wall_time_s for p in points),
-        seed=spec.seed, config_hash=config_hash(spec))
+def _rows(spec, csi, kept) -> list:
+    """The CSV rows of a sweep, one per SNR point and row name, from each point's records (one
+    per trial kept); NMSE is averaged linearly, and the spec is hashed once."""
+    digest = config_hash(spec)
+
+    def row(snr_db, name, points):
+        bits, errors = sum(p.bits for p in points), sum(p.bit_errors for p in points)
+        nmse_lin = [10.0 ** (p.nmse_db / 10.0) for p in points if p.nmse_db is not None]
+        return SweepRow(
+            scheme=spec.scheme, detector=name, csi=csi, snr_db=float(snr_db),
+            trials_run=len(points), bits=bits, bit_errors=errors,
+            ber=(errors / bits) if bits else None,
+            nmse_db=float(10.0 * np.log10(np.mean(nmse_lin))) if nmse_lin else None,
+            wall_time_s=sum(p.wall_time_s for p in points), seed=spec.seed, config_hash=digest)
+    return [row(snr_db, name, [r[name] for r in rs])
+            for snr_db, rs in zip(spec.snr_grid_db, kept) for name in rs[0]]
 
 
 def run_sensing_then_comm(spec: ExperimentSpec, threads: int = 1) -> SweepResult:
@@ -504,8 +507,7 @@ def run_sensing_then_comm(spec: ExperimentSpec, threads: int = 1) -> SweepResult
     trials at a time (on a process pool when more than one)."""
     require_count("threads", threads)
     kept = _run_trials(spec, _TrialRunner.link_trial, threads, spec.min_bit_errors)
-    return SweepResult(rows=[_row(spec, snr_db, name, spec.csi, [r[name] for r in rs])
-                             for snr_db, rs in zip(spec.snr_grid_db, kept) for name in rs[0]])
+    return SweepResult(rows=_rows(spec, spec.csi, kept))
 
 
 def run_nmse_sweep(spec: ExperimentSpec) -> SweepResult:
@@ -523,8 +525,7 @@ def run_nmse_sweep(spec: ExperimentSpec) -> SweepResult:
     spec = replace(spec, **{f.name: f.default for f in fields(ExperimentSpec)
                             if f.name in ("detector", "csi", "frames_per_trial", "min_bit_errors")})
     kept = _run_trials(spec, _TrialRunner.nmse_trial)
-    return SweepResult(rows=[_row(spec, snr_db, name, "estimated", [r[name] for r in rs])
-                             for snr_db, rs in zip(spec.snr_grid_db, kept) for name in rs[0]])
+    return SweepResult(rows=_rows(spec, "estimated", kept))
 
 
 DEFAULT_FRAME = dict(M=64, N=16)

@@ -123,7 +123,8 @@ def estimate_channel_literal(y, sounding):
     """The alternating search of :func:`estimator.estimate_channel`, written on (l, k) tuples.
 
     Each placed path's column comes from a fresh ``sounding._columns`` call, the other paths'
-    scans are cancelled through ``np.delete``, the condition number is ``np.linalg.cond``,
+    scans are cancelled through ``np.delete``, the gains are ``np.linalg.lstsq``'s whatever
+    the conditioning, the ill-conditioning flag comes from its own ``np.linalg.cond``,
     each map's median is its own ``np.median``, and every cell is looked up through
     ``cells.index``.  The module's constants are read at call time, so a patched cap applies
     here too.
@@ -142,10 +143,8 @@ def estimate_channel_literal(y, sounding):
         idx = [est.cells.index(c) for c in cells]
         G, b = cols[:, idx].T, scan_y[idx]
         cond = np.linalg.cond(G)
-        if not np.isfinite(cond) or cond > estimator.COND_LIMIT:
-            gains, flag = np.linalg.lstsq(G, b, rcond=None)[0], True
-        else:
-            gains, flag = np.linalg.solve(G, b), False
+        gains = np.linalg.lstsq(G, b, rcond=None)[0]
+        flag = not np.isfinite(cond) or cond > estimator.COND_LIMIT
         return gains, flag, float(yy - 2 * np.vdot(gains, b).real + np.vdot(gains, G @ gains).real)
 
     cells = []

@@ -81,6 +81,30 @@ class TestSolveGains:
         _, flag = solve_gains(*normal_equations(responses(cfg, [(2, 0)] * 2, s), y))
         assert flag
 
+    @pytest.mark.parametrize("c, flag", [
+        (np.nextafter(estimator.COND_LIMIT, 0.0), False),
+        (estimator.COND_LIMIT, False),
+        (np.nextafter(estimator.COND_LIMIT, np.inf), True),
+        (np.inf, True),  # diag(1, 0): exactly singular
+    ], ids=["below", "at", "above", "singular"])
+    def test_flag_flips_at_the_limit(self, c, flag):
+        # the condition number of diag(1, 1/c) is c to the last bit, and the gains are the
+        # smallest-norm least-squares solution on either side of the limit
+        G = np.diag([1.0, 1.0 / c]).astype(complex)
+        b = np.array([0.3 - 0.2j, 0.5 + 0.1j])
+        gains, ill = solve_gains(G, b)
+        assert ill is flag
+        assert np.array_equal(gains, np.linalg.lstsq(G, b, rcond=None)[0])
+
+    @pytest.mark.parametrize("P, seed", [(1, 0), (2, 1), (4, 2), (8, 3)])
+    def test_well_conditioned_gains_solve_the_equations(self, P, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((P, 64)) + 1j * rng.standard_normal((P, 64))
+        G, b = normal_equations(u, rng.standard_normal(64) + 1j * rng.standard_normal(64))
+        gains, ill = solve_gains(G, b)
+        assert not ill
+        assert np.linalg.norm(G @ gains - b) <= 1e-12 * np.linalg.norm(b)
+
 
 class TestPathObjective:
     def test_single_path_peak_at_planted_cell(self):
@@ -283,6 +307,30 @@ class TestAmbiguityTable:
         estimate_channel(2 * y, sounding)
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("n_paths, seed, P", [(1, 50, 1), (2, 8, 3), (3, 11, 6), (1, 50, 8)])
+    def test_one_lstsq_per_fit(self, monkeypatch, n_paths, seed, P):
+        # every gain fit of an estimate is one lstsq call, with no svd or solve beside it
+        cfg = cfg16()
+        chan = gen_synthetic_channel(cfg, n_paths, seed, l_max=7, k_max=3)
+        s, y = observe(cfg, chan, 0.0, seed=seed)
+        sounding = Sounding(est_cfg(cfg, P), s)
+        calls = {name: 0 for name in ("fit", "lstsq", "svd", "solve")}
+
+        def counted(module, name, key):
+            literal = getattr(module, name)
+
+            def call(*args, **kwargs):
+                calls[key] += 1
+                return literal(*args, **kwargs)
+            monkeypatch.setattr(module, name, call)
+
+        counted(estimator, "solve_gains", "fit")
+        for name in ("lstsq", "svd", "solve"):
+            counted(np.linalg, name, name)
+        estimate_channel(y, sounding)
+        assert calls["fit"] >= P
+        assert calls == {"fit": calls["fit"], "lstsq": calls["fit"], "svd": 0, "solve": 0}
+
     def test_outer_passes_stop_at_max_iters(self, monkeypatch):
         # the last draw above converges on its third pass; capped at two passes it stops there
         monkeypatch.setattr(estimator, "MAX_ITERS", 2)
@@ -418,16 +466,16 @@ class TestLiteralSearch:
     @pytest.mark.parametrize("n_paths, seed, P", [(2, 8, 3), (3, 11, 6), (1, 50, 8)])
     def test_rejected_moves(self, monkeypatch, n_paths, seed, P):
         # a move to the peak of its cancelled scan never raises the joint residual with exact
-        # solves, so no draw reaches the rollback; halving every second solve makes one move
-        # of each of these draws raise it, and both loops see the same solves in turn
-        exact, calls = np.linalg.solve, []
+        # fits, so no draw reaches the rollback; halving every second fit makes one move
+        # of each of these draws raise it, and both loops see the same fits in turn
+        exact, calls = np.linalg.lstsq, []
 
-        def damped(G, b):
+        def damped(G, b, rcond):
             calls.append(None)
-            x = exact(G, b)
-            return x if len(calls) % 2 else 0.5 * x
+            x, *rest = exact(G, b, rcond=rcond)
+            return (x if len(calls) % 2 else 0.5 * x), *rest
 
-        monkeypatch.setattr(np.linalg, "solve", damped)
+        monkeypatch.setattr(np.linalg, "lstsq", damped)
         cfg = cfg16()
         chan = gen_synthetic_channel(cfg, n_paths, seed, l_max=7, k_max=3)
         s, y = observe(cfg, chan, 0.0, seed=seed)
