@@ -51,14 +51,22 @@ which is zero in the band and, as LAPACK never references it, in every factor.
 :class:`LinearStage` holds this for one channel.  The caller builds it once
 per channel it detects with and passes it to :func:`oamp_detect` and
 :func:`lmmse_detect`; the harness builds one per trial for perfect CSI and
-one per channel estimate for estimated CSI.  The two band routines come from
-scipy's LAPACK, imported at the first factorization rather than with this
-module: loading ``scipy.linalg`` costs most of the package's start-up time and
-memory, and sweeps that never detect (channel estimation, OFDM) never need it.
+one per channel estimate for estimated CSI.  The two band routines, ``zpbtrf``
+and ``zpbtrs``, come from scipy's compiled LAPACK module ``scipy.linalg._flapack``,
+loaded on its own at the first factorization rather than with this module.
+``scipy.linalg.lapack`` only re-exports them from there, the very same function
+objects, but importing the ``scipy.linalg`` package runs about 300 modules,
+``numpy.ma`` among them, for about 20 MB of peak RSS in every detecting process
+(and again in every pool worker).  Sweeps that never detect (channel estimation,
+OFDM) load neither.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,13 +110,25 @@ def _band_blocks(rows: np.ndarray, cols: np.ndarray, hw: int, size: int) -> np.n
     return np.where(outside, (hw + 1) * size - 1, row + hw * col)
 
 
+@functools.cache
+def _lapack():
+    """scipy's compiled LAPACK module, ``scipy.linalg._flapack``, without ``scipy.linalg``."""
+    import scipy  # scipy's own start-up (its bundled libraries), not scipy.linalg's
+
+    where = os.path.join(scipy.__path__[0], "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [where])
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack.* is not in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _cholesky(ab: np.ndarray, xi: float) -> np.ndarray:
     """Lower band Cholesky factor of the band ab plus xi on the diagonal."""
-    from scipy.linalg.lapack import zpbtrf
-
     shifted = ab.copy(order="F")  # zpbtrf factors a Fortran array in place
     shifted[0] += xi
-    factor, info = zpbtrf(shifted, lower=1, overwrite_ab=1)
+    factor, info = _lapack().zpbtrf(shifted, lower=1, overwrite_ab=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"T + xi I is not positive definite at xi = {xi!r}")
     return factor
@@ -134,8 +154,9 @@ class LinearStage:
         pos = np.argsort(self.perm)  # chip q sits at interleaved position pos[q]
         # one row per delay difference d = l_p - l_r: T[q, q - d] sums
         # h_p D_p Pi^d (h_r D_r)^H over the pairs with that difference, in (p, r)
-        # order, read at row i of the one source table src, chips q - diffs[i]
-        diffs = np.unique(H.l[:, None] - H.l)
+        # order, read at row i of the one source table src, chips q - diffs[i]; sorted from
+        # a set, as np.unique's masked-array check imports numpy.ma (numpy >= 2.3)
+        diffs = np.array(sorted({int(a - b) for a in H.l for b in H.l}), dtype=np.int64)
         src = _sources(diffs, n)
         t = np.zeros((diffs.size, n), dtype=complex)
         w = H.weights
@@ -176,11 +197,10 @@ class LinearStage:
         """(x, residual): x = H_t^H z on chips, z = (T + xi I)^{-1} rhs, and the
         measured ||(T + xi I) z - rhs|| / ||rhs|| of z, 0 for rhs = 0.  A is
         unitary, so that is also the delay-Doppler residual of (H H^H + xi I)."""
-        from scipy.linalg.lapack import zpbtrs
-
         n = self.H.config.mn
         z = np.empty(n, dtype=complex)
-        z[self.perm] = zpbtrs(self._pair(xi)[:, n:], rhs[self.perm, None], lower=1)[0][:, 0]
+        factor = self._pair(xi)[:, n:]
+        z[self.perm] = _lapack().zpbtrs(factor, rhs[self.perm, None], lower=1)[0][:, 0]
         x = self.H.apply_adjoint_chips(z)
         rnorm = np.linalg.norm(rhs)
         if rnorm == 0:

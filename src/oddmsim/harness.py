@@ -34,14 +34,17 @@ estimator that ran.  Trials go out in order, serially or to a process pool, and
 aggregation keeps each point's records in trial order, so both give the same
 rows; one ``_rows`` builds the rows of either sweep, hashing its spec once.
 
-BLAS threads: the window scans and the detector's band solves run on the BLAS that numpy
-loads, with its own thread count.  That count is set only through the environment, with
-``OPENBLAS_NUM_THREADS`` (or ``OMP_NUM_THREADS``) exported before numpy is first imported,
-e.g. ``OPENBLAS_NUM_THREADS=1 python3 run.py``; this package has no in-process switch.  Pool
-workers run one BLAS thread each: they spawn with each of ``OPENBLAS_NUM_THREADS``,
-``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` that the user left unset at 1, so that two workers
-do not contend for the cores.  The rows are the same at one thread and at the default count.
-At the default count OpenBLAS's helper thread spins a second core for a whole sweep, woken by
+BLAS threads: the window scans and the waveform products run on the OpenBLAS that numpy
+loads, and the detector's band routines (``zpbtrf``/``zpbtrs``) on a second copy, the
+OpenBLAS that scipy bundles, which its LAPACK module loads at the first factorization.
+Each copy has its own thread count, read only from the environment:
+``OPENBLAS_NUM_THREADS`` (or ``OMP_NUM_THREADS``), exported before numpy is first imported,
+reaches both, e.g. ``OPENBLAS_NUM_THREADS=1 python3 run.py``; this package has no in-process
+switch.  Pool workers run one BLAS thread each: they spawn with each of
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` that the user left unset
+at 1, so that two workers do not contend for the cores.  The rows are the same at one thread
+and at the default count.
+At the default count numpy's OpenBLAS helper thread spins a second core for a whole sweep, woken by
 :func:`waveform.oddm_modulate`, :func:`waveform.oddm_demodulate` and the window scans (per
 ``/proc/self/task``, 2 Xeon CPUs: 2.47 s of CPU in a 2.50 s link sweep, 2.42 s in a 2.51 s
 sensing sweep).

@@ -1,3 +1,7 @@
+import importlib.machinery
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -239,15 +243,16 @@ class TestFactorCount:
     @staticmethod
     def factored_bands(monkeypatch, stage):
         kinds = []
-        factor = lapack.zpbtrf
+        handle = detector._lapack()
+        factor = handle.zpbtrf
 
         def counting(ab, **kwargs):
             # the off-diagonal rows tell the stage's band from any other
             kinds.append("band" if np.array_equal(ab[1:], stage.ab[1:]) else "other")
             return factor(ab, **kwargs)
 
-        # detector imports zpbtrf from scipy's lapack module at each factorization
-        monkeypatch.setattr(lapack, "zpbtrf", counting)
+        # detector reads zpbtrf from its LAPACK handle at each factorization
+        monkeypatch.setattr(handle, "zpbtrf", counting)
         return kinds
 
     @staticmethod
@@ -281,6 +286,39 @@ class TestFactorCount:
         # the factor of the last xi is kept: the same noise level factors nothing
         lmmse_detect(y, stage, 2 * nv)
         assert kinds == ["band", "band"]
+
+
+class TestLapackHandle:
+    """The band routines come from scipy's compiled LAPACK module, loaded without scipy.linalg."""
+
+    def test_same_routines_as_scipy_linalg(self):
+        # scipy.linalg.lapack re-exports these very objects, so every factor and solve is the
+        # one scipy.linalg would give, bit for bit
+        handle = detector._lapack()
+        assert handle.zpbtrf is lapack.zpbtrf
+        assert handle.zpbtrs is lapack.zpbtrs
+
+    def test_missing_extension_fails_loudly(self, monkeypatch):
+        stage = LinearStage(channel_from_cells(cfg_small(), [(1, 0)], [1.0]))
+        detector._lapack.cache_clear()
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                            classmethod(lambda cls, name, path=None, target=None: None))
+        with pytest.raises(ImportError, match=r"_flapack\.\* is not in .*linalg"):
+            stage.solve(np.ones(stage.H.config.mn, dtype=complex), 0.1)
+
+
+def test_link_sweep_loads_neither_numpy_ma_nor_scipy_linalg():
+    # an estimated-CSI OAMP link factors and solves bands with scipy's _flapack alone: the
+    # scipy.linalg package (about 300 modules, numpy.ma among them, 20 MB of peak RSS) never loads
+    spec = {"frame.M": 16, "frame.N": 8, "frame.Q": 4, "run.snr_db": (10.0,), "run.trials": 1,
+            "run.scheme": "oddm", "run.fidelity": "waveform", "run.csi": "estimated",
+            "run.detector": "oamp"}
+    probe = {"numpy.ma", "scipy.linalg", "scipy.linalg._flapack"}
+    code = ("import sys; from oddmsim import harness; "
+            f"harness.run_sensing_then_comm(harness.build_spec({spec!r})); "
+            f"print(sorted({probe!r} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['scipy.linalg._flapack']"
 
 
 def assert_matches_softmax(r, v):

@@ -311,7 +311,8 @@ def sweep_code(run, options, *args):
     return f"from oddmsim import harness; harness.{run}(harness.build_spec({spec!r}){call})"
 
 
-HEAVY_MODULES = ("scipy.linalg", "scipy.signal", "multiprocessing", "concurrent.futures")
+HEAVY_MODULES = ("scipy.linalg", "scipy.linalg._flapack", "scipy.signal", "numpy.ma",
+                 "multiprocessing", "concurrent.futures")
 
 # (code run in a fresh interpreter, heavy modules loaded after it)
 SCIPY_CASES = {
@@ -320,10 +321,10 @@ SCIPY_CASES = {
     "ofdm-link": (sweep_code("run_sensing_then_comm",
                              {"run.scheme": "ofdm", "run.detector": "lmmse",
                               "run.fidelity": "waveform"}), []),
-    # the positive control: detection factors a band, so it loads scipy.linalg
-    # (scipy.linalg loads concurrent.futures itself; the serial sweep loads no pool)
+    # the positive control: detection factors a band, so it loads scipy's LAPACK module,
+    # and that alone: neither the scipy.linalg package nor numpy.ma
     "oamp-link": (sweep_code("run_sensing_then_comm", {"run.detector": "oamp"}),
-                  ["scipy.linalg", "concurrent.futures"]),
+                  ["scipy.linalg._flapack"]),
     # the positive control of the pool modules: two threads run the trials on a process
     # pool, so the parent loads the pool and its workers do the detecting
     "oamp-pool": (sweep_code("run_sensing_then_comm", {"run.detector": "oamp"}, 2),
