@@ -51,9 +51,11 @@ sensing sweep).
 
 Seed derivation: every random draw uses
 ``numpy.random.SeedSequence((master_seed, stage_tag, trial, ...))`` with
-documented integer stage tags, so adding SNR points or threads never shifts
-any other draw.  Channel and frame draws are shared across SNR points
-(common random numbers); only the noise depends on the SNR index.  The sensing
+documented integer stage tags, so adding threads never shifts any draw.  Channel and frame
+draws are shared across SNR points (common random numbers); only the noise depends on the
+point, keyed by its index in the grid, not by its SNR: appending SNR points leaves every
+other point's draws, and so its rows, as they were, but inserting or reordering points
+moves the noise of each point whose index changes.  The sensing
 noise does only when the sensing SNR follows the grid, keyed
 ``(seed, 3, trial, snr_idx)``; at a fixed ``sensing_snr_db`` a trial makes one
 sensing draw, keyed ``(seed, 3, trial, 0)``, that every point shares.
@@ -441,12 +443,13 @@ def _one_blas_thread():
             os.environ.pop(name, None)
 
 
-def _run_trials(spec, stage, threads=1, min_bit_errors=math.inf) -> list:
+def _run_trials(spec, stage, threads=1) -> list:
     """Each SNR point's trial results (``{row name: _Point}``), in trial order.
 
     Trials go out in order with the points active at hand-out time, at most
     ``threads`` in flight (on a process pool when ``threads > 1``).  A point
-    stops once its bit errors reach ``min_bit_errors``; its results from trials
+    stops once its bit errors reach ``spec.min_bit_errors`` (never in an NMSE sweep,
+    whose records count no bit errors); its results from trials
     handed out before that are dropped, so serial and parallel runs keep the
     same trials.  Trials still queued when no point is active are cancelled.  The workers
     start with one BLAS thread each (:func:`_one_blas_thread`).
@@ -479,7 +482,7 @@ def _run_trials(spec, stage, threads=1, min_bit_errors=math.inf) -> list:
                     if i in active:
                         kept[i].append(r)
                         errors[i] += sum(p.bit_errors for p in r.values())
-                        if errors[i] >= min_bit_errors:
+                        if errors[i] >= spec.min_bit_errors:
                             active.remove(i)
         finally:
             for future in pending if pool else ():
@@ -507,9 +510,14 @@ def _rows(spec, csi, kept) -> list:
 
 def run_sensing_then_comm(spec: ExperimentSpec, threads: int = 1) -> SweepResult:
     """Full sensing-then-communication sweep over the configured SNR grid, ``threads``
-    trials at a time (on a process pool when more than one)."""
+    trials at a time (on a process pool when more than one).
+
+    The pool's workers are spawned, so each re-imports the caller's ``__main__``: a script
+    that calls this with ``threads > 1`` must do so under an ``if __name__ == "__main__":``
+    guard.  Without it every worker prints multiprocessing's bootstrapping ``RuntimeError``
+    and the sweep dies with ``BrokenProcessPool``."""
     require_count("threads", threads)
-    kept = _run_trials(spec, _TrialRunner.link_trial, threads, spec.min_bit_errors)
+    kept = _run_trials(spec, _TrialRunner.link_trial, threads)
     return SweepResult(rows=_rows(spec, spec.csi, kept))
 
 

@@ -1,6 +1,4 @@
 import importlib.machinery
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -305,20 +303,6 @@ class TestLapackHandle:
                             classmethod(lambda cls, name, path=None, target=None: None))
         with pytest.raises(ImportError, match=r"_flapack\.\* is not in .*linalg"):
             stage.solve(np.ones(stage.H.config.mn, dtype=complex), 0.1)
-
-
-def test_link_sweep_loads_neither_numpy_ma_nor_scipy_linalg():
-    # an estimated-CSI OAMP link factors and solves bands with scipy's _flapack alone: the
-    # scipy.linalg package (about 300 modules, numpy.ma among them, 20 MB of peak RSS) never loads
-    spec = {"frame.M": 16, "frame.N": 8, "frame.Q": 4, "run.snr_db": (10.0,), "run.trials": 1,
-            "run.scheme": "oddm", "run.fidelity": "waveform", "run.csi": "estimated",
-            "run.detector": "oamp"}
-    probe = {"numpy.ma", "scipy.linalg", "scipy.linalg._flapack"}
-    code = ("import sys; from oddmsim import harness; "
-            f"harness.run_sensing_then_comm(harness.build_spec({spec!r})); "
-            f"print(sorted({probe!r} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "['scipy.linalg._flapack']"
 
 
 def assert_matches_softmax(r, v):

@@ -159,6 +159,11 @@ def link_spec(**options):
                         "run.snr_db": (0.0, 10.0), "run.trials": 3, **options})
 
 
+def untimed(rows):
+    """rows with their wall times zeroed, the one field that differs between runs."""
+    return [replace(row, wall_time_s=0.0) for row in rows]
+
+
 def test_csv_round_trip(tmp_path):
     result = run_sensing_then_comm(link_spec())
     nmse = run_nmse_sweep(link_spec())
@@ -287,6 +292,39 @@ def test_oamp_beats_lmmse():
         assert o.bit_errors + 4.0 * sigma < l.bit_errors
 
 
+def test_oddm_beats_ofdm():
+    # a claim check, not a golden: the abstract's "other multi-carrier modulation schemes".  At
+    # waveform fidelity with perfect CSI and LMMSE on both, OFDM's one-tap equalizer leaves an
+    # ICI floor at 350 km/h: its excess bit errors over ODDM's exceed 4 sigma at every point,
+    # sigma the spread of the paired per-trial excess times sqrt(trials) (measured: ODDM 730,
+    # 108, 2 against OFDM 1378, 696, 475 of 20480 bits at 10, 15 and 20 dB, 8.3, 8.2 and 6.7
+    # sigma; at least 4.36 sigma over seeds 0, 1, 3 and 7)
+    base = {**CLAIM_BASE, "run.snr_db": (10.0, 15.0, 20.0), "run.fidelity": "waveform",
+            "run.detector": "lmmse"}
+    oddm, ofdm = (harness._run_trials(build_spec({**base, "run.scheme": scheme}),
+                                      harness._TrialRunner.link_trial)
+                  for scheme in ("oddm", "ofdm"))
+    for oddm_trials, ofdm_trials in zip(oddm, ofdm, strict=True):
+        excess = np.array([b["lmmse"].bit_errors - a["lmmse"].bit_errors
+                           for a, b in zip(oddm_trials, ofdm_trials, strict=True)])
+        assert excess.size == 20
+        assert excess.sum() > 4.0 * math.sqrt(excess.size) * excess.std(ddof=1)
+
+
+@pytest.mark.parametrize("csi", CSI_MODES)
+def test_appending_snr_points_keeps_each_points_rows(csi):
+    # noise is keyed by a point's index in the grid, so points appended after a point leave its
+    # draws and its row as they were (measured at 15 dB: 12 bit errors with perfect CSI; 14
+    # and -26.26 dB NMSE with estimated CSI, sensed at the grid SNR); moving a point to another
+    # index draws other noise, which this does not cover
+    alone, appended = (run_sensing_then_comm(build_spec({**CLAIM_BASE, "run.csi": csi,
+                                                         "run.snr_db": grid})).rows
+                       for grid in ((15.0,), (15.0, 10.0)))
+    assert alone[0].bit_errors > 0
+    assert replace(alone[0], wall_time_s=0.0, config_hash="") == \
+        replace(appended[0], wall_time_s=0.0, config_hash="")
+
+
 def test_alg1_is_close_to_the_exhaustive_search():
     # a claim check, not a golden: on a synthetic channel whose window is small enough for the
     # exhaustive search (4 x 5 cells, C(20, 3) = 1140 tuples), the alternating search's NMSE is
@@ -307,18 +345,27 @@ def test_serial_and_parallel_rows_identical_at_a_fixed_sensing_snr():
     # detects on the sensing draw the two points shared, which it builds itself
     spec = link_spec(**{"run.sensing_snr_db": 20.0, "run.min_bit_errors": 1})
     serial, parallel = (run_sensing_then_comm(spec, threads=n).rows for n in (1, 2))
-    assert [replace(row, wall_time_s=0.0) for row in parallel] == \
-        [replace(row, wall_time_s=0.0) for row in serial]
+    assert untimed(parallel) == untimed(serial)
     assert [row.trials_run for row in parallel] == [1, 3]
     assert_row(parallel[1], *GOLDEN_FIXED_SENSING_ROWS[1])
+
+
+@pytest.mark.parametrize("sensing", [{}, {"run.sensing_snr_db": 20.0}],
+                         ids=["grid-sensing", "fixed-sensing"])
+def test_serial_and_parallel_rows_identical_at_waveform_fidelity(sensing):
+    # the spawned workers modulate, send and demodulate every frame and estimate the channel
+    # from the sensing frame's samples, at the grid SNR or at one fixed SNR per trial
+    spec = build_spec({"frame.M": 32, "frame.N": 8, "run.snr_db": (5.0, 10.0), "run.trials": 2,
+                       "run.fidelity": "waveform", "run.csi": "estimated", **sensing})
+    serial, parallel = (run_sensing_then_comm(spec, threads=n).rows for n in (1, 2))
+    assert untimed(parallel) == untimed(serial)
 
 
 def test_pool_sweep_stopping_every_point_cancels_its_queue():
     # the one point stops after the first trial, with the second still in flight on the pool
     spec = link_spec(**{"run.snr_db": (0.0,), "run.min_bit_errors": 1})
     serial, parallel = (run_sensing_then_comm(spec, threads=n).rows for n in (1, 2))
-    assert [replace(row, wall_time_s=0.0) for row in parallel] == \
-        [replace(row, wall_time_s=0.0) for row in serial]
+    assert untimed(parallel) == untimed(serial)
     assert parallel[0].trials_run == 1
 
 
@@ -400,11 +447,17 @@ def test_one_sounding_per_trial(monkeypatch, sweep, options, n_rows, calls):
     assert len(counted) == calls
 
 
-@pytest.mark.parametrize("fidelity", FIDELITIES)
-def test_nmse_sweep_is_the_links_sensing_stage(fidelity):
-    spec = link_spec(**{"run.fidelity": fidelity, "run.min_bit_errors": 10**9})
-    link_rows = run_sensing_then_comm(spec).rows
-    alg1_rows = [row for row in run_nmse_sweep(spec).rows if row.detector == "alg1"]
+@pytest.mark.parametrize("scheme, fidelity", [("oddm", "matrix"), ("oddm", "waveform"),
+                                              ("otfs", "waveform")],
+                         ids=["matrix", "waveform", "otfs-waveform"])
+def test_nmse_sweep_is_the_links_sensing_stage(scheme, fidelity):
+    # every cell that estimates its channel; EVA at 32 x 8 has C(15, 9) = 5005 tuples, so the
+    # exhaustive search runs next to alg1 at every point
+    spec = link_spec(**{"run.scheme": scheme, "run.fidelity": fidelity,
+                        "run.min_bit_errors": 10**9})
+    link_rows, nmse_rows = run_sensing_then_comm(spec).rows, run_nmse_sweep(spec).rows
+    assert [row.detector for row in nmse_rows] == ["alg1", "mle"] * 2
+    alg1_rows = [row for row in nmse_rows if row.detector == "alg1"]
     assert [row.trials_run for row in link_rows] == [3, 3]
     assert [row.nmse_db for row in alg1_rows] == [row.nmse_db for row in link_rows]
 

@@ -314,7 +314,8 @@ def sweep_code(run, options, *args):
 HEAVY_MODULES = ("scipy.linalg", "scipy.linalg._flapack", "scipy.signal", "numpy.ma",
                  "multiprocessing", "concurrent.futures")
 
-# (code run in a fresh interpreter, heavy modules loaded after it)
+# (code run in a fresh interpreter, heavy modules loaded after it): the one statement of
+# which heavy modules each kind of sweep loads
 SCIPY_CASES = {
     "import": ("import oddmsim", []),
     "nmse-sweep": (sweep_code("run_nmse_sweep", {"channel.model": "synthetic"}), []),
@@ -325,6 +326,12 @@ SCIPY_CASES = {
     # and that alone: neither the scipy.linalg package nor numpy.ma
     "oamp-link": (sweep_code("run_sensing_then_comm", {"run.detector": "oamp"}),
                   ["scipy.linalg._flapack"]),
+    # the same with the waveform chain and the estimator in the link: the confidence medians
+    # are a partition, since np.median imports numpy.ma
+    "estimated-oamp-link": (sweep_code("run_sensing_then_comm",
+                                       {"frame.Q": 4, "run.fidelity": "waveform",
+                                        "run.csi": "estimated", "run.detector": "oamp"}),
+                            ["scipy.linalg._flapack"]),
     # the positive control of the pool modules: two threads run the trials on a process
     # pool, so the parent loads the pool and its workers do the detecting
     "oamp-pool": (sweep_code("run_sensing_then_comm", {"run.detector": "oamp"}, 2),
