@@ -1,4 +1,6 @@
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -599,6 +601,16 @@ class TestEstimateChannel:
         assert cells(a.channel) == cells(b.channel)
         assert np.array_equal(a.channel.gains, b.channel.gains)
         assert a.objective_trace == b.objective_trace
+
+
+def test_sensing_sweep_loads_neither_numpy_ma_nor_scipy_linalg():
+    # the confidence median is a partition, since np.median imports numpy.ma (16 ms, 1.5 MB of
+    # peak RSS), and a sweep that never detects never factors a band with scipy.linalg
+    code = ("import sys; from oddmsim import harness; harness.run_nmse_sweep(harness.build_spec("
+            "{'channel.model': 'synthetic', 'frame.M': 16, 'frame.N': 8, 'run.snr_db': (10.0,), "
+            "'run.trials': 1})); print(sorted({'numpy.ma', 'scipy.linalg'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestMleExhaustive:
