@@ -292,23 +292,35 @@ def test_oamp_beats_lmmse():
         assert o.bit_errors + 4.0 * sigma < l.bit_errors
 
 
-def test_oddm_beats_ofdm():
-    # a claim check, not a golden: the abstract's "other multi-carrier modulation schemes".  At
-    # waveform fidelity with perfect CSI and LMMSE on both, OFDM's one-tap equalizer leaves an
-    # ICI floor at 350 km/h: its excess bit errors over ODDM's exceed 4 sigma at every point,
-    # sigma the spread of the paired per-trial excess times sqrt(trials) (measured: ODDM 730,
-    # 108, 2 against OFDM 1378, 696, 475 of 20480 bits at 10, 15 and 20 dB, 8.3, 8.2 and 6.7
-    # sigma; at least 4.36 sigma over seeds 0, 1, 3 and 7)
+def assert_ofdm_trails(scheme):
+    # the paired rule of the claim checks against OFDM: at waveform fidelity with perfect CSI and
+    # LMMSE on both, OFDM's one-tap equalizer leaves an ICI floor at 350 km/h, so its excess bit
+    # errors over the scheme's exceed 4 sigma at every point, sigma the spread of the paired
+    # per-trial excess times sqrt(trials)
     base = {**CLAIM_BASE, "run.snr_db": (10.0, 15.0, 20.0), "run.fidelity": "waveform",
             "run.detector": "lmmse"}
-    oddm, ofdm = (harness._run_trials(build_spec({**base, "run.scheme": scheme}),
-                                      harness._TrialRunner.link_trial)
-                  for scheme in ("oddm", "ofdm"))
-    for oddm_trials, ofdm_trials in zip(oddm, ofdm, strict=True):
+    rival, ofdm = (harness._run_trials(build_spec({**base, "run.scheme": name}),
+                                       harness._TrialRunner.link_trial)
+                   for name in (scheme, "ofdm"))
+    for rival_trials, ofdm_trials in zip(rival, ofdm, strict=True):
         excess = np.array([b["lmmse"].bit_errors - a["lmmse"].bit_errors
-                           for a, b in zip(oddm_trials, ofdm_trials, strict=True)])
+                           for a, b in zip(rival_trials, ofdm_trials, strict=True)])
         assert excess.size == 20
         assert excess.sum() > 4.0 * math.sqrt(excess.size) * excess.std(ddof=1)
+
+
+def test_oddm_beats_ofdm():
+    # a claim check, not a golden: the abstract's "other multi-carrier modulation schemes"
+    # (measured: ODDM 730, 108, 2 against OFDM 1378, 696, 475 of 20480 bits at 10, 15 and 20 dB,
+    # 8.3, 8.2 and 6.7 sigma; at least 4.36 sigma over seeds 0, 1, 3 and 7)
+    assert_ofdm_trails("oddm")
+
+
+def test_otfs_beats_ofdm():
+    # a claim check, not a golden: the same rule for the other delay-Doppler baseline (measured:
+    # OTFS 699, 106, 2 against OFDM 1378, 696, 475 of 20480 bits at 10, 15 and 20 dB, 8.5, 8.4
+    # and 6.6 sigma; at least 4.40 sigma over seeds 0, 1, 3, 7 and 11)
+    assert_ofdm_trails("otfs")
 
 
 @pytest.mark.parametrize("csi", CSI_MODES)
