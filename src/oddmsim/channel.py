@@ -48,7 +48,10 @@ def delay_index(tau: float, config: FrameConfig, delta_f: float) -> int:
     """Integer delay bin l = round(tau * M * delta_f) of a delay tau (s) at spacing delta_f (Hz)."""
     if tau < 0:
         raise ValueError(f"delay must be nonnegative, got {tau}")
-    l = round_half_away(tau * config.M * delta_f)
+    position = tau * config.M * delta_f
+    if not 0 <= position < math.inf:  # a NaN or infinite delay or spacing, or a negative spacing
+        raise ValueError(f"delay {tau} s has no bin at spacing {delta_f} Hz")
+    l = round_half_away(position)
     if l >= config.M:
         raise ValueError(f"delay {tau} s maps to bin {l} >= M = {config.M}")
     return l
@@ -148,6 +151,7 @@ def add_awgn(x: np.ndarray, noise_var: float, rng_seed) -> np.ndarray:
     if math.isnan(noise_var) or noise_var == math.inf:
         raise ValueError(f"noise_var must not be NaN or +inf, got {noise_var!r}")
     rng = _rng(rng_seed)
+    x = np.asarray(x)
     if noise_var <= 0.0:
         return x.copy()
     # the real and the imaginary draw go straight into one complex buffer, which is scaled and

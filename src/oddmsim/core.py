@@ -55,9 +55,11 @@ def require_real(name: str, value) -> float:
 
 
 def require_sigma_sq(sigma_sq) -> None:
-    """A detector's noise variance must be positive and finite."""
-    if not (np.isfinite(sigma_sq) and sigma_sq > 0):
-        raise ValueError(f"sigma_sq must be positive and finite, got {sigma_sq}")
+    """A detector's noise variance must be a positive, finite real number; "0.1", None, a bool
+    or an array is not one."""
+    if (isinstance(sigma_sq, bool) or not isinstance(sigma_sq, numbers.Real)
+            or not 0 < sigma_sq < math.inf):
+        raise ValueError(f"sigma_sq must be positive and finite, got {sigma_sq!r}")
 
 
 # The one alphabet, Gray map pinned for reproducibility:

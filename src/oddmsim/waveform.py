@@ -59,12 +59,16 @@ _CHUNK_BYTES = 256 * 1024  # bytes of chip windows that either direction forms a
 
 @dataclass(frozen=True, eq=False)
 class SampleStream:
-    """Complex baseband samples at the frame config's `oversampling`, the first at index `start`."""
+    """Complex baseband samples at the frame config's `oversampling`, the first at index `start`;
+    `samples` is kept as one 1-D complex array, a complex input without a copy."""
 
     samples: np.ndarray
     start: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
+        if self.samples.ndim != 1:
+            raise ValueError(f"samples must be a 1-D vector, got shape {self.samples.shape}")
         if isinstance(self.start, bool) or not isinstance(self.start, numbers.Integral):
             raise ValueError(f"start must be an integer sample index, got {self.start!r}")
 

@@ -200,6 +200,7 @@ class TestApplyChannel:
             literal = x + np.sqrt(noise_var / 2.0) * (a + 1j * b)
             out = add_awgn(x, noise_var, seed)
             assert out.dtype == literal.dtype and out.tobytes() == literal.tobytes()
+            assert add_awgn(x.tolist(), noise_var, seed).tobytes() == literal.tobytes()
         for noiseless in (0.0, -1.0):
             out = add_awgn(x, noiseless, 0)
             assert out is not x and out.dtype == x.dtype and out.tobytes() == x.tobytes()

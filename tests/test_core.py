@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -237,10 +238,13 @@ class TestGridIndexing:
 
     def test_out_of_range(self):
         cfg = FrameConfig(M=8, N=4, Q=2)
-        with pytest.raises(ValueError):
-            delay_index(1 / 15e3, cfg, 15e3)  # one slot maps to l = M
-        with pytest.raises(ValueError):
-            delay_index(-1e-9, cfg, 15e3)
+        # one slot maps to l = M; a NaN or infinite delay or spacing used to raise "cannot
+        # convert float NaN to integer" or OverflowError, and a negative spacing gave bin -12
+        for tau, delta_f in [(1 / 15e3, 15e3), (-1e-9, 15e3), (math.nan, 15e3),
+                             (math.inf, 15e3), (1e-6, math.nan), (1e-6, math.inf),
+                             (0.0, math.inf), (1e-4, -15e3)]:
+            with pytest.raises(ValueError, match="^delay "):
+                delay_index(tau, cfg, delta_f)
 
     @settings(max_examples=50)
     @given(st.lists(st.floats(0, 2500e-9), min_size=2, max_size=8))

@@ -45,71 +45,20 @@ def accepted_combinations():
 
 
 COMBINATIONS = accepted_combinations()
-
-# the cells the spec rejects because they would run another cell's experiment under their
-# own config_hash: at matrix fidelity the scheme is never read, and ofdm always equalizes
-# with its one-tap LMMSE; each id maps to the cell whose experiment it ran
-TWINS = {**{f"otfs-{det}-{csi}-matrix": f"oddm-{det}-{csi}-matrix"
-            for det in DETECTORS for csi in CSI_MODES},
-         "ofdm-oamp-perfect-waveform": "ofdm-lmmse-perfect-waveform"}
-CELLS = COMBINATIONS + [dict(zip(CELL_KEYS, twin.split("-"))) for twin in TWINS]
-CELL_IDS = ["-".join(o.values()) for o in CELLS]
-
-
-def experiment(options):
-    """The spec a cell runs: its own, or for a rejected twin, the cell it duplicated."""
-    name = "-".join(options.values())
-    if name not in TWINS:
-        return tiny_spec(**options)
-    with pytest.raises(ValueError, match="^(fidelity|detector) "):
-        tiny_spec(**options)
-    return tiny_spec(**CELLS[CELL_IDS.index(TWINS[name])])
+CELL_IDS = ["-".join(o.values()) for o in COMBINATIONS]
 
 
 def test_accepted_combinations():
     # oddm takes all; otfs is waveform-level only, since at matrix fidelity it would run
     # oddm; ofdm is waveform-level with perfect CSI and its one-tap LMMSE only
     assert len(COMBINATIONS) == 2 * 2 * 2 + 2 * 2 + 1 == 13
-    assert set(TWINS.values()) <= set(CELL_IDS[:len(COMBINATIONS)])
-
-
-@pytest.mark.parametrize("options", CELLS, ids=CELL_IDS)
-def test_every_accepted_combination_runs(options):
-    spec = experiment(options)
-    result = run_sensing_then_comm(spec)
-    (row,) = result.rows
-    assert row.bits == row.trials_run * spec.frames_per_trial * spec.frame.mn * spec.frame.constellation_obj.bits_per_symbol
-    assert 0.0 <= row.ber <= 0.5
-    assert (row.nmse_db is not None) == (options["run.csi"] == "estimated")
-
-
-def counting(counts, name, function):
-    """function, counting its calls in counts[name]."""
-    def wrapper(*args, **kwargs):
-        counts[name] += 1
-        return function(*args, **kwargs)
-    return wrapper
-
-
-@pytest.mark.parametrize("options", COMBINATIONS, ids=CELL_IDS[:len(COMBINATIONS)])
-def test_cells_look_up_their_functions_as_they_run(monkeypatch, options):
-    # a wrapper put on the module that owns a function of the cell's row sees its calls; the
-    # harness used to call the names it had imported, which such a wrapper never replaced
-    cell = harness._CELLS[options["run.scheme"], options["run.fidelity"]]
-    named = [pair for pair in (cell.modulate, cell.demodulate, cell.response,
-                               cell.detectors[options["run.detector"]]) if pair is not None]
-    counts = collections.Counter()
-    for module, name in named:  # a row naming a function its module lacks raises here
-        monkeypatch.setattr(module, name, counting(counts, name, getattr(module, name)))
-    run_sensing_then_comm(tiny_spec(**options))
-    assert sorted(counts) == sorted(name for _, name in named)
 
 
 # (trials_run, bits, bit_errors, nmse_db) of each combination's single row,
 # recorded before the channel, the estimate and the detector's H became one
 # EffectiveChannel; ODDM waveform rows are also pinned by the benchmark, the
 # OTFS and OFDM rows (through apply_physical_channel and ofdm_freq_response)
-# only here; a rejected twin's row, recorded when it still ran, is its twin's
+# only here
 GOLDEN_ROWS = {
     "oddm-oamp-perfect-matrix": (1, 512, 0, None),
     "oddm-oamp-perfect-waveform": (1, 512, 1, None),
@@ -119,15 +68,10 @@ GOLDEN_ROWS = {
     "oddm-lmmse-perfect-waveform": (1, 512, 6, None),
     "oddm-lmmse-estimated-matrix": (1, 512, 7, -25.625323270063603),
     "oddm-lmmse-estimated-waveform": (1, 512, 7, -22.90641548201179),
-    "otfs-oamp-perfect-matrix": (1, 512, 0, None),
     "otfs-oamp-perfect-waveform": (1, 512, 0, None),
-    "otfs-oamp-estimated-matrix": (1, 512, 0, -25.625323270063603),
     "otfs-oamp-estimated-waveform": (1, 512, 0, -24.53912951611635),
-    "otfs-lmmse-perfect-matrix": (1, 512, 5, None),
     "otfs-lmmse-perfect-waveform": (1, 512, 1, None),
-    "otfs-lmmse-estimated-matrix": (1, 512, 7, -25.625323270063603),
     "otfs-lmmse-estimated-waveform": (1, 512, 1, -24.53912951611635),
-    "ofdm-oamp-perfect-waveform": (1, 512, 21, None),
     "ofdm-lmmse-perfect-waveform": (1, 512, 21, None),
 }
 
@@ -148,10 +92,30 @@ def assert_row(row, trials_run, bits, bit_errors, nmse_db):
         assert row.nmse_db == pytest.approx(nmse_db, abs=1e-9)
 
 
-@pytest.mark.parametrize("options", CELLS, ids=CELL_IDS)
-def test_golden_rows(options):
-    (row,) = run_sensing_then_comm(experiment(options)).rows
+def counting(counts, name, function):
+    """function, counting its calls in counts[name]."""
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return function(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("options", COMBINATIONS, ids=CELL_IDS)
+def test_golden_rows(monkeypatch, options):
+    # a wrapper put on the module that owns a function of the cell's row sees its calls; the
+    # harness used to call the names it had imported, which such a wrapper never replaced
+    cell = harness._CELLS[options["run.scheme"], options["run.fidelity"]]
+    named = [pair for pair in (cell.modulate, cell.demodulate, cell.response,
+                               cell.detectors[options["run.detector"]]) if pair is not None]
+    counts = collections.Counter()
+    for module, name in named:  # a row naming a function its module lacks raises here
+        monkeypatch.setattr(module, name, counting(counts, name, getattr(module, name)))
+    spec = tiny_spec(**options)
+    (row,) = run_sensing_then_comm(spec).rows
     assert_row(row, *GOLDEN_ROWS["-".join(options.values())])
+    bits_per_frame = spec.frame.mn * spec.frame.constellation_obj.bits_per_symbol
+    assert row.bits == row.trials_run * spec.frames_per_trial * bits_per_frame
+    assert sorted(counts) == sorted(name for _, name in named)
 
 
 def link_spec(**options):
@@ -577,32 +541,12 @@ IMPOSSIBLE_SPECS = {
 }
 
 
-# values once rejected for the field they set; the field is gone (the estimator assumes the
-# channel model's path count, the stopping rules are module constants, every frame is 4-QAM
-# and the subcarrier spacing is EVA's channel.delta_f), so the key itself is now rejected as
-# unknown
-REMOVED_FIELD_SPECS = {
-    "epsilon": {"est.epsilon": math.nan},
-    "p_assumed": {"est.p_assumed": 0},
-    "max_iters-det": {"det.max_iters": 2.5},
-    "max_iters-det-bool": {"det.max_iters": True},
-    # one spelling per experiment: "4QAM" would have run 4qam under another config_hash
-    "constellation": {"frame.constellation": "4QAM"},
-    "delta_f-none": {"frame.delta_f": None},
-}
-
-
-@pytest.mark.parametrize("case", list(IMPOSSIBLE_SPECS) + list(REMOVED_FIELD_SPECS))
+@pytest.mark.parametrize("case", list(IMPOSSIBLE_SPECS))
 def test_impossible_spec_rejected_at_build(case):
     # each of these used to fail deep inside a run, or run something else
-    if case in REMOVED_FIELD_SPECS:
-        (key,) = REMOVED_FIELD_SPECS[case]
-        with pytest.raises(ValueError, match=rf"^unknown option keys \['{key}'\]"):
-            tiny_spec(**REMOVED_FIELD_SPECS[case])
-    else:
-        field = case.split("-")[0]
-        with pytest.raises(ValueError, match=f"^{field} "):
-            tiny_spec(**IMPOSSIBLE_SPECS[case])
+    field = case.split("-")[0]
+    with pytest.raises(ValueError, match=f"^{field} "):
+        tiny_spec(**IMPOSSIBLE_SPECS[case])
 
 
 def test_integer_frame_floats_hash_like_floats():
@@ -676,16 +620,17 @@ def test_infinite_snr_is_the_noiseless_case():
 
 
 REMOVED_KEYS = ("det.le_mode", "det.max_iters", "est.p_assumed", "est.max_iters",
-                "est.epsilon", "frame.constellation")
+                "est.epsilon", "frame.constellation", "frame.delta_f")
 
 
 def test_unknown_option_keys_rejected():
     # a misspelt key and a removed key must not silently run the default spec; the estimator
-    # assumes the channel model's path count, the stopping rules are module constants and
-    # every frame is 4-QAM
-    with pytest.raises(ValueError, match="run.detecter") as info:
+    # assumes the channel model's path count, the stopping rules are module constants, every
+    # frame is 4-QAM and the subcarrier spacing is EVA's channel.delta_f
+    prefix = re.escape(f"unknown option keys {sorted(('run.detecter',) + REMOVED_KEYS)};")
+    with pytest.raises(ValueError, match=f"^{prefix}") as info:
         build_spec({"run.detecter": "lmmse", **dict.fromkeys(REMOVED_KEYS, 1)})
-    assert all(key in str(info.value) for key in REMOVED_KEYS + tuple(option_keys()))
+    assert all(key in str(info.value) for key in option_keys())
     assert not set(REMOVED_KEYS) & set(option_keys())
 
 

@@ -1,7 +1,7 @@
 """Every public function the package exports is exercised by name in a test, every
-private module-level name and every module-level import in the package is used, every
-complex exponential sits in effchan, and every cross-reference in the package's
-docstrings names an object that exists."""
+private module-level name in the package and every module-level import in the package and
+its tests is used, every complex exponential sits in effchan, and every cross-reference in
+the package's docstrings names an object that exists."""
 
 import ast
 import importlib
@@ -47,11 +47,12 @@ def test_every_private_module_name_is_referenced():
 
 
 def test_every_module_level_import_is_used():
-    # a name a submodule imports at module level and never reads is left over from an
-    # edit; the package's __init__ imports only to re-export, so it is not checked
+    # a name a submodule or a test module imports at module level and never reads is left over
+    # from an edit; the package's __init__ imports only to re-export, so it is not checked
     unused = []
-    for path in Path(oddmsim.__file__).parent.glob("*.py"):
-        if path.name == "__init__.py":
+    package = Path(oddmsim.__file__)
+    for path in [*package.parent.glob("*.py"), *HERE.parent.glob("*.py")]:
+        if path == package:
             continue
         tree = ast.parse(path.read_text())
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -8,7 +8,7 @@ import pytest
 
 import oddmsim
 from oddmsim import waveform
-from oddmsim.baselines import ofdm_modulate, otfs_modulate
+from oddmsim.baselines import ofdm_modulate, otfs_demodulate, otfs_modulate
 from oddmsim.channel import apply_physical_channel, channel_from_cells
 from oddmsim.core import FrameConfig, random_frame
 from oddmsim.waveform import SampleStream, build_srrc, oddm_demodulate, oddm_modulate
@@ -269,6 +269,23 @@ def test_pulse_follows_the_config(direction, field):
 def test_stream_start_is_an_integer_sample_index(start):
     with pytest.raises(ValueError, match="^start must be an integer sample index"):
         SampleStream(samples=np.zeros(4, complex), start=start)
+
+
+def test_stream_samples_are_one_complex_vector():
+    # a list of samples used to raise AttributeError in the demodulators and the channel, and a
+    # 2-D array a numpy error deep inside oddm_demodulate
+    cfg = cfg32()
+    chan = channel_from_cells(cfg, [(1, 1)], [0.5])
+    for modulate, demodulate in ((oddm_modulate, oddm_demodulate),
+                                 (otfs_modulate, otfs_demodulate)):
+        st = modulate(np.ones(cfg.mn), cfg, 0)
+        assert SampleStream(samples=st.samples, start=st.start).samples is st.samples
+        listed = SampleStream(samples=st.samples.tolist(), start=st.start)
+        assert np.array_equal(demodulate(listed, cfg), demodulate(st, cfg))
+        assert np.array_equal(apply_physical_channel(listed, chan).samples,
+                              apply_physical_channel(st, chan).samples)
+    with pytest.raises(ValueError, match="^samples "):
+        SampleStream(samples=st.samples.reshape(2, -1), start=st.start)
 
 
 def test_rejects_stream_at_another_rate():
