@@ -36,6 +36,9 @@ def _rng(rng_seed) -> np.random.Generator:
 
 def channel_from_cells(config: FrameConfig, cells, gains) -> EffectiveChannel:
     """Paths on integer (l, k) cells; gains landing on one cell are summed."""
+    if len(cells) != len(gains):
+        raise ValueError(f"cells and gains differ in length: {len(cells)} cells, "
+                         f"{len(gains)} gains")
     merged: dict = {}
     for (l, k), h in zip(cells, gains):
         merged[(l, k)] = merged.get((l, k), 0.0) + complex(h)
@@ -46,10 +49,11 @@ def channel_from_cells(config: FrameConfig, cells, gains) -> EffectiveChannel:
 
 def delay_index(tau: float, config: FrameConfig, delta_f: float) -> int:
     """Integer delay bin l = round(tau * M * delta_f) of a delay tau (s) at spacing delta_f (Hz)."""
+    tau, delta_f = require_real("delay", tau), require_real("delta_f", delta_f)
     if tau < 0:
         raise ValueError(f"delay must be nonnegative, got {tau}")
     position = tau * config.M * delta_f
-    if not 0 <= position < math.inf:  # a NaN or infinite delay or spacing, or a negative spacing
+    if not 0 <= position < math.inf:  # an infinite delay or spacing, or a negative spacing
         raise ValueError(f"delay {tau} s has no bin at spacing {delta_f} Hz")
     l = round_half_away(position)
     if l >= config.M:
@@ -148,8 +152,8 @@ def apply_physical_channel(stream: SampleStream, chan: EffectiveChannel) -> Samp
 def add_awgn(x: np.ndarray, noise_var: float, rng_seed) -> np.ndarray:
     """x plus circularly-symmetric complex Gaussian noise of per-sample variance
     noise_var (none for noise_var <= 0), always as a new array."""
-    if math.isnan(noise_var) or noise_var == math.inf:
-        raise ValueError(f"noise_var must not be NaN or +inf, got {noise_var!r}")
+    if require_real("noise_var", noise_var) == math.inf:
+        raise ValueError(f"noise_var must not be +inf, got {noise_var!r}")
     rng = _rng(rng_seed)
     x = np.asarray(x)
     if noise_var <= 0.0:

@@ -3,19 +3,16 @@
 These deliberately avoid the library's vectorized code paths: the effective
 matrix oracle is a literal per-cell enumeration of the delay-Doppler
 input-output relation (with the wrap phase the library's chip-domain form
-never writes out), the block and permutation helpers spell out the paper's
-block structure of that matrix, the path statistic is a dense direct
-computation, the alternating channel search is its loop written on (l, k) cells
-with every column, median and condition number taken afresh, the Gram band
-oracle scatters one path pair at a time, the
-linear-estimator oracle works from the SVD of the dense matrix, the OAMP
-denoiser oracle weighs all four constellation points by a softmax, the hard
-decision oracle takes the nearest of the four by their distances, the ODDM
-modulator and matched filter build every symbol's pulse train sample by
-sample from its defining formula, and the AWGN reference is the closed-form
-Q-function bit error rate for Gray 4-QAM.  The pulse
-orthogonality matrix checks the paper's near-orthogonality of the pulse
-train by direct shifted inner products.
+never writes out), the alternating channel search is its loop written on
+(l, k) cells with every column, median and condition number taken afresh, the
+Gram band oracle scatters one path pair at a time, the linear-estimator oracle
+works from the SVD of the dense matrix, the OAMP denoiser oracle weighs all
+four constellation points by a softmax, the hard decision oracle takes the
+nearest of the four by their distances, the ODDM modulator and matched filter
+build every symbol's pulse train sample by sample from its defining formula,
+and the AWGN reference is the closed-form Q-function bit error rate for Gray
+4-QAM.  The pulse orthogonality matrix checks the paper's near-orthogonality
+of the pulse train by direct shifted inner products.
 """
 
 import numpy as np
@@ -52,71 +49,6 @@ def brute_force_effective_matrix(paths, M, N):
 def dense_channel(H):
     """Oracle matrix of an object with per-path ``gains``, ``l``, ``k`` and a ``config``."""
     return brute_force_effective_matrix(list(zip(H.gains, H.l, H.k)), H.config.M, H.config.N)
-
-
-def cyclic_permutation(N):
-    """Forward cyclic shift: (C x)[n] = x[(n-1) mod N]; C^N = I."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    C = np.zeros((N, N))
-    idx = np.arange(N)
-    C[idx, (idx - 1) % N] = 1.0
-    return C
-
-
-def phase_rotation(N):
-    """Unitary diagonal diag(1, e^{-j2pi/N}, ..., e^{-j2pi(N-1)/N})."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return np.diag(np.exp(-2j * np.pi * np.arange(N) / N))
-
-
-def build_block(G, l, m, config):
-    """N x N Doppler-coupling block for delay offset l at block row m.
-
-    Sums the Doppler rows of the gain matrix G, each contributing its cyclic
-    Doppler shift weighted by the accumulated phase exp(j*2*pi*k*(m-l)/(MN)).
-    Negative Doppler uses the transposed (inverse) cyclic shift.
-    """
-    G = np.asarray(G)
-    rows, L = G.shape
-    if rows % 2 != 1:
-        raise ValueError("G must have an odd number of Doppler rows (2*L1+1)")
-    L1 = (rows - 1) // 2
-    if not 0 <= l < L:
-        raise ValueError(f"delay offset l={l} outside [0, {L})")
-    if not 0 <= m < config.M:
-        raise ValueError(f"block row m={m} outside [0, {config.M})")
-    N = config.N
-    C = cyclic_permutation(N)
-    A = np.zeros((N, N), dtype=complex)
-    for k in range(-L1, L1 + 1):
-        g = G[k + L1, l]
-        if g == 0:
-            continue
-        Ck = np.linalg.matrix_power(C if k >= 0 else C.T, abs(k))
-        A += g * np.exp(2j * np.pi * k * (m - l) / (config.M * config.N)) * Ck
-    return A
-
-
-def path_objective(p, y, s_known, hypotheses, gains, config):
-    """Useful-signal-minus-interference statistic for path p's current cell.
-
-    Q_p = |s^H H_p^H y| / (s^H H_p^H H_p s) is the matched-filter term; the
-    interference term collects the other paths' correlations weighted by
-    their current gains (its real part, so the statistic is real).
-    """
-    u = [brute_force_effective_matrix([(1.0, l, k)], config.M, config.N) @ s_known
-         for l, k in hypotheses]
-    denom = float(np.vdot(u[p], u[p]).real)
-    b_p = np.vdot(u[p], y)
-    q_term = abs(b_p) / denom
-    i_term = 0.0
-    for q, (uq, h) in enumerate(zip(u, gains)):
-        if q == p:
-            continue
-        i_term += (h * np.vdot(u[p], uq) * np.conj(b_p)).real
-    return q_term - i_term / denom
 
 
 def estimate_channel_literal(y, sounding):
@@ -348,8 +280,6 @@ def pulse_orthogonality_matrix(a, config, m_range, n_range):
     M, N, osf = config.M, config.N, config.oversampling
     m_range = np.asarray(list(m_range), dtype=int)
     n_range = np.asarray(list(n_range), dtype=int)
-    if np.any(np.abs(m_range) >= M) or np.any(np.abs(n_range) > N):
-        raise ValueError("shift ranges exceed the grid")
     qos = (a.size - 1) // 2
     L = M * N * osf
     u = np.zeros(L + 2 * qos)

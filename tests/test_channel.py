@@ -56,6 +56,11 @@ class TestEvaGeneration:
         assert (chan.l.tolist(), chan.k.tolist()) == ([0, 2], [0, 1])
         assert chan.gains.tolist() == [0.5j, 0.75]
 
+    def test_cells_and_gains_of_different_lengths_rejected(self):
+        # zip used to drop the surplus cell and return a 1-path channel
+        with pytest.raises(ValueError, match="^cells and gains differ in length: 2 cells, 1 gains$"):
+            channel_from_cells(FrameConfig(8, 4), [(0, 0), (1, 0)], [1.0])
+
     def test_delay_and_doppler_follow_from_cells(self):
         # a path acts in bins: cell (l, k) delays a stream by l bins of oversampling samples
         # and turns it by k / (MN oversampling) cycles per sample; it has no delay in seconds
@@ -205,10 +210,13 @@ class TestApplyChannel:
             out = add_awgn(x, noiseless, 0)
             assert out is not x and out.dtype == x.dtype and out.tobytes() == x.tobytes()
 
-    @pytest.mark.parametrize("noise_var", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("noise_var", [
+        float("nan"), float("inf"),  # these used to return all-NaN or infinite samples
+        # these used to raise TypeError, and True ran as variance 1.0
+        pytest.param("0.1", id="str"), pytest.param(None, id="None"),
+        pytest.param(np.array([0.1, 0.2]), id="array"), pytest.param(True, id="bool")])
     def test_non_finite_noise_var_rejected(self, noise_var):
-        # these used to return all-NaN or infinite samples
-        with pytest.raises(ValueError, match="noise_var"):
+        with pytest.raises(ValueError, match="^noise_var "):
             add_awgn(np.ones(4, complex), noise_var, 0)
 
     def test_deterministic_given_seed(self):

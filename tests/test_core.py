@@ -241,9 +241,16 @@ class TestGridIndexing:
         # one slot maps to l = M; a NaN or infinite delay or spacing used to raise "cannot
         # convert float NaN to integer" or OverflowError, and a negative spacing gave bin -12
         for tau, delta_f in [(1 / 15e3, 15e3), (-1e-9, 15e3), (math.nan, 15e3),
-                             (math.inf, 15e3), (1e-6, math.nan), (1e-6, math.inf),
-                             (0.0, math.inf), (1e-4, -15e3)]:
+                             (math.inf, 15e3), (1e-6, math.inf), (0.0, math.inf),
+                             (1e-4, -15e3)]:
             with pytest.raises(ValueError, match="^delay "):
+                delay_index(tau, cfg, delta_f)
+        # a string or None delay or spacing used to raise TypeError, and a True delay failed
+        # only as "maps to bin 120000"
+        for tau, delta_f, name in [("1e-6", 15e3, "delay"), (None, 15e3, "delay"),
+                                   (True, 15e3, "delay"), (1e-6, math.nan, "delta_f"),
+                                   (1e-6, "15e3", "delta_f"), (1e-6, None, "delta_f")]:
+            with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
                 delay_index(tau, cfg, delta_f)
 
     @settings(max_examples=50)

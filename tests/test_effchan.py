@@ -8,8 +8,7 @@ from oddmsim.core import FrameConfig, chips_to_dd, dd_to_chips, random_frame
 from oddmsim.effchan import (EffectiveChannel, doppler_twiddles, path_correlations,
                              shifted_conj_rows)
 
-from oracles import (brute_force_effective_matrix, build_block, cyclic_permutation,
-                     dense_channel, phase_rotation)
+from oracles import brute_force_effective_matrix
 
 
 def small_config(M=8, N=4):
@@ -35,62 +34,6 @@ def random_vector(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-class TestBuildingBlocks:
-    def test_cyclic_shift_definition(self):
-        C = cyclic_permutation(3)
-        assert np.array_equal(C @ np.array([1.0, 2.0, 3.0]), [3.0, 1.0, 2.0])
-
-    def test_cyclic_power_identity(self):
-        C = cyclic_permutation(4)
-        assert np.allclose(np.linalg.matrix_power(C, 4), np.eye(4))
-
-    def test_cyclic_inverse_is_transpose(self):
-        C = cyclic_permutation(5)
-        assert np.allclose(C @ C.T, np.eye(5))
-
-    def test_phase_rotation_small(self):
-        assert np.allclose(phase_rotation(2), np.diag([1.0, -1.0]))
-        assert np.allclose(phase_rotation(4), np.diag([1, -1j, -1, 1j]))
-
-    def test_phase_rotation_unitary(self):
-        D = phase_rotation(7)
-        assert np.allclose(np.abs(np.diag(D)), 1.0)
-        assert np.allclose(D @ D.conj().T, np.eye(7))
-
-
-class TestBuildBlock:
-    def test_doppler_free_gain_gives_identity(self):
-        cfg = small_config()
-        G = np.zeros((3, 4), dtype=complex)  # L1 = 1, L = 4
-        G[1, 2] = 1.0  # k = 0, l = 2
-        for m in range(cfg.M):
-            assert np.allclose(build_block(G, 2, m, cfg), np.eye(cfg.N))
-
-    def test_single_doppler_at_origin(self):
-        cfg = small_config()
-        G = np.zeros((3, 1), dtype=complex)
-        G[2, 0] = 1.0  # k = +1, l = 0
-        A = build_block(G, 0, 0, cfg)
-        assert np.allclose(A, cyclic_permutation(cfg.N))
-
-    def test_phase_accumulation(self):
-        cfg = small_config(M=8, N=4)
-        h = 0.7 - 0.2j
-        G = np.zeros((3, 3), dtype=complex)
-        G[2, 2] = h  # k = +1, l = 2
-        A = build_block(G, 2, 5, cfg)
-        expected = h * np.exp(2j * np.pi * 3 / 32) * cyclic_permutation(4)
-        assert np.allclose(A, expected)
-
-    def test_range_checks(self):
-        cfg = small_config()
-        G = np.zeros((3, 2), dtype=complex)
-        with pytest.raises(ValueError):
-            build_block(G, 2, 0, cfg)
-        with pytest.raises(ValueError):
-            build_block(G, 0, cfg.M, cfg)
-
-
 class TestAssembly:
     def test_identity_channel(self):
         cfg = small_config()
@@ -99,16 +42,16 @@ class TestAssembly:
         assert np.allclose(H, np.eye(cfg.mn), atol=1e-14)
 
     def test_pure_delay_wrap_blocks(self):
-        # one-bin delay on a 2x2 grid: lower block diagonal is I, wrap is D.
+        # one-bin delay on a 2x2 grid: lower block diagonal is I, wrap is the
+        # phase rotation diag(e^{-j2pi n/N}) = diag(1, -1).
         # The full config cannot express M=2 (pulse length bound), but the
         # channel only needs the grid shape and its Doppler bins, -1 and 0.
         from types import SimpleNamespace
         grid = SimpleNamespace(M=2, N=2, mn=4, doppler_range=(-1, 0))
         H = materialize(single_path(grid, 1, 0))
-        D = phase_rotation(2)
         expected = np.zeros((4, 4), dtype=complex)
         expected[2:, :2] = np.eye(2)   # block row m=1, column m'=0
-        expected[:2, 2:] = D           # wrap block
+        expected[:2, 2:] = np.diag([1.0, -1.0])  # wrap block
         assert np.allclose(H, expected)
         oracle = brute_force_effective_matrix([(1.0, 1, 0)], 2, 2)
         assert np.allclose(H, oracle, atol=1e-14)
@@ -132,14 +75,6 @@ class TestAssembly:
             negative += np.count_nonzero(chan.k < 0)
         assert wrapped > 0 and negative > 0
 
-    def test_decomposition_identity(self):
-        cfg = small_config()
-        rng = np.random.default_rng(3)
-        eff = gen_synthetic_channel(cfg, 3, rng, l_max=5, k_max=1)
-        total = sum(h * materialize(single_path(cfg, l, k))
-                    for h, l, k in zip(eff.gains, eff.l, eff.k))
-        assert np.max(np.abs(materialize(eff) - total)) <= 1e-12
-
     def test_nonzeros_per_row_at_most_P(self):
         cfg = small_config()
         chan = gen_synthetic_channel(cfg, 3, np.random.default_rng(11), l_max=5, k_max=1)
@@ -148,32 +83,9 @@ class TestAssembly:
 
 
 class TestPathCoefficients:
-    def test_origin_is_identity(self):
-        cfg = small_config()
-        assert np.allclose(materialize(single_path(cfg, 0, 0)), np.eye(cfg.mn), atol=1e-14)
-
-    def test_delay_only_structure(self):
-        cfg = small_config()
-        dense = materialize(single_path(cfg, 3, 0))
-        oracle = brute_force_effective_matrix([(1.0, 3, 0)], cfg.M, cfg.N)
-        assert np.allclose(dense, oracle, atol=1e-14)
-        # a phase permutation: one unit-modulus entry per row, the rest vanish
-        big = np.abs(dense) > 1e-12
-        assert np.allclose(np.abs(dense[big]), 1.0)
-        assert np.count_nonzero(big) == cfg.mn
-
-    def test_sum_matches_assemble(self):
-        cfg = small_config()
-        rng = np.random.default_rng(17)
-        for _ in range(5):
-            eff = gen_synthetic_channel(cfg, 3, rng, l_max=7, k_max=1)
-            total = sum(h * brute_force_effective_matrix([(1.0, l, k)], cfg.M, cfg.N)
-                        for h, l, k in zip(eff.gains, eff.l, eff.k))
-            assert np.max(np.abs(materialize(eff) - total)) < 1e-12
-
     def test_phase_permutation_unitarity(self):
         cfg = small_config()
-        for (l, k) in [(0, 0), (3, 1), (7, -2), (5, 1)]:
+        for (l, k) in [(0, 0), (3, 0), (3, 1), (7, -2), (5, 1)]:
             Hd = materialize(single_path(cfg, l, k))
             assert np.allclose(Hd.conj().T @ Hd, np.eye(cfg.mn), atol=1e-12)
             big = np.abs(Hd) > 1e-12
@@ -210,25 +122,6 @@ class TestPathCoefficients:
 
 
 class TestApply:
-    def test_identity_apply(self):
-        cfg = small_config()
-        eff = channel_from_cells(cfg, [(0, 0)], [1.0])
-        x = np.arange(cfg.mn, dtype=complex)
-        assert np.allclose(eff.apply(x), x)
-
-    def test_matches_dense_product(self):
-        cfg = small_config()
-        rng = np.random.default_rng(23)
-        eff = gen_synthetic_channel(cfg, 3, rng, l_max=6, k_max=1)
-        Hd = dense_channel(eff)
-        x = random_vector(rng, cfg.mn)
-        assert np.allclose(eff.apply(x), Hd @ x, atol=1e-12)
-        assert np.allclose(apply_adjoint(eff, x), Hd.conj().T @ x, atol=1e-12)
-        # the delay-Doppler products are the chip products between the maps
-        assert np.allclose(dd_to_chips(Hd @ x, cfg), eff.apply_chips(dd_to_chips(x, cfg)),
-                           atol=1e-12)
-        assert np.allclose(chips_to_dd(dd_to_chips(x, cfg), cfg), x, atol=1e-14)
-
     @settings(max_examples=40)
     @given(st.integers(3, 9), st.integers(2, 7), st.data())
     def test_chip_products_are_adjoint(self, M, N, data):

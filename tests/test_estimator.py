@@ -15,8 +15,7 @@ from oddmsim.effchan import EffectiveChannel
 from oddmsim.estimator import (EstimationConfig, Sounding, estimate_channel, mle_exhaustive,
                                nmse, pick_peak, solve_gains)
 
-from oracles import (brute_force_effective_matrix, dense_channel, estimate_channel_literal,
-                     path_objective)
+from oracles import brute_force_effective_matrix, dense_channel, estimate_channel_literal
 
 
 def cfg16():
@@ -106,36 +105,6 @@ class TestSolveGains:
         gains, ill = solve_gains(G, b)
         assert not ill
         assert np.linalg.norm(G @ gains - b) <= 1e-12 * np.linalg.norm(b)
-
-
-class TestPathObjective:
-    def test_single_path_peak_at_planted_cell(self):
-        cfg = cfg16()
-        chan = channel_from_cells(cfg, [(5, -1)], [1.0])
-        s, y = observe(cfg, chan, None)
-        vals = {(l, k): path_objective(0, y, s, [(l, k)], np.array([0j]), cfg)
-                for l in range(8) for k in range(-4, 4)}
-        assert max(vals, key=vals.get) == (5, -1)
-
-    def test_zero_observation(self):
-        cfg = cfg16()
-        s = random_frame(cfg, np.random.default_rng(0))[1]
-        y = np.zeros(cfg.mn, dtype=complex)
-        assert path_objective(0, y, s, [(3, 1)], np.array([0j]), cfg) == 0.0
-
-    def test_orthogonal_geometry_interference_vanishes(self):
-        # sparse sensing frame so the two paths' responses have disjoint
-        # delay support: the cross-Gram is exactly zero
-        cfg = cfg16()
-        s = np.zeros(cfg.mn, dtype=complex)
-        s[:cfg.N] = np.exp(2j * np.pi * np.arange(cfg.N) / cfg.N)  # delay bin 0 only
-        chan = channel_from_cells(cfg, [(0, 0), (8, 0)], [1.0, 0.9])
-        y = chan.apply(s)
-        hyp = [(0, 0), (8, 0)]
-        gains = np.array([1.0 + 0j, 0.9 + 0j])
-        full = path_objective(0, y, s, hyp, gains, cfg)
-        q_only = path_objective(0, y, s, [(0, 0)], np.array([0j]), cfg)
-        assert full == pytest.approx(q_only, abs=1e-12)
 
 
 class TestWindow:
@@ -620,9 +589,10 @@ class TestMleExhaustive:
         s, y = observe(cfg, chan, 20.0, seed=2)
         ec = EstimationConfig(frame=cfg, p_assumed=1, l_max=7, k_max=1)
         res = mle_exhaustive(y, Sounding(ec, s))
-        vals = {(l, k): path_objective(0, y, s, [(l, k)], np.array([0j]), cfg)
-                for l in range(8) for k in range(-1, 2)}
-        assert cells(res.channel)[0] == max(vals, key=vals.get)
+        # the one-path least-squares fit keeps the most energy |u^H y|^2 / ||u||^2
+        u = responses(cfg, ec.cells, s)
+        fit = np.abs(u.conj() @ y) ** 2 / np.sum(np.abs(u) ** 2, axis=1)
+        assert cells(res.channel)[0] == ec.cells[int(np.argmax(fit))]
 
     def test_zero_residual_at_planted_tuple(self):
         cfg = cfg16()

@@ -399,9 +399,3 @@ class TestOrthogonality:
             mask[i0, 0] = False
             peaks.append(orth[mask].max())
         assert all(a > b for a, b in zip(peaks, peaks[1:]))
-
-    def test_range_validation(self):
-        cfg = cfg32()
-        a = build_srrc(cfg)
-        with pytest.raises(ValueError):
-            pulse_orthogonality_matrix(a, cfg, [cfg.M], [0])
