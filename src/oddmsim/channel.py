@@ -50,10 +50,12 @@ def channel_from_cells(config: FrameConfig, cells, gains) -> EffectiveChannel:
 def delay_index(tau: float, config: FrameConfig, delta_f: float) -> int:
     """Integer delay bin l = round(tau * M * delta_f) of a delay tau (s) at spacing delta_f (Hz)."""
     tau, delta_f = require_real("delay", tau), require_real("delta_f", delta_f)
+    if not 0 < delta_f < math.inf:
+        raise ValueError(f"delta_f must be finite and positive, got {delta_f!r}")
     if tau < 0:
         raise ValueError(f"delay must be nonnegative, got {tau}")
     position = tau * config.M * delta_f
-    if not 0 <= position < math.inf:  # an infinite delay or spacing, or a negative spacing
+    if position == math.inf:  # an infinite delay, or one whose bin overflows
         raise ValueError(f"delay {tau} s has no bin at spacing {delta_f} Hz")
     l = round_half_away(position)
     if l >= config.M:

@@ -66,12 +66,13 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QAM4, chips_to_dd, dd_to_chips, qam_demap, require_sigma_sq
+from .core import QAM4, chips_to_dd, dd_to_chips, qam_demap, require_real, require_sigma_sq
 from .effchan import EffectiveChannel, _sources, checked_chips
 
 VAR_FLOOR = 1e-10   # lower bound on every propagated variance
@@ -243,8 +244,13 @@ def oamp_nle(r_t: np.ndarray, v_le_sq: float):
 
     Returns (s_next, v_nle_sq_next, posterior_means, posterior_var,
     non_contracting); the last entry flags the degenerate case
-    v_post >= v_le_sq, where the orthogonalization step is skipped.
+    v_post >= v_le_sq, where the orthogonalization step is skipped.  A non-finite ``r_t``, or a
+    ``v_le_sq`` that is not positive and finite, raises ValueError.
     """
+    if not np.isfinite(r_t).all():
+        raise ValueError("r_t must be finite, got a NaN or infinite entry")
+    if not 0 < require_real("v_le_sq", v_le_sq) < math.inf:
+        raise ValueError(f"v_le_sq must be positive and finite, got {v_le_sq!r}")
     v = max(v_le_sq, VAR_FLOOR)
     a = QAM4.points.real.max()
     post_mean = a * (np.tanh(2 * a * r_t.real / v) + 1j * np.tanh(2 * a * r_t.imag / v))

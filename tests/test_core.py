@@ -238,12 +238,16 @@ class TestGridIndexing:
 
     def test_out_of_range(self):
         cfg = FrameConfig(M=8, N=4, Q=2)
-        # one slot maps to l = M; a NaN or infinite delay or spacing used to raise "cannot
-        # convert float NaN to integer" or OverflowError, and a negative spacing gave bin -12
+        # one slot maps to l = M; a NaN or infinite delay used to raise "cannot convert float
+        # NaN to integer" or OverflowError
         for tau, delta_f in [(1 / 15e3, 15e3), (-1e-9, 15e3), (math.nan, 15e3),
-                             (math.inf, 15e3), (1e-6, math.inf), (0.0, math.inf),
-                             (1e-4, -15e3)]:
+                             (math.inf, 15e3)]:
             with pytest.raises(ValueError, match="^delay "):
+                delay_index(tau, cfg, delta_f)
+        # a spacing that is not positive and finite: an infinite one used to raise OverflowError,
+        # a negative one gave bin -12, and 0 put every delay on bin 0
+        for tau, delta_f in [(1e-6, math.inf), (0.0, math.inf), (1e-4, -15e3), (1e-6, 0.0)]:
+            with pytest.raises(ValueError, match="^delta_f "):
                 delay_index(tau, cfg, delta_f)
         # a string or None delay or spacing used to raise TypeError, and a True delay failed
         # only as "maps to bin 120000"

@@ -1,4 +1,5 @@
 import importlib.machinery
+import math
 
 import numpy as np
 import pytest
@@ -337,6 +338,18 @@ def assert_matches_softmax(r, v):
     assert abs(got[1] - want[1]) <= c_got * c_want * dv + 4 * eps * c_want * want[1]
 
 
+# (r_t, v_le_sq) of each bad oamp_nle input, named by the argument it gets wrong
+NLE_FAULTS = {
+    "r_t-nan": ([0.5, math.nan], 0.3),
+    "r_t-inf": ([complex(0.5, math.inf)], 0.3),
+    "v_le_sq-zero": ([0.5], 0.0),
+    "v_le_sq-negative": ([0.5], -0.3),
+    "v_le_sq-inf": ([0.5], math.inf),
+    "v_le_sq-nan": ([0.5], math.nan),
+    "v_le_sq-string": ([0.5], "0.3"),
+}
+
+
 class TestOampNLE:
     @settings(max_examples=300)
     @given(st.lists(st.complex_numbers(max_magnitude=30.0, allow_nan=False)
@@ -381,6 +394,14 @@ class TestOampNLE:
         e_out = s_next - s_true
         corr = abs(np.vdot(e_in, e_out)) / (np.linalg.norm(e_in) * np.linalg.norm(e_out))
         assert corr <= 0.05
+
+    @pytest.mark.parametrize("case", list(NLE_FAULTS))
+    def test_bad_input_rejected(self, case):
+        # these ran: a NaN or infinite r_t gave NaN symbols, v_le_sq 0 or -0.3 ran at the
+        # variance floor and NaN or inf gave NaN symbols; a string raised TypeError
+        r, v_le_sq = NLE_FAULTS[case]
+        with pytest.raises(ValueError, match=f"^{case.split('-')[0]} "):
+            oamp_nle(np.array(r, dtype=complex), v_le_sq)
 
     def test_variance_updates_positive(self):
         rng = np.random.default_rng(8)
