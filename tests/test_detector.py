@@ -1,3 +1,4 @@
+import functools
 import importlib.machinery
 import math
 
@@ -105,6 +106,18 @@ STAGE_CHANNELS = {
 }
 
 
+@functools.cache
+def stage_oracle(name):
+    """(H, r in chip order, [(xi, (x, eps))]) of STAGE_CHANNELS[name] from one dense SVD, taken
+    once per session for the two call orders of the stage; 1e9 is past sigma^2 / v_nle^2 at
+    the variance floor."""
+    H = STAGE_CHANNELS[name]()
+    rng = np.random.default_rng(30)
+    r = rng.standard_normal(H.config.mn) + 1j * rng.standard_normal(H.config.mn)
+    xis = (1e-6, 1e-2, 1.0, 10.0, 1e9)
+    return H, dd_to_chips(r, H.config), tuple(zip(xis, dense_le(dense_channel(H), r, xis)))
+
+
 class TestLinearStage:
     @pytest.mark.parametrize("name", list(STAGE_CHANNELS))
     def test_gram_band_matches_pair_loop(self, name):
@@ -134,31 +147,22 @@ class TestLinearStage:
 
     @pytest.mark.parametrize("name", list(STAGE_CHANNELS))
     def test_matches_dense_oracle(self, name):
-        H = STAGE_CHANNELS[name]()
-        Hd = dense_channel(H)
+        H, rhs, oracle = stage_oracle(name)
         stage = LinearStage(H)
-        rng = np.random.default_rng(30)
-        r = rng.standard_normal(H.config.mn) + 1j * rng.standard_normal(H.config.mn)
-        xis = (1e-6, 1e-2, 1.0, 10.0)
-        for xi, (x_ref, eps_ref) in zip(xis, dense_le(Hd, r, xis)):
-            x, residual = stage.solve(dd_to_chips(r, H.config), xi)
+        for xi, (x_ref, eps_ref) in oracle:
+            x, residual = stage.solve(rhs, xi)
             assert np.linalg.norm(chips_to_dd(x, H.config) - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
             assert residual <= 1e-10
             assert stage.eps_phi(xi) == pytest.approx(eps_ref, rel=1e-10)
 
     @pytest.mark.parametrize("name", list(STAGE_CHANNELS))
     def test_eps_first_matches_dense_oracle(self, name):
-        # the trace factor builds both factors of a new xi and the solve reuses
-        # the forward one; 1e9 is past sigma^2 / v_nle^2 at the variance floor
-        H = STAGE_CHANNELS[name]()
-        Hd = dense_channel(H)
+        # the trace factor builds both factors of a new xi and the solve reuses the forward one
+        H, rhs, oracle = stage_oracle(name)
         stage = LinearStage(H)
-        rng = np.random.default_rng(32)
-        r = rng.standard_normal(H.config.mn) + 1j * rng.standard_normal(H.config.mn)
-        xis = (1e-6, 1e-2, 1.0, 10.0, 1e9)
-        for xi, (x_ref, eps_ref) in zip(xis, dense_le(Hd, r, xis)):
+        for xi, (x_ref, eps_ref) in oracle:
             assert stage.eps_phi(xi) == pytest.approx(eps_ref, rel=1e-10)
-            x, residual = stage.solve(dd_to_chips(r, H.config), xi)
+            x, residual = stage.solve(rhs, xi)
             assert np.linalg.norm(chips_to_dd(x, H.config) - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
             assert residual <= 1e-10
 

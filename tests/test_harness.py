@@ -125,14 +125,14 @@ def link_spec(**options):
 
 
 @functools.cache
-def _nmse_rows(spec):
-    return tuple(run_nmse_sweep(spec).rows)
+def _swept_rows(sweep, spec):
+    return tuple(sweep(spec).rows)
 
 
-def nmse_sweep(spec):
-    """run_nmse_sweep(spec), swept once per session; each call gets its own copies of the rows,
-    so that no test sees another's edits."""
-    return harness.SweepResult(rows=[replace(row) for row in _nmse_rows(spec)])
+def swept(sweep, spec):
+    """sweep(spec), serial, swept once per session for tests that share it; each call gets its
+    own copies of the rows, so that no test sees another's edits."""
+    return harness.SweepResult(rows=[replace(row) for row in _swept_rows(sweep, spec)])
 
 
 def untimed(rows):
@@ -141,8 +141,8 @@ def untimed(rows):
 
 
 def test_csv_round_trip(tmp_path):
-    result = run_sensing_then_comm(link_spec())
-    for res in (result, nmse_sweep(link_spec())):
+    result = swept(run_sensing_then_comm, link_spec())
+    for res in (result, swept(run_nmse_sweep, link_spec())):
         path = tmp_path / "sweep.csv"
         emit_csv(res, path)
         with open(path, newline="") as fh:
@@ -186,7 +186,7 @@ def test_sweep_pool_runs_one_blas_thread(monkeypatch):
 
 
 def test_nmse_sweep_golden_rows():
-    rows = nmse_sweep(link_spec()).rows
+    rows = swept(run_nmse_sweep, link_spec()).rows
     assert [(r.detector, r.snr_db) for r in rows] == [g[:2] for g in GOLDEN_NMSE_ROWS]
     for row, golden in zip(rows, GOLDEN_NMSE_ROWS):
         assert_row(row, *golden[2:])
@@ -204,7 +204,7 @@ def test_serial_and_parallel_csvs_identical(tmp_path):
     # early stop at 0 dB after the first trial; trials handed out ahead are dropped
     stopped = link_spec(**{"run.min_bit_errors": 1})
     for name, spec in (("full", full), ("stopped", stopped)):
-        emit_csv(run_sensing_then_comm(spec), tmp_path / f"{name}-serial.csv")
+        emit_csv(swept(run_sensing_then_comm, spec), tmp_path / f"{name}-serial.csv")
         parallel = run_sensing_then_comm(spec, threads=2)
         emit_csv(parallel, tmp_path / f"{name}-parallel.csv")
         assert _csv_lines_without_wall_time(tmp_path / f"{name}-serial.csv") == \
@@ -370,14 +370,15 @@ def test_serial_and_parallel_rows_identical_at_waveform_fidelity(sensing):
 def test_pool_sweep_stopping_every_point_cancels_its_queue():
     # the one point stops after the first trial, with the second still in flight on the pool
     spec = link_spec(**{"run.snr_db": (0.0,), "run.min_bit_errors": 1})
-    serial, parallel = (run_sensing_then_comm(spec, threads=n).rows for n in (1, 2))
+    serial = swept(run_sensing_then_comm, spec).rows
+    parallel = run_sensing_then_comm(spec, threads=2).rows
     assert untimed(parallel) == untimed(serial)
     assert parallel[0].trials_run == 1
 
 
 def test_min_bit_errors_stops_early():
-    stopped = run_sensing_then_comm(link_spec(**{"run.snr_db": (0.0,),
-                                                 "run.min_bit_errors": 1}))
+    stopped = swept(run_sensing_then_comm, link_spec(**{"run.snr_db": (0.0,),
+                                                        "run.min_bit_errors": 1}))
     full = run_sensing_then_comm(link_spec(**{"run.snr_db": (0.0,),
                                               "run.min_bit_errors": 10**9}))
     assert stopped.rows[0].bit_errors >= 1
@@ -461,7 +462,7 @@ def test_nmse_sweep_is_the_links_sensing_stage(scheme, fidelity):
     # exhaustive search runs next to alg1 at every point
     cell = {"run.scheme": scheme, "run.fidelity": fidelity}
     link_rows = run_sensing_then_comm(link_spec(**cell, **{"run.min_bit_errors": 10**9})).rows
-    nmse_rows = nmse_sweep(link_spec(**cell)).rows
+    nmse_rows = swept(run_nmse_sweep, link_spec(**cell)).rows
     assert [row.detector for row in nmse_rows] == ["alg1", "mle"] * 2
     alg1_rows = [row for row in nmse_rows if row.detector == "alg1"]
     assert [row.trials_run for row in link_rows] == [3, 3]
